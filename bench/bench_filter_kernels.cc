@@ -59,7 +59,7 @@ double Coverage(const CellStore& store, const std::vector<double>& centers,
   std::vector<PosRange> out;
   for (const double c : centers) {
     out.clear();
-    store.FilterZoneMap(ValueInterval{c - w / 2, c + w / 2}, &out);
+    store.zone_map().FilterRanges(ValueInterval{c - w / 2, c + w / 2}, &out);
     total += TotalRangeLength(out);
   }
   return static_cast<double>(total) /
@@ -90,7 +90,7 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
   for (int rep = 0; rep < repeats; ++rep) {
     for (const ValueInterval& q : qs) {
       record_runs.clear();
-      const Status s = store.ScanWith(
+      const Status s = store.records().Scan(
           0, store.size(), [&](uint64_t pos, const CellRecord& cell) {
             if (cell.Interval().Intersects(q)) {
               AppendPosition(&record_runs, pos);
@@ -109,9 +109,10 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
   for (int rep = 0; rep < repeats; ++rep) {
     for (const ValueInterval& q : qs) {
       scalar_runs.clear();
-      simd::FilterIntervalRangesScalar(store.zone_min().data(),
-                                       store.zone_max().data(), store.size(),
-                                       0, q.min, q.max, &scalar_runs);
+      simd::FilterIntervalRangesScalar(store.zone_map().mins().data(),
+                                       store.zone_map().maxs().data(),
+                                       store.size(), 0, q.min, q.max,
+                                       &scalar_runs);
     }
   }
   p->zonemap_scalar_ms = MsSince(t_scalar) / repeats;
@@ -120,7 +121,7 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
   for (int rep = 0; rep < repeats; ++rep) {
     for (const ValueInterval& q : qs) {
       simd_runs.clear();
-      store.FilterZoneMap(q, &simd_runs);
+      store.zone_map().FilterRanges(q, &simd_runs);
     }
   }
   p->zonemap_simd_ms = MsSince(t_simd) / repeats;
@@ -131,7 +132,7 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
     record_runs.clear();
     scalar_runs.clear();
     simd_runs.clear();
-    const Status s = store.ScanWith(
+    const Status s = store.records().Scan(
         0, store.size(), [&](uint64_t pos, const CellRecord& cell) {
           if (cell.Interval().Intersects(q)) {
             AppendPosition(&record_runs, pos);
@@ -139,10 +140,11 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
           return true;
         });
     if (!s.ok()) return false;
-    simd::FilterIntervalRangesScalar(store.zone_min().data(),
-                                     store.zone_max().data(), store.size(),
-                                     0, q.min, q.max, &scalar_runs);
-    store.FilterZoneMap(q, &simd_runs);
+    simd::FilterIntervalRangesScalar(store.zone_map().mins().data(),
+                                     store.zone_map().maxs().data(),
+                                     store.size(), 0, q.min, q.max,
+                                     &scalar_runs);
+    store.zone_map().FilterRanges(q, &simd_runs);
     identical = identical && scalar_runs == record_runs &&
                 simd_runs == record_runs;
     matched += TotalRangeLength(record_runs);
@@ -241,7 +243,7 @@ int main(int argc, char** argv) {
 
   // Warm the pool so record_scan pays pure fetch-hit + deserialize cost.
   uint64_t warm = 0;
-  const Status ws = store.ScanWith(
+  const Status ws = store.records().Scan(
       0, store.size(), [&](uint64_t, const CellRecord&) {
         ++warm;
         return true;

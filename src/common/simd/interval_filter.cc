@@ -1,6 +1,24 @@
 #include "common/simd/interval_filter.h"
 
+#include <algorithm>
+
 namespace fielddb {
+
+void MergeRuns(std::vector<PosRange>* runs, std::vector<PosRange>* out) {
+  std::sort(runs->begin(), runs->end(),
+            [](const PosRange& x, const PosRange& y) {
+              return x.begin < y.begin || (x.begin == y.begin && x.end < y.end);
+            });
+  for (const PosRange& r : *runs) {
+    if (r.end <= r.begin) continue;
+    if (!out->empty() && r.begin <= out->back().end) {
+      out->back().end = std::max(out->back().end, r.end);
+    } else {
+      out->push_back(r);
+    }
+  }
+}
+
 namespace simd {
 
 #if FIELDDB_HAVE_AVX2

@@ -36,6 +36,13 @@ inline void AppendPosition(std::vector<PosRange>* out, uint64_t pos) {
   }
 }
 
+/// Sorts `runs` by (begin, end) and appends them to `*out` merged: a run
+/// that overlaps or abuts the last output run extends it, empty runs are
+/// dropped. The one rule for turning the unordered runs a tree search
+/// yields (subfields, slabs) into the ascending, disjoint runs a store
+/// scan walks.
+void MergeRuns(std::vector<PosRange>* runs, std::vector<PosRange>* out);
+
 namespace simd {
 
 /// Which interval-filter kernel the dispatcher resolved to at startup.

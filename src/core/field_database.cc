@@ -63,12 +63,11 @@ FieldDatabase::~FieldDatabase() = default;
 StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     const Field& field, const FieldDatabaseOptions& options) {
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
-  FieldEngine::BuildConfig build_config;
-  build_config.page_size = options.page_size;
-  build_config.pool_pages = options.pool_pages;
-  build_config.readahead_pages = options.readahead_pages;
-  build_config.page_file_factory = options.page_file_factory;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(build_config));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
+      {.page_size = options.page_size,
+       .pool_pages = options.pool_pages,
+       .readahead_pages = options.readahead_pages,
+       .page_file_factory = options.page_file_factory}));
   BufferPool* const pool = db->engine_.pool();
   db->value_range_ = field.ValueRange();
   db->domain_ = field.Domain();
@@ -121,7 +120,7 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     const CellStore& store = db->index_->cell_store();
     std::vector<RTreeEntry<2>> entries;
     entries.reserve(store.size());
-    FIELDDB_RETURN_IF_ERROR(store.ScanWith(
+    FIELDDB_RETURN_IF_ERROR(store.records().Scan(
         0, store.size(), [&](uint64_t pos, const CellRecord& cell) {
           RTreeEntry<2> e;
           e.box = BoxFromRect(cell.Bounds());
@@ -135,21 +134,9 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     db->spatial_.emplace(std::move(spatial).value());
   }
   db->InitPlanner(options.planner_mode);
-  if (options.wal_mode != WalMode::kOff) {
-    FIELDDB_RETURN_IF_ERROR(
-        db->engine_.ArmWal(options.wal_path, options.wal_mode));
-  }
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    if (options.wal_mode != WalMode::kOff) {
-      db->LogEvent(EventLog::Event("wal_mode_transition")
-                       .Add("from", WalModeName(WalMode::kOff))
-                       .Add("to", WalModeName(options.wal_mode))
-                       .Add("at", "build"));
-    }
-  }
-  pool->ResetStats();
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
+      options.wal_mode, options.wal_path, options.event_log_path,
+      options.slow_query_threshold_ms));
   return db;
 }
 
@@ -158,43 +145,15 @@ Status FieldDatabase::AttachEventLog(const std::string& path,
   return engine_.AttachEventLog(path, slow_query_threshold_ms);
 }
 
-void FieldDatabase::LogEvent(const EventLog::Event& event) const {
-  // Append errors are counted by the log itself
-  // (obs.event_log_append_errors); a query must never fail because its
-  // telemetry could not be written.
-  engine_.LogEvent(event);
-}
-
 void FieldDatabase::MaybeLogSlowQuery(const ValueInterval& query,
                                       const QueryStats& stats) const {
-  if (engine_.event_log() == nullptr) return;
-  const double wall_ms = stats.wall_seconds * 1000.0;
-  if (wall_ms < engine_.slow_query_threshold_ms()) return;
-  // Re-plan to report the decision next to what actually happened: the
-  // probe is zero-I/O and deterministic, so this is the plan the query
-  // ran (modulo a concurrent set_planner_mode, which callers exclude).
-  const PhysicalPlan plan =
-      planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
-  const double observed_disk_ms = DiskModel{}.EstimateMs(
-      stats.io.sequential_reads, stats.io.random_reads());
-  LogEvent(EventLog::Event("slow_query")
-               .Add("wall_ms", wall_ms)
-               .Add("threshold_ms", engine_.slow_query_threshold_ms())
-               .Add("query_min", query.min)
-               .Add("query_max", query.max)
-               .Add("plan", plan.kind == PlanKind::kFusedScan
-                                ? "fused_scan"
-                                : "indexed_filter")
-               .Add("predicted_cost_ms", plan.predicted_cost_ms)
-               .Add("observed_disk_ms", observed_disk_ms)
-               .Add("candidate_cells", stats.candidate_cells)
-               .Add("answer_cells", stats.answer_cells)
-               .Add("index_fallbacks", stats.index_fallbacks)
-               .Add("logical_reads", stats.io.logical_reads)
-               .Add("physical_reads", stats.io.physical_reads)
-               .Add("sequential_reads", stats.io.sequential_reads)
-               .Add("random_reads", stats.io.random_reads())
-               .Add("evictions", stats.io.evictions));
+  engine_.MaybeLogSlowQuery(stats, [&](EventLog::Event* event) {
+    event->Add("query_min", query.min).Add("query_max", query.max);
+    // The probe is zero-I/O and deterministic, so this is the plan the
+    // query ran (modulo a concurrent set_planner_mode, which callers
+    // exclude).
+    return PlanValueQuery(query);
+  });
 }
 
 void FieldDatabase::InitPlanner(PlannerMode mode) {
@@ -241,10 +200,10 @@ Status FieldDatabase::AnswerValueQuery(const ValueInterval& query,
     // results, and record the fallback for observability.
     index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     DbMetrics::Get().index_fallbacks->Increment();
-    LogEvent(EventLog::Event("corruption_fallback")
-                 .Add("query_min", query.min)
-                 .Add("query_max", query.max)
-                 .Add("error", filter.ToString()));
+    engine_.LogEvent(EventLog::Event("corruption_fallback")
+                         .Add("query_min", query.min)
+                         .Add("query_max", query.max)
+                         .Add("error", filter.ToString()));
     stats->index_fallbacks = 1;
     stats->candidate_cells = 0;
     if (region != nullptr) region->pieces.clear();
@@ -263,60 +222,49 @@ Status FieldDatabase::AnswerValueQuery(const ValueInterval& query,
   return estimate.status();
 }
 
-Status FieldDatabase::ValueQuery(const ValueInterval& query,
-                                 ValueQueryResult* out) const {
-  QueryContext ctx;
-  return ValueQuery(query, out, &ctx);
-}
-
-Status FieldDatabase::ValueQuery(const ValueInterval& query,
-                                 ValueQueryResult* out,
-                                 QueryContext* ctx) const {
+Status FieldDatabase::RunValueQuery(const ValueInterval& query,
+                                    Region* region, QueryStats* stats,
+                                    QueryContext* ctx, bool traced) const {
   if (query.IsEmpty()) {
     return Status::InvalidArgument("empty query interval");
   }
-  out->region.pieces.clear();
-  out->stats = QueryStats{};
+  QueryContext local;
+  if (ctx == nullptr) ctx = &local;
+  if (region != nullptr) region->pieces.clear();
+  *stats = QueryStats{};
+  if (traced) stats->trace = std::make_shared<QueryTrace>();
   DbMetrics::Get().value_queries->Increment();
   ctx->io.Reset();
   ScopedIoSink sink(&ctx->io);
   const auto t0 = Clock::now();
 
   FIELDDB_RETURN_IF_ERROR(
-      AnswerValueQuery(query, &out->region, &out->stats, ctx));
+      AnswerValueQuery(query, region, stats, ctx, stats->trace.get()));
 
-  out->stats.wall_seconds = SecondsSince(t0);
-  out->stats.io = ctx->io;
-  DbMetrics::Get().query_wall_us->Record(out->stats.wall_seconds * 1e6);
-  MaybeLogSlowQuery(query, out->stats);
+  stats->wall_seconds = SecondsSince(t0);
+  stats->io = ctx->io;
+  DbMetrics::Get().query_wall_us->Record(stats->wall_seconds * 1e6);
+  MaybeLogSlowQuery(query, *stats);
   return Status::OK();
 }
 
-Status FieldDatabase::ValueQueryStats(const ValueInterval& query,
-                                      QueryStats* out) const {
-  QueryContext ctx;
-  return ValueQueryStats(query, out, &ctx);
+Status FieldDatabase::ValueQuery(const ValueInterval& query,
+                                 ValueQueryResult* out,
+                                 QueryContext* ctx) const {
+  return RunValueQuery(query, &out->region, &out->stats, ctx,
+                       /*traced=*/false);
 }
 
 Status FieldDatabase::ValueQueryStats(const ValueInterval& query,
                                       QueryStats* out,
                                       QueryContext* ctx) const {
-  if (query.IsEmpty()) {
-    return Status::InvalidArgument("empty query interval");
-  }
-  *out = QueryStats{};
-  DbMetrics::Get().value_queries->Increment();
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
+  return RunValueQuery(query, nullptr, out, ctx, /*traced=*/false);
+}
 
-  FIELDDB_RETURN_IF_ERROR(AnswerValueQuery(query, nullptr, out, ctx));
-
-  out->wall_seconds = SecondsSince(t0);
-  out->io = ctx->io;
-  DbMetrics::Get().query_wall_us->Record(out->wall_seconds * 1e6);
-  MaybeLogSlowQuery(query, *out);
-  return Status::OK();
+Status FieldDatabase::TracedValueQueryStats(const ValueInterval& query,
+                                            QueryStats* out,
+                                            QueryContext* ctx) const {
+  return RunValueQuery(query, nullptr, out, ctx, /*traced=*/true);
 }
 
 Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
@@ -377,11 +325,11 @@ Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
       // once (one sweep fell back), reported by every member.
       index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
       DbMetrics::Get().index_fallbacks->Increment();
-      LogEvent(EventLog::Event("corruption_fallback")
-                   .Add("query_min", envelope.min)
-                   .Add("query_max", envelope.max)
-                   .Add("shared_members", static_cast<uint64_t>(n))
-                   .Add("error", filter.ToString()));
+      engine_.LogEvent(EventLog::Event("corruption_fallback")
+                           .Add("query_min", envelope.min)
+                           .Add("query_max", envelope.max)
+                           .Add("shared_members", static_cast<uint64_t>(n))
+                           .Add("error", filter.ToString()));
       for (size_t q = 0; q < n; ++q) {
         (*stats)[q] = QueryStats{};
         (*stats)[q].index_fallbacks = 1;
@@ -404,115 +352,60 @@ Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
   return estimate_status;
 }
 
-namespace {
-
-Status ValidateSharedBatch(const std::vector<ValueInterval>& queries) {
+Status FieldDatabase::RunShared(const std::vector<ValueInterval>& queries,
+                                std::vector<Region>* regions,
+                                std::vector<QueryStats>* stats,
+                                QueryContext* ctx) const {
   for (const ValueInterval& q : queries) {
     if (q.IsEmpty()) return Status::InvalidArgument("empty query interval");
   }
+  const size_t n = queries.size();
+  if (regions != nullptr) regions->assign(n, Region{});
+  stats->assign(n, QueryStats{});
+  if (n == 0) return Status::OK();
+  if (n == 1) {
+    return RunValueQuery(queries[0],
+                         regions != nullptr ? &(*regions)[0] : nullptr,
+                         &(*stats)[0], ctx, /*traced=*/false);
+  }
+  QueryContext local;
+  if (ctx == nullptr) ctx = &local;
+  DbMetrics::Get().value_queries->Increment(n);
+  ctx->io.Reset();
+  ScopedIoSink sink(&ctx->io);
+  const auto t0 = Clock::now();
+
+  FIELDDB_RETURN_IF_ERROR(AnswerShared(queries, regions, stats, ctx));
+
+  const double wall = SecondsSince(t0);
+  DbMetrics::Get().query_wall_us->Record(wall * 1e6);
+  for (size_t q = 0; q < n; ++q) {
+    (*stats)[q].wall_seconds = wall;
+    // Leader-charged attribution: the sweep's I/O lands on member 0,
+    // the riders report zero — so the members sum to exactly one sweep.
+    if (q == 0) (*stats)[q].io = ctx->io;
+    MaybeLogSlowQuery(queries[q], (*stats)[q]);
+  }
   return Status::OK();
-}
-
-}  // namespace
-
-Status FieldDatabase::SharedValueQueryStats(
-    const std::vector<ValueInterval>& queries,
-    std::vector<QueryStats>* out) const {
-  QueryContext ctx;
-  return SharedValueQueryStats(queries, out, &ctx);
 }
 
 Status FieldDatabase::SharedValueQueryStats(
     const std::vector<ValueInterval>& queries, std::vector<QueryStats>* out,
     QueryContext* ctx) const {
-  FIELDDB_RETURN_IF_ERROR(ValidateSharedBatch(queries));
-  out->assign(queries.size(), QueryStats{});
-  if (queries.empty()) return Status::OK();
-  if (queries.size() == 1) {
-    return ValueQueryStats(queries[0], &(*out)[0], ctx);
-  }
-  DbMetrics::Get().value_queries->Increment(queries.size());
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
-
-  FIELDDB_RETURN_IF_ERROR(AnswerShared(queries, nullptr, out, ctx));
-
-  const double wall = SecondsSince(t0);
-  DbMetrics::Get().query_wall_us->Record(wall * 1e6);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    (*out)[q].wall_seconds = wall;
-    // Leader-charged attribution: the sweep's I/O lands on member 0,
-    // the riders report zero — so the members sum to exactly one sweep.
-    if (q == 0) (*out)[q].io = ctx->io;
-    MaybeLogSlowQuery(queries[q], (*out)[q]);
-  }
-  return Status::OK();
-}
-
-Status FieldDatabase::SharedValueQuery(
-    const std::vector<ValueInterval>& queries,
-    std::vector<ValueQueryResult>* out) const {
-  QueryContext ctx;
-  return SharedValueQuery(queries, out, &ctx);
+  return RunShared(queries, nullptr, out, ctx);
 }
 
 Status FieldDatabase::SharedValueQuery(
     const std::vector<ValueInterval>& queries,
     std::vector<ValueQueryResult>* out, QueryContext* ctx) const {
-  FIELDDB_RETURN_IF_ERROR(ValidateSharedBatch(queries));
+  std::vector<Region> regions;
+  std::vector<QueryStats> stats;
+  FIELDDB_RETURN_IF_ERROR(RunShared(queries, &regions, &stats, ctx));
   out->assign(queries.size(), ValueQueryResult{});
-  if (queries.empty()) return Status::OK();
-  if (queries.size() == 1) {
-    return ValueQuery(queries[0], &(*out)[0], ctx);
-  }
-  DbMetrics::Get().value_queries->Increment(queries.size());
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
-
-  std::vector<Region> regions(queries.size());
-  std::vector<QueryStats> stats(queries.size());
-  FIELDDB_RETURN_IF_ERROR(AnswerShared(queries, &regions, &stats, ctx));
-
-  const double wall = SecondsSince(t0);
-  DbMetrics::Get().query_wall_us->Record(wall * 1e6);
   for (size_t q = 0; q < queries.size(); ++q) {
     (*out)[q].region = std::move(regions[q]);
     (*out)[q].stats = std::move(stats[q]);
-    (*out)[q].stats.wall_seconds = wall;
-    if (q == 0) (*out)[q].stats.io = ctx->io;
-    MaybeLogSlowQuery(queries[q], (*out)[q].stats);
   }
-  return Status::OK();
-}
-
-Status FieldDatabase::TracedValueQueryStats(const ValueInterval& query,
-                                            QueryStats* out) const {
-  QueryContext ctx;
-  return TracedValueQueryStats(query, out, &ctx);
-}
-
-Status FieldDatabase::TracedValueQueryStats(const ValueInterval& query,
-                                            QueryStats* out,
-                                            QueryContext* ctx) const {
-  if (query.IsEmpty()) {
-    return Status::InvalidArgument("empty query interval");
-  }
-  *out = QueryStats{};
-  out->trace = std::make_shared<QueryTrace>();
-  DbMetrics::Get().value_queries->Increment();
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
-
-  FIELDDB_RETURN_IF_ERROR(
-      AnswerValueQuery(query, nullptr, out, ctx, out->trace.get()));
-
-  out->wall_seconds = SecondsSince(t0);
-  out->io = ctx->io;
-  DbMetrics::Get().query_wall_us->Record(out->wall_seconds * 1e6);
-  MaybeLogSlowQuery(query, *out);
   return Status::OK();
 }
 
@@ -530,7 +423,7 @@ Status FieldDatabase::NearestValueQuery(double w, size_t k,
                                         std::vector<NearestCell>* out) const {
   out->clear();
   if (k == 0) return Status::OK();
-  const CellStore& store = index_->cell_store();
+  const RecordStore<CellRecord>& store = index_->cell_store().records();
 
   // Max-heap of the current k best (worst on top).
   const auto worse = [](const NearestCell& x, const NearestCell& y) {
@@ -575,16 +468,15 @@ Status FieldDatabase::NearestValueQuery(double w, size_t k,
               [](const auto& x, const auto& y) { return x.first < y.first; });
     for (const auto& [dist, sf] : ordered) {
       if (best.size() == k && dist > best.front().distance) break;
-      FIELDDB_RETURN_IF_ERROR(
-          store.ScanWith(sf->start, sf->end,
-                     [&](uint64_t, const CellRecord& cell) {
-                       offer(cell);
-                       return true;
-                     }));
+      FIELDDB_RETURN_IF_ERROR(store.Scan(
+          sf->start, sf->end, [&](uint64_t, const CellRecord& cell) {
+            offer(cell);
+            return true;
+          }));
     }
   } else {
     FIELDDB_RETURN_IF_ERROR(
-        store.ScanWith(0, store.size(), [&](uint64_t, const CellRecord& cell) {
+        store.Scan(0, store.size(), [&](uint64_t, const CellRecord& cell) {
           offer(cell);
           return true;
         }));
@@ -670,7 +562,7 @@ Status FieldDatabase::ValidateUpdate(CellId id,
     return Status::OutOfRange("no such cell");
   }
   CellRecord cell;
-  FIELDDB_RETURN_IF_ERROR(store.Get(store.PositionOf(id), &cell));
+  FIELDDB_RETURN_IF_ERROR(store.records().Get(store.PositionOf(id), &cell));
   if (values.size() != cell.num_vertices) {
     return Status::InvalidArgument(
         "expected " + std::to_string(cell.num_vertices) + " values, got " +
@@ -718,7 +610,7 @@ Status FieldDatabase::UpdateCellValuesBatch(
 
 StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
   DbMetrics::Get().point_queries->Increment();
-  const CellStore& store = index_->cell_store();
+  const RecordStore<CellRecord>& store = index_->cell_store().records();
   if (spatial_.has_value()) {
     StatusOr<double> result = Status::NotFound("point outside field domain");
     FIELDDB_RETURN_IF_ERROR(
@@ -740,7 +632,7 @@ StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
   // No spatial index: scan.
   StatusOr<double> result = Status::NotFound("point outside field domain");
   FIELDDB_RETURN_IF_ERROR(
-      store.ScanWith(0, store.size(), [&](uint64_t, const CellRecord& cell) {
+      store.Scan(0, store.size(), [&](uint64_t, const CellRecord& cell) {
         if (CellContains(cell, p)) {
           result = InterpolateCell(cell, p);
           return false;
@@ -752,24 +644,11 @@ StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
 
 StatusOr<WorkloadStats> FieldDatabase::RunWorkload(
     const std::vector<ValueInterval>& queries, bool cold_cache) const {
-  WorkloadStats ws;
-  ws.num_queries = static_cast<uint32_t>(queries.size());
-  if (queries.empty()) return ws;
-  QueryStats total;
-  std::vector<double> wall_ms;
-  wall_ms.reserve(queries.size());
   QueryContext ctx;  // one context reused: this loop is single-threaded
-  for (const ValueInterval& q : queries) {
-    if (cold_cache) {
-      FIELDDB_RETURN_IF_ERROR(engine_.pool()->Clear());
-    }
-    QueryStats qs;
-    FIELDDB_RETURN_IF_ERROR(ValueQueryStats(q, &qs, &ctx));
-    total.Accumulate(qs);
-    wall_ms.push_back(qs.wall_seconds * 1000.0);
-  }
-  FinalizeWorkloadStats(total, &wall_ms, &ws);
-  return ws;
+  return engine_.RunWorkload(
+      queries.size(), cold_cache, [&](size_t i, QueryStats* stats) {
+        return ValueQueryStats(queries[i], stats, &ctx);
+      });
 }
 
 Status FieldDatabase::Scrub(ScrubReport* out) {
@@ -850,7 +729,7 @@ Status FieldDatabase::ExplainValueQuery(const ValueInterval& query,
       esf.end = sf.end;
       esf.interval = sf.interval;
       esf.cells = sf.end - sf.start;
-      FIELDDB_RETURN_IF_ERROR(store.ScanWith(
+      FIELDDB_RETURN_IF_ERROR(store.records().Scan(
           sf.start, sf.end, [&](uint64_t, const CellRecord& cell) {
             if (cell.Interval().Intersects(query)) ++esf.matching_cells;
             return true;

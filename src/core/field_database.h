@@ -122,7 +122,7 @@ struct IsolineQueryResult {
 /// core (index, spatial tree, value range) is immutable after
 /// Build/Open, the buffer pool is internally sharded, and per-query
 /// mutable state lives in a QueryContext the caller may supply (one per
-/// thread; the context-less overloads use a local). The mutating
+/// thread; a null `ctx` makes the call use a local one). The mutating
 /// operations — UpdateCellValues, Save, Scrub, Close — are not
 /// synchronized against queries or each other; callers must exclude
 /// them externally (see DESIGN.md §11).
@@ -153,11 +153,6 @@ class FieldDatabase {
                                    SaveCrashPoint crash_point) {
     return SaveImpl(prefix, crash_point);
   }
-
-  /// Save that stops ("crashes") after the temp files are durable but
-  /// before either rename. Exists so tests can prove the previous
-  /// snapshot survives an interrupted save.
-  Status SaveCrashBeforeRenameForTest(const std::string& prefix);
 
   /// What recovery did during Open — the engine-wide
   /// EngineRecoveryReport (core/field_engine.h), aliased for existing
@@ -200,12 +195,11 @@ class FieldDatabase {
   FieldDatabase& operator=(const FieldDatabase&) = delete;
 
   /// Field value query: exact answer regions where
-  /// query.min <= F(p) <= query.max, plus per-query stats. The overload
-  /// taking a QueryContext lets a thread reuse its scratch across
-  /// queries; the other creates a local context per call.
-  Status ValueQuery(const ValueInterval& query, ValueQueryResult* out) const;
+  /// query.min <= F(p) <= query.max, plus per-query stats. A non-null
+  /// `ctx` lets a thread reuse its scratch across queries; null creates
+  /// a local context per call (as for every query entry point below).
   Status ValueQuery(const ValueInterval& query, ValueQueryResult* out,
-                    QueryContext* ctx) const;
+                    QueryContext* ctx = nullptr) const;
 
   /// Shared-scan execution of several value queries as ONE sweep
   /// (DESIGN.md §17): the members' hull is planned like a single query,
@@ -219,27 +213,22 @@ class FieldDatabase {
   /// wall time (they all waited for it). A one-member batch degrades to
   /// the single-query path. Same threading contract as ValueQuery.
   Status SharedValueQuery(const std::vector<ValueInterval>& queries,
-                          std::vector<ValueQueryResult>* out) const;
-  Status SharedValueQuery(const std::vector<ValueInterval>& queries,
                           std::vector<ValueQueryResult>* out,
-                          QueryContext* ctx) const;
+                          QueryContext* ctx = nullptr) const;
 
   /// Stats-only shared scan (see SharedValueQuery; the figure benches'
   /// shape — no polygon materialization).
   Status SharedValueQueryStats(const std::vector<ValueInterval>& queries,
-                               std::vector<QueryStats>* out) const;
-  Status SharedValueQueryStats(const std::vector<ValueInterval>& queries,
                                std::vector<QueryStats>* out,
-                               QueryContext* ctx) const;
+                               QueryContext* ctx = nullptr) const;
 
   /// Like ValueQuery but skips materializing polygons: only the stats and
   /// the answer-cell count are produced. This is what the figure benches
   /// time (the paper measures query processing, whose cost is filtering +
   /// candidate retrieval + inverse interpolation; polygon bookkeeping is
   /// identical work across methods either way).
-  Status ValueQueryStats(const ValueInterval& query, QueryStats* out) const;
   Status ValueQueryStats(const ValueInterval& query, QueryStats* out,
-                         QueryContext* ctx) const;
+                         QueryContext* ctx = nullptr) const;
 
   /// ValueQueryStats with per-phase tracing: `out->trace` is populated
   /// with the pipeline's spans ("plan", "filter", "fetch", "estimate" on
@@ -248,10 +237,8 @@ class FieldDatabase {
   /// fallback's rerun). Span I/O deltas sum exactly to `out->io`. Slower
   /// than the untraced path (per-cell clock reads in the estimation
   /// step), so benches keep using ValueQueryStats.
-  Status TracedValueQueryStats(const ValueInterval& query,
-                               QueryStats* out) const;
   Status TracedValueQueryStats(const ValueInterval& query, QueryStats* out,
-                               QueryContext* ctx) const;
+                               QueryContext* ctx = nullptr) const;
 
   /// One subfield the filtering step selected for an explained query.
   /// `matching_cells` counts cells inside [start, end) whose own value
@@ -455,8 +442,26 @@ class FieldDatabase {
 
   /// Pre-apply validation for the WAL path: a frame is logged (and
   /// fsynced) only for an update that will succeed, so replay never
-  /// meets an invalid frame. Mirrors the checks ApplyValueUpdate runs.
+  /// meets an invalid frame. Mirrors the checks CellStore::UpdateValues
+  /// runs.
   Status ValidateUpdate(CellId id, const std::vector<double>& values) const;
+
+  /// The bookkeeping every single-query entry point shares: validates
+  /// `query`, clears the outputs (`region` may be null for stats-only
+  /// queries; `traced` attaches a QueryTrace to `stats`), counts the
+  /// query's I/O through a ScopedIoSink on `ctx` (a local one when
+  /// null), runs AnswerValueQuery, and records wall time, metrics and
+  /// the slow-query event.
+  Status RunValueQuery(const ValueInterval& query, Region* region,
+                       QueryStats* stats, QueryContext* ctx,
+                       bool traced) const;
+
+  /// SharedValueQuery[Stats]'s bookkeeping around AnswerShared, the
+  /// batch counterpart of RunValueQuery (a one-member batch runs as a
+  /// single query). `regions` is null for stats-only batches.
+  Status RunShared(const std::vector<ValueInterval>& queries,
+                   std::vector<Region>* regions,
+                   std::vector<QueryStats>* stats, QueryContext* ctx) const;
 
   /// Shared Q2 dispatch, now a thin plan builder: asks the QueryPlanner
   /// which physical plan to run (under a "plan" span), then executes it
@@ -488,17 +493,12 @@ class FieldDatabase {
   /// the index ever were (it isn't).
   void InitPlanner(PlannerMode mode);
 
-  /// Appends a "slow_query" event when an event log is attached and the
-  /// query's wall time reached the threshold. Re-plans the query (zero
-  /// I/O, deterministic) to report the chosen plan and predicted cost
-  /// next to the observed disk-model cost. Called from const query
+  /// FieldEngine::MaybeLogSlowQuery for a value query. Re-plans the
+  /// query (zero I/O, deterministic) only when it was slow, to report
+  /// the chosen plan next to the observed cost. Called from const query
   /// paths on any thread; EventLog synchronizes internally.
   void MaybeLogSlowQuery(const ValueInterval& query,
                          const QueryStats& stats) const;
-  /// Appends `event` if an event log is attached (no-op otherwise),
-  /// swallowing append errors after counting them — observability must
-  /// never fail a query.
-  void LogEvent(const EventLog::Event& event) const;
 
   /// The shared lifecycle core: page file, buffer pool, WAL, event log
   /// and snapshot epoch (core/field_engine.h). Declared first so the

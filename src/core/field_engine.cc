@@ -121,6 +121,13 @@ Status FieldEngine::InitForOpen(const std::string& prefix,
   return Status::OK();
 }
 
+Status FieldEngine::CheckCatalogPage(const std::string& prefix,
+                                     const char* key, PageId page) const {
+  if (page < file_->NumPages()) return Status::OK();
+  return Status::Corruption("catalog " + prefix + ".meta: invalid value for '" +
+                            key + "'");
+}
+
 Status FieldEngine::ArmWal(const std::string& wal_path, WalMode mode) {
   if (mode == WalMode::kOff) return Status::OK();
   if (wal_path.empty()) {
@@ -314,6 +321,96 @@ Status FieldEngine::RecoverFromWal(
     std::remove(wal_path.c_str());  // absent file is fine
   }
   return Status::OK();
+}
+
+Status FieldEngine::FinishBuild(WalMode wal_mode, const std::string& wal_path,
+                                const std::string& event_log_path,
+                                double slow_query_threshold_ms) {
+  FIELDDB_RETURN_IF_ERROR(ArmWal(wal_path, wal_mode));
+  if (!event_log_path.empty()) {
+    FIELDDB_RETURN_IF_ERROR(
+        AttachEventLog(event_log_path, slow_query_threshold_ms));
+    if (wal_mode != WalMode::kOff) {
+      LogEvent(EventLog::Event("wal_mode_transition")
+                   .Add("from", WalModeName(WalMode::kOff))
+                   .Add("to", WalModeName(wal_mode))
+                   .Add("at", "build"));
+    }
+  }
+  pool_->ResetStats();
+  return Status::OK();
+}
+
+Status FieldEngine::FinishOpen(
+    const std::string& prefix, WalMode wal_mode,
+    const std::function<Status(const WalFrame&)>& apply,
+    const std::function<Status()>& fold_checkpoint,
+    const std::string& event_log_path, double slow_query_threshold_ms,
+    EngineRecoveryReport* report_out) {
+  EngineRecoveryReport report;
+  FIELDDB_RETURN_IF_ERROR(
+      RecoverFromWal(prefix, wal_mode, apply, fold_checkpoint, &report));
+  if (!event_log_path.empty()) {
+    FIELDDB_RETURN_IF_ERROR(
+        AttachEventLog(event_log_path, slow_query_threshold_ms));
+    // One structured record per open: what recovery found and did. The
+    // event log writes through its own fd, never the page file, so this
+    // cannot disturb recovery state or I/O attribution.
+    LogRecoveryEvent(report, wal_mode);
+    if (wal_mode == WalMode::kOff && report.folded) {
+      LogEvent(EventLog::Event("wal_mode_transition")
+                   .Add("from", "unknown")
+                   .Add("to", WalModeName(WalMode::kOff))
+                   .Add("at", "open_fold"));
+    }
+  }
+  pool_->ResetStats();
+  if (report_out != nullptr) *report_out = std::move(report);
+  return Status::OK();
+}
+
+void FieldEngine::MaybeLogSlowQuery(
+    const QueryStats& stats,
+    const std::function<PhysicalPlan(EventLog::Event*)>& describe) const {
+  if (event_log_ == nullptr) return;
+  const double wall_ms = stats.wall_seconds * 1000.0;
+  if (wall_ms < slow_query_threshold_ms_) return;
+  EventLog::Event event("slow_query");
+  event.Add("wall_ms", wall_ms).Add("threshold_ms", slow_query_threshold_ms_);
+  const PhysicalPlan plan = describe(&event);
+  LogEvent(event.Add("plan", PlanKindName(plan.kind))
+               .Add("reason", plan.reason)
+               .Add("predicted_cost_ms", plan.predicted_cost_ms)
+               .Add("observed_disk_ms",
+                    DiskModel{}.EstimateMs(stats.io.sequential_reads,
+                                           stats.io.random_reads()))
+               .Add("candidate_cells", stats.candidate_cells)
+               .Add("answer_cells", stats.answer_cells)
+               .Add("index_fallbacks", stats.index_fallbacks)
+               .Add("logical_reads", stats.io.logical_reads)
+               .Add("physical_reads", stats.io.physical_reads)
+               .Add("sequential_reads", stats.io.sequential_reads)
+               .Add("random_reads", stats.io.random_reads())
+               .Add("evictions", stats.io.evictions));
+}
+
+StatusOr<WorkloadStats> FieldEngine::RunWorkload(
+    size_t num_queries, bool cold_cache,
+    const std::function<Status(size_t i, QueryStats* stats)>& run) const {
+  WorkloadStats ws;
+  if (num_queries == 0) return ws;
+  QueryStats total;
+  std::vector<double> wall_ms;
+  wall_ms.reserve(num_queries);
+  for (size_t i = 0; i < num_queries; ++i) {
+    if (cold_cache) FIELDDB_RETURN_IF_ERROR(pool_->Clear());
+    QueryStats qs;
+    FIELDDB_RETURN_IF_ERROR(run(i, &qs));
+    total.Accumulate(qs);
+    wall_ms.push_back(qs.wall_seconds * 1000.0);
+  }
+  FinalizeWorkloadStats(total, &wall_ms, &ws);
+  return ws;
 }
 
 Status FieldEngine::ScrubPages(uint64_t* pages_checked,

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_CORE_FIELD_ENGINE_H_
 #define FIELDDB_CORE_FIELD_ENGINE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -8,11 +9,17 @@
 #include <string>
 #include <vector>
 
+#include "common/simd/interval_filter.h"
 #include "common/status.h"
+#include "core/query_context.h"
+#include "core/stats.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
+#include "plan/planner.h"
 #include "storage/buffer_pool.h"
+#include "storage/io_sink.h"
 #include "storage/page_file.h"
+#include "storage/record_store.h"
 #include "storage/wal.h"
 
 namespace fielddb {
@@ -71,6 +78,22 @@ bool TryCompleteInterruptedSave(
     const std::function<StatusOr<uint32_t>(const std::string& path)>&
         catalog_epoch);
 
+/// Reads and validates the catalog `<prefix>.meta` with `read` (one
+/// field type's parser, returning a meta struct with an `epoch`), after
+/// completing a save that crashed between its renames
+/// (TryCompleteInterruptedSave). Every field type's Open starts here.
+template <typename Meta>
+StatusOr<Meta> ReadCatalog(const std::string& prefix,
+                           StatusOr<Meta> (*read)(const std::string& path)) {
+  TryCompleteInterruptedSave(
+      prefix, [read](const std::string& path) -> StatusOr<uint32_t> {
+        StatusOr<Meta> meta = read(path);
+        if (!meta.ok()) return meta.status();
+        return meta->epoch;
+      });
+  return read(prefix + ".meta");
+}
+
 /// What recovery did during an engine-hosted Open (all zero for a clean
 /// open with no log). `trace` holds a "recovery" span with wal.scan /
 /// wal.replay / verify children when a replay actually ran. Every field
@@ -95,16 +118,18 @@ struct EngineRecoveryReport {
   QueryTrace trace;
 };
 
-/// The shared lifecycle core every field database is hosted on: owns the
-/// page file, buffer pool, write-ahead log, event log and snapshot
-/// epoch, and implements the field-type-agnostic halves of
-/// Build/Open/Save/Update/Close — storage wiring, the crash-safe
-/// checkpoint pipeline (temp files + atomic renames + epoch stamping),
-/// WAL append/replay with stale-epoch filtering, page scrubbing, and
-/// crash simulation. Field-type-specific knowledge (catalog format,
-/// record layout, logical redo) enters exclusively through callbacks, so
-/// the grid facade and the temporal/vector/volume databases are thin
-/// instantiations over one tested core (DESIGN.md §16).
+/// The shared core every field database is hosted on: owns the page
+/// file, buffer pool, write-ahead log, event log and snapshot epoch, and
+/// implements the field-type-agnostic halves of Build/Open/Save/Update/
+/// Close and of querying — storage wiring, the crash-safe checkpoint
+/// pipeline (temp files + atomic renames + epoch stamping), WAL
+/// append/replay with stale-epoch filtering, the Build and Open
+/// epilogues, page scrubbing, crash simulation, the extension query
+/// path, slow-query logging and the workload loop. Field-type-specific
+/// knowledge (catalog format, record layout, logical redo, estimation)
+/// enters exclusively through callbacks, so the grid facade and the
+/// temporal/vector/volume databases are thin instantiations over one
+/// tested core (DESIGN.md §16).
 class FieldEngine {
  public:
   struct BuildConfig {
@@ -143,10 +168,11 @@ class FieldEngine {
                      size_t readahead_pages =
                          BufferPool::kDefaultReadaheadPages);
 
-  /// Arms the write-ahead log (Build epilogue, or Open keeping a WAL
-  /// mode): opens `wal_path` stamping frames with the current epoch and
-  /// pins dirty frames in memory until the next Save (no-steal).
-  Status ArmWal(const std::string& wal_path, WalMode mode);
+  /// Open-time bound check of a page id the catalog `<prefix>.meta`
+  /// names under `key`: it must lie inside the attached page file, or a
+  /// truncated or mismatched file would turn into out-of-range reads.
+  Status CheckCatalogPage(const std::string& prefix, const char* key,
+                          PageId page) const;
 
   /// Write-ahead logs one update frame and makes it durable per the WAL
   /// mode. No-op when no log is armed (volatile-update contract). The
@@ -167,19 +193,82 @@ class FieldEngine {
       const std::function<Status(const std::string& meta_tmp_path,
                                  uint32_t new_epoch)>& write_catalog);
 
-  /// Recovery over an attached snapshot: scans `<prefix>.wal`, skips
-  /// frames a completed checkpoint already captured (stale epoch),
-  /// replays the rest through `apply` (logical redo — the same update
-  /// path the original mutations took, so derived structures are
-  /// maintained, not just pages), verifies every page when anything was
-  /// replayed, then either keeps logging (`mode` != off: the log is
-  /// reopened for appends) or folds the replayed frames into a fresh
-  /// checkpoint via `fold_checkpoint` and deletes the log. Fills
-  /// `report` (trace spans included) for the caller's recovery report.
-  Status RecoverFromWal(const std::string& prefix, WalMode mode,
-                        const std::function<Status(const WalFrame&)>& apply,
-                        const std::function<Status()>& fold_checkpoint,
-                        EngineRecoveryReport* report);
+  /// Build epilogue shared by every field type: arms the WAL (any mode
+  /// but off), attaches the event log (non-empty path) and records the
+  /// build's wal_mode_transition there, then zeroes the pool's counters
+  /// so the first query starts from a clean slate.
+  Status FinishBuild(WalMode wal_mode, const std::string& wal_path,
+                     const std::string& event_log_path,
+                     double slow_query_threshold_ms);
+
+  /// Open epilogue shared by every field type: RecoverFromWal with the
+  /// caller's logical redo `apply` and `fold_checkpoint`, then attaches
+  /// the event log (non-empty path) and records the recovery there (and
+  /// the wal_mode_transition of an off-mode open that folded the log),
+  /// zeroes the pool's counters, and hands the report to `*report_out`
+  /// when non-null.
+  Status FinishOpen(const std::string& prefix, WalMode wal_mode,
+                    const std::function<Status(const WalFrame&)>& apply,
+                    const std::function<Status()>& fold_checkpoint,
+                    const std::string& event_log_path,
+                    double slow_query_threshold_ms,
+                    EngineRecoveryReport* report_out);
+
+  /// The query path of the temporal, vector and volume databases:
+  /// executes `plan` over `store` — every record for a fused scan, else
+  /// the runs `search(std::vector<PosRange>*) -> Status` collects from
+  /// the index, merged by MergeRuns — feeding each record to `visit`
+  /// through RecordStore::ScanRanges. The query's I/O is counted by a
+  /// ScopedIoSink on `ctx` (a local context when null), never derived
+  /// from the pool-wide counters, so concurrent queries each report
+  /// exactly their own reads. Fills candidate_cells, wall_seconds and io
+  /// into `*stats`. A visitor that stops the scan early must park its
+  /// own error for the caller to check.
+  template <typename T, typename Search, typename Visitor>
+  Status RunStoreQuery(const RecordStore<T>& store, const PhysicalPlan& plan,
+                       QueryContext* ctx, Search&& search, Visitor&& visit,
+                       QueryStats* stats) const {
+    QueryContext local;
+    if (ctx == nullptr) ctx = &local;
+    ctx->io.Reset();
+    ScopedIoSink sink(&ctx->io);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<PosRange>& runs = ctx->ranges;
+    runs.clear();
+    if (plan.kind == PlanKind::kFusedScan) {
+      runs.push_back(PosRange{0, store.size()});
+    } else {
+      std::vector<PosRange> hits;
+      FIELDDB_RETURN_IF_ERROR(search(&hits));
+      MergeRuns(&hits, &runs);
+    }
+    stats->candidate_cells = TotalRangeLength(runs);
+    FIELDDB_RETURN_IF_ERROR(store.ScanRanges(runs.data(), runs.size(),
+                                             std::forward<Visitor>(visit)));
+    stats->wall_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    stats->io = ctx->io;
+    return Status::OK();
+  }
+
+  /// Appends a "slow_query" event when an event log is attached and the
+  /// query's wall time reached the threshold — one record shape for
+  /// every field type. `describe` adds the query's own fields and
+  /// returns the plan it ran (it runs only for a slow query, so a caller
+  /// may re-plan lazily); the plan, its reason, predicted vs observed
+  /// disk-model cost, the counts and the full IoStats follow.
+  void MaybeLogSlowQuery(
+      const QueryStats& stats,
+      const std::function<PhysicalPlan(EventLog::Event*)>& describe) const;
+
+  /// The workload loop every field type shares: runs queries
+  /// 0..num_queries-1 through `run`, which fills the query's stats,
+  /// clearing the pool before each one when `cold_cache` (the paper's
+  /// independent random queries), and averages the stats.
+  StatusOr<WorkloadStats> RunWorkload(
+      size_t num_queries, bool cold_cache,
+      const std::function<Status(size_t i, QueryStats* stats)>& run) const;
 
   /// Flushes dirty frames, then walks every page of the backing file
   /// verifying integrity (checksums for disk files). Corrupt pages are
@@ -206,10 +295,6 @@ class FieldEngine {
   Status AttachEventLog(const std::string& path,
                         double slow_query_threshold_ms);
   void LogEvent(const EventLog::Event& event) const;
-  /// One structured "recovery" record per Open, identical fields across
-  /// field types.
-  void LogRecoveryEvent(const EngineRecoveryReport& report,
-                        WalMode mode) const;
 
   PageFile* file() const { return file_.get(); }
   BufferPool* pool() const { return pool_.get(); }
@@ -222,6 +307,30 @@ class FieldEngine {
   }
 
  private:
+  /// Arms the write-ahead log (Build epilogue, or Open keeping a WAL
+  /// mode): opens `wal_path` stamping frames with the current epoch and
+  /// pins dirty frames in memory until the next Save (no-steal).
+  Status ArmWal(const std::string& wal_path, WalMode mode);
+
+  /// Recovery over an attached snapshot: scans `<prefix>.wal`, skips
+  /// frames a completed checkpoint already captured (stale epoch),
+  /// replays the rest through `apply` (logical redo — the same update
+  /// path the original mutations took, so derived structures are
+  /// maintained, not just pages), verifies every page when anything was
+  /// replayed, then either keeps logging (`mode` != off: the log is
+  /// reopened for appends) or folds the replayed frames into a fresh
+  /// checkpoint via `fold_checkpoint` and deletes the log. Fills
+  /// `report` (trace spans included) for the caller's recovery report.
+  Status RecoverFromWal(const std::string& prefix, WalMode mode,
+                        const std::function<Status(const WalFrame&)>& apply,
+                        const std::function<Status()>& fold_checkpoint,
+                        EngineRecoveryReport* report);
+
+  /// One structured "recovery" record per Open, identical fields across
+  /// field types.
+  void LogRecoveryEvent(const EngineRecoveryReport& report,
+                        WalMode mode) const;
+
   std::unique_ptr<PageFile> file_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<WriteAheadLog> wal_;

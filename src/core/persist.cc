@@ -13,6 +13,7 @@
 
 #include "core/field_database.h"
 #include "core/field_engine.h"
+#include "index/subfield_maintenance.h"
 
 namespace fielddb {
 
@@ -100,8 +101,17 @@ Status ValidateMeta(const MetaData& meta, const std::string& path) {
   if (meta.declared_subfields != meta.subfields.size()) {
     return bad("subfields");
   }
+  // Only I-Hilbert and the Interval Quadtree partition the store, and
+  // their tables must tile it: updates locate a cell's subfield by that
+  // invariant.
+  const bool partitioned =
+      meta.method == static_cast<int>(IndexMethod::kIHilbert) ||
+      meta.method == static_cast<int>(IndexMethod::kIntervalQuadtree);
+  if (partitioned ? !TilesStore(meta.subfields, meta.num_cells)
+                  : !meta.subfields.empty()) {
+    return bad("sf");
+  }
   for (const Subfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sf");
     if (!std::isfinite(sf.interval.min) || !std::isfinite(sf.interval.max) ||
         sf.interval.min > sf.interval.max ||
         !std::isfinite(sf.sum_interval_sizes)) {
@@ -199,10 +209,6 @@ Status FieldDatabase::Save(const std::string& prefix) {
   return SaveImpl(prefix, SaveCrashPoint::kNone);
 }
 
-Status FieldDatabase::SaveCrashBeforeRenameForTest(const std::string& prefix) {
-  return SaveImpl(prefix, SaveCrashPoint::kBeforeRename);
-}
-
 Status FieldDatabase::SaveImpl(const std::string& prefix,
                                SaveCrashPoint crash_point) {
   if (index_->method() == IndexMethod::kRowIp) {
@@ -269,19 +275,7 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
 
 StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  const std::string meta_path = prefix + ".meta";
-
-  // Self-heal a save that crashed between its two renames (see
-  // TryCompleteInterruptedSave): `.pages` already holds the next
-  // snapshot but `.meta` still describes the previous one.
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<MetaData> m = ReadMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<MetaData> meta = ReadMeta(meta_path);
+  StatusOr<MetaData> meta = ReadCatalog(prefix, &ReadMeta);
   if (!meta.ok()) return meta.status();
 
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
@@ -291,18 +285,18 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
 
   // Page-range validation against the actual file: a truncated or
   // mismatched page file must not turn into out-of-range reads later.
-  const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
+  const FieldEngine& engine = db->engine_;
+  if (meta->num_cells > 0) {
+    FIELDDB_RETURN_IF_ERROR(engine.CheckCatalogPage(
+        prefix, "store_first_page", meta->store_first_page));
   }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
+  if (meta->has_tree) {
+    FIELDDB_RETURN_IF_ERROR(
+        engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
   }
-  if (meta->has_spatial && meta->spatial.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'spatial'");
+  if (meta->has_spatial) {
+    FIELDDB_RETURN_IF_ERROR(
+        engine.CheckCatalogPage(prefix, "spatial", meta->spatial.root));
   }
 
   BufferPool* const pool = db->engine_.pool();
@@ -365,9 +359,8 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   // took, so the zone map, subfield intervals and interval-tree entries
   // are all maintained, not just pages), then either keep logging or
   // fold into a fresh checkpoint. The scan/replay/verify pipeline,
-  // stale-epoch filtering and metrics are the engine's.
-  RecoveryReport report;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.RecoverFromWal(
+  // stale-epoch filtering, metrics and events are the engine's.
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
       prefix, options.wal_mode,
       [&](const WalFrame& frame) -> Status {
         FIELDDB_RETURN_IF_ERROR(
@@ -376,27 +369,8 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
         return Status::OK();
       },
       [&]() { return db->SaveImpl(prefix, SaveCrashPoint::kNone); },
-      &report));
-
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    // One structured record per open: what recovery found and did. The
-    // event log writes through its own fd, never the page file, so this
-    // cannot disturb recovery state or I/O attribution.
-    db->engine_.LogRecoveryEvent(report, options.wal_mode);
-    if (options.wal_mode == WalMode::kOff && report.folded) {
-      db->LogEvent(EventLog::Event("wal_mode_transition")
-                       .Add("from", "unknown")
-                       .Add("to", WalModeName(WalMode::kOff))
-                       .Add("at", "open_fold"));
-    }
-  }
-
-  pool->ResetStats();
-  if (options.recovery_report != nullptr) {
-    *options.recovery_report = std::move(report);
-  }
+      options.event_log_path, options.slow_query_threshold_ms,
+      options.recovery_report));
   return db;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "index/update_util.h"
 
 namespace fielddb {
 
@@ -65,7 +64,7 @@ Status IAllIndex::UpdateCellValues(CellId id,
   const uint64_t pos = store_.PositionOf(id);
   ValueInterval old_iv, new_iv;
   FIELDDB_RETURN_IF_ERROR(
-      ApplyValueUpdate(&store_, pos, values, &old_iv, &new_iv));
+      store_.UpdateValues(pos, values, &old_iv, &new_iv));
   if (new_iv != old_iv) {
     FIELDDB_RETURN_IF_ERROR(tree_.Delete(BoxFromInterval(old_iv), pos));
     FIELDDB_RETURN_IF_ERROR(tree_.Insert(BoxFromInterval(new_iv), pos));

@@ -5,7 +5,6 @@
 
 #include "core/ext_sort.h"
 #include "index/subfield_maintenance.h"
-#include "index/update_util.h"
 
 namespace fielddb {
 
@@ -137,10 +136,11 @@ Status IHilbertIndex::UpdateCellValues(CellId id,
   const uint64_t pos = store_.PositionOf(id);
   ValueInterval old_iv, new_iv;
   FIELDDB_RETURN_IF_ERROR(
-      ApplyValueUpdate(&store_, pos, values, &old_iv, &new_iv));
+      store_.UpdateValues(pos, values, &old_iv, &new_iv));
   if (new_iv != old_iv) {
     FIELDDB_RETURN_IF_ERROR(
-        RefreshSubfieldAfterUpdate(store_, &tree_, &subfields_, pos));
+        RefreshSubfieldAfterUpdate(store_.records(), &tree_, &subfields_,
+                                   pos));
   }
   return Status::OK();
 }
@@ -157,17 +157,7 @@ Status IHilbertIndex::FilterCandidateRanges(
         raw.push_back(PosRange{e.a, e.b});
         return true;
       }));
-  std::sort(raw.begin(), raw.end(), [](const PosRange& x, const PosRange& y) {
-    return x.begin < y.begin || (x.begin == y.begin && x.end < y.end);
-  });
-  for (const PosRange& r : raw) {
-    if (r.end <= r.begin) continue;
-    if (!ranges->empty() && r.begin <= ranges->back().end) {
-      ranges->back().end = std::max(ranges->back().end, r.end);
-    } else {
-      ranges->push_back(r);
-    }
-  }
+  MergeRuns(&raw, ranges);
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "index/update_util.h"
 
 namespace fielddb {
 
@@ -44,8 +43,7 @@ Status LinearScanIndex::UpdateCellValues(CellId id,
   }
   ValueInterval old_iv, new_iv;
   // No index structure to maintain: the scan sees the new values.
-  return ApplyValueUpdate(&store_, store_.PositionOf(id), values, &old_iv,
-                          &new_iv);
+  return store_.UpdateValues(store_.PositionOf(id), values, &old_iv, &new_iv);
 }
 
 Status LinearScanIndex::FilterCandidateRanges(
@@ -55,7 +53,7 @@ Status LinearScanIndex::FilterCandidateRanges(
   // deserialization. (Production LinearScan *queries* still read every
   // store page — FieldDatabase fuses filter+estimate into a single page
   // pass, as the paper's cost model requires; see RunFuseOp.)
-  store_.FilterZoneMap(query, ranges);
+  store_.zone_map().FilterRanges(query, ranges);
   return Status::OK();
 }
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "index/update_util.h"
 
 namespace fielddb {
 
@@ -111,7 +110,7 @@ Status RowIpIndex::UpdateCellValues(CellId id,
   const uint64_t pos = store_.PositionOf(id);
   ValueInterval old_iv, new_iv;
   FIELDDB_RETURN_IF_ERROR(
-      ApplyValueUpdate(&store_, pos, values, &old_iv, &new_iv));
+      store_.UpdateValues(pos, values, &old_iv, &new_iv));
   if (new_iv == old_iv) return Status::OK();
 
   // Find the row's directory entry for this position and re-sort the

@@ -4,6 +4,10 @@
 
 namespace fielddb {
 
+namespace {
+
+// Intersects two sorted, disjoint run lists (the standard two-pointer
+// merge).
 void IntersectRanges(const std::vector<PosRange>& a,
                      const std::vector<PosRange>& b,
                      std::vector<PosRange>* out) {
@@ -21,6 +25,26 @@ void IntersectRanges(const std::vector<PosRange>& a,
       ++j;
     }
   }
+}
+
+}  // namespace
+
+ZoneProbe ScalarZoneMap::Probe(const ValueInterval& query,
+                               uint64_t stride) const {
+  ZoneProbe probe;
+  if (stride == 0) stride = 1;
+  bool prev_matched = false;
+  for (uint64_t pos = 0; pos < size(); pos += stride) {
+    ++probe.sampled;
+    // Same predicate as the SIMD kernels: NaN zones never match.
+    const bool match = mins_[pos] <= query.max && maxs_[pos] >= query.min;
+    if (match) {
+      ++probe.matched;
+      if (!prev_matched) ++probe.run_starts;
+    }
+    prev_matched = match;
+  }
+  return probe;
 }
 
 void BoxZoneMap::FilterRanges(const ValueInterval& u, const ValueInterval& v,

@@ -9,17 +9,27 @@
 
 namespace fielddb {
 
-/// SoA zone-map sidecars for the extension field stores — the same
-/// structure the grid's value index keeps per cell, factored out so the
-/// temporal, vector and volume databases get range-native
-/// FilterCandidateRanges parity (DESIGN.md §16). One slot per store
-/// position, min/max planes stored as separate contiguous arrays so the
-/// SIMD interval kernels stream them directly.
+/// SoA zone-map sidecars: one entry per store position, always equal to
+/// that position's record interval (or box), with the min/max planes
+/// stored as separate contiguous arrays so the SIMD interval kernels
+/// stream them directly. The filter step runs over these arrays and never
+/// deserializes a record for a non-matching position.
 ///
-/// The sidecars are in-RAM (rebuilt on Open by scanning the store) and
-/// maintained on update, so a planner probe over them is zero-I/O.
+/// The sidecars are derived, in-RAM state: built alongside the store,
+/// rebuilt on Open by scanning it, and maintained on update — so a
+/// planner probe over them is zero-I/O and nothing about the page format
+/// changes.
 
-/// Scalar values: one closed interval per slot (temporal/volume).
+/// The strided sample ScalarZoneMap::Probe returns.
+struct ZoneProbe {
+  uint64_t sampled = 0;     // positions tested
+  uint64_t matched = 0;     // tested positions intersecting the query
+  uint64_t run_starts = 0;  // matches whose previous sample missed — an
+                            // estimate of the candidate run count
+};
+
+/// Scalar values: one closed interval per position. The zone map of the
+/// grid's CellStore and of the temporal and volume stores.
 class ScalarZoneMap {
  public:
   void Reserve(uint64_t n) {
@@ -39,21 +49,37 @@ class ScalarZoneMap {
   }
   uint64_t size() const { return mins_.size(); }
 
-  /// Appends the maximal runs of slots intersecting `query` (SIMD
+  /// The SoA planes, in storage order.
+  const std::vector<double>& mins() const { return mins_; }
+  const std::vector<double>& maxs() const { return maxs_; }
+
+  /// Appends the maximal runs of positions intersecting `query` (SIMD
   /// kernel; bit-identical across instruction sets).
   void FilterRanges(const ValueInterval& query,
                     std::vector<PosRange>* out) const {
-    simd::FilterIntervalRanges(mins_.data(), maxs_.data(), size(),
-                               /*base=*/0, query.min, query.max, out);
+    FilterRange(PosRange{0, size()}, query, out);
   }
+
+  /// FilterRanges restricted to the positions of `run`.
+  void FilterRange(const PosRange& run, const ValueInterval& query,
+                   std::vector<PosRange>* out) const {
+    simd::FilterIntervalRanges(mins_.data() + run.begin,
+                               maxs_.data() + run.begin, run.length(),
+                               run.begin, query.min, query.max, out);
+  }
+
+  /// Strided sample, the planner's sublinear selectivity probe for
+  /// stores too large for an exact FilterRanges sweep: tests every
+  /// `stride`-th position (stride 0 behaves as 1) against `query`.
+  ZoneProbe Probe(const ValueInterval& query, uint64_t stride) const;
 
  private:
   std::vector<double> mins_;
   std::vector<double> maxs_;
 };
 
-/// 2-D boxes: one (u, v) interval pair per slot (vector fields, where a
-/// band query constrains both components). Filtering intersects the
+/// 2-D boxes: one (u, v) interval pair per position (vector fields, where
+/// a band query constrains both components). Filtering intersects the
 /// per-component run lists, so each component still streams through the
 /// scalar SIMD kernel.
 class BoxZoneMap {
@@ -76,15 +102,9 @@ class BoxZoneMap {
     v_min_[pos] = v.min;
     v_max_[pos] = v.max;
   }
-  ValueInterval UAt(uint64_t pos) const {
-    return ValueInterval{u_min_[pos], u_max_[pos]};
-  }
-  ValueInterval VAt(uint64_t pos) const {
-    return ValueInterval{v_min_[pos], v_max_[pos]};
-  }
   uint64_t size() const { return u_min_.size(); }
 
-  /// Appends the maximal runs of slots whose box intersects `u` × `v`.
+  /// Appends the maximal runs of positions whose box intersects u × v.
   void FilterRanges(const ValueInterval& u, const ValueInterval& v,
                     std::vector<PosRange>* out) const;
 
@@ -94,12 +114,6 @@ class BoxZoneMap {
   std::vector<double> v_min_;
   std::vector<double> v_max_;
 };
-
-/// Intersects two sorted, disjoint run lists (the standard two-pointer
-/// merge). Exposed for tests.
-void IntersectRanges(const std::vector<PosRange>& a,
-                     const std::vector<PosRange>& b,
-                     std::vector<PosRange>* out);
 
 }  // namespace fielddb
 

@@ -37,6 +37,10 @@ struct PagePattern {
   uint64_t random_reads = 0;
   uint64_t sequential_reads = 0;
 
+  /// `n` pages that each pay a seek: an index descent, whose tree nodes
+  /// are scattered over the file.
+  static PagePattern Random(uint64_t n) { return PagePattern{n, n, 0}; }
+
   PagePattern& operator+=(const PagePattern& o) {
     pages += o.pages;
     random_reads += o.random_reads;

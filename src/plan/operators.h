@@ -94,9 +94,10 @@ inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace plan_internal
 
 /// ScanOp — candidate retrieval as an operator: walks the given runs
-/// through CellStore::ScanRangesFiltered (readahead batches, zone-map
-/// slot filtering) feeding each matching cell to `visit`, reported as a
-/// "fetch" span. On traced runs the visitor's own work is timed per
+/// through RecordStore::ScanRangesFiltered over the CellStore's pages
+/// and zone map (readahead batches, zone-map slot filtering) feeding
+/// each matching cell to `visit`, reported as a "fetch" span. On traced
+/// runs the visitor's own work is timed per
 /// cell, deducted from the fetch span, and reported as a separate
 /// zero-I/O "estimate" span — the fetch span is then pure retrieval.
 /// `stats->candidate_cells` must be final before the scan on indexed
@@ -117,11 +118,11 @@ Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
     ScopedSpan fetch(env.trace, "fetch", &env.ctx->io);
     const CellStore& store = env.index->cell_store();
     if (env.trace == nullptr) {
-      scan = store.ScanRangesFiltered(ranges, num_ranges, query, &skipped,
-                                      visit);
+      scan = store.records().ScanRangesFiltered(
+          ranges, num_ranges, store.zone_map(), query, &skipped, visit);
     } else {
-      scan = store.ScanRangesFiltered(
-          ranges, num_ranges, query, &skipped,
+      scan = store.records().ScanRangesFiltered(
+          ranges, num_ranges, store.zone_map(), query, &skipped,
           [&](uint64_t pos, const CellRecord& cell) {
             const auto t0 = std::chrono::steady_clock::now();
             const bool keep_going = visit(pos, cell);

@@ -36,12 +36,82 @@ QueryPlanner::QueryPlanner(const ValueIndex* index,
     : index_(index), subfields_(subfields), cost_(cost) {}
 
 StoreShape QueryPlanner::shape() const {
-  const CellStore& store = index_->cell_store();
-  StoreShape sh;
-  sh.num_cells = store.size();
-  sh.cells_per_page = store.cells_per_page();
-  sh.store_pages = store.num_pages();
-  return sh;
+  return ShapeOf(index_->cell_store().records());
+}
+
+PlanProbe ExactProbe(const PlanCostModel& cost, const StoreShape& shape,
+                     const std::vector<PosRange>& runs,
+                     const PagePattern& filter) {
+  PlanProbe probe;
+  probe.candidates = TotalRangeLength(runs);
+  probe.runs = runs.size();
+  probe.index_pattern = filter;
+  probe.index_pattern += cost.FetchPattern(shape, runs);
+  return probe;
+}
+
+PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
+                        PlannerMode mode, bool has_index,
+                        const std::function<PlanProbe()>& probe) {
+  PhysicalPlan plan;
+  plan.scan_pattern = cost.ScanPattern(shape);
+  plan.scan_cost_ms = cost.CostMs(plan.scan_pattern);
+
+  if (!has_index) {
+    plan.kind = PlanKind::kFusedScan;
+    plan.predicted_cost_ms = plan.scan_cost_ms;
+    plan.reason = "LinearScan: no value index, fused scan is the only plan";
+    return plan;
+  }
+  if (mode == PlannerMode::kForceScan) {
+    plan.kind = PlanKind::kFusedScan;
+    plan.predicted_cost_ms = plan.scan_cost_ms;
+    plan.reason = "forced: fused scan";
+    return plan;
+  }
+
+  PlanProbe p;
+  {
+    // The probe is the only part of planning whose cost scales with the
+    // index (zone-map walk / subfield-table scan); give it its own span
+    // so planner time is attributable when the trace buffer is on.
+    TraceScope probe_span("plan.probe", "plan");
+    p = probe();
+    probe_span.set_items(p.candidates);
+  }
+  plan.probed = true;
+  plan.probe_sampled = p.sampled;
+  plan.predicted_candidates = p.candidates;
+  plan.predicted_runs = p.runs;
+  plan.selectivity =
+      shape.num_cells > 0
+          ? static_cast<double>(p.candidates) / shape.num_cells
+          : 0.0;
+  plan.index_pattern = p.index_pattern;
+  plan.index_cost_ms = cost.CostMs(plan.index_pattern);
+
+  if (mode == PlannerMode::kForceIndex) {
+    plan.kind = PlanKind::kIndexedFilter;
+    plan.predicted_cost_ms = plan.index_cost_ms;
+    plan.reason = "forced: indexed filter+fetch";
+    return plan;
+  }
+
+  const bool index_wins = plan.index_cost_ms < plan.scan_cost_ms;
+  plan.kind = index_wins ? PlanKind::kIndexedFilter : PlanKind::kFusedScan;
+  plan.predicted_cost_ms =
+      index_wins ? plan.index_cost_ms : plan.scan_cost_ms;
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "auto: %s (index %.2f ms %s scan %.2f ms; est. %llu "
+                "candidates, %.2f%% selectivity)",
+                index_wins ? "indexed filter+fetch" : "fused scan",
+                plan.index_cost_ms, index_wins ? "<" : ">=",
+                plan.scan_cost_ms,
+                static_cast<unsigned long long>(p.candidates),
+                plan.selectivity * 100.0);
+  plan.reason = buf;
+  return plan;
 }
 
 QueryPlanner::Selectivity QueryPlanner::Probe(
@@ -76,13 +146,13 @@ QueryPlanner::Selectivity QueryPlanner::Probe(
   // output exactly. Above kExactProbeCells, fall back to the strided
   // sample to keep planning sublinear in the store size.
   if (store.size() <= kExactProbeCells) {
-    store.FilterZoneMap(query, runs);
+    store.zone_map().FilterRanges(query, runs);
     sel.candidates = TotalRangeLength(*runs);
     sel.runs = runs->size();
   } else {
     const uint64_t stride =
         (store.size() + kExactProbeCells - 1) / kExactProbeCells;
-    const CellStore::ZoneProbe probe = store.ProbeZoneMap(query, stride);
+    const ZoneProbe probe = store.zone_map().Probe(query, stride);
     sel.sampled = true;
     sel.candidates =
         std::min<uint64_t>(store.size(), probe.matched * stride);
@@ -121,14 +191,8 @@ PagePattern QueryPlanner::FilterPattern(const Selectivity& sel) const {
   // which is exactly the paper's Fig. 11 collapse.
   const uint64_t spread = static_cast<uint64_t>(
       std::ceil(static_cast<double>(info.tree_nodes) * sel.entry_fraction));
-  p.pages = std::min<uint64_t>(info.tree_nodes, info.tree_height + spread);
-  p.random_reads = p.pages;  // tree nodes are scattered: every read seeks
-  return p;
-}
-
-uint64_t QueryPlanner::PredictCandidates(const ValueInterval& query,
-                                         std::vector<PosRange>* runs) const {
-  return Probe(query, runs).candidates;
+  return PagePattern::Random(
+      std::min<uint64_t>(info.tree_nodes, info.tree_height + spread));
 }
 
 SharedScanDecision QueryPlanner::CostSharedScan(
@@ -151,71 +215,23 @@ SharedScanDecision QueryPlanner::CostSharedScan(
 
 PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
                                 PlannerMode mode) const {
-  PhysicalPlan plan;
-  const StoreShape sh = shape();
-  plan.scan_pattern = cost_.ScanPattern(sh);
-  plan.scan_cost_ms = cost_.CostMs(plan.scan_pattern);
-
-  if (index_->method() == IndexMethod::kLinearScan) {
-    plan.kind = PlanKind::kFusedScan;
-    plan.predicted_cost_ms = plan.scan_cost_ms;
-    plan.reason = "LinearScan: no value index, fused scan is the only plan";
-    return plan;
-  }
-  if (mode == PlannerMode::kForceScan) {
-    plan.kind = PlanKind::kFusedScan;
-    plan.predicted_cost_ms = plan.scan_cost_ms;
-    plan.reason = "forced: fused scan";
-    return plan;
-  }
-
-  std::vector<PosRange> runs;
-  Selectivity sel;
-  {
-    // The probe is the only part of planning whose cost scales with the
-    // index (zone-map walk / subfield-table scan); give it its own span
-    // so planner time is attributable when the trace buffer is on.
-    TraceScope probe_span("plan.probe", "plan");
-    sel = Probe(query, &runs);
-    probe_span.set_items(sel.candidates);
-  }
-  plan.probed = true;
-  plan.probe_sampled = sel.sampled;
-  plan.predicted_candidates = sel.candidates;
-  plan.predicted_runs = sel.runs;
-  plan.selectivity =
-      sh.num_cells > 0
-          ? static_cast<double>(sel.candidates) / sh.num_cells
-          : 0.0;
-  plan.index_pattern = FilterPattern(sel);
-  plan.index_pattern += sel.sampled
-                            ? cost_.ApproxFetchPattern(sh, sel.candidates,
-                                                       sel.runs)
-                            : cost_.FetchPattern(sh, runs);
-  plan.index_cost_ms = cost_.CostMs(plan.index_pattern);
-
-  if (mode == PlannerMode::kForceIndex) {
-    plan.kind = PlanKind::kIndexedFilter;
-    plan.predicted_cost_ms = plan.index_cost_ms;
-    plan.reason = "forced: indexed filter+fetch";
-    return plan;
-  }
-
-  const bool index_wins = plan.index_cost_ms < plan.scan_cost_ms;
-  plan.kind = index_wins ? PlanKind::kIndexedFilter : PlanKind::kFusedScan;
-  plan.predicted_cost_ms =
-      index_wins ? plan.index_cost_ms : plan.scan_cost_ms;
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "auto: %s (index %.2f ms %s scan %.2f ms; est. %llu "
-                "candidates, %.2f%% selectivity)",
-                index_wins ? "indexed filter+fetch" : "fused scan",
-                plan.index_cost_ms, index_wins ? "<" : ">=",
-                plan.scan_cost_ms,
-                static_cast<unsigned long long>(sel.candidates),
-                plan.selectivity * 100.0);
-  plan.reason = buf;
-  return plan;
+  return ChoosePlan(
+      cost_, shape(), mode, index_->method() != IndexMethod::kLinearScan,
+      [this, &query] {
+        std::vector<PosRange> runs;
+        const Selectivity sel = Probe(query, &runs);
+        if (!sel.sampled) {
+          return ExactProbe(cost_, shape(), runs, FilterPattern(sel));
+        }
+        PlanProbe probe;
+        probe.candidates = sel.candidates;
+        probe.runs = sel.runs;
+        probe.sampled = true;
+        probe.index_pattern = FilterPattern(sel);
+        probe.index_pattern +=
+            cost_.ApproxFetchPattern(shape(), sel.candidates, sel.runs);
+        return probe;
+      });
 }
 
 }  // namespace fielddb

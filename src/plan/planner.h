@@ -2,6 +2,7 @@
 #define FIELDDB_PLAN_PLANNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "index/subfield.h"
 #include "index/value_index.h"
 #include "plan/cost_model.h"
+#include "storage/record_store.h"
 
 namespace fielddb {
 
@@ -90,6 +92,50 @@ struct PhysicalPlan {
   std::string reason;
 };
 
+/// What a store's zero-I/O selectivity probe predicts for one query:
+/// the inputs ChoosePlan prices the indexed alternative from.
+struct PlanProbe {
+  /// Candidate cells and runs the filter step is predicted to produce.
+  uint64_t candidates = 0;
+  uint64_t runs = 0;
+  /// True for a sampled (possibly undercounting) probe; see
+  /// PhysicalPlan::probe_sampled.
+  bool sampled = false;
+  /// Filter descent plus candidate fetch.
+  PagePattern index_pattern;
+};
+
+/// The one scan-vs-index decision of every store: the grid's
+/// QueryPlanner::Plan and the temporal, vector and volume databases all
+/// call it with their own store shape and probe. Prices the fused scan
+/// over `shape`; without an index (`has_index` false: LinearScan) or
+/// under kForceScan that is the plan. Otherwise runs `probe` — the
+/// caller's selectivity probe and filter/fetch pricing — under a
+/// "plan.probe" trace span, prices the indexed filter+fetch, and picks
+/// per `mode`: forced, or under kAuto the cheaper one (ties go to the
+/// scan). Fills in both costs and the reason. Deterministic and
+/// independent of buffer-pool state.
+PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
+                        PlannerMode mode, bool has_index,
+                        const std::function<PlanProbe()>& probe);
+
+/// The probe of a store whose candidate runs are known exactly (a
+/// zone-map sweep or a subfield-table walk): `filter` is the index
+/// descent's page pattern, the fetch pattern follows from `runs`.
+PlanProbe ExactProbe(const PlanCostModel& cost, const StoreShape& shape,
+                     const std::vector<PosRange>& runs,
+                     const PagePattern& filter);
+
+/// The geometry of a record store, for costing.
+template <typename T>
+StoreShape ShapeOf(const RecordStore<T>& store) {
+  StoreShape sh;
+  sh.num_cells = store.size();
+  sh.cells_per_page = store.records_per_page();
+  sh.store_pages = store.num_pages();
+  return sh;
+}
+
 /// The cost-based access-path selector. Pure function of the immutable
 /// post-build index state: selectivity comes from the subfield table
 /// (I-Hilbert, I-Quadtree) or the in-memory zone-map sidecar (the other
@@ -122,17 +168,12 @@ class QueryPlanner {
                                     PlannerMode mode = PlannerMode::kAuto)
       const;
 
-  /// The selectivity probe alone: predicted candidate runs + count for
-  /// `query`. Exposed for tests and the CLI.
-  uint64_t PredictCandidates(const ValueInterval& query,
-                             std::vector<PosRange>* runs) const;
-
   StoreShape shape() const;
   const PlanCostModel& cost_model() const { return cost_; }
 
   /// Stores at or below this many cells are probed with the exact
   /// zone-map filter; larger ones use the strided sample (see
-  /// CellStore::ProbeZoneMap) so planning stays sublinear.
+  /// ScalarZoneMap::Probe) so planning stays sublinear.
   static constexpr uint64_t kExactProbeCells = uint64_t{1} << 20;
 
  private:

@@ -199,15 +199,21 @@ Status BufferPool::PrefetchRange(PageId first, size_t count) {
   span.set_items(count);
 
   // Pass 1 — classify under brief shard locks: which of the pages are
-  // already resident (count a hit, done) and which must be read.
+  // already resident (count a hit, done) and which must be read. A
+  // resident page moves to the MRU end, so making room for the window's
+  // misses never evicts a page the caller is about to fetch.
   std::vector<PageId> missing;
   missing.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     const PageId id = first + i;
     Shard& sh = ShardOf(id);
     std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.frames.find(id) != sh.frames.end()) {
+    const auto it = sh.frames.find(id);
+    if (it != sh.frames.end()) {
       m_prefetch_hit_->Increment();
+      if (it->second.in_lru) {
+        sh.lru.splice(sh.lru.end(), sh.lru, it->second.lru_pos);
+      }
     } else {
       missing.push_back(id);
     }

@@ -1,7 +1,6 @@
 #include "temporal/temporal_index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -95,7 +94,10 @@ Status ValidateTemporalMeta(const TemporalMetaData& meta,
   if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
     return bad("page_size");
   }
-  if (meta.num_slabs > (1u << 20)) return bad("num_slabs");
+  // Build requires two snapshots, so a real catalog has a slab.
+  if (meta.num_slabs == 0 || meta.num_slabs > (1u << 20)) {
+    return bad("num_slabs");
+  }
   for (uint32_t k = 0; k < meta.num_slabs; ++k) {
     if (!meta.slab_seen[k]) return bad("slab");
   }
@@ -103,8 +105,8 @@ Status ValidateTemporalMeta(const TemporalMetaData& meta,
     return bad("subfields");
   }
   for (const auto& sfs : meta.slab_subfields) {
+    if (!TilesStore(sfs, meta.num_cells)) return bad("tsf");
     for (const Subfield& sf : sfs) {
-      if (sf.start > sf.end || sf.end > meta.num_cells) return bad("tsf");
       if (!std::isfinite(sf.interval.min) ||
           !std::isfinite(sf.interval.max) ||
           sf.interval.min > sf.interval.max) {
@@ -194,11 +196,10 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   db->num_slabs_ = field.NumSlabs();
   db->t_max_ = static_cast<double>(field.NumSnapshots() - 1);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FieldEngine::BuildConfig config;
-  config.page_size = options.page_size;
-  config.pool_pages = options.pool_pages;
-  config.page_file_factory = options.page_file_factory;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(config));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
+      {.page_size = options.page_size,
+       .pool_pages = options.pool_pages,
+       .page_file_factory = options.page_file_factory}));
   BufferPool* const pool = db->engine_.pool();
 
   // One shared Hilbert order over the (time-invariant) cell geometry,
@@ -291,26 +292,10 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   if (!tree.ok()) return tree.status();
   db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 
-  if (options.wal_mode != WalMode::kOff) {
-    FIELDDB_RETURN_IF_ERROR(
-        db->engine_.ArmWal(options.wal_path, options.wal_mode));
-  }
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    if (options.wal_mode != WalMode::kOff) {
-      db->engine_.LogEvent(EventLog::Event("wal_mode_transition")
-                               .Add("from", WalModeName(WalMode::kOff))
-                               .Add("to", WalModeName(options.wal_mode))
-                               .Add("at", "build"));
-    }
-  }
-  pool->ResetStats();
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
+      options.wal_mode, options.wal_path, options.event_log_path,
+      options.slow_query_threshold_ms));
   return db;
-}
-
-Status TemporalFieldDatabase::Save(const std::string& prefix) {
-  return SaveImpl(prefix, SnapshotCrashPoint::kNone);
 }
 
 Status TemporalFieldDatabase::SaveImpl(const std::string& prefix,
@@ -342,14 +327,7 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<TemporalMetaData> m = ReadTemporalMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<TemporalMetaData> meta = ReadTemporalMeta(prefix + ".meta");
+  StatusOr<TemporalMetaData> meta = ReadCatalog(prefix, &ReadTemporalMeta);
   if (!meta.ok()) return meta.status();
 
   auto db =
@@ -361,22 +339,17 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
       prefix, meta->page_size, meta->epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
-  const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
-  }
+  const FieldEngine& engine = db->engine_;
+  FIELDDB_RETURN_IF_ERROR(
+      engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
   const uint64_t n = meta->num_cells;
-  for (uint32_t k = 0; k < meta->num_slabs; ++k) {
-    if (n > 0 && meta->slab_first_pages[k] >= num_pages) {
-      return Status::Corruption("catalog " + prefix +
-                                ".meta: invalid value for 'slab'");
-    }
+  for (uint32_t k = 0; k < meta->num_slabs && n > 0; ++k) {
+    FIELDDB_RETURN_IF_ERROR(
+        engine.CheckCatalogPage(prefix, "slab", meta->slab_first_pages[k]));
   }
 
   // Attach the slab stores and rebuild the in-RAM sidecars (zone maps
   // per slab; the shared position map from slab 0's record ids).
-  db->pos_of_.assign(n, ~uint64_t{0});
   for (uint32_t k = 0; k < meta->num_slabs; ++k) {
     Slab slab;
     StatusOr<RecordStore<VectorCellRecord>> store =
@@ -388,22 +361,14 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     slab.subfields = std::move(meta->slab_subfields[k]);
     db->total_subfields_ += slab.subfields.size();
     slab.zones.Reserve(n);
-    FIELDDB_RETURN_IF_ERROR(slab.store->Scan(
-        0, n, [&](uint64_t pos, const VectorCellRecord& rec) {
+    // Every slab holds the shared Hilbert order; slab 0's map is kept.
+    std::vector<uint64_t> positions;
+    FIELDDB_RETURN_IF_ERROR(MapRecordIds(
+        *slab.store, &positions, [&](uint64_t, const VectorCellRecord& rec) {
           slab.zones.Append(SlabInterval(rec));
-          if (k == 0 && rec.id < n) db->pos_of_[rec.id] = pos;
-          return true;
         }));
+    if (k == 0) db->pos_of_ = std::move(positions);
     db->slabs_.push_back(std::move(slab));
-  }
-  if (meta->num_slabs > 0) {
-    for (const uint64_t pos : db->pos_of_) {
-      if (pos == ~uint64_t{0}) {
-        return Status::Corruption("temporal store is missing cell ids");
-      }
-    }
-  } else {
-    for (uint64_t i = 0; i < n; ++i) db->pos_of_[i] = i;
   }
   db->tree_ = std::make_unique<RStarTree<2>>(
       RStarTree<2>::Attach(pool, meta->tree));
@@ -411,9 +376,8 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
   // Recovery: a frame carries the snapshot index in values[0] followed
   // by the vertex samples; logical redo through the same apply path
   // updates took maintains subfield hulls, tree entries and zone maps.
-  EngineRecoveryReport report;
   TemporalFieldDatabase* const raw = db.get();
-  FIELDDB_RETURN_IF_ERROR(db->engine_.RecoverFromWal(
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
       prefix, options.wal_mode,
       [raw](const WalFrame& frame) -> Status {
         if (frame.values.size() < 2) {
@@ -433,18 +397,8 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
       },
-      &report));
-
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    db->engine_.LogRecoveryEvent(report, options.wal_mode);
-  }
-
-  pool->ResetStats();
-  if (options.recovery_report != nullptr) {
-    *options.recovery_report = std::move(report);
-  }
+      options.event_log_path, options.slow_query_threshold_ms,
+      options.recovery_report));
   return db;
 }
 
@@ -518,7 +472,6 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
     return Status::OutOfRange("no such snapshot");
   }
   if (id >= pos_of_.size()) return Status::OutOfRange("no such cell");
-  if (slabs_.empty()) return Status::OK();
   // Validate against the record before logging, so only appliable
   // updates ever reach the WAL and replay never meets invalid frames.
   const uint32_t ref_slab = snapshot > 0 ? snapshot - 1 : 0;
@@ -539,54 +492,28 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
   return ApplySnapshotCellValues(snapshot, id, values);
 }
 
-PhysicalPlan TemporalFieldDatabase::ChoosePlan(
-    uint32_t k, const ValueInterval& band) const {
-  const Slab& slab = slabs_[k];
-  std::vector<PosRange> runs;
-  slab.zones.FilterRanges(band, &runs);
-  StoreShape shape;
-  shape.num_cells = slab.store->size();
-  shape.cells_per_page = slab.store->records_per_page();
-  shape.store_pages = slab.store->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
+uint32_t TemporalFieldDatabase::SlabAt(double t) const {
+  return static_cast<uint32_t>(
+      std::min(std::floor(std::max(t, 0.0)), t_max_ - 1.0));
 }
 
 PhysicalPlan TemporalFieldDatabase::PlanSnapshotQuery(
     double t, const ValueInterval& band) const {
-  const uint32_t k = static_cast<uint32_t>(
-      std::min(std::floor(std::max(t, 0.0)), t_max_ - 1.0));
-  return ChoosePlan(k, band);
-}
-
-void TemporalFieldDatabase::MaybeLogSlowQuery(
-    double t, const ValueInterval& band, const QueryStats& stats,
-    const PhysicalPlan& plan) const {
-  if (engine_.event_log() == nullptr) return;
-  const double wall_ms = stats.wall_seconds * 1000.0;
-  if (wall_ms < engine_.slow_query_threshold_ms()) return;
-  const double observed_disk_ms = DiskModel{}.EstimateMs(
-      stats.io.sequential_reads, stats.io.random_reads());
-  engine_.LogEvent(EventLog::Event("slow_query")
-                       .Add("field_type", "temporal")
-                       .Add("wall_ms", wall_ms)
-                       .Add("threshold_ms", engine_.slow_query_threshold_ms())
-                       .Add("time_t", t)
-                       .Add("query_min", band.min)
-                       .Add("query_max", band.max)
-                       .Add("plan", PlanKindName(plan.kind))
-                       .Add("reason", plan.reason)
-                       .Add("predicted_cost_ms", plan.predicted_cost_ms)
-                       .Add("observed_disk_ms", observed_disk_ms)
-                       .Add("candidate_cells", stats.candidate_cells)
-                       .Add("answer_cells", stats.answer_cells));
+  const Slab& slab = slabs_[SlabAt(t)];
+  const PlanCostModel cost;
+  const StoreShape shape = ShapeOf(*slab.store);
+  return ChoosePlan(cost, shape, planner_mode(), tree_ != nullptr, [&] {
+    std::vector<PosRange> runs;
+    slab.zones.FilterRanges(band, &runs);
+    return ExactProbe(cost, shape, runs,
+                      PagePattern::Random(tree_->height()));
+  });
 }
 
 Status TemporalFieldDatabase::SnapshotValueQuery(double t,
                                                  const ValueInterval& band,
-                                                 ValueQueryResult* out) {
+                                                 ValueQueryResult* out,
+                                                 QueryContext* ctx) const {
   if (band.IsEmpty()) {
     return Status::InvalidArgument("empty query band");
   }
@@ -595,72 +522,53 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
   }
   out->region.pieces.clear();
   out->stats = QueryStats{};
-  const uint32_t k = static_cast<uint32_t>(
-      std::min(std::floor(t), t_max_ - 1.0));
+  const uint32_t k = SlabAt(t);
+  const Slab& slab = slabs_[k];
   const double tau = t - k;
-  out->plan = ChoosePlan(k, band);
-  const IoStats io_before = engine_.pool()->stats();
-  const auto t0 = std::chrono::steady_clock::now();
-
+  out->plan = PlanSnapshotQuery(t, band);
   Status inner = Status::OK();
-  const auto visit_cell = [&](uint64_t, const VectorCellRecord& rec) {
-    const CellRecord cell = AtTau(rec, tau);
-    StatusOr<size_t> pieces = CellIsoband(cell, band, &out->region);
-    if (!pieces.ok()) {
-      inner = pieces.status();
-      return false;
-    }
-    if (*pieces > 0) {
-      ++out->stats.answer_cells;
-      out->stats.region_pieces += *pieces;
-    }
-    return true;
-  };
-
-  if (out->plan.kind == PlanKind::kFusedScan) {
-    const uint64_t n = slabs_[k].store->size();
-    out->stats.candidate_cells = n;
-    FIELDDB_RETURN_IF_ERROR(slabs_[k].store->Scan(0, n, visit_cell));
-    FIELDDB_RETURN_IF_ERROR(inner);
-  } else {
-    Box<2> query;
-    query.lo = {band.min, t};
-    query.hi = {band.max, t};
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Search(query, [&](const RTreeEntry<2>& e) {
+  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
+      *slab.store, out->plan, ctx,
+      [&](std::vector<PosRange>* runs) {
+        Box<2> query;
+        query.lo = {band.min, t};
+        query.hi = {band.max, t};
+        return tree_->Search(query, [&](const RTreeEntry<2>& e) {
           if (e.a == k) {  // integer t also brushes the previous slab
-            const Subfield& sf = slabs_[k].subfields[e.b];
-            ranges.emplace_back(sf.start, sf.end);
+            const Subfield& sf = slab.subfields[e.b];
+            runs->push_back(PosRange{sf.start, sf.end});
           }
           return true;
-        }));
-    std::sort(ranges.begin(), ranges.end());
-
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(
-            slabs_[k].store->Scan(begin, end, visit_cell));
-        FIELDDB_RETURN_IF_ERROR(inner);
-      }
-      covered_to = std::max(covered_to, end);
-    }
-  }
-
-  out->stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out->stats.io = engine_.pool()->stats() - io_before;
-  MaybeLogSlowQuery(t, band, out->stats, out->plan);
+        });
+      },
+      [&](uint64_t, const VectorCellRecord& rec) {
+        const CellRecord cell = AtTau(rec, tau);
+        StatusOr<size_t> pieces = CellIsoband(cell, band, &out->region);
+        if (!pieces.ok()) {
+          inner = pieces.status();
+          return false;
+        }
+        if (*pieces > 0) {
+          ++out->stats.answer_cells;
+          out->stats.region_pieces += *pieces;
+        }
+        return true;
+      },
+      &out->stats));
+  FIELDDB_RETURN_IF_ERROR(inner);
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    event->Add("field_type", "temporal")
+        .Add("time_t", t)
+        .Add("query_min", band.min)
+        .Add("query_max", band.max);
+    return out->plan;
+  });
   return Status::OK();
 }
 
 Status TemporalFieldDatabase::TimeRangeCandidates(
     const ValueInterval& band, double t0, double t1,
-    std::vector<CellId>* out) {
+    std::vector<CellId>* out) const {
   if (band.IsEmpty() || t0 > t1) {
     return Status::InvalidArgument("bad query");
   }
@@ -697,21 +605,15 @@ Status TemporalFieldDatabase::TimeRangeCandidates(
 }
 
 StatusOr<WorkloadStats> TemporalFieldDatabase::RunWorkload(
-    const std::vector<TemporalSnapshotQuery>& queries) {
-  WorkloadStats ws;
-  if (queries.empty()) return ws;
-  QueryStats total;
-  std::vector<double> wall_ms;
-  wall_ms.reserve(queries.size());
-  ValueQueryResult result;
-  for (const TemporalSnapshotQuery& q : queries) {
-    FIELDDB_RETURN_IF_ERROR(engine_.pool()->Clear());
-    FIELDDB_RETURN_IF_ERROR(SnapshotValueQuery(q.first, q.second, &result));
-    total.Accumulate(result.stats);
-    wall_ms.push_back(result.stats.wall_seconds * 1000.0);
-  }
-  FinalizeWorkloadStats(total, &wall_ms, &ws);
-  return ws;
+    const std::vector<TemporalSnapshotQuery>& queries) const {
+  return engine_.RunWorkload(
+      queries.size(), /*cold_cache=*/true, [&](size_t i, QueryStats* stats) {
+        ValueQueryResult result;
+        FIELDDB_RETURN_IF_ERROR(
+            SnapshotValueQuery(queries[i].first, queries[i].second, &result));
+        *stats = result.stats;
+        return Status::OK();
+      });
 }
 
 }  // namespace fielddb

@@ -10,10 +10,11 @@
 
 #include "core/field_database.h"
 #include "core/field_engine.h"
+#include "core/query_context.h"
 #include "curve/curves.h"
 #include "index/subfield.h"
 #include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -54,7 +55,7 @@ class TemporalFieldDatabase {
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
     /// Initial access-path policy for snapshot queries (see
-    /// ExtStorePlanner).
+    /// ChoosePlan).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateSnapshotCellValues (DESIGN.md §14). Requires
     /// `wal_path`; use `<prefix>.wal` for the prefix the database will
@@ -95,7 +96,9 @@ class TemporalFieldDatabase {
 
   /// Persists the database as `<prefix>.pages` + `<prefix>.meta`
   /// through the engine's crash-safe checkpoint pipeline.
-  Status Save(const std::string& prefix);
+  Status Save(const std::string& prefix) {
+    return SaveImpl(prefix, SnapshotCrashPoint::kNone);
+  }
   Status SaveWithCrashPointForTest(const std::string& prefix,
                                    SnapshotCrashPoint crash_point) {
     return SaveImpl(prefix, crash_point);
@@ -103,9 +106,13 @@ class TemporalFieldDatabase {
 
   /// Q2 at a time instant: exact regions where band.min <= F(p, t) <=
   /// band.max. `t` must lie in [0, T-1]. `out->plan` records the
-  /// planner's decision for the touched slab.
+  /// planner's decision for the touched slab. Safe to run from any
+  /// number of threads at once (updates excluded); the I/O in
+  /// `out->stats` is this query's own, counted through `ctx` (a local
+  /// context when null).
   Status SnapshotValueQuery(double t, const ValueInterval& band,
-                            ValueQueryResult* out);
+                            ValueQueryResult* out,
+                            QueryContext* ctx = nullptr) const;
 
   /// The planner's decision for a snapshot query at `t` under the
   /// current mode, without executing anything (zero I/O: the slab's
@@ -117,7 +124,7 @@ class TemporalFieldDatabase {
   /// may include slab-level false positives). Cell ids, ascending,
   /// deduplicated.
   Status TimeRangeCandidates(const ValueInterval& band, double t0,
-                             double t1, std::vector<CellId>* out);
+                             double t1, std::vector<CellId>* out) const;
 
   /// Replaces the vertex samples of cell `id` at snapshot `snapshot`
   /// (`values.size()` must match the cell's vertex count). A snapshot
@@ -160,7 +167,7 @@ class TemporalFieldDatabase {
   /// Average stats over a snapshot-query workload (cold cache per
   /// query).
   StatusOr<WorkloadStats> RunWorkload(
-      const std::vector<TemporalSnapshotQuery>& queries);
+      const std::vector<TemporalSnapshotQuery>& queries) const;
 
  private:
   TemporalFieldDatabase() = default;
@@ -187,10 +194,9 @@ class TemporalFieldDatabase {
   Status UpdateSlabSide(uint32_t k, uint64_t pos, bool u_side,
                         const std::vector<double>& values);
 
-  PhysicalPlan ChoosePlan(uint32_t k, const ValueInterval& band) const;
-  void MaybeLogSlowQuery(double t, const ValueInterval& band,
-                         const QueryStats& stats,
-                         const PhysicalPlan& plan) const;
+  /// The slab a snapshot query at time `t` reads (t clamped to
+  /// [0, T-1]; t = T-1 reads the last slab).
+  uint32_t SlabAt(double t) const;
 
   /// Shared lifecycle core; declared first so the storage outlives the
   /// slab stores and tree at destruction.

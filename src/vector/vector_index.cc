@@ -1,13 +1,13 @@
 #include "vector/vector_index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
+#include "index/subfield_maintenance.h"
 
 namespace fielddb {
 
@@ -69,8 +69,13 @@ Status ValidateVectorMeta(const VectorMetaData& meta,
   if (meta.declared_subfields != meta.subfields.size()) {
     return bad("subfields");
   }
+  // Only I-Hilbert partitions the store, and its table must tile it.
+  if (meta.method == static_cast<int>(VectorIndexMethod::kIHilbert)
+          ? !TilesStore(meta.subfields, meta.num_cells)
+          : !meta.subfields.empty()) {
+    return bad("sfv");
+  }
   for (const VectorSubfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sfv");
     for (int d = 0; d < 2; ++d) {
       if (!std::isfinite(sf.box.lo[d]) || !std::isfinite(sf.box.hi[d]) ||
           sf.box.lo[d] > sf.box.hi[d]) {
@@ -231,11 +236,10 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
   db->method_ = options.method;
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FieldEngine::BuildConfig config;
-  config.page_size = options.page_size;
-  config.pool_pages = options.pool_pages;
-  config.page_file_factory = options.page_file_factory;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(config));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
+      {.page_size = options.page_size,
+       .pool_pages = options.pool_pages,
+       .page_file_factory = options.page_file_factory}));
   BufferPool* const pool = db->engine_.pool();
 
   // Hilbert-order the cells (also for LinearScan — the scan is
@@ -292,26 +296,10 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
     db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }
 
-  if (options.wal_mode != WalMode::kOff) {
-    FIELDDB_RETURN_IF_ERROR(
-        db->engine_.ArmWal(options.wal_path, options.wal_mode));
-  }
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    if (options.wal_mode != WalMode::kOff) {
-      db->engine_.LogEvent(EventLog::Event("wal_mode_transition")
-                               .Add("from", WalModeName(WalMode::kOff))
-                               .Add("to", WalModeName(options.wal_mode))
-                               .Add("at", "build"));
-    }
-  }
-  pool->ResetStats();
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
+      options.wal_mode, options.wal_path, options.event_log_path,
+      options.slow_query_threshold_ms));
   return db;
-}
-
-Status VectorFieldDatabase::Save(const std::string& prefix) {
-  return SaveImpl(prefix, SnapshotCrashPoint::kNone);
 }
 
 Status VectorFieldDatabase::SaveImpl(const std::string& prefix,
@@ -341,14 +329,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<VectorMetaData> m = ReadVectorMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<VectorMetaData> meta = ReadVectorMeta(prefix + ".meta");
+  StatusOr<VectorMetaData> meta = ReadCatalog(prefix, &ReadVectorMeta);
   if (!meta.ok()) return meta.status();
 
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
@@ -358,14 +339,14 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
       prefix, meta->page_size, meta->epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
-  const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
+  const FieldEngine& engine = db->engine_;
+  if (meta->num_cells > 0) {
+    FIELDDB_RETURN_IF_ERROR(engine.CheckCatalogPage(
+        prefix, "store_first_page", meta->store_first_page));
   }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
+  if (meta->has_tree) {
+    FIELDDB_RETURN_IF_ERROR(
+        engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
   }
   if (db->method_ == VectorIndexMethod::kIHilbert && !meta->has_tree) {
     return Status::Corruption("catalog " + prefix +
@@ -386,28 +367,18 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
 
   // One store pass rebuilds both in-RAM sidecars: the cell-id ->
   // position map and the 2-D zone map the planner probes.
-  const uint64_t n = meta->num_cells;
-  db->pos_of_.assign(n, ~uint64_t{0});
-  db->zones_.Reserve(n);
-  FIELDDB_RETURN_IF_ERROR(db->store_->Scan(
-      0, n, [&](uint64_t pos, const VectorCellRecord& rec) {
-        if (rec.id < n) db->pos_of_[rec.id] = pos;
+  db->zones_.Reserve(meta->num_cells);
+  FIELDDB_RETURN_IF_ERROR(MapRecordIds(
+      *db->store_, &db->pos_of_, [&](uint64_t, const VectorCellRecord& rec) {
         const Box<2> box = rec.ValueBox();
         db->zones_.Append(BoxUInterval(box), BoxVInterval(box));
-        return true;
       }));
-  for (const uint64_t pos : db->pos_of_) {
-    if (pos == ~uint64_t{0}) {
-      return Status::Corruption("vector store is missing cell ids");
-    }
-  }
 
   // Recovery: a frame carries u followed by v; logical redo through the
   // same apply path updates took maintains subfield boxes, tree entries
   // and the zone map.
-  EngineRecoveryReport report;
   VectorFieldDatabase* const raw = db.get();
-  FIELDDB_RETURN_IF_ERROR(db->engine_.RecoverFromWal(
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
       prefix, options.wal_mode,
       [raw](const WalFrame& frame) -> Status {
         if (frame.values.empty() || frame.values.size() % 2 != 0) {
@@ -424,18 +395,8 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
       },
-      &report));
-
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    db->engine_.LogRecoveryEvent(report, options.wal_mode);
-  }
-
-  pool->ResetStats();
-  if (options.recovery_report != nullptr) {
-    *options.recovery_report = std::move(report);
-  }
+      options.event_log_path, options.slow_query_threshold_ms,
+      options.recovery_report));
   return db;
 }
 
@@ -487,13 +448,7 @@ Status VectorFieldDatabase::ApplyCellValues(CellId id,
 
   // Refresh the containing subfield's value-box hull (the no-false-
   // negative invariant: every member cell's box stays covered).
-  const auto it = std::upper_bound(
-      subfields_.begin(), subfields_.end(), pos,
-      [](uint64_t p, const VectorSubfield& sf) { return p < sf.end; });
-  if (it == subfields_.end() || pos < it->start) {
-    return Status::Internal("no subfield covers updated cell position");
-  }
-  VectorSubfield& sf = *it;
+  VectorSubfield& sf = subfields_[SubfieldContaining(subfields_, pos)];
   Box<2> hull = Box<2>::Empty();
   double sum_sizes = 0.0;
   FIELDDB_RETURN_IF_ERROR(store_->Scan(
@@ -516,123 +471,71 @@ Status VectorFieldDatabase::ApplyCellValues(CellId id,
   return Status::OK();
 }
 
-PhysicalPlan VectorFieldDatabase::ChoosePlan(
-    const VectorBandQuery& query) const {
-  std::vector<PosRange> runs;
-  zones_.FilterRanges(query.u, query.v, &runs);
-  StoreShape shape;
-  shape.num_cells = store_->size();
-  shape.cells_per_page = store_->records_per_page();
-  shape.store_pages = store_->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
-}
-
 PhysicalPlan VectorFieldDatabase::PlanBandQuery(
     const VectorBandQuery& query) const {
-  return ChoosePlan(query);
-}
-
-void VectorFieldDatabase::MaybeLogSlowQuery(const VectorBandQuery& query,
-                                            const QueryStats& stats,
-                                            const PhysicalPlan& plan) const {
-  if (engine_.event_log() == nullptr) return;
-  const double wall_ms = stats.wall_seconds * 1000.0;
-  if (wall_ms < engine_.slow_query_threshold_ms()) return;
-  const double observed_disk_ms = DiskModel{}.EstimateMs(
-      stats.io.sequential_reads, stats.io.random_reads());
-  engine_.LogEvent(EventLog::Event("slow_query")
-                       .Add("field_type", "vector")
-                       .Add("wall_ms", wall_ms)
-                       .Add("threshold_ms", engine_.slow_query_threshold_ms())
-                       .Add("query_u_min", query.u.min)
-                       .Add("query_u_max", query.u.max)
-                       .Add("query_v_min", query.v.min)
-                       .Add("query_v_max", query.v.max)
-                       .Add("plan", PlanKindName(plan.kind))
-                       .Add("reason", plan.reason)
-                       .Add("predicted_cost_ms", plan.predicted_cost_ms)
-                       .Add("observed_disk_ms", observed_disk_ms)
-                       .Add("candidate_cells", stats.candidate_cells)
-                       .Add("answer_cells", stats.answer_cells));
+  const PlanCostModel cost;
+  const StoreShape shape = ShapeOf(*store_);
+  return ChoosePlan(cost, shape, planner_mode(), tree_ != nullptr, [&] {
+    std::vector<PosRange> runs;
+    zones_.FilterRanges(query.u, query.v, &runs);
+    return ExactProbe(cost, shape, runs,
+                      PagePattern::Random(tree_->height()));
+  });
 }
 
 Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
-                                      VectorQueryResult* out) {
+                                      VectorQueryResult* out,
+                                      QueryContext* ctx) const {
   if (query.u.IsEmpty() || query.v.IsEmpty()) {
     return Status::InvalidArgument("empty query band");
   }
   out->region.pieces.clear();
   out->stats = QueryStats{};
-  out->plan = ChoosePlan(query);
-  const IoStats io_before = engine_.pool()->stats();
-  const auto t0 = std::chrono::steady_clock::now();
-
+  out->plan = PlanBandQuery(query);
   Status inner = Status::OK();
-  const auto visit_cell = [&](uint64_t, const VectorCellRecord& cell) {
-    StatusOr<size_t> pieces =
-        VectorCellIsoband(cell, query, &out->region);
-    if (!pieces.ok()) {
-      inner = pieces.status();
-      return false;
-    }
-    if (*pieces > 0) {
-      ++out->stats.answer_cells;
-      out->stats.region_pieces += *pieces;
-    }
-    return true;
-  };
-
-  if (out->plan.kind == PlanKind::kFusedScan) {
-    out->stats.candidate_cells = store_->size();
-    FIELDDB_RETURN_IF_ERROR(store_->Scan(0, store_->size(), visit_cell));
-    FIELDDB_RETURN_IF_ERROR(inner);
-  } else {
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Search(query.AsBox(), [&](const RTreeEntry<2>& e) {
-          ranges.emplace_back(e.a, e.b);
+  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
+      *store_, out->plan, ctx,
+      [&](std::vector<PosRange>* runs) {
+        return tree_->Search(query.AsBox(), [&](const RTreeEntry<2>& e) {
+          runs->push_back(PosRange{e.a, e.b});
           return true;
-        }));
-    std::sort(ranges.begin(), ranges.end());
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(store_->Scan(begin, end, visit_cell));
-        FIELDDB_RETURN_IF_ERROR(inner);
-      }
-      covered_to = std::max(covered_to, end);
-    }
-  }
-
-  out->stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out->stats.io = engine_.pool()->stats() - io_before;
-  MaybeLogSlowQuery(query, out->stats, out->plan);
+        });
+      },
+      [&](uint64_t, const VectorCellRecord& cell) {
+        StatusOr<size_t> pieces =
+            VectorCellIsoband(cell, query, &out->region);
+        if (!pieces.ok()) {
+          inner = pieces.status();
+          return false;
+        }
+        if (*pieces > 0) {
+          ++out->stats.answer_cells;
+          out->stats.region_pieces += *pieces;
+        }
+        return true;
+      },
+      &out->stats));
+  FIELDDB_RETURN_IF_ERROR(inner);
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    event->Add("field_type", "vector")
+        .Add("query_u_min", query.u.min)
+        .Add("query_u_max", query.u.max)
+        .Add("query_v_min", query.v.min)
+        .Add("query_v_max", query.v.max);
+    return out->plan;
+  });
   return Status::OK();
 }
 
 StatusOr<WorkloadStats> VectorFieldDatabase::RunWorkload(
-    const std::vector<VectorBandQuery>& queries) {
-  WorkloadStats ws;
-  if (queries.empty()) return ws;
-  QueryStats total;
-  std::vector<double> wall_ms;
-  wall_ms.reserve(queries.size());
-  VectorQueryResult result;
-  for (const VectorBandQuery& q : queries) {
-    FIELDDB_RETURN_IF_ERROR(engine_.pool()->Clear());
-    FIELDDB_RETURN_IF_ERROR(BandQuery(q, &result));
-    total.Accumulate(result.stats);
-    wall_ms.push_back(result.stats.wall_seconds * 1000.0);
-  }
-  FinalizeWorkloadStats(total, &wall_ms, &ws);
-  return ws;
+    const std::vector<VectorBandQuery>& queries) const {
+  return engine_.RunWorkload(
+      queries.size(), /*cold_cache=*/true, [&](size_t i, QueryStats* stats) {
+        VectorQueryResult result;
+        FIELDDB_RETURN_IF_ERROR(BandQuery(queries[i], &result));
+        *stats = result.stats;
+        return Status::OK();
+      });
 }
 
 }  // namespace fielddb

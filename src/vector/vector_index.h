@@ -8,11 +8,12 @@
 #include <vector>
 
 #include "core/field_engine.h"
+#include "core/query_context.h"
 #include "core/stats.h"
 #include "curve/curves.h"
 #include "field/region.h"
 #include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -106,7 +107,7 @@ struct VectorQueryResult {
   Region region;
   QueryStats stats;
   /// The planner's decision this query executed (2-D box zone-map probe
-  /// + disk-model costing; see plan/ext_planner.h).
+  /// + disk-model costing through ChoosePlan).
   PhysicalPlan plan;
 };
 
@@ -132,7 +133,7 @@ class VectorFieldDatabase {
     /// tests wrap the file to schedule faults against the live database.
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
-    /// Initial access-path policy for band queries (see ExtStorePlanner).
+    /// Initial access-path policy for band queries (see ChoosePlan).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateCellValues (DESIGN.md §14). Requires
     /// `wal_path`; use `<prefix>.wal` for the prefix the database will
@@ -173,14 +174,20 @@ class VectorFieldDatabase {
 
   /// Persists the database as `<prefix>.pages` + `<prefix>.meta`
   /// through the engine's crash-safe checkpoint pipeline.
-  Status Save(const std::string& prefix);
+  Status Save(const std::string& prefix) {
+    return SaveImpl(prefix, SnapshotCrashPoint::kNone);
+  }
   Status SaveWithCrashPointForTest(const std::string& prefix,
                                    SnapshotCrashPoint crash_point) {
     return SaveImpl(prefix, crash_point);
   }
 
   /// Conjunctive band query over both components: exact answer regions.
-  Status BandQuery(const VectorBandQuery& query, VectorQueryResult* out);
+  /// Safe to run from any number of threads at once (updates excluded);
+  /// the I/O in `out->stats` is this query's own, counted through `ctx`
+  /// (a local context when null).
+  Status BandQuery(const VectorBandQuery& query, VectorQueryResult* out,
+                   QueryContext* ctx = nullptr) const;
 
   /// The planner's decision for `query` under the current mode, without
   /// executing anything (zero I/O: the zone-map sidecar is in RAM).
@@ -225,7 +232,7 @@ class VectorFieldDatabase {
 
   /// Average stats over a query workload (cold cache per query).
   StatusOr<WorkloadStats> RunWorkload(
-      const std::vector<VectorBandQuery>& queries);
+      const std::vector<VectorBandQuery>& queries) const;
 
  private:
   VectorFieldDatabase() = default;
@@ -237,11 +244,6 @@ class VectorFieldDatabase {
   /// map exactly like the original mutation did.
   Status ApplyCellValues(CellId id, const std::vector<double>& u,
                          const std::vector<double>& v);
-
-  PhysicalPlan ChoosePlan(const VectorBandQuery& query) const;
-  void MaybeLogSlowQuery(const VectorBandQuery& query,
-                         const QueryStats& stats,
-                         const PhysicalPlan& plan) const;
 
   /// Shared lifecycle core; declared first so the storage outlives the
   /// store and tree at destruction.

@@ -1,7 +1,6 @@
 #include "volume/volume_index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -82,8 +81,13 @@ Status ValidateVolumeMeta(const VolumeMetaData& meta,
   if (meta.declared_subfields != meta.subfields.size()) {
     return bad("subfields");
   }
+  // Only I-Hilbert partitions the store, and its table must tile it.
+  if (meta.method == static_cast<int>(VolumeIndexMethod::kIHilbert)
+          ? !TilesStore(meta.subfields, meta.num_cells)
+          : !meta.subfields.empty()) {
+    return bad("sf");
+  }
   for (const Subfield& sf : meta.subfields) {
-    if (sf.start > sf.end || sf.end > meta.num_cells) return bad("sf");
     if (!std::isfinite(sf.interval.min) ||
         !std::isfinite(sf.interval.max) ||
         sf.interval.min > sf.interval.max ||
@@ -166,11 +170,10 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
   db->method_ = options.method;
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FieldEngine::BuildConfig config;
-  config.page_size = options.page_size;
-  config.pool_pages = options.pool_pages;
-  config.page_file_factory = options.page_file_factory;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(config));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
+      {.page_size = options.page_size,
+       .pool_pages = options.pool_pages,
+       .page_file_factory = options.page_file_factory}));
   BufferPool* const pool = db->engine_.pool();
   db->value_range_ = field.ValueRange();
   db->voxel_volume_ = field.VoxelVolume();
@@ -229,26 +232,10 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
     db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
 
-  if (options.wal_mode != WalMode::kOff) {
-    FIELDDB_RETURN_IF_ERROR(
-        db->engine_.ArmWal(options.wal_path, options.wal_mode));
-  }
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    if (options.wal_mode != WalMode::kOff) {
-      db->engine_.LogEvent(EventLog::Event("wal_mode_transition")
-                               .Add("from", WalModeName(WalMode::kOff))
-                               .Add("to", WalModeName(options.wal_mode))
-                               .Add("at", "build"));
-    }
-  }
-  pool->ResetStats();
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
+      options.wal_mode, options.wal_path, options.event_log_path,
+      options.slow_query_threshold_ms));
   return db;
-}
-
-Status VolumeFieldDatabase::Save(const std::string& prefix) {
-  return SaveImpl(prefix, SnapshotCrashPoint::kNone);
 }
 
 Status VolumeFieldDatabase::SaveImpl(const std::string& prefix,
@@ -280,14 +267,7 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  TryCompleteInterruptedSave(
-      prefix, [](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<VolumeMetaData> m = ReadVolumeMeta(path);
-        if (!m.ok()) return m.status();
-        return m->epoch;
-      });
-
-  StatusOr<VolumeMetaData> meta = ReadVolumeMeta(prefix + ".meta");
+  StatusOr<VolumeMetaData> meta = ReadCatalog(prefix, &ReadVolumeMeta);
   if (!meta.ok()) return meta.status();
 
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
@@ -299,14 +279,14 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
       prefix, meta->page_size, meta->epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
-  const uint64_t num_pages = db->engine_.file()->NumPages();
-  if (meta->num_cells > 0 && meta->store_first_page >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'store_first_page'");
+  const FieldEngine& engine = db->engine_;
+  if (meta->num_cells > 0) {
+    FIELDDB_RETURN_IF_ERROR(engine.CheckCatalogPage(
+        prefix, "store_first_page", meta->store_first_page));
   }
-  if (meta->has_tree && meta->tree.root >= num_pages) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: invalid value for 'tree'");
+  if (meta->has_tree) {
+    FIELDDB_RETURN_IF_ERROR(
+        engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
   }
   if (db->method_ == VolumeIndexMethod::kIHilbert && !meta->has_tree) {
     return Status::Corruption("catalog " + prefix +
@@ -326,26 +306,16 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
 
   // One store pass rebuilds both in-RAM sidecars: the voxel-id ->
   // position map and the zone map the planner probes.
-  const uint64_t n = meta->num_cells;
-  db->pos_of_.assign(n, ~uint64_t{0});
-  db->zones_.Reserve(n);
-  FIELDDB_RETURN_IF_ERROR(db->store_->Scan(
-      0, n, [&](uint64_t pos, const VoxelRecord& rec) {
-        if (rec.id < n) db->pos_of_[rec.id] = pos;
+  db->zones_.Reserve(meta->num_cells);
+  FIELDDB_RETURN_IF_ERROR(MapRecordIds(
+      *db->store_, &db->pos_of_, [&](uint64_t, const VoxelRecord& rec) {
         db->zones_.Append(rec.Interval());
-        return true;
       }));
-  for (const uint64_t pos : db->pos_of_) {
-    if (pos == ~uint64_t{0}) {
-      return Status::Corruption("voxel store is missing voxel ids");
-    }
-  }
 
   // Recovery: logical redo through the same apply path updates took, so
   // subfield hulls, tree entries and the zone map are maintained.
-  EngineRecoveryReport report;
   VolumeFieldDatabase* const raw = db.get();
-  FIELDDB_RETURN_IF_ERROR(db->engine_.RecoverFromWal(
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
       prefix, options.wal_mode,
       [raw](const WalFrame& frame) -> Status {
         return raw->ApplyVoxelValues(static_cast<VoxelId>(frame.cell_id),
@@ -354,18 +324,8 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
       },
-      &report));
-
-  if (!options.event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(db->engine_.AttachEventLog(
-        options.event_log_path, options.slow_query_threshold_ms));
-    db->engine_.LogRecoveryEvent(report, options.wal_mode);
-  }
-
-  pool->ResetStats();
-  if (options.recovery_report != nullptr) {
-    *options.recovery_report = std::move(report);
-  }
+      options.event_log_path, options.slow_query_threshold_ms,
+      options.recovery_report));
   return db;
 }
 
@@ -398,139 +358,68 @@ Status VolumeFieldDatabase::ApplyVoxelValues(VoxelId id,
   zones_.Set(pos, iv);
   value_range_.Extend(iv);
   if (tree_ == nullptr) return Status::OK();
-
-  // Refresh the containing subfield's interval hull, same maintenance
-  // rule as the 2-D scalar index (RefreshSubfieldAfterUpdate).
-  const size_t si = SubfieldContaining(subfields_, pos);
-  Subfield& sf = subfields_[si];
-  ValueInterval hull = ValueInterval::Empty();
-  double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(store_->Scan(
-      sf.start, sf.end, [&](uint64_t, const VoxelRecord& member) {
-        const ValueInterval member_iv = member.Interval();
-        hull.Extend(member_iv);
-        sum_sizes += member_iv.PaperSize();
-        return true;
-      }));
-  if (hull != sf.interval) {
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Delete(BoxFromInterval(sf.interval), sf.start, sf.end));
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Insert(BoxFromInterval(hull), sf.start, sf.end));
-    sf.interval = hull;
-  }
-  sf.sum_interval_sizes = sum_sizes;
-  return Status::OK();
-}
-
-PhysicalPlan VolumeFieldDatabase::ChoosePlan(
-    const ValueInterval& band) const {
-  std::vector<PosRange> runs;
-  zones_.FilterRanges(band, &runs);
-  StoreShape shape;
-  shape.num_cells = store_->size();
-  shape.cells_per_page = store_->records_per_page();
-  shape.store_pages = store_->num_pages();
-  const ExtStorePlanner planner(shape,
-                                tree_ != nullptr ? tree_->height() : 0);
-  return planner.Choose(runs, planner_mode_.load(std::memory_order_relaxed),
-                        tree_ != nullptr);
+  // Same maintenance rule as the 2-D scalar indexes.
+  return RefreshSubfieldAfterUpdate(*store_, tree_.get(), &subfields_, pos);
 }
 
 PhysicalPlan VolumeFieldDatabase::PlanBandQuery(
     const ValueInterval& band) const {
-  return ChoosePlan(band);
-}
-
-void VolumeFieldDatabase::MaybeLogSlowQuery(const ValueInterval& band,
-                                            const QueryStats& stats,
-                                            const PhysicalPlan& plan) const {
-  if (engine_.event_log() == nullptr) return;
-  const double wall_ms = stats.wall_seconds * 1000.0;
-  if (wall_ms < engine_.slow_query_threshold_ms()) return;
-  const double observed_disk_ms = DiskModel{}.EstimateMs(
-      stats.io.sequential_reads, stats.io.random_reads());
-  engine_.LogEvent(EventLog::Event("slow_query")
-                       .Add("field_type", "volume")
-                       .Add("wall_ms", wall_ms)
-                       .Add("threshold_ms", engine_.slow_query_threshold_ms())
-                       .Add("query_min", band.min)
-                       .Add("query_max", band.max)
-                       .Add("plan", PlanKindName(plan.kind))
-                       .Add("reason", plan.reason)
-                       .Add("predicted_cost_ms", plan.predicted_cost_ms)
-                       .Add("observed_disk_ms", observed_disk_ms)
-                       .Add("candidate_cells", stats.candidate_cells)
-                       .Add("answer_cells", stats.answer_cells));
+  const PlanCostModel cost;
+  const StoreShape shape = ShapeOf(*store_);
+  return ChoosePlan(cost, shape, planner_mode(), tree_ != nullptr, [&] {
+    std::vector<PosRange> runs;
+    zones_.FilterRanges(band, &runs);
+    return ExactProbe(cost, shape, runs,
+                      PagePattern::Random(tree_->height()));
+  });
 }
 
 Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
-                                      VolumeQueryResult* out) {
+                                      VolumeQueryResult* out,
+                                      QueryContext* ctx) const {
   if (band.IsEmpty()) {
     return Status::InvalidArgument("empty query band");
   }
   out->volume = 0.0;
   out->stats = QueryStats{};
-  out->plan = ChoosePlan(band);
-  const IoStats io_before = engine_.pool()->stats();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const auto visit = [&](uint64_t, const VoxelRecord& voxel) {
-    if (!voxel.Interval().Intersects(band)) return true;
-    const double fraction = VoxelBandFraction(voxel.w, band);
-    if (fraction > 0.0) {
-      out->volume += fraction * voxel_volume_;
-      ++out->stats.answer_cells;
-    }
-    return true;
-  };
-
-  if (out->plan.kind == PlanKind::kFusedScan) {
-    out->stats.candidate_cells = store_->size();
-    FIELDDB_RETURN_IF_ERROR(store_->Scan(0, store_->size(), visit));
-  } else {
-    std::vector<std::pair<uint64_t, uint64_t>> ranges;
-    FIELDDB_RETURN_IF_ERROR(
-        tree_->Search(BoxFromInterval(band), [&](const RTreeEntry<1>& e) {
-          ranges.emplace_back(e.a, e.b);
-          return true;
-        }));
-    std::sort(ranges.begin(), ranges.end());
-    uint64_t covered_to = 0;
-    for (const auto& [start, end] : ranges) {
-      const uint64_t begin = std::max(start, covered_to);
-      if (begin < end) {
-        out->stats.candidate_cells += end - begin;
-        FIELDDB_RETURN_IF_ERROR(store_->Scan(begin, end, visit));
-      }
-      covered_to = std::max(covered_to, end);
-    }
-  }
-
-  out->stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out->stats.io = engine_.pool()->stats() - io_before;
-  MaybeLogSlowQuery(band, out->stats, out->plan);
+  out->plan = PlanBandQuery(band);
+  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
+      *store_, out->plan, ctx,
+      [&](std::vector<PosRange>* runs) {
+        return tree_->Search(BoxFromInterval(band),
+                             [&](const RTreeEntry<1>& e) {
+                               runs->push_back(PosRange{e.a, e.b});
+                               return true;
+                             });
+      },
+      [&](uint64_t, const VoxelRecord& voxel) {
+        if (!voxel.Interval().Intersects(band)) return true;
+        const double fraction = VoxelBandFraction(voxel.w, band);
+        if (fraction > 0.0) {
+          out->volume += fraction * voxel_volume_;
+          ++out->stats.answer_cells;
+        }
+        return true;
+      },
+      &out->stats));
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    event->Add("field_type", "volume")
+        .Add("query_min", band.min)
+        .Add("query_max", band.max);
+    return out->plan;
+  });
   return Status::OK();
 }
 
 StatusOr<WorkloadStats> VolumeFieldDatabase::RunWorkload(
-    const std::vector<ValueInterval>& queries) {
-  WorkloadStats ws;
-  if (queries.empty()) return ws;
-  QueryStats total;
-  std::vector<double> wall_ms;
-  wall_ms.reserve(queries.size());
-  VolumeQueryResult result;
-  for (const ValueInterval& q : queries) {
-    FIELDDB_RETURN_IF_ERROR(engine_.pool()->Clear());
-    FIELDDB_RETURN_IF_ERROR(BandQuery(q, &result));
-    total.Accumulate(result.stats);
-    wall_ms.push_back(result.stats.wall_seconds * 1000.0);
-  }
-  FinalizeWorkloadStats(total, &wall_ms, &ws);
-  return ws;
+    const std::vector<ValueInterval>& queries) const {
+  return engine_.RunWorkload(
+      queries.size(), /*cold_cache=*/true, [&](size_t i, QueryStats* stats) {
+        VolumeQueryResult result;
+        FIELDDB_RETURN_IF_ERROR(BandQuery(queries[i], &result));
+        *stats = result.stats;
+        return Status::OK();
+      });
 }
 
 }  // namespace fielddb

@@ -8,10 +8,11 @@
 #include <vector>
 
 #include "core/field_engine.h"
+#include "core/query_context.h"
 #include "core/stats.h"
 #include "index/subfield.h"
 #include "index/zone_sidecar.h"
-#include "plan/ext_planner.h"
+#include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
 #include "storage/record_store.h"
@@ -34,7 +35,7 @@ struct VolumeQueryResult {
   double volume = 0.0;
   QueryStats stats;
   /// The planner's decision this query executed: zone-map probe +
-  /// disk-model costing (plan/ext_planner.h), same selection the grid
+  /// disk-model costing through ChoosePlan, the selection the grid
   /// planner makes.
   PhysicalPlan plan;
 };
@@ -62,7 +63,7 @@ class VolumeFieldDatabase {
     /// tests wrap the file to schedule faults against the live database.
     std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
         page_file_factory;
-    /// Initial access-path policy for band queries (see ExtStorePlanner).
+    /// Initial access-path policy for band queries (see ChoosePlan).
     PlannerMode planner_mode = PlannerMode::kAuto;
     /// Durability for UpdateVoxelValues (DESIGN.md §14): every update is
     /// logged before it is applied and Open replays the log. Requires
@@ -105,7 +106,9 @@ class VolumeFieldDatabase {
 
   /// Persists the database as `<prefix>.pages` + `<prefix>.meta`
   /// through the engine's crash-safe checkpoint pipeline.
-  Status Save(const std::string& prefix);
+  Status Save(const std::string& prefix) {
+    return SaveImpl(prefix, SnapshotCrashPoint::kNone);
+  }
   Status SaveWithCrashPointForTest(const std::string& prefix,
                                    SnapshotCrashPoint crash_point) {
     return SaveImpl(prefix, crash_point);
@@ -113,8 +116,11 @@ class VolumeFieldDatabase {
 
   /// Band query: total volume where band.min <= w <= band.max (under the
   /// piecewise-linear Kuhn-tetrahedra reading), with per-query stats and
-  /// the executed plan.
-  Status BandQuery(const ValueInterval& band, VolumeQueryResult* out);
+  /// the executed plan. Safe to run from any number of threads at once
+  /// (updates excluded); the I/O in `out->stats` is this query's own,
+  /// counted through `ctx` (a local context when null).
+  Status BandQuery(const ValueInterval& band, VolumeQueryResult* out,
+                   QueryContext* ctx = nullptr) const;
 
   /// The planner's decision for `band` under the current mode, without
   /// executing anything (zero I/O: the zone-map sidecar is in RAM).
@@ -156,7 +162,7 @@ class VolumeFieldDatabase {
 
   /// Average stats over a query workload (cold cache per query).
   StatusOr<WorkloadStats> RunWorkload(
-      const std::vector<ValueInterval>& queries);
+      const std::vector<ValueInterval>& queries) const;
 
  private:
   VolumeFieldDatabase() = default;
@@ -167,10 +173,6 @@ class VolumeFieldDatabase {
   /// and WAL replay, so recovery maintains the subfield hulls and zone
   /// map exactly like the original mutation did.
   Status ApplyVoxelValues(VoxelId id, const std::vector<double>& w);
-
-  PhysicalPlan ChoosePlan(const ValueInterval& band) const;
-  void MaybeLogSlowQuery(const ValueInterval& band, const QueryStats& stats,
-                         const PhysicalPlan& plan) const;
 
   /// Shared lifecycle core; declared first so the storage outlives the
   /// store and tree at destruction.

@@ -33,7 +33,7 @@ TEST(CellStoreTest, BuildIdentityOrder) {
 
   CellRecord rec;
   for (uint64_t pos = 0; pos < 16; ++pos) {
-    ASSERT_TRUE(store->Get(pos, &rec).ok());
+    ASSERT_TRUE(store->records().Get(pos, &rec).ok());
     EXPECT_EQ(rec.id, pos);
     EXPECT_EQ(store->PositionOf(static_cast<CellId>(pos)), pos);
   }
@@ -48,7 +48,7 @@ TEST(CellStoreTest, BuildPermutedOrder) {
   ASSERT_TRUE(store.ok());
   CellRecord rec;
   for (uint64_t pos = 0; pos < order.size(); ++pos) {
-    ASSERT_TRUE(store->Get(pos, &rec).ok());
+    ASSERT_TRUE(store->records().Get(pos, &rec).ok());
     EXPECT_EQ(rec.id, order[pos]);
     EXPECT_EQ(store->PositionOf(order[pos]), pos);
   }
@@ -70,7 +70,7 @@ TEST(CellStoreTest, RecordContentsSurviveStorage) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   CellRecord rec;
-  ASSERT_TRUE(store->Get(7, &rec).ok());
+  ASSERT_TRUE(store->records().Get(7, &rec).ok());
   const CellRecord expected = field.GetCell(7);
   EXPECT_EQ(rec.num_vertices, expected.num_vertices);
   for (int i = 0; i < 4; ++i) {
@@ -87,11 +87,14 @@ TEST(CellStoreTest, ScanVisitsRangeInOrder) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   std::vector<uint64_t> seen;
-  ASSERT_TRUE(store->Scan(10, 50, [&](uint64_t pos, const CellRecord& rec) {
-                     EXPECT_EQ(rec.id, pos);
-                     seen.push_back(pos);
-                     return true;
-                   }).ok());
+  ASSERT_TRUE(store->records()
+                  .Scan(10, 50,
+                        [&](uint64_t pos, const CellRecord& rec) {
+                          EXPECT_EQ(rec.id, pos);
+                          seen.push_back(pos);
+                          return true;
+                        })
+                  .ok());
   std::vector<uint64_t> expected(40);
   std::iota(expected.begin(), expected.end(), 10);
   EXPECT_EQ(seen, expected);
@@ -104,7 +107,7 @@ TEST(CellStoreTest, ScanEarlyStop) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   int visited = 0;
-  ASSERT_TRUE(store->Scan(0, 16, [&](uint64_t, const CellRecord&) {
+  ASSERT_TRUE(store->records().Scan(0, 16, [&](uint64_t, const CellRecord&) {
                      return ++visited < 3;
                    }).ok());
   EXPECT_EQ(visited, 3);
@@ -117,9 +120,9 @@ TEST(CellStoreTest, ScanBoundsChecked) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   const auto noop = [](uint64_t, const CellRecord&) { return true; };
-  EXPECT_FALSE(store->Scan(0, 5, noop).ok());
-  EXPECT_FALSE(store->Scan(3, 2, noop).ok());
-  EXPECT_TRUE(store->Scan(4, 4, noop).ok());  // empty range is fine
+  EXPECT_FALSE(store->records().Scan(0, 5, noop).ok());
+  EXPECT_FALSE(store->records().Scan(3, 2, noop).ok());
+  EXPECT_TRUE(store->records().Scan(4, 4, noop).ok());  // empty range is fine
 }
 
 TEST(CellStoreTest, GetOutOfRange) {
@@ -129,7 +132,7 @@ TEST(CellStoreTest, GetOutOfRange) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   CellRecord rec;
-  EXPECT_EQ(store->Get(4, &rec).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(store->records().Get(4, &rec).code(), StatusCode::kOutOfRange);
 }
 
 TEST(CellStoreTest, PageAccountingOneFetchPerPageOnScan) {
@@ -140,7 +143,7 @@ TEST(CellStoreTest, PageAccountingOneFetchPerPageOnScan) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(pool.Clear().ok());
   pool.ResetStats();
-  ASSERT_TRUE(store->Scan(0, store->size(),
+  ASSERT_TRUE(store->records().Scan(0, store->size(),
                           [](uint64_t, const CellRecord&) { return true; })
                   .ok());
   EXPECT_EQ(pool.stats().logical_reads, store->num_pages());
@@ -166,7 +169,7 @@ TEST(CellStoreTest, SmallPagesSpanManyPages) {
   EXPECT_EQ(store->cells_per_page(), 2u);
   EXPECT_EQ(store->num_pages(), 8u);
   CellRecord rec;
-  ASSERT_TRUE(store->Get(15, &rec).ok());
+  ASSERT_TRUE(store->records().Get(15, &rec).ok());
   EXPECT_EQ(rec.id, 15u);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,26 @@ void ExpectFilesIdentical(const std::string& a, const std::string& b) {
   const std::vector<char> cb = ReadAll(b);
   ASSERT_FALSE(ca.empty());
   EXPECT_EQ(ca, cb) << a << " differs from " << b;
+}
+
+// Drops the second catalog line keyed `key` and decrements the
+// `subfields` count: a well-formed catalog whose subfield table no
+// longer tiles the store.
+void DropSecondSubfieldLine(const std::string& path, const std::string& key) {
+  std::ifstream in(path);
+  std::string out;
+  std::string line;
+  int seen = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + " ", 0) == 0 && ++seen == 2) continue;
+    if (line.rfind("subfields ", 0) == 0) {
+      line = "subfields " + std::to_string(std::stoull(line.substr(10)) - 1);
+    }
+    out += line + "\n";
+  }
+  in.close();
+  ASSERT_GE(seen, 2) << "fewer than two '" << key << "' lines";
+  std::ofstream(path, std::ios::trunc) << out;
 }
 
 // u = x + y, v = x - y over the unit square (affine, analytic answers).
@@ -196,6 +217,19 @@ TEST(VolumePersistTest2, CorruptCatalogRejected) {
   Cleanup(prefix);
 }
 
+TEST(VolumePersistTest2, SubfieldTableMustTileStore) {
+  const std::string prefix = TestPrefix("vol_tiling");
+  Cleanup(prefix);
+  auto db = VolumeFieldDatabase::Build(MakeVolume(), {});
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+  DropSecondSubfieldLine(prefix + ".meta", "sf");
+  const auto opened = VolumeFieldDatabase::Open(prefix);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  Cleanup(prefix);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMethods, VolumePersistTest,
                          ::testing::Values(VolumeIndexMethod::kLinearScan,
                                            VolumeIndexMethod::kIHilbert),
@@ -311,6 +345,19 @@ TEST(VectorPersistTest2, PlannerSelectsPerBand) {
   EXPECT_EQ(empty.predicted_candidates, 0u);
 }
 
+TEST(VectorPersistTest2, SubfieldTableMustTileStore) {
+  const std::string prefix = TestPrefix("vec_tiling");
+  Cleanup(prefix);
+  auto db = VectorFieldDatabase::Build(MakeAffineVectorField(16), {});
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+  DropSecondSubfieldLine(prefix + ".meta", "sfv");
+  const auto opened = VectorFieldDatabase::Open(prefix);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  Cleanup(prefix);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMethods, VectorPersistTest,
                          ::testing::Values(VectorIndexMethod::kLinearScan,
                                            VectorIndexMethod::kIHilbert),
@@ -410,6 +457,38 @@ TEST(TemporalPersistTest, CorruptCatalogRejected) {
   out << "fielddb-temporal-meta-v1\npage_size 4096\nnum_slabs 2\n";
   out.close();
   EXPECT_FALSE(TemporalFieldDatabase::Open(prefix).ok());
+
+  // A slab-less catalog: `num_slabs 0`, `subfields 0`, no slab or tsf
+  // lines. Build needs two snapshots, so no real catalog has zero slabs,
+  // and a query against one would index slab -1.
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+  std::ifstream saved(prefix + ".meta");
+  std::string slabless;
+  std::string line;
+  while (std::getline(saved, line)) {
+    if (line.rfind("slab ", 0) == 0 || line.rfind("tsf ", 0) == 0) continue;
+    if (line.rfind("num_slabs ", 0) == 0) line = "num_slabs 0";
+    if (line.rfind("subfields ", 0) == 0) line = "subfields 0";
+    slabless += line + "\n";
+  }
+  saved.close();
+  std::ofstream(prefix + ".meta", std::ios::trunc) << slabless;
+  const auto opened = TemporalFieldDatabase::Open(prefix);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  Cleanup(prefix);
+}
+
+TEST(TemporalPersistTest, SubfieldTableMustTileStore) {
+  const std::string prefix = TestPrefix("temp_tiling");
+  Cleanup(prefix);
+  auto db = TemporalFieldDatabase::Build(MakeDriftingRamp(16, 3), {});
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+  DropSecondSubfieldLine(prefix + ".meta", "tsf");
+  const auto opened = TemporalFieldDatabase::Open(prefix);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
   Cleanup(prefix);
 }
 

@@ -94,7 +94,7 @@ std::set<CellId> CandidateCellIds(const ValueIndex& index,
   std::set<CellId> ids;
   CellRecord rec;
   for (const uint64_t pos : positions) {
-    EXPECT_TRUE(index.cell_store().Get(pos, &rec).ok());
+    EXPECT_TRUE(index.cell_store().records().Get(pos, &rec).ok());
     ids.insert(rec.id);
   }
   EXPECT_EQ(ids.size(), positions.size()) << "duplicate candidates";
@@ -264,7 +264,7 @@ TEST(IHilbertTest, SubfieldIntervalCoversMembers) {
   CellRecord rec;
   for (const Subfield& sf : ih->subfields()) {
     for (uint64_t pos = sf.start; pos < sf.end; ++pos) {
-      ASSERT_TRUE(ih->cell_store().Get(pos, &rec).ok());
+      ASSERT_TRUE(ih->cell_store().records().Get(pos, &rec).ok());
       const ValueInterval iv = rec.Interval();
       EXPECT_GE(iv.min, sf.interval.min);
       EXPECT_LE(iv.max, sf.interval.max);
@@ -282,7 +282,7 @@ TEST(IHilbertTest, StoreIsHilbertOrdered) {
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
   CellRecord rec;
   for (uint64_t pos = 0; pos < order.size(); ++pos) {
-    ASSERT_TRUE(fx.index->cell_store().Get(pos, &rec).ok());
+    ASSERT_TRUE(fx.index->cell_store().records().Get(pos, &rec).ok());
     EXPECT_EQ(rec.id, order[pos]);
   }
 }

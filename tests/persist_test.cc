@@ -294,6 +294,51 @@ TEST_F(MetaValidationTest, CorruptStorePageFailsOpenWithChecksumError) {
       << db.status().ToString();
 }
 
+// Drops the second catalog line keyed `key` and decrements the
+// `subfields` count: a well-formed catalog whose subfield table no
+// longer tiles the store.
+void DropSecondSubfieldLine(const std::string& path, const std::string& key) {
+  std::istringstream in(ReadTextFile(path));
+  std::string out;
+  std::string line;
+  int seen = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind(key + " ", 0) == 0 && ++seen == 2) continue;
+    if (line.rfind("subfields ", 0) == 0) {
+      line = "subfields " + std::to_string(std::stoull(line.substr(10)) - 1);
+    }
+    out += line + "\n";
+  }
+  ASSERT_GE(seen, 2) << "fewer than two '" << key << "' lines";
+  WriteTextFile(path, out);
+}
+
+TEST(SubfieldTilingTest, CatalogWithGapRejected) {
+  // A dropped subfield leaves its cells in no subfield: an update there
+  // would refresh the wrong one and its answers vanish from queries, so
+  // Open must refuse the catalog instead.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_tiling_gap";
+  FractalOptions fo;
+  fo.size_exp = 5;  // 32x32
+  auto field = MakeFractalField(fo);
+  ASSERT_TRUE(field.ok());
+  FieldDatabaseOptions options;
+  options.method = IndexMethod::kIHilbert;
+  auto db = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+  ASSERT_TRUE(FieldDatabase::Open(prefix).ok());  // intact catalog opens
+
+  DropSecondSubfieldLine(prefix + ".meta", "sf");
+  auto reopened = FieldDatabase::Open(prefix);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("sf"), std::string::npos)
+      << reopened.status().ToString();
+  std::remove((prefix + ".pages").c_str());
+  std::remove((prefix + ".meta").c_str());
+}
+
 // ---------------------------------------------------------------------
 // Crash-safe save: an interrupted save must leave the previous snapshot
 // fully loadable, and a half-committed one must be detected, not mixed.
@@ -337,7 +382,8 @@ class CrashSafetyTest : public ::testing::Test {
 
 TEST_F(CrashSafetyTest, InterruptedSaveLeavesOldSnapshotLoadable) {
   // "Crash" after the temp files are durable but before either rename.
-  ASSERT_TRUE(db_->SaveCrashBeforeRenameForTest(prefix_).ok());
+  ASSERT_TRUE(db_->SaveWithCrashPointForTest(
+      prefix_, SnapshotCrashPoint::kBeforeRename).ok());
   EXPECT_TRUE(FileExists(prefix_ + ".pages.tmp"));
   EXPECT_TRUE(FileExists(prefix_ + ".meta.tmp"));
   // Snapshot A is untouched: the update is not visible.
@@ -362,7 +408,8 @@ TEST_F(CrashSafetyTest, CrashBetweenRenamesSelfHealsOnOpen) {
   // new pages (epoch A+1) under the old catalog (epoch A). Open proves
   // `.meta.tmp` describes exactly the pages now in place (epoch match)
   // and completes the interrupted commit itself.
-  ASSERT_TRUE(db_->SaveCrashBeforeRenameForTest(prefix_).ok());
+  ASSERT_TRUE(db_->SaveWithCrashPointForTest(
+      prefix_, SnapshotCrashPoint::kBeforeRename).ok());
   ASSERT_EQ(std::rename((prefix_ + ".pages.tmp").c_str(),
                         (prefix_ + ".pages").c_str()),
             0);

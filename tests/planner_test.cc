@@ -179,8 +179,8 @@ TEST(ZoneProbeTest, StrideOneMatchesExactFilter) {
   const ValueInterval band = Band(**db, 0.3, 0.5);
 
   std::vector<PosRange> exact;
-  store.FilterZoneMap(band, &exact);
-  const CellStore::ZoneProbe probe = store.ProbeZoneMap(band, 1);
+  store.zone_map().FilterRanges(band, &exact);
+  const ZoneProbe probe = store.zone_map().Probe(band, 1);
   EXPECT_EQ(probe.sampled, store.size());
   EXPECT_EQ(probe.matched, TotalRangeLength(exact));
   EXPECT_EQ(probe.run_starts, exact.size());
@@ -194,28 +194,28 @@ TEST(ZoneProbeTest, StridedSampleCountsAndEdgeCases) {
   const CellStore& store = (*db)->index().cell_store();
 
   // Stride k samples ceil(size / k) slots.
-  const CellStore::ZoneProbe strided =
-      store.ProbeZoneMap(Band(**db, 0.3, 0.5), 7);
+  const ZoneProbe strided =
+      store.zone_map().Probe(Band(**db, 0.3, 0.5), 7);
   EXPECT_EQ(strided.sampled, (store.size() + 6) / 7);
   EXPECT_LE(strided.matched, strided.sampled);
   EXPECT_LE(strided.run_starts, strided.matched);
 
   // The whole value range matches every sample in one run.
-  const CellStore::ZoneProbe all =
-      store.ProbeZoneMap((*db)->value_range(), 4);
+  const ZoneProbe all =
+      store.zone_map().Probe((*db)->value_range(), 4);
   EXPECT_EQ(all.matched, all.sampled);
   EXPECT_EQ(all.run_starts, 1u);
 
   // A band outside the value range matches nothing.
   const ValueInterval& vr = (*db)->value_range();
-  const CellStore::ZoneProbe none =
-      store.ProbeZoneMap(ValueInterval{vr.max + 1.0, vr.max + 2.0}, 4);
+  const ZoneProbe none =
+      store.zone_map().Probe(ValueInterval{vr.max + 1.0, vr.max + 2.0}, 4);
   EXPECT_EQ(none.matched, 0u);
   EXPECT_EQ(none.run_starts, 0u);
 
   // Stride 0 behaves as stride 1.
-  const CellStore::ZoneProbe zero =
-      store.ProbeZoneMap(Band(**db, 0.3, 0.5), 0);
+  const ZoneProbe zero =
+      store.zone_map().Probe(Band(**db, 0.3, 0.5), 0);
   EXPECT_EQ(zero.sampled, store.size());
 }
 

@@ -81,7 +81,7 @@ std::set<uint64_t> StoreGroundTruth(const ValueIndex& index,
                                     const ValueInterval& q) {
   std::set<uint64_t> hits;
   EXPECT_TRUE(index.cell_store()
-                  .Scan(0, index.cell_store().size(),
+                  .records().Scan(0, index.cell_store().size(),
                         [&](uint64_t pos, const CellRecord& cell) {
                           if (cell.Interval().Intersects(q)) {
                             hits.insert(pos);
@@ -107,6 +107,7 @@ TEST_P(UpdateTest, SingleUpdateVisibleInStore) {
 
   CellRecord rec;
   ASSERT_TRUE(fx.index->cell_store()
+                  .records()
                   .Get(fx.index->cell_store().PositionOf(target), &rec)
                   .ok());
   EXPECT_EQ(rec.id, target);
@@ -228,7 +229,7 @@ TEST(SubfieldUpdateTest, IntervalCanShrink) {
 
   // Blow one cell's values far out, then restore them.
   CellRecord before;
-  ASSERT_TRUE(ih->cell_store().Get(0, &before).ok());
+  ASSERT_TRUE(ih->cell_store().records().Get(0, &before).ok());
   const CellId target = before.id;
   const size_t sf_idx = 0;
   const ValueInterval original = ih->subfields()[sf_idx].interval;

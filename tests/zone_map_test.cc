@@ -64,12 +64,12 @@ IndexFixture BuildIndex(IndexMethod method, const Field& field) {
 // The invariant the whole vectorized pipeline rests on: every zone entry
 // equals the interval recomputed from the slot's record bytes.
 void ExpectZoneMapMatchesRecords(const CellStore& store) {
-  ASSERT_EQ(store.zone_min().size(), store.size());
-  ASSERT_EQ(store.zone_max().size(), store.size());
+  ASSERT_EQ(store.zone_map().mins().size(), store.size());
+  ASSERT_EQ(store.zone_map().maxs().size(), store.size());
   ASSERT_TRUE(store
-                  .Scan(0, store.size(),
+                  .records().Scan(0, store.size(),
                         [&](uint64_t pos, const CellRecord& cell) {
-                          EXPECT_EQ(store.ZoneIntervalOf(pos),
+                          EXPECT_EQ(store.zone_map().At(pos),
                                     cell.Interval())
                               << "slot " << pos;
                           return true;
@@ -109,8 +109,8 @@ TEST_P(ZoneMapTest, UpdateStormKeepsZoneMapConsistent) {
     // The updated slot must be exact immediately...
     const uint64_t pos = fx.index->cell_store().PositionOf(id);
     CellRecord rec;
-    ASSERT_TRUE(fx.index->cell_store().Get(pos, &rec).ok());
-    ASSERT_EQ(fx.index->cell_store().ZoneIntervalOf(pos), rec.Interval());
+    ASSERT_TRUE(fx.index->cell_store().records().Get(pos, &rec).ok());
+    ASSERT_EQ(fx.index->cell_store().zone_map().At(pos), rec.Interval());
   }
   // ...and the whole map exact at the end.
   ExpectZoneMapMatchesRecords(fx.index->cell_store());
@@ -129,10 +129,10 @@ TEST_P(ZoneMapTest, FilterZoneMapMatchesBruteForce) {
     const ValueInterval q =
         ValueInterval::Of(rng.NextDouble(-2, 3), rng.NextDouble(-2, 3));
     std::vector<PosRange> ranges;
-    store.FilterZoneMap(q, &ranges);
+    store.zone_map().FilterRanges(q, &ranges);
     std::vector<PosRange> expect;
     ASSERT_TRUE(store
-                    .Scan(0, store.size(),
+                    .records().Scan(0, store.size(),
                           [&](uint64_t pos, const CellRecord& cell) {
                             if (cell.Interval().Intersects(q)) {
                               AppendPosition(&expect, pos);
@@ -171,8 +171,8 @@ TEST(ZoneMapAttachTest, AttachRebuildsZoneMap) {
 
   auto attached = CellStore::Attach(&pool, first, n);
   ASSERT_TRUE(attached.ok());
-  EXPECT_EQ(attached->zone_min(), built->zone_min());
-  EXPECT_EQ(attached->zone_max(), built->zone_max());
+  EXPECT_EQ(attached->zone_map().mins(), built->zone_map().mins());
+  EXPECT_EQ(attached->zone_map().maxs(), built->zone_map().maxs());
   ExpectZoneMapMatchesRecords(*attached);
 }
 
@@ -212,7 +212,7 @@ TEST(ScanRangesFilteredTest, VisitsExactlyMatchingSlotsAndCountsSkips) {
       expect_pages += (r.end - 1) / store->cells_per_page() -
                       r.begin / store->cells_per_page() + 1;
       ASSERT_TRUE(store
-                      ->Scan(r.begin, r.end,
+                      ->records().Scan(r.begin, r.end,
                              [&](uint64_t pos, const CellRecord& cell) {
                                if (cell.Interval().Intersects(q)) {
                                  expect_visited.insert(pos);
@@ -226,8 +226,9 @@ TEST(ScanRangesFilteredTest, VisitsExactlyMatchingSlotsAndCountsSkips) {
     uint64_t skipped = 0;
     const IoStats before = pool.stats();
     ASSERT_TRUE(store
-                    ->ScanRangesFiltered(
-                        ranges.data(), ranges.size(), q, &skipped,
+                    ->records().ScanRangesFiltered(
+                        ranges.data(), ranges.size(), store->zone_map(), q,
+                        &skipped,
                         [&](uint64_t pos, const CellRecord& cell) {
                           EXPECT_TRUE(cell.Interval().Intersects(q));
                           EXPECT_TRUE(visited.insert(pos).second);
@@ -265,7 +266,7 @@ TEST(ScanRangesTest, ReadaheadPreservesIoTotals) {
   pool.ResetStats();
   uint64_t seen_ranges = 0;
   ASSERT_TRUE(store
-                  ->ScanRanges(runs.data(), runs.size(),
+                  ->records().ScanRanges(runs.data(), runs.size(),
                                [&](uint64_t, const CellRecord&) {
                                  ++seen_ranges;
                                  return true;
@@ -278,7 +279,7 @@ TEST(ScanRangesTest, ReadaheadPreservesIoTotals) {
   uint64_t seen_scan = 0;
   for (const PosRange& r : runs) {
     ASSERT_TRUE(store
-                    ->Scan(r.begin, r.end,
+                    ->records().Scan(r.begin, r.end,
                            [&](uint64_t, const CellRecord&) {
                              ++seen_scan;
                              return true;
