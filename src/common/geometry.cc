@@ -1,6 +1,7 @@
 #include "common/geometry.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace fielddb {
 
@@ -69,24 +70,36 @@ Rect2 ConvexPolygon::BoundingBox() const {
   return r;
 }
 
-ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, Point2 n, double c) {
-  ConvexPolygon out;
-  const size_t count = poly.vertices.size();
-  if (count == 0) return out;
-  out.vertices.reserve(count + 1);
+size_t ClipConvex(const Point2* in, size_t count, const HalfPlane& h,
+                  Point2* out) {
+  if (count == 0) return 0;
+  // Signed distances, each computed once: dc for the edge's start
+  // vertex, dn for its end (the first vertex's again for the last edge).
+  const double d0 = Dot(h.n, in[0]) + h.c;
+  double dc = d0;
+  size_t kept = 0;
   for (size_t i = 0; i < count; ++i) {
-    const Point2 cur = poly.vertices[i];
-    const Point2 nxt = poly.vertices[(i + 1) % count];
-    const double dc = Dot(n, cur) + c;
-    const double dn = Dot(n, nxt) + c;
-    if (dc >= 0) out.vertices.push_back(cur);
+    const Point2 cur = in[i];
+    const size_t next = i + 1 == count ? 0 : i + 1;
+    const Point2 nxt = in[next];
+    const double dn = next == 0 ? d0 : Dot(h.n, nxt) + h.c;
+    if (dc >= 0) out[kept++] = cur;
     // Edge crosses the boundary: emit the intersection point.
     if ((dc > 0 && dn < 0) || (dc < 0 && dn > 0)) {
       const double t = dc / (dc - dn);
-      out.vertices.push_back(cur + t * (nxt - cur));
+      out[kept++] = cur + t * (nxt - cur);
     }
+    dc = dn;
   }
-  if (out.vertices.size() < 3) out.vertices.clear();
+  return kept < 3 ? 0 : kept;
+}
+
+ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, Point2 n, double c) {
+  std::vector<Point2> buffer(MaxClipVertices(poly.vertices.size()));
+  const size_t kept = ClipConvex(poly.vertices.data(), poly.vertices.size(),
+                                 HalfPlane{n, c}, buffer.data());
+  ConvexPolygon out;
+  out.vertices.assign(buffer.data(), buffer.data() + kept);
   return out;
 }
 

@@ -1,11 +1,14 @@
 #ifndef FIELDDB_COMMON_GEOMETRY_H_
 #define FIELDDB_COMMON_GEOMETRY_H_
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
-#include <vector>
+#include <memory>
 
 namespace fielddb {
 
@@ -117,10 +120,134 @@ struct Triangle2 {
   bool Contains(Point2 p) const;
 };
 
+/// The vertex list of a ConvexPolygon. The first kInline vertices live
+/// inside the object; a longer list moves to the heap and returns inline
+/// on clear(). The estimation step emits whole triangles and 4-gons
+/// almost always, so an answer region costs no allocation per piece.
+/// Offers the subset of std::vector<Point2> that polygon code uses.
+class VertexList {
+ public:
+  static constexpr size_t kInline = 4;
+
+  VertexList() = default;
+  VertexList(std::initializer_list<Point2> init) {
+    assign(init.begin(), init.end());
+  }
+  VertexList(const VertexList& other) { assign(other.begin(), other.end()); }
+  VertexList(VertexList&& other) noexcept { TakeFrom(&other); }
+  ~VertexList() {
+    if (spilled()) delete[] heap_;
+  }
+
+  VertexList& operator=(const VertexList& other) {
+    if (this != &other) assign(other.begin(), other.end());
+    return *this;
+  }
+  VertexList& operator=(VertexList&& other) noexcept {
+    if (this != &other) {
+      clear();
+      TakeFrom(&other);
+    }
+    return *this;
+  }
+  VertexList& operator=(std::initializer_list<Point2> init) {
+    assign(init.begin(), init.end());
+    return *this;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Point2* data() { return spilled() ? heap_ : inline_.points; }
+  const Point2* data() const { return spilled() ? heap_ : inline_.points; }
+  Point2& operator[](size_t i) { return data()[i]; }
+  const Point2& operator[](size_t i) const { return data()[i]; }
+  Point2* begin() { return data(); }
+  Point2* end() { return data() + size_; }
+  const Point2* begin() const { return data(); }
+  const Point2* end() const { return data() + size_; }
+
+  void push_back(Point2 p) {
+    if (size_ == capacity_) Reallocate(2 * capacity_);
+    data()[size_++] = p;
+  }
+
+  /// Empties the list and frees a heap buffer.
+  void clear() {
+    if (spilled()) {
+      delete[] heap_;
+      BackToInline();
+    }
+    size_ = 0;
+  }
+
+  void reserve(size_t n) {
+    if (n > capacity_) Reallocate(n);
+  }
+
+  /// Replaces the contents with [first, last), which must not point
+  /// into this list.
+  void assign(const Point2* first, const Point2* last) {
+    const size_t n = static_cast<size_t>(last - first);
+    if (n > capacity_) {
+      clear();
+      Reallocate(n);
+    }
+    std::copy(first, last, data());
+    size_ = static_cast<uint32_t>(n);
+  }
+
+  friend bool operator==(const VertexList& a, const VertexList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  struct Inline {
+    Point2 points[kInline];
+  };
+
+  bool spilled() const { return capacity_ > kInline; }
+
+  // Moves the vertices to a heap buffer of `capacity` (> size_).
+  void Reallocate(size_t capacity) {
+    Point2* heap = new Point2[capacity];
+    std::copy(begin(), end(), heap);
+    if (spilled()) delete[] heap_;
+    heap_ = heap;
+    capacity_ = static_cast<uint32_t>(capacity);
+  }
+
+  // Makes the inline storage the active member again.
+  void BackToInline() noexcept {
+    std::construct_at(&inline_);
+    capacity_ = kInline;
+  }
+
+  // Takes `other`'s vertices (this list is empty and inline) and leaves
+  // `other` empty and inline.
+  void TakeFrom(VertexList* other) noexcept {
+    if (other->spilled()) {
+      heap_ = other->heap_;
+      capacity_ = other->capacity_;
+      other->BackToInline();
+    } else {
+      std::copy(other->begin(), other->end(), inline_.points);
+    }
+    size_ = other->size_;
+    other->size_ = 0;
+  }
+
+  uint32_t size_ = 0;
+  uint32_t capacity_ = kInline;  // above kInline once on the heap
+  union {
+    Inline inline_ = {};
+    Point2* heap_;
+  };
+};
+
 /// A simple convex polygon, vertices in counter-clockwise order.
 /// Produced by the estimation step when clipping cells against iso-lines.
 struct ConvexPolygon {
-  std::vector<Point2> vertices;
+  VertexList vertices;
 
   bool IsEmpty() const { return vertices.size() < 3; }
 
@@ -133,8 +260,27 @@ struct ConvexPolygon {
   Rect2 BoundingBox() const;
 };
 
+/// The half-plane Dot(n, p) + c >= 0. `n` need not be unit length.
+struct HalfPlane {
+  Point2 n;
+  double c = 0.0;
+};
+
+/// Room the output of ClipConvex needs for `count` input vertices: each
+/// input vertex emits itself and at most one edge crossing. A convex
+/// input gains at most one vertex, but rounding can make a clipped
+/// polygon very slightly non-convex, so buffers use this bound.
+constexpr size_t MaxClipVertices(size_t count) { return 2 * count; }
+
+/// One Sutherland–Hodgman pass: clips the convex polygon `in[0, count)`
+/// against `h` into `out`, which has room for MaxClipVertices(count)
+/// vertices, and returns the output's vertex count. The result is 0 when
+/// fewer than 3 vertices survive. The loop of every clip in the library.
+size_t ClipConvex(const Point2* in, size_t count, const HalfPlane& h,
+                  Point2* out);
+
 /// Clips a convex polygon against the half-plane `Dot(n, p) + c >= 0`
-/// using one pass of Sutherland–Hodgman. The result is convex (possibly
+/// (ClipConvex into a new polygon). The result is convex (possibly
 /// empty). `n` need not be unit length.
 ConvexPolygon ClipHalfPlane(const ConvexPolygon& poly, Point2 n, double c);
 

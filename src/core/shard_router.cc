@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
 #include "core/field_engine.h"
@@ -352,7 +353,11 @@ Status ShardRouter::ValueQueryStats(const ValueInterval& query,
 Status ShardRouter::ValueQuery(const ValueInterval& query,
                                ValueQueryResult* out,
                                RouterQueryProfile* profile) const {
-  *out = ValueQueryResult{};
+  // Reset in place: a client that reuses its result keeps the capacity
+  // its pieces have grown to.
+  out->region.pieces.clear();
+  out->stats = QueryStats{};
+  out->plan = PhysicalPlan{};
   AdmissionSlot slot(this);
   queries_->Increment();
   const auto t0 = std::chrono::steady_clock::now();
@@ -366,6 +371,12 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
   }
   shards_touched_->Increment(targets.size());
   shards_skipped_->Increment(n - targets.size());
+
+  // The lowest touched shard answers into the caller's piece storage, so
+  // its capacity is reused and those pieces are never copied.
+  if (!targets.empty()) {
+    per_shard[targets.front()].region.pieces.swap(out->region.pieces);
+  }
 
   Latch latch(targets.size());
   for (uint32_t k : targets) {
@@ -381,10 +392,24 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
 
   // Deterministic gather: ascending shard id. Shard-local store order
   // equals the global linearization restricted to the shard, so this
-  // concatenation is independent of the shard count.
+  // concatenation is independent of the shard count. The other shards'
+  // pieces are moved onto the end of the lowest shard's.
+  size_t total_pieces = 0;
   for (uint32_t k : targets) {
     if (!statuses[k].ok()) return statuses[k];
-    out->region.Append(per_shard[k].region);
+    total_pieces += per_shard[k].region.pieces.size();
+  }
+  std::vector<ConvexPolygon>& pieces = out->region.pieces;
+  for (uint32_t k : targets) {
+    std::vector<ConvexPolygon>& shard_pieces = per_shard[k].region.pieces;
+    if (k == targets.front()) {
+      pieces.swap(shard_pieces);
+      pieces.reserve(total_pieces);
+    } else {
+      pieces.insert(pieces.end(),
+                    std::make_move_iterator(shard_pieces.begin()),
+                    std::make_move_iterator(shard_pieces.end()));
+    }
     MergeStats(per_shard[k].stats, &out->stats);
   }
   const double wall_ms = MsSince(t0);

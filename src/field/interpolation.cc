@@ -46,15 +46,11 @@ StatusOr<double> InterpolateCell(const CellRecord& cell, Point2 p) {
 
 StatusOr<LinearCoeffs> FitTrianglePlane(Point2 a, double wa, Point2 b,
                                         double wb, Point2 c, double wc) {
-  const double denom = Cross(b - a, c - a);
-  if (std::abs(denom) < kGeomEpsilon * kGeomEpsilon) {
+  const double cross = Cross(b - a, c - a);
+  if (IsDegenerateTriangle(cross)) {
     return Status::InvalidArgument("degenerate triangle");
   }
-  LinearCoeffs lc;
-  lc.gx = ((wb - wa) * (c.y - a.y) - (wc - wa) * (b.y - a.y)) / denom;
-  lc.gy = ((wc - wa) * (b.x - a.x) - (wb - wa) * (c.x - a.x)) / denom;
-  lc.c = wa - lc.gx * a.x - lc.gy * a.y;
-  return lc;
+  return PlaneThrough(a, wa, b, wb, c, wc, cross);
 }
 
 }  // namespace fielddb

@@ -18,18 +18,17 @@ Status ClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
   iv.Extend(wc);
   if (!iv.Intersects(q)) return Status::OK();
 
-  StatusOr<LinearCoeffs> plane = FitTrianglePlane(a, wa, b, wb, c, wc);
-  if (!plane.ok()) return plane.status();
-
-  ConvexPolygon poly = PolygonFromTriangle(Triangle2{{a, b, c}});
-  // w(p) >= q.min  <=>  gx*x + gy*y + (c - q.min) >= 0
-  poly = ClipHalfPlane(poly, plane->gx, plane->gy, plane->c - q.min);
-  // w(p) <= q.max  <=>  -gx*x - gy*y + (q.max - c) >= 0
-  poly = ClipHalfPlane(poly, -plane->gx, -plane->gy, q.max - plane->c);
-  if (!poly.IsEmpty()) {
-    out->pieces.push_back(std::move(poly));
-    ++*appended;
+  const double cross = Cross(b - a, c - a);
+  if (IsDegenerateTriangle(cross)) {
+    return Status::InvalidArgument("degenerate triangle");
   }
+  const LinearCoeffs plane = PlaneThrough(a, wa, b, wb, c, wc, cross);
+  // w(p) >= q.min  <=>  gx*x + gy*y + (c - q.min) >= 0
+  // w(p) <= q.max  <=>  -gx*x - gy*y + (q.max - c) >= 0
+  const std::array<HalfPlane, 2> band = {
+      HalfPlane{{plane.gx, plane.gy}, plane.c - q.min},
+      HalfPlane{{-plane.gx, -plane.gy}, q.max - plane.c}};
+  if (AppendClippedTriangle(a, b, c, cross, band, out)) ++*appended;
   return Status::OK();
 }
 

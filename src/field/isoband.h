@@ -1,6 +1,12 @@
 #ifndef FIELDDB_FIELD_ISOBAND_H_
 #define FIELDDB_FIELD_ISOBAND_H_
 
+#include <array>
+#include <cstddef>
+#include <new>
+#include <utility>
+
+#include "common/geometry.h"
 #include "common/interval.h"
 #include "common/status.h"
 #include "field/cell.h"
@@ -22,6 +28,36 @@ namespace fielddb {
 /// Appends pieces to `*out`; returns the number of pieces appended.
 StatusOr<size_t> CellIsoband(const CellRecord& cell, const ValueInterval& q,
                              Region* out);
+
+/// The clip chain of one linear triangle of a cell, shared by the scalar
+/// and the vector estimation steps: orients the triangle (a, b, c)
+/// counter-clockwise as PolygonFromTriangle does (by the sign of its
+/// non-degenerate doubled area `cross` = Cross(b - a, c - a)), clips it
+/// by each half-plane in turn in stack buffers, and appends a surviving
+/// piece to `*out`. Returns whether it appended one.
+template <size_t K>
+bool AppendClippedTriangle(Point2 a, Point2 b, Point2 c, double cross,
+                           const std::array<HalfPlane, K>& planes,
+                           Region* out) {
+  // Clip k writes at most 3 << k vertices (MaxClipVertices), alternately
+  // to the second and the first buffer, which also holds the triangle.
+  // Byte storage is not zero-filled on entry as Point2[] would be (a
+  // sixth of the step's time); every vertex is written before it is read.
+  alignas(Point2) unsigned char storage[2][(3 << K) * sizeof(Point2)];
+  Point2* in = std::launder(reinterpret_cast<Point2*>(storage[0]));
+  Point2* dst = std::launder(reinterpret_cast<Point2*>(storage[1]));
+  in[0] = a;
+  in[1] = cross >= 0 ? b : c;
+  in[2] = cross >= 0 ? c : b;
+  size_t count = 3;
+  for (const HalfPlane& h : planes) {
+    count = ClipConvex(in, count, h, dst);
+    if (count == 0) return false;
+    std::swap(in, dst);
+  }
+  out->pieces.emplace_back().vertices.assign(in, in + count);
+  return true;
+}
 
 }  // namespace fielddb
 

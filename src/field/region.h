@@ -23,10 +23,6 @@ struct Region {
   double TotalArea() const;
 
   Rect2 BoundingBox() const;
-
-  void Append(const Region& other) {
-    pieces.insert(pieces.end(), other.pieces.begin(), other.pieces.end());
-  }
 };
 
 /// Writes the region (plus optional context polygons) as a standalone SVG

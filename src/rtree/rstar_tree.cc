@@ -71,8 +71,10 @@ Status RStarTree<Dim>::LoadNode(PageId id, Node* node) const {
     return Status::Corruption("node entry count out of bounds");
   }
   node->entries.resize(count);
-  page.Read(kNodeHeaderSize, node->entries.data(),
-            count * static_cast<uint32_t>(sizeof(Entry)));
+  if (count > 0) {
+    page.Read(kNodeHeaderSize, node->entries.data(),
+              count * static_cast<uint32_t>(sizeof(Entry)));
+  }
   return Status::OK();
 }
 

@@ -1,6 +1,9 @@
 #include "vector/vector_isoband.h"
 
+#include <array>
+
 #include "field/interpolation.h"
+#include "field/isoband.h"
 
 namespace fielddb {
 
@@ -17,20 +20,18 @@ Status ClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
   iv.Extend(va); iv.Extend(vb); iv.Extend(vc);
   if (!iu.Intersects(q.u) || !iv.Intersects(q.v)) return Status::OK();
 
-  StatusOr<LinearCoeffs> pu = FitTrianglePlane(a, ua, b, ub, c, uc);
-  if (!pu.ok()) return pu.status();
-  StatusOr<LinearCoeffs> pv = FitTrianglePlane(a, va, b, vb, c, vc);
-  if (!pv.ok()) return pv.status();
-
-  ConvexPolygon poly = PolygonFromTriangle(Triangle2{{a, b, c}});
-  poly = ClipHalfPlane(poly, pu->gx, pu->gy, pu->c - q.u.min);
-  poly = ClipHalfPlane(poly, -pu->gx, -pu->gy, q.u.max - pu->c);
-  poly = ClipHalfPlane(poly, pv->gx, pv->gy, pv->c - q.v.min);
-  poly = ClipHalfPlane(poly, -pv->gx, -pv->gy, q.v.max - pv->c);
-  if (!poly.IsEmpty()) {
-    out->pieces.push_back(std::move(poly));
-    ++*appended;
+  const double cross = Cross(b - a, c - a);
+  if (IsDegenerateTriangle(cross)) {
+    return Status::InvalidArgument("degenerate triangle");
   }
+  const LinearCoeffs pu = PlaneThrough(a, ua, b, ub, c, uc, cross);
+  const LinearCoeffs pv = PlaneThrough(a, va, b, vb, c, vc, cross);
+  const std::array<HalfPlane, 4> band = {
+      HalfPlane{{pu.gx, pu.gy}, pu.c - q.u.min},
+      HalfPlane{{-pu.gx, -pu.gy}, q.u.max - pu.c},
+      HalfPlane{{pv.gx, pv.gy}, pv.c - q.v.min},
+      HalfPlane{{-pv.gx, -pv.gy}, q.v.max - pv.c}};
+  if (AppendClippedTriangle(a, b, c, cross, band, out)) ++*appended;
   return Status::OK();
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 namespace fielddb {
 namespace {
 
@@ -99,6 +104,107 @@ TEST(Triangle2Test, DegenerateBarycentricIsNaN) {
   const auto l = t.Barycentric({0.5, 0.5});
   EXPECT_TRUE(std::isnan(l[0]));
   EXPECT_FALSE(t.Contains({0.5, 0.5}));
+}
+
+std::vector<Point2> Ramp(size_t n) {
+  std::vector<Point2> points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back({static_cast<double>(i), 0.5 * static_cast<double>(i)});
+  }
+  return points;
+}
+
+bool Holds(const VertexList& list, const std::vector<Point2>& want) {
+  return list.size() == want.size() &&
+         std::equal(list.begin(), list.end(), want.begin());
+}
+
+TEST(VertexListTest, SpillsAtFifthVertexAndClearReturnsInline) {
+  VertexList list;
+  const Point2* inline_data = list.data();
+  const std::vector<Point2> points = Ramp(9);
+  for (size_t i = 0; i < VertexList::kInline; ++i) list.push_back(points[i]);
+  EXPECT_EQ(list.data(), inline_data);
+  list.push_back(points[4]);
+  EXPECT_NE(list.data(), inline_data);
+  for (size_t i = 5; i < points.size(); ++i) list.push_back(points[i]);
+  EXPECT_TRUE(Holds(list, points));
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.data(), inline_data);
+  list.push_back(points[0]);
+  EXPECT_EQ(list.data(), inline_data);
+  EXPECT_EQ(list[0], points[0]);
+}
+
+TEST(VertexListTest, CopyAndMoveInlineAndSpilled) {
+  for (const size_t n : {size_t{0}, size_t{3}, size_t{4}, size_t{5},
+                         size_t{12}}) {
+    const std::vector<Point2> points = Ramp(n);
+    VertexList source;
+    source.assign(points.data(), points.data() + n);
+    ASSERT_TRUE(Holds(source, points));
+
+    const VertexList copy(source);
+    EXPECT_TRUE(Holds(copy, points));
+    EXPECT_TRUE(Holds(source, points));
+    EXPECT_NE(copy.data(), source.data());
+
+    VertexList assigned = VertexList{{9, 9}, {8, 8}, {7, 7}, {6, 6}, {5, 5}};
+    assigned = source;
+    EXPECT_TRUE(Holds(assigned, points));
+
+    VertexList moved(std::move(assigned));
+    EXPECT_TRUE(Holds(moved, points));
+    EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move)
+
+    VertexList target{{1, 1}};
+    target = std::move(moved);
+    EXPECT_TRUE(Holds(target, points));
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+    // A moved-from list is usable again.
+    moved.push_back({3, 3});
+    EXPECT_EQ(moved.size(), 1u);
+  }
+  static_assert(std::is_nothrow_move_constructible_v<VertexList>);
+  static_assert(std::is_nothrow_move_assignable_v<VertexList>);
+}
+
+TEST(VertexListTest, SelfAssignmentKeepsContents) {
+  for (const size_t n : {size_t{3}, size_t{7}}) {
+    const std::vector<Point2> points = Ramp(n);
+    VertexList list;
+    list.assign(points.data(), points.data() + n);
+    VertexList& alias = list;
+    list = alias;
+    EXPECT_TRUE(Holds(list, points));
+    list = std::move(alias);
+    EXPECT_TRUE(Holds(list, points));
+  }
+}
+
+TEST(VertexListTest, EqualityAndInitializerListAssignment) {
+  VertexList a;
+  a = {{0, 0}, {1, 0}, {0, 1}};
+  VertexList b{{0, 0}, {1, 0}, {0, 1}};
+  EXPECT_TRUE(a == b);
+  b.push_back({1, 1});
+  EXPECT_FALSE(a == b);
+  a = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
+  EXPECT_TRUE(a == b);
+  a[3] = {2, 2};
+  EXPECT_FALSE(a == b);
+  // Equality looks at the vertices, not at where they are stored.
+  const std::vector<Point2> points = Ramp(6);
+  VertexList spilled;
+  for (const Point2& p : points) spilled.push_back(p);
+  VertexList reserved;
+  reserved.reserve(32);
+  reserved.assign(points.data(), points.data() + points.size());
+  EXPECT_TRUE(spilled == reserved);
+  a = {};
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(a == VertexList{});
 }
 
 TEST(ConvexPolygonTest, AreaShoelace) {

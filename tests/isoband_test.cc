@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "field/region.h"
+#include "isoband_oracle.h"
 
 namespace fielddb {
 namespace {
@@ -126,11 +130,121 @@ TEST(IsobandTest, EmptyQueryRejected) {
   EXPECT_FALSE(n.ok());
 }
 
-TEST(RegionTest, AppendAndTotals) {
-  Region a, b;
+// A band over values in about [0, 1]: mostly random, sometimes with an
+// end exactly at one of the cell's vertex values, sometimes zero-width.
+ValueInterval RandomBand(Rng& rng, const double* w, size_t n) {
+  const auto vertex_value = [&] { return w[rng.NextBounded(n)]; };
+  double lo = rng.NextDouble(-0.2, 1.2);
+  double hi = rng.NextDouble(-0.2, 1.2);
+  switch (rng.NextBounded(8)) {
+    case 0: lo = vertex_value(); break;
+    case 1: hi = vertex_value(); break;
+    case 2: lo = vertex_value(); hi = vertex_value(); break;
+    case 3: hi = lo; break;
+    default: break;
+  }
+  if (lo > hi) std::swap(lo, hi);
+  return ValueInterval{lo, hi};
+}
+
+// Runs CellIsoband and the oracle on one cell and band and expects the
+// same status and bit-identical pieces.
+void ExpectMatchesOracle(const CellRecord& cell, const ValueInterval& q) {
+  Region got;
+  const StatusOr<size_t> n = CellIsoband(cell, q, &got);
+  std::vector<oracle::Polygon> want;
+  const bool want_ok = oracle::CellIsoband(cell, q, &want);
+  ASSERT_EQ(n.ok(), want_ok) << "band [" << q.min << ", " << q.max << "]";
+  if (n.ok()) {
+    EXPECT_EQ(*n, want.size());
+  }
+  oracle::ExpectSamePieces(got, want);
+}
+
+TEST(IsobandGoldenTest, RandomTrianglesMatchOracle) {
+  Rng rng(101);
+  for (int trial = 0; trial < 12000; ++trial) {
+    const Point2 a{rng.NextDouble(), rng.NextDouble()};
+    const Point2 b{rng.NextDouble(), rng.NextDouble()};
+    Point2 c{rng.NextDouble(), rng.NextDouble()};
+    if (trial % 10 == 0) {
+      // A sliver: c just off the segment ab.
+      const double t = rng.NextDouble();
+      c = a + t * (b - a) + 1e-7 * Point2{b.y - a.y, a.x - b.x};
+    }
+    double w[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
+    if (trial % 16 == 0) w[1] = w[2] = w[0];
+    const CellRecord tri = CellRecord::Triangle(0, a, w[0], b, w[1], c, w[2]);
+    ExpectMatchesOracle(tri, RandomBand(rng, w, 3));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IsobandGoldenTest, RandomQuadsMatchOracle) {
+  Rng rng(202);
+  for (int trial = 0; trial < 12000; ++trial) {
+    const Point2 lo{rng.NextDouble(), rng.NextDouble()};
+    const Rect2 rect{lo, lo + Point2{rng.NextDouble(1e-3, 1.0),
+                                     rng.NextDouble(1e-3, 1.0)}};
+    double w[4] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble(),
+                   rng.NextDouble()};
+    if (trial % 16 == 0) w[1] = w[2] = w[3] = w[0];
+    const CellRecord quad = CellRecord::Quad(0, rect, w[0], w[1], w[2], w[3]);
+    ExpectMatchesOracle(quad, RandomBand(rng, w, 4));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(IsobandGoldenTest, EdgeCasesMatchOracle) {
+  const CellRecord tri =
+      CellRecord::Triangle(0, {0, 0}, 0.3, {1, 0}, 0.5, {0, 1}, 0.9);
+  const CellRecord quad =
+      CellRecord::Quad(0, Rect2{{0, 0}, {1, 1}}, 0.3, 0.5, 0.9, 0.7);
+  for (const CellRecord& cell : {tri, quad}) {
+    // A vertex value exactly at q.min or at q.max.
+    ExpectMatchesOracle(cell, ValueInterval{0.3, 0.6});
+    ExpectMatchesOracle(cell, ValueInterval{0.5, 0.9});
+    ExpectMatchesOracle(cell, ValueInterval{0.3, 0.9});
+    // The band touches one vertex only.
+    ExpectMatchesOracle(cell, ValueInterval{0.1, 0.3});
+    ExpectMatchesOracle(cell, ValueInterval{0.9, 1.2});
+    ExpectMatchesOracle(cell, ValueInterval{0.5, 0.5});
+  }
+  // Constant cells: the band holds the value, ends at it, or misses it.
+  const CellRecord flat_tri =
+      CellRecord::Triangle(0, {0, 0}, 5, {1, 0}, 5, {0, 1}, 5);
+  const CellRecord flat_quad =
+      CellRecord::Quad(0, Rect2{{2, 3}, {4, 5}}, 5, 5, 5, 5);
+  for (const CellRecord& cell : {flat_tri, flat_quad}) {
+    for (const ValueInterval q : {ValueInterval{4, 6}, ValueInterval{5, 5},
+                                  ValueInterval{5, 6}, ValueInterval{4, 5},
+                                  ValueInterval{6, 7}}) {
+      ExpectMatchesOracle(cell, q);
+    }
+  }
+}
+
+TEST(IsobandGoldenTest, DegenerateTriangleFails) {
+  // Collinear vertices whose values span the band: no plane to fit.
+  const CellRecord line =
+      CellRecord::Triangle(0, {0, 0}, 0, {1, 1}, 1, {2, 2}, 2);
+  Region region;
+  const StatusOr<size_t> n = CellIsoband(line, ValueInterval{0.5, 1.5},
+                                         &region);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(region.IsEmpty());
+  ExpectMatchesOracle(line, ValueInterval{0.5, 1.5});
+  // A degenerate quad fails the same way.
+  ExpectMatchesOracle(
+      CellRecord::Quad(0, Rect2{{1, 0}, {1, 1}}, 0, 1, 2, 3),
+      ValueInterval{0.5, 1.5});
+}
+
+TEST(RegionTest, Totals) {
+  Region a;
   a.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
-  b.pieces.push_back(PolygonFromRect(Rect2{{2, 2}, {4, 3}}));
-  a.Append(b);
+  a.pieces.push_back(PolygonFromRect(Rect2{{2, 2}, {4, 3}}));
   EXPECT_EQ(a.NumPieces(), 2u);
   EXPECT_NEAR(a.TotalArea(), 3.0, 1e-12);
   EXPECT_EQ(a.BoundingBox(), (Rect2{{0, 0}, {4, 3}}));

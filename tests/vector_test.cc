@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "gen/fractal.h"
+#include "isoband_oracle.h"
 
 namespace fielddb {
 namespace {
@@ -113,6 +118,115 @@ TEST(VectorIsobandTest, DisjointBandEmpty) {
   auto n = VectorCellIsoband(rec, {{50, 60}, {-10, 10}}, &region);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 0u);
+}
+
+VectorCellRecord VectorCell(const std::vector<Point2>& vertices,
+                            const std::vector<double>& u,
+                            const std::vector<double>& v) {
+  VectorCellRecord rec;
+  rec.num_vertices = static_cast<uint32_t>(vertices.size());
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    rec.x[i] = vertices[i].x;
+    rec.y[i] = vertices[i].y;
+    rec.u[i] = u[i];
+    rec.v[i] = v[i];
+  }
+  return rec;
+}
+
+// One component's band: random, sometimes ending exactly at a vertex
+// value, sometimes zero-width.
+ValueInterval RandomComponentBand(Rng& rng, const double* w, uint32_t n) {
+  double lo = rng.NextDouble(-0.2, 1.2);
+  double hi = rng.NextDouble(-0.2, 1.2);
+  switch (rng.NextBounded(6)) {
+    case 0: lo = w[rng.NextBounded(n)]; break;
+    case 1: hi = w[rng.NextBounded(n)]; break;
+    case 2: hi = lo; break;
+    default: break;
+  }
+  if (lo > hi) std::swap(lo, hi);
+  return ValueInterval{lo, hi};
+}
+
+// VectorCellIsoband and the oracle agree on status and on every piece,
+// bit for bit.
+void ExpectMatchesOracle(const VectorCellRecord& cell,
+                         const VectorBandQuery& q) {
+  Region got;
+  const StatusOr<size_t> n = VectorCellIsoband(cell, q, &got);
+  std::vector<oracle::Polygon> want;
+  const bool want_ok = oracle::VectorCellIsoband(cell, q, &want);
+  ASSERT_EQ(n.ok(), want_ok);
+  if (n.ok()) {
+    EXPECT_EQ(*n, want.size());
+  }
+  oracle::ExpectSamePieces(got, want);
+}
+
+TEST(VectorIsobandGoldenTest, RandomCellsMatchOracle) {
+  Rng rng(303);
+  for (int trial = 0; trial < 24000; ++trial) {
+    std::vector<Point2> vertices;
+    if (trial % 2 == 0) {
+      for (int i = 0; i < 3; ++i) {
+        vertices.push_back({rng.NextDouble(), rng.NextDouble()});
+      }
+    } else {
+      const Point2 lo{rng.NextDouble(), rng.NextDouble()};
+      const Point2 hi = lo + Point2{rng.NextDouble(1e-3, 1.0),
+                                    rng.NextDouble(1e-3, 1.0)};
+      vertices = {lo, {hi.x, lo.y}, hi, {lo.x, hi.y}};
+    }
+    std::vector<double> u, v;
+    for (size_t i = 0; i < vertices.size(); ++i) {
+      u.push_back(rng.NextDouble());
+      v.push_back(rng.NextDouble());
+    }
+    if (trial % 16 == 1) std::fill(u.begin(), u.end(), u[0]);
+    const VectorCellRecord cell = VectorCell(vertices, u, v);
+    const auto n = static_cast<uint32_t>(vertices.size());
+    const VectorBandQuery q{RandomComponentBand(rng, u.data(), n),
+                            RandomComponentBand(rng, v.data(), n)};
+    ExpectMatchesOracle(cell, q);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(VectorIsobandGoldenTest, EdgeCasesMatchOracle) {
+  const VectorCellRecord tri =
+      VectorCell({{0, 0}, {1, 0}, {0, 1}}, {0.3, 0.5, 0.9}, {1, 2, 3});
+  const VectorCellRecord quad = VectorCell(
+      {{0, 0}, {1, 0}, {1, 1}, {0, 1}}, {0.3, 0.5, 0.9, 0.7}, {1, 2, 3, 2});
+  for (const VectorCellRecord& cell : {tri, quad}) {
+    // Bounds exactly at vertex values, a band touching one vertex, and
+    // zero-width bands.
+    for (const VectorBandQuery& q : {VectorBandQuery{{0.3, 0.6}, {0, 4}},
+                                     VectorBandQuery{{0.5, 0.9}, {2, 3}},
+                                     VectorBandQuery{{0.1, 0.3}, {0, 4}},
+                                     VectorBandQuery{{0.3, 0.9}, {3, 3}},
+                                     VectorBandQuery{{0.5, 0.5}, {2, 2}}}) {
+      ExpectMatchesOracle(cell, q);
+    }
+  }
+  // Constant components.
+  const VectorCellRecord flat =
+      VectorCell({{0, 0}, {1, 0}, {1, 1}, {0, 1}}, {5, 5, 5, 5}, {1, 1, 1, 1});
+  for (const VectorBandQuery& q :
+       {VectorBandQuery{{4, 6}, {0, 2}}, VectorBandQuery{{5, 5}, {1, 1}},
+        VectorBandQuery{{5, 6}, {1, 2}}, VectorBandQuery{{6, 7}, {0, 2}}}) {
+    ExpectMatchesOracle(flat, q);
+  }
+}
+
+TEST(VectorIsobandGoldenTest, DegenerateTriangleFails) {
+  const VectorCellRecord line =
+      VectorCell({{0, 0}, {1, 1}, {2, 2}}, {0, 1, 2}, {0, 1, 2});
+  const VectorBandQuery q{{0.5, 1.5}, {0.5, 1.5}};
+  Region region;
+  EXPECT_FALSE(VectorCellIsoband(line, q, &region).ok());
+  EXPECT_TRUE(region.IsEmpty());
+  ExpectMatchesOracle(line, q);
 }
 
 TEST(VectorSubfieldTest, CostModelPrefersSimilarBoxes) {

@@ -4,22 +4,26 @@
 #
 #   tools/run_sanitizers.sh [asan|ubsan|tsan|all]
 #
-# asan/ubsan run the full suite. tsan runs only the suites labeled
-# "concurrency", "planner", "recovery", "ext", "obs", "asyncio", or
-# "shard" (see tests/CMakeLists.txt): ThreadSanitizer slows
-# single-threaded tests ~10x for no extra coverage, while the labeled
-# suites are exactly the ones hammering the shared-reader machinery
-# (sharded buffer pool, atomic metrics, concurrent value queries,
-# concurrent cost-based planning), the WAL / crash-recovery paths, the
-# extension engines (vector / volume / temporal persistence and
-# external-sort builds), the lock-free trace-v2 ring buffers, the async
-# batch-I/O / shared-scan path (vectored prefetch installs, executor
-# grouping), and the shard router's scatter/gather across per-shard
-# executor lanes.
+# asan/ubsan run the full suite; ubsan stops a test at its first report
+# (halt_on_error), so any undefined behaviour fails the run. tsan runs
+# only the suites labeled "concurrency", "planner", "recovery", "ext",
+# "obs", "asyncio", or "shard" (see tests/CMakeLists.txt):
+# ThreadSanitizer slows single-threaded tests ~10x for no extra
+# coverage, while the labeled suites are exactly the ones hammering the
+# shared-reader machinery (sharded buffer pool, atomic metrics,
+# concurrent value queries, concurrent cost-based planning), the WAL /
+# crash-recovery paths, the extension engines (vector / volume /
+# temporal persistence and external-sort builds), the lock-free
+# trace-v2 ring buffers, the async batch-I/O / shared-scan path
+# (vectored prefetch installs, executor grouping), and the shard
+# router's scatter/gather across per-shard executor lanes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 mode="${1:-all}"
+# Read only by UBSan builds: without it a report is printed and the test
+# still exits 0.
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 run_one() {
   local name="$1" flags="$2" ctest_args="${3:-}"
