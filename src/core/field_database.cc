@@ -161,12 +161,60 @@ void FieldDatabase::InitPlanner(PlannerMode mode) {
   planner_mode_.store(mode, std::memory_order_relaxed);
 }
 
+template <typename Visitor>
+Status FieldDatabase::ScanBand(PlanKind plan, const ValueInterval& band,
+                               const OperatorEnv& env,
+                               std::span<QueryStats> members,
+                               bool count_candidates,
+                               const char* fetch_detail,
+                               Visitor& visit) const {
+  QueryStats* const leader = &members[0];
+  // Without a filter step the scan counts each zone-matching cell it
+  // visits: the zone test is exact, so visited == matching.
+  const auto scan_all = [&] {
+    if (!count_candidates) return RunFuseOp(env, band, leader, visit);
+    return RunFuseOp(env, band, leader,
+                     [&](uint64_t pos, const CellRecord& cell) {
+                       ++leader->candidate_cells;
+                       return visit(pos, cell);
+                     });
+  };
+  if (plan == PlanKind::kFusedScan) {
+    DbMetrics::Get().plans_scan->Increment();
+    return scan_all();
+  }
+  DbMetrics::Get().plans_index->Increment();
+  std::vector<PosRange>& ranges = env.ctx->ranges;
+  ranges.clear();
+  uint64_t candidates = 0;
+  const Status filter = RunFilterOp(env, band, &ranges, &candidates);
+  if (filter.code() == StatusCode::kCorruption) {
+    // The value index is damaged but the cell store holds every answer:
+    // degrade to the fused scan so the query still returns exact
+    // results. Counted and logged once (one scan fell back), reported
+    // by every member. Nothing was visited yet, so there is nothing to
+    // undo.
+    index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    DbMetrics::Get().index_fallbacks->Increment();
+    EventLog::Event event("corruption_fallback");
+    event.Add("query_min", band.min).Add("query_max", band.max);
+    if (members.size() > 1) {
+      event.Add("shared_members", static_cast<uint64_t>(members.size()));
+    }
+    engine_.LogEvent(event.Add("error", filter.ToString()));
+    for (QueryStats& member : members) member.index_fallbacks = 1;
+    return scan_all();
+  }
+  FIELDDB_RETURN_IF_ERROR(filter);
+  if (count_candidates) leader->candidate_cells = candidates;
+  return RunScanOp(env, band, ranges.data(), ranges.size(), fetch_detail,
+                   leader, visit);
+}
+
 Status FieldDatabase::AnswerValueQuery(const ValueInterval& query,
                                        Region* region, QueryStats* stats,
                                        QueryContext* ctx,
                                        QueryTrace* trace) const {
-  const OperatorEnv env{index_.get(), ctx, trace};
-
   // Cost-based access-path selection, reported as its own span (no page
   // I/O: the probe reads only the subfield table or the in-memory
   // zone-map sidecar).
@@ -178,47 +226,11 @@ Status FieldDatabase::AnswerValueQuery(const ValueInterval& query,
     span.set_items(plan.predicted_candidates);
     span.set_detail(plan.reason);
   }
-
-  if (plan.kind == PlanKind::kFusedScan) {
-    // Single pass over the whole store, estimation fused in. The zone
-    // test inside the scan is exact, so candidate_cells counts the cells
-    // that really intersect the query.
-    DbMetrics::Get().plans_scan->Increment();
-    EstimateOp estimate(query, region, stats, /*count_candidates=*/true);
-    FIELDDB_RETURN_IF_ERROR(RunFuseOp(env, query, stats, estimate));
-    return estimate.status();
-  }
-
-  DbMetrics::Get().plans_index->Increment();
-  std::vector<PosRange>& ranges = ctx->ranges;
-  ranges.clear();
-  uint64_t candidates = 0;
-  const Status filter = RunFilterOp(env, query, &ranges, &candidates);
-  if (filter.code() == StatusCode::kCorruption) {
-    // The value index is damaged but the cell store holds every answer:
-    // degrade to the fused scan so the query still returns exact
-    // results, and record the fallback for observability.
-    index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    DbMetrics::Get().index_fallbacks->Increment();
-    engine_.LogEvent(EventLog::Event("corruption_fallback")
-                         .Add("query_min", query.min)
-                         .Add("query_max", query.max)
-                         .Add("error", filter.ToString()));
-    stats->index_fallbacks = 1;
-    stats->candidate_cells = 0;
-    if (region != nullptr) region->pieces.clear();
-    EstimateOp estimate(query, region, stats, /*count_candidates=*/true);
-    FIELDDB_RETURN_IF_ERROR(RunFuseOp(env, query, stats, estimate));
-    return estimate.status();
-  }
-  FIELDDB_RETURN_IF_ERROR(filter);
-  stats->candidate_cells = candidates;
-
-  // Fetch only the candidate runs; estimate each zone-matching cell.
   EstimateOp estimate(query, region, stats, /*count_candidates=*/false);
-  FIELDDB_RETURN_IF_ERROR(RunScanOp(env, query, ranges.data(), ranges.size(),
-                                    /*fetch_detail=*/nullptr, stats,
-                                    estimate));
+  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, query,
+                                   OperatorEnv{index_.get(), ctx, trace},
+                                   {stats, 1}, /*count_candidates=*/true,
+                                   /*fetch_detail=*/nullptr, estimate));
   return estimate.status();
 }
 
@@ -280,7 +292,6 @@ Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
   TraceScope span("scan.shared", "exec");
   span.set_items(n);
 
-  const OperatorEnv env{index_.get(), ctx, nullptr};
   const PhysicalPlan plan = planner_->Plan(
       envelope, planner_mode_.load(std::memory_order_relaxed));
 
@@ -314,41 +325,11 @@ Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
     return true;
   };
 
-  if (plan.kind == PlanKind::kIndexedFilter) {
-    std::vector<PosRange>& ranges = ctx->ranges;
-    ranges.clear();
-    uint64_t candidates = 0;
-    const Status filter = RunFilterOp(env, envelope, &ranges, &candidates);
-    if (filter.code() == StatusCode::kCorruption) {
-      // Same degradation as the single-query path: the store holds the
-      // truth, so the whole group reruns as the fused sweep. Counted
-      // once (one sweep fell back), reported by every member.
-      index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      DbMetrics::Get().index_fallbacks->Increment();
-      engine_.LogEvent(EventLog::Event("corruption_fallback")
-                           .Add("query_min", envelope.min)
-                           .Add("query_max", envelope.max)
-                           .Add("shared_members", static_cast<uint64_t>(n))
-                           .Add("error", filter.ToString()));
-      for (size_t q = 0; q < n; ++q) {
-        (*stats)[q] = QueryStats{};
-        (*stats)[q].index_fallbacks = 1;
-        if (regions != nullptr) (*regions)[q].pieces.clear();
-      }
-      DbMetrics::Get().plans_scan->Increment();
-      FIELDDB_RETURN_IF_ERROR(RunFuseOp(env, envelope, &(*stats)[0], visit));
-      return estimate_status;
-    }
-    FIELDDB_RETURN_IF_ERROR(filter);
-    DbMetrics::Get().plans_index->Increment();
-    FIELDDB_RETURN_IF_ERROR(RunScanOp(env, envelope, ranges.data(),
-                                      ranges.size(), "shared_fetch",
-                                      &(*stats)[0], visit));
-    return estimate_status;
-  }
-
-  DbMetrics::Get().plans_scan->Increment();
-  FIELDDB_RETURN_IF_ERROR(RunFuseOp(env, envelope, &(*stats)[0], visit));
+  // The visitor counts each member's candidates itself.
+  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, envelope,
+                                   OperatorEnv{index_.get(), ctx, nullptr},
+                                   *stats, /*count_candidates=*/false,
+                                   "shared_fetch", visit));
   return estimate_status;
 }
 
@@ -508,46 +489,17 @@ Status FieldDatabase::IsolineQuery(double level,
     if (*added > 0) ++out->stats.answer_cells;
     return true;
   };
-  const auto counting_visit = [&](uint64_t pos, const CellRecord& cell) {
-    ++out->stats.candidate_cells;
-    return visit_cell(pos, cell);
-  };
 
   // The same cost-based plan selection as a value query, made with the
   // degenerate interval [level, level] (the zone test then is exactly
-  // Contains). The fused scan reads every store page once; it is also
-  // the degraded path when the value index turns out to be corrupt.
-  const OperatorEnv env{index_.get(), &ctx, nullptr};
+  // Contains).
   const PhysicalPlan plan =
       planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
-  if (plan.kind == PlanKind::kFusedScan) {
-    DbMetrics::Get().plans_scan->Increment();
-    FIELDDB_RETURN_IF_ERROR(
-        RunFuseOp(env, query, &out->stats, counting_visit));
-    FIELDDB_RETURN_IF_ERROR(inner);
-  } else {
-    DbMetrics::Get().plans_index->Increment();
-    std::vector<PosRange>& ranges = ctx.ranges;
-    ranges.clear();
-    uint64_t candidates = 0;
-    const Status filter = RunFilterOp(env, query, &ranges, &candidates);
-    if (filter.code() == StatusCode::kCorruption) {
-      index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      DbMetrics::Get().index_fallbacks->Increment();
-      out->stats.index_fallbacks = 1;
-      FIELDDB_RETURN_IF_ERROR(
-          RunFuseOp(env, query, &out->stats, counting_visit));
-      FIELDDB_RETURN_IF_ERROR(inner);
-    } else {
-      FIELDDB_RETURN_IF_ERROR(filter);
-      out->stats.candidate_cells = candidates;
-      FIELDDB_RETURN_IF_ERROR(RunScanOp(env, query, ranges.data(),
-                                        ranges.size(),
-                                        /*fetch_detail=*/nullptr,
-                                        &out->stats, visit_cell));
-      FIELDDB_RETURN_IF_ERROR(inner);
-    }
-  }
+  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, query,
+                                   OperatorEnv{index_.get(), &ctx, nullptr},
+                                   {&out->stats, 1}, /*count_candidates=*/true,
+                                   /*fetch_detail=*/nullptr, visit_cell));
+  FIELDDB_RETURN_IF_ERROR(inner);
   out->isoline = AssembleIsoline(segments);
   out->stats.region_pieces = out->isoline.polylines.size();
   out->stats.wall_seconds = SecondsSince(t0);

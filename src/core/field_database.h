@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@
 #include "storage/wal.h"
 
 namespace fielddb {
+
+struct OperatorEnv;
 
 /// Everything configurable about a FieldDatabase build.
 struct FieldDatabaseOptions {
@@ -463,25 +466,40 @@ class FieldDatabase {
                    std::vector<Region>* regions,
                    std::vector<QueryStats>* stats, QueryContext* ctx) const;
 
-  /// Shared Q2 dispatch, now a thin plan builder: asks the QueryPlanner
-  /// which physical plan to run (under a "plan" span), then executes it
-  /// with the composable operators from plan/operators.h — RunFuseOp for
-  /// kFusedScan, RunFilterOp + RunScanOp(EstimateOp) for kIndexedFilter.
-  /// A corrupt index page during filtering degrades the query to the
-  /// fused scan regardless of the plan (the store holds the truth; the
-  /// index is only an accelerator). Uses `ctx` for scratch and span I/O
+  /// The one execution path of the grid's band scans (value, shared
+  /// and isoline queries): runs `plan` over `band` with the operators
+  /// from plan/operators.h — RunFuseOp for kFusedScan, RunFilterOp +
+  /// RunScanOp for kIndexedFilter — feeding each zone-matching cell to
+  /// `visit` (statically bound, no std::function per cell) and charging
+  /// the scan to `members[0]`. With `count_candidates` it fills
+  /// `members[0].candidate_cells` (the filter's count, or every visited
+  /// cell without one); otherwise the visitor counts. A corrupt index
+  /// page during filtering degrades to the fused scan regardless of the
+  /// plan (the store holds the truth; the index is only an
+  /// accelerator): counted once in index_fallbacks() and
+  /// db.index_fallbacks, logged as one corruption_fallback event, and
+  /// reported by every member. The metrics count the decision
+  /// (db.plans_scan or db.plans_index), so a fallback counts as
+  /// plans_index. `env` supplies the scratch context and trace.
+  template <typename Visitor>
+  Status ScanBand(PlanKind plan, const ValueInterval& band,
+                  const OperatorEnv& env, std::span<QueryStats> members,
+                  bool count_candidates, const char* fetch_detail,
+                  Visitor& visit) const;
+
+  /// Shared Q2 dispatch: asks the QueryPlanner which physical plan to
+  /// run (under a "plan" span), then executes it through ScanBand with
+  /// EstimateOp as the visitor. Uses `ctx` for scratch and span I/O
   /// attribution; a non-null `trace` records the phases as spans.
   Status AnswerValueQuery(const ValueInterval& query, Region* region,
                           QueryStats* stats, QueryContext* ctx,
                           QueryTrace* trace = nullptr) const;
 
   /// The fused multi-query sweep behind SharedValueQuery[Stats]: plans
-  /// the members' hull, runs it as one pass (fused scan, or indexed
-  /// filter+fetch over the envelope's candidate runs), and evaluates
-  /// every member's predicate per visited cell. `regions` is null for
-  /// stats-only batches, else one Region per member. Degrades to the
-  /// fused scan on a corrupt index exactly like AnswerValueQuery (every
-  /// member reports the fallback).
+  /// the members' hull, runs it as one pass through ScanBand (fused
+  /// scan, or indexed filter+fetch over the envelope's candidate runs),
+  /// and evaluates every member's predicate per visited cell. `regions`
+  /// is null for stats-only batches, else one Region per member.
   Status AnswerShared(const std::vector<ValueInterval>& queries,
                       std::vector<Region>* regions,
                       std::vector<QueryStats>* stats,

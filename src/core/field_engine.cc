@@ -9,6 +9,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 
 #include "obs/metrics.h"
@@ -34,6 +35,12 @@ void SyncParentDir(const std::string& path) {
   }
 }
 
+namespace {
+
+/// Epoch a page file was stamped with, read from the raw slot-0 header
+/// (bytes [4, 8): DiskPageFile::WriteSlot stores the epoch unmasked
+/// there); 0 on any failure, which no real snapshot uses (Save stamps
+/// epoch + 1 >= 1).
 uint32_t PeekPagesEpoch(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return 0;
@@ -46,31 +53,26 @@ uint32_t PeekPagesEpoch(const std::string& path) {
   return epoch;
 }
 
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot write " + path);
-  bool ok = body(f);
-  // Make the catalog durable before it can become a rename target.
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  return ok ? Status::OK() : Status::IOError("flush failed for " + path);
+/// Completes a save that crashed between its two renames: `.pages`
+/// already holds the next snapshot but `.meta` still describes the
+/// previous one. The signature is unforgeable — `.meta.tmp` reads
+/// cleanly, its epoch is exactly one past the current catalog's (or
+/// there is no catalog at all: a first save), and the page file is
+/// stamped with precisely that epoch (a leftover `.meta.tmp` from a
+/// crash *before* the renames fails this check because `.pages` kept
+/// the old stamp).
+void TryCompleteInterruptedSave(const std::string& prefix,
+                                const CatalogSchema& schema) {
+  const StatusOr<Catalog> tmp = ReadCatalog(prefix + ".meta.tmp", schema);
+  if (!tmp.ok() || PeekPagesEpoch(prefix + ".pages") != tmp->epoch) return;
+  const std::string meta_path = prefix + ".meta";
+  const StatusOr<Catalog> current = ReadCatalog(meta_path, schema);
+  if (current.ok() && current->epoch + 1 != tmp->epoch) return;
+  if (!RenameFile(prefix + ".meta.tmp", meta_path).ok()) return;
+  SyncParentDir(meta_path);
 }
 
-bool TryCompleteInterruptedSave(
-    const std::string& prefix,
-    const std::function<StatusOr<uint32_t>(const std::string& path)>&
-        catalog_epoch) {
-  const StatusOr<uint32_t> tmp = catalog_epoch(prefix + ".meta.tmp");
-  if (!tmp.ok() || *tmp == 0) return false;
-  if (PeekPagesEpoch(prefix + ".pages") != *tmp) return false;
-  const StatusOr<uint32_t> current = catalog_epoch(prefix + ".meta");
-  if (current.ok() && *current + 1 != *tmp) return false;
-  const std::string meta_path = prefix + ".meta";
-  if (!RenameFile(prefix + ".meta.tmp", meta_path).ok()) return false;
-  SyncParentDir(meta_path);
-  return true;
-}
+}  // namespace
 
 FieldEngine::~FieldEngine() {
   if (wal_ != nullptr) {
@@ -102,12 +104,22 @@ Status FieldEngine::InitForBuild(const BuildConfig& config) {
   return Status::OK();
 }
 
-Status FieldEngine::InitForOpen(const std::string& prefix,
-                                uint32_t page_size, uint32_t epoch,
-                                size_t pool_pages, size_t readahead_pages) {
-  StatusOr<std::unique_ptr<DiskPageFile>> file =
-      DiskPageFile::Open(prefix + ".pages", page_size, epoch);
+StatusOr<Catalog> FieldEngine::InitForOpen(const std::string& prefix,
+                                           const CatalogSchema& schema,
+                                           size_t pool_pages,
+                                           size_t readahead_pages) {
+  TryCompleteInterruptedSave(prefix, schema);
+  const std::string meta_path = prefix + ".meta";
+  StatusOr<Catalog> catalog = ReadCatalog(meta_path, schema);
+  if (!catalog.ok()) return catalog.status();
+  StatusOr<std::unique_ptr<DiskPageFile>> file = DiskPageFile::Open(
+      prefix + ".pages", catalog->page_size, catalog->epoch);
   if (!file.ok()) return file.status();
+  // A truncated or mismatched page file must not turn into out-of-range
+  // reads, or into allocations sized from a `num_cells` the file cannot
+  // hold.
+  FIELDDB_RETURN_IF_ERROR(
+      CheckCatalogPages(meta_path, schema, *catalog, (*file)->NumPages()));
   file_ = std::move(file).value();
   pool_ = std::make_unique<BufferPool>(file_.get(), pool_pages);
   pool_->set_readahead_pages(readahead_pages);
@@ -117,15 +129,8 @@ Status FieldEngine::InitForOpen(const std::string& prefix,
   // Save captures them; under wal_mode off they are simply dropped at
   // Close (updates there are volatile by contract, DESIGN.md §14).
   pool_->set_no_steal(true);
-  epoch_ = epoch;
-  return Status::OK();
-}
-
-Status FieldEngine::CheckCatalogPage(const std::string& prefix,
-                                     const char* key, PageId page) const {
-  if (page < file_->NumPages()) return Status::OK();
-  return Status::Corruption("catalog " + prefix + ".meta: invalid value for '" +
-                            key + "'");
+  epoch_ = catalog->epoch;
+  return catalog;
 }
 
 Status FieldEngine::ArmWal(const std::string& wal_path, WalMode mode) {
@@ -150,8 +155,8 @@ Status FieldEngine::LogUpdate(CellId id, const std::vector<double>& values) {
 
 Status FieldEngine::SaveSnapshot(
     const std::string& prefix, SnapshotCrashPoint crash_point,
-    const std::function<Status(const std::string& meta_tmp_path,
-                               uint32_t new_epoch)>& write_catalog) {
+    const CatalogSchema& schema,
+    const std::function<void(Catalog*)>& describe) {
   // No-steal (WAL mode): dirty frames must not be written back in
   // place — the checkpoint captures them straight out of the pool into
   // the fresh snapshot below, so the live `.pages` file stays exactly
@@ -185,7 +190,11 @@ Status FieldEngine::SaveSnapshot(
     // Scope end closes the temp file before it is renamed into place.
   }
 
-  FIELDDB_RETURN_IF_ERROR(write_catalog(meta_tmp, epoch));
+  Catalog catalog;
+  catalog.page_size = file_->page_size();
+  catalog.epoch = epoch;
+  describe(&catalog);
+  FIELDDB_RETURN_IF_ERROR(WriteCatalog(meta_tmp, schema, std::move(catalog)));
 
   if (crash_point == SnapshotCrashPoint::kBeforeRename) return Status::OK();
 

@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "common/simd/interval_filter.h"
 #include "common/status.h"
+#include "core/catalog.h"
 #include "core/query_context.h"
 #include "core/stats.h"
 #include "obs/event_log.h"
@@ -44,55 +44,12 @@ enum class SnapshotCrashPoint {
   kBeforeWalTruncate,
 };
 
-/// --- Filesystem helpers shared by every catalog writer ---
+/// --- Filesystem helpers shared by every snapshot writer ---
 
 Status RenameFile(const std::string& from, const std::string& to);
 
 /// Best-effort directory fsync so renames themselves are durable.
 void SyncParentDir(const std::string& path);
-
-/// Epoch a page file was stamped with, read from the raw slot-0 header
-/// (bytes [4, 8): DiskPageFile::WriteSlot stores the epoch unmasked
-/// there). Used by the rename self-heal to decide whether `.pages`
-/// already holds the next snapshot; 0 on any failure, which no real
-/// snapshot uses (Save stamps epoch + 1 >= 1).
-uint32_t PeekPagesEpoch(const std::string& path);
-
-/// Writes a text catalog at `path` through `body`, then makes it durable
-/// (fflush + fsync) before it can become a rename target. `body` returns
-/// false on a formatting failure.
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body);
-
-/// Completes a save that crashed between its two renames: `.pages`
-/// already holds the next snapshot but `.meta` still describes the
-/// previous one. The signature is unforgeable — `.meta.tmp` parses (via
-/// the caller's `catalog_epoch`), its epoch is exactly one past the
-/// current catalog's (or there is no catalog at all: a first save), and
-/// the page file is stamped with precisely that epoch (a leftover
-/// `.meta.tmp` from a crash *before* the renames fails this check
-/// because `.pages` kept the old stamp). Returns true when `.meta.tmp`
-/// was promoted to `.meta`; the caller re-reads the catalog then.
-bool TryCompleteInterruptedSave(
-    const std::string& prefix,
-    const std::function<StatusOr<uint32_t>(const std::string& path)>&
-        catalog_epoch);
-
-/// Reads and validates the catalog `<prefix>.meta` with `read` (one
-/// field type's parser, returning a meta struct with an `epoch`), after
-/// completing a save that crashed between its renames
-/// (TryCompleteInterruptedSave). Every field type's Open starts here.
-template <typename Meta>
-StatusOr<Meta> ReadCatalog(const std::string& prefix,
-                           StatusOr<Meta> (*read)(const std::string& path)) {
-  TryCompleteInterruptedSave(
-      prefix, [read](const std::string& path) -> StatusOr<uint32_t> {
-        StatusOr<Meta> meta = read(path);
-        if (!meta.ok()) return meta.status();
-        return meta->epoch;
-      });
-  return read(prefix + ".meta");
-}
 
 /// What recovery did during an engine-hosted Open (all zero for a clean
 /// open with no log). `trace` holds a "recovery" span with wal.scan /
@@ -126,7 +83,7 @@ struct EngineRecoveryReport {
 /// append/replay with stale-epoch filtering, the Build and Open
 /// epilogues, page scrubbing, crash simulation, the extension query
 /// path, slow-query logging and the workload loop. Field-type-specific
-/// knowledge (catalog format, record layout, logical redo, estimation)
+/// knowledge (catalog schema, record layout, logical redo, estimation)
 /// enters exclusively through callbacks, so the grid facade and the
 /// temporal/vector/volume databases are thin instantiations over one
 /// tested core (DESIGN.md §16).
@@ -159,20 +116,20 @@ class FieldEngine {
   /// behind a buffer pool.
   Status InitForBuild(const BuildConfig& config);
 
-  /// Attaches the storage of a persisted snapshot: opens
-  /// `<prefix>.pages` (page checksums verified against `epoch`) behind
-  /// a no-steal pool — an attached database never overwrites checkpoint
-  /// pages in place; Save is the checkpoint's only mutator.
-  Status InitForOpen(const std::string& prefix, uint32_t page_size,
-                     uint32_t epoch, size_t pool_pages,
-                     size_t readahead_pages =
-                         BufferPool::kDefaultReadaheadPages);
-
-  /// Open-time bound check of a page id the catalog `<prefix>.meta`
-  /// names under `key`: it must lie inside the attached page file, or a
-  /// truncated or mismatched file would turn into out-of-range reads.
-  Status CheckCatalogPage(const std::string& prefix, const char* key,
-                          PageId page) const;
+  /// Attaches the storage of a persisted snapshot and returns its
+  /// catalog. Completes a save that crashed between its renames, reads
+  /// `<prefix>.meta` in `schema`'s format (ReadCatalog), opens
+  /// `<prefix>.pages` (page checksums verified against the catalog's
+  /// epoch) and bounds every page the catalog names by the file
+  /// (CheckCatalogPages) before the caller sizes anything from it. The
+  /// pool is no-steal: an attached database never overwrites checkpoint
+  /// pages in place; Save is the checkpoint's only mutator. Every field
+  /// type's Open starts here.
+  StatusOr<Catalog> InitForOpen(const std::string& prefix,
+                                const CatalogSchema& schema,
+                                size_t pool_pages,
+                                size_t readahead_pages =
+                                    BufferPool::kDefaultReadaheadPages);
 
   /// Write-ahead logs one update frame and makes it durable per the WAL
   /// mode. No-op when no log is armed (volatile-update contract). The
@@ -181,17 +138,18 @@ class FieldEngine {
 
   /// The crash-safe checkpoint pipeline shared by every Save
   /// (DESIGN.md §13): copies every page into `<prefix>.pages.tmp`
-  /// (capturing no-steal residents straight out of the pool), asks
-  /// `write_catalog` for a durable `<prefix>.meta.tmp` stamping the new
-  /// epoch, renames pages-then-meta (the epoch in every page header
+  /// (capturing no-steal residents straight out of the pool), writes
+  /// a durable `<prefix>.meta.tmp` in `schema`'s format — `describe`
+  /// fills the type's keys, the engine stamps `page_size` and the new
+  /// `epoch` — renames pages-then-meta (the epoch in every page header
   /// turns a crash between the renames into detected — and self-healed
   /// — state, never a silent mix), fsyncs the directory, reconciles the
   /// no-steal pool with the live file, truncates the WAL, and adopts
   /// the new epoch.
-  Status SaveSnapshot(
-      const std::string& prefix, SnapshotCrashPoint crash_point,
-      const std::function<Status(const std::string& meta_tmp_path,
-                                 uint32_t new_epoch)>& write_catalog);
+  Status SaveSnapshot(const std::string& prefix,
+                      SnapshotCrashPoint crash_point,
+                      const CatalogSchema& schema,
+                      const std::function<void(Catalog*)>& describe);
 
   /// Build epilogue shared by every field type: arms the WAL (any mode
   /// but off), attaches the event log (non-empty path) and records the

@@ -216,6 +216,12 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     return Status::Corruption("router catalog " + path + ": " + what);
   };
 
+  // The file's size bounds the counts below before anything is sized
+  // from them (-1 when unknown, which rejects every count).
+  const long file_bytes =
+      std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+  std::rewind(f);
+
   char magic[64];
   if (std::fscanf(f, "%63s", magic) != 1 ||
       std::string(magic) != kRouterMagic) {
@@ -233,6 +239,11 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
       std::string(key) != "num_cells" || num_cells == 0) {
     return bad("bad cell count");
   }
+  // Each id in the maps takes at least two bytes: a digit and a
+  // separator.
+  if (file_bytes < 0 || num_cells > static_cast<uint64_t>(file_bytes) / 2) {
+    return bad("invalid value for 'num_cells'");
+  }
 
   struct ParsedShard {
     ShardDescriptor desc;
@@ -249,6 +260,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
         std::string(key) != "shard" || id != k || cells == 0) {
       return bad("bad shard header");
     }
+    if (cells > num_cells - total) return bad("invalid value for 'shard'");
     d.id = id;
     d.local_to_global.resize(cells);
     for (uint64_t i = 0; i < cells; ++i) {

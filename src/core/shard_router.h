@@ -112,9 +112,11 @@ class ShardRouter {
     RouterRecoveryReport* recovery_report = nullptr;
   };
 
-  /// Reopens a sharded database persisted by Save: reads the catalog,
-  /// opens every shard (each replaying its own WAL), and rebuilds the
-  /// global->(shard, local) id map from the catalog.
+  /// Reopens a sharded database persisted by Save: reads the catalog
+  /// (its cell and shard counts bounded by the file's size before
+  /// anything is sized from them), opens every shard (each replaying its
+  /// own WAL), and rebuilds the global->(shard, local) id map from the
+  /// catalog.
   static StatusOr<std::unique_ptr<ShardRouter>> Open(
       const std::string& prefix, const OpenOptions& options);
 

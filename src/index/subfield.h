@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/interval.h"
+#include "rtree/box.h"
 
 namespace fielddb {
 
@@ -17,6 +18,17 @@ struct Subfield {
   uint64_t end = 0;            // one past the last slot
   ValueInterval interval;      // hull of the member cells' intervals
   double sum_interval_sizes = 0.0;  // SI: sum of member interval sizes
+
+  uint64_t NumCells() const { return end - start; }
+};
+
+/// A subfield of a vector field: a Hilbert-contiguous run of cells with
+/// the 2-D MBR of their (u, v) values. Generalizes the scalar Subfield.
+struct VectorSubfield {
+  uint64_t start = 0;
+  uint64_t end = 0;
+  Box<2> box = Box<2>::Empty();
+  double sum_box_sizes = 0.0;  // Σ per-cell PaperSize(u) * PaperSize(v)
 
   uint64_t NumCells() const { return end - start; }
 };

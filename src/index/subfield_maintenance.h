@@ -13,24 +13,10 @@
 
 namespace fielddb {
 
-/// Whether `subfields` tile the store [0, num_cells): starts run in order
-/// from 0, each equal to the previous end, and the last end is
-/// num_cells. The builders always produce a tiling and
-/// SubfieldContaining relies on it, so every catalog reader rejects a
-/// subfield table that fails this check. Works for any subfield type
-/// with `start`/`end` (Subfield, VectorSubfield).
-template <typename S>
-bool TilesStore(const std::vector<S>& subfields, uint64_t num_cells) {
-  uint64_t next = 0;
-  for (const S& sf : subfields) {
-    if (sf.start != next || sf.end < sf.start) return false;
-    next = sf.end;
-  }
-  return next == num_cells;
-}
-
 /// Index of the subfield whose [start, end) range contains store
-/// position `pos`. `subfields` must tile the store (see TilesStore).
+/// position `pos`. `subfields` must tile the store, which every catalog
+/// reader checks (ReadCatalog) and every builder guarantees. Works for
+/// any subfield type with `start`/`end` (Subfield, VectorSubfield).
 template <typename S>
 size_t SubfieldContaining(const std::vector<S>& subfields, uint64_t pos) {
   // First subfield whose end exceeds pos; the partition is contiguous,

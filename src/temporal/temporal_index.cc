@@ -1,9 +1,7 @@
 #include "temporal/temporal_index.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 
 #include "common/geometry.h"
 #include "core/ext_sort.h"
@@ -38,153 +36,20 @@ ValueInterval SlabInterval(const VectorCellRecord& rec) {
   return iv;
 }
 
-constexpr const char* kTemporalMagic = "fielddb-temporal-meta-v1";
-
-struct TemporalMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  uint32_t num_slabs = 0;
-  uint64_t num_cells = 0;
-  bool has_tree = false;
-  RStarMeta tree;
-  std::vector<PageId> slab_first_pages;        // index = slab k
-  std::vector<char> slab_seen;                 // parse bookkeeping
-  std::vector<std::vector<Subfield>> slab_subfields;
-  uint64_t declared_subfields = 0;
-  uint64_t parsed_subfields = 0;
+// One method (a slab-major R*-tree over the slabs' subfields), so no
+// `method` key; Build needs two snapshots, so a real catalog has a slab.
+constexpr CatalogSchema kTemporalCatalog = {
+    .magic = "fielddb-temporal-meta-v1",
+    .retired_magic = nullptr,
+    .keys = CatalogBits({CatalogKey::kPageSize, CatalogKey::kEpoch,
+                         CatalogKey::kNumSlabs, CatalogKey::kNumCells,
+                         CatalogKey::kTree, CatalogKey::kSlab,
+                         CatalogKey::kSubfields, CatalogKey::kTsf}),
+    .num_methods = 1,
+    .tree_methods = CatalogBits({0}),
+    .tiled_methods = CatalogBits({0}),
+    .record_size = sizeof(VectorCellRecord),
 };
-
-Status WriteTemporalMeta(const std::string& path,
-                         const TemporalMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kTemporalMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "num_slabs %u\n", meta.num_slabs);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-      std::fprintf(f, "slab %u %" PRIu64 "\n", k,
-                   meta.slab_first_pages[k]);
-    }
-    uint64_t total = 0;
-    for (const auto& sfs : meta.slab_subfields) total += sfs.size();
-    std::fprintf(f, "subfields %" PRIu64 "\n", total);
-    for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-      for (const Subfield& sf : meta.slab_subfields[k]) {
-        std::fprintf(f, "tsf %u %" PRIu64 " %" PRIu64 " %.17g %.17g %.17g\n",
-                     k, sf.start, sf.end, sf.interval.min, sf.interval.max,
-                     sf.sum_interval_sizes);
-      }
-    }
-    return true;
-  });
-}
-
-Status ValidateTemporalMeta(const TemporalMetaData& meta,
-                            const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  // Build requires two snapshots, so a real catalog has a slab.
-  if (meta.num_slabs == 0 || meta.num_slabs > (1u << 20)) {
-    return bad("num_slabs");
-  }
-  for (uint32_t k = 0; k < meta.num_slabs; ++k) {
-    if (!meta.slab_seen[k]) return bad("slab");
-  }
-  if (meta.declared_subfields != meta.parsed_subfields) {
-    return bad("subfields");
-  }
-  for (const auto& sfs : meta.slab_subfields) {
-    if (!TilesStore(sfs, meta.num_cells)) return bad("tsf");
-    for (const Subfield& sf : sfs) {
-      if (!std::isfinite(sf.interval.min) ||
-          !std::isfinite(sf.interval.max) ||
-          sf.interval.min > sf.interval.max) {
-        return bad("tsf");
-      }
-      if (!std::isfinite(sf.sum_interval_sizes)) return bad("tsf");
-    }
-  }
-  if (!meta.has_tree) {
-    return Status::Corruption("catalog " + path + ": missing tree meta");
-  }
-  return Status::OK();
-}
-
-StatusOr<TemporalMetaData> ReadTemporalMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
-  TemporalMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kTemporalMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "num_slabs") {
-      ok = std::fscanf(f, "%u", &meta.num_slabs) == 1;
-      if (ok && meta.num_slabs <= (1u << 20)) {
-        meta.slab_first_pages.assign(meta.num_slabs, 0);
-        meta.slab_seen.assign(meta.num_slabs, 0);
-        meta.slab_subfields.resize(meta.num_slabs);
-      }
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "slab") {
-      uint32_t sk = 0;
-      PageId first = 0;
-      ok = std::fscanf(f, "%u %" SCNu64, &sk, &first) == 2 &&
-           sk < meta.slab_first_pages.size();
-      if (ok) {
-        meta.slab_first_pages[sk] = first;
-        meta.slab_seen[sk] = 1;
-      }
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-    } else if (k == "tsf") {
-      uint32_t sk = 0;
-      Subfield sf;
-      ok = std::fscanf(f, "%u %" SCNu64 " %" SCNu64 " %lg %lg %lg", &sk,
-                       &sf.start, &sf.end, &sf.interval.min,
-                       &sf.interval.max, &sf.sum_interval_sizes) == 6 &&
-           sk < meta.slab_subfields.size() &&
-           meta.parsed_subfields < (uint64_t{1} << 24);
-      if (ok) {
-        meta.slab_subfields[sk].push_back(sf);
-        ++meta.parsed_subfields;
-      }
-    } else {
-      ok = false;
-    }
-  }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateTemporalMeta(meta, path));
-  return meta;
-}
 
 }  // namespace
 
@@ -301,22 +166,16 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
 Status TemporalFieldDatabase::SaveImpl(const std::string& prefix,
                                        SnapshotCrashPoint crash_point) {
   return engine_.SaveSnapshot(
-      prefix, crash_point,
-      [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        TemporalMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.num_slabs = num_slabs_;
-        meta.num_cells = pos_of_.size();
-        meta.has_tree = tree_ != nullptr;
-        if (tree_ != nullptr) meta.tree = tree_->meta();
-        meta.slab_first_pages.resize(num_slabs_);
-        meta.slab_subfields.resize(num_slabs_);
+      prefix, crash_point, kTemporalCatalog, [&](Catalog* catalog) {
+        catalog->num_slabs = num_slabs_;
+        catalog->num_cells = pos_of_.size();
+        if (tree_ != nullptr) catalog->tree = tree_->meta();
         for (uint32_t k = 0; k < num_slabs_; ++k) {
-          meta.slab_first_pages[k] = slabs_[k].store->first_page();
-          meta.slab_subfields[k] = slabs_[k].subfields;
+          catalog->slabs.push_back({k, slabs_[k].store->first_page()});
+          for (const Subfield& sf : slabs_[k].subfields) {
+            catalog->slab_subfields.push_back({k, sf});
+          }
         }
-        return WriteTemporalMeta(meta_tmp_path, meta);
       });
 }
 
@@ -327,39 +186,32 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  StatusOr<TemporalMetaData> meta = ReadCatalog(prefix, &ReadTemporalMeta);
-  if (!meta.ok()) return meta.status();
-
   auto db =
       std::unique_ptr<TemporalFieldDatabase>(new TemporalFieldDatabase());
-  db->num_slabs_ = meta->num_slabs;
-  db->t_max_ = static_cast<double>(meta->num_slabs);
+  StatusOr<Catalog> catalog =
+      db->engine_.InitForOpen(prefix, kTemporalCatalog, options.pool_pages);
+  if (!catalog.ok()) return catalog.status();
+  db->num_slabs_ = catalog->num_slabs;
+  db->t_max_ = static_cast<double>(catalog->num_slabs);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
-
-  const FieldEngine& engine = db->engine_;
-  FIELDDB_RETURN_IF_ERROR(
-      engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
-  const uint64_t n = meta->num_cells;
-  for (uint32_t k = 0; k < meta->num_slabs && n > 0; ++k) {
-    FIELDDB_RETURN_IF_ERROR(
-        engine.CheckCatalogPage(prefix, "slab", meta->slab_first_pages[k]));
-  }
 
   // Attach the slab stores and rebuild the in-RAM sidecars (zone maps
   // per slab; the shared position map from slab 0's record ids).
-  for (uint32_t k = 0; k < meta->num_slabs; ++k) {
-    Slab slab;
+  const uint64_t n = catalog->num_cells;
+  db->slabs_.resize(catalog->num_slabs);
+  for (const CatalogSlabSubfield& row : catalog->slab_subfields) {
+    db->slabs_[row.slab].subfields.push_back(row.subfield);
+  }
+  db->total_subfields_ = catalog->slab_subfields.size();
+  for (uint32_t k = 0; k < catalog->num_slabs; ++k) {
+    Slab& slab = db->slabs_[k];
     StatusOr<RecordStore<VectorCellRecord>> store =
-        RecordStore<VectorCellRecord>::Attach(pool,
-                                              meta->slab_first_pages[k], n);
+        RecordStore<VectorCellRecord>::Attach(
+            pool, catalog->slabs[k].first_page, n);
     if (!store.ok()) return store.status();
     slab.store = std::make_unique<RecordStore<VectorCellRecord>>(
         std::move(store).value());
-    slab.subfields = std::move(meta->slab_subfields[k]);
-    db->total_subfields_ += slab.subfields.size();
     slab.zones.Reserve(n);
     // Every slab holds the shared Hilbert order; slab 0's map is kept.
     std::vector<uint64_t> positions;
@@ -368,10 +220,9 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
           slab.zones.Append(SlabInterval(rec));
         }));
     if (k == 0) db->pos_of_ = std::move(positions);
-    db->slabs_.push_back(std::move(slab));
   }
   db->tree_ = std::make_unique<RStarTree<2>>(
-      RStarTree<2>::Attach(pool, meta->tree));
+      RStarTree<2>::Attach(pool, *catalog->tree));
 
   // Recovery: a frame carries the snapshot index in values[0] followed
   // by the vertex samples; logical redo through the same apply path

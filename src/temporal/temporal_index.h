@@ -39,8 +39,9 @@ using TemporalSnapshotQuery = std::pair<double, ValueInterval>;
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's; only the catalog format, the slab layout and the subfield
-/// redo logic are temporal-specific.
+/// engine's, and so is the catalog codec (core/catalog.h); only the
+/// catalog schema, the slab layout and the subfield redo logic are
+/// temporal-specific.
 class TemporalFieldDatabase {
  public:
   struct Options {

@@ -1,9 +1,6 @@
 #include "vector/vector_index.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
@@ -13,130 +10,18 @@ namespace fielddb {
 
 namespace {
 
-constexpr const char* kVectorMagic = "fielddb-vector-meta-v1";
-
-struct VectorMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  int method = 0;
-  uint64_t num_cells = 0;
-  PageId store_first_page = 0;
-  bool has_tree = false;
-  RStarMeta tree;
-  std::vector<VectorSubfield> subfields;
-  uint64_t declared_subfields = 0;
+constexpr CatalogSchema kVectorCatalog = {
+    .magic = "fielddb-vector-meta-v1",
+    .retired_magic = nullptr,
+    .keys = CatalogBits({CatalogKey::kPageSize, CatalogKey::kEpoch,
+                         CatalogKey::kMethod, CatalogKey::kNumCells,
+                         CatalogKey::kStoreFirstPage, CatalogKey::kTree,
+                         CatalogKey::kSubfields, CatalogKey::kSfv}),
+    .num_methods = static_cast<uint32_t>(VectorIndexMethod::kIHilbert) + 1,
+    .tree_methods = CatalogBits({VectorIndexMethod::kIHilbert}),
+    .tiled_methods = CatalogBits({VectorIndexMethod::kIHilbert}),
+    .record_size = sizeof(VectorCellRecord),
 };
-
-Status WriteVectorMeta(const std::string& path, const VectorMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kVectorMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "method %d\n", meta.method);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    std::fprintf(f, "store_first_page %" PRIu64 "\n",
-                 meta.store_first_page);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    std::fprintf(f, "subfields %zu\n", meta.subfields.size());
-    for (const VectorSubfield& sf : meta.subfields) {
-      std::fprintf(f,
-                   "sfv %" PRIu64 " %" PRIu64
-                   " %.17g %.17g %.17g %.17g %.17g\n",
-                   sf.start, sf.end, sf.box.lo[0], sf.box.lo[1],
-                   sf.box.hi[0], sf.box.hi[1], sf.sum_box_sizes);
-    }
-    return true;
-  });
-}
-
-Status ValidateVectorMeta(const VectorMetaData& meta,
-                          const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.method < 0 ||
-      meta.method > static_cast<int>(VectorIndexMethod::kIHilbert)) {
-    return bad("method");
-  }
-  if (meta.declared_subfields != meta.subfields.size()) {
-    return bad("subfields");
-  }
-  // Only I-Hilbert partitions the store, and its table must tile it.
-  if (meta.method == static_cast<int>(VectorIndexMethod::kIHilbert)
-          ? !TilesStore(meta.subfields, meta.num_cells)
-          : !meta.subfields.empty()) {
-    return bad("sfv");
-  }
-  for (const VectorSubfield& sf : meta.subfields) {
-    for (int d = 0; d < 2; ++d) {
-      if (!std::isfinite(sf.box.lo[d]) || !std::isfinite(sf.box.hi[d]) ||
-          sf.box.lo[d] > sf.box.hi[d]) {
-        return bad("sfv");
-      }
-    }
-    if (!std::isfinite(sf.sum_box_sizes)) return bad("sfv");
-  }
-  return Status::OK();
-}
-
-StatusOr<VectorMetaData> ReadVectorMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
-  VectorMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kVectorMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "method") {
-      ok = std::fscanf(f, "%d", &meta.method) == 1;
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "store_first_page") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.store_first_page) == 1;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-      if (ok && meta.declared_subfields <= (uint64_t{1} << 24)) {
-        meta.subfields.reserve(meta.declared_subfields);
-      }
-    } else if (k == "sfv") {
-      VectorSubfield sf;
-      ok = std::fscanf(f, "%" SCNu64 " %" SCNu64 " %lg %lg %lg %lg %lg",
-                       &sf.start, &sf.end, &sf.box.lo[0], &sf.box.lo[1],
-                       &sf.box.hi[0], &sf.box.hi[1],
-                       &sf.sum_box_sizes) == 7;
-      meta.subfields.push_back(sf);
-    } else {
-      ok = false;
-    }
-  }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateVectorMeta(meta, path));
-  return meta;
-}
 
 ValueInterval BoxUInterval(const Box<2>& b) {
   return ValueInterval{b.lo[0], b.hi[0]};
@@ -305,20 +190,12 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
 Status VectorFieldDatabase::SaveImpl(const std::string& prefix,
                                      SnapshotCrashPoint crash_point) {
   return engine_.SaveSnapshot(
-      prefix, crash_point,
-      [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        VectorMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.method = static_cast<int>(method_);
-        meta.num_cells = store_->size();
-        meta.store_first_page = store_->first_page();
-        if (tree_ != nullptr) {
-          meta.has_tree = true;
-          meta.tree = tree_->meta();
-        }
-        meta.subfields = subfields_;
-        return WriteVectorMeta(meta_tmp_path, meta);
+      prefix, crash_point, kVectorCatalog, [&](Catalog* catalog) {
+        catalog->method = static_cast<uint32_t>(method_);
+        catalog->num_cells = store_->size();
+        catalog->store_first_page = store_->first_page();
+        if (tree_ != nullptr) catalog->tree = tree_->meta();
+        catalog->vector_subfields = subfields_;
       });
 }
 
@@ -329,45 +206,29 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  StatusOr<VectorMetaData> meta = ReadCatalog(prefix, &ReadVectorMeta);
-  if (!meta.ok()) return meta.status();
-
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
-  db->method_ = static_cast<VectorIndexMethod>(meta->method);
+  StatusOr<Catalog> catalog =
+      db->engine_.InitForOpen(prefix, kVectorCatalog, options.pool_pages);
+  if (!catalog.ok()) return catalog.status();
+  db->method_ = static_cast<VectorIndexMethod>(catalog->method);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
   BufferPool* const pool = db->engine_.pool();
 
-  const FieldEngine& engine = db->engine_;
-  if (meta->num_cells > 0) {
-    FIELDDB_RETURN_IF_ERROR(engine.CheckCatalogPage(
-        prefix, "store_first_page", meta->store_first_page));
-  }
-  if (meta->has_tree) {
-    FIELDDB_RETURN_IF_ERROR(
-        engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
-  }
-  if (db->method_ == VectorIndexMethod::kIHilbert && !meta->has_tree) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: missing tree meta");
-  }
-
   StatusOr<RecordStore<VectorCellRecord>> store =
-      RecordStore<VectorCellRecord>::Attach(pool, meta->store_first_page,
-                                            meta->num_cells);
+      RecordStore<VectorCellRecord>::Attach(pool, catalog->store_first_page,
+                                            catalog->num_cells);
   if (!store.ok()) return store.status();
   db->store_ = std::make_unique<RecordStore<VectorCellRecord>>(
       std::move(store).value());
-  db->subfields_ = std::move(meta->subfields);
-  if (meta->has_tree) {
+  db->subfields_ = std::move(catalog->vector_subfields);
+  if (db->method_ == VectorIndexMethod::kIHilbert) {
     db->tree_ = std::make_unique<RStarTree<2>>(
-        RStarTree<2>::Attach(pool, meta->tree));
+        RStarTree<2>::Attach(pool, *catalog->tree));
   }
 
   // One store pass rebuilds both in-RAM sidecars: the cell-id ->
   // position map and the 2-D zone map the planner probes.
-  db->zones_.Reserve(meta->num_cells);
+  db->zones_.Reserve(catalog->num_cells);
   FIELDDB_RETURN_IF_ERROR(MapRecordIds(
       *db->store_, &db->pos_of_, [&](uint64_t, const VectorCellRecord& rec) {
         const Box<2> box = rec.ValueBox();

@@ -12,6 +12,7 @@
 #include "core/stats.h"
 #include "curve/curves.h"
 #include "field/region.h"
+#include "index/subfield.h"
 #include "index/zone_sidecar.h"
 #include "plan/planner.h"
 #include "rtree/rstar_tree.h"
@@ -22,17 +23,6 @@
 #include "vector/vector_record.h"
 
 namespace fielddb {
-
-/// A subfield of a vector field: a Hilbert-contiguous run of cells with
-/// the 2-D MBR of their (u, v) values. Generalizes the scalar Subfield.
-struct VectorSubfield {
-  uint64_t start = 0;
-  uint64_t end = 0;
-  Box<2> box = Box<2>::Empty();
-  double sum_box_sizes = 0.0;  // Σ per-cell PaperSize(u) * PaperSize(v)
-
-  uint64_t NumCells() const { return end - start; }
-};
 
 /// Cost model generalizing Section 3.1 to 2-D value boxes, after the 2-D
 /// case of Kamel & Faloutsos [14]: a box with normalized extents
@@ -117,8 +107,9 @@ struct VectorQueryResult {
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's; only the catalog format, the record layout and the
-/// subfield redo logic are vector-specific.
+/// engine's, and so is the catalog codec (core/catalog.h); only the
+/// catalog schema, the record layout and the subfield redo logic are
+/// vector-specific.
 class VectorFieldDatabase {
  public:
   struct Options {

@@ -1,9 +1,6 @@
 #include "volume/volume_index.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
 
 #include "core/ext_sort.h"
 #include "curve/hilbert.h"
@@ -14,144 +11,19 @@ namespace fielddb {
 
 namespace {
 
-constexpr const char* kVolumeMagic = "fielddb-volume-meta-v1";
-
-struct VolumeMetaData {
-  uint32_t page_size = 0;
-  uint32_t epoch = 0;
-  int method = 0;
-  uint64_t num_cells = 0;
-  PageId store_first_page = 0;
-  double voxel_volume = 0.0;
-  ValueInterval value_range;
-  bool has_tree = false;
-  RStarMeta tree;
-  std::vector<Subfield> subfields;
-  uint64_t declared_subfields = 0;
+constexpr CatalogSchema kVolumeCatalog = {
+    .magic = "fielddb-volume-meta-v1",
+    .retired_magic = nullptr,
+    .keys = CatalogBits({CatalogKey::kPageSize, CatalogKey::kEpoch,
+                         CatalogKey::kMethod, CatalogKey::kNumCells,
+                         CatalogKey::kStoreFirstPage, CatalogKey::kVoxelVolume,
+                         CatalogKey::kValueRange, CatalogKey::kTree,
+                         CatalogKey::kSubfields, CatalogKey::kSf}),
+    .num_methods = static_cast<uint32_t>(VolumeIndexMethod::kIHilbert) + 1,
+    .tree_methods = CatalogBits({VolumeIndexMethod::kIHilbert}),
+    .tiled_methods = CatalogBits({VolumeIndexMethod::kIHilbert}),
+    .record_size = sizeof(VoxelRecord),
 };
-
-Status WriteVolumeMeta(const std::string& path, const VolumeMetaData& meta) {
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    std::fprintf(f, "%s\n", kVolumeMagic);
-    std::fprintf(f, "page_size %u\n", meta.page_size);
-    std::fprintf(f, "epoch %u\n", meta.epoch);
-    std::fprintf(f, "method %d\n", meta.method);
-    std::fprintf(f, "num_cells %" PRIu64 "\n", meta.num_cells);
-    std::fprintf(f, "store_first_page %" PRIu64 "\n",
-                 meta.store_first_page);
-    std::fprintf(f, "voxel_volume %.17g\n", meta.voxel_volume);
-    std::fprintf(f, "value_range %.17g %.17g\n", meta.value_range.min,
-                 meta.value_range.max);
-    if (meta.has_tree) {
-      std::fprintf(f, "tree %" PRIu64 " %u %" PRIu64 " %" PRIu64 "\n",
-                   meta.tree.root, meta.tree.height, meta.tree.size,
-                   meta.tree.num_nodes);
-    }
-    std::fprintf(f, "subfields %zu\n", meta.subfields.size());
-    for (const Subfield& sf : meta.subfields) {
-      std::fprintf(f, "sf %" PRIu64 " %" PRIu64 " %.17g %.17g %.17g\n",
-                   sf.start, sf.end, sf.interval.min, sf.interval.max,
-                   sf.sum_interval_sizes);
-    }
-    return true;
-  });
-}
-
-Status ValidateVolumeMeta(const VolumeMetaData& meta,
-                          const std::string& path) {
-  const auto bad = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": invalid value for '" +
-                              key + "'");
-  };
-  if (meta.page_size == 0 || meta.page_size > (1u << 26)) {
-    return bad("page_size");
-  }
-  if (meta.method < 0 ||
-      meta.method > static_cast<int>(VolumeIndexMethod::kIHilbert)) {
-    return bad("method");
-  }
-  if (!std::isfinite(meta.voxel_volume) || meta.voxel_volume < 0.0) {
-    return bad("voxel_volume");
-  }
-  if (!std::isfinite(meta.value_range.min) ||
-      !std::isfinite(meta.value_range.max) ||
-      meta.value_range.min > meta.value_range.max) {
-    return bad("value_range");
-  }
-  if (meta.declared_subfields != meta.subfields.size()) {
-    return bad("subfields");
-  }
-  // Only I-Hilbert partitions the store, and its table must tile it.
-  if (meta.method == static_cast<int>(VolumeIndexMethod::kIHilbert)
-          ? !TilesStore(meta.subfields, meta.num_cells)
-          : !meta.subfields.empty()) {
-    return bad("sf");
-  }
-  for (const Subfield& sf : meta.subfields) {
-    if (!std::isfinite(sf.interval.min) ||
-        !std::isfinite(sf.interval.max) ||
-        sf.interval.min > sf.interval.max ||
-        !std::isfinite(sf.sum_interval_sizes)) {
-      return bad("sf");
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<VolumeMetaData> ReadVolumeMeta(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::IOError("cannot read " + path);
-  VolumeMetaData meta;
-  char magic[64] = {};
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kVolumeMagic) {
-    std::fclose(f);
-    return Status::Corruption("bad magic in " + path);
-  }
-  char key[64];
-  bool ok = true;
-  while (ok && std::fscanf(f, "%63s", key) == 1) {
-    const std::string k = key;
-    if (k == "page_size") {
-      ok = std::fscanf(f, "%u", &meta.page_size) == 1;
-    } else if (k == "epoch") {
-      ok = std::fscanf(f, "%u", &meta.epoch) == 1;
-    } else if (k == "method") {
-      ok = std::fscanf(f, "%d", &meta.method) == 1;
-    } else if (k == "num_cells") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.num_cells) == 1;
-    } else if (k == "store_first_page") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.store_first_page) == 1;
-    } else if (k == "voxel_volume") {
-      ok = std::fscanf(f, "%lg", &meta.voxel_volume) == 1;
-    } else if (k == "value_range") {
-      ok = std::fscanf(f, "%lg %lg", &meta.value_range.min,
-                       &meta.value_range.max) == 2;
-    } else if (k == "tree") {
-      ok = std::fscanf(f, "%" SCNu64 " %u %" SCNu64 " %" SCNu64,
-                       &meta.tree.root, &meta.tree.height, &meta.tree.size,
-                       &meta.tree.num_nodes) == 4;
-      meta.has_tree = true;
-    } else if (k == "subfields") {
-      ok = std::fscanf(f, "%" SCNu64, &meta.declared_subfields) == 1;
-      if (ok && meta.declared_subfields <= (uint64_t{1} << 24)) {
-        meta.subfields.reserve(meta.declared_subfields);
-      }
-    } else if (k == "sf") {
-      Subfield sf;
-      ok = std::fscanf(f, "%" SCNu64 " %" SCNu64 " %lg %lg %lg", &sf.start,
-                       &sf.end, &sf.interval.min, &sf.interval.max,
-                       &sf.sum_interval_sizes) == 5;
-      meta.subfields.push_back(sf);
-    } else {
-      ok = false;
-    }
-  }
-  std::fclose(f);
-  if (!ok) return Status::Corruption("malformed catalog " + path);
-  FIELDDB_RETURN_IF_ERROR(ValidateVolumeMeta(meta, path));
-  return meta;
-}
 
 }  // namespace
 
@@ -241,22 +113,14 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
 Status VolumeFieldDatabase::SaveImpl(const std::string& prefix,
                                      SnapshotCrashPoint crash_point) {
   return engine_.SaveSnapshot(
-      prefix, crash_point,
-      [&](const std::string& meta_tmp_path, uint32_t new_epoch) -> Status {
-        VolumeMetaData meta;
-        meta.page_size = engine_.file()->page_size();
-        meta.epoch = new_epoch;
-        meta.method = static_cast<int>(method_);
-        meta.num_cells = store_->size();
-        meta.store_first_page = store_->first_page();
-        meta.voxel_volume = voxel_volume_;
-        meta.value_range = value_range_;
-        if (tree_ != nullptr) {
-          meta.has_tree = true;
-          meta.tree = tree_->meta();
-        }
-        meta.subfields = subfields_;
-        return WriteVolumeMeta(meta_tmp_path, meta);
+      prefix, crash_point, kVolumeCatalog, [&](Catalog* catalog) {
+        catalog->method = static_cast<uint32_t>(method_);
+        catalog->num_cells = store_->size();
+        catalog->store_first_page = store_->first_page();
+        catalog->voxel_volume = voxel_volume_;
+        catalog->value_range = value_range_;
+        if (tree_ != nullptr) catalog->tree = tree_->meta();
+        catalog->subfields = subfields_;
       });
 }
 
@@ -267,46 +131,30 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
 
 StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
-  StatusOr<VolumeMetaData> meta = ReadCatalog(prefix, &ReadVolumeMeta);
-  if (!meta.ok()) return meta.status();
-
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
-  db->method_ = static_cast<VolumeIndexMethod>(meta->method);
+  StatusOr<Catalog> catalog =
+      db->engine_.InitForOpen(prefix, kVolumeCatalog, options.pool_pages);
+  if (!catalog.ok()) return catalog.status();
+  db->method_ = static_cast<VolumeIndexMethod>(catalog->method);
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  db->value_range_ = meta->value_range;
-  db->voxel_volume_ = meta->voxel_volume;
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForOpen(
-      prefix, meta->page_size, meta->epoch, options.pool_pages));
+  db->value_range_ = catalog->value_range;
+  db->voxel_volume_ = catalog->voxel_volume;
   BufferPool* const pool = db->engine_.pool();
 
-  const FieldEngine& engine = db->engine_;
-  if (meta->num_cells > 0) {
-    FIELDDB_RETURN_IF_ERROR(engine.CheckCatalogPage(
-        prefix, "store_first_page", meta->store_first_page));
-  }
-  if (meta->has_tree) {
-    FIELDDB_RETURN_IF_ERROR(
-        engine.CheckCatalogPage(prefix, "tree", meta->tree.root));
-  }
-  if (db->method_ == VolumeIndexMethod::kIHilbert && !meta->has_tree) {
-    return Status::Corruption("catalog " + prefix +
-                              ".meta: missing tree meta");
-  }
-
   StatusOr<RecordStore<VoxelRecord>> store = RecordStore<VoxelRecord>::Attach(
-      pool, meta->store_first_page, meta->num_cells);
+      pool, catalog->store_first_page, catalog->num_cells);
   if (!store.ok()) return store.status();
   db->store_ =
       std::make_unique<RecordStore<VoxelRecord>>(std::move(store).value());
-  db->subfields_ = std::move(meta->subfields);
-  if (meta->has_tree) {
+  db->subfields_ = std::move(catalog->subfields);
+  if (db->method_ == VolumeIndexMethod::kIHilbert) {
     db->tree_ = std::make_unique<RStarTree<1>>(
-        RStarTree<1>::Attach(pool, meta->tree));
+        RStarTree<1>::Attach(pool, *catalog->tree));
   }
 
   // One store pass rebuilds both in-RAM sidecars: the voxel-id ->
   // position map and the zone map the planner probes.
-  db->zones_.Reserve(meta->num_cells);
+  db->zones_.Reserve(catalog->num_cells);
   FIELDDB_RETURN_IF_ERROR(MapRecordIds(
       *db->store_, &db->pos_of_, [&](uint64_t, const VoxelRecord& rec) {
         db->zones_.Append(rec.Interval());

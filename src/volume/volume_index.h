@@ -49,8 +49,9 @@ struct VolumeQueryResult {
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's; only the catalog format, the voxel record layout and the
-/// subfield redo logic are volume-specific.
+/// engine's, and so is the catalog codec (core/catalog.h); only the
+/// catalog schema, the voxel record layout and the subfield redo logic
+/// are volume-specific.
 class VolumeFieldDatabase {
  public:
   struct Options {

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -642,6 +643,13 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
   // Drop cached frames so the next tree descent actually hits storage.
   ASSERT_TRUE((*db)->pool().Clear().ok());
 
+  // Every fallback writes one corruption_fallback event (no query here
+  // is slow enough for a slow_query event).
+  const std::string events = ::testing::TempDir() + "/fielddb_fallback.jsonl";
+  std::remove(events.c_str());
+  ASSERT_TRUE((*db)->AttachEventLog(events, /*slow_query_threshold_ms=*/1e9)
+                  .ok());
+
   const auto queries = GenerateValueQueries(field->ValueRange(),
                                             WorkloadOptions{0.04, 10, 17});
   for (const ValueInterval& q : queries) {
@@ -654,6 +662,56 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
                 1e-9);
   }
   EXPECT_EQ((*db)->index_fallbacks(), queries.size());
+  uint64_t fallbacks = queries.size();
+
+  // A shared sweep falls back once for the whole batch, and every
+  // member reports it. The plan counters count the decision, so the
+  // fallen-back sweep is one plans_index and no plans_scan.
+  const Counter* const plans_index =
+      MetricsRegistry::Default().GetCounter("db.plans_index");
+  const Counter* const plans_scan =
+      MetricsRegistry::Default().GetCounter("db.plans_scan");
+  for (size_t i = 0; i + 1 < queries.size(); i += 2) {
+    const std::vector<ValueInterval> batch = {queries[i], queries[i + 1]};
+    std::vector<ValueQueryResult> expected, degraded;
+    ASSERT_TRUE((*intact)->SharedValueQuery(batch, &expected).ok());
+    const uint64_t index_before = plans_index->value();
+    const uint64_t scan_before = plans_scan->value();
+    ASSERT_TRUE((*db)->SharedValueQuery(batch, &degraded).ok());
+    EXPECT_EQ(plans_index->value(), index_before + 1);
+    EXPECT_EQ(plans_scan->value(), scan_before);
+    for (size_t m = 0; m < batch.size(); ++m) {
+      EXPECT_EQ(degraded[m].stats.index_fallbacks, 1u);
+      EXPECT_EQ(degraded[m].stats.answer_cells,
+                expected[m].stats.answer_cells);
+      EXPECT_EQ(degraded[m].stats.candidate_cells,
+                expected[m].stats.candidate_cells);
+      EXPECT_NEAR(degraded[m].region.TotalArea(),
+                  expected[m].region.TotalArea(), 1e-9);
+    }
+    EXPECT_EQ((*db)->index_fallbacks(), ++fallbacks);
+  }
+
+  for (const ValueInterval& q : queries) {
+    const double level = 0.5 * (q.min + q.max);
+    IsolineQueryResult expected, degraded;
+    ASSERT_TRUE((*intact)->IsolineQuery(level, &expected).ok());
+    ASSERT_TRUE((*db)->IsolineQuery(level, &degraded).ok());
+    EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
+    EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
+    EXPECT_EQ(degraded.isoline.polylines, expected.isoline.polylines);
+    EXPECT_EQ((*db)->index_fallbacks(), ++fallbacks);
+  }
+
+  std::ifstream log(events);
+  uint64_t fallback_events = 0;
+  for (std::string line; std::getline(log, line);) {
+    if (line.find("\"type\": \"corruption_fallback\"") != std::string::npos) {
+      ++fallback_events;
+    }
+  }
+  EXPECT_EQ(fallback_events, fallbacks);
+  std::remove(events.c_str());
 
   // Scrub agrees with the failure the queries worked around.
   FieldDatabase::ScrubReport report;

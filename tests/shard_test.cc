@@ -11,6 +11,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "gen/fractal.h"
@@ -279,6 +282,65 @@ TEST(ShardRouterTest, SaveOpenRoundTripPreservesAnswers) {
     std::remove((sp + ".wal").c_str());
   }
   std::remove((prefix + ".router").c_str());
+}
+
+// Rewrites the router catalog at `path` with line `line_index` (0 =
+// magic) replaced by `line`.
+void ReplaceRouterLine(const std::string& path, size_t line_index,
+                       const std::string& line) {
+  std::ifstream in(path);
+  std::string out;
+  std::string current;
+  for (size_t i = 0; std::getline(in, current); ++i) {
+    out += (i == line_index ? line : current) + "\n";
+  }
+  in.close();
+  std::ofstream(path, std::ios::trunc) << out;
+}
+
+TEST(ShardRouterTest, OversizedCatalogCountsRejectedBeforeAllocation) {
+  const GridField field = MakeTestField();
+  const std::string prefix = "shard_test_counts";
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  {
+    auto router = ShardRouter::Build(field, ro);
+    ASSERT_TRUE(router.ok());
+    ASSERT_TRUE((*router)->Save(prefix).ok());
+    ASSERT_TRUE((*router)->Close().ok());
+  }
+  const std::string path = prefix + ".router";
+  std::string intact;
+  {
+    std::ifstream in(path);
+    intact.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  }
+  ASSERT_TRUE(ShardRouter::Open(prefix, {}).ok());
+
+  // Line 2 is `num_cells N`, line 3 the header `shard 0 cells kb ke`:
+  // either count sized an allocation before it was checked.
+  ReplaceRouterLine(path, 2, "num_cells 1000000000000000000");
+  auto cells = ShardRouter::Open(prefix, {});
+  ASSERT_FALSE(cells.ok());
+  EXPECT_EQ(cells.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(cells.status().message().find("'num_cells'"), std::string::npos)
+      << cells.status().ToString();
+
+  std::ofstream(path, std::ios::trunc) << intact;
+  ReplaceRouterLine(path, 3, "shard 0 1000000000000000000 0 1");
+  auto shard = ShardRouter::Open(prefix, {});
+  ASSERT_FALSE(shard.ok());
+  EXPECT_EQ(shard.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(shard.status().message().find("'shard'"), std::string::npos)
+      << shard.status().ToString();
+
+  for (uint32_t k = 0; k < 2; ++k) {
+    const std::string sp = prefix + ".s" + std::to_string(k);
+    std::remove((sp + ".pages").c_str());
+    std::remove((sp + ".meta").c_str());
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardRouterTest, CrashRecoveryReplaysUpdatesAcrossTwoShards) {
