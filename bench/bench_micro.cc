@@ -128,24 +128,28 @@ void BM_BuildSubfields(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildSubfields)->Arg(10000)->Arg(1000000);
 
+// Arg 0: a band that cuts the quad, so its fan triangles run the clip
+// chain. Arg 1: a band that covers the quad, so all four take the
+// unclipped path.
 void BM_CellIsoband(benchmark::State& state) {
   Rng rng(6);
   const CellRecord quad = CellRecord::Quad(
       0, Rect2{{0, 0}, {1, 1}}, rng.NextDouble(), rng.NextDouble(),
       rng.NextDouble(), rng.NextDouble());
+  const ValueInterval band =
+      state.range(0) == 0 ? ValueInterval{0.4, 0.6} : ValueInterval{-1, 2};
   // One region, cleared per cell, as the engine reuses a query's region:
   // this times the estimation step, not the growth of a fresh vector.
   Region region;
   for (auto _ : state) {
     region.pieces.clear();
-    benchmark::DoNotOptimize(
-        CellIsoband(quad, ValueInterval{0.4, 0.6}, &region));
+    benchmark::DoNotOptimize(CellIsoband(quad, band, &region));
     benchmark::DoNotOptimize(region.pieces.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CellIsoband);
+BENCHMARK(BM_CellIsoband)->Arg(0)->Arg(1);
 
 // CRC-32C of one page-file slot (header + 4 KiB payload), the checksum
 // every slot read, slot write and WAL frame pays. Arg 0 runs the

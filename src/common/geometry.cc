@@ -75,14 +75,14 @@ size_t ClipConvex(const Point2* in, size_t count, const HalfPlane& h,
   if (count == 0) return 0;
   // Signed distances, each computed once: dc for the edge's start
   // vertex, dn for its end (the first vertex's again for the last edge).
-  const double d0 = Dot(h.n, in[0]) + h.c;
+  const double d0 = SignedDistance(h, in[0]);
   double dc = d0;
   size_t kept = 0;
   for (size_t i = 0; i < count; ++i) {
     const Point2 cur = in[i];
     const size_t next = i + 1 == count ? 0 : i + 1;
     const Point2 nxt = in[next];
-    const double dn = next == 0 ? d0 : Dot(h.n, nxt) + h.c;
+    const double dn = next == 0 ? d0 : SignedDistance(h, nxt);
     if (dc >= 0) out[kept++] = cur;
     // Edge crosses the boundary: emit the intersection point.
     if ((dc > 0 && dn < 0) || (dc < 0 && dn > 0)) {

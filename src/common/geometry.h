@@ -266,6 +266,13 @@ struct HalfPlane {
   double c = 0.0;
 };
 
+/// Where `p` lies relative to `h`: Dot(n, p) + c, >= 0 inside. The one
+/// expression every clip evaluates, so a caller that tests vertices
+/// with it sees exactly the distances ClipConvex would.
+inline double SignedDistance(const HalfPlane& h, Point2 p) {
+  return Dot(h.n, p) + h.c;
+}
+
 /// Room the output of ClipConvex needs for `count` input vertices: each
 /// input vertex emits itself and at most one edge crossing. A convex
 /// input gains at most one vertex, but rounding can make a clipped

@@ -28,6 +28,16 @@ struct ValueInterval {
 
   bool Contains(double w) const { return w >= min && w <= max; }
 
+  /// Closed containment: every value of `o` lies in this interval.
+  bool Contains(const ValueInterval& o) const {
+    return min <= o.min && o.max <= max;
+  }
+
+  /// `o` lies in the interior: strictly above min and below max.
+  bool ContainsInInterior(const ValueInterval& o) const {
+    return min < o.min && o.max < max;
+  }
+
   /// Closed-interval intersection test (shared endpoints intersect).
   bool Intersects(const ValueInterval& o) const {
     return min <= o.max && o.min <= max;

@@ -315,11 +315,10 @@ Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
           return false;
         }
         if (*pieces > 0) {
-          ++(*stats)[q].answer_cells;
-          (*stats)[q].region_pieces += *pieces;
+          (*stats)[q].AddAnswerCell(queries[q].Contains(iv), *pieces);
         }
       } else {
-        ++(*stats)[q].answer_cells;
+        (*stats)[q].AddAnswerCell(queries[q].Contains(iv));
       }
     }
     return true;
@@ -701,10 +700,13 @@ std::string FieldDatabase::ExplainResult::ToString() const {
   s += buf;
   std::snprintf(buf, sizeof(buf),
                 "  wall_ms=%.3f candidates=%llu answers=%llu "
-                "false_positive_ratio=%.4f\n",
+                "(inside=%llu cut=%llu) false_positive_ratio=%.4f\n",
                 stats.wall_seconds * 1000.0,
                 static_cast<unsigned long long>(stats.candidate_cells),
                 static_cast<unsigned long long>(stats.answer_cells),
+                static_cast<unsigned long long>(stats.inside_cells),
+                static_cast<unsigned long long>(stats.answer_cells -
+                                                stats.inside_cells),
                 false_positive_ratio);
   s += buf;
   std::snprintf(buf, sizeof(buf),
@@ -775,6 +777,9 @@ std::string FieldDatabase::ExplainResult::ToJson() const {
   JsonAppendDouble(&s, stats.wall_seconds * 1000.0);
   s += ",\"candidate_cells\":" + std::to_string(stats.candidate_cells);
   s += ",\"answer_cells\":" + std::to_string(stats.answer_cells);
+  s += ",\"inside_cells\":" + std::to_string(stats.inside_cells);
+  s += ",\"cut_cells\":" +
+       std::to_string(stats.answer_cells - stats.inside_cells);
   s += ",\"index_fallbacks\":" + std::to_string(stats.index_fallbacks);
   s += ",\"false_positive_ratio\":";
   JsonAppendDouble(&s, false_positive_ratio);

@@ -395,6 +395,7 @@ void FieldEngine::MaybeLogSlowQuery(
                                            stats.io.random_reads()))
                .Add("candidate_cells", stats.candidate_cells)
                .Add("answer_cells", stats.answer_cells)
+               .Add("inside_cells", stats.inside_cells)
                .Add("index_fallbacks", stats.index_fallbacks)
                .Add("logical_reads", stats.io.logical_reads)
                .Add("physical_reads", stats.io.physical_reads)

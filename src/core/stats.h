@@ -2,6 +2,7 @@
 #define FIELDDB_CORE_STATS_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -24,6 +25,10 @@ struct QueryStats {
   uint64_t candidate_cells = 0;
   /// Candidates that actually contributed answer regions.
   uint64_t answer_cells = 0;
+  /// Answer cells whose value interval lies inside the closed band (for
+  /// a vector cell, each component inside its band), so the whole cell
+  /// is answer. The band cuts the other answer_cells - inside_cells.
+  uint64_t inside_cells = 0;
   uint64_t region_pieces = 0;
   /// 1 when the filtering step hit a corrupt index page and the query
   /// was answered by a full store scan instead (degraded mode).
@@ -33,10 +38,21 @@ struct QueryStats {
   /// or TracedValueQueryStats); null on the plain query path.
   std::shared_ptr<QueryTrace> trace;
 
+  /// Books one answer cell of the estimation step: an inside cell when
+  /// `inside`, and the `pieces` it added to the answer region (none on
+  /// the counting path, which builds no region). The region path books
+  /// only cells that yielded pieces.
+  void AddAnswerCell(bool inside, size_t pieces = 0) {
+    ++answer_cells;
+    inside_cells += inside;
+    region_pieces += pieces;
+  }
+
   void Accumulate(const QueryStats& q) {
     wall_seconds += q.wall_seconds;
     candidate_cells += q.candidate_cells;
     answer_cells += q.answer_cells;
+    inside_cells += q.inside_cells;
     region_pieces += q.region_pieces;
     index_fallbacks += q.index_fallbacks;
     io += q.io;  // IoStats::operator+= keeps every counter in the rollup

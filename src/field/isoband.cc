@@ -28,7 +28,10 @@ Status ClipTriangle(Point2 a, double wa, Point2 b, double wb, Point2 c,
   const std::array<HalfPlane, 2> band = {
       HalfPlane{{plane.gx, plane.gy}, plane.c - q.min},
       HalfPlane{{-plane.gx, -plane.gy}, q.max - plane.c}};
-  if (AppendClippedTriangle(a, b, c, cross, band, out)) ++*appended;
+  const bool values_inside = q.ContainsInInterior(iv);
+  if (AppendClippedTriangle(a, b, c, cross, band, values_inside, out)) {
+    ++*appended;
+  }
   return Status::OK();
 }
 

@@ -35,10 +35,18 @@ StatusOr<size_t> CellIsoband(const CellRecord& cell, const ValueInterval& q,
 /// non-degenerate doubled area `cross` = Cross(b - a, c - a)), clips it
 /// by each half-plane in turn in stack buffers, and appends a surviving
 /// piece to `*out`. Returns whether it appended one.
+///
+/// `values_inside` says the caller's vertex values lie strictly inside
+/// every band, so the band probably covers the triangle. The triangle
+/// then takes the unclipped path: when each vertex has SignedDistance
+/// >= 0 to each half-plane, every ClipConvex pass would return its
+/// input unchanged, so the oriented triangle is appended as it is (the
+/// chain's piece, bit for bit) and the clip loop is skipped. Every
+/// other triangle runs the chain.
 template <size_t K>
 bool AppendClippedTriangle(Point2 a, Point2 b, Point2 c, double cross,
                            const std::array<HalfPlane, K>& planes,
-                           Region* out) {
+                           bool values_inside, Region* out) {
   // Clip k writes at most 3 << k vertices (MaxClipVertices), alternately
   // to the second and the first buffer, which also holds the triangle.
   // Byte storage is not zero-filled on entry as Point2[] would be (a
@@ -49,6 +57,20 @@ bool AppendClippedTriangle(Point2 a, Point2 b, Point2 c, double cross,
   in[0] = a;
   in[1] = cross >= 0 ? b : c;
   in[2] = cross >= 0 ? c : b;
+  if (values_inside) {
+    // No early exit: the 3K tests run branch-free. A NaN distance fails
+    // its test, as it fails ClipConvex's.
+    bool covered = true;
+    for (const HalfPlane& h : planes) {
+      for (size_t i = 0; i < 3; ++i) {
+        covered &= SignedDistance(h, in[i]) >= 0;
+      }
+    }
+    if (covered) {
+      out->pieces.emplace_back().vertices.assign(in, in + 3);
+      return true;
+    }
+  }
   size_t count = 3;
   for (const HalfPlane& h : planes) {
     count = ClipConvex(in, count, h, dst);

@@ -61,11 +61,10 @@ class EstimateOp {
         return false;
       }
       if (*pieces > 0) {
-        ++stats_->answer_cells;
-        stats_->region_pieces += *pieces;
+        stats_->AddAnswerCell(query_.Contains(cell.Interval()), *pieces);
       }
     } else {
-      ++stats_->answer_cells;
+      stats_->AddAnswerCell(query_.Contains(cell.Interval()));
     }
     return true;
   }

@@ -79,6 +79,17 @@ Status RStarTree<Dim>::LoadNode(PageId id, Node* node) const {
 }
 
 template <int Dim>
+Status RStarTree<Dim>::CheckHeight() const {
+  PinnedPage pin;
+  FIELDDB_RETURN_IF_ERROR(pool_->Fetch(meta_.root, &pin));
+  const uint32_t root_level = pin.page().template ReadAt<uint32_t>(0);
+  if (uint64_t{root_level} + 1 != meta_.height) {
+    return Status::Corruption("height does not match root level");
+  }
+  return Status::OK();
+}
+
+template <int Dim>
 Status RStarTree<Dim>::StoreNode(PageId id, const Node& node) const {
   PinnedPage pin;
   FIELDDB_RETURN_IF_ERROR(pool_->Fetch(id, &pin));
@@ -378,6 +389,7 @@ Status RStarTree<Dim>::Insert(const BoxT& box, uint64_t a, uint64_t b) {
   if (box.IsEmpty()) {
     return Status::InvalidArgument("cannot insert an empty box");
   }
+  FIELDDB_RETURN_IF_ERROR(CheckHeight());
   Entry entry;
   entry.box = box;
   entry.a = a;
@@ -450,6 +462,7 @@ Status RStarTree<Dim>::DeleteRec(PageId page_id, const BoxT& box, uint64_t a,
 
 template <int Dim>
 Status RStarTree<Dim>::Delete(const BoxT& box, uint64_t a, uint64_t b) {
+  FIELDDB_RETURN_IF_ERROR(CheckHeight());
   std::vector<PendingInsert> orphans;
   bool found = false, underflow = false;
   BoxT root_box;
@@ -652,13 +665,9 @@ template <int Dim>
 Status RStarTree<Dim>::CheckInvariants() const {
   uint64_t leaf_entries = 0;
   uint64_t nodes = 0;
-  Node root;
-  FIELDDB_RETURN_IF_ERROR(LoadNode(meta_.root, &root));
-  if (root.level + 1 != meta_.height) {
-    return Status::Corruption("height does not match root level");
-  }
+  FIELDDB_RETURN_IF_ERROR(CheckHeight());
   FIELDDB_RETURN_IF_ERROR(CheckRec(meta_.root, BoxT::Empty(), true,
-                                   root.level, &leaf_entries, &nodes));
+                                   meta_.height - 1, &leaf_entries, &nodes));
   if (leaf_entries != meta_.size) {
     return Status::Corruption("leaf entry count mismatch: have " +
                               std::to_string(leaf_entries) + ", expected " +

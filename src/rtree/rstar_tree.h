@@ -144,6 +144,10 @@ class RStarTree {
   static uint32_t MaxEntriesFor(uint32_t page_size);
 
   Status LoadNode(PageId id, Node* node) const;
+  /// kCorruption unless the root page's level is height - 1. Insert and
+  /// Delete check this before sizing anything from the height, which
+  /// an edited catalog can set to any value.
+  Status CheckHeight() const;
   Status StoreNode(PageId id, const Node& node) const;
   StatusOr<PageId> AllocNode();
   void FreeNode(PageId id);

@@ -400,8 +400,7 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
           return false;
         }
         if (*pieces > 0) {
-          ++out->stats.answer_cells;
-          out->stats.region_pieces += *pieces;
+          out->stats.AddAnswerCell(band.Contains(cell.Interval()), *pieces);
         }
         return true;
       },

@@ -370,8 +370,8 @@ Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
           return false;
         }
         if (*pieces > 0) {
-          ++out->stats.answer_cells;
-          out->stats.region_pieces += *pieces;
+          out->stats.AddAnswerCell(query.AsBox().Contains(cell.ValueBox()),
+                                   *pieces);
         }
         return true;
       },

@@ -31,7 +31,11 @@ Status ClipVectorTriangle(Point2 a, double ua, double va, Point2 b,
       HalfPlane{{-pu.gx, -pu.gy}, q.u.max - pu.c},
       HalfPlane{{pv.gx, pv.gy}, pv.c - q.v.min},
       HalfPlane{{-pv.gx, -pv.gy}, q.v.max - pv.c}};
-  if (AppendClippedTriangle(a, b, c, cross, band, out)) ++*appended;
+  const bool values_inside =
+      q.u.ContainsInInterior(iu) && q.v.ContainsInInterior(iv);
+  if (AppendClippedTriangle(a, b, c, cross, band, values_inside, out)) {
+    ++*appended;
+  }
   return Status::OK();
 }
 

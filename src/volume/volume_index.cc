@@ -245,7 +245,7 @@ Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
         const double fraction = VoxelBandFraction(voxel.w, band);
         if (fraction > 0.0) {
           out->volume += fraction * voxel_volume_;
-          ++out->stats.answer_cells;
+          out->stats.AddAnswerCell(band.Contains(voxel.Interval()));
         }
         return true;
       },

@@ -440,5 +440,54 @@ TEST(TemporalCatalogTest, SlabBeyondThePageFileRejected) {
   }
 }
 
+// --- The tree's height against its root ------------------------------
+
+TEST(TreeHeightTest, EditedHeightRefusedByTheFirstUpdate) {
+  // Open reads the `tree` line but not the root page, so an edited
+  // height still opens and answers queries. The first update must then
+  // refuse it before sizing anything from it or writing it back.
+  std::vector<double> samples;
+  for (uint32_t j = 0; j <= 64; ++j) {
+    for (uint32_t i = 0; i <= 64; ++i) samples.push_back(double(i * j % 97));
+  }
+  const GridField grid =
+      GridField::Create(64, 64, Rect2{{0, 0}, {1, 1}}, samples).value();
+  FieldDatabaseOptions options;
+  options.method = IndexMethod::kIAll;
+  const std::string prefix = ::testing::TempDir() + "/fielddb_catalog_height";
+  ASSERT_TRUE(FieldDatabase::Build(grid, options).value()->Save(prefix).ok());
+  const std::vector<std::string> intact =
+      SplitLines(ReadFile(prefix + ".meta"));
+
+  // "tree ROOT HEIGHT SIZE NODES": 4,096 entries make a two-level tree.
+  for (const char* height : {"2", "0", "7", "4000000000"}) {
+    std::vector<std::string> lines = intact;
+    for (std::string& line : lines) {
+      std::vector<std::string> tokens = SplitTokens(line);
+      if (tokens[0] != "tree") continue;
+      ASSERT_EQ(tokens[2], "2");
+      tokens[2] = height;
+      line = JoinTokens(tokens);
+    }
+    WriteFile(prefix + ".meta", JoinLines(lines));
+    StatusOr<std::unique_ptr<FieldDatabase>> db = FieldDatabase::Open(prefix);
+    ASSERT_TRUE(db.ok()) << height << ": " << db.status().ToString();
+    ValueQueryResult result;
+    EXPECT_TRUE((*db)->ValueQuery(ValueInterval{10, 20}, &result).ok());
+    const Status update = (*db)->UpdateCellValues(0, {50, 60, 70, 80});
+    if (std::string(height) == "2") {
+      EXPECT_TRUE(update.ok()) << update.ToString();
+    } else {
+      EXPECT_EQ(update.code(), StatusCode::kCorruption)
+          << height << ": " << update.ToString();
+      EXPECT_NE(update.message().find("height"), std::string::npos)
+          << update.ToString();
+    }
+  }
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
 }  // namespace
 }  // namespace fielddb

@@ -186,6 +186,43 @@ TEST(ExplainTest, LinearScanHasNoSubfields) {
   EXPECT_NE(explain.stats.trace->Find("fetch"), nullptr);
 }
 
+TEST(ExplainTest, CountsInsideAndCutCells) {
+  auto db = MakeDb(IndexMethod::kIHilbert);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+
+  // A band spanning the whole value range holds every cell's interval.
+  FieldDatabase::ExplainResult whole;
+  ASSERT_TRUE((*db)->ExplainValueQuery((*db)->value_range(), &whole).ok());
+  EXPECT_EQ(whole.stats.answer_cells, 64u * 64u);  // every cell of the DEM
+  EXPECT_EQ(whole.stats.inside_cells, whole.stats.answer_cells);
+
+  // A narrow band cuts cells; some lie inside it.
+  const ValueInterval band = MidBand(**db, 0.40, 0.50);
+  FieldDatabase::ExplainResult narrow;
+  ASSERT_TRUE((*db)->ExplainValueQuery(band, &narrow).ok());
+  EXPECT_GT(narrow.stats.inside_cells, 0u);
+  EXPECT_LT(narrow.stats.inside_cells, narrow.stats.answer_cells);
+
+  // EXPLAIN counts without building the region; the region path books
+  // the same inside cells.
+  ValueQueryResult result;
+  ASSERT_TRUE((*db)->ValueQuery(band, &result).ok());
+  EXPECT_EQ(result.stats.inside_cells, narrow.stats.inside_cells);
+
+  const uint64_t cut = narrow.stats.answer_cells - narrow.stats.inside_cells;
+  const std::string text = narrow.ToString();
+  EXPECT_NE(text.find("(inside=" + std::to_string(narrow.stats.inside_cells) +
+                      " cut=" + std::to_string(cut) + ")"),
+            std::string::npos)
+      << text;
+  const std::string json = narrow.ToJson();
+  EXPECT_NE(json.find("\"inside_cells\":" +
+                      std::to_string(narrow.stats.inside_cells) +
+                      ",\"cut_cells\":" + std::to_string(cut)),
+            std::string::npos)
+      << json.substr(0, 300);
+}
+
 TEST(ExplainTest, EmptyIntervalRejected) {
   auto db = MakeDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok()) << db.status().ToString();

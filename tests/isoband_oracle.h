@@ -6,9 +6,12 @@
 // — orient the triangle, fit its plane, then one heap-allocating
 // Sutherland–Hodgman pass per half-plane. The library's in-place vertices
 // and stack-buffered clip loop must reproduce its pieces bit for bit.
+// Below it, the adversarial inputs both suites draw from.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,7 @@
 
 #include "common/geometry.h"
 #include "common/interval.h"
+#include "common/rng.h"
 #include "field/cell.h"
 #include "field/region.h"
 #include "vector/vector_field.h"
@@ -180,6 +184,66 @@ inline void ExpectSamePieces(const Region& got,
               0)
         << "piece " << i;
   }
+}
+
+// --- Adversarial inputs: values one ulp from a band edge -------------
+//
+// A vertex whose value lies strictly inside the band can still lie just
+// outside a fitted half-plane: the plane fit rounds, and far from the
+// origin or on a sliver it rounds by much more than an ulp of the
+// value. The clip chain then cuts a sliver off the triangle. A shortcut
+// that trusted the vertex values alone and emitted such a triangle
+// unclipped gets these inputs wrong.
+
+// A band edge at `w`, one ulp beyond it (so `w` is one ulp inside the
+// band) or one ulp short of it (`w` one ulp outside). `outward` is the
+// direction away from the band's interior.
+inline double EdgeNear(Rng& rng, double w, double outward) {
+  switch (rng.NextBounded(4)) {
+    case 0: return w;
+    case 1: return std::nextafter(w, -outward);
+    default: return std::nextafter(w, outward);  // the shortcut's trap
+  }
+}
+
+// A band whose edges sit within an ulp of the extreme values of `w` or,
+// for a quad's four values, sometimes of its fan center's value.
+inline ValueInterval UlpBand(Rng& rng, const double* w, size_t n) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  double lo = *std::min_element(w, w + n);
+  double hi = *std::max_element(w, w + n);
+  if (n == 4 && rng.NextBounded(4) == 0) {
+    const double center = (w[0] + w[1] + w[2] + w[3]) / 4.0;
+    (rng.NextBounded(2) == 0 ? lo : hi) = center;
+  }
+  return ValueInterval{EdgeNear(rng, lo, -inf), EdgeNear(rng, hi, inf)};
+}
+
+// Vertex values: a level plus small spreads, some only a few ulps wide.
+inline void UlpValues(Rng& rng, double* w, size_t n) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double level = rng.NextDouble(-2.0, 2.0);
+  const double spread = rng.NextBounded(2) == 0
+                            ? rng.NextDouble(0.0, 1.0)
+                            : 8 * (std::nextafter(level, inf) - level);
+  for (size_t i = 0; i < n; ++i) w[i] = level + rng.NextDouble() * spread;
+}
+
+// The pieces a vertex-value-only shortcut emits for a cell whose values
+// all lie strictly inside the band: every fan triangle unclipped.
+inline std::vector<Polygon> UnclippedFan(const CellRecord& cell) {
+  std::vector<Polygon> fan;
+  if (cell.num_vertices == 3) {
+    fan.push_back(oracle::PolygonFromTriangle(
+        Triangle2{{cell.Vertex(0), cell.Vertex(1), cell.Vertex(2)}}));
+    return fan;
+  }
+  const Point2 center = cell.Bounds().Center();
+  for (int i = 0; i < 4; ++i) {
+    fan.push_back(oracle::PolygonFromTriangle(
+        Triangle2{{cell.Vertex(i), cell.Vertex((i + 1) % 4), center}}));
+  }
+  return fan;
 }
 
 }  // namespace fielddb::oracle

@@ -241,6 +241,104 @@ TEST(IsobandGoldenTest, DegenerateTriangleFails) {
       ValueInterval{0.5, 1.5});
 }
 
+// --- Adversarial cases: vertex values one ulp from a band edge ---------
+//
+// Band edges one ulp beyond, at, or one ulp short of a cell's extreme
+// vertex value or its fan center's value (isoband_oracle.h), on cells at
+// offsets up to 1e15 with sizes down to 1e-9, on tiny cells near the
+// degenerate-triangle threshold and on slivers.
+
+// Expects CellIsoband to match the oracle on `cell` and `q`. Returns
+// whether the cell's values lie strictly inside the band although the
+// oracle's pieces are not its unclipped fan (or it fails): a case the
+// vertex-value-only shortcut gets wrong.
+bool ExpectMatchesOracleCountTrap(const CellRecord& cell,
+                                  const ValueInterval& q) {
+  ExpectMatchesOracle(cell, q);
+  if (!q.ContainsInInterior(cell.Interval())) return false;
+  std::vector<oracle::Polygon> want;
+  return !oracle::CellIsoband(cell, q, &want) ||
+         want != oracle::UnclippedFan(cell);
+}
+
+TEST(IsobandGoldenTest, UlpBandEdgesFarFromOriginMatchOracle) {
+  Rng rng(404);
+  int traps = 0;
+  for (const double offset : {0.0, 1e6, 1e12, 1e15}) {
+    for (const double size : {1.0, 1e-3, 1e-6, 1e-9}) {
+      for (int trial = 0; trial < 400; ++trial) {
+        const Point2 origin{offset * rng.NextDouble(0.5, 1.0),
+                            offset * rng.NextDouble(0.5, 1.0)};
+        const auto point = [&] {
+          return origin + size * Point2{rng.NextDouble(), rng.NextDouble()};
+        };
+        const Point2 a = point(), b = point(), c = point();
+        double w[4];
+        oracle::UlpValues(rng, w, 3);
+        const CellRecord tri =
+            CellRecord::Triangle(0, a, w[0], b, w[1], c, w[2]);
+        traps += ExpectMatchesOracleCountTrap(tri, oracle::UlpBand(rng, w, 3));
+        oracle::UlpValues(rng, w, 4);
+        const Point2 extent{rng.NextDouble(0.1, 1), rng.NextDouble(0.1, 1)};
+        const Rect2 rect{origin, origin + size * extent};
+        const CellRecord quad =
+            CellRecord::Quad(0, rect, w[0], w[1], w[2], w[3]);
+        traps += ExpectMatchesOracleCountTrap(quad, oracle::UlpBand(rng, w, 4));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  // The cases reach the rounding the shortcut ignores.
+  EXPECT_GT(traps, 100);
+}
+
+TEST(IsobandGoldenTest, TinyCellsDegenerateExactlyAsOracle) {
+  // Doubled areas around the 1e-24 degenerate threshold: the check must
+  // refuse exactly the triangles the oracle refuses, even when every
+  // vertex value lies inside the band.
+  Rng rng(505);
+  int refused = 0, estimated = 0;
+  for (const double size : {1e-10, 1e-11, 1e-12, 1e-13}) {
+    for (int trial = 0; trial < 500; ++trial) {
+      const auto point = [&] {
+        return size * Point2{rng.NextDouble(), rng.NextDouble()};
+      };
+      const Point2 a = point(), b = point(), c = point();
+      double w[3];
+      oracle::UlpValues(rng, w, 3);
+      const CellRecord tri = CellRecord::Triangle(0, a, w[0], b, w[1], c, w[2]);
+      const ValueInterval band = oracle::UlpBand(rng, w, 3);
+      ExpectMatchesOracle(tri, band);
+      if (HasFatalFailure()) return;
+      Region region;
+      (CellIsoband(tri, band, &region).ok() ? estimated : refused) += 1;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(estimated, 0);
+}
+
+TEST(IsobandGoldenTest, SliversInsideBandMatchOracle) {
+  // Thin triangles whose values lie inside the band: steep fitted
+  // planes, so their rounding is large next to the values' ulps.
+  Rng rng(606);
+  int traps = 0;
+  for (const double thickness : {1e-4, 1e-7, 1e-10}) {
+    for (int trial = 0; trial < 1000; ++trial) {
+      const Point2 a{rng.NextDouble(), rng.NextDouble()};
+      const Point2 b{rng.NextDouble(), rng.NextDouble()};
+      const Point2 c = a + rng.NextDouble() * (b - a) +
+                       thickness * Point2{b.y - a.y, a.x - b.x};
+      double w[3];
+      oracle::UlpValues(rng, w, 3);
+      const CellRecord tri = CellRecord::Triangle(0, a, w[0], b, w[1], c, w[2]);
+      traps += ExpectMatchesOracleCountTrap(tri, oracle::UlpBand(rng, w, 3));
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(traps, 0);
+}
+
 TEST(RegionTest, Totals) {
   Region a;
   a.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));

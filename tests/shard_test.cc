@@ -114,6 +114,7 @@ TEST_P(ShardDifferentialTest, AnswersIdenticalAcrossShardCounts) {
             << IndexMethodName(GetParam()) << " " << PlannerModeName(mode)
             << " shards=" << shards << " " << q.ToString();
         EXPECT_EQ(actual.stats.region_pieces, expected.stats.region_pieces);
+        EXPECT_EQ(actual.stats.inside_cells, expected.stats.inside_cells);
         // Bit-identical answers: the same pieces, down to the doubles.
         // I-Hilbert additionally guarantees the same piece ORDER — its
         // store order is the global linearization, and the gather

@@ -229,6 +229,74 @@ TEST(VectorIsobandGoldenTest, DegenerateTriangleFails) {
   ExpectMatchesOracle(line, q);
 }
 
+// --- Adversarial cases: component values one ulp from a band edge -----
+//
+// As in isoband_test: each component's band edges sit one ulp beyond,
+// at, or one ulp short of the cell's extreme value of that component
+// (or of its fan center's value), on cells far from the origin, tiny
+// cells and slivers (isoband_oracle.h).
+
+// True when both components' values lie strictly inside their bands but
+// the oracle's pieces are not the unclipped fan (or it fails): a case
+// the vertex-value-only shortcut gets wrong.
+bool IsShortcutTrap(const VectorCellRecord& cell, const VectorBandQuery& q) {
+  const Box<2> values = cell.ValueBox();
+  if (!q.u.ContainsInInterior({values.lo[0], values.hi[0]}) ||
+      !q.v.ContainsInInterior({values.lo[1], values.hi[1]})) {
+    return false;
+  }
+  std::vector<oracle::Polygon> want;
+  return !oracle::VectorCellIsoband(cell, q, &want) ||
+         want != oracle::UnclippedFan(cell.Component(0));
+}
+
+TEST(VectorIsobandGoldenTest, UlpBandEdgesMatchOracle) {
+  Rng rng(707);
+  int traps = 0;
+  for (const double offset : {0.0, 1e6, 1e12, 1e15}) {
+    for (const double size : {1.0, 1e-3, 1e-9, 1e-12}) {
+      for (int trial = 0; trial < 300; ++trial) {
+        const Point2 origin{offset * rng.NextDouble(0.5, 1.0),
+                            offset * rng.NextDouble(0.5, 1.0)};
+        std::vector<Point2> vertices;
+        switch (trial % 3) {
+          case 0:  // a triangle
+            for (int i = 0; i < 3; ++i) {
+              vertices.push_back(
+                  origin + size * Point2{rng.NextDouble(), rng.NextDouble()});
+            }
+            break;
+          case 1: {  // a sliver: the third vertex just off the first edge
+            const Point2 a = origin + size * Point2{rng.NextDouble(), 0.0};
+            const Point2 b = origin + size * Point2{rng.NextDouble(), 1.0};
+            vertices = {a, b,
+                        a + rng.NextDouble() * (b - a) +
+                            1e-7 * Point2{b.y - a.y, a.x - b.x}};
+            break;
+          }
+          default: {  // a quad
+            const Point2 hi = origin + size * Point2{rng.NextDouble(0.1, 1),
+                                                     rng.NextDouble(0.1, 1)};
+            vertices = {origin, {hi.x, origin.y}, hi, {origin.x, hi.y}};
+          }
+        }
+        const size_t n = vertices.size();
+        std::vector<double> u(n), v(n);
+        oracle::UlpValues(rng, u.data(), n);
+        oracle::UlpValues(rng, v.data(), n);
+        const VectorCellRecord cell = VectorCell(vertices, u, v);
+        const VectorBandQuery q{oracle::UlpBand(rng, u.data(), n),
+                                oracle::UlpBand(rng, v.data(), n)};
+        ExpectMatchesOracle(cell, q);
+        if (HasFatalFailure()) return;
+        traps += IsShortcutTrap(cell, q);
+      }
+    }
+  }
+  // The cases reach the rounding the shortcut ignores.
+  EXPECT_GT(traps, 50);
+}
+
 TEST(VectorSubfieldTest, CostModelPrefersSimilarBoxes) {
   Box<2> range;
   range.lo = {0, 0};
