@@ -2,8 +2,10 @@
 #define FIELDDB_COMMON_INTERVAL_H_
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace fielddb {
 
@@ -78,6 +80,14 @@ struct ValueInterval {
 
   std::string ToString() const;
 };
+
+/// Whether every sample is finite. Value intervals — and so zone maps,
+/// subfield keys and catalogs — exist only over finite samples, so
+/// fields and updates refuse the rest.
+inline bool AllFinite(const std::vector<double>& samples) {
+  return std::all_of(samples.begin(), samples.end(),
+                     [](double w) { return std::isfinite(w); });
+}
 
 }  // namespace fielddb
 

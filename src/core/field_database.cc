@@ -508,18 +508,7 @@ Status FieldDatabase::IsolineQuery(double level,
 
 Status FieldDatabase::ValidateUpdate(CellId id,
                                      const std::vector<double>& values) const {
-  const CellStore& store = index_->cell_store();
-  if (id >= store.size()) {
-    return Status::OutOfRange("no such cell");
-  }
-  CellRecord cell;
-  FIELDDB_RETURN_IF_ERROR(store.records().Get(store.PositionOf(id), &cell));
-  if (values.size() != cell.num_vertices) {
-    return Status::InvalidArgument(
-        "expected " + std::to_string(cell.num_vertices) + " values, got " +
-        std::to_string(values.size()));
-  }
-  return Status::OK();
+  return index_->cell_store().CheckUpdate(id, SetSamples(values));
 }
 
 Status FieldDatabase::UpdateCellValues(CellId id,

@@ -445,8 +445,8 @@ class FieldDatabase {
 
   /// Pre-apply validation for the WAL path: a frame is logged (and
   /// fsynced) only for an update that will succeed, so replay never
-  /// meets an invalid frame. Mirrors the checks CellStore::UpdateValues
-  /// runs.
+  /// meets an invalid frame. Runs the store update's own edit on a copy
+  /// (CellStore::CheckUpdate).
   Status ValidateUpdate(CellId id, const std::vector<double>& values) const;
 
   /// The bookkeeping every single-query entry point shares: validates

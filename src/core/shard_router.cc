@@ -569,12 +569,15 @@ Status ShardRouter::UpdateCellValues(CellId global_id,
 Status ShardRouter::UpdateCellValuesBatch(
     const std::vector<FieldDatabase::CellUpdate>& updates) {
   // Partition by owning shard, preserving relative order within each
-  // shard; validate every id before any shard commits.
+  // shard; validate every id and sample before any shard commits.
   std::vector<std::vector<FieldDatabase::CellUpdate>> per_shard(
       shards_.size());
   for (const FieldDatabase::CellUpdate& u : updates) {
     if (u.id >= global_map_.size()) {
       return Status::InvalidArgument("cell id out of range");
+    }
+    if (!AllFinite(u.values)) {
+      return Status::InvalidArgument("samples must be finite");
     }
     const auto [shard_id, local_id] = global_map_[u.id];
     per_shard[shard_id].push_back(

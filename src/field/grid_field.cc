@@ -31,6 +31,9 @@ StatusOr<GridField> GridField::Create(uint32_t cols, uint32_t rows,
         "expected " + std::to_string(expected) + " samples, got " +
         std::to_string(samples.size()));
   }
+  if (!AllFinite(samples)) {
+    return Status::InvalidArgument("samples must be finite");
+  }
   return GridField(cols, rows, domain, std::move(samples));
 }
 

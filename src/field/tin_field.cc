@@ -1,5 +1,7 @@
 #include "field/tin_field.h"
 
+#include <cmath>
+
 namespace fielddb {
 
 TinField::TinField(std::vector<TinVertex> vertices,
@@ -17,6 +19,11 @@ StatusOr<TinField> TinField::Create(std::vector<TinVertex> vertices,
                                     std::vector<TinTriangle> triangles) {
   if (triangles.empty()) {
     return Status::InvalidArgument("TIN must have at least one triangle");
+  }
+  for (const TinVertex& v : vertices) {
+    if (!std::isfinite(v.value)) {
+      return Status::InvalidArgument("samples must be finite");
+    }
   }
   for (const TinTriangle& t : triangles) {
     for (const uint32_t vi : t.v) {

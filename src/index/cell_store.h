@@ -1,6 +1,8 @@
 #ifndef FIELDDB_INDEX_CELL_STORE_H_
 #define FIELDDB_INDEX_CELL_STORE_H_
 
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,99 +14,231 @@
 
 namespace fielddb {
 
-/// Cells serialized into fixed-slot pages in a caller-chosen order — the
+/// A stored record's zone-map key: its value interval (CellRecord,
+/// VoxelRecord, the temporal slab record) or, for the one record without
+/// an interval (VectorCellRecord), its (u, v) value box.
+template <typename Record>
+auto StoreKeyOf(const Record& record) {
+  if constexpr (requires { record.Interval(); }) {
+    return record.Interval();
+  } else {
+    return record.ValueBox();
+  }
+}
+
+/// The edit of every sample update: copies `samples` over dst[0, n).
+/// Refuses with InvalidArgument a count other than `n` and any
+/// non-finite sample — such a sample has no value interval, so no zone
+/// slot, subfield key or catalog row could hold it.
+Status WriteSamples(const std::vector<double>& samples, uint32_t n,
+                    double* dst);
+
+/// The update edit of a record whose samples are w[0, num_vertices)
+/// (CellRecord, VoxelRecord): they become `samples`.
+inline auto SetSamples(const std::vector<double>& samples) {
+  return [&samples](auto* record) {
+    return WriteSamples(samples, record->num_vertices, record->w);
+  };
+}
+
+/// What an update did to its record's key: the input of the subfield
+/// refresh (RefreshSubfieldAfterUpdate).
+template <typename Key>
+struct KeyChange {
+  uint64_t pos = 0;  // the record's slot
+  Key old_key;
+  Key new_key;
+
+  bool changed() const { return !(old_key == new_key); }
+};
+
+/// Records serialized into fixed-slot pages in a caller-chosen order — the
 /// physical clustering the paper requires: I-Hilbert stores cells in
 /// Hilbert-value order so that a subfield's cells occupy a contiguous page
 /// range addressable by (start, end) pointers (Fig. 6's leaf layout).
 ///
-/// The pages are a RecordStore<CellRecord> (records()), which owns every
-/// page loop; the per-slot value intervals are a ScalarZoneMap
-/// (zone_map()). CellStore adds only what is grid-specific: the cell-id
-/// -> slot map (the records carry their cell ids), the permutation check
-/// at Build/Attach, and UpdateValues, the one-fetch update that keeps the
-/// zone map in sync. Positions are 0-based slots in storage order.
+/// The one store of every field type: the grid's CellStore is the
+/// CellRecord instance; volume, vector and temporal slabs store
+/// VoxelRecord, VectorCellRecord and TemporalSlabRecord. The pages are a
+/// RecordStore<Record> (records()), which owns every page loop; the
+/// per-slot keys (StoreKeyOf) are a zone map (zone_map(): ScalarZoneMap
+/// for interval keys, BoxZoneMap for boxes). The store adds the
+/// record-id -> slot map (records carry their ids), the permutation
+/// check at build and Attach, and Update, the one-fetch update that keeps
+/// the zone map in sync. Positions are 0-based slots in storage order.
 /// Concurrency contract is the pages': any number of readers, writers
 /// externally excluded (DESIGN.md §11).
-class CellStore {
+template <typename Record>
+class BasicCellStore {
  public:
-  /// Serializes `field`'s cells into `pool`'s file, visiting them in the
-  /// order given by `order` (order[pos] = field cell id stored at slot
-  /// pos). `order` must be a permutation of [0, field.NumCells()).
-  /// Pass an empty `order` for the identity (native field order).
-  static StatusOr<CellStore> Build(BufferPool* pool, const Field& field,
-                                   const std::vector<CellId>& order);
+  using Key = decltype(StoreKeyOf(std::declval<const Record&>()));
+  using ZoneMap = std::conditional_t<std::is_same_v<Key, ValueInterval>,
+                                     ScalarZoneMap, BoxZoneMap>;
+  using Change = KeyChange<Key>;
 
-  /// Streaming counterpart of Build for callers that produce records one
-  /// slot at a time instead of holding a full order vector — the
-  /// external-sort build feeds each merged record straight in. Append()
-  /// exactly `num_cells` records in storage order, then Finish(). Build
-  /// itself is a loop over this class. Defined after the class.
+  /// Streams records into a new store one slot at a time, in storage
+  /// order: Append() exactly `num_records` records, then Finish().
+  /// Defined after the class.
   class Appender;
 
-  /// Re-attaches to a store persisted in `pool`'s file. Scans the
-  /// records once to rebuild the cell-id -> position map and the zone
-  /// map.
-  static StatusOr<CellStore> Attach(BufferPool* pool, PageId first_page,
-                                    uint64_t num_cells);
+  /// Serializes a grid `field`'s cells into `pool`'s file (CellStore
+  /// only), visiting them in the order given by `order` (order[pos] =
+  /// field cell id stored at slot pos). `order` must be a permutation of
+  /// [0, field.NumCells()); pass an empty `order` for the identity.
+  static StatusOr<BasicCellStore> Build(BufferPool* pool, const Field& field,
+                                        const std::vector<CellId>& order) {
+    const uint64_t n = field.NumCells();
+    if (!order.empty() && order.size() != n) {
+      return Status::InvalidArgument("order size does not match cell count");
+    }
+    Appender appender(pool, n);
+    for (uint64_t pos = 0; pos < n; ++pos) {
+      const CellId cell_id =
+          order.empty() ? static_cast<CellId>(pos) : order[pos];
+      if (cell_id >= n) {
+        return Status::InvalidArgument("order is not a permutation");
+      }
+      FIELDDB_RETURN_IF_ERROR(appender.Append(field.GetCell(cell_id)));
+    }
+    return appender.Finish();
+  }
 
-  CellStore(CellStore&&) = default;
-  CellStore& operator=(CellStore&&) = default;
-  CellStore(const CellStore&) = delete;
-  CellStore& operator=(const CellStore&) = delete;
+  /// Re-attaches to a store persisted in `pool`'s file. Scans the
+  /// records once to rebuild the id -> slot map and the zone map;
+  /// kCorruption when the stored ids are not a permutation.
+  static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
+                                         uint64_t num_records) {
+    StatusOr<RecordStore<Record>> records =
+        RecordStore<Record>::Attach(pool, first_page, num_records);
+    if (!records.ok()) return records.status();
+    std::vector<uint64_t> position_of(num_records, kNoPosition);
+    ZoneMap zones;
+    zones.Reserve(num_records);
+    FIELDDB_RETURN_IF_ERROR(records->Scan(
+        0, num_records, [&](uint64_t pos, const Record& record) {
+          if (record.id < num_records) position_of[record.id] = pos;
+          zones.Append(StoreKeyOf(record));
+          return true;
+        }));
+    for (const uint64_t pos : position_of) {
+      if (pos == kNoPosition) {
+        return Status::Corruption("record store is missing record ids");
+      }
+    }
+    return BasicCellStore(std::move(records).value(), std::move(position_of),
+                          std::move(zones));
+  }
+
+  BasicCellStore(BasicCellStore&&) = default;
+  BasicCellStore& operator=(BasicCellStore&&) = default;
+  BasicCellStore(const BasicCellStore&) = delete;
+  BasicCellStore& operator=(const BasicCellStore&) = delete;
 
   /// The pages: every read and scan goes through here.
-  const RecordStore<CellRecord>& records() const { return records_; }
-  /// The per-slot record intervals (equal to each slot's
-  /// CellRecord::Interval() at all times).
-  const ScalarZoneMap& zone_map() const { return zones_; }
+  const RecordStore<Record>& records() const { return records_; }
+  /// The per-slot keys (equal to each slot's StoreKeyOf at all times).
+  const ZoneMap& zone_map() const { return zones_; }
 
   /// First page of the store within the pool's file (for persistence).
   PageId first_page() const { return records_.first_page(); }
-  /// Number of stored cells.
+  /// Number of stored records.
   uint64_t size() const { return records_.size(); }
-  /// Cells per page for this pool's page size.
+  /// Records per page for this pool's page size.
   uint32_t cells_per_page() const { return records_.records_per_page(); }
   /// Number of pages occupied by the store.
   uint64_t num_pages() const { return records_.num_pages(); }
 
-  /// Rewrites only the sample values of the record at slot `pos` and
-  /// reports the value interval before and after — the update fast path
-  /// shared by every index method (one page fetch). `values.size()` must
-  /// match the record's vertex count.
-  Status UpdateValues(uint64_t pos, const std::vector<double>& values,
-                      ValueInterval* old_iv, ValueInterval* new_iv);
+  /// Slot position of a record id (inverse of the build order).
+  uint64_t PositionOf(uint64_t id) const { return position_of_[id]; }
 
-  /// Slot position of a field cell id (inverse of the build order).
-  uint64_t PositionOf(CellId field_cell_id) const {
-    return position_of_[field_cell_id];
+  /// Runs `edit(Record*) -> Status` on a copy of record `id` and writes
+  /// nothing: the check every update makes before it is logged, so only
+  /// updates that Update accepts reach the WAL (one page fetch).
+  template <typename Edit>
+  Status CheckUpdate(uint64_t id, Edit&& edit) const {
+    if (id >= size()) return Status::OutOfRange("no such cell");
+    Record record;
+    FIELDDB_RETURN_IF_ERROR(records_.Get(position_of_[id], &record));
+    return edit(&record);
+  }
+
+  /// Rewrites record `id` through `edit(Record*) -> Status` in one page
+  /// fetch — written only when `edit` returns OK — resyncs its zone slot,
+  /// and reports the slot and the key before and after in `*change`.
+  template <typename Edit>
+  Status Update(uint64_t id, Edit&& edit, Change* change) {
+    if (id >= size()) return Status::OutOfRange("no such cell");
+    change->pos = position_of_[id];
+    FIELDDB_RETURN_IF_ERROR(
+        records_.Update(change->pos, [&](Record* record) -> Status {
+          change->old_key = StoreKeyOf(*record);
+          FIELDDB_RETURN_IF_ERROR(edit(record));
+          change->new_key = StoreKeyOf(*record);
+          return Status::OK();
+        }));
+    zones_.Set(change->pos, change->new_key);
+    return Status::OK();
   }
 
  private:
-  CellStore(RecordStore<CellRecord> records, std::vector<uint64_t> position_of,
-            ScalarZoneMap zones)
+  static constexpr uint64_t kNoPosition = ~uint64_t{0};
+
+  BasicCellStore(RecordStore<Record> records,
+                 std::vector<uint64_t> position_of, ZoneMap zones)
       : records_(std::move(records)), position_of_(std::move(position_of)),
         zones_(std::move(zones)) {}
 
-  RecordStore<CellRecord> records_;
+  RecordStore<Record> records_;
   std::vector<uint64_t> position_of_;
-  ScalarZoneMap zones_;
+  ZoneMap zones_;
 };
 
-class CellStore::Appender {
+template <typename Record>
+class BasicCellStore<Record>::Appender {
  public:
-  Appender(BufferPool* pool, uint64_t num_cells);
-  /// Writes `record` at the next slot. Validates the same permutation
-  /// invariant Build does (each cell id stored exactly once).
-  Status Append(const CellRecord& record);
+  Appender(BufferPool* pool, uint64_t num_records)
+      : records_(pool), position_of_(num_records, kNoPosition) {
+    zones_.Reserve(num_records);
+  }
+
+  /// Writes `record` at the next slot. Each record id must be stored
+  /// exactly once (the store is a permutation of its ids).
+  Status Append(const Record& record) {
+    const uint64_t pos = records_.size();
+    if (pos >= position_of_.size()) {
+      return Status::OutOfRange("appended past the declared cell count");
+    }
+    if (record.id >= position_of_.size() ||
+        position_of_[record.id] != kNoPosition) {
+      return Status::InvalidArgument("order is not a permutation");
+    }
+    FIELDDB_RETURN_IF_ERROR(records_.Append(record));
+    position_of_[record.id] = pos;
+    zones_.Append(StoreKeyOf(record));
+    return Status::OK();
+  }
+
   /// Slots appended so far.
   uint64_t size() const { return records_.size(); }
-  StatusOr<CellStore> Finish();
+
+  StatusOr<BasicCellStore> Finish() {
+    if (records_.size() != position_of_.size()) {
+      return Status::InvalidArgument("appended fewer cells than declared");
+    }
+    StatusOr<RecordStore<Record>> records = records_.Finish();
+    if (!records.ok()) return records.status();
+    return BasicCellStore(std::move(records).value(), std::move(position_of_),
+                          std::move(zones_));
+  }
 
  private:
-  RecordStoreAppender<CellRecord> records_;
+  RecordStoreAppender<Record> records_;
   std::vector<uint64_t> position_of_;
-  ScalarZoneMap zones_;
+  ZoneMap zones_;
 };
+
+/// The grid's store.
+using CellStore = BasicCellStore<CellRecord>;
 
 }  // namespace fielddb
 

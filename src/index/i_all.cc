@@ -58,16 +58,13 @@ StatusOr<std::unique_ptr<IAllIndex>> IAllIndex::Build(
 
 Status IAllIndex::UpdateCellValues(CellId id,
                                    const std::vector<double>& values) {
-  if (id >= store_.size()) {
-    return Status::OutOfRange("no such cell");
-  }
-  const uint64_t pos = store_.PositionOf(id);
-  ValueInterval old_iv, new_iv;
-  FIELDDB_RETURN_IF_ERROR(
-      store_.UpdateValues(pos, values, &old_iv, &new_iv));
-  if (new_iv != old_iv) {
-    FIELDDB_RETURN_IF_ERROR(tree_.Delete(BoxFromInterval(old_iv), pos));
-    FIELDDB_RETURN_IF_ERROR(tree_.Insert(BoxFromInterval(new_iv), pos));
+  CellStore::Change change;
+  FIELDDB_RETURN_IF_ERROR(store_.Update(id, SetSamples(values), &change));
+  if (change.changed()) {
+    FIELDDB_RETURN_IF_ERROR(
+        tree_.Delete(BoxFromInterval(change.old_key), change.pos));
+    FIELDDB_RETURN_IF_ERROR(
+        tree_.Insert(BoxFromInterval(change.new_key), change.pos));
   }
   return Status::OK();
 }

@@ -38,10 +38,10 @@ struct IHilbertOptions {
   /// When > 0, the (hilbert_key, cell) linearization sort runs as a
   /// bounded-memory external merge sort: the sorter's in-RAM buffer is
   /// capped at this many bytes, overflow spills sorted runs to temp
-  /// files, and the k-way merge feeds the store appender and the greedy
-  /// subfield costing streamwise. The resulting index is byte-identical
-  /// to the in-RAM build (same (key, id) tie-break, same page layout).
-  /// 0 (the default) keeps the all-in-RAM std::sort path.
+  /// files, and the k-way merge feeds the store appender streamwise. The
+  /// resulting index is byte-identical to the in-RAM build (same
+  /// (key, id) tie-break, same page layout). 0 (the default) sorts once
+  /// in RAM.
   size_t build_memory_budget_bytes = 0;
 };
 

@@ -106,24 +106,9 @@ StatusOr<std::unique_ptr<IntervalQuadtreeIndex>> IntervalQuadtreeIndex::Build(
   StatusOr<CellStore> store = CellStore::Build(pool, field, order);
   if (!store.ok()) return store.status();
 
-  StatusOr<RStarTree<1>> tree = [&]() -> StatusOr<RStarTree<1>> {
-    if (options.bulk_load) {
-      std::vector<RTreeEntry<1>> entries(subfields.size());
-      for (size_t i = 0; i < subfields.size(); ++i) {
-        entries[i].box = BoxFromInterval(subfields[i].interval);
-        entries[i].a = subfields[i].start;
-        entries[i].b = subfields[i].end;
-      }
-      return RStarTree<1>::BulkLoad(pool, entries, options.rstar);
-    }
-    StatusOr<RStarTree<1>> t = RStarTree<1>::Create(pool, options.rstar);
-    if (!t.ok()) return t.status();
-    for (const Subfield& sf : subfields) {
-      FIELDDB_RETURN_IF_ERROR(
-          t->Insert(BoxFromInterval(sf.interval), sf.start, sf.end));
-    }
-    return t;
-  }();
+  StatusOr<RStarTree<1>> tree =
+      BuildSubfieldTree(pool, SubfieldEntries(subfields, RunEntry{}),
+                        options.rstar, options.bulk_load);
   if (!tree.ok()) return tree.status();
 
   IndexBuildInfo info;
@@ -143,19 +128,10 @@ StatusOr<std::unique_ptr<IntervalQuadtreeIndex>> IntervalQuadtreeIndex::Build(
 
 Status IntervalQuadtreeIndex::UpdateCellValues(
     CellId id, const std::vector<double>& values) {
-  if (id >= store_.size()) {
-    return Status::OutOfRange("no such cell");
-  }
-  const uint64_t pos = store_.PositionOf(id);
-  ValueInterval old_iv, new_iv;
-  FIELDDB_RETURN_IF_ERROR(
-      store_.UpdateValues(pos, values, &old_iv, &new_iv));
-  if (new_iv != old_iv) {
-    FIELDDB_RETURN_IF_ERROR(
-        RefreshSubfieldAfterUpdate(store_.records(), &tree_, &subfields_,
-                                   pos));
-  }
-  return Status::OK();
+  CellStore::Change change;
+  FIELDDB_RETURN_IF_ERROR(store_.Update(id, SetSamples(values), &change));
+  return RefreshSubfieldAfterUpdate(store_, change, &tree_, &subfields_,
+                                    RunEntry{});
 }
 
 Status IntervalQuadtreeIndex::FilterCandidateRanges(

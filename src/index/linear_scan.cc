@@ -38,12 +38,9 @@ StatusOr<std::unique_ptr<LinearScanIndex>> LinearScanIndex::Build(
 
 Status LinearScanIndex::UpdateCellValues(CellId id,
                                          const std::vector<double>& values) {
-  if (id >= store_.size()) {
-    return Status::OutOfRange("no such cell");
-  }
-  ValueInterval old_iv, new_iv;
   // No index structure to maintain: the scan sees the new values.
-  return store_.UpdateValues(store_.PositionOf(id), values, &old_iv, &new_iv);
+  CellStore::Change change;
+  return store_.Update(id, SetSamples(values), &change);
 }
 
 Status LinearScanIndex::FilterCandidateRanges(

@@ -104,14 +104,10 @@ Status RowIpIndex::FilterCandidateRanges(
 
 Status RowIpIndex::UpdateCellValues(CellId id,
                                     const std::vector<double>& values) {
-  if (id >= store_.size()) {
-    return Status::OutOfRange("no such cell");
-  }
-  const uint64_t pos = store_.PositionOf(id);
-  ValueInterval old_iv, new_iv;
-  FIELDDB_RETURN_IF_ERROR(
-      store_.UpdateValues(pos, values, &old_iv, &new_iv));
-  if (new_iv == old_iv) return Status::OK();
+  CellStore::Change change;
+  FIELDDB_RETURN_IF_ERROR(store_.Update(id, SetSamples(values), &change));
+  if (!change.changed()) return Status::OK();
+  const uint64_t pos = change.pos;
 
   // Find the row's directory entry for this position and re-sort the
   // row (rows are short; the real IP-index does an analogous local fix).
@@ -130,8 +126,8 @@ Status RowIpIndex::UpdateCellValues(CellId id,
           return true;
         }));
     if (!found) continue;
-    entry.min = new_iv.min;
-    entry.max = new_iv.max;
+    entry.min = change.new_key.min;
+    entry.max = change.new_key.max;
     FIELDDB_RETURN_IF_ERROR(directory_.Put(slot, entry));
     // Restore the row's min-order by bubbling the changed entry.
     std::vector<DirEntry> row_entries;

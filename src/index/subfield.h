@@ -72,40 +72,104 @@ class SubfieldCostModel {
   double range_size_;  // PaperSize of the value range (>= 1)
 };
 
-/// Streaming subfield partitioner: cells arrive one at a time in
-/// linearized order (the external-sort merge feeds it without ever
-/// materializing all intervals) and Finish() seals the last subfield and
-/// records the partition-shape telemetry. BuildSubfields is a thin
-/// wrapper over this, so streamed and vector builds produce identical
-/// partitions by construction.
+/// Cost model generalizing Section 3.1 to 2-D value boxes, after the 2-D
+/// case of Kamel & Faloutsos [14]: a box with normalized extents
+/// (Lu, Lv) is touched by the average box query with probability
+/// P = (Lu + q̄)(Lv + q̄); the subfield cost is C = P / SI with SI the
+/// sum of member cells' value-box sizes.
+struct VectorCostConfig {
+  double avg_query_fraction = 0.5;
+};
+
+class VectorSubfieldCostModel {
+ public:
+  VectorSubfieldCostModel(const Box<2>& value_range,
+                          const VectorCostConfig& config);
+
+  double Cost(const Box<2>& box, double sum_box_sizes) const;
+  bool ShouldAppend(const VectorSubfield& current,
+                    const Box<2>& cell_box) const;
+
+ private:
+  VectorCostConfig config_;
+  double range_u_;
+  double range_v_;
+};
+
+/// What the generic subfield code needs of a key type: the subfield row
+/// it keys, the cost model that grows a row, the row's key and SI fields,
+/// and a key's size term of SI.
+template <typename Key>
+struct SubfieldTraits;
+
+template <>
+struct SubfieldTraits<ValueInterval> {
+  using Row = Subfield;
+  using CostModel = SubfieldCostModel;
+  using CostConfig = SubfieldCostConfig;
+  static ValueInterval& KeyOf(Subfield& sf) { return sf.interval; }
+  static double& SumOf(Subfield& sf) { return sf.sum_interval_sizes; }
+  /// The paper's interval size I = max - min + 1.
+  static double Size(const ValueInterval& iv) { return iv.PaperSize(); }
+};
+
+template <>
+struct SubfieldTraits<Box<2>> {
+  using Row = VectorSubfield;
+  using CostModel = VectorSubfieldCostModel;
+  using CostConfig = VectorCostConfig;
+  static Box<2>& KeyOf(VectorSubfield& sf) { return sf.box; }
+  static double& SumOf(VectorSubfield& sf) { return sf.sum_box_sizes; }
+  /// PaperSize(u) * PaperSize(v).
+  static double Size(const Box<2>& b) {
+    return (b.hi[0] - b.lo[0] + 1.0) * (b.hi[1] - b.lo[1] + 1.0);
+  }
+};
+
+template <typename Key>
+using SubfieldOf = typename SubfieldTraits<Key>::Row;
+template <typename Key>
+using SubfieldCostConfigOf = typename SubfieldTraits<Key>::CostConfig;
+
+/// The one subfield partitioner, for value intervals and (u, v) boxes:
+/// cell keys arrive one at a time in linearized order and each grows the
+/// open subfield or seals it per the paper's insertion rule; Finish()
+/// seals the last subfield and records the partition-shape telemetry.
+template <typename Key>
 class SubfieldStreamBuilder {
  public:
-  SubfieldStreamBuilder(const ValueInterval& value_range,
-                        const SubfieldCostConfig& config);
+  using Traits = SubfieldTraits<Key>;
+  using Row = typename Traits::Row;
 
-  /// Appends the next cell's value interval (slot = number of cells
-  /// added so far), growing the open subfield or sealing it per the
-  /// paper's insertion rule.
-  void Add(const ValueInterval& cell);
+  SubfieldStreamBuilder(const Key& value_range,
+                        const SubfieldCostConfigOf<Key>& config);
+
+  /// Appends the next cell's key (slot = number of cells added so far).
+  void Add(const Key& cell);
 
   /// Seals the open subfield, records telemetry, and returns the
   /// partition. The builder is consumed.
-  std::vector<Subfield> Finish();
+  std::vector<Row> Finish();
 
  private:
-  SubfieldCostModel model_;
-  std::vector<Subfield> subfields_;
-  Subfield current_;
+  typename Traits::CostModel model_;
+  std::vector<Row> subfields_;
+  Row current_;
   uint64_t num_cells_ = 0;
 };
 
-/// Builds the full subfield partition of a linearized cell sequence:
-/// `cell_intervals[pos]` is the value interval of the cell at slot `pos`.
-/// Every cell lands in exactly one subfield and subfields are contiguous
-/// and ordered (start_0 = 0, start_{i+1} = end_i, end_last = n).
-std::vector<Subfield> BuildSubfields(
-    const std::vector<ValueInterval>& cell_intervals,
-    const ValueInterval& value_range, const SubfieldCostConfig& config);
+/// Builds the full subfield partition of a linearized key sequence:
+/// `keys[pos]` is the key of the cell at slot `pos`. Every cell lands in
+/// exactly one subfield and subfields are contiguous and ordered
+/// (start_0 = 0, start_{i+1} = end_i, end_last = n).
+template <typename Key>
+std::vector<SubfieldOf<Key>> BuildSubfields(
+    const std::vector<Key>& keys, const Key& value_range,
+    const SubfieldCostConfigOf<Key>& config) {
+  SubfieldStreamBuilder<Key> builder(value_range, config);
+  for (const Key& key : keys) builder.Add(key);
+  return builder.Finish();
+}
 
 }  // namespace fielddb
 

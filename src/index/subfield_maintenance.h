@@ -3,59 +3,128 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "index/cell_store.h"
 #include "index/subfield.h"
 #include "rtree/box.h"
 #include "rtree/rstar_tree.h"
-#include "storage/record_store.h"
 
 namespace fielddb {
 
+/// The subfields of a store: its partition, the R*-tree entries that
+/// index them and the refresh that keeps both exact after an update —
+/// one copy for every field type and key (value interval or (u, v) box).
+///
+/// A type names its tree entry once, as `entry_of(row, index) ->
+/// RTreeEntry<D>`, and both the bulk load (SubfieldEntries) and the
+/// refresh use it: RunEntry for trees over the subfields' own runs, the
+/// temporal database's slab entry for its value × time tree.
+
+/// The entry of a subfield indexed by its own run: the key's box plus
+/// (start, end) — every subfield tree but the temporal one.
+struct RunEntry {
+  RTreeEntry<1> operator()(const Subfield& sf, size_t) const {
+    return RTreeEntry<1>{BoxFromInterval(sf.interval), sf.start, sf.end};
+  }
+  RTreeEntry<2> operator()(const VectorSubfield& sf, size_t) const {
+    return RTreeEntry<2>{sf.box, sf.start, sf.end};
+  }
+};
+
+/// The subfield partition of `store`'s records in storage order: the
+/// paper's insertion rule (§3.1) over the keys of its zone map.
+template <typename Record, typename Key>
+std::vector<SubfieldOf<Key>> PartitionStore(
+    const BasicCellStore<Record>& store, const Key& value_range,
+    const SubfieldCostConfigOf<Key>& config) {
+  SubfieldStreamBuilder<Key> builder(value_range, config);
+  for (uint64_t pos = 0; pos < store.size(); ++pos) {
+    builder.Add(store.zone_map().At(pos));
+  }
+  return builder.Finish();
+}
+
+/// The tree entries of `subfields` in order, the bulk-load input.
+template <typename Row, typename EntryOf>
+auto SubfieldEntries(const std::vector<Row>& subfields,
+                     const EntryOf& entry_of) {
+  std::vector<decltype(entry_of(subfields.front(), 0))> entries;
+  entries.reserve(subfields.size());
+  for (size_t i = 0; i < subfields.size(); ++i) {
+    entries.push_back(entry_of(subfields[i], i));
+  }
+  return entries;
+}
+
+/// The R*-tree over `entries`: packed bottom-up in the given order (the
+/// subfields' curve order is the packing order Kamel & Faloutsos [14]
+/// prescribe) or, without `bulk_load`, R*-inserted one at a time.
+template <int Dim>
+StatusOr<RStarTree<Dim>> BuildSubfieldTree(
+    BufferPool* pool, const std::vector<RTreeEntry<Dim>>& entries,
+    const RStarOptions& options, bool bulk_load = true) {
+  if (bulk_load) return RStarTree<Dim>::BulkLoad(pool, entries, options);
+  StatusOr<RStarTree<Dim>> tree = RStarTree<Dim>::Create(pool, options);
+  if (!tree.ok()) return tree.status();
+  for (const RTreeEntry<Dim>& e : entries) {
+    FIELDDB_RETURN_IF_ERROR(tree->Insert(e.box, e.a, e.b));
+  }
+  return tree;
+}
+
 /// Index of the subfield whose [start, end) range contains store
 /// position `pos`. `subfields` must tile the store, which every catalog
-/// reader checks (ReadCatalog) and every builder guarantees. Works for
-/// any subfield type with `start`/`end` (Subfield, VectorSubfield).
-template <typename S>
-size_t SubfieldContaining(const std::vector<S>& subfields, uint64_t pos) {
+/// reader checks (ReadCatalog) and every builder guarantees.
+template <typename Row>
+size_t SubfieldContaining(const std::vector<Row>& subfields, uint64_t pos) {
   // First subfield whose end exceeds pos; the partition is contiguous,
   // so that subfield's start is <= pos.
   const auto it = std::upper_bound(
       subfields.begin(), subfields.end(), pos,
-      [](uint64_t p, const S& sf) { return p < sf.end; });
+      [](uint64_t p, const Row& sf) { return p < sf.end; });
   assert(it != subfields.end() && it->start <= pos && pos < it->end);
   return static_cast<size_t>(it - subfields.begin());
 }
 
-/// After the record at store position `pos` changed values, refreshes
-/// the containing subfield: recomputes its interval hull and SI from its
-/// members' Interval() and, if the hull moved, replaces its entry in the
-/// 1-D R*-tree. Shared by I-Hilbert, the Interval Quadtree (over
-/// CellStore::records()) and the volume database.
-template <typename T>
-Status RefreshSubfieldAfterUpdate(const RecordStore<T>& store,
-                                  RStarTree<1>* tree,
-                                  std::vector<Subfield>* subfields,
-                                  uint64_t pos) {
-  Subfield& sf = (*subfields)[SubfieldContaining(*subfields, pos)];
-  ValueInterval hull = ValueInterval::Empty();
+/// After an update changed the key of the record at `change.pos`,
+/// refreshes the containing subfield: recomputes its key hull and SI from
+/// its members in the store and, if the hull moved, replaces its tree
+/// entry (`entry_of`, see above). Nothing to do when the record's key
+/// did not change.
+template <typename Record, typename Key, int Dim, typename EntryOf>
+Status RefreshSubfieldAfterUpdate(const BasicCellStore<Record>& store,
+                                  const KeyChange<Key>& change,
+                                  RStarTree<Dim>* tree,
+                                  std::vector<SubfieldOf<Key>>* subfields,
+                                  const EntryOf& entry_of) {
+  using Traits = SubfieldTraits<Key>;
+  if (!change.changed()) return Status::OK();
+  const size_t si = SubfieldContaining(*subfields, change.pos);
+  typename Traits::Row& sf = (*subfields)[si];
+  Key hull = Key::Empty();
   double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(
-      store.Scan(sf.start, sf.end, [&](uint64_t, const T& record) {
-        const ValueInterval iv = record.Interval();
-        hull.Extend(iv);
-        sum_sizes += iv.PaperSize();
+  FIELDDB_RETURN_IF_ERROR(store.records().Scan(
+      sf.start, sf.end, [&](uint64_t, const Record& record) {
+        const Key key = StoreKeyOf(record);
+        hull.Extend(key);
+        sum_sizes += Traits::Size(key);
         return true;
       }));
-  if (hull != sf.interval) {
+  if (!(hull == Traits::KeyOf(sf))) {
+    typename Traits::Row moved = sf;
+    Traits::KeyOf(moved) = hull;
+    const RTreeEntry<Dim> old_entry = entry_of(sf, si);
+    const RTreeEntry<Dim> new_entry = entry_of(moved, si);
     FIELDDB_RETURN_IF_ERROR(
-        tree->Delete(BoxFromInterval(sf.interval), sf.start, sf.end));
+        tree->Delete(old_entry.box, old_entry.a, old_entry.b));
     FIELDDB_RETURN_IF_ERROR(
-        tree->Insert(BoxFromInterval(hull), sf.start, sf.end));
-    sf.interval = hull;
+        tree->Insert(new_entry.box, new_entry.a, new_entry.b));
+    Traits::KeyOf(sf) = hull;
   }
-  sf.sum_interval_sizes = sum_sizes;
+  Traits::SumOf(sf) = sum_sizes;
   return Status::OK();
 }
 

@@ -47,14 +47,14 @@ ZoneProbe ScalarZoneMap::Probe(const ValueInterval& query,
   return probe;
 }
 
-void BoxZoneMap::FilterRanges(const ValueInterval& u, const ValueInterval& v,
+void BoxZoneMap::FilterRanges(const Box<2>& query,
                               std::vector<PosRange>* out) const {
   std::vector<PosRange> u_runs;
   std::vector<PosRange> v_runs;
   simd::FilterIntervalRanges(u_min_.data(), u_max_.data(), size(),
-                             /*base=*/0, u.min, u.max, &u_runs);
+                             /*base=*/0, query.lo[0], query.hi[0], &u_runs);
   simd::FilterIntervalRanges(v_min_.data(), v_max_.data(), size(),
-                             /*base=*/0, v.min, v.max, &v_runs);
+                             /*base=*/0, query.lo[1], query.hi[1], &v_runs);
   IntersectRanges(u_runs, v_runs, out);
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/interval.h"
 #include "common/simd/interval_filter.h"
+#include "rtree/box.h"
 
 namespace fielddb {
 
@@ -28,8 +29,9 @@ struct ZoneProbe {
                             // estimate of the candidate run count
 };
 
-/// Scalar values: one closed interval per position. The zone map of the
-/// grid's CellStore and of the temporal and volume stores.
+/// Scalar values: one closed interval per position. The zone map of
+/// every store keyed by a value interval (grid cells, voxels, temporal
+/// slab records).
 class ScalarZoneMap {
  public:
   void Reserve(uint64_t n) {
@@ -90,23 +92,28 @@ class BoxZoneMap {
     v_min_.reserve(n);
     v_max_.reserve(n);
   }
-  void Append(const ValueInterval& u, const ValueInterval& v) {
-    u_min_.push_back(u.min);
-    u_max_.push_back(u.max);
-    v_min_.push_back(v.min);
-    v_max_.push_back(v.max);
+  void Append(const Box<2>& box) {
+    u_min_.push_back(box.lo[0]);
+    u_max_.push_back(box.hi[0]);
+    v_min_.push_back(box.lo[1]);
+    v_max_.push_back(box.hi[1]);
   }
-  void Set(uint64_t pos, const ValueInterval& u, const ValueInterval& v) {
-    u_min_[pos] = u.min;
-    u_max_[pos] = u.max;
-    v_min_[pos] = v.min;
-    v_max_[pos] = v.max;
+  void Set(uint64_t pos, const Box<2>& box) {
+    u_min_[pos] = box.lo[0];
+    u_max_[pos] = box.hi[0];
+    v_min_[pos] = box.lo[1];
+    v_max_[pos] = box.hi[1];
+  }
+  Box<2> At(uint64_t pos) const {
+    Box<2> box;
+    box.lo = {u_min_[pos], v_min_[pos]};
+    box.hi = {u_max_[pos], v_max_[pos]};
+    return box;
   }
   uint64_t size() const { return u_min_.size(); }
 
-  /// Appends the maximal runs of positions whose box intersects u × v.
-  void FilterRanges(const ValueInterval& u, const ValueInterval& v,
-                    std::vector<PosRange>* out) const;
+  /// Appends the maximal runs of positions whose box intersects `query`.
+  void FilterRanges(const Box<2>& query, std::vector<PosRange>* out) const;
 
  private:
   std::vector<double> u_min_;

@@ -8,6 +8,7 @@
 
 #include "common/interval.h"
 #include "common/simd/interval_filter.h"
+#include "index/cell_store.h"
 #include "index/subfield.h"
 #include "index/value_index.h"
 #include "plan/cost_model.h"
@@ -134,6 +135,26 @@ StoreShape ShapeOf(const RecordStore<T>& store) {
   sh.cells_per_page = store.records_per_page();
   sh.store_pages = store.num_pages();
   return sh;
+}
+
+/// The plan of a query over one store whose index is `tree` (null: no
+/// index) — every temporal, vector and volume query plans here:
+/// ChoosePlan over the store's shape, with the exact zone-map probe (one
+/// zero-I/O FilterRanges sweep for `query`, a value interval or a (u, v)
+/// box) and the index descent priced as one random read per tree level.
+template <typename Record, typename Tree>
+PhysicalPlan PlanStoreQuery(
+    const BasicCellStore<Record>& store,
+    const typename BasicCellStore<Record>::Key& query, PlannerMode mode,
+    const Tree* tree) {
+  const PlanCostModel cost;
+  const StoreShape shape = ShapeOf(store.records());
+  return ChoosePlan(cost, shape, mode, tree != nullptr, [&] {
+    std::vector<PosRange> runs;
+    store.zone_map().FilterRanges(query, &runs);
+    return ExactProbe(cost, shape, runs,
+                      PagePattern::Random(tree->height()));
+  });
 }
 
 /// The cost-based access-path selector. Pure function of the immutable

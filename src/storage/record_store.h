@@ -17,12 +17,12 @@ template <typename T>
 class RecordStoreAppender;
 
 /// Fixed-size records packed into consecutive pages of a buffer pool —
-/// the one paged record store of every field type: the grid's CellStore
-/// wraps a RecordStore<CellRecord>, and the temporal, vector and volume
-/// databases hold theirs directly. Records are stored in the order given
-/// at Build time; callers pass them pre-sorted (e.g. by Hilbert value)
-/// to get physical clustering. Any number of concurrent readers; writers
-/// (Put, Update) are externally excluded (DESIGN.md §11).
+/// the one paged record store of every field type: BasicCellStore
+/// (index/cell_store.h) wraps one per store and adds the id map and zone
+/// map. Records are stored in the order given at Build time; callers
+/// pass them pre-sorted (e.g. by Hilbert value) to get physical
+/// clustering. Any number of concurrent readers; writers (Put, Update)
+/// are externally excluded (DESIGN.md §11).
 ///
 /// Every scan takes a statically bound visitor — `visit(uint64_t pos,
 /// const T&) -> bool`, returning false to stop early — so hot loops pay
@@ -259,31 +259,6 @@ class RecordStore {
   uint64_t num_records_;
   uint32_t per_page_;
 };
-
-/// The inverse of a store's order for records that carry their own `id`:
-/// fills `(*positions)[id]` with the position holding each id in
-/// [0, size()) in one Scan, handing every record to `each(pos, record)`
-/// on the way so derived sidecars (zone maps) rebuild in the same pass.
-/// kCorruption when an id is missing: the store is not a permutation.
-template <typename T, typename Each>
-Status MapRecordIds(const RecordStore<T>& store,
-                    std::vector<uint64_t>* positions, Each&& each) {
-  constexpr uint64_t kMissing = ~uint64_t{0};
-  const uint64_t n = store.size();
-  positions->assign(n, kMissing);
-  FIELDDB_RETURN_IF_ERROR(
-      store.Scan(0, n, [&](uint64_t pos, const T& record) {
-        if (record.id < n) (*positions)[record.id] = pos;
-        each(pos, record);
-        return true;
-      }));
-  for (const uint64_t pos : *positions) {
-    if (pos == kMissing) {
-      return Status::Corruption("record store is missing record ids");
-    }
-  }
-  return Status::OK();
-}
 
 /// Streaming counterpart of RecordStore::Build for producers that never
 /// hold all records in RAM (the external-sort merge): records arrive one

@@ -30,6 +30,9 @@ StatusOr<TemporalGridField> TemporalGridField::Create(
     if (snapshot.size() != expected) {
       return Status::InvalidArgument("snapshot sample count mismatch");
     }
+    if (!AllFinite(snapshot)) {
+      return Status::InvalidArgument("samples must be finite");
+    }
   }
   return TemporalGridField(cols, rows, domain, std::move(snapshots));
 }

@@ -26,14 +26,26 @@ CellRecord AtTau(const VectorCellRecord& rec, double tau) {
   return cell;
 }
 
-// A slab record's value interval over the whole slab.
-ValueInterval SlabInterval(const VectorCellRecord& rec) {
-  ValueInterval iv = ValueInterval::Empty();
-  for (uint32_t i = 0; i < rec.num_vertices; ++i) {
-    iv.Extend(rec.u[i]);
-    iv.Extend(rec.v[i]);
+// A slab subfield's entry in the value × time tree: its value interval
+// × [k, k+1], addressed by (slab k, subfield index).
+struct SlabEntry {
+  uint32_t k;
+  RTreeEntry<2> operator()(const Subfield& sf, size_t si) const {
+    RTreeEntry<2> e;
+    e.box.lo = {sf.interval.min, static_cast<double>(k)};
+    e.box.hi = {sf.interval.max, static_cast<double>(k + 1)};
+    e.a = k;
+    e.b = si;
+    return e;
   }
-  return iv;
+};
+
+// The update edit of one slab end: the u (earlier snapshot) or v samples
+// become `values`.
+auto SetSide(const std::vector<double>& values, bool u_side) {
+  return [&values, u_side](TemporalSlabRecord* rec) {
+    return WriteSamples(values, rec->num_vertices, u_side ? rec->u : rec->v);
+  };
 }
 
 // One method (a slab-major R*-tree over the slabs' subfields), so no
@@ -96,23 +108,14 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
       }));
   db->ext_spill_runs_ = sorter.spill_runs();
   db->ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
-  db->pos_of_.assign(order.size(), 0);
-  for (uint64_t pos = 0; pos < order.size(); ++pos) {
-    db->pos_of_[order[pos]] = pos;
-  }
 
   const ValueInterval range = field.ValueRange();
   std::vector<RTreeEntry<2>> entries;
-
   for (uint32_t k = 0; k < db->num_slabs_; ++k) {
-    Slab slab;
-    slab.zones.Reserve(n);
-    RecordStoreAppender<VectorCellRecord> appender(pool);
-    SubfieldStreamBuilder costing(range, options.cost);
-    for (CellId pos = 0; pos < n; ++pos) {
-      const CellId id = order[pos];
+    BasicCellStore<TemporalSlabRecord>::Appender appender(pool, n);
+    for (const CellId id : order) {
       const CellRecord geometry = first->GetCell(id);
-      VectorCellRecord rec;
+      TemporalSlabRecord rec;
       rec.num_vertices = geometry.num_vertices;
       rec.id = id;
       // Vertex grid coordinates of the quad corners.
@@ -127,33 +130,22 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
         rec.v[corner] = field.SampleAt(k + 1, vi[corner], vj[corner]);
       }
       FIELDDB_RETURN_IF_ERROR(appender.Append(rec));
-      const ValueInterval iv = SlabInterval(rec);
-      slab.zones.Append(iv);
-      costing.Add(iv);
     }
-    StatusOr<RecordStore<VectorCellRecord>> store = appender.Finish();
+    StatusOr<BasicCellStore<TemporalSlabRecord>> store = appender.Finish();
     if (!store.ok()) return store.status();
-    slab.store = std::make_unique<RecordStore<VectorCellRecord>>(
-        std::move(store).value());
-    slab.subfields = costing.Finish();
-
-    for (size_t si = 0; si < slab.subfields.size(); ++si) {
-      RTreeEntry<2> e;
-      e.box.lo = {slab.subfields[si].interval.min,
-                  static_cast<double>(k)};
-      e.box.hi = {slab.subfields[si].interval.max,
-                  static_cast<double>(k + 1)};
-      e.a = k;
-      e.b = si;
-      entries.push_back(e);
-    }
-    db->total_subfields_ += slab.subfields.size();
-    db->slabs_.push_back(std::move(slab));
+    std::vector<Subfield> subfields =
+        PartitionStore(*store, range, options.cost);
+    const std::vector<RTreeEntry<2>> slab_entries =
+        SubfieldEntries(subfields, SlabEntry{k});
+    entries.insert(entries.end(), slab_entries.begin(), slab_entries.end());
+    db->total_subfields_ += subfields.size();
+    db->slabs_.push_back(
+        Slab{std::move(store).value(), std::move(subfields)});
   }
 
   // Entries arrive slab-major in Hilbert order — already well packed.
   StatusOr<RStarTree<2>> tree =
-      RStarTree<2>::BulkLoad(pool, entries, options.rstar);
+      BuildSubfieldTree(pool, entries, options.rstar);
   if (!tree.ok()) return tree.status();
   db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 
@@ -168,10 +160,10 @@ Status TemporalFieldDatabase::SaveImpl(const std::string& prefix,
   return engine_.SaveSnapshot(
       prefix, crash_point, kTemporalCatalog, [&](Catalog* catalog) {
         catalog->num_slabs = num_slabs_;
-        catalog->num_cells = pos_of_.size();
+        catalog->num_cells = num_cells();
         if (tree_ != nullptr) catalog->tree = tree_->meta();
         for (uint32_t k = 0; k < num_slabs_; ++k) {
-          catalog->slabs.push_back({k, slabs_[k].store->first_page()});
+          catalog->slabs.push_back({k, slabs_[k].store.first_page()});
           for (const Subfield& sf : slabs_[k].subfields) {
             catalog->slab_subfields.push_back({k, sf});
           }
@@ -196,30 +188,20 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
   db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   BufferPool* const pool = db->engine_.pool();
 
-  // Attach the slab stores and rebuild the in-RAM sidecars (zone maps
-  // per slab; the shared position map from slab 0's record ids).
-  const uint64_t n = catalog->num_cells;
-  db->slabs_.resize(catalog->num_slabs);
+  // Attach the slab stores; each rebuilds its id -> slot map and zone
+  // map.
+  std::vector<std::vector<Subfield>> subfields(catalog->num_slabs);
   for (const CatalogSlabSubfield& row : catalog->slab_subfields) {
-    db->slabs_[row.slab].subfields.push_back(row.subfield);
+    subfields[row.slab].push_back(row.subfield);
   }
   db->total_subfields_ = catalog->slab_subfields.size();
   for (uint32_t k = 0; k < catalog->num_slabs; ++k) {
-    Slab& slab = db->slabs_[k];
-    StatusOr<RecordStore<VectorCellRecord>> store =
-        RecordStore<VectorCellRecord>::Attach(
-            pool, catalog->slabs[k].first_page, n);
+    StatusOr<BasicCellStore<TemporalSlabRecord>> store =
+        BasicCellStore<TemporalSlabRecord>::Attach(
+            pool, catalog->slabs[k].first_page, catalog->num_cells);
     if (!store.ok()) return store.status();
-    slab.store = std::make_unique<RecordStore<VectorCellRecord>>(
-        std::move(store).value());
-    slab.zones.Reserve(n);
-    // Every slab holds the shared Hilbert order; slab 0's map is kept.
-    std::vector<uint64_t> positions;
-    FIELDDB_RETURN_IF_ERROR(MapRecordIds(
-        *slab.store, &positions, [&](uint64_t, const VectorCellRecord& rec) {
-          slab.zones.Append(SlabInterval(rec));
-        }));
-    if (k == 0) db->pos_of_ = std::move(positions);
+    db->slabs_.push_back(
+        Slab{std::move(store).value(), std::move(subfields[k])});
   }
   db->tree_ = std::make_unique<RStarTree<2>>(
       RStarTree<2>::Attach(pool, *catalog->tree));
@@ -254,47 +236,14 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
 }
 
 Status TemporalFieldDatabase::UpdateSlabSide(
-    uint32_t k, uint64_t pos, bool u_side,
-    const std::vector<double>& values) {
+    uint32_t k, CellId id, bool u_side, const std::vector<double>& values) {
   Slab& slab = slabs_[k];
-  VectorCellRecord rec;
-  FIELDDB_RETURN_IF_ERROR(slab.store->Get(pos, &rec));
-  if (values.size() != rec.num_vertices) {
-    return Status::InvalidArgument(
-        "expected " + std::to_string(rec.num_vertices) + " values, got " +
-        std::to_string(values.size()));
-  }
-  for (uint32_t i = 0; i < rec.num_vertices; ++i) {
-    (u_side ? rec.u : rec.v)[i] = values[i];
-  }
-  FIELDDB_RETURN_IF_ERROR(slab.store->Put(pos, rec));
-  slab.zones.Set(pos, SlabInterval(rec));
-
-  // Refresh the containing subfield's value hull; the time extent
-  // [k, k+1] of the tree entry never changes.
-  const size_t si = SubfieldContaining(slab.subfields, pos);
-  Subfield& sf = slab.subfields[si];
-  ValueInterval hull = ValueInterval::Empty();
-  double sum_sizes = 0.0;
-  FIELDDB_RETURN_IF_ERROR(slab.store->Scan(
-      sf.start, sf.end, [&](uint64_t, const VectorCellRecord& member) {
-        const ValueInterval iv = SlabInterval(member);
-        hull.Extend(iv);
-        sum_sizes += iv.PaperSize();
-        return true;
-      }));
-  if (hull != sf.interval) {
-    Box<2> old_box, new_box;
-    old_box.lo = {sf.interval.min, static_cast<double>(k)};
-    old_box.hi = {sf.interval.max, static_cast<double>(k + 1)};
-    new_box.lo = {hull.min, static_cast<double>(k)};
-    new_box.hi = {hull.max, static_cast<double>(k + 1)};
-    FIELDDB_RETURN_IF_ERROR(tree_->Delete(old_box, k, si));
-    FIELDDB_RETURN_IF_ERROR(tree_->Insert(new_box, k, si));
-    sf.interval = hull;
-  }
-  sf.sum_interval_sizes = sum_sizes;
-  return Status::OK();
+  BasicCellStore<TemporalSlabRecord>::Change change;
+  FIELDDB_RETURN_IF_ERROR(
+      slab.store.Update(id, SetSide(values, u_side), &change));
+  // The entry's time extent [k, k+1] never changes; its value hull may.
+  return RefreshSubfieldAfterUpdate(slab.store, change, tree_.get(),
+                                    &slab.subfields, SlabEntry{k});
 }
 
 Status TemporalFieldDatabase::ApplySnapshotCellValues(
@@ -302,17 +251,15 @@ Status TemporalFieldDatabase::ApplySnapshotCellValues(
   if (snapshot > num_slabs_) {
     return Status::OutOfRange("no such snapshot");
   }
-  if (id >= pos_of_.size()) return Status::OutOfRange("no such cell");
-  const uint64_t pos = pos_of_[id];
   // Snapshot k is the late endpoint (v) of slab k-1 and the early
   // endpoint (u) of slab k; both records must agree on the new samples.
   if (snapshot > 0) {
     FIELDDB_RETURN_IF_ERROR(
-        UpdateSlabSide(snapshot - 1, pos, /*u_side=*/false, values));
+        UpdateSlabSide(snapshot - 1, id, /*u_side=*/false, values));
   }
   if (snapshot < num_slabs_) {
     FIELDDB_RETURN_IF_ERROR(
-        UpdateSlabSide(snapshot, pos, /*u_side=*/true, values));
+        UpdateSlabSide(snapshot, id, /*u_side=*/true, values));
   }
   return Status::OK();
 }
@@ -322,17 +269,12 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
   if (snapshot > num_slabs_) {
     return Status::OutOfRange("no such snapshot");
   }
-  if (id >= pos_of_.size()) return Status::OutOfRange("no such cell");
-  // Validate against the record before logging, so only appliable
-  // updates ever reach the WAL and replay never meets invalid frames.
+  // Validate against a bordering slab's record before logging, so only
+  // appliable updates ever reach the WAL and replay never meets invalid
+  // frames.
   const uint32_t ref_slab = snapshot > 0 ? snapshot - 1 : 0;
-  VectorCellRecord rec;
-  FIELDDB_RETURN_IF_ERROR(slabs_[ref_slab].store->Get(pos_of_[id], &rec));
-  if (values.size() != rec.num_vertices) {
-    return Status::InvalidArgument(
-        "expected " + std::to_string(rec.num_vertices) + " values, got " +
-        std::to_string(values.size()));
-  }
+  FIELDDB_RETURN_IF_ERROR(slabs_[ref_slab].store.CheckUpdate(
+      id, SetSide(values, /*u_side=*/snapshot == 0)));
   if (engine_.wal() != nullptr) {
     std::vector<double> payload;
     payload.reserve(values.size() + 1);
@@ -344,21 +286,15 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
 }
 
 uint32_t TemporalFieldDatabase::SlabAt(double t) const {
-  return static_cast<uint32_t>(
-      std::min(std::floor(std::max(t, 0.0)), t_max_ - 1.0));
+  if (!(t > 0.0)) return 0;  // NaN too
+  if (t >= t_max_ - 1.0) return num_slabs_ - 1;
+  return static_cast<uint32_t>(std::floor(t));
 }
 
 PhysicalPlan TemporalFieldDatabase::PlanSnapshotQuery(
     double t, const ValueInterval& band) const {
-  const Slab& slab = slabs_[SlabAt(t)];
-  const PlanCostModel cost;
-  const StoreShape shape = ShapeOf(*slab.store);
-  return ChoosePlan(cost, shape, planner_mode(), tree_ != nullptr, [&] {
-    std::vector<PosRange> runs;
-    slab.zones.FilterRanges(band, &runs);
-    return ExactProbe(cost, shape, runs,
-                      PagePattern::Random(tree_->height()));
-  });
+  return PlanStoreQuery(slabs_[SlabAt(t)].store, band, planner_mode(),
+                        tree_.get());
 }
 
 Status TemporalFieldDatabase::SnapshotValueQuery(double t,
@@ -368,7 +304,7 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
   if (band.IsEmpty()) {
     return Status::InvalidArgument("empty query band");
   }
-  if (t < 0.0 || t > t_max_) {
+  if (!(t >= 0.0 && t <= t_max_)) {
     return Status::OutOfRange("time outside [0, T-1]");
   }
   out->region.pieces.clear();
@@ -379,7 +315,7 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
   out->plan = PlanSnapshotQuery(t, band);
   Status inner = Status::OK();
   FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
-      *slab.store, out->plan, ctx,
+      slab.store.records(), out->plan, ctx,
       [&](std::vector<PosRange>* runs) {
         Box<2> query;
         query.lo = {band.min, t};
@@ -419,7 +355,8 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
 Status TemporalFieldDatabase::TimeRangeCandidates(
     const ValueInterval& band, double t0, double t1,
     std::vector<CellId>* out) const {
-  if (band.IsEmpty() || t0 > t1) {
+  if (band.IsEmpty() || !std::isfinite(t0) || !std::isfinite(t1) ||
+      t0 > t1) {
     return Status::InvalidArgument("bad query");
   }
   Box<2> query;
@@ -432,10 +369,10 @@ Status TemporalFieldDatabase::TimeRangeCandidates(
       tree_->Search(query, [&](const RTreeEntry<2>& e) {
         const Slab& slab = slabs_[e.a];
         const Subfield& sf = slab.subfields[e.b];
-        const Status s = slab.store->Scan(
-            sf.start, sf.end, [&](uint64_t, const VectorCellRecord& rec) {
+        const Status s = slab.store.records().Scan(
+            sf.start, sf.end, [&](uint64_t, const TemporalSlabRecord& rec) {
               if (seen.empty()) {
-                seen.resize(slab.store->size(), false);
+                seen.resize(slab.store.size(), false);
               }
               if (!seen[rec.id]) {
                 seen[rec.id] = true;

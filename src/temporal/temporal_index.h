@@ -12,17 +12,35 @@
 #include "core/field_engine.h"
 #include "core/query_context.h"
 #include "curve/curves.h"
+#include "index/cell_store.h"
 #include "index/subfield.h"
-#include "index/zone_sidecar.h"
 #include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
-#include "storage/record_store.h"
 #include "storage/wal.h"
 #include "temporal/temporal_field.h"
 #include "vector/vector_record.h"
 
 namespace fielddb {
+
+/// One cell's record in time slab [k, k+1]: the cell's geometry with its
+/// vertex samples at both ends, u at snapshot k and v at snapshot k+1.
+/// Time interpolation is linear, so the record's value interval over the
+/// whole slab — its store key — is the hull of both ends' samples
+/// (exact).
+struct TemporalSlabRecord : VectorCellRecord {
+  ValueInterval Interval() const {
+    ValueInterval iv = ValueInterval::Empty();
+    for (uint32_t i = 0; i < num_vertices; ++i) {
+      iv.Extend(u[i]);
+      iv.Extend(v[i]);
+    }
+    return iv;
+  }
+};
+
+static_assert(sizeof(TemporalSlabRecord) == sizeof(VectorCellRecord),
+              "TemporalSlabRecord layout is part of the store page format");
 
 /// A (time, value-band) snapshot query — the workload unit for
 /// TemporalFieldDatabase::RunWorkload.
@@ -39,9 +57,12 @@ using TemporalSnapshotQuery = std::pair<double, ValueInterval>;
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's, and so is the catalog codec (core/catalog.h); only the
-/// catalog schema, the slab layout and the subfield redo logic are
-/// temporal-specific.
+/// engine's, the catalog codec is core/catalog.h's, and each slab's
+/// store, subfield partition, refresh and plan are the ones every field
+/// type shares; only the catalog schema, the slab record, the tree entry
+/// (value interval × [k, k+1], addressed by (k, subfield)) and the
+/// estimation visitor are temporal-specific. Each slab's store keeps its
+/// own id -> slot map: 8 B per cell per slab.
 class TemporalFieldDatabase {
  public:
   struct Options {
@@ -106,11 +127,11 @@ class TemporalFieldDatabase {
   }
 
   /// Q2 at a time instant: exact regions where band.min <= F(p, t) <=
-  /// band.max. `t` must lie in [0, T-1]. `out->plan` records the
-  /// planner's decision for the touched slab. Safe to run from any
-  /// number of threads at once (updates excluded); the I/O in
-  /// `out->stats` is this query's own, counted through `ctx` (a local
-  /// context when null).
+  /// band.max. `t` must lie in [0, T-1] (OutOfRange otherwise, NaN
+  /// included). `out->plan` records the planner's decision for the
+  /// touched slab. Safe to run from any number of threads at once
+  /// (updates excluded); the I/O in `out->stats` is this query's own,
+  /// counted through `ctx` (a local context when null).
   Status SnapshotValueQuery(double t, const ValueInterval& band,
                             ValueQueryResult* out,
                             QueryContext* ctx = nullptr) const;
@@ -123,7 +144,7 @@ class TemporalFieldDatabase {
   /// Filtering step over a time range: the cells whose value interval
   /// over any moment of [t0, t1] intersects `band` (no false negatives;
   /// may include slab-level false positives). Cell ids, ascending,
-  /// deduplicated.
+  /// deduplicated. `t0` and `t1` must be finite with t0 <= t1.
   Status TimeRangeCandidates(const ValueInterval& band, double t0,
                              double t1, std::vector<CellId>* out) const;
 
@@ -143,10 +164,14 @@ class TemporalFieldDatabase {
 
   uint32_t num_slabs() const { return num_slabs_; }
   uint64_t num_subfields() const { return total_subfields_; }
-  uint64_t num_cells() const { return pos_of_.size(); }
+  uint64_t num_cells() const { return slabs_.front().store.size(); }
   BufferPool& pool() { return *engine_.pool(); }
   const ScalarZoneMap& slab_zone_map(uint32_t k) const {
-    return slabs_[k].zones;
+    return slabs_[k].store.zone_map();
+  }
+  /// Slab `k`'s subfield table (slots of its store).
+  const std::vector<Subfield>& slab_subfields(uint32_t k) const {
+    return slabs_[k].subfields;
   }
   WriteAheadLog* wal() const { return engine_.wal(); }
   EventLog* event_log() const { return engine_.event_log(); }
@@ -174,11 +199,8 @@ class TemporalFieldDatabase {
   TemporalFieldDatabase() = default;
 
   struct Slab {
-    std::unique_ptr<RecordStore<VectorCellRecord>> store;
+    BasicCellStore<TemporalSlabRecord> store;
     std::vector<Subfield> subfields;
-    /// In-RAM per-slot slab value intervals: the planner's zero-I/O
-    /// selectivity probe (rebuilt on Open, maintained on update).
-    ScalarZoneMap zones;
   };
 
   Status SaveImpl(const std::string& prefix, SnapshotCrashPoint crash_point);
@@ -189,14 +211,15 @@ class TemporalFieldDatabase {
   Status ApplySnapshotCellValues(uint32_t snapshot, CellId id,
                                  const std::vector<double>& values);
 
-  /// Rewrites one endpoint (`u_side` = earlier snapshot) of slab `k`'s
-  /// record at store position `pos` and refreshes the containing
-  /// subfield's tree entry plus the slab's zone-map slot.
-  Status UpdateSlabSide(uint32_t k, uint64_t pos, bool u_side,
+  /// Rewrites one endpoint (`u_side` = earlier snapshot) of cell `id`'s
+  /// record in slab `k` and refreshes the containing subfield's tree
+  /// entry.
+  Status UpdateSlabSide(uint32_t k, CellId id, bool u_side,
                         const std::vector<double>& values);
 
-  /// The slab a snapshot query at time `t` reads (t clamped to
-  /// [0, T-1]; t = T-1 reads the last slab).
+  /// The slab a snapshot query at time `t` reads: t clamped to
+  /// [0, T-1], t = T-1 reading the last slab. Defined for every double
+  /// (NaN reads slab 0), because PlanSnapshotQuery takes any `t`.
   uint32_t SlabAt(double t) const;
 
   /// Shared lifecycle core; declared first so the storage outlives the
@@ -207,9 +230,6 @@ class TemporalFieldDatabase {
   uint64_t total_subfields_ = 0;
   std::vector<Slab> slabs_;
   std::unique_ptr<RStarTree<2>> tree_;
-  /// Store position of each cell id (inverse of the shared Hilbert
-  /// order; identical across slabs).
-  std::vector<uint64_t> pos_of_;
   std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
   uint64_t ext_spill_runs_ = 0;
   uint64_t ext_peak_buffered_bytes_ = 0;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,77 +13,25 @@
 #include "core/stats.h"
 #include "curve/curves.h"
 #include "field/region.h"
+#include "index/cell_store.h"
 #include "index/subfield.h"
-#include "index/zone_sidecar.h"
 #include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
-#include "storage/record_store.h"
 #include "storage/wal.h"
 #include "vector/vector_isoband.h"
 #include "vector/vector_record.h"
 
 namespace fielddb {
 
-/// Cost model generalizing Section 3.1 to 2-D value boxes, after the 2-D
-/// case of Kamel & Faloutsos [14]: a box with normalized extents
-/// (Lu, Lv) is touched by the average box query with probability
-/// P = (Lu + q̄)(Lv + q̄); the subfield cost is C = P / SI with SI the
-/// sum of member cells' value-box sizes.
-struct VectorCostConfig {
-  double avg_query_fraction = 0.5;
-};
-
-class VectorSubfieldCostModel {
- public:
-  VectorSubfieldCostModel(const Box<2>& value_range,
-                          const VectorCostConfig& config);
-
-  double Cost(const Box<2>& box, double sum_box_sizes) const;
-  bool ShouldAppend(const VectorSubfield& current,
-                    const Box<2>& cell_box) const;
-
- private:
-  static double BoxPaperSize(const Box<2>& b) {
-    return (b.hi[0] - b.lo[0] + 1.0) * (b.hi[1] - b.lo[1] + 1.0);
-  }
-
-  VectorCostConfig config_;
-  double range_u_;
-  double range_v_;
-};
-
-/// Streaming vector-subfield partitioner — the 2-D sibling of
-/// SubfieldStreamBuilder: cell value boxes arrive one at a time in
-/// curve order (the external-sort merge feeds it without materializing
-/// all boxes) and Finish() seals the last subfield. BuildVectorSubfields
-/// is a thin wrapper, so streamed and vector builds produce identical
-/// partitions by construction.
-class VectorSubfieldStreamBuilder {
- public:
-  VectorSubfieldStreamBuilder(const Box<2>& value_range,
-                              const VectorCostConfig& config);
-
-  /// Appends the next cell's value box, growing the open subfield or
-  /// sealing it per the paper's insertion rule.
-  void Add(const Box<2>& cell_box);
-
-  /// Seals the open subfield and returns the partition. The builder is
-  /// consumed.
-  std::vector<VectorSubfield> Finish();
-
- private:
-  VectorSubfieldCostModel model_;
-  std::vector<VectorSubfield> subfields_;
-  VectorSubfield current_;
-  uint64_t num_cells_ = 0;
-};
-
-/// Greedy grouping of curve-ordered cell value boxes, same insertion
-/// rule as the scalar builder.
-std::vector<VectorSubfield> BuildVectorSubfields(
+/// Greedy grouping of curve-ordered cell value boxes: the one subfield
+/// partitioner (SubfieldStreamBuilder) over (u, v) boxes, with the 2-D
+/// cost model (VectorSubfieldCostModel, index/subfield.h).
+inline std::vector<VectorSubfield> BuildVectorSubfields(
     const std::vector<Box<2>>& cell_boxes, const Box<2>& value_range,
-    const VectorCostConfig& config);
+    const VectorCostConfig& config) {
+  return BuildSubfields(cell_boxes, value_range, config);
+}
 
 /// Query-processing methods for vector fields.
 enum class VectorIndexMethod {
@@ -107,8 +56,10 @@ struct VectorQueryResult {
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's, and so is the catalog codec (core/catalog.h); only the
-/// catalog schema, the record layout and the subfield redo logic are
+/// engine's, the catalog codec is core/catalog.h's, and the store,
+/// subfield partition, refresh and plan are the ones every field type
+/// shares, keyed here by (u, v) boxes; only the catalog schema, the
+/// record layout, the WAL payload and the estimation visitor are
 /// vector-specific.
 class VectorFieldDatabase {
  public:
@@ -203,7 +154,7 @@ class VectorFieldDatabase {
   uint64_t num_cells() const { return store_->size(); }
   VectorIndexMethod method() const { return method_; }
   BufferPool& pool() { return *engine_.pool(); }
-  const BoxZoneMap& zone_map() const { return zones_; }
+  const BoxZoneMap& zone_map() const { return store_->zone_map(); }
   WriteAheadLog* wal() const { return engine_.wal(); }
   EventLog* event_log() const { return engine_.event_log(); }
   uint32_t epoch() const { return engine_.epoch(); }
@@ -240,14 +191,10 @@ class VectorFieldDatabase {
   /// store and tree at destruction.
   FieldEngine engine_;
   VectorIndexMethod method_ = VectorIndexMethod::kIHilbert;
-  std::unique_ptr<RecordStore<VectorCellRecord>> store_;
+  /// Cells in Hilbert order, with the (u, v) zone map the planner probes.
+  std::optional<BasicCellStore<VectorCellRecord>> store_;
   std::unique_ptr<RStarTree<2>> tree_;  // null for LinearScan
   std::vector<VectorSubfield> subfields_;
-  /// In-RAM per-slot (u, v) value boxes: the planner's zero-I/O
-  /// selectivity probe (rebuilt on Open, maintained on update).
-  BoxZoneMap zones_;
-  /// Store position of each field cell id (inverse of the build order).
-  std::vector<uint64_t> pos_of_;
   std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
   uint64_t ext_spill_runs_ = 0;
   uint64_t ext_peak_buffered_bytes_ = 0;

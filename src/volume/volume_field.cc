@@ -25,6 +25,9 @@ StatusOr<VolumeGridField> VolumeGridField::Create(
         "expected " + std::to_string(expected) + " samples, got " +
         std::to_string(samples.size()));
   }
+  if (!AllFinite(samples)) {
+    return Status::InvalidArgument("samples must be finite");
+  }
   return VolumeGridField(nx, ny, nz, std::move(samples));
 }
 

@@ -18,6 +18,8 @@ using VoxelId = uint32_t;
 /// is derived from the id and the grid dimensions, which the database
 /// retains. The unit stored in the volume cell store.
 struct VoxelRecord {
+  static constexpr uint32_t num_vertices = 8;
+
   VoxelId id = 0;
   uint32_t reserved = 0;
   double w[8] = {0, 0, 0, 0, 0, 0, 0, 0};

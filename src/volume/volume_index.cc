@@ -68,38 +68,22 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
     FIELDDB_RETURN_IF_ERROR(
         sorter.Add(HilbertEncodeND(order, {c[0], c[1], c[2]}), id));
   }
-
-  db->pos_of_.assign(n, 0);
-  db->zones_.Reserve(n);
-  RecordStoreAppender<VoxelRecord> appender(pool);
-  SubfieldStreamBuilder costing(db->value_range_, options.cost);
+  BasicCellStore<VoxelRecord>::Appender appender(pool, n);
   FIELDDB_RETURN_IF_ERROR(
       sorter.Merge([&](uint64_t, const VoxelId& id) -> Status {
-        const VoxelRecord record = field.GetCell(id);
-        db->pos_of_[id] = appender.size();
-        FIELDDB_RETURN_IF_ERROR(appender.Append(record));
-        const ValueInterval iv = record.Interval();
-        db->zones_.Append(iv);
-        costing.Add(iv);
-        return Status::OK();
+        return appender.Append(field.GetCell(id));
       }));
-  StatusOr<RecordStore<VoxelRecord>> store = appender.Finish();
+  StatusOr<BasicCellStore<VoxelRecord>> store = appender.Finish();
   if (!store.ok()) return store.status();
-  db->store_ =
-      std::make_unique<RecordStore<VoxelRecord>>(std::move(store).value());
+  db->store_.emplace(std::move(store).value());
   db->ext_spill_runs_ = sorter.spill_runs();
   db->ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
 
   if (options.method == VolumeIndexMethod::kIHilbert) {
-    db->subfields_ = costing.Finish();
-    std::vector<RTreeEntry<1>> entries(db->subfields_.size());
-    for (size_t i = 0; i < db->subfields_.size(); ++i) {
-      entries[i].box = BoxFromInterval(db->subfields_[i].interval);
-      entries[i].a = db->subfields_[i].start;
-      entries[i].b = db->subfields_[i].end;
-    }
-    StatusOr<RStarTree<1>> tree =
-        RStarTree<1>::BulkLoad(pool, entries, options.rstar);
+    db->subfields_ = PartitionStore(*db->store_, db->value_range_,
+                                    options.cost);
+    StatusOr<RStarTree<1>> tree = BuildSubfieldTree(
+        pool, SubfieldEntries(db->subfields_, RunEntry{}), options.rstar);
     if (!tree.ok()) return tree.status();
     db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
@@ -141,24 +125,16 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
   db->voxel_volume_ = catalog->voxel_volume;
   BufferPool* const pool = db->engine_.pool();
 
-  StatusOr<RecordStore<VoxelRecord>> store = RecordStore<VoxelRecord>::Attach(
-      pool, catalog->store_first_page, catalog->num_cells);
+  StatusOr<BasicCellStore<VoxelRecord>> store =
+      BasicCellStore<VoxelRecord>::Attach(pool, catalog->store_first_page,
+                                          catalog->num_cells);
   if (!store.ok()) return store.status();
-  db->store_ =
-      std::make_unique<RecordStore<VoxelRecord>>(std::move(store).value());
+  db->store_.emplace(std::move(store).value());
   db->subfields_ = std::move(catalog->subfields);
   if (db->method_ == VolumeIndexMethod::kIHilbert) {
     db->tree_ = std::make_unique<RStarTree<1>>(
         RStarTree<1>::Attach(pool, *catalog->tree));
   }
-
-  // One store pass rebuilds both in-RAM sidecars: the voxel-id ->
-  // position map and the zone map the planner probes.
-  db->zones_.Reserve(catalog->num_cells);
-  FIELDDB_RETURN_IF_ERROR(MapRecordIds(
-      *db->store_, &db->pos_of_, [&](uint64_t, const VoxelRecord& rec) {
-        db->zones_.Append(rec.Interval());
-      }));
 
   // Recovery: logical redo through the same apply path updates took, so
   // subfield hulls, tree entries and the zone map are maintained.
@@ -179,47 +155,26 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
 
 Status VolumeFieldDatabase::UpdateVoxelValues(VoxelId id,
                                               const std::vector<double>& w) {
-  if (id >= pos_of_.size()) return Status::OutOfRange("no such voxel");
-  if (w.size() != 8) {
-    return Status::InvalidArgument("expected 8 corner values, got " +
-                                   std::to_string(w.size()));
-  }
-  // Validated above, so only appliable updates reach the log; replay
+  // Validated first, so only appliable updates reach the log; replay
   // never meets an invalid frame.
+  FIELDDB_RETURN_IF_ERROR(store_->CheckUpdate(id, SetSamples(w)));
   FIELDDB_RETURN_IF_ERROR(engine_.LogUpdate(id, w));
   return ApplyVoxelValues(id, w);
 }
 
 Status VolumeFieldDatabase::ApplyVoxelValues(VoxelId id,
                                              const std::vector<double>& w) {
-  if (id >= pos_of_.size()) return Status::OutOfRange("no such voxel");
-  if (w.size() != 8) {
-    return Status::InvalidArgument("expected 8 corner values, got " +
-                                   std::to_string(w.size()));
-  }
-  const uint64_t pos = pos_of_[id];
-  VoxelRecord voxel;
-  FIELDDB_RETURN_IF_ERROR(store_->Get(pos, &voxel));
-  for (int i = 0; i < 8; ++i) voxel.w[i] = w[i];
-  FIELDDB_RETURN_IF_ERROR(store_->Put(pos, voxel));
-  const ValueInterval iv = voxel.Interval();
-  zones_.Set(pos, iv);
-  value_range_.Extend(iv);
+  BasicCellStore<VoxelRecord>::Change change;
+  FIELDDB_RETURN_IF_ERROR(store_->Update(id, SetSamples(w), &change));
+  value_range_.Extend(change.new_key);
   if (tree_ == nullptr) return Status::OK();
-  // Same maintenance rule as the 2-D scalar indexes.
-  return RefreshSubfieldAfterUpdate(*store_, tree_.get(), &subfields_, pos);
+  return RefreshSubfieldAfterUpdate(*store_, change, tree_.get(),
+                                    &subfields_, RunEntry{});
 }
 
 PhysicalPlan VolumeFieldDatabase::PlanBandQuery(
     const ValueInterval& band) const {
-  const PlanCostModel cost;
-  const StoreShape shape = ShapeOf(*store_);
-  return ChoosePlan(cost, shape, planner_mode(), tree_ != nullptr, [&] {
-    std::vector<PosRange> runs;
-    zones_.FilterRanges(band, &runs);
-    return ExactProbe(cost, shape, runs,
-                      PagePattern::Random(tree_->height()));
-  });
+  return PlanStoreQuery(*store_, band, planner_mode(), tree_.get());
 }
 
 Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
@@ -232,7 +187,7 @@ Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
   out->stats = QueryStats{};
   out->plan = PlanBandQuery(band);
   FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
-      *store_, out->plan, ctx,
+      store_->records(), out->plan, ctx,
       [&](std::vector<PosRange>* runs) {
         return tree_->Search(BoxFromInterval(band),
                              [&](const RTreeEntry<1>& e) {

@@ -4,18 +4,18 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/field_engine.h"
 #include "core/query_context.h"
 #include "core/stats.h"
+#include "index/cell_store.h"
 #include "index/subfield.h"
-#include "index/zone_sidecar.h"
 #include "plan/planner.h"
 #include "rtree/rstar_tree.h"
 #include "storage/page_file.h"
-#include "storage/record_store.h"
 #include "storage/wal.h"
 #include "volume/volume_field.h"
 
@@ -49,9 +49,11 @@ struct VolumeQueryResult {
 ///
 /// Hosted on the shared FieldEngine (core/field_engine.h): storage,
 /// WAL-backed updates, crash-safe Save/Open and the event log are the
-/// engine's, and so is the catalog codec (core/catalog.h); only the
-/// catalog schema, the voxel record layout and the subfield redo logic
-/// are volume-specific.
+/// engine's, the catalog codec is core/catalog.h's, and the store,
+/// subfield partition, refresh and plan are the ones every field type
+/// shares (BasicCellStore, index/subfield_maintenance.h,
+/// PlanStoreQuery); only the catalog schema, the voxel record layout,
+/// the build key and the estimation visitor are volume-specific.
 class VolumeFieldDatabase {
  public:
   struct Options {
@@ -143,7 +145,7 @@ class VolumeFieldDatabase {
   const ValueInterval& value_range() const { return value_range_; }
   VolumeIndexMethod method() const { return method_; }
   BufferPool& pool() { return *engine_.pool(); }
-  const ScalarZoneMap& zone_map() const { return zones_; }
+  const ScalarZoneMap& zone_map() const { return store_->zone_map(); }
   WriteAheadLog* wal() const { return engine_.wal(); }
   EventLog* event_log() const { return engine_.event_log(); }
   uint32_t epoch() const { return engine_.epoch(); }
@@ -179,16 +181,12 @@ class VolumeFieldDatabase {
   /// store and tree at destruction.
   FieldEngine engine_;
   VolumeIndexMethod method_ = VolumeIndexMethod::kIHilbert;
-  std::unique_ptr<RecordStore<VoxelRecord>> store_;
+  /// Voxels in 3-D Hilbert order, with the zone map the planner probes.
+  std::optional<BasicCellStore<VoxelRecord>> store_;
   std::unique_ptr<RStarTree<1>> tree_;  // null for LinearScan
   std::vector<Subfield> subfields_;
-  /// In-RAM per-slot value intervals: the planner's zero-I/O
-  /// selectivity probe (rebuilt on Open, maintained on update).
-  ScalarZoneMap zones_;
   ValueInterval value_range_;
   double voxel_volume_ = 0.0;
-  /// Store position of each voxel id (inverse of the Hilbert sort).
-  std::vector<uint64_t> pos_of_;
   std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
   uint64_t ext_spill_runs_ = 0;
   uint64_t ext_peak_buffered_bytes_ = 0;

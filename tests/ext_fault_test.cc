@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,6 +19,13 @@
 
 namespace fielddb {
 namespace {
+
+// Samples every update must refuse.
+std::vector<double> NonFinite() {
+  return {std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()};
+}
 
 // Factory installing a FaultInjectingPageFile around the default memory
 // file; `*injector_out` receives the wrapper to schedule faults on.
@@ -146,6 +154,12 @@ TEST_P(VectorFaultTest, UpdateValidatesArguments) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(db_->UpdateCellValues(0, {1, 1}, {1, 1, 1, 1}).code(),
             StatusCode::kInvalidArgument);
+  for (const double bad : NonFinite()) {
+    EXPECT_EQ(db_->UpdateCellValues(0, {1, bad, 1, 1}, {1, 1, 1, 1}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db_->UpdateCellValues(0, {1, 1, 1, 1}, {1, 1, bad, 1}).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_P(VectorFaultTest, FaultedUpdateLeavesStateUnchanged) {
@@ -252,6 +266,12 @@ TEST_P(VolumeFaultTest, UpdateValidatesArguments) {
       StatusCode::kOutOfRange);
   EXPECT_EQ(db_->UpdateVoxelValues(0, {1.0, 2.0}).code(),
             StatusCode::kInvalidArgument);
+  for (const double bad : NonFinite()) {
+    std::vector<double> w(8, 1.0);
+    w[3] = bad;
+    EXPECT_EQ(db_->UpdateVoxelValues(0, w).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_P(VolumeFaultTest, FaultedUpdateLeavesStateUnchanged) {
@@ -410,6 +430,13 @@ TEST_F(TemporalFaultTest, UpdateValidatesArguments) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(db_->UpdateSnapshotCellValues(1, 0, {1, 1}).code(),
             StatusCode::kInvalidArgument);
+  for (const double bad : NonFinite()) {
+    for (const uint32_t snapshot : {0u, 1u, 3u}) {
+      EXPECT_EQ(
+          db_->UpdateSnapshotCellValues(snapshot, 0, {1, bad, 1, 1}).code(),
+          StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 TEST_F(TemporalFaultTest, FaultedUpdateLeavesStateUnchanged) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -383,6 +384,12 @@ TEST_F(TemporalRecoveryTest, UpdateValidatesBeforeLogging) {
             StatusCode::kOutOfRange);
   EXPECT_EQ(db->UpdateSnapshotCellValues(1, 0, {1, 1}).code(),
             StatusCode::kInvalidArgument);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(db->UpdateSnapshotCellValues(1, 0, {1, 1, bad, 1}).code(),
+              StatusCode::kInvalidArgument);
+  }
   // None of the rejected updates reached the log.
   ASSERT_NE(db->wal(), nullptr);
   EXPECT_EQ(db->wal()->size_bytes(), 0u);

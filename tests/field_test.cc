@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "field/grid_field.h"
 #include "field/tin_field.h"
 
 namespace fielddb {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // 2x2-cell grid over [0,2]^2 with samples w(i,j) = i + 10*j — the Fig. 1
 // shape of a "DEM for a continuous field".
@@ -40,6 +45,13 @@ TEST(GridFieldTest, CreateValidatesArguments) {
   EXPECT_FALSE(GridField::Create(1, 1, Rect2{{0, 0}, {0, 1}},
                                  {1, 2, 3, 4})
                    .ok());
+  // Non-finite samples.
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    EXPECT_EQ(GridField::Create(1, 1, Rect2{{0, 0}, {1, 1}}, {1, 2, bad, 4})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(GridFieldTest, CellGeometry) {
@@ -104,6 +116,13 @@ TEST(TinFieldTest, CreateValidates) {
   EXPECT_FALSE(TinField::Create(v, {{{0, 1, 2}}}).ok());
   // No triangles at all.
   EXPECT_FALSE(TinField::Create(v, {}).ok());
+  // Non-finite samples.
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    const std::vector<TinVertex> nonfinite = {
+        {{0, 0}, 1}, {{1, 0}, bad}, {{0, 1}, 3}};
+    EXPECT_EQ(TinField::Create(nonfinite, {{{0, 1, 2}}}).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TinFieldTest, CellRecords) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -371,6 +372,32 @@ TEST_P(RecoveryTest, ReopenWithWalOffFoldsTheLogIntoACheckpoint) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(second.frames_replayed, 0u);
   ExpectState(reopened->get(), true, false);
+}
+
+TEST_P(RecoveryTest, NonFiniteUpdateNeverReachesTheLog) {
+  // A +inf sample has no value interval: acknowledging it would let the
+  // off-mode reopen fold it into a checkpoint no later Open can read.
+  auto db = OpenWal();
+  ASSERT_NE(db, nullptr);
+  const std::vector<double> bad = {1.0, std::numeric_limits<double>::infinity(),
+                                   1.0, 1.0};
+  EXPECT_EQ(db->UpdateCellValues(kCellA, bad).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_NE(db->wal(), nullptr);
+  EXPECT_EQ(db->wal()->size_bytes(), 0u);
+  ASSERT_TRUE(db->SimulateCrashForTest().ok());
+  db.reset();
+
+  // Two reopens in a row: the off-mode one (which would fold a logged
+  // frame into a new checkpoint), then a plain one.
+  FieldDatabase::OpenOptions off;
+  off.wal_mode = WalMode::kOff;
+  auto first = FieldDatabase::Open(prefix_, off);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  first->reset();
+  auto second = FieldDatabase::Open(prefix_);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectState(second->get(), false, false);
 }
 
 TEST_P(RecoveryTest, CleanCloseThenReopenReplaysTheLog) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -233,6 +234,33 @@ TEST(ShardRouterTest, PointQueryAndUpdateRouting) {
                   ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
                   .ok());
   EXPECT_EQ(stats.answer_cells, 1u);
+}
+
+TEST(ShardRouterTest, BatchWithNonFiniteSampleChangesNoShard) {
+  const GridField field = MakeTestField();
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  auto router = ShardRouter::Build(field, ro);
+  ASSERT_TRUE(router.ok());
+
+  // The first shard's part is valid; the second shard's holds +inf.
+  const double w = (*router)->value_range().max + 5.0;
+  const CellId in_first = (*router)->shard(0).descriptor().local_to_global[0];
+  const CellId in_second =
+      (*router)->shard(1).descriptor().local_to_global[0];
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ((*router)
+                ->UpdateCellValuesBatch({{in_first, {w, w, w, w}},
+                                         {in_second, {w, inf, w, w}}})
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // Neither shard applied its part.
+  QueryStats stats;
+  ASSERT_TRUE((*router)
+                  ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
+                  .ok());
+  EXPECT_EQ(stats.answer_cells, 0u);
 }
 
 TEST(ShardRouterTest, SaveOpenRoundTripPreservesAnswers) {

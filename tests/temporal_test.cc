@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/rng.h"
@@ -50,6 +51,19 @@ TEST(TemporalFieldTest, CreateValidates) {
   EXPECT_TRUE(TemporalGridField::Create(2, 2, Rect2{{0, 0}, {1, 1}},
                                         {good, good})
                   .ok());
+  // Non-finite samples.
+  for (const double bad :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> nonfinite = good;
+    nonfinite[4] = bad;
+    EXPECT_EQ(TemporalGridField::Create(2, 2, Rect2{{0, 0}, {1, 1}},
+                                        {good, nonfinite})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TemporalFieldTest, TimeInterpolationIsLinear) {
@@ -124,6 +138,21 @@ TEST(TemporalDbTest, RejectsBadQueries) {
   EXPECT_FALSE(
       (*db)->SnapshotValueQuery(1.0, ValueInterval::Empty(), &result)
           .ok());
+  // Non-finite times.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(
+      (*db)->SnapshotValueQuery(nan, ValueInterval{0, 1}, &result).ok());
+  EXPECT_FALSE(
+      (*db)->SnapshotValueQuery(inf, ValueInterval{0, 1}, &result).ok());
+  std::vector<CellId> cells;
+  EXPECT_EQ((*db)->TimeRangeCandidates(ValueInterval{0, 1}, nan, 1.0, &cells)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*db)->TimeRangeCandidates(ValueInterval{0, 1}, 0.0, nan, &cells)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(cells.empty());
 }
 
 TEST(TemporalDbTest, TimeRangeCandidatesCoverGroundTruth) {

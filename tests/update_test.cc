@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 
@@ -201,6 +202,14 @@ TEST_P(UpdateTest, RejectsBadArguments) {
       fx.index->UpdateCellValues(field->NumCells() + 5, {1, 2, 3, 4})
           .code(),
       StatusCode::kOutOfRange);
+  // Non-finite samples.
+  for (const double bad :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(fx.index->UpdateCellValues(0, {1, 2, bad, 4}).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

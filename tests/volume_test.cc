@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "gen/workload.h"
 #include "volume/tet_band.h"
@@ -119,6 +121,16 @@ TEST(VoxelBandTest, DiagonalFieldMatchesMonteCarlo) {
 TEST(VolumeFieldTest, CreateValidates) {
   EXPECT_FALSE(VolumeGridField::Create(0, 2, 2, {}).ok());
   EXPECT_FALSE(VolumeGridField::Create(2, 2, 2, {1.0, 2.0}).ok());
+  // Non-finite samples.
+  for (const double bad :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> samples(8, 1.0);
+    samples[5] = bad;
+    EXPECT_EQ(VolumeGridField::Create(1, 1, 1, samples).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(VolumeFieldTest, VoxelCoordsRoundTrip) {
