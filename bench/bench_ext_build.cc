@@ -4,24 +4,26 @@
 // memory budgets, from unlimited (one in-RAM sort) down to budgets a
 // few entries wide (dozens of spilled runs).
 //
-// Acceptance (checked here, not just plotted): a budgeted build must
-// stay under its budget (peak buffered bytes) and must answer a fixed
-// band query identically to the unlimited build — the external sort's
-// stable (key, insertion-seq) tie-break makes the store layouts
+// Acceptance (invariant gates of the report, not just plotted): a
+// budgeted build must stay under its budget (peak buffered bytes), the
+// tightest budget must spill, and every budgeted build must answer a
+// fixed band query identically to the unlimited build — the external
+// sort's stable (key, insertion-seq) tie-break makes the store layouts
 // byte-identical, so any drift is a determinism bug. Emits
-// BENCH_ext_build.json (marker: top-level "ext_build_bench": true;
-// schema enforced by tools/check_bench_json.py).
+// BENCH_ext_build.json (obs/report.h; checked by
+// tools/check_bench_json.py).
 //
 // --quick shrinks the fields for the CTest smoke run.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
+#include "obs/report.h"
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
@@ -36,22 +38,6 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-struct BuildPoint {
-  size_t budget_bytes = 0;
-  double build_ms = 0.0;
-  double cells_per_sec = 0.0;
-  uint64_t spill_runs = 0;
-  uint64_t peak_buffered_bytes = 0;
-  bool within_budget = false;
-  bool matches_unlimited = false;
-};
-
-struct Series {
-  std::string field_type;
-  uint64_t num_cells = 0;
-  std::vector<BuildPoint> points;
-};
-
 // One budgeted build of one field type: `build` constructs the database
 // under the given budget and returns (spill_runs, peak_bytes, answer
 // cells of the fixed probe query) — the caller compares the probe
@@ -63,13 +49,25 @@ struct BuildOutcome {
   bool ok = false;
 };
 
+/// What the acceptance gates need from every field type's sweep.
+struct SweepTotals {
+  double max_peak_to_budget = 0.0;
+  uint64_t answer_mismatches = 0;
+  uint64_t min_tightest_spill_runs = UINT64_MAX;
+  uint64_t unlimited_points = 0;
+  uint64_t min_budgeted_points = UINT64_MAX;
+};
+
+/// Builds one field type under every budget (budget 0, unlimited, first:
+/// the answer baseline) and adds one point per build.
 template <typename BuildFn>
 bool RunSweep(const char* field_type, uint64_t num_cells,
               const std::vector<size_t>& budgets, BuildFn build,
-              Series* out) {
-  out->field_type = field_type;
-  out->num_cells = num_cells;
+              BenchReport* report, SweepTotals* totals) {
+  const size_t tightest = *std::min_element(budgets.begin() + 1,
+                                            budgets.end());
   uint64_t baseline_cells = 0;
+  uint64_t budgeted_points = 0;
   for (size_t i = 0; i < budgets.size(); ++i) {
     const size_t budget = budgets[i];
     const auto t0 = std::chrono::steady_clock::now();
@@ -78,69 +76,42 @@ bool RunSweep(const char* field_type, uint64_t num_cells,
     if (!outcome.ok) return false;
     if (i == 0) baseline_cells = outcome.answer_cells;
 
-    BuildPoint p;
-    p.budget_bytes = budget;
-    p.build_ms = ms;
-    p.cells_per_sec = ms > 0 ? num_cells / (ms / 1000.0) : 0.0;
-    p.spill_runs = outcome.spill_runs;
-    p.peak_buffered_bytes = outcome.peak_bytes;
-    p.within_budget = budget == 0 || outcome.peak_bytes <= budget;
-    p.matches_unlimited = outcome.answer_cells == baseline_cells;
-    out->points.push_back(p);
+    const double cells_per_sec = ms > 0 ? num_cells / (ms / 1000.0) : 0.0;
+    if (budget == 0) {
+      ++totals->unlimited_points;
+    } else {
+      ++budgeted_points;
+      totals->max_peak_to_budget =
+          std::max(totals->max_peak_to_budget,
+                   static_cast<double>(outcome.peak_bytes) / budget);
+      totals->answer_mismatches += outcome.answer_cells != baseline_cells;
+    }
+    // The tightest budget must exercise the spill path, or the sweep
+    // proves nothing about the external sort.
+    if (budget == tightest) {
+      totals->min_tightest_spill_runs =
+          std::min(totals->min_tightest_spill_runs, outcome.spill_runs);
+    }
+    report->AddPoint()
+        .Label("field_type", field_type)
+        .Label("budget_bytes", budget)
+        .Metric("num_cells", num_cells)
+        .Metric("build_ms", ms)
+        .Metric("cells_per_sec", cells_per_sec)
+        .Metric("spill_runs", outcome.spill_runs)
+        .Metric("peak_buffered_bytes", outcome.peak_bytes)
+        .Metric("answer_cells", outcome.answer_cells);
 
     std::printf("%-9s %10zu B %10.2f ms %12.0f cells/s %6llu runs "
-                "%8llu B peak%s%s\n",
-                field_type, budget, ms, p.cells_per_sec,
-                static_cast<unsigned long long>(p.spill_runs),
-                static_cast<unsigned long long>(p.peak_buffered_bytes),
-                p.within_budget ? "" : "  OVER BUDGET",
-                p.matches_unlimited ? "" : "  ANSWER MISMATCH");
+                "%8llu B peak %8llu answers\n",
+                field_type, budget, ms, cells_per_sec,
+                static_cast<unsigned long long>(outcome.spill_runs),
+                static_cast<unsigned long long>(outcome.peak_bytes),
+                static_cast<unsigned long long>(outcome.answer_cells));
   }
+  totals->min_budgeted_points =
+      std::min(totals->min_budgeted_points, budgeted_points);
   return true;
-}
-
-bool WriteJson(const std::string& path,
-               const std::vector<Series>& series) {
-  std::string j = "{\n  \"bench_id\": \"ext_build\",\n";
-  j += "  \"title\": \"Bounded-memory external Hilbert bulk-load\",\n";
-  j += "  \"ext_build_bench\": true,\n";
-  j += "  \"series\": [";
-  for (size_t s = 0; s < series.size(); ++s) {
-    const Series& ser = series[s];
-    j += s == 0 ? "\n" : ",\n";
-    j += "    {\"field_type\": \"" + ser.field_type + "\",";
-    j += " \"num_cells\": " + std::to_string(ser.num_cells) + ",";
-    j += " \"points\": [";
-    for (size_t i = 0; i < ser.points.size(); ++i) {
-      const BuildPoint& p = ser.points[i];
-      j += i == 0 ? "\n" : ",\n";
-      j += "      {\"budget_bytes\": " + std::to_string(p.budget_bytes);
-      j += ", \"build_ms\": ";
-      JsonAppendDouble(&j, p.build_ms);
-      j += ", \"cells_per_sec\": ";
-      JsonAppendDouble(&j, p.cells_per_sec);
-      j += ",\n       \"spill_runs\": " + std::to_string(p.spill_runs);
-      j += ", \"peak_buffered_bytes\": " +
-           std::to_string(p.peak_buffered_bytes);
-      j += ", \"within_budget\": ";
-      j += p.within_budget ? "true" : "false";
-      j += ", \"matches_unlimited\": ";
-      j += p.matches_unlimited ? "true" : "false";
-      j += "}";
-    }
-    j += "\n    ]}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -158,8 +129,9 @@ int main(int argc, char** argv) {
 
   std::printf("=== External bulk-load: budget sweep per field type "
               "===\n");
-  std::vector<Series> series;
-  bool accepted = true;
+  BenchReport report("ext_build",
+                     "Bounded-memory external Hilbert bulk-load");
+  SweepTotals totals;
 
   {
     VolumeFractalOptions vo;
@@ -174,7 +146,6 @@ int main(int argc, char** argv) {
     const ValueInterval range = volume->ValueRange();
     const ValueInterval band{range.min + 0.25 * (range.max - range.min),
                              range.max - 0.25 * (range.max - range.min)};
-    Series ser;
     const bool ok = RunSweep(
         "volume", volume->NumCells(), budgets,
         [&](size_t budget) {
@@ -197,9 +168,8 @@ int main(int argc, char** argv) {
           outcome.ok = true;
           return outcome;
         },
-        &ser);
+        &report, &totals);
     if (!ok) return 1;
-    series.push_back(std::move(ser));
   }
 
   {
@@ -221,7 +191,6 @@ int main(int argc, char** argv) {
     VectorBandQuery query;
     query.u = ValueInterval{0.5 * n, 1.5 * n};
     query.v = ValueInterval{-0.5 * n, 0.5 * n};
-    Series ser;
     const bool ok = RunSweep(
         "vector", field->NumCells(), budgets,
         [&](size_t budget) {
@@ -245,9 +214,8 @@ int main(int argc, char** argv) {
           outcome.ok = true;
           return outcome;
         },
-        &ser);
+        &report, &totals);
     if (!ok) return 1;
-    series.push_back(std::move(ser));
   }
 
   {
@@ -273,7 +241,6 @@ int main(int argc, char** argv) {
     const ValueInterval range = field->ValueRange();
     const ValueInterval band{range.min + 0.25 * (range.max - range.min),
                              range.max - 0.25 * (range.max - range.min)};
-    Series ser;
     const bool ok = RunSweep(
         "temporal", field->NumCells(), budgets,
         [&](size_t budget) {
@@ -298,32 +265,23 @@ int main(int argc, char** argv) {
           outcome.ok = true;
           return outcome;
         },
-        &ser);
+        &report, &totals);
     if (!ok) return 1;
-    series.push_back(std::move(ser));
   }
 
-  bool wrote = WriteJson("BENCH_ext_build.json", series);
-  size_t tightest = 0;
-  for (const size_t b : budgets) {
-    if (b > 0 && (tightest == 0 || b < tightest)) tightest = b;
-  }
-  for (const Series& ser : series) {
-    for (const BuildPoint& p : ser.points) {
-      if (!p.within_budget || !p.matches_unlimited) accepted = false;
-      // The tightest budget must actually exercise the spill path, or
-      // the sweep proves nothing about the external sort.
-      if (p.budget_bytes > 0 && p.budget_bytes == tightest &&
-          p.spill_runs == 0) {
-        std::fprintf(stderr, "%s: tightest budget never spilled\n",
-                     ser.field_type.c_str());
-        accepted = false;
-      }
-    }
-  }
-  if (!accepted) {
-    std::fprintf(stderr, "ext build acceptance checks failed\n");
-    return 1;
-  }
-  return wrote ? 0 : 1;
+  report.Invariant("peak_to_budget", totals.max_peak_to_budget, GateOp::kLe,
+                   1);
+  report.Invariant("answer_mismatches",
+                   static_cast<double>(totals.answer_mismatches), GateOp::kEq,
+                   0);
+  report.Invariant("tightest_budget_spill_runs",
+                   static_cast<double>(totals.min_tightest_spill_runs),
+                   GateOp::kGe, 1);
+  report.Invariant("unlimited_points",
+                   static_cast<double>(totals.unlimited_points), GateOp::kEq,
+                   3);  // one per field type
+  report.Invariant("min_budgeted_points",
+                   static_cast<double>(totals.min_budgeted_points),
+                   GateOp::kGe, 1);
+  return report.Finish();
 }

@@ -8,11 +8,13 @@
 //   zonemap_simd    the same arrays through the dispatched kernel (AVX2
 //                   when compiled in and the CPU has it)
 //
-// All three must produce identical candidate-run lists (the JSON records
-// the check). The pool is sized to hold the whole store and warmed first,
-// so the comparison isolates filter CPU cost, not simulated disk.
+// All three must produce identical candidate-run lists (an invariant
+// gate of the report). The pool is sized to hold the whole store and
+// warmed first, so the comparison isolates filter CPU cost, not
+// simulated disk.
 //
-// Emits BENCH_filter_kernels.json (schema: tools/check_bench_json.py).
+// Emits BENCH_filter_kernels.json (obs/report.h; checked by
+// tools/check_bench_json.py).
 
 #include <chrono>
 #include <cstdio>
@@ -24,7 +26,7 @@
 #include "common/simd/interval_filter.h"
 #include "gen/fractal.h"
 #include "index/linear_scan.h"
-#include "obs/json.h"
+#include "obs/report.h"
 #include "storage/page_file.h"
 
 namespace {
@@ -42,7 +44,7 @@ struct KernelPoint {
   double zonemap_simd_ms = 0.0;
   double speedup_scalar = 0.0;  // record_scan / zonemap_scalar
   double speedup_simd = 0.0;    // record_scan / zonemap_simd
-  bool results_identical = false;
+  uint64_t mismatches = 0;      // queries whose three run lists differ
 };
 
 double MsSince(Clock::time_point t0) {
@@ -84,7 +86,6 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
               int repeats, KernelPoint* p) {
   std::vector<PosRange> record_runs, scalar_runs, simd_runs;
   uint64_t matched = 0;
-  bool identical = true;
 
   const auto t_record = Clock::now();
   for (int rep = 0; rep < repeats; ++rep) {
@@ -145,8 +146,8 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
                                      store.size(), 0, q.min, q.max,
                                      &scalar_runs);
     store.zone_map().FilterRanges(q, &simd_runs);
-    identical = identical && scalar_runs == record_runs &&
-                simd_runs == record_runs;
+    p->mismatches +=
+        !(scalar_runs == record_runs && simd_runs == record_runs);
     matched += TotalRangeLength(record_runs);
   }
 
@@ -155,56 +156,7 @@ bool RunPoint(const CellStore& store, const std::vector<ValueInterval>& qs,
       static_cast<double>(matched) / static_cast<double>(qs.size());
   p->speedup_scalar = p->record_scan_ms / p->zonemap_scalar_ms;
   p->speedup_simd = p->record_scan_ms / p->zonemap_simd_ms;
-  p->results_identical = identical;
   return true;
-}
-
-bool WriteJson(const std::string& path, uint64_t field_cells, uint64_t seed,
-               const std::vector<KernelPoint>& points) {
-  std::string j = "{\n  \"bench_id\": \"filter_kernels\",\n  \"title\": ";
-  JsonAppendString(&j,
-                   "Filter kernels: record scan vs SoA zone map, "
-                   "512x512 fractal terrain");
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"workload_seed\": " + std::to_string(seed);
-  j += ",\n  \"simd_level\": ";
-  JsonAppendString(&j, simd::KernelLevelName(simd::ActiveKernelLevel()));
-  j += ",\n  \"points\": [";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const KernelPoint& p = points[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"selectivity\": ";
-    JsonAppendDouble(&j, p.selectivity);
-    j += ", \"band_width\": ";
-    JsonAppendDouble(&j, p.band_width);
-    j += ", \"num_queries\": " + std::to_string(p.num_queries);
-    j += ", \"matched_cells_avg\": ";
-    JsonAppendDouble(&j, p.matched_cells_avg);
-    j += ",\n     \"record_scan_ms\": ";
-    JsonAppendDouble(&j, p.record_scan_ms);
-    j += ", \"zonemap_scalar_ms\": ";
-    JsonAppendDouble(&j, p.zonemap_scalar_ms);
-    j += ", \"zonemap_simd_ms\": ";
-    JsonAppendDouble(&j, p.zonemap_simd_ms);
-    j += ",\n     \"speedup_scalar\": ";
-    JsonAppendDouble(&j, p.speedup_scalar);
-    j += ", \"speedup_simd\": ";
-    JsonAppendDouble(&j, p.speedup_simd);
-    j += ", \"results_identical\": ";
-    j += p.results_identical ? "true" : "false";
-    j += "}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -257,7 +209,14 @@ int main(int argc, char** argv) {
   std::vector<double> centers(32);
   for (double& c : centers) c = rng.NextDouble(range.min, range.max);
 
-  std::vector<KernelPoint> points;
+  BenchReport report("filter_kernels",
+                     "Filter kernels: record scan vs SoA zone map, 512x512 "
+                     "fractal terrain");
+  report.Config("field_cells", (*index)->build_info().num_cells);
+  report.Config("workload_seed", seed);
+  report.Config("simd_level",
+                simd::KernelLevelName(simd::ActiveKernelLevel()));
+  uint64_t mismatches = 0;
   for (const double selectivity : {0.01, 0.10}) {
     KernelPoint p;
     p.selectivity = selectivity;
@@ -268,21 +227,25 @@ int main(int argc, char** argv) {
       q = ValueInterval{c - p.band_width / 2, c + p.band_width / 2};
     }
     if (!RunPoint(store, qs, repeats, &p)) return 1;
-    points.push_back(p);
+    mismatches += p.mismatches;
+    report.AddPoint()
+        .Label("selectivity", p.selectivity)
+        .Metric("band_width", p.band_width)
+        .Metric("num_queries", p.num_queries)
+        .Metric("matched_cells_avg", p.matched_cells_avg)
+        .Metric("record_scan_ms", p.record_scan_ms)
+        .Metric("zonemap_scalar_ms", p.zonemap_scalar_ms)
+        .Metric("zonemap_simd_ms", p.zonemap_simd_ms)
+        .Metric("speedup_scalar", p.speedup_scalar)
+        .Metric("speedup_simd", p.speedup_simd);
     std::printf(
         "sel=%.2f width=%.3f matched=%.0f record=%8.2fms scalar=%7.2fms "
-        "(%.1fx) simd=%7.2fms (%.1fx) identical=%s\n",
+        "(%.1fx) simd=%7.2fms (%.1fx) mismatches=%llu\n",
         p.selectivity, p.band_width, p.matched_cells_avg, p.record_scan_ms,
         p.zonemap_scalar_ms, p.speedup_scalar, p.zonemap_simd_ms,
-        p.speedup_simd, p.results_identical ? "yes" : "NO");
-    if (!p.results_identical) {
-      std::fprintf(stderr, "kernel outputs diverged\n");
-      return 1;
-    }
+        p.speedup_simd, static_cast<unsigned long long>(p.mismatches));
   }
-
-  return WriteJson("BENCH_filter_kernels.json",
-                   (*index)->build_info().num_cells, seed, points)
-             ? 0
-             : 1;
+  report.Invariant("kernel_mismatches", static_cast<double>(mismatches),
+                   GateOp::kEq, 0);
+  return report.Finish();
 }

@@ -1,26 +1,26 @@
-// Observability overhead benchmark: proves the always-on obs layer —
-// metrics registry, trace-v2 ring buffers, the 10 ms metrics sampler,
-// and an attached structured event log at the default slow-query
-// threshold — costs under 5% on the Fig-8a terrain workload.
+// Observability overhead benchmark: measures what the whole always-on
+// obs layer — metrics registry, trace-v2 ring buffers, the 10 ms
+// metrics sampler, and an attached structured event log at the default
+// slow-query threshold — costs on the Fig-8a terrain workload, against
+// a 5% budget.
 //
-// Methodology matches the harness's metrics calibration (bench/
-// harness.cc): each rep times a fixed workload slice in *process CPU
-// time* four times in ABBA order (obs-off, obs-on, obs-on, obs-off;
-// order flipped every rep), which cancels drift that is linear in time
-// within a rep, and the reported overhead is the median rep ratio.
-// Process CPU time deliberately includes the sampler thread — its
-// cycles are part of what "always on" costs.
+// Each rep times a fixed workload slice in *process CPU time* four
+// times in ABBA order (obs-off, obs-on, obs-on, obs-off; order flipped
+// every rep), which cancels drift that is linear in time within a rep,
+// and the reported overhead is the median rep ratio. Process CPU time
+// deliberately includes the sampler thread — its cycles are part of
+// what "always on" costs.
 //
 // Before measuring, the run saves and reopens the database and pushes
 // the workload through a QueryExecutor with tracing live, so the
 // exported TRACE_obs_overhead.json carries every span family the
 // validator requires: plan, wal, recovery, and queue-wait.
 //
-// Emits BENCH_obs_overhead.json (marker: top-level "obs_overhead":
-// true; schema enforced by tools/check_bench_json.py). The 5% budget is
-// a CPU-time ratio whose reading depends on host load, so it is
-// recorded (within_limit) and warned about, never a failed run; the run
-// fails only on an invariant: a missing trace family.
+// Emits BENCH_obs_overhead.json (obs/report.h; checked by
+// tools/check_bench_json.py). The 5% budget is a CPU-time ratio whose
+// reading depends on host load, so it is a timing gate: recorded and
+// warned about, never a failed run. The run fails only on an invariant
+// gate: a missing trace family.
 //
 // --quick shrinks the terrain and rep count for the CTest smoke run.
 
@@ -37,8 +37,8 @@
 #include "core/query_executor.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/trace_buffer.h"
 
@@ -54,64 +54,6 @@ void RemoveArtifacts() {
                              ".wal", ".events.jsonl", ".events.jsonl.1"}) {
     std::remove((std::string(kPrefix) + suffix).c_str());
   }
-}
-
-bool WriteJson(const std::string& path, uint64_t field_cells,
-               uint32_t num_queries, uint64_t seed, int reps,
-               double off_cpu_ms, double on_cpu_ms, double overhead_pct,
-               double sampler_period_ms, double threshold_ms,
-               uint64_t trace_events, uint64_t trace_dropped,
-               const std::map<std::string, uint64_t>& families,
-               uint64_t events_appended) {
-  std::string j = "{\n  \"bench_id\": \"obs_overhead\",\n  \"title\": ";
-  JsonAppendString(&j,
-                   "Always-on observability overhead, Fig-8a terrain "
-                   "workload (CPU-time ABBA medians)");
-  j += ",\n  \"obs_overhead\": true";
-  j += ",\n  \"method\": ";
-  JsonAppendString(&j, IndexMethodName(IndexMethod::kIHilbert));
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"num_queries\": " + std::to_string(num_queries);
-  j += ",\n  \"workload_seed\": " + std::to_string(seed);
-  j += ",\n  \"reps\": " + std::to_string(reps);
-  j += ",\n  \"off_cpu_ms\": ";
-  JsonAppendDouble(&j, off_cpu_ms);
-  j += ",\n  \"on_cpu_ms\": ";
-  JsonAppendDouble(&j, on_cpu_ms);
-  j += ",\n  \"overhead_pct\": ";
-  JsonAppendDouble(&j, overhead_pct);
-  j += ",\n  \"overhead_limit_pct\": ";
-  JsonAppendDouble(&j, kOverheadLimitPct);
-  j += ",\n  \"within_limit\": ";
-  j += overhead_pct < kOverheadLimitPct ? "true" : "false";
-  j += ",\n  \"sampler_period_ms\": ";
-  JsonAppendDouble(&j, sampler_period_ms);
-  j += ",\n  \"slow_query_threshold_ms\": ";
-  JsonAppendDouble(&j, threshold_ms);
-  j += ",\n  \"trace_events\": " + std::to_string(trace_events);
-  j += ",\n  \"trace_dropped\": " + std::to_string(trace_dropped);
-  j += ",\n  \"trace_families\": {";
-  bool first = true;
-  for (const auto& [name, n] : families) {
-    j += first ? "\n" : ",\n";
-    first = false;
-    j += "    ";
-    JsonAppendString(&j, name);
-    j += ": " + std::to_string(n);
-  }
-  j += "\n  },\n  \"event_log_appended\": " +
-       std::to_string(events_appended);
-  j += "\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -197,13 +139,10 @@ int main(int argc, char** argv) {
   }
 
   // --- ABBA CPU-time measurement -------------------------------------
-  // Off = the baseline system as it was before the always-on layer:
-  // metrics recording stays enabled (it has always been the process
-  // default and every figure bench runs with it), but the trace-v2
-  // buffer is gated, the sampler is stopped and the slow-query
-  // threshold is unreachable. On = everything a production process now
-  // leaves running. The ratio therefore isolates the layer this
-  // subsystem added, not the pre-existing counters.
+  // Off = the engine with no observability at all: metrics recording
+  // disabled, the trace-v2 buffer gated, the sampler stopped and the
+  // slow-query threshold unreachable. On = everything a production
+  // process leaves running. The ratio is the cost of the whole layer.
   std::vector<ValueInterval> slice(
       queries.begin(),
       queries.begin() + std::min<size_t>(queries.size(), 50));
@@ -229,6 +168,7 @@ int main(int argc, char** argv) {
   MetricsSampler sampler(&MetricsRegistry::Default(),
                          MetricsSampler::Options{sampler_period_ms, 300});
   auto cpu_ms_pass = [&](bool enable) -> double {
+    MetricsRegistry::set_enabled(enable);
     TraceBuffer::set_enabled(enable);
     (*db)->set_slow_query_threshold_ms(enable ? threshold_ms : 1e18);
     if (enable) {
@@ -273,10 +213,7 @@ int main(int argc, char** argv) {
   }
   std::sort(ratios.begin(), ratios.end());
   const size_t n = ratios.size();
-  const double median = (n % 2 == 1)
-                            ? ratios[n / 2]
-                            : (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0;
-  const double overhead_pct = (median - 1.0) * 100.0;
+  const double overhead_pct = (PercentileOfSorted(ratios, 50) - 1.0) * 100.0;
 
   // --- Report + acceptance -------------------------------------------
   const uint64_t events_appended =
@@ -295,27 +232,34 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(cnt));
   }
 
-  const bool wrote = WriteJson(
-      "BENCH_obs_overhead.json", field_cells, wo.num_queries, seed,
-      static_cast<int>(n), off_total_ms, on_total_ms, overhead_pct,
-      sampler_period_ms, threshold_ms, trace_recorded,
-      trace_dropped, families, events_appended);
   db->reset();
   RemoveArtifacts();
-  if (!wrote) return 1;
 
-  bool ok = true;
+  BenchReport report("obs_overhead",
+                     "Always-on observability overhead, Fig-8a terrain "
+                     "workload (CPU-time ABBA medians)");
+  report.Config("method", IndexMethodName(IndexMethod::kIHilbert));
+  report.Config("field_cells", field_cells);
+  report.Config("num_queries", wo.num_queries);
+  report.Config("workload_seed", seed);
+  report.Config("sampler_period_ms", sampler_period_ms);
+  report.Config("slow_query_threshold_ms", threshold_ms);
+  BenchPoint& point = report.AddPoint()
+                          .Metric("reps", n)
+                          .Metric("off_cpu_ms", off_total_ms)
+                          .Metric("on_cpu_ms", on_total_ms)
+                          .Metric("overhead_pct", overhead_pct)
+                          .Metric("trace_events", trace_recorded)
+                          .Metric("trace_dropped", trace_dropped)
+                          .Metric("event_log_appended", events_appended);
+  for (const auto& [name, cnt] : families) {
+    point.Metric("trace_events." + name, cnt);
+  }
+  report.Timing("overhead_pct", overhead_pct, GateOp::kLt, kOverheadLimitPct);
   for (const char* family : {"plan", "wal", "recovery", "queue-wait"}) {
-    if (families.count(family) == 0) {
-      std::fprintf(stderr, "missing trace family: %s\n", family);
-      ok = false;
-    }
+    const auto it = families.find(family);
+    report.Invariant(std::string("trace_events.") + family,
+                     it == families.end() ? 0 : it->second, GateOp::kGe, 1);
   }
-  if (overhead_pct >= kOverheadLimitPct) {
-    std::fprintf(stderr,
-                 "warning: overhead %.2f%% >= %.1f%% limit (recorded, not "
-                 "enforced: depends on host load)\n",
-                 overhead_pct, kOverheadLimitPct);
-  }
-  return ok ? 0 : 1;
+  return report.Finish();
 }

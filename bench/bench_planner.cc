@@ -4,11 +4,11 @@
 // 90% of the value range, comparing average disk-model I/O time per
 // query (deterministic — cold cache, same logical reads every run).
 //
-// Acceptance (checked here, not just plotted): at every sweep point the
-// adaptive planner must land within 10% of the better fixed plan, and
-// at the sweep extremes — where the fixed plans diverge most — it must
-// be strictly faster than the worse one. Emits BENCH_planner.json
-// (marker: top-level "planner_sweep": true; schema enforced by
+// Acceptance (invariant gates of the report, not just plotted): at every
+// sweep point the adaptive planner must land within 10% of the better
+// fixed plan, and at the sweep extremes — where the fixed plans diverge
+// most — it must be strictly faster than the worse one. Emits
+// BENCH_planner.json (obs/report.h; checked by
 // tools/check_bench_json.py).
 //
 // --quick shrinks the terrain to 128x128 and the workload for the CTest
@@ -24,23 +24,11 @@
 #include "common/rng.h"
 #include "core/field_database.h"
 #include "gen/fractal.h"
-#include "obs/json.h"
+#include "obs/report.h"
 
 namespace {
 
 using namespace fielddb;
-
-struct SweepPoint {
-  double width_frac = 0.0;       // query width / value-range length
-  uint32_t num_queries = 0;
-  double selectivity_avg = 0.0;  // filter candidates / cells (indexed run)
-  double auto_disk_ms = 0.0;
-  double scan_disk_ms = 0.0;
-  double index_disk_ms = 0.0;
-  double ratio_to_best = 0.0;    // auto / min(scan, index)
-  double index_plan_frac = 0.0;  // fraction of queries auto sent to the index
-  bool within_10pct = false;
-};
 
 bool RunMode(FieldDatabase* db, PlannerMode mode,
              const std::vector<ValueInterval>& queries, WorkloadStats* out) {
@@ -52,57 +40,6 @@ bool RunMode(FieldDatabase* db, PlannerMode mode,
   }
   *out = *ws;
   return true;
-}
-
-bool WriteJson(const std::string& path, uint64_t field_cells, uint64_t seed,
-               const DiskModel& disk, const std::vector<SweepPoint>& points) {
-  std::string j = "{\n  \"bench_id\": \"planner\",\n  \"title\": ";
-  JsonAppendString(&j,
-                   "Cost-based planner vs fixed plans, I-Hilbert terrain "
-                   "selectivity sweep");
-  j += ",\n  \"planner_sweep\": true";
-  j += ",\n  \"method\": ";
-  JsonAppendString(&j, IndexMethodName(IndexMethod::kIHilbert));
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"workload_seed\": " + std::to_string(seed);
-  j += ",\n  \"disk_model\": {\"seek_ms\": ";
-  JsonAppendDouble(&j, disk.seek_ms);
-  j += ", \"transfer_ms_per_page\": ";
-  JsonAppendDouble(&j, disk.transfer_ms_per_page);
-  j += "},\n  \"points\": [";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"width_frac\": ";
-    JsonAppendDouble(&j, p.width_frac);
-    j += ", \"num_queries\": " + std::to_string(p.num_queries);
-    j += ", \"selectivity_avg\": ";
-    JsonAppendDouble(&j, p.selectivity_avg);
-    j += ",\n     \"auto_disk_ms\": ";
-    JsonAppendDouble(&j, p.auto_disk_ms);
-    j += ", \"scan_disk_ms\": ";
-    JsonAppendDouble(&j, p.scan_disk_ms);
-    j += ", \"index_disk_ms\": ";
-    JsonAppendDouble(&j, p.index_disk_ms);
-    j += ",\n     \"ratio_to_best\": ";
-    JsonAppendDouble(&j, p.ratio_to_best);
-    j += ", \"index_plan_frac\": ";
-    JsonAppendDouble(&j, p.index_plan_frac);
-    j += ", \"within_10pct\": ";
-    j += p.within_10pct ? "true" : "false";
-    j += "}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -149,13 +86,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>((*db)->build_info().num_cells),
               static_cast<unsigned long long>((*db)->build_info().store_pages));
 
+  BenchReport report("planner",
+                     "Cost-based planner vs fixed plans, I-Hilbert terrain "
+                     "selectivity sweep");
+  report.Config("method", IndexMethodName(IndexMethod::kIHilbert));
+  report.Config("field_cells", (*db)->build_info().num_cells);
+  report.Config("workload_seed", seed);
+  report.Config("disk_seek_ms", disk.seek_ms);
+  report.Config("disk_transfer_ms_per_page", disk.transfer_ms_per_page);
+
   Rng rng(seed);
-  std::vector<SweepPoint> points;
-  bool accepted = true;
+  double max_ratio_to_best = 0.0;
+  double extreme_ratio_to_worst = 0.0;
   for (size_t wi = 0; wi < widths.size(); ++wi) {
-    SweepPoint p;
-    p.width_frac = widths[wi];
-    const double w = p.width_frac * range.Length();
+    const double width_frac = widths[wi];
+    const double w = width_frac * range.Length();
     std::vector<ValueInterval> queries(num_queries);
     for (ValueInterval& q : queries) {
       const double lo = rng.NextDouble(range.min, range.max - w);
@@ -176,40 +121,40 @@ int main(int argc, char** argv) {
       }
     }
 
-    p.num_queries = num_queries;
-    p.selectivity_avg =
+    const double selectivity =
         index.avg_candidates /
         static_cast<double>((*db)->build_info().num_cells);
-    p.auto_disk_ms = adaptive.AvgDiskMs(disk);
-    p.scan_disk_ms = scan.AvgDiskMs(disk);
-    p.index_disk_ms = index.AvgDiskMs(disk);
-    p.index_plan_frac = static_cast<double>(index_plans) / num_queries;
-
-    const double best = std::min(p.scan_disk_ms, p.index_disk_ms);
-    const double worst = std::max(p.scan_disk_ms, p.index_disk_ms);
-    p.ratio_to_best = p.auto_disk_ms / best;
-    p.within_10pct = p.auto_disk_ms <= 1.10 * best;
-    const bool extreme = wi == 0 || wi == widths.size() - 1;
-    const bool beats_worst = !extreme || p.auto_disk_ms < worst;
-    accepted = accepted && p.within_10pct && beats_worst;
+    const double auto_ms = adaptive.AvgDiskMs(disk);
+    const double scan_ms = scan.AvgDiskMs(disk);
+    const double index_ms = index.AvgDiskMs(disk);
+    const double index_plan_frac =
+        static_cast<double>(index_plans) / num_queries;
+    const double ratio_to_best = auto_ms / std::min(scan_ms, index_ms);
+    max_ratio_to_best = std::max(max_ratio_to_best, ratio_to_best);
+    if (wi == 0 || wi == widths.size() - 1) {
+      extreme_ratio_to_worst = std::max(
+          extreme_ratio_to_worst, auto_ms / std::max(scan_ms, index_ms));
+    }
+    report.AddPoint()
+        .Label("width_frac", width_frac)
+        .Metric("num_queries", num_queries)
+        .Metric("selectivity_avg", selectivity)
+        .Metric("auto_disk_ms", auto_ms)
+        .Metric("scan_disk_ms", scan_ms)
+        .Metric("index_disk_ms", index_ms)
+        .Metric("ratio_to_best", ratio_to_best)
+        .Metric("index_plan_frac", index_plan_frac);
 
     std::printf(
         "width=%.3f sel=%.4f auto=%9.1fms scan=%9.1fms index=%9.1fms "
-        "ratio=%.3f index_plans=%.0f%%%s%s\n",
-        p.width_frac, p.selectivity_avg, p.auto_disk_ms, p.scan_disk_ms,
-        p.index_disk_ms, p.ratio_to_best, p.index_plan_frac * 100,
-        p.within_10pct ? "" : "  VIOLATION: >10% off best",
-        beats_worst ? "" : "  VIOLATION: not under worst at extreme");
-    points.push_back(p);
+        "ratio=%.3f index_plans=%.0f%%\n",
+        width_frac, selectivity, auto_ms, scan_ms, index_ms, ratio_to_best,
+        index_plan_frac * 100);
   }
-
-  if (!WriteJson("BENCH_planner.json", (*db)->build_info().num_cells, seed,
-                 disk, points)) {
-    return 1;
-  }
-  if (!accepted) {
-    std::fprintf(stderr, "planner acceptance checks failed\n");
-    return 1;
-  }
-  return 0;
+  // Within 10% of the better fixed plan everywhere, and strictly under
+  // the worse one at both extremes.
+  report.Invariant("max_ratio_to_best", max_ratio_to_best, GateOp::kLe, 1.10);
+  report.Invariant("extreme_ratio_to_worst", extreme_ratio_to_worst,
+                   GateOp::kLt, 1.0);
+  return report.Finish();
 }

@@ -10,16 +10,17 @@
 //     reopen latency vs L, the scan/replay/verify split from the
 //     recovery trace, and replay throughput in frames/s.
 //
-// Acceptance (checked here, not just plotted): every reopen must
-// replay exactly L frames — a mismatch is lost or phantom data and
-// fails the run. Emits BENCH_recovery.json (marker: top-level
-// "recovery_bench": true; schema enforced by tools/check_bench_json.py).
+// Acceptance (an invariant gate of the report, not just plotted): every
+// reopen must replay exactly L frames — a mismatch is lost or phantom
+// data and fails the run. Emits BENCH_recovery.json (obs/report.h;
+// checked by tools/check_bench_json.py).
 //
 // --quick shrinks the terrain and the sweep for the CTest smoke run.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,7 +28,7 @@
 #include "common/rng.h"
 #include "core/field_database.h"
 #include "gen/fractal.h"
-#include "obs/json.h"
+#include "obs/report.h"
 #include "storage/wal.h"
 
 namespace {
@@ -49,25 +50,6 @@ void RemoveArtifacts() {
   }
 }
 
-struct OverheadPoint {
-  WalMode mode = WalMode::kOff;
-  uint32_t updates = 0;
-  double wall_ms = 0.0;
-  double updates_per_sec = 0.0;
-  double overhead_vs_off = 1.0;  // this mode's wall / off's wall
-};
-
-struct ReplayPoint {
-  uint64_t wal_frames = 0;
-  uint64_t wal_bytes = 0;
-  double reopen_ms = 0.0;
-  double scan_ms = 0.0;
-  double replay_ms = 0.0;
-  double verify_ms = 0.0;
-  double frames_per_sec = 0.0;
-  bool frames_replayed_ok = false;
-};
-
 /// Applies `n` seeded updates to `db`; returns false on error.
 bool ApplyUpdates(FieldDatabase* db, uint32_t n, uint64_t num_cells,
                   Rng* rng) {
@@ -86,66 +68,6 @@ bool ApplyUpdates(FieldDatabase* db, uint32_t n, uint64_t num_cells,
 double SpanMs(const QueryTrace& trace, const char* name) {
   const TraceSpan* span = trace.Find(name);
   return span == nullptr ? 0.0 : span->wall_seconds * 1000.0;
-}
-
-bool WriteJson(const std::string& path, uint64_t field_cells, uint64_t seed,
-               const std::vector<OverheadPoint>& overhead,
-               const std::vector<ReplayPoint>& replay) {
-  std::string j = "{\n  \"bench_id\": \"recovery\",\n  \"title\": ";
-  JsonAppendString(&j,
-                   "WAL write overhead and crash-recovery replay, "
-                   "I-Hilbert fractal terrain");
-  j += ",\n  \"recovery_bench\": true";
-  j += ",\n  \"method\": ";
-  JsonAppendString(&j, IndexMethodName(IndexMethod::kIHilbert));
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"workload_seed\": " + std::to_string(seed);
-  j += ",\n  \"write_overhead\": [";
-  for (size_t i = 0; i < overhead.size(); ++i) {
-    const OverheadPoint& p = overhead[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"wal_mode\": ";
-    JsonAppendString(&j, WalModeName(p.mode));
-    j += ", \"updates\": " + std::to_string(p.updates);
-    j += ", \"wall_ms\": ";
-    JsonAppendDouble(&j, p.wall_ms);
-    j += ", \"updates_per_sec\": ";
-    JsonAppendDouble(&j, p.updates_per_sec);
-    j += ", \"overhead_vs_off\": ";
-    JsonAppendDouble(&j, p.overhead_vs_off);
-    j += "}";
-  }
-  j += "\n  ],\n  \"replay\": [";
-  for (size_t i = 0; i < replay.size(); ++i) {
-    const ReplayPoint& p = replay[i];
-    j += i == 0 ? "\n" : ",\n";
-    j += "    {\"wal_frames\": " + std::to_string(p.wal_frames);
-    j += ", \"wal_bytes\": " + std::to_string(p.wal_bytes);
-    j += ", \"reopen_ms\": ";
-    JsonAppendDouble(&j, p.reopen_ms);
-    j += ",\n     \"scan_ms\": ";
-    JsonAppendDouble(&j, p.scan_ms);
-    j += ", \"replay_ms\": ";
-    JsonAppendDouble(&j, p.replay_ms);
-    j += ", \"verify_ms\": ";
-    JsonAppendDouble(&j, p.verify_ms);
-    j += ", \"frames_per_sec\": ";
-    JsonAppendDouble(&j, p.frames_per_sec);
-    j += ", \"frames_replayed_ok\": ";
-    j += p.frames_replayed_ok ? "true" : "false";
-    j += "}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -185,9 +107,17 @@ int main(int argc, char** argv) {
   }
   built->reset();  // everything below runs against the checkpoint
 
+  BenchReport report("recovery",
+                     "WAL write overhead and crash-recovery replay, "
+                     "I-Hilbert fractal terrain");
+  report.Config("method", IndexMethodName(IndexMethod::kIHilbert));
+  report.Config("field_cells", num_cells);
+  report.Config("workload_seed", seed);
+
   // --- 1. Write overhead per durability mode -------------------------
   const uint32_t updates = quick ? 300 : 2000;
-  std::vector<OverheadPoint> overhead;
+  double off_wall_ms = 0.0;
+  size_t off_points = 0;
   for (const WalMode mode :
        {WalMode::kOff, WalMode::kAsync, WalMode::kFsyncOnCommit}) {
     FieldDatabase::OpenOptions oo;
@@ -200,17 +130,22 @@ int main(int argc, char** argv) {
     Rng rng(seed);  // identical stream in every mode
     const auto t0 = std::chrono::steady_clock::now();
     if (!ApplyUpdates(db->get(), updates, num_cells, &rng)) return 1;
-    OverheadPoint p;
-    p.mode = mode;
-    p.updates = updates;
-    p.wall_ms = MsSince(t0);
-    p.updates_per_sec = updates / (p.wall_ms / 1000.0);
-    p.overhead_vs_off =
-        overhead.empty() ? 1.0 : p.wall_ms / overhead.front().wall_ms;
+    const double wall_ms = MsSince(t0);
+    if (mode == WalMode::kOff) {
+      off_wall_ms = wall_ms;
+      ++off_points;
+    }
+    const double updates_per_sec = updates / (wall_ms / 1000.0);
+    const double overhead_vs_off = wall_ms / off_wall_ms;
+    report.AddPoint()
+        .Label("wal_mode", WalModeName(mode))
+        .Metric("updates", updates)
+        .Metric("wall_ms", wall_ms)
+        .Metric("updates_per_sec", updates_per_sec)
+        .Metric("overhead_vs_off", overhead_vs_off);
     std::printf("mode=%-5s updates=%u wall=%8.2fms  %9.0f upd/s  x%.2f\n",
-                WalModeName(mode), updates, p.wall_ms, p.updates_per_sec,
-                p.overhead_vs_off);
-    overhead.push_back(p);
+                WalModeName(mode), updates, wall_ms, updates_per_sec,
+                overhead_vs_off);
     db->reset();  // discard (off: pool only; wal modes: log closed)
     std::remove((std::string(kPrefix) + ".wal").c_str());
   }
@@ -219,8 +154,8 @@ int main(int argc, char** argv) {
   const std::vector<uint64_t> lengths =
       quick ? std::vector<uint64_t>{0, 50, 200}
             : std::vector<uint64_t>{0, 100, 1000, 5000};
-  std::vector<ReplayPoint> replay;
-  bool accepted = true;
+  size_t frame_mismatches = 0;
+  double min_frames_per_sec = std::numeric_limits<double>::infinity();
   for (const uint64_t length : lengths) {
     {
       FieldDatabase::OpenOptions oo;
@@ -241,10 +176,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    FieldDatabase::RecoveryReport report;
+    FieldDatabase::RecoveryReport recovery;
     FieldDatabase::OpenOptions oo;
     oo.wal_mode = WalMode::kFsyncOnCommit;
-    oo.recovery_report = &report;
+    oo.recovery_report = &recovery;
     const auto t0 = std::chrono::steady_clock::now();
     auto reopened = FieldDatabase::Open(kPrefix, oo);
     const double reopen_ms = MsSince(t0);
@@ -255,36 +190,39 @@ int main(int argc, char** argv) {
     reopened->reset();
     std::remove((std::string(kPrefix) + ".wal").c_str());
 
-    ReplayPoint p;
-    p.wal_frames = length;
-    p.wal_bytes = report.valid_bytes;
-    p.reopen_ms = reopen_ms;
-    p.scan_ms = SpanMs(report.trace, "wal.scan");
-    p.replay_ms = SpanMs(report.trace, "wal.replay");
-    p.verify_ms = SpanMs(report.trace, "verify");
-    p.frames_per_sec =
-        p.replay_ms > 0.0 ? length / (p.replay_ms / 1000.0) : 0.0;
-    p.frames_replayed_ok = report.frames_replayed == length;
-    accepted = accepted && p.frames_replayed_ok;
+    const double scan_ms = SpanMs(recovery.trace, "wal.scan");
+    const double replay_ms = SpanMs(recovery.trace, "wal.replay");
+    const double verify_ms = SpanMs(recovery.trace, "verify");
+    const double frames_per_sec =
+        replay_ms > 0.0 ? length / (replay_ms / 1000.0) : 0.0;
+    frame_mismatches += recovery.frames_replayed != length;
+    if (length > 0) {
+      min_frames_per_sec = std::min(min_frames_per_sec, frames_per_sec);
+    }
+    report.AddPoint()
+        .Label("wal_frames", length)
+        .Metric("frames_replayed", recovery.frames_replayed)
+        .Metric("wal_bytes", recovery.valid_bytes)
+        .Metric("reopen_ms", reopen_ms)
+        .Metric("scan_ms", scan_ms)
+        .Metric("replay_ms", replay_ms)
+        .Metric("verify_ms", verify_ms)
+        .Metric("frames_per_sec", frames_per_sec);
     std::printf(
-        "frames=%-5llu bytes=%-7llu reopen=%8.2fms scan=%6.2fms "
-        "replay=%6.2fms verify=%6.2fms %9.0f frames/s%s\n",
-        static_cast<unsigned long long>(p.wal_frames),
-        static_cast<unsigned long long>(p.wal_bytes), p.reopen_ms, p.scan_ms,
-        p.replay_ms, p.verify_ms, p.frames_per_sec,
-        p.frames_replayed_ok
-            ? ""
-            : "  VIOLATION: replayed != logged frame count");
-    replay.push_back(p);
+        "frames=%-5llu replayed=%-5llu bytes=%-7llu reopen=%8.2fms "
+        "scan=%6.2fms replay=%6.2fms verify=%6.2fms %9.0f frames/s\n",
+        static_cast<unsigned long long>(length),
+        static_cast<unsigned long long>(recovery.frames_replayed),
+        static_cast<unsigned long long>(recovery.valid_bytes), reopen_ms,
+        scan_ms, replay_ms, verify_ms, frames_per_sec);
   }
-
-  const bool wrote =
-      WriteJson("BENCH_recovery.json", num_cells, seed, overhead, replay);
   RemoveArtifacts();
-  if (!wrote) return 1;
-  if (!accepted) {
-    std::fprintf(stderr, "recovery acceptance checks failed\n");
-    return 1;
-  }
-  return 0;
+
+  report.Invariant("wal_off_baseline", static_cast<double>(off_points),
+                   GateOp::kEq, 1);
+  report.Invariant("replay_frame_mismatches",
+                   static_cast<double>(frame_mismatches), GateOp::kEq, 0);
+  report.Invariant("min_replay_frames_per_sec", min_frames_per_sec,
+                   GateOp::kGt, 0);
+  return report.Finish();
 }

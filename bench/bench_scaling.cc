@@ -11,7 +11,8 @@
 // count when the host actually has that many cores; the emitted
 // hardware_threads field records what the machine could do.
 //
-// Emits BENCH_scaling.json (schema validated by tools/check_bench_json.py).
+// Emits BENCH_scaling.json (obs/report.h; checked by
+// tools/check_bench_json.py).
 
 #include <cstdio>
 #include <cstring>
@@ -23,26 +24,11 @@
 #include "core/query_executor.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "obs/json.h"
+#include "obs/report.h"
 
 namespace {
 
 using namespace fielddb;
-
-struct ScalePoint {
-  size_t threads = 0;
-  double qps = 0.0;
-  double avg_wall_ms = 0.0;
-  double p50_wall_ms = 0.0;
-  double p99_wall_ms = 0.0;
-  double speedup_vs_1 = 0.0;
-  uint64_t failed = 0;
-};
-
-struct ScaleSeries {
-  std::string method;
-  std::vector<ScalePoint> points;
-};
 
 bool Fail(const Status& s) {
   std::fprintf(stderr, "%s\n", s.ToString().c_str());
@@ -50,12 +36,12 @@ bool Fail(const Status& s) {
 }
 
 bool RunScaling(const Field& field, uint32_t num_queries, uint64_t seed,
-                double qinterval, std::vector<ScaleSeries>* out,
-                uint64_t* field_cells) {
+                double qinterval, BenchReport* report) {
   const std::vector<IndexMethod> methods = {
       IndexMethod::kIHilbert, IndexMethod::kIAll, IndexMethod::kLinearScan};
   const std::vector<size_t> thread_counts = {1, 2, 4, 8};
 
+  size_t percentile_inversions = 0;
   for (const IndexMethod method : methods) {
     FieldDatabaseOptions options;
     options.method = method;
@@ -65,7 +51,6 @@ bool RunScaling(const Field& field, uint32_t num_queries, uint64_t seed,
     StatusOr<std::unique_ptr<FieldDatabase>> db =
         FieldDatabase::Build(field, options);
     if (!db.ok()) return Fail(db.status());
-    *field_cells = (*db)->build_info().num_cells;
 
     WorkloadOptions wo;
     wo.qinterval_fraction = qinterval;
@@ -74,8 +59,6 @@ bool RunScaling(const Field& field, uint32_t num_queries, uint64_t seed,
     const std::vector<ValueInterval> queries =
         GenerateValueQueries((*db)->value_range(), wo);
 
-    ScaleSeries series;
-    series.method = IndexMethodName(method);
     double qps_at_1 = 0.0;
     for (const size_t threads : thread_counts) {
       QueryExecutor::Options eo;
@@ -88,78 +71,31 @@ bool RunScaling(const Field& field, uint32_t num_queries, uint64_t seed,
       const Status sb = executor.RunBatch(queries, &batch);
       if (!sb.ok()) return Fail(sb);
 
-      ScalePoint p;
-      p.threads = threads;
-      p.qps = batch.qps;
-      p.avg_wall_ms =
-          batch.total.wall_seconds * 1000.0 / static_cast<double>(num_queries);
-      p.p50_wall_ms = batch.p50_wall_ms;
-      p.p99_wall_ms = batch.p99_wall_ms;
-      p.failed = batch.failed;
       if (threads == 1) qps_at_1 = batch.qps;
-      p.speedup_vs_1 = qps_at_1 > 0.0 ? batch.qps / qps_at_1 : 0.0;
-      series.points.push_back(p);
+      const double speedup = qps_at_1 > 0.0 ? batch.qps / qps_at_1 : 0.0;
+      percentile_inversions += !(batch.p50_wall_ms <= batch.p99_wall_ms);
+      report->AddPoint()
+          .Label("method", IndexMethodName(method))
+          .Label("threads", threads)
+          .Metric("qps", batch.qps)
+          .Metric("avg_wall_ms", batch.total.wall_seconds * 1000.0 /
+                                     static_cast<double>(num_queries))
+          .Metric("p50_wall_ms", batch.p50_wall_ms)
+          .Metric("p99_wall_ms", batch.p99_wall_ms)
+          .Metric("speedup_vs_1", speedup)
+          .Metric("failed", static_cast<double>(batch.failed));
 
       std::printf("%-12s threads=%zu qps=%9.1f p50=%8.3fms p99=%8.3fms "
                   "speedup=%.2fx failed=%llu\n",
-                  series.method.c_str(), threads, p.qps, p.p50_wall_ms,
-                  p.p99_wall_ms, p.speedup_vs_1,
-                  static_cast<unsigned long long>(p.failed));
+                  IndexMethodName(method), threads, batch.qps,
+                  batch.p50_wall_ms, batch.p99_wall_ms, speedup,
+                  static_cast<unsigned long long>(batch.failed));
     }
-    out->push_back(std::move(series));
   }
+  report->Invariant("wall_percentile_inversions",
+                    static_cast<double>(percentile_inversions), GateOp::kEq,
+                    0);
   return true;
-}
-
-bool WriteJson(const std::string& path, const std::vector<ScaleSeries>& series,
-               uint64_t field_cells, uint32_t num_queries, uint64_t seed,
-               double qinterval) {
-  std::string j = "{\n  \"bench_id\": \"scaling\",\n  \"title\": ";
-  JsonAppendString(&j, "Thread scaling: warm-cache value queries, "
-                       "512x512 fractal terrain");
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"num_queries\": " + std::to_string(num_queries);
-  j += ",\n  \"workload_seed\": " + std::to_string(seed);
-  j += ",\n  \"qinterval\": ";
-  JsonAppendDouble(&j, qinterval);
-  j += ",\n  \"hardware_threads\": " +
-       std::to_string(std::thread::hardware_concurrency());
-  j += ",\n  \"series\": [";
-  for (size_t si = 0; si < series.size(); ++si) {
-    const ScaleSeries& s = series[si];
-    j += si == 0 ? "\n" : ",\n";
-    j += "    {\"method\": ";
-    JsonAppendString(&j, s.method);
-    j += ", \"points\": [";
-    for (size_t pi = 0; pi < s.points.size(); ++pi) {
-      const ScalePoint& p = s.points[pi];
-      j += pi == 0 ? "\n" : ",\n";
-      j += "      {\"threads\": " + std::to_string(p.threads);
-      j += ", \"qps\": ";
-      JsonAppendDouble(&j, p.qps);
-      j += ", \"avg_wall_ms\": ";
-      JsonAppendDouble(&j, p.avg_wall_ms);
-      j += ", \"p50_wall_ms\": ";
-      JsonAppendDouble(&j, p.p50_wall_ms);
-      j += ", \"p99_wall_ms\": ";
-      JsonAppendDouble(&j, p.p99_wall_ms);
-      j += ", \"speedup_vs_1\": ";
-      JsonAppendDouble(&j, p.speedup_vs_1);
-      j += ", \"failed\": " + std::to_string(p.failed) + "}";
-    }
-    j += "\n    ]}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 }  // namespace
@@ -178,15 +114,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
-  std::vector<ScaleSeries> series;
-  uint64_t field_cells = 0;
-  if (!RunScaling(*terrain, num_queries, seed, qinterval, &series,
-                  &field_cells)) {
-    return 1;
-  }
-  return WriteJson("BENCH_scaling.json", series, field_cells, num_queries,
-                   seed, qinterval)
-             ? 0
-             : 1;
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("hardware threads: %u\n", hw);
+  BenchReport report("scaling",
+                     "Thread scaling: warm-cache value queries, 512x512 "
+                     "fractal terrain");
+  report.Config("field_cells", terrain->NumCells());
+  report.Config("num_queries", num_queries);
+  report.Config("workload_seed", seed);
+  report.Config("qinterval", qinterval);
+  report.Config("hardware_threads", hw);
+  if (!RunScaling(*terrain, num_queries, seed, qinterval, &report)) return 1;
+  // One hardware thread measures queueing, not parallel speedup.
+  report.Timing("hardware_threads", hw, GateOp::kGe, 2);
+  return report.Finish();
 }

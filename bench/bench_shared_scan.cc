@@ -7,17 +7,17 @@
 // is saved and reopened from disk with a pool far smaller than the
 // store, so every sweep really reads pages through the vectored batch
 // path (io_uring / preadv — the emitted async_backend field records
-// which backend the host selected). The bench enforces its invariants
-// in-binary:
+// which backend the host selected). Its invariant gates fail the run:
+//   - no query fails, and the shared run forms at least one group,
 //   - per-query answer_cells bit-identical between the two modes,
 //   - the summed per-query IoStats of the shared run never exceed the
 //     isolated run's (leader-charged attribution: each group's sweep is
 //     billed once).
 // The shared-scan QPS target (>= 1.5x isolated) is a wall-clock ratio
-// that depends on host load: it is recorded (speedup_ok) and warned
-// about, never a failed run.
+// that depends on host load: a timing gate, recorded and warned about,
+// never a failed run.
 //
-// Emits BENCH_shared_scan.json (schema validated by
+// Emits BENCH_shared_scan.json (obs/report.h; checked by
 // tools/check_bench_json.py).
 
 #include <cstdio>
@@ -30,8 +30,8 @@
 #include "core/query_executor.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "storage/page_file.h"
 
 namespace {
@@ -44,20 +44,13 @@ constexpr size_t kMaxGroup = 16;    // shared-scan group cap
 constexpr uint64_t kSeed = 3003;
 constexpr double kQInterval = 0.35;  // wide => heavy overlap across clients
 
-struct ModeResult {
-  double qps = 0.0;
-  double p50_wall_ms = 0.0;
-  double p99_wall_ms = 0.0;
-  QueryExecutor::BatchResult batch;
-};
-
 bool Fail(const Status& s) {
   std::fprintf(stderr, "%s\n", s.ToString().c_str());
   return false;
 }
 
 bool RunMode(const FieldDatabase& db, const std::vector<ValueInterval>& queries,
-             bool shared, ModeResult* out) {
+             bool shared, QueryExecutor::BatchResult* out) {
   QueryExecutor::Options eo;
   eo.threads = kThreads;
   eo.queue_capacity = kClients;
@@ -74,83 +67,9 @@ bool RunMode(const FieldDatabase& db, const std::vector<ValueInterval>& queries,
   const Status sw = executor.RunBatch(warm, &warmup);
   if (!sw.ok()) return Fail(sw);
 
-  const Status sb = executor.RunBatch(queries, &out->batch);
+  const Status sb = executor.RunBatch(queries, out);
   if (!sb.ok()) return Fail(sb);
-  if (out->batch.failed != 0) {
-    std::fprintf(stderr, "%s run: %llu queries failed\n",
-                 shared ? "shared" : "isolated",
-                 static_cast<unsigned long long>(out->batch.failed));
-    return false;
-  }
-  out->qps = out->batch.qps;
-  out->p50_wall_ms = out->batch.p50_wall_ms;
-  out->p99_wall_ms = out->batch.p99_wall_ms;
   return true;
-}
-
-bool WriteJson(const std::string& path, uint64_t field_cells,
-               uint32_t num_queries, const char* backend,
-               const ModeResult& iso, const ModeResult& shared,
-               double speedup, uint64_t groups, bool answers_identical,
-               bool io_not_worse, bool speedup_ok) {
-  std::string j = "{\n  \"bench_id\": \"shared_scan\",\n  \"title\": ";
-  JsonAppendString(&j, "Shared-scan multi-query execution: 64 overlapping "
-                       "clients, Fig-8a terrain, disk-backed");
-  j += ",\n  \"shared_scan_bench\": true";
-  j += ",\n  \"method\": ";
-  JsonAppendString(&j, IndexMethodName(IndexMethod::kIHilbert));
-  j += ",\n  \"field_cells\": " + std::to_string(field_cells);
-  j += ",\n  \"num_queries\": " + std::to_string(num_queries);
-  j += ",\n  \"clients\": " + std::to_string(kClients);
-  j += ",\n  \"threads\": " + std::to_string(kThreads);
-  j += ",\n  \"max_scan_group\": " + std::to_string(kMaxGroup);
-  j += ",\n  \"workload_seed\": " + std::to_string(kSeed);
-  j += ",\n  \"hardware_threads\": " +
-       std::to_string(std::thread::hardware_concurrency());
-  j += ",\n  \"qinterval\": ";
-  JsonAppendDouble(&j, kQInterval);
-  j += ",\n  \"async_backend\": ";
-  JsonAppendString(&j, backend);
-  j += ",\n  \"qps_isolated\": ";
-  JsonAppendDouble(&j, iso.qps);
-  j += ",\n  \"qps_shared\": ";
-  JsonAppendDouble(&j, shared.qps);
-  j += ",\n  \"speedup\": ";
-  JsonAppendDouble(&j, speedup);
-  j += ",\n  \"p50_wall_ms_isolated\": ";
-  JsonAppendDouble(&j, iso.p50_wall_ms);
-  j += ",\n  \"p99_wall_ms_isolated\": ";
-  JsonAppendDouble(&j, iso.p99_wall_ms);
-  j += ",\n  \"p50_wall_ms_shared\": ";
-  JsonAppendDouble(&j, shared.p50_wall_ms);
-  j += ",\n  \"p99_wall_ms_shared\": ";
-  JsonAppendDouble(&j, shared.p99_wall_ms);
-  j += ",\n  \"physical_reads_isolated\": " +
-       std::to_string(iso.batch.total.io.physical_reads);
-  j += ",\n  \"physical_reads_shared\": " +
-       std::to_string(shared.batch.total.io.physical_reads);
-  j += ",\n  \"logical_reads_isolated\": " +
-       std::to_string(iso.batch.total.io.logical_reads);
-  j += ",\n  \"logical_reads_shared\": " +
-       std::to_string(shared.batch.total.io.logical_reads);
-  j += ",\n  \"shared_groups\": " + std::to_string(groups);
-  j += ",\n  \"answers_identical\": ";
-  j += answers_identical ? "true" : "false";
-  j += ",\n  \"io_not_worse\": ";
-  j += io_not_worse ? "true" : "false";
-  j += ",\n  \"speedup_ok\": ";
-  j += speedup_ok ? "true" : "false";
-  j += "\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(j.data(), 1, j.size(), f) == j.size();
-  std::fclose(f);
-  if (ok) std::printf("telemetry: %s\n", path.c_str());
-  return ok;
 }
 
 int Run(uint32_t num_queries) {
@@ -199,76 +118,80 @@ int Run(uint32_t num_queries) {
   Counter* groups_counter =
       MetricsRegistry::Default().GetCounter("executor.shared_scan_groups");
 
-  ModeResult iso;
+  QueryExecutor::BatchResult iso;
   if (!RunMode(**db, queries, /*shared=*/false, &iso)) return 1;
   const uint64_t groups_before = groups_counter->value();
-  ModeResult shared;
+  QueryExecutor::BatchResult shared;
   if (!RunMode(**db, queries, /*shared=*/true, &shared)) return 1;
   const uint64_t groups = groups_counter->value() - groups_before;
-
-  // Acceptance check 1: bit-identical answers, query by query.
-  bool answers_identical = true;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (iso.batch.per_query[i].answer_cells !=
-        shared.batch.per_query[i].answer_cells) {
-      std::fprintf(stderr,
-                   "answer mismatch at query %zu: isolated %llu != shared "
-                   "%llu\n",
-                   i,
-                   static_cast<unsigned long long>(
-                       iso.batch.per_query[i].answer_cells),
-                   static_cast<unsigned long long>(
-                       shared.batch.per_query[i].answer_cells));
-      answers_identical = false;
-    }
-  }
-
-  // Acceptance check 2: leader-charged shared IoStats sum to no more
-  // than the isolated run's totals.
-  const IoStats& iso_io = iso.batch.total.io;
-  const IoStats& sh_io = shared.batch.total.io;
-  const bool io_not_worse = sh_io.physical_reads <= iso_io.physical_reads &&
-                            sh_io.logical_reads <= iso_io.logical_reads;
-  if (!io_not_worse) {
-    std::fprintf(stderr,
-                 "shared run read more: physical %llu vs %llu, logical %llu "
-                 "vs %llu\n",
-                 static_cast<unsigned long long>(sh_io.physical_reads),
-                 static_cast<unsigned long long>(iso_io.physical_reads),
-                 static_cast<unsigned long long>(sh_io.logical_reads),
-                 static_cast<unsigned long long>(iso_io.logical_reads));
-  }
-
-  // Acceptance check 3: the fused sweeps buy real throughput.
-  const double speedup = iso.qps > 0.0 ? shared.qps / iso.qps : 0.0;
-  const bool speedup_ok = speedup >= 1.5;
-  if (!speedup_ok) {
-    std::fprintf(stderr,
-                 "warning: speedup %.2fx below the 1.5x target (recorded, "
-                 "not enforced: depends on host load)\n",
-                 speedup);
-  }
-
-  std::printf("isolated: qps=%9.1f p50=%8.3fms p99=%8.3fms physical=%llu\n",
-              iso.qps, iso.p50_wall_ms, iso.p99_wall_ms,
-              static_cast<unsigned long long>(iso_io.physical_reads));
-  std::printf("shared:   qps=%9.1f p50=%8.3fms p99=%8.3fms physical=%llu "
-              "groups=%llu\n",
-              shared.qps, shared.p50_wall_ms, shared.p99_wall_ms,
-              static_cast<unsigned long long>(sh_io.physical_reads),
-              static_cast<unsigned long long>(groups));
-  std::printf("speedup: %.2fx (bound 1.5x), answers %s, io %s\n", speedup,
-              answers_identical ? "identical" : "DIVERGED",
-              io_not_worse ? "not worse" : "WORSE");
-
-  const bool json_ok =
-      WriteJson("BENCH_shared_scan.json", field_cells, num_queries, backend,
-                iso, shared, speedup, groups, answers_identical, io_not_worse,
-                speedup_ok);
-
   std::remove((prefix + ".pages").c_str());
   std::remove((prefix + ".meta").c_str());
-  return (json_ok && answers_identical && io_not_worse) ? 0 : 1;
+
+  BenchReport report("shared_scan",
+                     "Shared-scan multi-query execution: 64 overlapping "
+                     "clients, Fig-8a terrain, disk-backed");
+  report.Config("method", IndexMethodName(IndexMethod::kIHilbert));
+  report.Config("field_cells", field_cells);
+  report.Config("num_queries", num_queries);
+  report.Config("clients", kClients);
+  report.Config("threads", kThreads);
+  report.Config("max_scan_group", kMaxGroup);
+  report.Config("workload_seed", kSeed);
+  const unsigned hw = std::thread::hardware_concurrency();
+  report.Config("hardware_threads", hw);
+  report.Config("qinterval", kQInterval);
+  report.Config("async_backend", backend);
+  for (const bool is_shared : {false, true}) {
+    const QueryExecutor::BatchResult& b = is_shared ? shared : iso;
+    report.AddPoint()
+        .Label("mode", is_shared ? "shared" : "isolated")
+        .Metric("qps", b.qps)
+        .Metric("p50_wall_ms", b.p50_wall_ms)
+        .Metric("p99_wall_ms", b.p99_wall_ms)
+        .Metric("physical_reads", b.total.io.physical_reads)
+        .Metric("logical_reads", b.total.io.logical_reads)
+        .Metric("failed", b.failed)
+        .Metric("scan_groups", is_shared ? groups : 0);
+    std::printf("%-9s qps=%9.1f p50=%8.3fms p99=%8.3fms physical=%llu "
+                "logical=%llu failed=%llu\n",
+                is_shared ? "shared:" : "isolated:", b.qps, b.p50_wall_ms,
+                b.p99_wall_ms,
+                static_cast<unsigned long long>(b.total.io.physical_reads),
+                static_cast<unsigned long long>(b.total.io.logical_reads),
+                static_cast<unsigned long long>(b.failed));
+  }
+
+  // Bit-identical answers, query by query.
+  uint64_t answer_mismatches = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    answer_mismatches += iso.per_query[i].answer_cells !=
+                         shared.per_query[i].answer_cells;
+  }
+  const double speedup = iso.qps > 0.0 ? shared.qps / iso.qps : 0.0;
+  std::printf("speedup: %.2fx (target 1.5x), groups=%llu\n", speedup,
+              static_cast<unsigned long long>(groups));
+
+  report.Invariant("failed_queries",
+                   static_cast<double>(iso.failed + shared.failed),
+                   GateOp::kEq, 0);
+  report.Invariant("answer_mismatches",
+                   static_cast<double>(answer_mismatches), GateOp::kEq, 0);
+  // Leader-charged shared IoStats sum to no more than the isolated
+  // run's totals.
+  report.Invariant("shared_physical_reads",
+                   static_cast<double>(shared.total.io.physical_reads),
+                   GateOp::kLe,
+                   static_cast<double>(iso.total.io.physical_reads));
+  report.Invariant("shared_logical_reads",
+                   static_cast<double>(shared.total.io.logical_reads),
+                   GateOp::kLe,
+                   static_cast<double>(iso.total.io.logical_reads));
+  report.Invariant("shared_scan_groups", static_cast<double>(groups),
+                   GateOp::kGe, 1);
+  // The fused sweeps buy real throughput.
+  report.Timing("speedup", speedup, GateOp::kGe, 1.5);
+  report.Timing("hardware_threads", hw, GateOp::kGe, 2);
+  return report.Finish();
 }
 
 }  // namespace

@@ -1,13 +1,10 @@
 #include "bench/harness.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <vector>
 
 #include "gen/workload.h"
-#include "obs/metrics.h"
 
 namespace fielddb::bench {
 
@@ -20,28 +17,17 @@ void ApplyFlags(int argc, char** argv, FigureConfig* config) {
 }
 
 bool RunFigure(const Field& field, const FigureConfig& config) {
-  BenchReport report;
-  return RunFigure(field, config, &report);
-}
-
-bool RunFigure(const Field& field, const FigureConfig& config,
-               BenchReport* out_report) {
   std::printf("=== %s ===\n", config.title.c_str());
   std::printf("cells=%u value_range=%s queries_per_point=%u\n",
               field.NumCells(), field.ValueRange().ToString().c_str(),
               config.num_queries);
 
-  BenchReport& report = *out_report;
-  report = BenchReport{};
-  report.bench_id = config.bench_id;
-  report.title = config.title;
-  report.field_cells = field.NumCells();
-  report.value_min = field.ValueRange().min;
-  report.value_max = field.ValueRange().max;
-  report.num_queries = config.num_queries;
-  report.workload_seed = config.workload_seed;
+  FigureRun run;
+  run.field_cells = field.NumCells();
+  run.value_range = field.ValueRange();
+  run.num_queries = config.num_queries;
+  run.workload_seed = config.workload_seed;
 
-  bool first_workload = true;
   for (const IndexMethod method : config.methods) {
     FieldDatabaseOptions options = config.base_options;
     options.method = method;
@@ -53,7 +39,7 @@ bool RunFigure(const Field& field, const FigureConfig& config,
                    db.status().ToString().c_str());
       return false;
     }
-    BenchSeries series;
+    FigureSeries series;
     series.method = IndexMethodName(method);
     series.build = (*db)->build_info();
 
@@ -63,65 +49,6 @@ bool RunFigure(const Field& field, const FigureConfig& config,
       wo.num_queries = config.num_queries;
       wo.seed = config.workload_seed;  // same queries for every method
       const auto queries = GenerateValueQueries(field.ValueRange(), wo);
-
-      if (first_workload && !config.bench_id.empty()) {
-        // Instrumentation-overhead calibration: the very first workload
-        // runs twice, metrics recording off then on, and the relative
-        // wall-time delta lands in the report (and BENCH_*.json) so
-        // every bench run carries its own measurement of what the
-        // observability layer costs.
-        const bool prev = MetricsRegistry::enabled();
-        // Warmup pass so neither side pays first-touch costs (allocator,
-        // page-file growth). The delta we are after is percent-level,
-        // far below the timing noise on a shared machine (a single
-        // off/on wall-time pair swings ±30% here; even per-pass CPU
-        // time drifts ±15% in slow waves). So the calibration (a) times
-        // each pass in *process CPU time* — preemption by other tenants
-        // never shows up in it; (b) runs each rep in an ABBA order
-        // (off, on, on, off), which cancels any drift that is linear in
-        // time within the rep — including the observed
-        // "second-pass-slower" effect a simple alternating pair folds
-        // into the ratio; and (c) reports the median rep ratio, which
-        // discards reps that caught a machine-state transient.
-        // A short pass (a slice of the workload) keeps each ABBA rep
-        // well inside one drift wave, where the cancellation is near
-        // exact; the paired design supplies the statistical power the
-        // shorter interval gives up.
-        std::vector<ValueInterval> cal_queries(
-            queries.begin(),
-            queries.begin() + std::min<size_t>(queries.size(), 50));
-        (void)(*db)->RunWorkload(cal_queries);
-        auto cpu_ms_pass = [&](bool enable) -> double {
-          MetricsRegistry::set_enabled(enable);
-          const std::clock_t t0 = std::clock();
-          StatusOr<WorkloadStats> ws = (*db)->RunWorkload(cal_queries);
-          const std::clock_t t1 = std::clock();
-          if (!ws.ok()) return 0.0;
-          return 1000.0 * static_cast<double>(t1 - t0) / CLOCKS_PER_SEC;
-        };
-        std::vector<double> ratios;
-        for (int rep = 0; rep < 15; ++rep) {
-          const bool a_is_off = (rep % 2 == 0);  // ABBA then BAAB, ...
-          const double a1 = cpu_ms_pass(!a_is_off);
-          const double b1 = cpu_ms_pass(a_is_off);
-          const double b2 = cpu_ms_pass(a_is_off);
-          const double a2 = cpu_ms_pass(!a_is_off);
-          const double off_ms = a_is_off ? a1 + a2 : b1 + b2;
-          const double on_ms = a_is_off ? b1 + b2 : a1 + a2;
-          if (off_ms > 0 && on_ms > 0) ratios.push_back(on_ms / off_ms);
-        }
-        MetricsRegistry::set_enabled(prev);
-        if (!ratios.empty()) {
-          std::sort(ratios.begin(), ratios.end());
-          const size_t n = ratios.size();
-          const double median =
-              (n % 2 == 1) ? ratios[n / 2]
-                           : (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0;
-          report.metrics_overhead_pct = (median - 1.0) * 100.0;
-        }
-      }
-      first_workload = false;
-
       StatusOr<WorkloadStats> ws = (*db)->RunWorkload(queries);
       if (!ws.ok()) {
         std::fprintf(stderr, "workload %s qi=%g: %s\n",
@@ -129,24 +56,18 @@ bool RunFigure(const Field& field, const FigureConfig& config,
                      ws.status().ToString().c_str());
         return false;
       }
-      series.points.push_back(BenchPoint{qi, *ws});
+      series.points.emplace_back(qi, *ws);
     }
-    report.series.push_back(std::move(series));
+    run.series.push_back(std::move(series));
   }
 
-  PrintBenchReport(report);
-
-  if (!config.bench_id.empty()) {
-    const std::string path = "BENCH_" + config.bench_id + ".json";
-    const Status s = report.WriteJson(path);
-    if (!s.ok()) {
-      std::fprintf(stderr, "write %s: %s\n", path.c_str(),
-                   s.ToString().c_str());
-      return false;
-    }
-    std::printf("telemetry: %s\n\n", path.c_str());
-  }
-  return true;
+  PrintFigureTables(run);
+  const int status =
+      FigureReport(config.bench_id, config.title, run,
+                   config.methods.size() * config.qintervals.size())
+          .Finish();
+  std::printf("\n");
+  return status == 0;
 }
 
 }  // namespace fielddb::bench

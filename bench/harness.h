@@ -18,10 +18,8 @@ namespace fielddb::bench {
 /// that explain them.
 struct FigureConfig {
   std::string title;
-  /// Stable id for machine-readable output: when non-empty the run also
-  /// writes BENCH_<bench_id>.json (schema in DESIGN.md) to the current
-  /// directory, and calibrates the metrics-recording overhead by running
-  /// the first workload with the registry disabled, then enabled.
+  /// Stable id: the run writes BENCH_<bench_id>.json (DESIGN.md §10) to
+  /// the current directory.
   std::string bench_id;
   std::vector<double> qintervals;
   std::vector<IndexMethod> methods = {IndexMethod::kLinearScan,
@@ -32,16 +30,12 @@ struct FigureConfig {
   FieldDatabaseOptions base_options;  // method is overridden per series
 };
 
-/// Runs the sweep, prints the figure table to stdout, and (when
-/// `config.bench_id` is set) writes the BENCH_<id>.json telemetry file.
-/// Databases are built one at a time (million-cell fields would not fit
-/// side by side). Returns false on any error (after printing it).
+/// Runs the sweep, prints the figure table to stdout and writes the
+/// BENCH_<id>.json report. Databases are built one at a time
+/// (million-cell fields would not fit side by side). Returns false on
+/// any error (after printing it), when the report could not be written,
+/// or when one of its invariant gates failed.
 bool RunFigure(const Field& field, const FigureConfig& config);
-
-/// Like RunFigure, but also hands the populated report back to the
-/// caller (fielddb_cli bench reuses this to honor its --json flag).
-bool RunFigure(const Field& field, const FigureConfig& config,
-               BenchReport* out_report);
 
 /// Parses the common bench flags: "--quick" shrinks the workload to 30
 /// queries for smoke runs.

@@ -26,7 +26,10 @@ struct ValueInterval {
     return ValueInterval{std::min(a, b), std::max(a, b)};
   }
 
-  bool IsEmpty() const { return min > max; }
+  /// Contains nothing: min > max, or a NaN bound (which no value is
+  /// above or below), so every entry point that refuses an empty
+  /// interval refuses NaN bounds too.
+  bool IsEmpty() const { return !(min <= max); }
 
   bool Contains(double w) const { return w >= min && w <= max; }
 

@@ -402,6 +402,7 @@ double IntervalDistance(const ValueInterval& iv, double w) {
 Status FieldDatabase::NearestValueQuery(double w, size_t k,
                                         std::vector<NearestCell>* out) const {
   out->clear();
+  if (std::isnan(w)) return Status::InvalidArgument("NaN target value");
   if (k == 0) return Status::OK();
   const RecordStore<CellRecord>& store = index_->cell_store().records();
 
@@ -471,6 +472,7 @@ Status FieldDatabase::IsolineQuery(double level,
                                    IsolineQueryResult* out) const {
   out->isoline.polylines.clear();
   out->stats = QueryStats{};
+  if (std::isnan(level)) return Status::InvalidArgument("NaN isoline level");
   DbMetrics::Get().isoline_queries->Increment();
   QueryContext ctx;
   ScopedIoSink sink(&ctx.io);

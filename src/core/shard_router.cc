@@ -61,6 +61,14 @@ void MergeStats(const QueryStats& shard_stats, QueryStats* out) {
   out->wall_seconds = wall;
 }
 
+/// The router refuses what one FieldDatabase refuses, before admission:
+/// a shard validates only the queries MayContain sends it, so an empty
+/// interval above every hull would otherwise answer OK.
+Status ValidateQuery(const ValueInterval& query) {
+  return query.IsEmpty() ? Status::InvalidArgument("empty query interval")
+                         : Status::OK();
+}
+
 }  // namespace
 
 ShardRouter::AdmissionSlot::AdmissionSlot(const ShardRouter* router)
@@ -321,6 +329,7 @@ Status ShardRouter::ValueQueryStats(const ValueInterval& query,
                                     QueryStats* out,
                                     RouterQueryProfile* profile) const {
   *out = QueryStats{};
+  FIELDDB_RETURN_IF_ERROR(ValidateQuery(query));
   AdmissionSlot slot(this);
   queries_->Increment();
   const auto t0 = std::chrono::steady_clock::now();
@@ -370,6 +379,7 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
   out->region.pieces.clear();
   out->stats = QueryStats{};
   out->plan = PhysicalPlan{};
+  FIELDDB_RETURN_IF_ERROR(ValidateQuery(query));
   AdmissionSlot slot(this);
   queries_->Increment();
   const auto t0 = std::chrono::steady_clock::now();
@@ -440,6 +450,9 @@ Status ShardRouter::SharedValueQueryStats(
     const std::vector<ValueInterval>& queries,
     std::vector<QueryStats>* out) const {
   out->assign(queries.size(), QueryStats{});
+  for (const ValueInterval& q : queries) {
+    FIELDDB_RETURN_IF_ERROR(ValidateQuery(q));
+  }
   if (queries.empty()) return Status::OK();
   AdmissionSlot slot(this);
   queries_->Increment();

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_OBS_JSON_H_
 #define FIELDDB_OBS_JSON_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -44,6 +45,18 @@ inline void JsonAppendDouble(std::string* out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   out->append(buf);
+}
+
+/// The shortest text that reads back as the same double (bench reports:
+/// the checker recomputes each gate from exactly the values the bench
+/// compared). Non-finite values render as null, like JsonAppendDouble.
+inline void JsonAppendNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  char buf[32];  // the longest shortest form is 24 chars
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace fielddb

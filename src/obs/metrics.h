@@ -158,8 +158,8 @@ class MetricsRegistry {
   void Reset();
 
   /// Globally enables/disables recording (export still works). Off, an
-  /// instrument update is one relaxed load and a branch — this is what
-  /// the bench harness toggles to measure metrics overhead.
+  /// instrument update is one relaxed load and a branch — the
+  /// obs-off side of bench_obs_overhead's measurement.
   static void set_enabled(bool enabled);
   static bool enabled();
 

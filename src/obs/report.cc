@@ -2,99 +2,119 @@
 
 #include <algorithm>
 #include <cstdio>
-
-#include "obs/json.h"
+#include <limits>
 
 namespace fielddb {
 
 namespace {
 
-void AppendWorkloadStatsJson(std::string* s, const WorkloadStats& ws,
-                             const DiskModel& disk) {
-  const auto field = [&](const char* name, double v) {
-    s->push_back(',');
-    s->push_back('"');
-    s->append(name);
-    s->append("\":");
-    JsonAppendDouble(s, v);
-  };
-  s->append("\"num_queries\":");
-  s->append(std::to_string(ws.num_queries));
-  field("avg_wall_ms", ws.avg_wall_ms);
-  field("p50_wall_ms", ws.p50_wall_ms);
-  field("p90_wall_ms", ws.p90_wall_ms);
-  field("p99_wall_ms", ws.p99_wall_ms);
-  field("max_wall_ms", ws.max_wall_ms);
-  field("avg_candidates", ws.avg_candidates);
-  field("avg_answer_cells", ws.avg_answer_cells);
-  field("avg_logical_reads", ws.avg_logical_reads);
-  field("avg_physical_reads", ws.avg_physical_reads);
-  field("avg_sequential_reads", ws.avg_sequential_reads);
-  field("avg_random_reads", ws.avg_random_reads);
-  field("avg_index_fallbacks", ws.avg_index_fallbacks);
-  field("avg_read_retries", ws.avg_read_retries);
-  field("avg_failed_reads", ws.avg_failed_reads);
-  field("avg_disk_model_ms", ws.AvgDiskMs(disk));
+void AppendValue(std::string* s, const ReportValue& v) { s->append(v.json); }
+
+template <typename Value, typename AppendFn>
+void AppendObject(std::string* s,
+                  const std::vector<std::pair<std::string, Value>>& fields,
+                  AppendFn append) {
+  s->push_back('{');
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) s->append(", ");
+    JsonAppendString(s, fields[i].first);
+    s->append(": ");
+    append(s, fields[i].second);
+  }
+  s->push_back('}');
 }
 
-void AppendBuildInfoJson(std::string* s, const IndexBuildInfo& b) {
-  s->append("{\"num_cells\":");
-  s->append(std::to_string(b.num_cells));
-  s->append(",\"num_index_entries\":");
-  s->append(std::to_string(b.num_index_entries));
-  s->append(",\"num_subfields\":");
-  s->append(std::to_string(b.num_subfields));
-  s->append(",\"tree_height\":");
-  s->append(std::to_string(b.tree_height));
-  s->append(",\"tree_nodes\":");
-  s->append(std::to_string(b.tree_nodes));
-  s->append(",\"store_pages\":");
-  s->append(std::to_string(b.store_pages));
-  s->append(",\"build_seconds\":");
-  JsonAppendDouble(s, b.build_seconds);
-  s->push_back('}');
+bool Holds(double observed, GateOp op, double target) {
+  switch (op) {
+    case GateOp::kLt: return observed < target;
+    case GateOp::kLe: return observed <= target;
+    case GateOp::kGt: return observed > target;
+    case GateOp::kGe: return observed >= target;
+    case GateOp::kEq: return observed == target;
+  }
+  return false;
+}
+
+const char* GateOpName(GateOp op) {
+  switch (op) {
+    case GateOp::kLt: return "<";
+    case GateOp::kLe: return "<=";
+    case GateOp::kGt: return ">";
+    case GateOp::kGe: return ">=";
+    case GateOp::kEq: return "==";
+  }
+  return "?";
 }
 
 }  // namespace
 
+BenchPoint& BenchPoint::Label(std::string key, ReportValue value) {
+  labels.emplace_back(std::move(key), std::move(value));
+  return *this;
+}
+
+BenchPoint& BenchPoint::Metric(std::string key, double value) {
+  metrics.emplace_back(std::move(key), value);
+  return *this;
+}
+
+BenchReport::BenchReport(std::string bench_id, std::string title)
+    : bench_id_(std::move(bench_id)), title_(std::move(title)) {}
+
+void BenchReport::Config(std::string key, ReportValue value) {
+  config_.emplace_back(std::move(key), std::move(value));
+}
+
+BenchPoint& BenchReport::AddPoint() { return points_.emplace_back(); }
+
+bool BenchReport::AddGate(std::string name, GateKind kind, double observed,
+                          GateOp op, double target) {
+  const bool ok = Holds(observed, op, target);
+  gates_.push_back(BenchGate{std::move(name), kind, observed, op, target, ok});
+  return ok;
+}
+
+bool BenchReport::Invariant(std::string name, double observed, GateOp op,
+                            double target) {
+  return AddGate(std::move(name), GateKind::kInvariant, observed, op, target);
+}
+
+bool BenchReport::Timing(std::string name, double observed, GateOp op,
+                         double target) {
+  return AddGate(std::move(name), GateKind::kTiming, observed, op, target);
+}
+
 std::string BenchReport::ToJson() const {
-  std::string s = "{\"bench_id\":";
-  JsonAppendString(&s, bench_id);
-  s += ",\"title\":";
-  JsonAppendString(&s, title);
-  s += ",\"field_cells\":" + std::to_string(field_cells);
-  s += ",\"value_range\":{\"min\":";
-  JsonAppendDouble(&s, value_min);
-  s += ",\"max\":";
-  JsonAppendDouble(&s, value_max);
-  s += "},\"num_queries\":" + std::to_string(num_queries);
-  s += ",\"workload_seed\":" + std::to_string(workload_seed);
-  s += ",\"metrics_overhead_pct\":";
-  JsonAppendDouble(&s, metrics_overhead_pct);  // NaN -> null
-  s += ",\"disk_model\":{\"seek_ms\":";
-  JsonAppendDouble(&s, disk.seek_ms);
-  s += ",\"transfer_ms_per_page\":";
-  JsonAppendDouble(&s, disk.transfer_ms_per_page);
-  s += "},\"series\":[";
-  for (size_t i = 0; i < series.size(); ++i) {
-    const BenchSeries& ser = series[i];
-    if (i > 0) s += ',';
-    s += "{\"method\":";
-    JsonAppendString(&s, ser.method);
-    s += ",\"build\":";
-    AppendBuildInfoJson(&s, ser.build);
-    s += ",\"points\":[";
-    for (size_t j = 0; j < ser.points.size(); ++j) {
-      if (j > 0) s += ',';
-      s += "{\"qinterval\":";
-      JsonAppendDouble(&s, ser.points[j].qinterval);
-      s += ',';
-      AppendWorkloadStatsJson(&s, ser.points[j].stats, disk);
-      s += '}';
-    }
-    s += "]}";
+  std::string s = "{\"bench_id\": ";
+  JsonAppendString(&s, bench_id_);
+  s += ",\n \"title\": ";
+  JsonAppendString(&s, title_);
+  s += ",\n \"config\": ";
+  AppendObject(&s, config_, AppendValue);
+  s += ",\n \"points\": [";
+  for (size_t i = 0; i < points_.size(); ++i) {
+    s += i == 0 ? "\n  {\"labels\": " : ",\n  {\"labels\": ";
+    AppendObject(&s, points_[i].labels, AppendValue);
+    s += ", \"metrics\": ";
+    AppendObject(&s, points_[i].metrics, JsonAppendNumber);
+    s += '}';
   }
-  s += "]}";
+  s += "],\n \"gates\": [";
+  for (size_t i = 0; i < gates_.size(); ++i) {
+    const BenchGate& g = gates_[i];
+    s += i == 0 ? "\n  {\"name\": " : ",\n  {\"name\": ";
+    JsonAppendString(&s, g.name);
+    s += g.kind == GateKind::kInvariant ? ", \"kind\": \"invariant\""
+                                        : ", \"kind\": \"timing\"";
+    s += ", \"observed\": ";
+    JsonAppendNumber(&s, g.observed);
+    s += ", \"op\": ";
+    JsonAppendString(&s, GateOpName(g.op));
+    s += ", \"target\": ";
+    JsonAppendNumber(&s, g.target);
+    s += g.ok ? ", \"ok\": true}" : ", \"ok\": false}";
+  }
+  s += "]}\n";
   return s;
 }
 
@@ -105,6 +125,7 @@ Status BenchReport::WriteJson(const std::string& path) const {
     return Status::IOError("cannot open " + path + " for writing");
   }
   const size_t written = std::fwrite(json.data(), 1, json.size(), f);
+  // fclose flushes the stdio buffer: a full disk shows up here.
   const bool closed = std::fclose(f) == 0;
   if (written != json.size() || !closed) {
     return Status::IOError("short write to " + path);
@@ -112,8 +133,31 @@ Status BenchReport::WriteJson(const std::string& path) const {
   return Status::OK();
 }
 
-void PrintBenchReport(const BenchReport& report) {
-  for (const BenchSeries& ser : report.series) {
+int BenchReport::Finish(const std::string& path) const {
+  bool invariants_ok = true;
+  for (const BenchGate& g : gates_) {
+    if (g.ok) continue;
+    const bool invariant = g.kind == GateKind::kInvariant;
+    invariants_ok = invariants_ok && !invariant;
+    std::fprintf(stderr, "%s: %s gate '%s' failed: %g %s %g does not hold%s\n",
+                 bench_id_.c_str(), invariant ? "invariant" : "timing",
+                 g.name.c_str(), g.observed, GateOpName(g.op), g.target,
+                 invariant ? "" : " (recorded, not enforced: depends on "
+                                  "host load)");
+  }
+  const std::string out =
+      path.empty() ? "BENCH_" + bench_id_ + ".json" : path;
+  if (const Status s = WriteJson(out); !s.ok()) {
+    std::fprintf(stderr, "write %s: %s\n", out.c_str(),
+                 s.ToString().c_str());
+    return 1;
+  }
+  std::printf("telemetry: %s\n", out.c_str());
+  return invariants_ok ? 0 : 1;
+}
+
+void PrintFigureTables(const FigureRun& run) {
+  for (const FigureSeries& ser : run.series) {
     const IndexBuildInfo& info = ser.build;
     std::printf(
         "[build] %-11s entries=%-8llu subfields=%-7llu tree_h=%u "
@@ -131,19 +175,17 @@ void PrintBenchReport(const BenchReport& report) {
                          double (*cell)(const WorkloadStats&,
                                         const DiskModel&)) {
     std::printf("\n%-10s", "Qinterval");
-    for (const BenchSeries& ser : report.series) {
+    for (const FigureSeries& ser : run.series) {
       std::printf(" %14s", (ser.method + suffix).c_str());
     }
     std::printf("\n");
-    const size_t rows =
-        report.series.empty() ? 0 : report.series[0].points.size();
+    const size_t rows = run.series.empty() ? 0 : run.series[0].points.size();
     for (size_t i = 0; i < rows; ++i) {
-      std::printf("%-10.3f", report.series[0].points[i].qinterval);
-      for (const BenchSeries& ser : report.series) {
-        std::printf(" %14.4f",
-                    i < ser.points.size()
-                        ? cell(ser.points[i].stats, report.disk)
-                        : 0.0);
+      std::printf("%-10.3f", run.series[0].points[i].first);
+      for (const FigureSeries& ser : run.series) {
+        std::printf(" %14.4f", i < ser.points.size()
+                                   ? cell(ser.points[i].second, run.disk)
+                                   : 0.0);
       }
       std::printf("\n");
     }
@@ -168,9 +210,9 @@ void PrintBenchReport(const BenchReport& report) {
   });
 
   // Headline ratios when both series are present.
-  const BenchSeries* scan = nullptr;
-  const BenchSeries* hilbert = nullptr;
-  for (const BenchSeries& ser : report.series) {
+  const FigureSeries* scan = nullptr;
+  const FigureSeries* hilbert = nullptr;
+  for (const FigureSeries& ser : run.series) {
     if (ser.method == IndexMethodName(IndexMethod::kLinearScan)) {
       scan = &ser;
     }
@@ -181,18 +223,17 @@ void PrintBenchReport(const BenchReport& report) {
   if (scan != nullptr && hilbert != nullptr) {
     double min_ratio = 1e300, max_ratio = 0;
     double min_io = 1e300, max_io = 0;
-    const size_t rows = std::min(scan->points.size(),
-                                 hilbert->points.size());
+    const size_t rows = std::min(scan->points.size(), hilbert->points.size());
     for (size_t i = 0; i < rows; ++i) {
-      const WorkloadStats& s = scan->points[i].stats;
-      const WorkloadStats& h = hilbert->points[i].stats;
+      const WorkloadStats& s = scan->points[i].second;
+      const WorkloadStats& h = hilbert->points[i].second;
       if (h.avg_wall_ms > 0) {
         const double r = s.avg_wall_ms / h.avg_wall_ms;
         min_ratio = std::min(min_ratio, r);
         max_ratio = std::max(max_ratio, r);
       }
-      if (h.AvgDiskMs(report.disk) > 0) {
-        const double r = s.AvgDiskMs(report.disk) / h.AvgDiskMs(report.disk);
+      if (h.AvgDiskMs(run.disk) > 0) {
+        const double r = s.AvgDiskMs(run.disk) / h.AvgDiskMs(run.disk);
         min_io = std::min(min_io, r);
         max_io = std::max(max_io, r);
       }
@@ -202,11 +243,75 @@ void PrintBenchReport(const BenchReport& report) {
         "sim-disk %.1fx .. %.1fx\n",
         min_ratio, max_ratio, min_io, max_io);
   }
-  if (!std::isnan(report.metrics_overhead_pct)) {
-    std::printf("metrics overhead: %+.2f%% of query CPU time\n",
-                report.metrics_overhead_pct);
-  }
   std::printf("\n");
+}
+
+BenchReport FigureReport(std::string bench_id, std::string title,
+                         const FigureRun& run, size_t expected_points) {
+  BenchReport report(std::move(bench_id), std::move(title));
+  report.Config("field_cells", run.field_cells);
+  report.Config("value_min", run.value_range.min);
+  report.Config("value_max", run.value_range.max);
+  report.Config("num_queries", run.num_queries);
+  report.Config("workload_seed", run.workload_seed);
+  report.Config("disk_seek_ms", run.disk.seek_ms);
+  report.Config("disk_transfer_ms_per_page", run.disk.transfer_ms_per_page);
+
+  size_t points = 0;
+  size_t percentile_inversions = 0;
+  size_t build_cell_mismatches = 0;
+  double min_queries = std::numeric_limits<double>::infinity();
+  double min_reads = std::numeric_limits<double>::infinity();
+  for (const FigureSeries& ser : run.series) {
+    const IndexBuildInfo& b = ser.build;
+    build_cell_mismatches += b.num_cells != run.field_cells;
+    for (const auto& [qinterval, ws] : ser.points) {
+      ++points;
+      min_queries = std::min<double>(min_queries, ws.num_queries);
+      min_reads = std::min(min_reads, ws.avg_logical_reads);
+      percentile_inversions += !(ws.p50_wall_ms <= ws.p90_wall_ms &&
+                                 ws.p90_wall_ms <= ws.p99_wall_ms &&
+                                 ws.p99_wall_ms <= ws.max_wall_ms);
+      report.AddPoint()
+          .Label("method", ser.method)
+          .Label("qinterval", qinterval)
+          .Metric("num_queries", ws.num_queries)
+          .Metric("avg_wall_ms", ws.avg_wall_ms)
+          .Metric("p50_wall_ms", ws.p50_wall_ms)
+          .Metric("p90_wall_ms", ws.p90_wall_ms)
+          .Metric("p99_wall_ms", ws.p99_wall_ms)
+          .Metric("max_wall_ms", ws.max_wall_ms)
+          .Metric("avg_candidates", ws.avg_candidates)
+          .Metric("avg_answer_cells", ws.avg_answer_cells)
+          .Metric("avg_logical_reads", ws.avg_logical_reads)
+          .Metric("avg_physical_reads", ws.avg_physical_reads)
+          .Metric("avg_sequential_reads", ws.avg_sequential_reads)
+          .Metric("avg_random_reads", ws.avg_random_reads)
+          .Metric("avg_index_fallbacks", ws.avg_index_fallbacks)
+          .Metric("avg_read_retries", ws.avg_read_retries)
+          .Metric("avg_failed_reads", ws.avg_failed_reads)
+          .Metric("avg_disk_model_ms", ws.AvgDiskMs(run.disk))
+          .Metric("num_cells", b.num_cells)
+          .Metric("num_index_entries", b.num_index_entries)
+          .Metric("num_subfields", b.num_subfields)
+          .Metric("tree_height", b.tree_height)
+          .Metric("tree_nodes", b.tree_nodes)
+          .Metric("store_pages", b.store_pages)
+          .Metric("build_seconds", b.build_seconds);
+    }
+  }
+  report.Invariant("value_range_width",
+                   run.value_range.max - run.value_range.min, GateOp::kGe, 0);
+  report.Invariant("points", static_cast<double>(points), GateOp::kEq,
+                   static_cast<double>(expected_points));
+  report.Invariant("min_point_queries", min_queries, GateOp::kGe,
+                   run.num_queries);
+  report.Invariant("min_avg_logical_reads", min_reads, GateOp::kGt, 0);
+  report.Invariant("wall_percentile_inversions",
+                   static_cast<double>(percentile_inversions), GateOp::kEq, 0);
+  report.Invariant("build_cell_mismatches",
+                   static_cast<double>(build_cell_mismatches), GateOp::kEq, 0);
+  return report;
 }
 
 }  // namespace fielddb

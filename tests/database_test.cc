@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "gen/fractal.h"
 #include "gen/monotonic.h"
@@ -145,9 +147,23 @@ TEST_P(DatabaseMethodTest, EmptyQueryRejected) {
   ASSERT_TRUE(field.ok());
   auto db = FieldDatabase::Build(*field, OptionsFor(GetParam()));
   ASSERT_TRUE(db.ok());
-  ValueQueryResult result;
-  EXPECT_FALSE(
-      (*db)->ValueQuery(ValueInterval::Empty(), &result).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A NaN bound is empty too: no value lies above or below it.
+  for (const ValueInterval& q :
+       {ValueInterval::Empty(), ValueInterval{nan, 0.5},
+        ValueInterval{-0.5, nan}, ValueInterval{nan, nan}}) {
+    SCOPED_TRACE(q.ToString());
+    ValueQueryResult result;
+    EXPECT_EQ((*db)->ValueQuery(q, &result).code(),
+              StatusCode::kInvalidArgument);
+    std::vector<QueryStats> shared;
+    EXPECT_EQ((*db)->SharedValueQueryStats({ValueInterval{0, 1}, q}, &shared)
+                  .code(),
+              StatusCode::kInvalidArgument);
+    FieldDatabase::ExplainResult explain;
+    EXPECT_EQ((*db)->ExplainValueQuery(q, &explain).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/monotonic.h"
@@ -115,6 +117,21 @@ TEST_P(IsolineQueryTest, LevelOutsideRangeIsEmpty) {
   ASSERT_TRUE((*db)->IsolineQuery(5.0, &result).ok());
   EXPECT_TRUE(result.isoline.polylines.empty());
   EXPECT_EQ(result.stats.answer_cells, 0u);
+}
+
+TEST_P(IsolineQueryTest, NanLevelRejected) {
+  auto field = MakeMonotonicField(8, 8);
+  ASSERT_TRUE(field.ok());
+  FieldDatabaseOptions options;
+  options.method = GetParam();
+  auto db = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(db.ok());
+  IsolineQueryResult result;
+  EXPECT_EQ((*db)
+                ->IsolineQuery(std::numeric_limits<double>::quiet_NaN(),
+                               &result)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/rng.h"
 #include "core/field_database.h"
@@ -155,6 +156,22 @@ TEST_P(NearestValueTest, InsideRangeDistanceZero) {
     EXPECT_DOUBLE_EQ(hit.distance, 0.0);
     EXPECT_TRUE(hit.interval.Contains(1.0));
   }
+}
+
+TEST_P(NearestValueTest, NanTargetRejected) {
+  auto field = MakeMonotonicField(8, 8);
+  ASSERT_TRUE(field.ok());
+  FieldDatabaseOptions options;
+  options.method = GetParam();
+  auto db = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(db.ok());
+  std::vector<FieldDatabase::NearestCell> got;
+  EXPECT_EQ((*db)
+                ->NearestValueQuery(std::numeric_limits<double>::quiet_NaN(),
+                                    3, &got)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(got.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -178,6 +178,41 @@ TEST(ShardRouterTest, OutOfRangeQuerySkipsEveryShard) {
   EXPECT_EQ(stats.io.logical_reads, 0u);
 }
 
+TEST(ShardRouterTest, RefusesWhatOneDatabaseRefuses) {
+  const GridField field = MakeTestField();
+  auto db = FieldDatabase::Build(field, ShardRouterOptions{}.db);
+  ASSERT_TRUE(db.ok());
+  const ValueInterval range = (*db)->value_range();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // An empty interval above every shard's hull (no shard receives it),
+  // the canonical empty interval and a NaN bound.
+  const std::vector<ValueInterval> refused = {
+      ValueInterval{range.max + 2.0, range.max + 1.0},
+      ValueInterval::Empty(), ValueInterval{nan, 0.5}};
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    ShardRouterOptions ro;
+    ro.shards = shards;
+    auto router = ShardRouter::Build(field, ro);
+    ASSERT_TRUE(router.ok());
+    for (const ValueInterval& q : refused) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << shards << " query=" << q.ToString());
+      ValueQueryResult want_result, got_result;
+      const Status want = (*db)->ValueQuery(q, &want_result);
+      EXPECT_EQ(want.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ((*router)->ValueQuery(q, &got_result).code(), want.code());
+      QueryStats want_stats, got_stats;
+      EXPECT_EQ((*router)->ValueQueryStats(q, &got_stats).code(),
+                (*db)->ValueQueryStats(q, &want_stats).code());
+      // One refused member refuses the whole shared batch.
+      const std::vector<ValueInterval> batch = {range, q, range};
+      std::vector<QueryStats> want_shared, got_shared;
+      EXPECT_EQ((*router)->SharedValueQueryStats(batch, &got_shared).code(),
+                (*db)->SharedValueQueryStats(batch, &want_shared).code());
+    }
+  }
+}
+
 TEST(ShardRouterTest, SharedScanMatchesIsolatedExecution) {
   const GridField field = MakeTestField();
   ShardRouterOptions ro;

@@ -152,6 +152,15 @@ TEST(TemporalDbTest, RejectsBadQueries) {
   EXPECT_EQ((*db)->TimeRangeCandidates(ValueInterval{0, 1}, 0.0, nan, &cells)
                 .code(),
             StatusCode::kInvalidArgument);
+  // A NaN value bound is empty too.
+  for (const ValueInterval& band :
+       {ValueInterval{nan, 0.5}, ValueInterval{-0.5, nan},
+        ValueInterval{nan, nan}}) {
+    EXPECT_EQ((*db)->SnapshotValueQuery(1.0, band, &result).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*db)->TimeRangeCandidates(band, 0.0, 1.0, &cells).code(),
+              StatusCode::kInvalidArgument);
+  }
   EXPECT_TRUE(cells.empty());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -397,6 +398,21 @@ TEST_P(VectorDbTest, RejectsEmptyBand) {
   VectorQueryResult result;
   EXPECT_FALSE(
       (*db)->BandQuery({ValueInterval::Empty(), {0, 1}}, &result).ok());
+  // A NaN bound is empty too. A forced index plan must refuse it as
+  // well: the R*-tree's box test would otherwise match most cells.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const PlannerMode mode :
+       {PlannerMode::kAuto, PlannerMode::kForceIndex}) {
+    (*db)->set_planner_mode(mode);
+    for (const ValueInterval& band :
+         {ValueInterval{nan, 0.5}, ValueInterval{-0.5, nan},
+          ValueInterval{nan, nan}}) {
+      EXPECT_EQ((*db)->BandQuery({band, {0, 1}}, &result).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ((*db)->BandQuery({{0, 1}, band}, &result).code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, VectorDbTest,

@@ -239,6 +239,14 @@ TEST_P(VolumeDbTest, RejectsEmptyBand) {
   ASSERT_TRUE(db.ok());
   VolumeQueryResult result;
   EXPECT_FALSE((*db)->BandQuery(ValueInterval::Empty(), &result).ok());
+  // A NaN bound is empty too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const ValueInterval& band :
+       {ValueInterval{nan, 0.5}, ValueInterval{-0.5, nan},
+        ValueInterval{nan, nan}}) {
+    EXPECT_EQ((*db)->BandQuery(band, &result).code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, VolumeDbTest,

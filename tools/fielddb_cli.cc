@@ -398,28 +398,23 @@ int CmdBench(const Args& args) {
   if (!ws.ok()) return Fail(ws.status());
 
   // Same reporting path as the figure benches: a one-series, one-point
-  // BenchReport renders both the stdout tables and (with --json) the
-  // telemetry file check_bench_json.py validates.
-  BenchReport report;
-  report.bench_id = "cli";
-  report.title = "fielddb_cli bench " + args.Get("db", "");
-  report.field_cells = (*db)->build_info().num_cells;
-  report.value_min = (*db)->value_range().min;
-  report.value_max = (*db)->value_range().max;
-  report.num_queries = wo.num_queries;
-  report.workload_seed = wo.seed;
-  BenchSeries series;
+  // FigureRun renders both the stdout tables and (with --json) the
+  // report check_bench_json.py validates.
+  FigureRun run;
+  run.field_cells = (*db)->build_info().num_cells;
+  run.value_range = (*db)->value_range();
+  run.num_queries = wo.num_queries;
+  run.workload_seed = wo.seed;
+  FigureSeries& series = run.series.emplace_back();
   series.method = IndexMethodName((*db)->method());
   series.build = (*db)->build_info();
-  series.points.push_back(BenchPoint{wo.qinterval_fraction, *ws});
-  report.series.push_back(std::move(series));
-  PrintBenchReport(report);
+  series.points.emplace_back(wo.qinterval_fraction, *ws);
+  PrintFigureTables(run);
   std::printf("%s\n", ws->ToString().c_str());
   if (args.Has("json")) {
-    const std::string path = args.Get("json", "BENCH_cli.json");
-    const Status w = report.WriteJson(path);
-    if (!w.ok()) return Fail(w);
-    std::printf("telemetry: %s\n", path.c_str());
+    return FigureReport("cli", "fielddb_cli bench " + args.Get("db", ""),
+                        run, 1)
+        .Finish(args.Get("json", "BENCH_cli.json"));
   }
   return 0;
 }
