@@ -77,8 +77,9 @@ bool RunPoint(const Field& field, uint32_t shards,
 
   // Warmup: one full pass populates every shard's pool.
   for (const ValueInterval& q : queries) {
-    QueryStats stats;
-    const Status s = (*router)->ValueQueryStats(q, &stats);
+    ValueQueryResult result;
+    const Status s = (*router)->Query({.bands = {&q, 1}, .regions = false},
+                                      {&result, 1});
     if (!s.ok()) return Fail(s);
   }
 
@@ -97,10 +98,11 @@ bool RunPoint(const Field& field, uint32_t shards,
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= queries.size()) break;
         RouterQueryProfile profile;
-        QueryStats stats;
+        ValueQueryResult result;
         const auto q0 = std::chrono::steady_clock::now();
-        const Status s = (*router)->ValueQueryStats(queries[i], &stats,
-                                                    &profile);
+        const Status s = (*router)->Query(
+            {.bands = {&queries[i], 1}, .regions = false}, {&result, 1},
+            &profile);
         const auto q1 = std::chrono::steady_clock::now();
         if (!s.ok()) {
           failed.fetch_add(1, std::memory_order_relaxed);

@@ -99,7 +99,8 @@ int main() {
 
   // Step 1: value query on the temperature field.
   ValueQueryResult temp_result;
-  Status s = (*temp_db)->ValueQuery(temp_band, &temp_result);
+  Status s =
+      (*temp_db)->Query({.bands = {&temp_band, 1}}, {&temp_result, 1});
   if (!s.ok()) {
     std::fprintf(stderr, "temperature query: %s\n", s.ToString().c_str());
     return 1;
@@ -112,7 +113,7 @@ int main() {
 
   // Step 2: value query on the salinity field (for reporting symmetry).
   ValueQueryResult sal_result;
-  s = (*sal_db)->ValueQuery(sal_band, &sal_result);
+  s = (*sal_db)->Query({.bands = {&sal_band, 1}}, {&sal_result, 1});
   if (!s.ok()) {
     std::fprintf(stderr, "salinity query: %s\n", s.ToString().c_str());
     return 1;

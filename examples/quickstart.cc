@@ -66,7 +66,7 @@ int main() {
               PlanKindName(plan.kind), plan.predicted_cost_ms,
               plan.reason.c_str());
   ValueQueryResult result;
-  const Status s = (*db)->ValueQuery(band, &result);
+  const Status s = (*db)->Query({.bands = {&band, 1}}, {&result, 1});
   if (!s.ok()) {
     std::fprintf(stderr, "Q2: %s\n", s.ToString().c_str());
     return 1;

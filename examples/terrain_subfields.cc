@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const ValueInterval band{range.min + 0.45 * range.Length(),
                            range.min + 0.55 * range.Length()};
   ValueQueryResult result;
-  if ((*db)->ValueQuery(band, &result).ok()) {
+  if ((*db)->Query({.bands = {&band, 1}}, {&result, 1}).ok()) {
     SvgLayer answer;
     answer.polygons = result.region.pieces;
     answer.fill = "#000000";

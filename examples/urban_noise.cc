@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   // [80, max].
   const ValueInterval noisy{80.0, city->ValueRange().max};
   ValueQueryResult result;
-  const Status s = (*db)->ValueQuery(noisy, &result);
+  const Status s = (*db)->Query({.bands = {&noisy, 1}}, {&result, 1});
   if (!s.ok()) {
     std::fprintf(stderr, "query: %s\n", s.ToString().c_str());
     return 1;

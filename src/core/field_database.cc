@@ -7,7 +7,6 @@
 
 #include "field/interpolation.h"
 #include "field/isoband.h"
-#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 #include "plan/operators.h"
@@ -163,12 +162,10 @@ void FieldDatabase::InitPlanner(PlannerMode mode) {
 
 template <typename Visitor>
 Status FieldDatabase::ScanBand(PlanKind plan, const ValueInterval& band,
-                               const OperatorEnv& env,
-                               std::span<QueryStats> members,
-                               bool count_candidates,
+                               const OperatorEnv& env, QueryStats* leader,
+                               size_t members, bool count_candidates,
                                const char* fetch_detail,
                                Visitor& visit) const {
-  QueryStats* const leader = &members[0];
   // Without a filter step the scan counts each zone-matching cell it
   // visits: the zone test is exact, so visited == matching.
   const auto scan_all = [&] {
@@ -191,18 +188,17 @@ Status FieldDatabase::ScanBand(PlanKind plan, const ValueInterval& band,
   if (filter.code() == StatusCode::kCorruption) {
     // The value index is damaged but the cell store holds every answer:
     // degrade to the fused scan so the query still returns exact
-    // results. Counted and logged once (one scan fell back), reported
-    // by every member. Nothing was visited yet, so there is nothing to
-    // undo.
+    // results. Counted and logged once (one scan fell back). Nothing
+    // was visited yet, so there is nothing to undo.
     index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     DbMetrics::Get().index_fallbacks->Increment();
     EventLog::Event event("corruption_fallback");
     event.Add("query_min", band.min).Add("query_max", band.max);
-    if (members.size() > 1) {
-      event.Add("shared_members", static_cast<uint64_t>(members.size()));
+    if (members > 1) {
+      event.Add("shared_members", static_cast<uint64_t>(members));
     }
     engine_.LogEvent(event.Add("error", filter.ToString()));
-    for (QueryStats& member : members) member.index_fallbacks = 1;
+    leader->index_fallbacks = 1;
     return scan_all();
   }
   FIELDDB_RETURN_IF_ERROR(filter);
@@ -211,180 +207,96 @@ Status FieldDatabase::ScanBand(PlanKind plan, const ValueInterval& band,
                    leader, visit);
 }
 
-Status FieldDatabase::AnswerValueQuery(const ValueInterval& query,
-                                       Region* region, QueryStats* stats,
-                                       QueryContext* ctx,
-                                       QueryTrace* trace) const {
-  // Cost-based access-path selection, reported as its own span (no page
-  // I/O: the probe reads only the subfield table or the in-memory
-  // zone-map sidecar).
-  PhysicalPlan plan;
-  {
-    ScopedSpan span(trace, "plan", &ctx->io);
-    plan = planner_->Plan(query,
-                          planner_mode_.load(std::memory_order_relaxed));
-    span.set_items(plan.predicted_candidates);
-    span.set_detail(plan.reason);
+Status QueryRequest::Check(size_t num_results) const {
+  if (num_results != bands.size()) {
+    return Status::InvalidArgument("need one result per band");
   }
-  EstimateOp estimate(query, region, stats, /*count_candidates=*/false);
-  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, query,
-                                   OperatorEnv{index_.get(), ctx, trace},
-                                   {stats, 1}, /*count_candidates=*/true,
-                                   /*fetch_detail=*/nullptr, estimate));
-  return estimate.status();
-}
-
-Status FieldDatabase::RunValueQuery(const ValueInterval& query,
-                                    Region* region, QueryStats* stats,
-                                    QueryContext* ctx, bool traced) const {
-  if (query.IsEmpty()) {
-    return Status::InvalidArgument("empty query interval");
+  for (const ValueInterval& band : bands) {
+    if (band.IsEmpty()) return Status::InvalidArgument("empty query interval");
   }
-  QueryContext local;
-  if (ctx == nullptr) ctx = &local;
-  if (region != nullptr) region->pieces.clear();
-  *stats = QueryStats{};
-  if (traced) stats->trace = std::make_shared<QueryTrace>();
-  DbMetrics::Get().value_queries->Increment();
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
-
-  FIELDDB_RETURN_IF_ERROR(
-      AnswerValueQuery(query, region, stats, ctx, stats->trace.get()));
-
-  stats->wall_seconds = SecondsSince(t0);
-  stats->io = ctx->io;
-  DbMetrics::Get().query_wall_us->Record(stats->wall_seconds * 1e6);
-  MaybeLogSlowQuery(query, *stats);
   return Status::OK();
 }
 
-Status FieldDatabase::ValueQuery(const ValueInterval& query,
-                                 ValueQueryResult* out,
-                                 QueryContext* ctx) const {
-  return RunValueQuery(query, &out->region, &out->stats, ctx,
-                       /*traced=*/false);
-}
-
-Status FieldDatabase::ValueQueryStats(const ValueInterval& query,
-                                      QueryStats* out,
-                                      QueryContext* ctx) const {
-  return RunValueQuery(query, nullptr, out, ctx, /*traced=*/false);
-}
-
-Status FieldDatabase::TracedValueQueryStats(const ValueInterval& query,
-                                            QueryStats* out,
-                                            QueryContext* ctx) const {
-  return RunValueQuery(query, nullptr, out, ctx, /*traced=*/true);
-}
-
-Status FieldDatabase::AnswerShared(const std::vector<ValueInterval>& queries,
-                                   std::vector<Region>* regions,
-                                   std::vector<QueryStats>* stats,
-                                   QueryContext* ctx) const {
-  const size_t n = queries.size();
-  // The members' hull is the sweep's predicate: every cell matching any
-  // member matches the envelope, so one envelope pass sees them all.
-  ValueInterval envelope;  // default = Hull identity
-  for (const ValueInterval& q : queries) envelope.Extend(q);
-
-  TraceScope span("scan.shared", "exec");
-  span.set_items(n);
-
-  const PhysicalPlan plan = planner_->Plan(
-      envelope, planner_mode_.load(std::memory_order_relaxed));
-
-  // Demultiplexing visitor: each zone-matching cell of the envelope is
-  // tested against every member exactly (cell.Interval() IS the zone
-  // entry), so per-member candidate/answer counts — and the member's
-  // Region, built in the same storage order a lone query would visit —
-  // are bit-identical to isolated execution.
-  Status estimate_status;
-  auto visit = [&](uint64_t pos, const CellRecord& cell) {
-    (void)pos;
-    const ValueInterval iv = cell.Interval();
-    for (size_t q = 0; q < n; ++q) {
-      if (!iv.Intersects(queries[q])) continue;
-      ++(*stats)[q].candidate_cells;
-      if (regions != nullptr) {
-        StatusOr<size_t> pieces =
-            CellIsoband(cell, queries[q], &(*regions)[q]);
-        if (!pieces.ok()) {
-          estimate_status = pieces.status();
-          return false;
-        }
-        if (*pieces > 0) {
-          (*stats)[q].AddAnswerCell(queries[q].Contains(iv), *pieces);
-        }
-      } else {
-        (*stats)[q].AddAnswerCell(queries[q].Contains(iv));
-      }
-    }
-    return true;
-  };
-
-  // The visitor counts each member's candidates itself.
-  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, envelope,
-                                   OperatorEnv{index_.get(), ctx, nullptr},
-                                   *stats, /*count_candidates=*/false,
-                                   "shared_fetch", visit));
-  return estimate_status;
-}
-
-Status FieldDatabase::RunShared(const std::vector<ValueInterval>& queries,
-                                std::vector<Region>* regions,
-                                std::vector<QueryStats>* stats,
-                                QueryContext* ctx) const {
-  for (const ValueInterval& q : queries) {
-    if (q.IsEmpty()) return Status::InvalidArgument("empty query interval");
-  }
-  const size_t n = queries.size();
-  if (regions != nullptr) regions->assign(n, Region{});
-  stats->assign(n, QueryStats{});
+Status FieldDatabase::Query(const QueryRequest& request,
+                            std::span<ValueQueryResult> out,
+                            QueryContext* ctx) const {
+  for (ValueQueryResult& result : out) result.Reset();
+  FIELDDB_RETURN_IF_ERROR(request.Check(out.size()));
+  const std::span<const ValueInterval> bands = request.bands;
+  const size_t n = bands.size();
   if (n == 0) return Status::OK();
-  if (n == 1) {
-    return RunValueQuery(queries[0],
-                         regions != nullptr ? &(*regions)[0] : nullptr,
-                         &(*stats)[0], ctx, /*traced=*/false);
-  }
   QueryContext local;
   if (ctx == nullptr) ctx = &local;
+  QueryStats& leader = out[0].stats;
+  if (request.trace) leader.trace = std::make_shared<QueryTrace>();
+  QueryTrace* const trace = leader.trace.get();
   DbMetrics::Get().value_queries->Increment(n);
   ctx->io.Reset();
   ScopedIoSink sink(&ctx->io);
   const auto t0 = Clock::now();
 
-  FIELDDB_RETURN_IF_ERROR(AnswerShared(queries, regions, stats, ctx));
+  // Cost-based access-path selection, reported as its own span (no page
+  // I/O: the probe reads only the subfield table or the in-memory
+  // zone-map sidecar). A batch plans its members' hull: every cell
+  // matching any member matches the envelope, so one envelope pass
+  // sees them all.
+  ValueInterval envelope = ValueInterval::Empty();
+  for (const ValueInterval& band : bands) envelope.Extend(band);
+  PhysicalPlan plan;
+  {
+    ScopedSpan span(trace, "plan", &ctx->io);
+    plan = planner_->Plan(envelope,
+                          planner_mode_.load(std::memory_order_relaxed));
+    span.set_items(plan.predicted_candidates);
+    span.set_detail(plan.reason);
+  }
+  const OperatorEnv env{index_.get(), ctx, trace};
+  if (n == 1) {
+    // The filter's count is the candidate count.
+    EstimateOp estimate(bands[0], request.regions ? &out[0].region : nullptr,
+                        &leader, /*count_candidates=*/false);
+    FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, bands[0], env, &leader, 1,
+                                     /*count_candidates=*/true,
+                                     /*fetch_detail=*/nullptr, estimate));
+    FIELDDB_RETURN_IF_ERROR(estimate.status());
+  } else {
+    TraceScope span("scan.shared", "exec");
+    span.set_items(n);
+    // Demultiplexing visitor: each zone-matching cell of the envelope is
+    // handed to every member whose band it meets (cell.Interval() IS the
+    // zone entry), so each member counts exactly the candidates, answers
+    // and pieces — in the storage order — that it would alone.
+    std::vector<EstimateOp> members;
+    members.reserve(n);
+    for (size_t q = 0; q < n; ++q) {
+      members.emplace_back(bands[q],
+                           request.regions ? &out[q].region : nullptr,
+                           &out[q].stats, /*count_candidates=*/true);
+    }
+    auto visit = [&](uint64_t pos, const CellRecord& cell) {
+      const ValueInterval iv = cell.Interval();
+      for (size_t q = 0; q < n; ++q) {
+        if (iv.Intersects(bands[q]) && !members[q](pos, cell)) return false;
+      }
+      return true;
+    };
+    FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, envelope, env, &leader, n,
+                                     /*count_candidates=*/false,
+                                     "shared_fetch", visit));
+    for (const EstimateOp& member : members) {
+      FIELDDB_RETURN_IF_ERROR(member.status());
+    }
+  }
 
   const double wall = SecondsSince(t0);
   DbMetrics::Get().query_wall_us->Record(wall * 1e6);
+  // Leader-charged attribution: the sweep's I/O lands on member 0, the
+  // riders report zero — so the members sum to exactly one sweep.
+  leader.io = ctx->io;
   for (size_t q = 0; q < n; ++q) {
-    (*stats)[q].wall_seconds = wall;
-    // Leader-charged attribution: the sweep's I/O lands on member 0,
-    // the riders report zero — so the members sum to exactly one sweep.
-    if (q == 0) (*stats)[q].io = ctx->io;
-    MaybeLogSlowQuery(queries[q], (*stats)[q]);
-  }
-  return Status::OK();
-}
-
-Status FieldDatabase::SharedValueQueryStats(
-    const std::vector<ValueInterval>& queries, std::vector<QueryStats>* out,
-    QueryContext* ctx) const {
-  return RunShared(queries, nullptr, out, ctx);
-}
-
-Status FieldDatabase::SharedValueQuery(
-    const std::vector<ValueInterval>& queries,
-    std::vector<ValueQueryResult>* out, QueryContext* ctx) const {
-  std::vector<Region> regions;
-  std::vector<QueryStats> stats;
-  FIELDDB_RETURN_IF_ERROR(RunShared(queries, &regions, &stats, ctx));
-  out->assign(queries.size(), ValueQueryResult{});
-  for (size_t q = 0; q < queries.size(); ++q) {
-    (*out)[q].region = std::move(regions[q]);
-    (*out)[q].stats = std::move(stats[q]);
+    out[q].stats.wall_seconds = wall;
+    out[q].stats.index_fallbacks = leader.index_fallbacks;
+    MaybeLogSlowQuery(bands[q], out[q].stats);
   }
   return Status::OK();
 }
@@ -498,7 +410,7 @@ Status FieldDatabase::IsolineQuery(double level,
       planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
   FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, query,
                                    OperatorEnv{index_.get(), &ctx, nullptr},
-                                   {&out->stats, 1}, /*count_candidates=*/true,
+                                   &out->stats, 1, /*count_candidates=*/true,
                                    /*fetch_detail=*/nullptr, visit_cell));
   FIELDDB_RETURN_IF_ERROR(inner);
   out->isoline = AssembleIsoline(segments);
@@ -587,9 +499,13 @@ StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
 StatusOr<WorkloadStats> FieldDatabase::RunWorkload(
     const std::vector<ValueInterval>& queries, bool cold_cache) const {
   QueryContext ctx;  // one context reused: this loop is single-threaded
+  ValueQueryResult result;
   return engine_.RunWorkload(
       queries.size(), cold_cache, [&](size_t i, QueryStats* stats) {
-        return ValueQueryStats(queries[i], stats, &ctx);
+        const Status s = Query({.bands = {&queries[i], 1}, .regions = false},
+                               {&result, 1}, &ctx);
+        *stats = result.stats;
+        return s;
       });
 }
 
@@ -602,219 +518,6 @@ Status FieldDatabase::Close() { return engine_.Close(); }
 
 Status FieldDatabase::SimulateCrashForTest() {
   return engine_.SimulateCrashForTest();
-}
-
-Status FieldDatabase::ExplainValueQuery(const ValueInterval& query,
-                                        ExplainResult* out) const {
-  // Stamp the database's identity before validating anything: an early
-  // return must not leave a default-constructed result whose method
-  // (kLinearScan, the struct default) misreports the database.
-  *out = ExplainResult{};
-  out->method = index_->method();
-  out->query = query;
-  out->rtree_height = index_->build_info().tree_height;
-  if (query.IsEmpty()) {
-    return Status::InvalidArgument("empty query interval");
-  }
-
-  // The decision the traced run below will make, captured up front for
-  // the report (planning is deterministic, so this is the same plan).
-  const PhysicalPlan plan = PlanValueQuery(query);
-  out->chosen_plan = plan.kind;
-  out->predicted_cost_ms = plan.predicted_cost_ms;
-  out->predicted_scan_cost_ms = plan.scan_cost_ms;
-  out->predicted_index_cost_ms = plan.index_cost_ms;
-  out->planner_reason = plan.reason;
-
-  // EXPLAIN forces metrics on so the R*-tree descent profile is
-  // recorded even when the process runs with recording disabled.
-  const bool prev_enabled = MetricsRegistry::enabled();
-  MetricsRegistry::set_enabled(true);
-  Counter* const node_visits =
-      MetricsRegistry::Default().GetCounter("rtree.node_visits");
-  const uint64_t visits_before = node_visits->value();
-
-  const Status run = [&]() -> Status {
-    // Cold start, so the physical-read pattern (and its disk-model cost)
-    // reflects the query itself rather than the pool's history.
-    FIELDDB_RETURN_IF_ERROR(engine_.pool()->Clear());
-    return TracedValueQueryStats(query, &out->stats);
-  }();
-  out->rtree_nodes_visited = node_visits->value() - visits_before;
-  MetricsRegistry::set_enabled(prev_enabled);
-  FIELDDB_RETURN_IF_ERROR(run);
-
-  if (out->stats.candidate_cells > 0) {
-    out->false_positive_ratio =
-        static_cast<double>(out->stats.candidate_cells -
-                            out->stats.answer_cells) /
-        static_cast<double>(out->stats.candidate_cells);
-  }
-  out->est_disk_ms = DiskModel{}.EstimateMs(out->stats.io.sequential_reads,
-                                            out->stats.io.random_reads());
-
-  // Annotate the touched subfields. This is a post-pass (the query's
-  // stats are already captured, so these store reads don't pollute it),
-  // skipped when the executed plan never consulted the subfield table:
-  // after a corruption fallback, and when the planner chose the fused
-  // scan (the filter step didn't run).
-  const std::vector<Subfield>* sfs = subfields();
-  if (sfs != nullptr && out->stats.index_fallbacks == 0 &&
-      out->chosen_plan == PlanKind::kIndexedFilter) {
-    const CellStore& store = index_->cell_store();
-    for (uint32_t id = 0; id < sfs->size(); ++id) {
-      const Subfield& sf = (*sfs)[id];
-      if (!sf.interval.Intersects(query)) continue;
-      ExplainSubfield esf;
-      esf.id = id;
-      esf.start = sf.start;
-      esf.end = sf.end;
-      esf.interval = sf.interval;
-      esf.cells = sf.end - sf.start;
-      FIELDDB_RETURN_IF_ERROR(store.records().Scan(
-          sf.start, sf.end, [&](uint64_t, const CellRecord& cell) {
-            if (cell.Interval().Intersects(query)) ++esf.matching_cells;
-            return true;
-          }));
-      out->subfields.push_back(esf);
-    }
-  }
-  return Status::OK();
-}
-
-std::string FieldDatabase::ExplainResult::ToString() const {
-  std::string s;
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "EXPLAIN value query [%.6g, %.6g] method=%s\n", query.min,
-                query.max, IndexMethodName(method));
-  s += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  wall_ms=%.3f candidates=%llu answers=%llu "
-                "(inside=%llu cut=%llu) false_positive_ratio=%.4f\n",
-                stats.wall_seconds * 1000.0,
-                static_cast<unsigned long long>(stats.candidate_cells),
-                static_cast<unsigned long long>(stats.answer_cells),
-                static_cast<unsigned long long>(stats.inside_cells),
-                static_cast<unsigned long long>(stats.answer_cells -
-                                                stats.inside_cells),
-                false_positive_ratio);
-  s += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  io: logical=%llu physical=%llu sequential=%llu "
-                "random=%llu  est_disk_ms=%.2f\n",
-                static_cast<unsigned long long>(stats.io.logical_reads),
-                static_cast<unsigned long long>(stats.io.physical_reads),
-                static_cast<unsigned long long>(stats.io.sequential_reads),
-                static_cast<unsigned long long>(stats.io.random_reads()),
-                est_disk_ms);
-  s += buf;
-  std::snprintf(buf, sizeof(buf), "  rtree: height=%u nodes_visited=%llu\n",
-                rtree_height,
-                static_cast<unsigned long long>(rtree_nodes_visited));
-  s += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  plan: %s predicted_ms=%.2f (scan=%.2f index=%.2f)\n",
-                PlanKindName(chosen_plan), predicted_cost_ms,
-                predicted_scan_cost_ms, predicted_index_cost_ms);
-  s += buf;
-  if (!planner_reason.empty()) {
-    s += "    " + planner_reason + "\n";
-  }
-  if (stats.index_fallbacks > 0) {
-    s += "  DEGRADED: corrupt index page; answered by full store scan\n";
-  }
-  if (!subfields.empty()) {
-    std::snprintf(buf, sizeof(buf), "  subfields touched: %zu\n",
-                  subfields.size());
-    s += buf;
-    for (const ExplainSubfield& sf : subfields) {
-      std::snprintf(buf, sizeof(buf),
-                    "    id=%u store=[%llu,%llu) cells=%llu matching=%llu "
-                    "interval=[%.6g,%.6g]\n",
-                    sf.id, static_cast<unsigned long long>(sf.start),
-                    static_cast<unsigned long long>(sf.end),
-                    static_cast<unsigned long long>(sf.cells),
-                    static_cast<unsigned long long>(sf.matching_cells),
-                    sf.interval.min, sf.interval.max);
-      s += buf;
-    }
-  }
-  if (stats.trace != nullptr) {
-    s += "  phases:\n";
-    // Indent the trace tree under this header.
-    const std::string tree = stats.trace->ToString();
-    size_t start = 0;
-    while (start < tree.size()) {
-      size_t nl = tree.find('\n', start);
-      if (nl == std::string::npos) nl = tree.size();
-      s += "    ";
-      s.append(tree, start, nl - start);
-      s += '\n';
-      start = nl + 1;
-    }
-  }
-  return s;
-}
-
-std::string FieldDatabase::ExplainResult::ToJson() const {
-  std::string s = "{\"method\":";
-  JsonAppendString(&s, IndexMethodName(method));
-  s += ",\"query\":{\"min\":";
-  JsonAppendDouble(&s, query.min);
-  s += ",\"max\":";
-  JsonAppendDouble(&s, query.max);
-  s += "},\"wall_ms\":";
-  JsonAppendDouble(&s, stats.wall_seconds * 1000.0);
-  s += ",\"candidate_cells\":" + std::to_string(stats.candidate_cells);
-  s += ",\"answer_cells\":" + std::to_string(stats.answer_cells);
-  s += ",\"inside_cells\":" + std::to_string(stats.inside_cells);
-  s += ",\"cut_cells\":" +
-       std::to_string(stats.answer_cells - stats.inside_cells);
-  s += ",\"index_fallbacks\":" + std::to_string(stats.index_fallbacks);
-  s += ",\"false_positive_ratio\":";
-  JsonAppendDouble(&s, false_positive_ratio);
-  s += ",\"io\":{\"logical_reads\":" +
-       std::to_string(stats.io.logical_reads) +
-       ",\"physical_reads\":" + std::to_string(stats.io.physical_reads) +
-       ",\"sequential_reads\":" + std::to_string(stats.io.sequential_reads) +
-       ",\"random_reads\":" + std::to_string(stats.io.random_reads()) + "}";
-  s += ",\"est_disk_ms\":";
-  JsonAppendDouble(&s, est_disk_ms);
-  s += ",\"plan\":{\"chosen\":";
-  JsonAppendString(&s, PlanKindName(chosen_plan));
-  s += ",\"predicted_cost_ms\":";
-  JsonAppendDouble(&s, predicted_cost_ms);
-  s += ",\"scan_cost_ms\":";
-  JsonAppendDouble(&s, predicted_scan_cost_ms);
-  s += ",\"index_cost_ms\":";
-  JsonAppendDouble(&s, predicted_index_cost_ms);
-  s += ",\"reason\":";
-  JsonAppendString(&s, planner_reason);
-  s += "}";
-  s += ",\"rtree\":{\"height\":" + std::to_string(rtree_height) +
-       ",\"nodes_visited\":" + std::to_string(rtree_nodes_visited) + "}";
-  s += ",\"subfields\":[";
-  for (size_t i = 0; i < subfields.size(); ++i) {
-    const ExplainSubfield& sf = subfields[i];
-    if (i > 0) s += ',';
-    s += "{\"id\":" + std::to_string(sf.id) +
-         ",\"start\":" + std::to_string(sf.start) +
-         ",\"end\":" + std::to_string(sf.end) +
-         ",\"cells\":" + std::to_string(sf.cells) +
-         ",\"matching_cells\":" + std::to_string(sf.matching_cells) +
-         ",\"interval\":{\"min\":";
-    JsonAppendDouble(&s, sf.interval.min);
-    s += ",\"max\":";
-    JsonAppendDouble(&s, sf.interval.max);
-    s += "}}";
-  }
-  s += "]";
-  if (stats.trace != nullptr) {
-    s += ",\"trace\":" + stats.trace->ToJson();
-  }
-  s += "}";
-  return s;
 }
 
 const std::vector<Subfield>* FieldDatabase::subfields() const {

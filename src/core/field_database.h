@@ -101,8 +101,38 @@ struct ValueQueryResult {
   QueryStats stats;
   /// The planner's decision this query executed. Stamped by the
   /// extension engines (temporal snapshot queries); the grid facade
-  /// reports its richer decision through QueryProfile instead.
+  /// reports its decision through EXPLAIN instead.
   PhysicalPlan plan;
+
+  /// Empties the result in place. The pieces keep their capacity, so a
+  /// client that reuses its result does not regrow them per query.
+  void Reset() {
+    region.pieces.clear();
+    stats = QueryStats{};
+    plan = PhysicalPlan{};
+  }
+};
+
+/// One field value query (Q2) request: FieldDatabase::Query and
+/// ShardRouter::Query take it. One band is a single query; several
+/// bands are answered together by one shared sweep (DESIGN.md §17),
+/// each member bit-identical to running it alone.
+struct QueryRequest {
+  std::span<const ValueInterval> bands;
+  /// Build the answer regions. false counts only (candidates, answer
+  /// and inside cells) — the figure benches' shape, since the paper
+  /// times filtering + retrieval + interpolation, not polygon
+  /// bookkeeping.
+  bool regions = true;
+  /// Record per-phase spans into member 0's `stats.trace`: "plan",
+  /// "filter" (indexed plans), "fetch" and "estimate". Span I/O sums
+  /// exactly to member 0's `io`. Slower than an untraced query
+  /// (per-cell clock reads in the estimation step).
+  bool trace = false;
+
+  /// Every facade's admission check: one result slot per band and no
+  /// empty band, else InvalidArgument.
+  Status Check(size_t num_results) const;
 };
 
 /// Result of an isoline query (the exact-value specialization of Q2,
@@ -117,7 +147,7 @@ struct IsolineQueryResult {
 /// index dictates) and constructs the value index; afterwards the source
 /// Field is no longer referenced. Supports both query classes of the
 /// paper:
-///  - Q2 `ValueQuery`: F^-1([w', w'']) -> regions (the paper's subject);
+///  - Q2 `Query`: F^-1([w', w'']) -> regions (the paper's subject);
 ///  - Q1 `PointQuery`: F(v') -> value, via the 2-D R*-tree over cell MBRs.
 ///
 /// Threading model: every query entry point is const and safe to call
@@ -197,110 +227,46 @@ class FieldDatabase {
   FieldDatabase(const FieldDatabase&) = delete;
   FieldDatabase& operator=(const FieldDatabase&) = delete;
 
-  /// Field value query: exact answer regions where
-  /// query.min <= F(p) <= query.max, plus per-query stats. A non-null
+  /// Field value query, the one band-query call: for each band of
+  /// `request`, the exact answer regions where band.min <= F(p) <=
+  /// band.max plus per-query stats, into `out[i]` (one slot per band,
+  /// reset in place first — see ValueQueryResult::Reset). A non-null
   /// `ctx` lets a thread reuse its scratch across queries; null creates
-  /// a local context per call (as for every query entry point below).
+  /// a local context per call.
+  ///
+  /// One band plans and runs alone; its `candidate_cells` is the filter
+  /// step's count, subfield false positives included. Several bands run
+  /// as ONE sweep (DESIGN.md §17): the members' hull is planned like a
+  /// single query, executed in one pass over the clustered store, and
+  /// demultiplexed — every visited cell is tested against each member's
+  /// band exactly, so each member's region and counts are bit-identical
+  /// to running it alone, and each member counts its own candidates.
+  /// I/O is leader-charged: the sweep's whole I/O lands on member 0 and
+  /// the riders report zero, so the members' I/O sums to exactly the one
+  /// sweep. Every member reports the sweep's wall time (they all waited
+  /// for it). A corrupt index page degrades the sweep to a full store
+  /// scan with identical answers, reported by every member.
+  Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
+               QueryContext* ctx = nullptr) const;
+
+  /// One region query through Query. Kept for the external benchmark
+  /// program only, which still spells its calls this way.
   Status ValueQuery(const ValueInterval& query, ValueQueryResult* out,
-                    QueryContext* ctx = nullptr) const;
+                    QueryContext* ctx = nullptr) const {
+    return Query({.bands = {&query, 1}}, {out, 1}, ctx);
+  }
 
-  /// Shared-scan execution of several value queries as ONE sweep
-  /// (DESIGN.md §17): the members' hull is planned like a single query,
-  /// executed in one pass over the clustered store, and demultiplexed —
-  /// every visited cell is tested against each member's interval
-  /// exactly, so each member's Region/answer_cells are bit-identical to
-  /// running it alone. Per-member IoStats are leader-charged: the
-  /// sweep's whole I/O lands on member 0 and the riders report zero, so
-  /// the members' I/O sums to exactly the one sweep (never more than
-  /// the isolated total). Each member's wall_seconds is the sweep's
-  /// wall time (they all waited for it). A one-member batch degrades to
-  /// the single-query path. Same threading contract as ValueQuery.
-  Status SharedValueQuery(const std::vector<ValueInterval>& queries,
-                          std::vector<ValueQueryResult>* out,
-                          QueryContext* ctx = nullptr) const;
-
-  /// Stats-only shared scan (see SharedValueQuery; the figure benches'
-  /// shape — no polygon materialization).
-  Status SharedValueQueryStats(const std::vector<ValueInterval>& queries,
-                               std::vector<QueryStats>* out,
-                               QueryContext* ctx = nullptr) const;
-
-  /// Like ValueQuery but skips materializing polygons: only the stats and
-  /// the answer-cell count are produced. This is what the figure benches
-  /// time (the paper measures query processing, whose cost is filtering +
-  /// candidate retrieval + inverse interpolation; polygon bookkeeping is
-  /// identical work across methods either way).
-  Status ValueQueryStats(const ValueInterval& query, QueryStats* out,
-                         QueryContext* ctx = nullptr) const;
-
-  /// ValueQueryStats with per-phase tracing: `out->trace` is populated
-  /// with the pipeline's spans ("plan", "filter", "fetch", "estimate" on
-  /// indexed plans; "plan"/"fetch"/"estimate" when the planner chose the
-  /// fused scan, and "fetch"/"estimate" alone on the corruption
-  /// fallback's rerun). Span I/O deltas sum exactly to `out->io`. Slower
-  /// than the untraced path (per-cell clock reads in the estimation
-  /// step), so benches keep using ValueQueryStats.
+  /// One traced count-only query through Query; `out` is its stats.
+  /// Kept for the external benchmark program only.
   Status TracedValueQueryStats(const ValueInterval& query, QueryStats* out,
-                               QueryContext* ctx = nullptr) const;
-
-  /// One subfield the filtering step selected for an explained query.
-  /// `matching_cells` counts cells inside [start, end) whose own value
-  /// interval really intersects the query — the rest are the false
-  /// positives the paper's cost model trades for a smaller tree.
-  struct ExplainSubfield {
-    uint32_t id = 0;
-    uint64_t start = 0;  // [start, end) positions in the clustered store
-    uint64_t end = 0;
-    ValueInterval interval;
-    uint64_t cells = 0;
-    uint64_t matching_cells = 0;
-  };
-
-  /// The full query plan + execution profile produced by
-  /// ExplainValueQuery.
-  struct ExplainResult {
-    /// The database's index method. Note the default is only a
-    /// placeholder: ExplainValueQuery stamps the actual method before
-    /// doing anything else (including argument validation), so even a
-    /// failed explain never reports a method the database doesn't use.
-    IndexMethod method = IndexMethod::kLinearScan;
-    ValueInterval query;
-    /// Executed-query measurements; `stats.trace` holds the phase spans.
-    QueryStats stats;
-    /// Subfields touched, in store order. Empty for methods without a
-    /// subfield partition (LinearScan, I-All, RowIp).
-    std::vector<ExplainSubfield> subfields;
-    /// (candidates - answers) / candidates; 0 when there were no
-    /// candidates.
-    double false_positive_ratio = 0.0;
-    /// R*-tree descent profile of the filtering step.
-    uint64_t rtree_nodes_visited = 0;
-    uint32_t rtree_height = 0;
-    /// What the simulated 2002 disk would charge for this query's
-    /// physical read pattern (DiskModel on sequential/random reads).
-    double est_disk_ms = 0.0;
-    /// The planner's decision for this query: which physical plan ran,
-    /// what it was predicted to cost, what the alternative would have
-    /// cost, and why. `predicted_cost_ms` is comparable to `est_disk_ms`
-    /// (same disk model; predicted vs observed read pattern).
-    PlanKind chosen_plan = PlanKind::kFusedScan;
-    double predicted_cost_ms = 0.0;
-    double predicted_scan_cost_ms = 0.0;
-    double predicted_index_cost_ms = 0.0;
-    std::string planner_reason;
-
-    std::string ToString() const;
-    std::string ToJson() const;
-  };
-
-  /// EXPLAIN for a value query: runs the query cold (buffer pool
-  /// cleared) with tracing on, then annotates the result with the
-  /// subfields the filter chose, their false-positive ratios, the
-  /// R*-tree descent count, and the disk-model cost of the observed I/O.
-  /// Metrics recording is forced on for the duration (EXPLAIN is
-  /// explicitly diagnostic); the previous enabled state is restored.
-  Status ExplainValueQuery(const ValueInterval& query,
-                           ExplainResult* out) const;
+                               QueryContext* ctx = nullptr) const {
+    ValueQueryResult result;
+    const Status s = Query(
+        {.bands = {&query, 1}, .regions = false, .trace = true},
+        {&result, 1}, ctx);
+    *out = std::move(result.stats);
+    return s;
+  }
 
   /// One hit of a nearest-value query.
   struct NearestCell {
@@ -411,8 +377,8 @@ class FieldDatabase {
   }
 
   /// The planner's decision for `query` under the current mode, without
-  /// executing anything. What ValueQuery would run; also the CLI's
-  /// `plan` subcommand.
+  /// executing anything. What a one-band Query would run; also the
+  /// CLI's `plan` subcommand and EXPLAIN's report.
   PhysicalPlan PlanValueQuery(const ValueInterval& query) const {
     return planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
   }
@@ -449,61 +415,27 @@ class FieldDatabase {
   /// (CellStore::CheckUpdate).
   Status ValidateUpdate(CellId id, const std::vector<double>& values) const;
 
-  /// The bookkeeping every single-query entry point shares: validates
-  /// `query`, clears the outputs (`region` may be null for stats-only
-  /// queries; `traced` attaches a QueryTrace to `stats`), counts the
-  /// query's I/O through a ScopedIoSink on `ctx` (a local one when
-  /// null), runs AnswerValueQuery, and records wall time, metrics and
-  /// the slow-query event.
-  Status RunValueQuery(const ValueInterval& query, Region* region,
-                       QueryStats* stats, QueryContext* ctx,
-                       bool traced) const;
-
-  /// SharedValueQuery[Stats]'s bookkeeping around AnswerShared, the
-  /// batch counterpart of RunValueQuery (a one-member batch runs as a
-  /// single query). `regions` is null for stats-only batches.
-  Status RunShared(const std::vector<ValueInterval>& queries,
-                   std::vector<Region>* regions,
-                   std::vector<QueryStats>* stats, QueryContext* ctx) const;
-
-  /// The one execution path of the grid's band scans (value, shared
-  /// and isoline queries): runs `plan` over `band` with the operators
+  /// The one execution path of the grid's band scans (value and
+  /// isoline queries): runs `plan` over `band` with the operators
   /// from plan/operators.h — RunFuseOp for kFusedScan, RunFilterOp +
   /// RunScanOp for kIndexedFilter — feeding each zone-matching cell to
   /// `visit` (statically bound, no std::function per cell) and charging
-  /// the scan to `members[0]`. With `count_candidates` it fills
-  /// `members[0].candidate_cells` (the filter's count, or every visited
+  /// the scan to `leader`. With `count_candidates` it fills
+  /// `leader->candidate_cells` (the filter's count, or every visited
   /// cell without one); otherwise the visitor counts. A corrupt index
   /// page during filtering degrades to the fused scan regardless of the
   /// plan (the store holds the truth; the index is only an
   /// accelerator): counted once in index_fallbacks() and
-  /// db.index_fallbacks, logged as one corruption_fallback event, and
-  /// reported by every member. The metrics count the decision
+  /// db.index_fallbacks, logged as one corruption_fallback event for
+  /// the scan's `members` bands, and flagged in
+  /// `leader->index_fallbacks`. The metrics count the decision
   /// (db.plans_scan or db.plans_index), so a fallback counts as
   /// plans_index. `env` supplies the scratch context and trace.
   template <typename Visitor>
   Status ScanBand(PlanKind plan, const ValueInterval& band,
-                  const OperatorEnv& env, std::span<QueryStats> members,
+                  const OperatorEnv& env, QueryStats* leader, size_t members,
                   bool count_candidates, const char* fetch_detail,
                   Visitor& visit) const;
-
-  /// Shared Q2 dispatch: asks the QueryPlanner which physical plan to
-  /// run (under a "plan" span), then executes it through ScanBand with
-  /// EstimateOp as the visitor. Uses `ctx` for scratch and span I/O
-  /// attribution; a non-null `trace` records the phases as spans.
-  Status AnswerValueQuery(const ValueInterval& query, Region* region,
-                          QueryStats* stats, QueryContext* ctx,
-                          QueryTrace* trace = nullptr) const;
-
-  /// The fused multi-query sweep behind SharedValueQuery[Stats]: plans
-  /// the members' hull, runs it as one pass through ScanBand (fused
-  /// scan, or indexed filter+fetch over the envelope's candidate runs),
-  /// and evaluates every member's predicate per visited cell. `regions`
-  /// is null for stats-only batches, else one Region per member.
-  Status AnswerShared(const std::vector<ValueInterval>& queries,
-                      std::vector<Region>* regions,
-                      std::vector<QueryStats>* stats,
-                      QueryContext* ctx) const;
 
   /// Constructs planner_ over the finished index (and subfield table,
   /// when the method has one). Called once at the end of Build and Open;

@@ -36,6 +36,28 @@ constexpr CatalogSchema kGridCatalog = {
     .record_size = sizeof(CellRecord),
 };
 
+/// kCorruption unless the catalog's own counts agree with `num_cells`:
+/// the spatial tree holds one entry per cell, and so do I-All's value
+/// tree and build. Runs after the page-file bounds, so an oversized
+/// `num_cells` is still refused under its own name first.
+Status CheckCellCounts(const std::string& path, const Catalog& catalog) {
+  const auto disagrees = [&](const char* key) {
+    return Status::Corruption("catalog " + path + ": 'num_cells' " +
+                              std::to_string(catalog.num_cells) +
+                              " disagrees with '" + key + "'");
+  };
+  if (catalog.spatial && catalog.spatial->size != catalog.num_cells) {
+    return disagrees("spatial");
+  }
+  if (static_cast<IndexMethod>(catalog.method) == IndexMethod::kIAll) {
+    if (catalog.tree->size != catalog.num_cells) return disagrees("tree");
+    if (catalog.build_entries != catalog.num_cells) {
+      return disagrees("build_entries");
+    }
+  }
+  return Status::OK();
+}
+
 /// The 1-D value tree of the persistable methods that have one.
 const RStarTree<1>* ValueTree(const ValueIndex& index) {
   switch (index.method()) {
@@ -103,6 +125,7 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   StatusOr<Catalog> catalog = db->engine_.InitForOpen(
       prefix, kGridCatalog, options.pool_pages, options.readahead_pages);
   if (!catalog.ok()) return catalog.status();
+  FIELDDB_RETURN_IF_ERROR(CheckCellCounts(prefix + ".meta", *catalog));
   BufferPool* const pool = db->engine_.pool();
   db->value_range_ = catalog->value_range;
   db->domain_ = catalog->domain;

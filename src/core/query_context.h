@@ -21,11 +21,9 @@ struct QueryContext {
   /// The query's exact I/O delta, filled by installing `io` as the
   /// calling thread's ScopedIoSink for the query's duration.
   IoStats io;
-  /// Candidate-position scratch for the filter step (capacity persists
-  /// across queries).
-  std::vector<uint64_t> positions;
-  /// Candidate-run scratch — the range form the query engine consumes
-  /// (see ValueIndex::FilterCandidateRanges).
+  /// Candidate-run scratch for the filter step — the range form the
+  /// query engine consumes (see ValueIndex::FilterCandidateRanges);
+  /// capacity persists across queries.
   std::vector<PosRange> ranges;
 };
 

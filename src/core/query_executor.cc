@@ -95,6 +95,8 @@ void QueryExecutor::WorkerLoop() {
   // thread runs.
   QueryContext ctx;
   std::vector<Task> group;
+  std::vector<ValueInterval> bands;
+  std::vector<ValueQueryResult> results;
   for (;;) {
     group.clear();
     {
@@ -138,27 +140,20 @@ void QueryExecutor::WorkerLoop() {
     const auto dequeued = std::chrono::steady_clock::now();
     for (const Task& task : group) RecordQueueWait(task, dequeued);
 
-    if (group.size() == 1) {
-      Task& task = group.front();
-      if (task.work != nullptr) {
-        task.work();
-      } else {
-        QueryStats stats;
-        const Status s = db_->ValueQueryStats(task.query, &stats, &ctx);
-        RecordSlo(task, stats);
-        if (task.done) task.done(s, stats);
-      }
+    if (group.front().work != nullptr) {
+      group.front().work();  // a closure never joins a group
     } else {
-      shared_groups_->Increment();
-      std::vector<ValueInterval> queries;
-      queries.reserve(group.size());
-      for (const Task& task : group) queries.push_back(task.query);
-      std::vector<QueryStats> stats;
-      const Status s = db_->SharedValueQueryStats(queries, &stats, &ctx);
+      // One stats-only Query per group: one band runs alone, a grouped
+      // head runs as one shared sweep.
+      if (group.size() > 1) shared_groups_->Increment();
+      bands.clear();
+      for (const Task& task : group) bands.push_back(task.query);
+      results.resize(group.size());
+      const Status s =
+          db_->Query({.bands = bands, .regions = false}, results, &ctx);
       for (size_t i = 0; i < group.size(); ++i) {
-        const QueryStats& qs = i < stats.size() ? stats[i] : QueryStats{};
-        RecordSlo(group[i], qs);
-        if (group[i].done) group[i].done(s, qs);
+        RecordSlo(group[i], results[i].stats);
+        if (group[i].done) group[i].done(s, results[i].stats);
       }
     }
 

@@ -50,7 +50,7 @@ class QueryExecutor {
     /// intervals overlap the group's growing envelope AND whose
     /// admission the planner prices as no more expensive fused than
     /// isolated (QueryPlanner::CostSharedScan — zero-I/O probes), then
-    /// runs the whole group as ONE FieldDatabase::SharedValueQueryStats
+    /// runs the whole group as ONE stats-only FieldDatabase::Query
     /// sweep. Answers are bit-identical to isolated execution; each
     /// member's stats.io is leader-charged (member 0 carries the
     /// sweep). Fairness: groups form only at head-dequeue from already

@@ -9,12 +9,11 @@
 
 namespace fielddb {
 
-Shard::Shard(ShardDescriptor descriptor, std::unique_ptr<FieldDatabase> db,
-             size_t lane_threads, size_t lane_queue_capacity)
+Shard::Shard(ShardDescriptor descriptor, std::unique_ptr<FieldDatabase> db)
     : descriptor_(std::move(descriptor)), db_(std::move(db)) {
   QueryExecutor::Options lo;
-  lo.threads = lane_threads;
-  lo.queue_capacity = lane_queue_capacity;
+  lo.threads = 1;
+  lo.queue_capacity = 256;
   lane_ = std::make_unique<QueryExecutor>(db_.get(), lo);
   const std::string prefix = "shard.s" + std::to_string(descriptor_.id);
   MetricsRegistry& reg = MetricsRegistry::Default();

@@ -80,8 +80,8 @@ struct ShardDescriptor {
 /// any thread, mutations externally excluded).
 class Shard {
  public:
-  Shard(ShardDescriptor descriptor, std::unique_ptr<FieldDatabase> db,
-        size_t lane_threads, size_t lane_queue_capacity);
+  /// The lane is one worker thread with 256 queue slots.
+  Shard(ShardDescriptor descriptor, std::unique_ptr<FieldDatabase> db);
 
   const ShardDescriptor& descriptor() const { return descriptor_; }
   FieldDatabase& db() const { return *db_; }

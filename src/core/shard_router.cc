@@ -61,14 +61,6 @@ void MergeStats(const QueryStats& shard_stats, QueryStats* out) {
   out->wall_seconds = wall;
 }
 
-/// The router refuses what one FieldDatabase refuses, before admission:
-/// a shard validates only the queries MayContain sends it, so an empty
-/// interval above every hull would otherwise answer OK.
-Status ValidateQuery(const ValueInterval& query) {
-  return query.IsEmpty() ? Status::InvalidArgument("empty query interval")
-                         : Status::OK();
-}
-
 }  // namespace
 
 ShardRouter::AdmissionSlot::AdmissionSlot(const ShardRouter* router)
@@ -91,12 +83,8 @@ ShardRouter::AdmissionSlot::~AdmissionSlot() {
   router_->admission_cv_.notify_one();
 }
 
-void ShardRouter::Init(size_t max_inflight,
-                       std::vector<SloObjective> slo_classes) {
-  max_inflight_ = max_inflight > 0 ? max_inflight : 4 * shards_.size();
-  slo_ = std::make_unique<SloTracker>(
-      slo_classes.empty() ? SloTracker::DefaultQueryClasses()
-                          : std::move(slo_classes));
+void ShardRouter::Init() {
+  max_inflight_ = 4 * shards_.size();
   MetricsRegistry& reg = MetricsRegistry::Default();
   queries_ = reg.GetCounter("router.queries");
   shards_touched_ = reg.GetCounter("router.shards_touched");
@@ -166,11 +154,10 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Build(
     StatusOr<std::unique_ptr<FieldDatabase>> db =
         FieldDatabase::Build(slice, so);
     if (!db.ok()) return db.status();
-    router->shards_.push_back(std::make_unique<Shard>(
-        std::move(desc), std::move(*db), options.lane_threads,
-        options.lane_queue_capacity));
+    router->shards_.push_back(
+        std::make_unique<Shard>(std::move(desc), std::move(*db)));
   }
-  router->Init(options.max_inflight, options.slo_classes);
+  router->Init();
   return router;
 }
 
@@ -290,7 +277,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
   for (uint64_t k = 0; k < num_shards; ++k) {
     FieldDatabase::OpenOptions oo;
     oo.pool_pages = options.pool_pages;
-    oo.readahead_pages = options.readahead_pages;
     oo.wal_mode = options.wal_mode;
     FieldDatabase::RecoveryReport shard_report;
     oo.recovery_report = &shard_report;
@@ -302,12 +288,11 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     report.torn_bytes += shard_report.torn_bytes;
     if (shard_report.frames_replayed > 0) ++report.shards_with_replay;
     report.per_shard.push_back(std::move(shard_report));
-    router->shards_.push_back(std::make_unique<Shard>(
-        std::move(parsed[k].desc), std::move(*db), options.lane_threads,
-        options.lane_queue_capacity));
+    router->shards_.push_back(
+        std::make_unique<Shard>(std::move(parsed[k].desc), std::move(*db)));
   }
   router->domain_ = router->shards_.front()->db().domain();
-  router->Init(options.max_inflight, options.slo_classes);
+  router->Init();
   if (options.recovery_report != nullptr) {
     *options.recovery_report = std::move(report);
   }
@@ -322,90 +307,101 @@ void ShardRouter::RecordSlo(const ValueInterval& query,
   const double span = range.max - range.min;
   const double width = query.max - query.min;
   const double frac = span > 0 ? width / span : 1.0;
-  slo_->Record(slo_->ClassForWidthFraction(frac), wall_ms);
+  slo_.Record(slo_.ClassForWidthFraction(frac), wall_ms);
 }
 
-Status ShardRouter::ValueQueryStats(const ValueInterval& query,
-                                    QueryStats* out,
-                                    RouterQueryProfile* profile) const {
-  *out = QueryStats{};
-  FIELDDB_RETURN_IF_ERROR(ValidateQuery(query));
-  AdmissionSlot slot(this);
-  queries_->Increment();
-  const auto t0 = std::chrono::steady_clock::now();
+struct ShardRouter::ShardWork {
+  std::vector<size_t> members;  // indices into the request's bands
+  std::vector<ValueInterval> bands;
+  std::vector<ValueQueryResult> results;
+  Status status;
+  double wall_seconds = 0.0;  // summed over the shard's groups
+};
 
-  const size_t n = shards_.size();
-  std::vector<QueryStats> per_shard(n);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<uint32_t> targets;
-  for (uint32_t k = 0; k < n; ++k) {
-    if (shards_[k]->MayContain(query)) targets.push_back(k);
-  }
-  shards_touched_->Increment(targets.size());
-  shards_skipped_->Increment(n - targets.size());
-
-  Latch latch(targets.size());
-  for (uint32_t k : targets) {
-    shards_[k]->lane().SubmitTask([this, k, &query, &per_shard, &statuses,
-                                   &latch] {
-      const auto s0 = std::chrono::steady_clock::now();
-      statuses[k] = shards_[k]->db().ValueQueryStats(query, &per_shard[k]);
-      shards_[k]->RecordQuery(MsSince(s0));
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-
-  for (uint32_t k : targets) {
-    if (!statuses[k].ok()) return statuses[k];
-    MergeStats(per_shard[k], out);
-  }
-  const double wall_ms = MsSince(t0);
-  out->wall_seconds = wall_ms / 1000.0;
-  RecordSlo(query, wall_ms);
-  if (profile != nullptr) {
-    profile->shards_touched = static_cast<uint32_t>(targets.size());
-    profile->shards_skipped = static_cast<uint32_t>(n - targets.size());
-    profile->per_shard = std::move(per_shard);
+Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
+                               ShardWork* work) const {
+  const FieldDatabase& db = shard.db();
+  const PlannerMode mode = db.planner_mode();
+  const std::span<const ValueInterval> bands(work->bands);
+  const std::span<ValueQueryResult> results(work->results);
+  // Greedy fused-vs-split aggregation, the executor's admission rule
+  // applied per shard against the most recent group only (FIFO-like,
+  // matching the executor's head-group formation), so every group is a
+  // run of consecutive members.
+  size_t start = 0;
+  ValueInterval envelope = bands[0];
+  for (size_t i = 1; i <= bands.size(); ++i) {
+    if (i < bands.size() && envelope.Intersects(bands[i]) &&
+        db.planner().CostSharedScan(envelope, bands[i], mode).share) {
+      envelope.Extend(bands[i]);
+      continue;
+    }
+    const size_t len = i - start;
+    if (request.bands.size() > 1) {
+      (len > 1 ? groups_fused_ : groups_split_)->Increment();
+    }
+    FIELDDB_RETURN_IF_ERROR(db.Query({.bands = bands.subspan(start, len),
+                                      .regions = request.regions,
+                                      .trace = request.trace},
+                                     results.subspan(start, len)));
+    work->wall_seconds += results[start].stats.wall_seconds;
+    start = i;
+    if (i < bands.size()) envelope = bands[i];
   }
   return Status::OK();
 }
 
-Status ShardRouter::ValueQuery(const ValueInterval& query,
-                               ValueQueryResult* out,
-                               RouterQueryProfile* profile) const {
+Status ShardRouter::Query(const QueryRequest& request,
+                          std::span<ValueQueryResult> out,
+                          RouterQueryProfile* profile) const {
   // Reset in place: a client that reuses its result keeps the capacity
   // its pieces have grown to.
-  out->region.pieces.clear();
-  out->stats = QueryStats{};
-  out->plan = PhysicalPlan{};
-  FIELDDB_RETURN_IF_ERROR(ValidateQuery(query));
+  for (ValueQueryResult& result : out) result.Reset();
+  // The router refuses what one FieldDatabase refuses, before
+  // admission: a shard validates only the bands MayContain sends it, so
+  // an empty interval above every hull would otherwise answer OK.
+  FIELDDB_RETURN_IF_ERROR(request.Check(out.size()));
+  const std::span<const ValueInterval> bands = request.bands;
+  if (bands.empty()) return Status::OK();
   AdmissionSlot slot(this);
   queries_->Increment();
   const auto t0 = std::chrono::steady_clock::now();
 
   const size_t n = shards_.size();
-  std::vector<ValueQueryResult> per_shard(n);
-  std::vector<Status> statuses(n, Status::OK());
+  std::vector<ShardWork> work(n);
   std::vector<uint32_t> targets;
   for (uint32_t k = 0; k < n; ++k) {
-    if (shards_[k]->MayContain(query)) targets.push_back(k);
+    for (size_t i = 0; i < bands.size(); ++i) {
+      if (shards_[k]->MayContain(bands[i])) work[k].members.push_back(i);
+    }
+    if (!work[k].members.empty()) targets.push_back(k);
   }
   shards_touched_->Increment(targets.size());
   shards_skipped_->Increment(n - targets.size());
 
-  // The lowest touched shard answers into the caller's piece storage, so
-  // its capacity is reused and those pieces are never copied.
-  if (!targets.empty()) {
-    per_shard[targets.front()].region.pieces.swap(out->region.pieces);
+  // The lowest touched shard of each band answers into the caller's
+  // piece storage, so its capacity is reused and those pieces are never
+  // copied. owner[i] is that shard.
+  constexpr uint32_t kNoShard = ~uint32_t{0};
+  std::vector<uint32_t> owner(bands.size(), kNoShard);
+  for (uint32_t k : targets) {
+    ShardWork& w = work[k];
+    w.results.resize(w.members.size());
+    for (size_t j = 0; j < w.members.size(); ++j) {
+      const size_t i = w.members[j];
+      w.bands.push_back(bands[i]);
+      if (owner[i] == kNoShard) {
+        owner[i] = k;
+        w.results[j].region.pieces.swap(out[i].region.pieces);
+      }
+    }
   }
 
   Latch latch(targets.size());
   for (uint32_t k : targets) {
-    shards_[k]->lane().SubmitTask([this, k, &query, &per_shard, &statuses,
-                                   &latch] {
+    shards_[k]->lane().SubmitTask([this, k, &request, &work, &latch] {
       const auto s0 = std::chrono::steady_clock::now();
-      statuses[k] = shards_[k]->db().ValueQuery(query, &per_shard[k]);
+      work[k].status = RunOnShard(*shards_[k], request, &work[k]);
       shards_[k]->RecordQuery(MsSince(s0));
       latch.CountDown();
     });
@@ -415,148 +411,50 @@ Status ShardRouter::ValueQuery(const ValueInterval& query,
   // Deterministic gather: ascending shard id. Shard-local store order
   // equals the global linearization restricted to the shard, so this
   // concatenation is independent of the shard count. The other shards'
-  // pieces are moved onto the end of the lowest shard's.
-  size_t total_pieces = 0;
+  // pieces are moved onto the end of the owner's.
+  std::vector<size_t> total_pieces(bands.size(), 0);
   for (uint32_t k : targets) {
-    if (!statuses[k].ok()) return statuses[k];
-    total_pieces += per_shard[k].region.pieces.size();
-  }
-  std::vector<ConvexPolygon>& pieces = out->region.pieces;
-  for (uint32_t k : targets) {
-    std::vector<ConvexPolygon>& shard_pieces = per_shard[k].region.pieces;
-    if (k == targets.front()) {
-      pieces.swap(shard_pieces);
-      pieces.reserve(total_pieces);
-    } else {
-      pieces.insert(pieces.end(),
-                    std::make_move_iterator(shard_pieces.begin()),
-                    std::make_move_iterator(shard_pieces.end()));
+    const ShardWork& w = work[k];
+    if (!w.status.ok()) return w.status;
+    for (size_t j = 0; j < w.members.size(); ++j) {
+      total_pieces[w.members[j]] += w.results[j].region.pieces.size();
     }
-    MergeStats(per_shard[k].stats, &out->stats);
+  }
+  for (uint32_t k : targets) {
+    ShardWork& w = work[k];
+    for (size_t j = 0; j < w.members.size(); ++j) {
+      const size_t i = w.members[j];
+      std::vector<ConvexPolygon>& pieces = out[i].region.pieces;
+      std::vector<ConvexPolygon>& shard_pieces = w.results[j].region.pieces;
+      if (owner[i] == k) {
+        pieces.swap(shard_pieces);
+        pieces.reserve(total_pieces[i]);
+      } else {
+        pieces.insert(pieces.end(),
+                      std::make_move_iterator(shard_pieces.begin()),
+                      std::make_move_iterator(shard_pieces.end()));
+      }
+      MergeStats(w.results[j].stats, &out[i].stats);
+    }
   }
   const double wall_ms = MsSince(t0);
-  out->stats.wall_seconds = wall_ms / 1000.0;
-  RecordSlo(query, wall_ms);
+  for (size_t i = 0; i < bands.size(); ++i) {
+    out[i].stats.wall_seconds = wall_ms / 1000.0;
+    RecordSlo(bands[i], wall_ms);
+  }
   if (profile != nullptr) {
     profile->shards_touched = static_cast<uint32_t>(targets.size());
     profile->shards_skipped = static_cast<uint32_t>(n - targets.size());
-    profile->per_shard.resize(n);
-    for (uint32_t k : targets) profile->per_shard[k] = per_shard[k].stats;
-  }
-  return Status::OK();
-}
-
-Status ShardRouter::SharedValueQueryStats(
-    const std::vector<ValueInterval>& queries,
-    std::vector<QueryStats>* out) const {
-  out->assign(queries.size(), QueryStats{});
-  for (const ValueInterval& q : queries) {
-    FIELDDB_RETURN_IF_ERROR(ValidateQuery(q));
-  }
-  if (queries.empty()) return Status::OK();
-  AdmissionSlot slot(this);
-  queries_->Increment();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const size_t n = shards_.size();
-  // members[k] = indices of the queries shard k may contribute to.
-  std::vector<std::vector<size_t>> members(n);
-  size_t touched = 0;
-  for (uint32_t k = 0; k < n; ++k) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      if (shards_[k]->MayContain(queries[i])) members[k].push_back(i);
+    profile->per_shard.assign(n, QueryStats{});
+    for (uint32_t k : targets) {
+      const ShardWork& w = work[k];
+      QueryStats& merged = profile->per_shard[k];
+      merged = w.results[0].stats;
+      for (size_t j = 1; j < w.results.size(); ++j) {
+        MergeStats(w.results[j].stats, &merged);
+      }
+      merged.wall_seconds = w.wall_seconds;
     }
-    if (!members[k].empty()) ++touched;
-  }
-  shards_touched_->Increment(touched);
-  shards_skipped_->Increment(n - touched);
-
-  std::vector<std::vector<QueryStats>> per_shard(
-      n, std::vector<QueryStats>(queries.size()));
-  std::vector<Status> statuses(n, Status::OK());
-  uint64_t fused_groups = 0;
-  uint64_t split_members = 0;
-  std::mutex group_mu;  // guards the two group counters across lanes
-
-  Latch latch(touched);
-  for (uint32_t k = 0; k < n; ++k) {
-    if (members[k].empty()) continue;
-    shards_[k]->lane().SubmitTask([this, k, &queries, &members, &per_shard,
-                                   &statuses, &latch, &fused_groups,
-                                   &split_members, &group_mu] {
-      const auto s0 = std::chrono::steady_clock::now();
-      Shard& shard = *shards_[k];
-      const PlannerMode mode = shard.db().planner_mode();
-      // Greedy fused-vs-split aggregation, the executor's admission
-      // rule applied per shard: a member joins the current group only
-      // when it overlaps the group's envelope AND the shard planner
-      // prices the widened sweep no higher than running separately.
-      std::vector<std::vector<size_t>> groups;
-      for (size_t i : members[k]) {
-        const ValueInterval& q = queries[i];
-        bool placed = false;
-        if (!groups.empty()) {
-          // Envelope of the most recent group only (FIFO-like greedy,
-          // matching the executor's head-group formation).
-          std::vector<size_t>& g = groups.back();
-          ValueInterval envelope = queries[g.front()];
-          for (size_t j : g) envelope.Extend(queries[j]);
-          if (envelope.Intersects(q) &&
-              shard.db()
-                  .planner()
-                  .CostSharedScan(envelope, q, mode)
-                  .share) {
-            g.push_back(i);
-            placed = true;
-          }
-        }
-        if (!placed) groups.push_back({i});
-      }
-      uint64_t fused = 0;
-      uint64_t split = 0;
-      Status status = Status::OK();
-      for (const std::vector<size_t>& g : groups) {
-        if (g.size() == 1) {
-          ++split;
-          const Status s = shard.db().ValueQueryStats(
-              queries[g.front()], &per_shard[k][g.front()]);
-          if (!s.ok() && status.ok()) status = s;
-          continue;
-        }
-        ++fused;
-        std::vector<ValueInterval> batch;
-        batch.reserve(g.size());
-        for (size_t i : g) batch.push_back(queries[i]);
-        std::vector<QueryStats> stats;
-        const Status s = shard.db().SharedValueQueryStats(batch, &stats);
-        if (!s.ok() && status.ok()) status = s;
-        for (size_t j = 0; j < g.size() && j < stats.size(); ++j) {
-          per_shard[k][g[j]] = stats[j];
-        }
-      }
-      statuses[k] = status;
-      shard.RecordQuery(MsSince(s0));
-      {
-        std::lock_guard<std::mutex> lock(group_mu);
-        fused_groups += fused;
-        split_members += split;
-      }
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-
-  groups_fused_->Increment(fused_groups);
-  groups_split_->Increment(split_members);
-  for (uint32_t k = 0; k < n; ++k) {
-    if (members[k].empty()) continue;
-    if (!statuses[k].ok()) return statuses[k];
-    for (size_t i : members[k]) MergeStats(per_shard[k][i], &(*out)[i]);
-  }
-  const double wall_ms = MsSince(t0);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    (*out)[i].wall_seconds = wall_ms / 1000.0;
-    RecordSlo(queries[i], wall_ms);
   }
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,16 +30,6 @@ struct ShardRouterOptions {
   /// finds it.
   FieldDatabaseOptions db;
   std::string wal_prefix;
-  /// Worker threads per shard lane (1 = the shard-per-core layout).
-  size_t lane_threads = 1;
-  size_t lane_queue_capacity = 256;
-  /// Router-level admission control: queries beyond this many in flight
-  /// block at the front door (counting the wait in
-  /// router.admission_waits) instead of piling onto shard lanes.
-  /// 0 = 4 * shards.
-  size_t max_inflight = 0;
-  /// Per-class SLO objectives; empty = SloTracker::DefaultQueryClasses.
-  std::vector<SloObjective> slo_classes;
 };
 
 /// What recovery did across every shard during ShardRouter::Open.
@@ -51,10 +42,12 @@ struct RouterRecoveryReport {
   std::vector<FieldDatabase::RecoveryReport> per_shard;
 };
 
-/// Per-query routing profile (optional out-param of the query entry
-/// points): which shards the scatter touched, what each contributed.
-/// per_shard is indexed by shard id; untouched shards keep
-/// default-constructed stats.
+/// Per-query routing profile (optional out-param of Query): which
+/// shards the scatter touched, what each contributed. per_shard is
+/// indexed by shard id; untouched shards keep default-constructed
+/// stats. A touched shard's entry merges its members' stats (its
+/// member-0 trace, when traced, included); its wall_seconds is the time
+/// the shard spent answering them.
 struct RouterQueryProfile {
   uint32_t shards_touched = 0;
   uint32_t shards_skipped = 0;
@@ -76,14 +69,17 @@ struct RouterQueryProfile {
 /// identical piece order for I-Hilbert, whose store order IS the
 /// linearization).
 ///
-/// Admission control: at most max_inflight queries run concurrently;
-/// excess callers block at the front door. Every admitted query is
-/// recorded against the per-class SLO tracker by its width relative to
-/// the router's global value range.
+/// Admission control: at most 4 * shards queries run concurrently;
+/// excess callers block at the front door (counting the wait in
+/// router.admission_waits) instead of piling onto shard lanes. Every
+/// admitted band is recorded against the per-class SLO tracker
+/// (SloTracker::DefaultQueryClasses) by its width relative to the
+/// router's global value range. Each shard's lane is one worker thread
+/// with 256 queue slots — the shard-per-core layout.
 ///
-/// Threading contract: the query entry points are const and
-/// thread-safe; mutations (Update*, Save, Close) require external
-/// exclusion, same as FieldDatabase.
+/// Threading contract: Query and PointQuery are const and thread-safe;
+/// mutations (Update*, Save, Close) require external exclusion, same as
+/// FieldDatabase.
 class ShardRouter {
  public:
   static StatusOr<std::unique_ptr<ShardRouter>> Build(
@@ -101,13 +97,8 @@ class ShardRouter {
   struct OpenOptions {
     /// Buffer-pool frames PER SHARD.
     size_t pool_pages = 1024;
-    size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
     /// Applied to every shard: any mode replays that shard's WAL.
     WalMode wal_mode = WalMode::kOff;
-    size_t lane_threads = 1;
-    size_t lane_queue_capacity = 256;
-    size_t max_inflight = 0;
-    std::vector<SloObjective> slo_classes;
     /// Optional aggregate replay report (may be null).
     RouterRecoveryReport* recovery_report = nullptr;
   };
@@ -124,27 +115,30 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Scatter/gather value query with exact regions. Region pieces are
-  /// gathered in ascending shard id (see class comment for why that is
-  /// deterministic). The merged stats sum every touched shard's
-  /// counters; wall_seconds is the router-level wall time.
+  /// Scatter/gather value query, the router's one band-query call
+  /// (see FieldDatabase::Query for the request). Every band is
+  /// validated before admission. Each touched shard gets the request
+  /// cut down to the bands MayContain admits; the shard groups them
+  /// greedily in request order — a band joins the current group only
+  /// when it overlaps the group's envelope AND the shard planner's
+  /// CostSharedScan prices the widened sweep no higher than running it
+  /// separately — and runs each group as one FieldDatabase::Query.
+  /// Gather is in ascending shard id (see the class comment for why
+  /// that is deterministic); the lowest shard touching a band answers
+  /// into the caller's piece storage, so its capacity is reused and
+  /// those pieces are never copied. Each band's merged stats sum every
+  /// touched shard's counters (leader-charged I/O within each shard's
+  /// sweep, so summed member I/O equals the I/O issued); wall_seconds
+  /// is the router-level wall time.
+  Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
+               RouterQueryProfile* profile = nullptr) const;
+
+  /// One region query through Query. Kept for the external benchmark
+  /// program only, which still spells its calls this way.
   Status ValueQuery(const ValueInterval& query, ValueQueryResult* out,
-                    RouterQueryProfile* profile = nullptr) const;
-
-  /// Stats-only scatter/gather (the bench shape).
-  Status ValueQueryStats(const ValueInterval& query, QueryStats* out,
-                         RouterQueryProfile* profile = nullptr) const;
-
-  /// Cross-shard shared-scan execution: members are clipped per shard,
-  /// then each shard decides — with its own planner's
-  /// CostSharedScan, the same zero-I/O costing the executor uses —
-  /// whether its members run fused (one SharedValueQueryStats sweep per
-  /// cost-admitted group) or split into isolated queries. Per-member
-  /// stats merge across shards (leader-charged I/O within each shard's
-  /// sweep, so summed member I/O equals the I/O actually issued);
-  /// answers are bit-identical to isolated execution.
-  Status SharedValueQueryStats(const std::vector<ValueInterval>& queries,
-                               std::vector<QueryStats>* out) const;
+                    RouterQueryProfile* profile = nullptr) const {
+    return Query({.bands = {&query, 1}}, {out, 1}, profile);
+  }
 
   /// Conventional point query: shards are probed in id order; the first
   /// one whose spatial tree finds a containing cell answers. NotFound
@@ -178,7 +172,7 @@ class ShardRouter {
   ValueInterval value_range() const;
   /// Global domain (identical across shards).
   const Rect2& domain() const { return domain_; }
-  SloTracker& slo() const { return *slo_; }
+  SloTracker& slo() const { return slo_; }
 
   /// Flips the planner mode on every shard.
   void set_planner_mode(PlannerMode mode);
@@ -188,9 +182,17 @@ class ShardRouter {
 
   /// Common post-construction wiring: global map, metrics, SLO,
   /// admission bound.
-  void Init(size_t max_inflight, std::vector<SloObjective> slo_classes);
+  void Init();
 
-  /// RAII admission slot; blocks while max_inflight are in flight.
+  /// One touched shard's part of a Query: the request's bands it may
+  /// contribute to, their results, and what running them cost.
+  struct ShardWork;
+  /// Runs `work`'s bands on `shard` in cost-admitted groups (on the
+  /// shard's lane), counting a batch's groups in router.shared_groups_*.
+  Status RunOnShard(const Shard& shard, const QueryRequest& request,
+                    ShardWork* work) const;
+
+  /// RAII admission slot; blocks while max_inflight_ are in flight.
   class AdmissionSlot {
    public:
     explicit AdmissionSlot(const ShardRouter* router);
@@ -206,7 +208,7 @@ class ShardRouter {
   /// global cell id -> (shard id, local cell id).
   std::vector<std::pair<uint32_t, CellId>> global_map_;
   Rect2 domain_;
-  std::unique_ptr<SloTracker> slo_;
+  mutable SloTracker slo_{SloTracker::DefaultQueryClasses()};
 
   size_t max_inflight_ = 0;
   mutable std::mutex admission_mu_;

@@ -35,7 +35,7 @@ struct QueryStats {
   uint64_t index_fallbacks = 0;
   IoStats io;  // page traffic attributable to this query
   /// Per-phase spans (obs/trace.h) when the query ran traced (EXPLAIN
-  /// or TracedValueQueryStats); null on the plain query path.
+  /// or a QueryRequest with `trace`); null on the plain query path.
   std::shared_ptr<QueryTrace> trace;
 
   /// Books one answer cell of the estimation step: an inside cell when

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_INDEX_CELL_STORE_H_
 #define FIELDDB_INDEX_CELL_STORE_H_
 
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -24,6 +25,20 @@ auto StoreKeyOf(const Record& record) {
   } else {
     return record.ValueBox();
   }
+}
+
+/// Whether a record read from disk can be used at all, checked before
+/// StoreKeyOf or any other accessor reads it: its id names a slot of a
+/// store of `num_records`, and a record with vertex arrays (CellRecord,
+/// VectorCellRecord, the temporal slab record) has 3 or 4 vertices, so
+/// no loop over them leaves the arrays. VoxelRecord's count is a
+/// constant.
+template <typename Record>
+bool ValidStoredRecord(const Record& record, uint64_t num_records) {
+  if constexpr (requires { record.x; }) {
+    if (record.num_vertices != 3 && record.num_vertices != 4) return false;
+  }
+  return record.id < num_records;
 }
 
 /// The edit of every sample update: copies `samples` over dst[0, n).
@@ -105,7 +120,8 @@ class BasicCellStore {
 
   /// Re-attaches to a store persisted in `pool`'s file. Scans the
   /// records once to rebuild the id -> slot map and the zone map;
-  /// kCorruption when the stored ids are not a permutation.
+  /// kCorruption naming the slot of the first record that fails
+  /// ValidStoredRecord, and when the stored ids are not a permutation.
   static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
                                          uint64_t num_records) {
     StatusOr<RecordStore<Record>> records =
@@ -114,12 +130,20 @@ class BasicCellStore {
     std::vector<uint64_t> position_of(num_records, kNoPosition);
     ZoneMap zones;
     zones.Reserve(num_records);
+    Status invalid;
     FIELDDB_RETURN_IF_ERROR(records->Scan(
         0, num_records, [&](uint64_t pos, const Record& record) {
-          if (record.id < num_records) position_of[record.id] = pos;
+          if (!ValidStoredRecord(record, num_records)) {
+            invalid = Status::Corruption("record store slot " +
+                                         std::to_string(pos) +
+                                         " holds an invalid record");
+            return false;
+          }
+          position_of[record.id] = pos;
           zones.Append(StoreKeyOf(record));
           return true;
         }));
+    FIELDDB_RETURN_IF_ERROR(invalid);
     for (const uint64_t pos : position_of) {
       if (pos == kNoPosition) {
         return Status::Corruption("record store is missing record ids");

@@ -126,11 +126,6 @@ Status FaultInjectingPageFile::Sync() {
   if (TickKillLocked()) {
     return Status::IOError("injected kill point: device gone (sync)");
   }
-  if (sync_faults_ != 0) {
-    if (sync_faults_ != kPermanent) --sync_faults_;
-    ++counters_.sync_errors;
-    return Status::IOError("injected sync fault");
-  }
   return base_->Sync();
 }
 
@@ -145,7 +140,6 @@ void FaultInjectingPageFile::ClearFaults() {
   write_faults_.clear();
   torn_writes_.clear();
   corrupt_.clear();
-  sync_faults_ = 0;
   kill_countdown_ = -1;
 }
 

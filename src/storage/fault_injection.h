@@ -112,19 +112,6 @@ class FaultInjectingPageFile final : public PageFile {
     corrupt_[id] = Corruption{true, xor_mask};
   }
 
-  /// The next `count` Sync calls fail with an IOError — the fsync
-  /// failure mode ("fsyncgate"): the kernel reports the error once and
-  /// the durability of previously written pages is unknown.
-  void FailNextSyncs(int count) {
-    std::lock_guard<std::mutex> lock(mu_);
-    sync_faults_ = count;
-  }
-  /// Every Sync fails until ClearFaults().
-  void FailAllSyncs() {
-    std::lock_guard<std::mutex> lock(mu_);
-    sync_faults_ = kPermanent;
-  }
-
   /// Deterministic kill point: the next `ops` operations (Read, Write,
   /// Allocate, Sync) succeed, then every subsequent operation fails
   /// with an IOError — the device vanished mid-pipeline. Counting down
@@ -150,7 +137,6 @@ class FaultInjectingPageFile final : public PageFile {
     uint64_t torn_writes = 0;
     uint64_t corrupt_reads = 0;  // reads answered with kCorruption
     uint64_t silent_flips = 0;   // reads answered with flipped bits
-    uint64_t sync_errors = 0;    // Syncs answered with kIOError
     uint64_t killed_ops = 0;     // operations refused past the kill point
   };
   Counters counters() const {
@@ -190,7 +176,6 @@ class FaultInjectingPageFile final : public PageFile {
   std::unordered_map<PageId, int> write_faults_;
   std::unordered_map<PageId, uint32_t> torn_writes_;
   std::unordered_map<PageId, Corruption> corrupt_;
-  int sync_faults_ = 0;           // remaining Sync failures (kPermanent = all)
   mutable int kill_countdown_ = -1;  // -1 = disarmed; 0 = dead
 };
 

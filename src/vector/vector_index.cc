@@ -34,16 +34,6 @@ auto SetUV(const std::vector<double>& u, const std::vector<double>& v) {
 
 }  // namespace
 
-const char* VectorIndexMethodName(VectorIndexMethod method) {
-  switch (method) {
-    case VectorIndexMethod::kLinearScan:
-      return "V-LinearScan";
-    case VectorIndexMethod::kIHilbert:
-      return "V-I-Hilbert";
-  }
-  return "unknown";
-}
-
 StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
     const VectorGridField& field, const Options& options) {
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());

@@ -39,8 +39,6 @@ enum class VectorIndexMethod {
   kIHilbert,    // subfields over Hilbert-ordered cells, 2-D R*-tree
 };
 
-const char* VectorIndexMethodName(VectorIndexMethod method);
-
 /// Result of a vector band query.
 struct VectorQueryResult {
   Region region;

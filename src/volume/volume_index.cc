@@ -27,16 +27,6 @@ constexpr CatalogSchema kVolumeCatalog = {
 
 }  // namespace
 
-const char* VolumeIndexMethodName(VolumeIndexMethod method) {
-  switch (method) {
-    case VolumeIndexMethod::kLinearScan:
-      return "3D-LinearScan";
-    case VolumeIndexMethod::kIHilbert:
-      return "3D-I-Hilbert";
-  }
-  return "unknown";
-}
-
 StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
     const VolumeGridField& field, const Options& options) {
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());

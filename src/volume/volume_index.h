@@ -27,8 +27,6 @@ enum class VolumeIndexMethod {
   kIHilbert,  // 3-D Hilbert linearization + 1-D subfield R*-tree
 };
 
-const char* VolumeIndexMethodName(VolumeIndexMethod method);
-
 /// Result of a 3-D value query: the measure (volume) of the region where
 /// the field value lies in the band, plus the contributing voxels.
 struct VolumeQueryResult {

@@ -18,10 +18,12 @@
 
 #include "core/field_database.h"
 #include "field/grid_field.h"
+#include "gen/fractal.h"
 #include "storage/page.h"
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -473,7 +475,7 @@ TEST(TreeHeightTest, EditedHeightRefusedByTheFirstUpdate) {
     StatusOr<std::unique_ptr<FieldDatabase>> db = FieldDatabase::Open(prefix);
     ASSERT_TRUE(db.ok()) << height << ": " << db.status().ToString();
     ValueQueryResult result;
-    EXPECT_TRUE((*db)->ValueQuery(ValueInterval{10, 20}, &result).ok());
+    EXPECT_TRUE(QueryOne(**db, ValueInterval{10, 20}, &result).ok());
     const Status update = (*db)->UpdateCellValues(0, {50, 60, 70, 80});
     if (std::string(height) == "2") {
       EXPECT_TRUE(update.ok()) << update.ToString();
@@ -486,6 +488,89 @@ TEST(TreeHeightTest, EditedHeightRefusedByTheFirstUpdate) {
   }
   for (const char* suffix : {".pages", ".meta"}) {
     std::remove((prefix + suffix).c_str());
+  }
+}
+
+// --- Stored records and cell counts against the catalog ----------------
+
+/// Saves the 64x64 fractal (seed 3) under `method` at `prefix`, with or
+/// without the spatial tree. Its band [0.6, 0.65] has 312 answer cells
+/// and 883 pieces.
+void SaveFractal(IndexMethod method, bool spatial, const std::string& prefix) {
+  FractalOptions fo;
+  fo.size_exp = 6;
+  fo.roughness_h = 0.7;
+  fo.seed = 3;
+  FieldDatabaseOptions options;
+  options.method = method;
+  options.build_spatial_index = spatial;
+  auto db = FieldDatabase::Build(MakeFractalField(fo).value(), options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ValueQueryResult result;
+  ASSERT_TRUE(QueryOne(**db, ValueInterval{0.6, 0.65}, &result).ok());
+  ASSERT_EQ(result.stats.answer_cells, 312u);
+  ASSERT_EQ(result.region.NumPieces(), 883u);
+  ASSERT_TRUE((*db)->Save(prefix).ok());
+}
+
+/// Rewrites the `key` line of the catalog at `prefix` to `key value`.
+void EditCatalogLine(const std::string& prefix, const std::string& key,
+                     const std::string& value) {
+  std::vector<std::string> lines = SplitLines(ReadFile(prefix + ".meta"));
+  for (std::string& line : lines) {
+    if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
+  }
+  WriteFile(prefix + ".meta", JoinLines(lines));
+}
+
+TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {
+  // Two pages later, the store's tail is the last store page's empty
+  // slots and then spatial-tree pages. Attach must refuse the first
+  // such record before any accessor loops over its vertex count.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_shifted_store";
+  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/true, prefix);
+  EditCatalogLine(prefix, "store_first_page", "2");
+  const Status s = FieldDatabase::Open(prefix).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("record store slot "), std::string::npos)
+      << s.ToString();
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(CellCountTest, NumCellsDisagreeingWithTheCatalogRefused) {
+  // A lowered num_cells used to open and silently drop the cells past
+  // it (311 of 312 answer cells, or none). The catalog states the count
+  // twice more: the spatial tree's size, and I-All's tree size and
+  // build_entries.
+  struct Case {
+    IndexMethod method;
+    bool spatial;
+    const char* disagrees;  // the key the error names
+  };
+  for (const Case c : {Case{IndexMethod::kLinearScan, true, "'spatial'"},
+                       Case{IndexMethod::kIAll, true, "'spatial'"},
+                       Case{IndexMethod::kIAll, false, "'tree'"}}) {
+    const std::string prefix = ::testing::TempDir() + "/fielddb_num_cells";
+    SaveFractal(c.method, c.spatial, prefix);
+    for (const char* cells : {"4095", "3"}) {
+      SCOPED_TRACE(::testing::Message()
+                   << IndexMethodName(c.method) << " spatial=" << c.spatial
+                   << " num_cells=" << cells);
+      EditCatalogLine(prefix, "num_cells", cells);
+      const Status s = FieldDatabase::Open(prefix).status();
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      EXPECT_NE(s.message().find("'num_cells'"), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find(c.disagrees), std::string::npos)
+          << s.ToString();
+    }
+    EditCatalogLine(prefix, "num_cells", "4096");
+    EXPECT_TRUE(FieldDatabase::Open(prefix).ok());
+    for (const char* suffix : {".pages", ".meta"}) {
+      std::remove((prefix + suffix).c_str());
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "core/query_executor.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -51,7 +52,7 @@ void StressDatabase(const FieldDatabase& db) {
   const std::vector<ValueInterval> queries = MakeQueries(db.value_range());
   std::vector<QueryStats> truth(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(db.ValueQueryStats(queries[i], &truth[i]).ok());
+    ASSERT_TRUE(CountOne(db, queries[i], &truth[i]).ok());
   }
 
   constexpr int kThreads = 8;
@@ -65,7 +66,7 @@ void StressDatabase(const FieldDatabase& db) {
       for (int r = 0; r < kRounds; ++r) {
         for (size_t i = 0; i < queries.size(); ++i) {
           QueryStats s;
-          if (!db.ValueQueryStats(queries[i], &s, &ctx).ok()) {
+          if (!CountOne(db, queries[i], &s, &ctx).ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
@@ -134,7 +135,7 @@ TEST(ConcurrencyTest, ExecutorBatchMatchesSequentialTruth) {
       MakeQueries((*db)->value_range());
   std::vector<QueryStats> truth(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE((*db)->ValueQueryStats(queries[i], &truth[i]).ok());
+    ASSERT_TRUE(CountOne(**db, queries[i], &truth[i]).ok());
   }
 
   QueryExecutor::Options eo;

@@ -15,6 +15,7 @@
 #include "core/field_database.h"
 #include "gen/monotonic.h"
 #include "storage/wal.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -75,15 +76,14 @@ TEST_P(CrashLoopTest, AckedUpdatesConvergeThroughRepeatedCrashes) {
     for (const auto& [cell, value] : acked) {
       ValueQueryResult result;
       ASSERT_TRUE(
-          db->ValueQuery(ValueInterval{value - 0.5, value + 0.5}, &result)
-              .ok());
+          QueryOne(*db, ValueInterval{value - 0.5, value + 0.5}, &result).ok());
       EXPECT_EQ(result.stats.answer_cells, 1u)
           << "lost acked update of cell " << cell << " (value " << value
           << ")";
     }
     ValueQueryResult all_updated;
     ASSERT_TRUE(
-        db->ValueQuery(ValueInterval{999.0, 1e18}, &all_updated).ok());
+        QueryOne(*db, ValueInterval{999.0, 1e18}, &all_updated).ok());
     EXPECT_EQ(all_updated.stats.answer_cells, acked.size());
 
     // Arm one random fault for this cycle, then mutate until the fault
@@ -127,9 +127,8 @@ TEST_P(CrashLoopTest, AckedUpdatesConvergeThroughRepeatedCrashes) {
   ASSERT_TRUE(final_db.ok());
   for (const auto& [cell, value] : acked) {
     ValueQueryResult result;
-    ASSERT_TRUE((*final_db)
-                    ->ValueQuery(ValueInterval{value - 0.5, value + 0.5},
-                                 &result)
+    ASSERT_TRUE(QueryOne(**final_db, ValueInterval{value - 0.5, value + 0.5},
+                         &result)
                     .ok());
     EXPECT_EQ(result.stats.answer_cells, 1u) << "cell " << cell;
   }

@@ -1,3 +1,4 @@
+#include "core/explain.h"
 #include "core/field_database.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "gen/monotonic.h"
 #include "gen/noise_tin.h"
 #include "gen/workload.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -34,7 +36,7 @@ TEST_P(DatabaseMethodTest, MonotonicFieldAnalyticArea) {
   for (const auto& [a, b] : std::vector<std::pair<double, double>>{
            {0.2, 0.5}, {0.0, 1.0}, {0.7, 0.9}, {0.45, 0.45}}) {
     ValueQueryResult result;
-    ASSERT_TRUE((*db)->ValueQuery(ValueInterval{a, b}, &result).ok());
+    ASSERT_TRUE(QueryOne(**db, ValueInterval{a, b}, &result).ok());
     const double expected = (b * b - a * a) / 2.0;
     EXPECT_NEAR(result.region.TotalArea(), expected, 1e-9)
         << "[" << a << ", " << b << "] with "
@@ -49,7 +51,7 @@ TEST_P(DatabaseMethodTest, UpperHalfBandArea) {
   auto db = FieldDatabase::Build(*field, OptionsFor(GetParam()));
   ASSERT_TRUE(db.ok());
   ValueQueryResult result;
-  ASSERT_TRUE((*db)->ValueQuery(ValueInterval{1.0, 2.0}, &result).ok());
+  ASSERT_TRUE(QueryOne(**db, ValueInterval{1.0, 2.0}, &result).ok());
   EXPECT_NEAR(result.region.TotalArea(), 0.5, 1e-9);
 }
 
@@ -71,8 +73,8 @@ TEST_P(DatabaseMethodTest, AllMethodsAgreeOnFractal) {
                                             WorkloadOptions{0.04, 20, 17});
   for (const ValueInterval& q : queries) {
     ValueQueryResult expected, actual;
-    ASSERT_TRUE((*reference)->ValueQuery(q, &expected).ok());
-    ASSERT_TRUE((*db)->ValueQuery(q, &actual).ok());
+    ASSERT_TRUE(QueryOne(**reference, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**db, q, &actual).ok());
     EXPECT_NEAR(actual.region.TotalArea(), expected.region.TotalArea(),
                 1e-9)
         << q.ToString();
@@ -132,8 +134,8 @@ TEST_P(DatabaseMethodTest, StatsModeMatchesFullQuery) {
   for (const ValueInterval& q : queries) {
     ValueQueryResult full;
     QueryStats stats_only;
-    ASSERT_TRUE((*db)->ValueQuery(q, &full).ok());
-    ASSERT_TRUE((*db)->ValueQueryStats(q, &stats_only).ok());
+    ASSERT_TRUE(QueryOne(**db, q, &full).ok());
+    ASSERT_TRUE(CountOne(**db, q, &stats_only).ok());
     EXPECT_EQ(full.stats.candidate_cells, stats_only.candidate_cells);
     // Full mode counts cells yielding pieces; stats mode counts interval
     // intersections. Identical because a non-degenerate cell whose
@@ -154,14 +156,13 @@ TEST_P(DatabaseMethodTest, EmptyQueryRejected) {
         ValueInterval{-0.5, nan}, ValueInterval{nan, nan}}) {
     SCOPED_TRACE(q.ToString());
     ValueQueryResult result;
-    EXPECT_EQ((*db)->ValueQuery(q, &result).code(),
+    EXPECT_EQ(QueryOne(**db, q, &result).code(),
               StatusCode::kInvalidArgument);
     std::vector<QueryStats> shared;
-    EXPECT_EQ((*db)->SharedValueQueryStats({ValueInterval{0, 1}, q}, &shared)
-                  .code(),
+    EXPECT_EQ(CountShared(**db, {ValueInterval{0, 1}, q}, &shared).code(),
               StatusCode::kInvalidArgument);
-    FieldDatabase::ExplainResult explain;
-    EXPECT_EQ((*db)->ExplainValueQuery(q, &explain).code(),
+    ExplainResult explain;
+    EXPECT_EQ(ExplainValueQuery(**db, q, &explain).code(),
               StatusCode::kInvalidArgument);
   }
 }
@@ -286,7 +287,7 @@ TEST(FieldDatabaseTest, CustomPageSize) {
   auto db = FieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok());
   ValueQueryResult result;
-  ASSERT_TRUE((*db)->ValueQuery(ValueInterval{0.5, 0.6}, &result).ok());
+  ASSERT_TRUE(QueryOne(**db, ValueInterval{0.5, 0.6}, &result).ok());
   EXPECT_GT(result.region.TotalArea(), 0.0);
 }
 
@@ -309,12 +310,10 @@ TEST(FieldDatabaseTest, OceanScenarioConjunctiveQuery) {
 
   ValueQueryResult rt, rs;
   ASSERT_TRUE(
-      (*temp_db)->ValueQuery(ValueInterval{0.5, 1.5}, &rt).ok());
+      QueryOne(**temp_db, ValueInterval{0.5, 1.5}, &rt).ok());
   const ValueInterval sal_range = salinity->ValueRange();
-  ASSERT_TRUE((*sal_db)
-                  ->ValueQuery(ValueInterval{sal_range.min,
-                                             sal_range.Center()},
-                               &rs)
+  ASSERT_TRUE(QueryOne(**sal_db,
+                       ValueInterval{sal_range.min, sal_range.Center()}, &rs)
                   .ok());
   EXPECT_FALSE(rt.region.IsEmpty());
   EXPECT_FALSE(rs.region.IsEmpty());

@@ -14,6 +14,7 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -51,8 +52,8 @@ void ExpectSameAnswers(FieldDatabase* a, FieldDatabase* b,
   for (const ValueInterval& q : queries) {
     SCOPED_TRACE(q.min);
     ValueQueryResult ra, rb;
-    ASSERT_TRUE(a->ValueQuery(q, &ra).ok());
-    ASSERT_TRUE(b->ValueQuery(q, &rb).ok());
+    ASSERT_TRUE(QueryOne(*a, q, &ra).ok());
+    ASSERT_TRUE(QueryOne(*b, q, &rb).ok());
     EXPECT_EQ(ra.stats.answer_cells, rb.stats.answer_cells);
     EXPECT_EQ(ra.region.pieces.size(), rb.region.pieces.size());
     EXPECT_DOUBLE_EQ(ra.region.TotalArea(), rb.region.TotalArea());

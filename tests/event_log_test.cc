@@ -19,6 +19,7 @@
 #include "gen/workload.h"
 #include "storage/fault_injection.h"
 #include "storage/page_file.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -263,8 +264,8 @@ TEST(EventLogTest, ObsIoNeverTouchesThePageFile) {
 
   for (const ValueInterval& q : queries) {
     QueryStats a, b;
-    ASSERT_TRUE(with_log.db->ValueQueryStats(q, &a).ok());
-    ASSERT_TRUE(without_log.db->ValueQueryStats(q, &b).ok());
+    ASSERT_TRUE(CountOne(*with_log.db, q, &a).ok());
+    ASSERT_TRUE(CountOne(*without_log.db, q, &b).ok());
     // Per-query page traffic is identical: the slow-query event
     // appended after `a`'s query contributes nothing to IoStats.
     EXPECT_EQ(a.io.logical_reads, b.io.logical_reads);

@@ -5,12 +5,15 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/explain.h"
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "obs/trace.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -30,6 +33,17 @@ StatusOr<std::unique_ptr<FieldDatabase>> MakeDb(IndexMethod method) {
   options.method = method;
   options.build_spatial_index = false;
   return FieldDatabase::Build(*dem, options);
+}
+
+/// One traced count-only query; `out` gets its stats.
+Status TracedCount(const FieldDatabase& db, const ValueInterval& band,
+                   QueryStats* out) {
+  ValueQueryResult result;
+  const Status s =
+      db.Query({.bands = {&band, 1}, .regions = false, .trace = true},
+               {&result, 1});
+  *out = std::move(result.stats);
+  return s;
 }
 
 ValueInterval MidBand(const FieldDatabase& db, double lo_frac,
@@ -54,7 +68,7 @@ TEST(TraceTest, SpanIoDeltasSumToQueryIo) {
   const ValueInterval band = MidBand(**db, 0.30, 0.45);
 
   QueryStats qs;
-  ASSERT_TRUE((*db)->TracedValueQueryStats(band, &qs).ok());
+  ASSERT_TRUE(TracedCount(**db, band, &qs).ok());
   ASSERT_NE(qs.trace, nullptr);
 
   // The indexed pipeline records planning plus its three phases, in
@@ -102,8 +116,7 @@ TEST(TraceTest, LinearScanTracesFusedPipeline) {
   auto db = MakeDb(IndexMethod::kLinearScan);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   QueryStats qs;
-  ASSERT_TRUE(
-      (*db)->TracedValueQueryStats(MidBand(**db, 0.3, 0.5), &qs).ok());
+  ASSERT_TRUE(TracedCount(**db, MidBand(**db, 0.3, 0.5), &qs).ok());
   ASSERT_NE(qs.trace, nullptr);
   // No index: no filter phase, just plan + the fused scan + estimation
   // split.
@@ -122,8 +135,8 @@ TEST(ExplainTest, SubfieldListMatchesActualCandidates) {
   (*db)->set_planner_mode(PlannerMode::kForceIndex);
   const ValueInterval band = MidBand(**db, 0.40, 0.55);
 
-  FieldDatabase::ExplainResult explain;
-  ASSERT_TRUE((*db)->ExplainValueQuery(band, &explain).ok());
+  ExplainResult explain;
+  ASSERT_TRUE(ExplainValueQuery(**db, band, &explain).ok());
   EXPECT_EQ(explain.method, IndexMethod::kIHilbert);
   EXPECT_EQ(explain.chosen_plan, PlanKind::kIndexedFilter);
   EXPECT_FALSE(explain.planner_reason.empty());
@@ -139,7 +152,7 @@ TEST(ExplainTest, SubfieldListMatchesActualCandidates) {
   // executed query's stats.
   uint64_t cells = 0;
   uint64_t matching = 0;
-  for (const FieldDatabase::ExplainSubfield& sf : explain.subfields) {
+  for (const ExplainSubfield& sf : explain.subfields) {
     ASSERT_LT(sf.start, sf.end);
     EXPECT_EQ(sf.cells, sf.end - sf.start);
     EXPECT_LE(sf.matching_cells, sf.cells);
@@ -177,9 +190,9 @@ TEST(ExplainTest, SubfieldListMatchesActualCandidates) {
 TEST(ExplainTest, LinearScanHasNoSubfields) {
   auto db = MakeDb(IndexMethod::kLinearScan);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  FieldDatabase::ExplainResult explain;
+  ExplainResult explain;
   ASSERT_TRUE(
-      (*db)->ExplainValueQuery(MidBand(**db, 0.3, 0.5), &explain).ok());
+      ExplainValueQuery(**db, MidBand(**db, 0.3, 0.5), &explain).ok());
   EXPECT_TRUE(explain.subfields.empty());
   EXPECT_EQ(explain.rtree_nodes_visited, 0u);
   ASSERT_NE(explain.stats.trace, nullptr);
@@ -191,22 +204,22 @@ TEST(ExplainTest, CountsInsideAndCutCells) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
 
   // A band spanning the whole value range holds every cell's interval.
-  FieldDatabase::ExplainResult whole;
-  ASSERT_TRUE((*db)->ExplainValueQuery((*db)->value_range(), &whole).ok());
+  ExplainResult whole;
+  ASSERT_TRUE(ExplainValueQuery(**db, (*db)->value_range(), &whole).ok());
   EXPECT_EQ(whole.stats.answer_cells, 64u * 64u);  // every cell of the DEM
   EXPECT_EQ(whole.stats.inside_cells, whole.stats.answer_cells);
 
   // A narrow band cuts cells; some lie inside it.
   const ValueInterval band = MidBand(**db, 0.40, 0.50);
-  FieldDatabase::ExplainResult narrow;
-  ASSERT_TRUE((*db)->ExplainValueQuery(band, &narrow).ok());
+  ExplainResult narrow;
+  ASSERT_TRUE(ExplainValueQuery(**db, band, &narrow).ok());
   EXPECT_GT(narrow.stats.inside_cells, 0u);
   EXPECT_LT(narrow.stats.inside_cells, narrow.stats.answer_cells);
 
   // EXPLAIN counts without building the region; the region path books
   // the same inside cells.
   ValueQueryResult result;
-  ASSERT_TRUE((*db)->ValueQuery(band, &result).ok());
+  ASSERT_TRUE(QueryOne(**db, band, &result).ok());
   EXPECT_EQ(result.stats.inside_cells, narrow.stats.inside_cells);
 
   const uint64_t cut = narrow.stats.answer_cells - narrow.stats.inside_cells;
@@ -226,9 +239,9 @@ TEST(ExplainTest, CountsInsideAndCutCells) {
 TEST(ExplainTest, EmptyIntervalRejected) {
   auto db = MakeDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  FieldDatabase::ExplainResult explain;
+  ExplainResult explain;
   const Status s =
-      (*db)->ExplainValueQuery(ValueInterval{1.0, 0.0}, &explain);
+      ExplainValueQuery(**db, ValueInterval{1.0, 0.0}, &explain);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   // Regression: the result's method must reflect the database even on a
   // failed explain — the struct default (kLinearScan) used to leak
@@ -243,8 +256,8 @@ TEST(ExplainTest, ReportsAdaptivePlanChoice) {
   // A band covering nearly the whole value range: candidates ~ the
   // entire store, so the fused scan must win on the disk model (the
   // indexed plan pays the same pages plus tree seeks).
-  FieldDatabase::ExplainResult wide;
-  ASSERT_TRUE((*db)->ExplainValueQuery(MidBand(**db, 0.01, 0.99), &wide).ok());
+  ExplainResult wide;
+  ASSERT_TRUE(ExplainValueQuery(**db, MidBand(**db, 0.01, 0.99), &wide).ok());
   EXPECT_EQ(wide.chosen_plan, PlanKind::kFusedScan);
   EXPECT_DOUBLE_EQ(wide.predicted_cost_ms, wide.predicted_scan_cost_ms);
   // The fused scan never consulted the subfield table, so EXPLAIN must
@@ -271,9 +284,9 @@ TEST(ExplainTest, ReportsAdaptivePlanChoice) {
   auto big = FieldDatabase::Build(*big_dem, options);
   ASSERT_TRUE(big.ok());
 
-  FieldDatabase::ExplainResult narrow;
+  ExplainResult narrow;
   ASSERT_TRUE(
-      (*big)->ExplainValueQuery(MidBand(**big, 0.0, 0.02), &narrow).ok());
+      ExplainValueQuery(**big, MidBand(**big, 0.0, 0.02), &narrow).ok());
   EXPECT_EQ(narrow.chosen_plan, PlanKind::kIndexedFilter);
   EXPECT_DOUBLE_EQ(narrow.predicted_cost_ms, narrow.predicted_index_cost_ms);
   EXPECT_LT(narrow.predicted_index_cost_ms, narrow.predicted_scan_cost_ms);

@@ -23,6 +23,7 @@
 #include "index/i_hilbert.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -654,8 +655,8 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
                                             WorkloadOptions{0.04, 10, 17});
   for (const ValueInterval& q : queries) {
     ValueQueryResult expected, degraded;
-    ASSERT_TRUE((*intact)->ValueQuery(q, &expected).ok());
-    ASSERT_TRUE((*db)->ValueQuery(q, &degraded).ok());
+    ASSERT_TRUE(QueryOne(**intact, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**db, q, &degraded).ok());
     EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
     EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
     EXPECT_NEAR(degraded.region.TotalArea(), expected.region.TotalArea(),
@@ -674,10 +675,10 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
   for (size_t i = 0; i + 1 < queries.size(); i += 2) {
     const std::vector<ValueInterval> batch = {queries[i], queries[i + 1]};
     std::vector<ValueQueryResult> expected, degraded;
-    ASSERT_TRUE((*intact)->SharedValueQuery(batch, &expected).ok());
+    ASSERT_TRUE(QueryShared(**intact, batch, &expected).ok());
     const uint64_t index_before = plans_index->value();
     const uint64_t scan_before = plans_scan->value();
-    ASSERT_TRUE((*db)->SharedValueQuery(batch, &degraded).ok());
+    ASSERT_TRUE(QueryShared(**db, batch, &degraded).ok());
     EXPECT_EQ(plans_index->value(), index_before + 1);
     EXPECT_EQ(plans_scan->value(), scan_before);
     for (size_t m = 0; m < batch.size(); ++m) {
@@ -741,9 +742,7 @@ TEST_F(DatabaseFaultTest, TransientFaultsDuringQueriesAreInvisible) {
   ASSERT_TRUE(flaky.ok());
 
   QueryStats stats;
-  ASSERT_TRUE((*flaky)
-                  ->ValueQueryStats(ValueInterval{0.2, 0.4}, &stats)
-                  .ok());
+  ASSERT_TRUE(CountOne(**flaky, ValueInterval{0.2, 0.4}, &stats).ok());
   // (With a 3-retry budget, P(4 consecutive 20% faults) = 0.16% per
   // read; the seeded schedule above stays under that.)
 }

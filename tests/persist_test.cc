@@ -10,6 +10,7 @@
 #include "gen/monotonic.h"
 #include "gen/workload.h"
 #include "storage/page_file.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -53,8 +54,8 @@ TEST_P(PersistTest, SaveOpenRoundTripAnswersMatch) {
                                             WorkloadOptions{0.03, 15, 61});
   for (const ValueInterval& q : queries) {
     ValueQueryResult expected, actual;
-    ASSERT_TRUE((*original)->ValueQuery(q, &expected).ok());
-    ASSERT_TRUE((*reopened)->ValueQuery(q, &actual).ok());
+    ASSERT_TRUE(QueryOne(**original, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**reopened, q, &actual).ok());
     EXPECT_NEAR(actual.region.TotalArea(), expected.region.TotalArea(),
                 1e-9);
     EXPECT_EQ(actual.stats.candidate_cells, expected.stats.candidate_cells);
@@ -93,7 +94,7 @@ TEST_P(PersistTest, UpdatesAfterReopen) {
       (*reopened)->UpdateCellValues(3, {400.0, 400, 400, 400}).ok());
   ValueQueryResult result;
   ASSERT_TRUE(
-      (*reopened)->ValueQuery(ValueInterval{399, 401}, &result).ok());
+      QueryOne(**reopened, ValueInterval{399, 401}, &result).ok());
   EXPECT_EQ(result.stats.answer_cells, 1u);
 }
 
@@ -372,7 +373,7 @@ class CrashSafetyTest : public ::testing::Test {
     if (!reopened.ok()) return ~uint64_t{0};
     ValueQueryResult result;
     EXPECT_TRUE(
-        (*reopened)->ValueQuery(ValueInterval{399, 401}, &result).ok());
+        QueryOne(**reopened, ValueInterval{399, 401}, &result).ok());
     return result.stats.answer_cells;
   }
 

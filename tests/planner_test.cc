@@ -18,6 +18,7 @@
 #include "index/cell_store.h"
 #include "plan/cost_model.h"
 #include "plan/planner.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -296,7 +297,7 @@ TEST(PlannerTest, PlanningIsPureOfExecutionState) {
   // planner must NOT consult.
   for (int i = 0; i < 3; ++i) {
     QueryStats qs;
-    ASSERT_TRUE((*db)->ValueQueryStats(band, &qs).ok());
+    ASSERT_TRUE(CountOne(**db, band, &qs).ok());
   }
   const PhysicalPlan after = (*db)->PlanValueQuery(band);
 
@@ -335,7 +336,7 @@ TEST(PlannerTest, ConcurrentAutoPlanningIsDeterministic) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
         QueryStats qs;
-        if (!(*db)->ValueQueryStats(queries[i], &qs, &ctx).ok()) {
+        if (!CountOne(**db, queries[i], &qs, &ctx).ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -371,7 +372,7 @@ TEST_P(DifferentialTest, AutoMatchesBothForcedPlansAcrossSelectivities) {
   const auto run = [&](const ValueInterval& q, PlannerMode mode) {
     (*db)->set_planner_mode(mode);
     ValueQueryResult r;
-    EXPECT_TRUE((*db)->ValueQuery(q, &r).ok()) << PlannerModeName(mode);
+    EXPECT_TRUE(QueryOne(**db, q, &r).ok()) << PlannerModeName(mode);
     return r;
   };
 

@@ -12,6 +12,7 @@
 #include "gen/fractal.h"
 #include "gen/noise_tin.h"
 #include "gen/workload.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -75,7 +76,7 @@ TEST(RepresentationInvarianceTest, PageSizeDoesNotChangeAnswers) {
     ASSERT_TRUE(db.ok());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       ValueQueryResult result;
-      ASSERT_TRUE((*db)->ValueQuery(queries[qi], &result).ok());
+      ASSERT_TRUE(QueryOne(**db, queries[qi], &result).ok());
       if (page_size == 1024u) {
         reference_areas.push_back(result.region.TotalArea());
       } else {
@@ -101,7 +102,7 @@ TEST(RepresentationInvarianceTest, PoolSizeDoesNotChangeAnswers) {
     auto db = FieldDatabase::Build(*field, options);
     ASSERT_TRUE(db.ok());
     ValueQueryResult result;
-    ASSERT_TRUE((*db)->ValueQuery(band, &result).ok());
+    ASSERT_TRUE(QueryOne(**db, band, &result).ok());
     if (reference < 0) {
       reference = result.region.TotalArea();
     } else {
@@ -124,7 +125,7 @@ TEST(RepresentationInvarianceTest, CurveOrderDoesNotChangeAnswers) {
     auto db = FieldDatabase::Build(*field, options);
     ASSERT_TRUE(db.ok());
     ValueQueryResult result;
-    ASSERT_TRUE((*db)->ValueQuery(band, &result).ok());
+    ASSERT_TRUE(QueryOne(**db, band, &result).ok());
     if (reference < 0) {
       reference = result.region.TotalArea();
     } else {
@@ -153,8 +154,8 @@ TEST(RepresentationInvarianceTest, BulkAndInsertBuildsAgree) {
     ASSERT_TRUE(db_insert.ok());
     for (const ValueInterval& q : queries) {
       ValueQueryResult a, b;
-      ASSERT_TRUE((*db_bulk)->ValueQuery(q, &a).ok());
-      ASSERT_TRUE((*db_insert)->ValueQuery(q, &b).ok());
+      ASSERT_TRUE(QueryOne(**db_bulk, q, &a).ok());
+      ASSERT_TRUE(QueryOne(**db_insert, q, &b).ok());
       EXPECT_NEAR(a.region.TotalArea(), b.region.TotalArea(), 1e-9);
       EXPECT_EQ(a.stats.answer_cells, b.stats.answer_cells);
     }
@@ -171,10 +172,10 @@ TEST(RepresentationInvarianceTest, QueryAnswersAreDeterministic) {
   ASSERT_TRUE(db.ok());
   const ValueInterval band{0.0, 0.2};
   ValueQueryResult first;
-  ASSERT_TRUE((*db)->ValueQuery(band, &first).ok());
+  ASSERT_TRUE(QueryOne(**db, band, &first).ok());
   for (int repeat = 0; repeat < 5; ++repeat) {
     ValueQueryResult again;
-    ASSERT_TRUE((*db)->ValueQuery(band, &again).ok());
+    ASSERT_TRUE(QueryOne(**db, band, &again).ok());
     EXPECT_EQ(again.region.NumPieces(), first.region.NumPieces());
     EXPECT_DOUBLE_EQ(again.region.TotalArea(), first.region.TotalArea());
   }
@@ -194,8 +195,7 @@ TEST(MonotonicityPropertyTest, WiderBandsNeverShrinkAnswers) {
   for (const double half : {0.01, 0.05, 0.1, 0.3, 0.8}) {
     ValueQueryResult result;
     ASSERT_TRUE(
-        (*db)->ValueQuery(ValueInterval{center - half, center + half},
-                          &result)
+        QueryOne(**db, ValueInterval{center - half, center + half}, &result)
             .ok());
     EXPECT_GE(result.region.TotalArea(), prev_area - 1e-12);
     EXPECT_GE(result.stats.answer_cells, prev_cells);
@@ -204,9 +204,10 @@ TEST(MonotonicityPropertyTest, WiderBandsNeverShrinkAnswers) {
   }
   // The all-covering band yields the whole domain.
   ValueQueryResult all;
-  ASSERT_TRUE((*db)->ValueQuery(ValueInterval{field->ValueRange().min,
-                                              field->ValueRange().max},
-                                &all)
+  ASSERT_TRUE(QueryOne(**db,
+                       ValueInterval{field->ValueRange().min,
+                                     field->ValueRange().max},
+                       &all)
                   .ok());
   EXPECT_NEAR(all.region.TotalArea(), 1.0, 1e-9);
 }

@@ -19,6 +19,7 @@
 #include "gen/monotonic.h"
 #include "gen/workload.h"
 #include "storage/wal.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -94,8 +95,8 @@ class RecoveryTest : public ::testing::TestWithParam<IndexMethod> {
     for (const ValueInterval& q : queries) {
       SCOPED_TRACE(q.min);
       ValueQueryResult expected, actual;
-      ASSERT_TRUE((*reference)->ValueQuery(q, &expected).ok());
-      ASSERT_TRUE(got->ValueQuery(q, &actual).ok());
+      ASSERT_TRUE(QueryOne(**reference, q, &expected).ok());
+      ASSERT_TRUE(QueryOne(*got, q, &actual).ok());
       EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
       EXPECT_EQ(actual.region.TotalArea(), expected.region.TotalArea());
     }

@@ -13,6 +13,7 @@
 #include "index/interval_tree.h"
 #include "index/row_ip_index.h"
 #include "storage/page_file.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -162,8 +163,8 @@ TEST(RowIpIndexTest, WorksThroughFieldDatabase) {
                                             WorkloadOptions{0.03, 15, 9});
   for (const ValueInterval& q : queries) {
     ValueQueryResult expected, actual;
-    ASSERT_TRUE((*reference)->ValueQuery(q, &expected).ok());
-    ASSERT_TRUE((*db)->ValueQuery(q, &actual).ok());
+    ASSERT_TRUE(QueryOne(**reference, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**db, q, &actual).ok());
     EXPECT_NEAR(actual.region.TotalArea(), expected.region.TotalArea(),
                 1e-9);
   }

@@ -19,6 +19,7 @@
 
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -108,8 +109,8 @@ TEST_P(ShardDifferentialTest, AnswersIdenticalAcrossShardCounts) {
       for (const ValueInterval& q : queries) {
         ValueQueryResult expected, actual;
         RouterQueryProfile profile;
-        ASSERT_TRUE((*baseline)->ValueQuery(q, &expected).ok());
-        ASSERT_TRUE((*router)->ValueQuery(q, &actual, &profile).ok());
+        ASSERT_TRUE(QueryOne(**baseline, q, &expected).ok());
+        ASSERT_TRUE(QueryOne(**router, q, &actual, &profile).ok());
 
         EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells)
             << IndexMethodName(GetParam()) << " " << PlannerModeName(mode)
@@ -167,10 +168,9 @@ TEST(ShardRouterTest, OutOfRangeQuerySkipsEveryShard) {
   const ValueInterval range = (*router)->value_range();
   QueryStats stats;
   RouterQueryProfile profile;
-  ASSERT_TRUE((*router)
-                  ->ValueQueryStats(ValueInterval{range.max + 1.0,
-                                                  range.max + 2.0},
-                                    &stats, &profile)
+  ASSERT_TRUE(CountOne(**router,
+                       ValueInterval{range.max + 1.0, range.max + 2.0},
+                       &stats, &profile)
                   .ok());
   EXPECT_EQ(profile.shards_touched, 0u);
   EXPECT_EQ(profile.shards_skipped, 4u);
@@ -198,17 +198,17 @@ TEST(ShardRouterTest, RefusesWhatOneDatabaseRefuses) {
       SCOPED_TRACE(::testing::Message()
                    << "shards=" << shards << " query=" << q.ToString());
       ValueQueryResult want_result, got_result;
-      const Status want = (*db)->ValueQuery(q, &want_result);
+      const Status want = QueryOne(**db, q, &want_result);
       EXPECT_EQ(want.code(), StatusCode::kInvalidArgument);
-      EXPECT_EQ((*router)->ValueQuery(q, &got_result).code(), want.code());
+      EXPECT_EQ(QueryOne(**router, q, &got_result).code(), want.code());
       QueryStats want_stats, got_stats;
-      EXPECT_EQ((*router)->ValueQueryStats(q, &got_stats).code(),
-                (*db)->ValueQueryStats(q, &want_stats).code());
+      EXPECT_EQ(CountOne(**router, q, &got_stats).code(),
+                CountOne(**db, q, &want_stats).code());
       // One refused member refuses the whole shared batch.
       const std::vector<ValueInterval> batch = {range, q, range};
       std::vector<QueryStats> want_shared, got_shared;
-      EXPECT_EQ((*router)->SharedValueQueryStats(batch, &got_shared).code(),
-                (*db)->SharedValueQueryStats(batch, &want_shared).code());
+      EXPECT_EQ(CountShared(**router, batch, &got_shared).code(),
+                CountShared(**db, batch, &want_shared).code());
     }
   }
 }
@@ -226,14 +226,14 @@ TEST(ShardRouterTest, SharedScanMatchesIsolatedExecution) {
       GenerateValueQueries((*router)->value_range(),
                            WorkloadOptions{0.5, 8, 7});
   std::vector<QueryStats> shared;
-  ASSERT_TRUE((*router)->SharedValueQueryStats(members, &shared).ok());
+  ASSERT_TRUE(CountShared(**router, members, &shared).ok());
   ASSERT_EQ(shared.size(), members.size());
 
   uint64_t shared_logical = 0;
   uint64_t isolated_logical = 0;
   for (size_t i = 0; i < members.size(); ++i) {
     QueryStats isolated;
-    ASSERT_TRUE((*router)->ValueQueryStats(members[i], &isolated).ok());
+    ASSERT_TRUE(CountOne(**router, members[i], &isolated).ok());
     EXPECT_EQ(shared[i].answer_cells, isolated.answer_cells)
         << members[i].ToString();
     shared_logical += shared[i].io.logical_reads;
@@ -265,9 +265,8 @@ TEST(ShardRouterTest, PointQueryAndUpdateRouting) {
   const double w = (*router)->value_range().max + 5.0;
   ASSERT_TRUE((*router)->UpdateCellValues(3, {w, w, w, w}).ok());
   QueryStats stats;
-  ASSERT_TRUE((*router)
-                  ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
-                  .ok());
+  ASSERT_TRUE(
+      CountOne(**router, ValueInterval{w - 0.5, w + 0.5}, &stats).ok());
   EXPECT_EQ(stats.answer_cells, 1u);
 }
 
@@ -292,9 +291,8 @@ TEST(ShardRouterTest, BatchWithNonFiniteSampleChangesNoShard) {
 
   // Neither shard applied its part.
   QueryStats stats;
-  ASSERT_TRUE((*router)
-                  ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
-                  .ok());
+  ASSERT_TRUE(
+      CountOne(**router, ValueInterval{w - 0.5, w + 0.5}, &stats).ok());
   EXPECT_EQ(stats.answer_cells, 0u);
 }
 
@@ -311,7 +309,7 @@ TEST(ShardRouterTest, SaveOpenRoundTripPreservesAnswers) {
     ASSERT_TRUE(router.ok());
     for (const ValueInterval& q : queries) {
       QueryStats stats;
-      ASSERT_TRUE((*router)->ValueQueryStats(q, &stats).ok());
+      ASSERT_TRUE(CountOne(**router, q, &stats).ok());
       expected.push_back(stats.answer_cells);
     }
     ASSERT_TRUE((*router)->Save(prefix).ok());
@@ -325,7 +323,7 @@ TEST(ShardRouterTest, SaveOpenRoundTripPreservesAnswers) {
   EXPECT_EQ((*reopened)->num_cells(), field.NumCells());
   for (size_t i = 0; i < queries.size(); ++i) {
     QueryStats stats;
-    ASSERT_TRUE((*reopened)->ValueQueryStats(queries[i], &stats).ok());
+    ASSERT_TRUE(CountOne(**reopened, queries[i], &stats).ok());
     EXPECT_EQ(stats.answer_cells, expected[i]) << queries[i].ToString();
   }
   // Updates still route after reopen (the catalog preserved the
@@ -333,9 +331,8 @@ TEST(ShardRouterTest, SaveOpenRoundTripPreservesAnswers) {
   const double w = (*reopened)->value_range().max + 7.0;
   ASSERT_TRUE((*reopened)->UpdateCellValues(5, {w, w, w, w}).ok());
   QueryStats stats;
-  ASSERT_TRUE((*reopened)
-                  ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
-                  .ok());
+  ASSERT_TRUE(
+      CountOne(**reopened, ValueInterval{w - 0.5, w + 0.5}, &stats).ok());
   EXPECT_EQ(stats.answer_cells, 1u);
   ASSERT_TRUE((*reopened)->Close().ok());
 
@@ -442,9 +439,8 @@ TEST(ShardRouterTest, CrashRecoveryReplaysUpdatesAcrossTwoShards) {
   EXPECT_EQ(report.shards_with_replay, 2u);
 
   QueryStats stats;
-  ASSERT_TRUE((*reopened)
-                  ->ValueQueryStats(ValueInterval{w - 0.5, w + 0.5}, &stats)
-                  .ok());
+  ASSERT_TRUE(
+      CountOne(**reopened, ValueInterval{w - 0.5, w + 0.5}, &stats).ok());
   EXPECT_EQ(stats.answer_cells, 2u);
   ASSERT_TRUE((*reopened)->Close().ok());
 

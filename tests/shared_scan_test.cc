@@ -20,6 +20,7 @@
 #include "index/i_hilbert.h"
 #include "obs/metrics.h"
 #include "storage/fault_injection.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -67,11 +68,11 @@ TEST_F(SharedScanTest, MatchesIsolatedAcrossAllMethods) {
 
     std::vector<ValueQueryResult> isolated(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE((*db)->ValueQuery(queries[i], &isolated[i]).ok());
+      ASSERT_TRUE(QueryOne(**db, queries[i], &isolated[i]).ok());
     }
 
     std::vector<ValueQueryResult> shared;
-    ASSERT_TRUE((*db)->SharedValueQuery(queries, &shared).ok());
+    ASSERT_TRUE(QueryShared(**db, queries, &shared).ok());
     ASSERT_EQ(shared.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("query " + std::to_string(i));
@@ -99,7 +100,7 @@ TEST_F(SharedScanTest, ForcedPlansAgreeWithAuto) {
                                  PlannerMode::kForceIndex}) {
     (*db)->set_planner_mode(mode);
     std::vector<QueryStats> stats;
-    ASSERT_TRUE((*db)->SharedValueQueryStats(queries, &stats).ok());
+    ASSERT_TRUE(CountShared(**db, queries, &stats).ok());
     per_mode.push_back(std::move(stats));
   }
   for (size_t m = 1; m < per_mode.size(); ++m) {
@@ -119,12 +120,12 @@ TEST_F(SharedScanTest, LeaderChargedIoSumsToOneSweep) {
   QueryContext ctx;
   for (const ValueInterval& q : queries) {
     QueryStats stats;
-    ASSERT_TRUE((*db)->ValueQueryStats(q, &stats, &ctx).ok());
+    ASSERT_TRUE(CountOne(**db, q, &stats, &ctx).ok());
     isolated_sum += stats.io;
   }
 
   std::vector<QueryStats> shared;
-  ASSERT_TRUE((*db)->SharedValueQueryStats(queries, &shared, &ctx).ok());
+  ASSERT_TRUE(CountShared(**db, queries, &shared, &ctx).ok());
   ASSERT_EQ(shared.size(), queries.size());
 
   // Member 0 carries the whole sweep; every rider reports zero.
@@ -148,20 +149,20 @@ TEST_F(SharedScanTest, DegenerateBatches) {
   ASSERT_TRUE(db.ok());
 
   std::vector<QueryStats> stats;
-  ASSERT_TRUE((*db)->SharedValueQueryStats({}, &stats).ok());
+  ASSERT_TRUE(CountShared(**db, {}, &stats).ok());
   EXPECT_TRUE(stats.empty());
 
   // One member: exactly the single-query path.
   const ValueInterval q = OverlappingQueries(1)[0];
-  ASSERT_TRUE((*db)->SharedValueQueryStats({q}, &stats).ok());
+  ASSERT_TRUE(CountShared(**db, {q}, &stats).ok());
   ASSERT_EQ(stats.size(), 1u);
   QueryStats solo;
-  ASSERT_TRUE((*db)->ValueQueryStats(q, &solo).ok());
+  ASSERT_TRUE(CountOne(**db, q, &solo).ok());
   EXPECT_EQ(stats[0].answer_cells, solo.answer_cells);
 
   // An empty member interval rejects the whole batch.
   const Status s =
-      (*db)->SharedValueQueryStats({q, ValueInterval{1.0, 0.0}}, &stats);
+      CountShared(**db, {q, ValueInterval{1.0, 0.0}}, &stats);
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
@@ -197,7 +198,7 @@ TEST_F(SharedScanTest, ExecutorGroupsQueuedOverlappingQueries) {
   std::vector<uint64_t> expected;
   for (const ValueInterval& q : queries) {
     QueryStats stats;
-    ASSERT_TRUE((*db)->ValueQueryStats(q, &stats).ok());
+    ASSERT_TRUE(CountOne(**db, q, &stats).ok());
     expected.push_back(stats.answer_cells);
   }
 
@@ -315,11 +316,11 @@ TEST_F(SharedScanTest, CorruptIndexDegradesTheWholeGroupOnce) {
 
   const std::vector<ValueInterval> queries = OverlappingQueries(3);
   std::vector<ValueQueryResult> shared;
-  ASSERT_TRUE((*db)->SharedValueQuery(queries, &shared).ok());
+  ASSERT_TRUE(QueryShared(**db, queries, &shared).ok());
   ASSERT_EQ(shared.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ValueQueryResult expected;
-    ASSERT_TRUE((*intact)->ValueQuery(queries[i], &expected).ok());
+    ASSERT_TRUE(QueryOne(**intact, queries[i], &expected).ok());
     EXPECT_EQ(shared[i].stats.index_fallbacks, 1u);
     EXPECT_EQ(shared[i].stats.answer_cells, expected.stats.answer_cells);
     EXPECT_EQ(shared[i].region.NumPieces(), expected.region.NumPieces());

@@ -19,6 +19,7 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -183,8 +184,8 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
   for (const ValueInterval& band :
        Bands(field->ValueRange(), updated->ValueRange(), 0.1)) {
     ValueQueryResult got, want;
-    ASSERT_TRUE((*db)->ValueQuery(band, &got).ok());
-    ASSERT_TRUE((*fresh)->ValueQuery(band, &want).ok());
+    ASSERT_TRUE(QueryOne(**db, band, &got).ok());
+    ASSERT_TRUE(QueryOne(**fresh, band, &want).ok());
     EXPECT_EQ(got.stats.answer_cells, want.stats.answer_cells);
     EXPECT_EQ(Pieces(got.region), Pieces(want.region));
   }

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "gen/fractal.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -115,7 +116,7 @@ TEST(TemporalDbTest, SnapshotQueryMatchesStaticDatabase) {
       const double lo = rng.NextDouble(range.min, range.max);
       const ValueInterval band{lo, lo + 0.05 * range.Length()};
       ValueQueryResult expected, actual;
-      ASSERT_TRUE((*reference)->ValueQuery(band, &expected).ok());
+      ASSERT_TRUE(QueryOne(**reference, band, &expected).ok());
       ASSERT_TRUE((*db)->SnapshotValueQuery(t, band, &actual).ok());
       EXPECT_NEAR(actual.region.TotalArea(),
                   expected.region.TotalArea(), 1e-9)

@@ -14,6 +14,7 @@
 #include "index/linear_scan.h"
 #include "index/row_ip_index.h"
 #include "storage/page_file.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -269,12 +270,12 @@ TEST(DatabaseUpdateTest, EndToEndUpdateChangesAnswers) {
 
   const ValueInterval far_band{500, 510};
   ValueQueryResult result;
-  ASSERT_TRUE((*db)->ValueQuery(far_band, &result).ok());
+  ASSERT_TRUE(QueryOne(**db, far_band, &result).ok());
   EXPECT_TRUE(result.region.IsEmpty());
 
   ASSERT_TRUE(
       (*db)->UpdateCellValues(7, {505.0, 505.0, 505.0, 505.0}).ok());
-  ASSERT_TRUE((*db)->ValueQuery(far_band, &result).ok());
+  ASSERT_TRUE(QueryOne(**db, far_band, &result).ok());
   EXPECT_FALSE(result.region.IsEmpty());
   EXPECT_EQ(result.stats.answer_cells, 1u);
   // The whole cell sits at 505: the answer region is the full cell.

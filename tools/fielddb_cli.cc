@@ -90,6 +90,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/explain.h"
 #include "core/field_database.h"
 #include "core/query_executor.h"
 #include "core/shard_router.h"
@@ -245,7 +246,7 @@ int CmdQuery(const Args& args) {
   const ValueInterval band{args.GetDouble("min", 0),
                            args.GetDouble("max", 0)};
   ValueQueryResult result;
-  const Status s = (*db)->ValueQuery(band, &result);
+  const Status s = (*db)->Query({.bands = {&band, 1}}, {&result, 1});
   if (!s.ok()) return Fail(s);
   std::printf(
       "band %s: %zu pieces, area %.6f, %llu candidates, %llu answer "
@@ -297,8 +298,8 @@ int CmdExplain(const Args& args) {
   if (!db.ok()) return Fail(db.status());
   const ValueInterval band{args.GetDouble("min", 0),
                            args.GetDouble("max", 0)};
-  FieldDatabase::ExplainResult result;
-  const Status s = (*db)->ExplainValueQuery(band, &result);
+  ExplainResult result;
+  const Status s = ExplainValueQuery(**db, band, &result);
   if (!s.ok()) return Fail(s);
   if (args.Get("format", "text") == "json") {
     std::printf("%s\n", result.ToJson().c_str());
@@ -344,9 +345,11 @@ int CmdPlan(const Args& args) {
   // pattern models cold reads, so clear it for a comparable number).
   const Status cs = (*db)->pool().Clear();
   if (!cs.ok()) return Fail(cs);
-  QueryStats qs;
-  const Status s = (*db)->ValueQueryStats(band, &qs);
+  ValueQueryResult result;
+  const Status s =
+      (*db)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
   if (!s.ok()) return Fail(s);
+  const QueryStats& qs = result.stats;
   const DiskModel disk = (*db)->planner().cost_model().disk();
   std::printf(
       "  observed:   %.2f ms (%llu sequential + %llu random reads, "
@@ -550,9 +553,11 @@ int CmdServe(const Args& args) {
       size_t i = c;  // stagger the replay so clients do not convoy
       while (!stop.load(std::memory_order_relaxed)) {
         const ValueInterval& q = queries[i++ % queries.size()];
-        QueryStats stats;
+        ValueQueryResult result;
         const auto t0 = std::chrono::steady_clock::now();
-        const Status s = (*router)->ValueQueryStats(q, &stats);
+        const Status s =
+            (*router)->Query({.bands = {&q, 1}, .regions = false},
+                             {&result, 1});
         const double ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
