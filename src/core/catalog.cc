@@ -313,6 +313,11 @@ Status ValidateCatalog(const std::string& path, const CatalogSchema& schema,
     if (!ValidTable(slab, tiled, c.num_cells)) return Invalid(path, "tsf");
   }
   if (next != c.slab_subfields.size()) return Invalid(path, "tsf");
+  // A tiled method's tree holds one entry per subfield row (for
+  // temporal, the rows of every slab).
+  if (tiled && c.tree && c.tree->size != c.num_subfields) {
+    return Invalid(path, "tree");
+  }
   return Status::OK();
 }
 

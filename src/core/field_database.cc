@@ -1,7 +1,6 @@
 #include "core/field_database.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -10,49 +9,50 @@
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 #include "plan/operators.h"
-#include "storage/io_sink.h"
 
 namespace fielddb {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Facade-level instruments. Looked up once; the registry keeps the
-/// pointers stable for the process lifetime.
+/// pointers stable for the process lifetime. The first lookup also
+/// registers the db.* counters the engine increments (band scans and
+/// scrubs), so a metrics dump lists every one of them from the first
+/// query on.
 struct DbMetrics {
   Counter* value_queries;
   Counter* isoline_queries;
   Counter* point_queries;
-  Counter* index_fallbacks;
-  Counter* scrub_pages;
-  Counter* scrub_corrupt_pages;
-  Counter* zonemap_cells_skipped;
-  Counter* plans_scan;
-  Counter* plans_index;
   Histogram* query_wall_us;
 
   static const DbMetrics& Get() {
     static const DbMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Default();
-      return DbMetrics{reg.GetCounter("db.value_queries"),
-                       reg.GetCounter("db.isoline_queries"),
-                       reg.GetCounter("db.point_queries"),
-                       reg.GetCounter("db.index_fallbacks"),
-                       reg.GetCounter("db.scrub_pages"),
-                       reg.GetCounter("db.scrub_corrupt_pages"),
-                       reg.GetCounter("db.zonemap_cells_skipped"),
-                       reg.GetCounter("db.plans_scan"),
-                       reg.GetCounter("db.plans_index"),
-                       reg.GetHistogram("db.query_wall_us")};
+      DbMetrics db{reg.GetCounter("db.value_queries"),
+                   reg.GetCounter("db.isoline_queries"),
+                   reg.GetCounter("db.point_queries"), nullptr};
+      for (const char* engine_counter :
+           {"db.index_fallbacks", "db.scrub_pages", "db.scrub_corrupt_pages",
+            "db.zonemap_cells_skipped", "db.plans_scan", "db.plans_index"}) {
+        reg.GetCounter(engine_counter);
+      }
+      db.query_wall_us = reg.GetHistogram("db.query_wall_us");
+      return db;
     }();
     return m;
   }
 };
+
+/// Fills a grid band scan's corruption_fallback event: the band (a
+/// shared sweep's envelope) and, for a sweep, its member count.
+auto DescribeBand(const ValueInterval& band, size_t members) {
+  return [&band, members](EventLog::Event* event) {
+    event->Add("query_min", band.min).Add("query_max", band.max);
+    if (members > 1) {
+      event->Add("shared_members", static_cast<uint64_t>(members));
+    }
+  };
+}
 
 }  // namespace
 
@@ -62,12 +62,9 @@ FieldDatabase::~FieldDatabase() = default;
 StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     const Field& field, const FieldDatabaseOptions& options) {
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
-      {.page_size = options.page_size,
-       .pool_pages = options.pool_pages,
-       .readahead_pages = options.readahead_pages,
-       .page_file_factory = options.page_file_factory}));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(options));
   BufferPool* const pool = db->engine_.pool();
+  pool->set_readahead_pages(options.readahead_pages);
   db->value_range_ = field.ValueRange();
   db->domain_ = field.Domain();
 
@@ -132,10 +129,8 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     if (!spatial.ok()) return spatial.status();
     db->spatial_.emplace(std::move(spatial).value());
   }
-  db->InitPlanner(options.planner_mode);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
-      options.wal_mode, options.wal_path, options.event_log_path,
-      options.slow_query_threshold_ms));
+  db->InitPlanner();
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(options));
   return db;
 }
 
@@ -155,56 +150,8 @@ void FieldDatabase::MaybeLogSlowQuery(const ValueInterval& query,
   });
 }
 
-void FieldDatabase::InitPlanner(PlannerMode mode) {
+void FieldDatabase::InitPlanner() {
   planner_ = std::make_unique<QueryPlanner>(index_.get(), subfields());
-  planner_mode_.store(mode, std::memory_order_relaxed);
-}
-
-template <typename Visitor>
-Status FieldDatabase::ScanBand(PlanKind plan, const ValueInterval& band,
-                               const OperatorEnv& env, QueryStats* leader,
-                               size_t members, bool count_candidates,
-                               const char* fetch_detail,
-                               Visitor& visit) const {
-  // Without a filter step the scan counts each zone-matching cell it
-  // visits: the zone test is exact, so visited == matching.
-  const auto scan_all = [&] {
-    if (!count_candidates) return RunFuseOp(env, band, leader, visit);
-    return RunFuseOp(env, band, leader,
-                     [&](uint64_t pos, const CellRecord& cell) {
-                       ++leader->candidate_cells;
-                       return visit(pos, cell);
-                     });
-  };
-  if (plan == PlanKind::kFusedScan) {
-    DbMetrics::Get().plans_scan->Increment();
-    return scan_all();
-  }
-  DbMetrics::Get().plans_index->Increment();
-  std::vector<PosRange>& ranges = env.ctx->ranges;
-  ranges.clear();
-  uint64_t candidates = 0;
-  const Status filter = RunFilterOp(env, band, &ranges, &candidates);
-  if (filter.code() == StatusCode::kCorruption) {
-    // The value index is damaged but the cell store holds every answer:
-    // degrade to the fused scan so the query still returns exact
-    // results. Counted and logged once (one scan fell back). Nothing
-    // was visited yet, so there is nothing to undo.
-    index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    DbMetrics::Get().index_fallbacks->Increment();
-    EventLog::Event event("corruption_fallback");
-    event.Add("query_min", band.min).Add("query_max", band.max);
-    if (members > 1) {
-      event.Add("shared_members", static_cast<uint64_t>(members));
-    }
-    engine_.LogEvent(event.Add("error", filter.ToString()));
-    leader->index_fallbacks = 1;
-    return scan_all();
-  }
-  FIELDDB_RETURN_IF_ERROR(filter);
-  if (count_candidates) leader->candidate_cells = candidates;
-  return RunScanOp(env, band, ranges.data(), ranges.size(), fetch_detail,
-                   leader, visit);
 }
 
 Status QueryRequest::Check(size_t num_results) const {
@@ -225,76 +172,83 @@ Status FieldDatabase::Query(const QueryRequest& request,
   const std::span<const ValueInterval> bands = request.bands;
   const size_t n = bands.size();
   if (n == 0) return Status::OK();
-  QueryContext local;
-  if (ctx == nullptr) ctx = &local;
   QueryStats& leader = out[0].stats;
   if (request.trace) leader.trace = std::make_shared<QueryTrace>();
   QueryTrace* const trace = leader.trace.get();
   DbMetrics::Get().value_queries->Increment(n);
-  ctx->io.Reset();
-  ScopedIoSink sink(&ctx->io);
-  const auto t0 = Clock::now();
 
-  // Cost-based access-path selection, reported as its own span (no page
-  // I/O: the probe reads only the subfield table or the in-memory
-  // zone-map sidecar). A batch plans its members' hull: every cell
-  // matching any member matches the envelope, so one envelope pass
-  // sees them all.
+  // A batch plans and scans its members' hull: every cell matching any
+  // member matches the envelope, so one envelope pass sees them all.
   ValueInterval envelope = ValueInterval::Empty();
   for (const ValueInterval& band : bands) envelope.Extend(band);
-  PhysicalPlan plan;
-  {
-    ScopedSpan span(trace, "plan", &ctx->io);
-    plan = planner_->Plan(envelope,
-                          planner_mode_.load(std::memory_order_relaxed));
-    span.set_items(plan.predicted_candidates);
-    span.set_detail(plan.reason);
-  }
-  const OperatorEnv env{index_.get(), ctx, trace};
-  if (n == 1) {
-    // The filter's count is the candidate count.
-    EstimateOp estimate(bands[0], request.regions ? &out[0].region : nullptr,
-                        &leader, /*count_candidates=*/false);
-    FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, bands[0], env, &leader, 1,
-                                     /*count_candidates=*/true,
-                                     /*fetch_detail=*/nullptr, estimate));
-    FIELDDB_RETURN_IF_ERROR(estimate.status());
-  } else {
-    TraceScope span("scan.shared", "exec");
-    span.set_items(n);
-    // Demultiplexing visitor: each zone-matching cell of the envelope is
-    // handed to every member whose band it meets (cell.Interval() IS the
-    // zone entry), so each member counts exactly the candidates, answers
-    // and pieces — in the storage order — that it would alone.
-    std::vector<EstimateOp> members;
-    members.reserve(n);
-    for (size_t q = 0; q < n; ++q) {
-      members.emplace_back(bands[q],
-                           request.regions ? &out[q].region : nullptr,
-                           &out[q].stats, /*count_candidates=*/true);
-    }
-    auto visit = [&](uint64_t pos, const CellRecord& cell) {
-      const ValueInterval iv = cell.Interval();
-      for (size_t q = 0; q < n; ++q) {
-        if (iv.Intersects(bands[q]) && !members[q](pos, cell)) return false;
-      }
-      return true;
-    };
-    FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, envelope, env, &leader, n,
-                                     /*count_candidates=*/false,
-                                     "shared_fetch", visit));
-    for (const EstimateOp& member : members) {
-      FIELDDB_RETURN_IF_ERROR(member.status());
-    }
-  }
+  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+      ctx, &leader, [&](QueryContext* ctx) -> Status {
+        // Cost-based access-path selection, reported as its own span (no
+        // page I/O: the probe reads only the subfield table or the
+        // in-memory zone-map sidecar).
+        PhysicalPlan plan;
+        {
+          ScopedSpan span(trace, "plan", &ctx->io);
+          plan = planner_->Plan(envelope, planner_mode());
+          span.set_items(plan.predicted_candidates);
+          span.set_detail(plan.reason);
+        }
+        BandScanSpec spec{.plan = plan.kind,
+                          .ctx = ctx,
+                          .trace = trace,
+                          .stats = &leader,
+                          .describe = DescribeBand(envelope, n)};
+        const auto search = [&](std::vector<PosRange>* runs) {
+          return index_->FilterCandidateRanges(envelope, runs);
+        };
+        const CellStore& store = index_->cell_store();
+        if (n == 1) {
+          // The filter's count is the candidate count.
+          EstimateOp estimate(bands[0],
+                              request.regions ? &out[0].region : nullptr,
+                              &leader, /*count_candidates=*/false);
+          FIELDDB_RETURN_IF_ERROR(
+              engine_.BandScan(store, envelope, spec, search, estimate));
+          return estimate.status();
+        }
+        TraceScope span("scan.shared", "exec");
+        span.set_items(n);
+        // Demultiplexing visitor: each zone-matching cell of the envelope
+        // is handed to every member whose band it meets (cell.Interval()
+        // IS the zone entry), so each member counts exactly the
+        // candidates, answers and pieces — in the storage order — that it
+        // would alone.
+        std::vector<EstimateOp> members;
+        members.reserve(n);
+        for (size_t q = 0; q < n; ++q) {
+          members.emplace_back(bands[q],
+                               request.regions ? &out[q].region : nullptr,
+                               &out[q].stats, /*count_candidates=*/true);
+        }
+        auto visit = [&](uint64_t pos, const CellRecord& cell) {
+          const ValueInterval iv = cell.Interval();
+          for (size_t q = 0; q < n; ++q) {
+            if (iv.Intersects(bands[q]) && !members[q](pos, cell)) {
+              return false;
+            }
+          }
+          return true;
+        };
+        spec.count_candidates = false;
+        spec.fetch_detail = "shared_fetch";
+        FIELDDB_RETURN_IF_ERROR(
+            engine_.BandScan(store, envelope, spec, search, visit));
+        for (const EstimateOp& member : members) {
+          FIELDDB_RETURN_IF_ERROR(member.status());
+        }
+        return Status::OK();
+      }));
 
-  const double wall = SecondsSince(t0);
-  DbMetrics::Get().query_wall_us->Record(wall * 1e6);
+  DbMetrics::Get().query_wall_us->Record(leader.wall_seconds * 1e6);
   // Leader-charged attribution: the sweep's I/O lands on member 0, the
   // riders report zero — so the members sum to exactly one sweep.
-  leader.io = ctx->io;
   for (size_t q = 0; q < n; ++q) {
-    out[q].stats.wall_seconds = wall;
+    out[q].stats.wall_seconds = leader.wall_seconds;
     out[q].stats.index_fallbacks = leader.index_fallbacks;
     MaybeLogSlowQuery(bands[q], out[q].stats);
   }
@@ -386,9 +340,6 @@ Status FieldDatabase::IsolineQuery(double level,
   out->stats = QueryStats{};
   if (std::isnan(level)) return Status::InvalidArgument("NaN isoline level");
   DbMetrics::Get().isoline_queries->Increment();
-  QueryContext ctx;
-  ScopedIoSink sink(&ctx.io);
-  const auto t0 = Clock::now();
 
   const ValueInterval query{level, level};
   std::vector<IsoSegment> segments;
@@ -402,21 +353,26 @@ Status FieldDatabase::IsolineQuery(double level,
     if (*added > 0) ++out->stats.answer_cells;
     return true;
   };
-
-  // The same cost-based plan selection as a value query, made with the
-  // degenerate interval [level, level] (the zone test then is exactly
-  // Contains).
-  const PhysicalPlan plan =
-      planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
-  FIELDDB_RETURN_IF_ERROR(ScanBand(plan.kind, query,
-                                   OperatorEnv{index_.get(), &ctx, nullptr},
-                                   &out->stats, 1, /*count_candidates=*/true,
-                                   /*fetch_detail=*/nullptr, visit_cell));
-  FIELDDB_RETURN_IF_ERROR(inner);
-  out->isoline = AssembleIsoline(segments);
-  out->stats.region_pieces = out->isoline.polylines.size();
-  out->stats.wall_seconds = SecondsSince(t0);
-  out->stats.io = ctx.io;
+  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+      nullptr, &out->stats, [&](QueryContext* ctx) -> Status {
+        // The same cost-based plan selection as a value query, made with
+        // the degenerate interval [level, level] (the zone test then is
+        // exactly Contains).
+        const BandScanSpec spec{.plan = PlanValueQuery(query).kind,
+                                .ctx = ctx,
+                                .stats = &out->stats,
+                                .describe = DescribeBand(query, 1)};
+        FIELDDB_RETURN_IF_ERROR(engine_.BandScan(
+            index_->cell_store(), query, spec,
+            [&](std::vector<PosRange>* runs) {
+              return index_->FilterCandidateRanges(query, runs);
+            },
+            visit_cell));
+        FIELDDB_RETURN_IF_ERROR(inner);
+        out->isoline = AssembleIsoline(segments);
+        out->stats.region_pieces = out->isoline.polylines.size();
+        return Status::OK();
+      }));
   return Status::OK();
 }
 
@@ -512,12 +468,6 @@ StatusOr<WorkloadStats> FieldDatabase::RunWorkload(
 Status FieldDatabase::Scrub(ScrubReport* out) {
   *out = ScrubReport{};
   return engine_.ScrubPages(&out->pages_checked, &out->corrupt_pages);
-}
-
-Status FieldDatabase::Close() { return engine_.Close(); }
-
-Status FieldDatabase::SimulateCrashForTest() {
-  return engine_.SimulateCrashForTest();
 }
 
 const std::vector<Subfield>* FieldDatabase::subfields() const {

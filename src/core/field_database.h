@@ -1,8 +1,6 @@
 #ifndef FIELDDB_CORE_FIELD_DATABASE_H_
 #define FIELDDB_CORE_FIELD_DATABASE_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -31,16 +29,10 @@
 
 namespace fielddb {
 
-struct OperatorEnv;
-
-/// Everything configurable about a FieldDatabase build.
-struct FieldDatabaseOptions {
+/// Everything configurable about a FieldDatabase build: the settings
+/// every field type shares (EngineBuildOptions) plus the grid's own.
+struct FieldDatabaseOptions : EngineBuildOptions {
   IndexMethod method = IndexMethod::kIHilbert;
-  uint32_t page_size = kDefaultPageSize;  // the paper uses 4 KB
-  /// Buffer-pool frames. The default (1024 pages = 4 MB at the default
-  /// page size) is small relative to the million-cell workloads, so page
-  /// misses remain the dominant cost as in the paper's disk setting.
-  size_t pool_pages = 1024;
   /// Pages a range scan asks the pool to read ahead — the depth of the
   /// vectored batch PrefetchRange submits (io_uring / preadv on disk
   /// files). Larger windows pipeline more I/O per submission; totals
@@ -49,46 +41,6 @@ struct FieldDatabaseOptions {
   /// Build a 2-D R*-tree over cell MBRs for conventional (Q1) point
   /// queries.
   bool build_spatial_index = true;
-  /// Factory for the backing page file (defaults to MemPageFile). Fault-
-  /// injection tests pass a factory wrapping the file in a
-  /// FaultInjectingPageFile and keep a pointer to the wrapper to
-  /// schedule faults against the live database.
-  std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
-      page_file_factory;
-  /// Initial access-path policy for value queries (see QueryPlanner).
-  /// kAuto picks fused-scan vs indexed filter+fetch per query from the
-  /// disk-model cost; the forced modes pin one physical plan. Changeable
-  /// later with set_planner_mode.
-  PlannerMode planner_mode = PlannerMode::kAuto;
-
-  /// Durability for mutations (DESIGN.md §14). With a WAL, every
-  /// UpdateCellValues is logged before it is applied, dirty pages are
-  /// pinned in memory until the next Save (no-steal), and Open replays
-  /// the log. Requires `wal_path`; use `<prefix>.wal` for the prefix the
-  /// database will be saved under, so Open finds the log. Durability
-  /// begins at the first Save: a crash before any checkpoint loses the
-  /// freshly built (never-persisted) database, WAL or not.
-  WalMode wal_mode = WalMode::kOff;
-  std::string wal_path;
-
-  /// Structured operational event log (obs/event_log.h): JSONL records
-  /// for slow queries, recovery outcomes, corruption fallbacks and WAL
-  /// mode transitions. Empty disables it. The log writes through its
-  /// own file descriptor, never the page file, so its I/O cannot show
-  /// up in query IoStats or in fault-injection schedules.
-  std::string event_log_path;
-  /// A query whose wall time reaches this many milliseconds is logged
-  /// as a "slow_query" event (with the chosen plan and predicted vs
-  /// observed cost). Only meaningful with event_log_path set.
-  double slow_query_threshold_ms = 25.0;
-
-  /// Bounded-memory build (DESIGN.md §16): when nonzero, the I-Hilbert
-  /// linearization sorts (hilbert key, cell) pairs with the external
-  /// merge sorter under this in-RAM budget instead of materializing the
-  /// whole keyed field, spilling sorted runs to temp files. The
-  /// resulting store and index are byte-identical to an unlimited
-  /// build. 0 = unlimited (everything in RAM).
-  size_t build_memory_budget_bytes = 0;
 
   IHilbertIndex::Options ihilbert;
   IAllIndex::Options iall;
@@ -159,7 +111,7 @@ struct IsolineQueryResult {
 /// operations — UpdateCellValues, Save, Scrub, Close — are not
 /// synchronized against queries or each other; callers must exclude
 /// them externally (see DESIGN.md §11).
-class FieldDatabase {
+class FieldDatabase : public EngineHost {
  public:
   static StatusOr<std::unique_ptr<FieldDatabase>> Build(
       const Field& field, const FieldDatabaseOptions& options = {});
@@ -192,21 +144,11 @@ class FieldDatabase {
   /// callers.
   using RecoveryReport = EngineRecoveryReport;
 
-  /// Reopen options. `wal_mode` both arms logging for the reopened
-  /// database and controls what happens to an existing log: any mode
-  /// replays committed frames; kOff then folds them into a fresh
-  /// checkpoint and deletes the log, the others keep appending to it.
-  struct OpenOptions {
-    size_t pool_pages = 1024;
+  /// Reopen options: the settings every field type shares
+  /// (EngineOpenOptions) plus the grid's readahead window.
+  struct OpenOptions : EngineOpenOptions {
     /// See FieldDatabaseOptions::readahead_pages.
     size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
-    WalMode wal_mode = WalMode::kOff;
-    /// Optional out-param describing the replay (may be null).
-    RecoveryReport* recovery_report = nullptr;
-    /// See FieldDatabaseOptions::event_log_path. When set, Open also
-    /// appends a "recovery" event describing the replay.
-    std::string event_log_path;
-    double slow_query_threshold_ms = 25.0;
   };
 
   /// Reopens a database persisted by Save. Queries run against the
@@ -334,32 +276,11 @@ class FieldDatabase {
   /// Returns non-OK only for errors that persist after retries.
   Status Scrub(ScrubReport* out);
 
-  /// Flushes and closes the underlying buffer pool, surfacing write-back
-  /// errors the destructor could only log. The database is unusable
-  /// after a successful Close. In WAL mode the log is synced and closed
-  /// and the dirty frames are *dropped* (no-steal: the disk keeps the
-  /// last checkpoint, the log keeps everything since — the next Open
-  /// replays it).
-  Status Close();
-
-  /// Simulated power cut (tests): everything not fsynced is gone. The
-  /// WAL is truncated to its durable watermark and the buffer pool is
-  /// abandoned without write-back. The database is unusable afterwards;
-  /// destroy it and Open the prefix again to exercise recovery.
-  Status SimulateCrashForTest();
-
-  /// The write-ahead log, when the database runs in a WAL mode (null
-  /// otherwise). Exposed for the CLI's `wal` subcommand and the crash
-  /// tests' deterministic fault hooks.
-  WriteAheadLog* wal() const { return engine_.wal(); }
-
   /// Attaches a structured event log after the fact (Build/Open attach
   /// one automatically when their options name a path). Replaces any
   /// previously attached log.
   Status AttachEventLog(const std::string& path,
                         double slow_query_threshold_ms);
-  /// The attached event log, or null. Never used for page I/O.
-  EventLog* event_log() const { return engine_.event_log(); }
   /// Adjusts the slow-query threshold without re-opening the log
   /// (bench_obs_overhead toggles it between measurement passes). Not
   /// thread-safe against concurrent queries.
@@ -370,27 +291,11 @@ class FieldDatabase {
     return engine_.slow_query_threshold_ms();
   }
 
-  /// Cumulative count of queries that fell back from a corrupt value
-  /// index to a full store scan (see QueryStats::index_fallbacks).
-  uint64_t index_fallbacks() const {
-    return index_fallbacks_.load(std::memory_order_relaxed);
-  }
-
   /// The planner's decision for `query` under the current mode, without
   /// executing anything. What a one-band Query would run; also the
   /// CLI's `plan` subcommand and EXPLAIN's report.
   PhysicalPlan PlanValueQuery(const ValueInterval& query) const {
-    return planner_->Plan(query, planner_mode_.load(std::memory_order_relaxed));
-  }
-
-  /// Access-path policy for subsequent value queries. Safe to flip
-  /// between queries from the owning thread; queries in flight read the
-  /// mode once at entry.
-  void set_planner_mode(PlannerMode mode) {
-    planner_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PlannerMode planner_mode() const {
-    return planner_mode_.load(std::memory_order_relaxed);
+    return planner_->Plan(query, planner_mode());
   }
 
   const QueryPlanner& planner() const { return *planner_; }
@@ -399,7 +304,6 @@ class FieldDatabase {
   IndexMethod method() const { return index_->method(); }
   const ValueInterval& value_range() const { return value_range_; }
   const Rect2& domain() const { return domain_; }
-  BufferPool& pool() const { return *engine_.pool(); }
 
   /// The subfield partition, when the method has one.
   const std::vector<Subfield>* subfields() const;
@@ -415,33 +319,11 @@ class FieldDatabase {
   /// (CellStore::CheckUpdate).
   Status ValidateUpdate(CellId id, const std::vector<double>& values) const;
 
-  /// The one execution path of the grid's band scans (value and
-  /// isoline queries): runs `plan` over `band` with the operators
-  /// from plan/operators.h — RunFuseOp for kFusedScan, RunFilterOp +
-  /// RunScanOp for kIndexedFilter — feeding each zone-matching cell to
-  /// `visit` (statically bound, no std::function per cell) and charging
-  /// the scan to `leader`. With `count_candidates` it fills
-  /// `leader->candidate_cells` (the filter's count, or every visited
-  /// cell without one); otherwise the visitor counts. A corrupt index
-  /// page during filtering degrades to the fused scan regardless of the
-  /// plan (the store holds the truth; the index is only an
-  /// accelerator): counted once in index_fallbacks() and
-  /// db.index_fallbacks, logged as one corruption_fallback event for
-  /// the scan's `members` bands, and flagged in
-  /// `leader->index_fallbacks`. The metrics count the decision
-  /// (db.plans_scan or db.plans_index), so a fallback counts as
-  /// plans_index. `env` supplies the scratch context and trace.
-  template <typename Visitor>
-  Status ScanBand(PlanKind plan, const ValueInterval& band,
-                  const OperatorEnv& env, QueryStats* leader, size_t members,
-                  bool count_candidates, const char* fetch_detail,
-                  Visitor& visit) const;
-
   /// Constructs planner_ over the finished index (and subfield table,
   /// when the method has one). Called once at the end of Build and Open;
   /// the planner borrows index_/subfields() so it must be re-created if
   /// the index ever were (it isn't).
-  void InitPlanner(PlannerMode mode);
+  void InitPlanner();
 
   /// FieldEngine::MaybeLogSlowQuery for a value query. Re-plans the
   /// query (zero I/O, deterministic) only when it was slow, to report
@@ -450,22 +332,11 @@ class FieldDatabase {
   void MaybeLogSlowQuery(const ValueInterval& query,
                          const QueryStats& stats) const;
 
-  /// The shared lifecycle core: page file, buffer pool, WAL, event log
-  /// and snapshot epoch (core/field_engine.h). Declared first so the
-  /// storage outlives the index and planner at destruction.
-  FieldEngine engine_;
   std::unique_ptr<ValueIndex> index_;
   std::unique_ptr<QueryPlanner> planner_;
-  /// Atomic so tests/benches can flip the policy between queries while
-  /// reader threads are quiescent without formal UB; queries load it
-  /// once at entry.
-  std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
   std::optional<RStarTree<2>> spatial_;
   ValueInterval value_range_;
   Rect2 domain_;
-  /// Mutable + atomic: the corruption fallback bumps it from const query
-  /// paths, possibly on several threads at once.
-  mutable std::atomic<uint64_t> index_fallbacks_{0};
 };
 
 }  // namespace fielddb

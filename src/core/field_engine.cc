@@ -53,6 +53,24 @@ uint32_t PeekPagesEpoch(const std::string& path) {
   return epoch;
 }
 
+/// The band scan's instruments, looked up together by the first scan so
+/// a metrics dump lists every one of them from then on.
+struct BandScanMetrics {
+  Counter* plans_scan;
+  Counter* plans_index;
+  Counter* index_fallbacks;
+
+  static const BandScanMetrics& Get() {
+    static const BandScanMetrics m = [] {
+      MetricsRegistry& reg = MetricsRegistry::Default();
+      return BandScanMetrics{reg.GetCounter("db.plans_scan"),
+                             reg.GetCounter("db.plans_index"),
+                             reg.GetCounter("db.index_fallbacks")};
+    }();
+    return m;
+  }
+};
+
 /// Completes a save that crashed between its two renames: `.pages`
 /// already holds the next snapshot but `.meta` still describes the
 /// previous one. The signature is unforgeable — `.meta.tmp` reads
@@ -95,19 +113,18 @@ FieldEngine::~FieldEngine() {
   }
 }
 
-Status FieldEngine::InitForBuild(const BuildConfig& config) {
-  file_ = config.page_file_factory
-              ? config.page_file_factory(config.page_size)
-              : std::make_unique<MemPageFile>(config.page_size);
-  pool_ = std::make_unique<BufferPool>(file_.get(), config.pool_pages);
-  pool_->set_readahead_pages(config.readahead_pages);
+Status FieldEngine::InitForBuild(const EngineBuildOptions& options) {
+  file_ = options.page_file_factory
+              ? options.page_file_factory(options.page_size)
+              : std::make_unique<MemPageFile>(options.page_size);
+  pool_ = std::make_unique<BufferPool>(file_.get(), options.pool_pages);
+  set_planner_mode(options.planner_mode);
   return Status::OK();
 }
 
 StatusOr<Catalog> FieldEngine::InitForOpen(const std::string& prefix,
                                            const CatalogSchema& schema,
-                                           size_t pool_pages,
-                                           size_t readahead_pages) {
+                                           const EngineOpenOptions& options) {
   TryCompleteInterruptedSave(prefix, schema);
   const std::string meta_path = prefix + ".meta";
   StatusOr<Catalog> catalog = ReadCatalog(meta_path, schema);
@@ -121,8 +138,7 @@ StatusOr<Catalog> FieldEngine::InitForOpen(const std::string& prefix,
   FIELDDB_RETURN_IF_ERROR(
       CheckCatalogPages(meta_path, schema, *catalog, (*file)->NumPages()));
   file_ = std::move(file).value();
-  pool_ = std::make_unique<BufferPool>(file_.get(), pool_pages);
-  pool_->set_readahead_pages(readahead_pages);
+  pool_ = std::make_unique<BufferPool>(file_.get(), options.pool_pages);
   // An attached database never overwrites checkpoint pages in place:
   // Save is the checkpoint's only mutator (atomic temp-file renames).
   // No-steal enforces that — dirty frames stay pooled until the next
@@ -332,17 +348,15 @@ Status FieldEngine::RecoverFromWal(
   return Status::OK();
 }
 
-Status FieldEngine::FinishBuild(WalMode wal_mode, const std::string& wal_path,
-                                const std::string& event_log_path,
-                                double slow_query_threshold_ms) {
-  FIELDDB_RETURN_IF_ERROR(ArmWal(wal_path, wal_mode));
-  if (!event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(
-        AttachEventLog(event_log_path, slow_query_threshold_ms));
-    if (wal_mode != WalMode::kOff) {
+Status FieldEngine::FinishBuild(const EngineBuildOptions& options) {
+  FIELDDB_RETURN_IF_ERROR(ArmWal(options.wal_path, options.wal_mode));
+  if (!options.event_log_path.empty()) {
+    FIELDDB_RETURN_IF_ERROR(AttachEventLog(options.event_log_path,
+                                           options.slow_query_threshold_ms));
+    if (options.wal_mode != WalMode::kOff) {
       LogEvent(EventLog::Event("wal_mode_transition")
                    .Add("from", WalModeName(WalMode::kOff))
-                   .Add("to", WalModeName(wal_mode))
+                   .Add("to", WalModeName(options.wal_mode))
                    .Add("at", "build"));
     }
   }
@@ -351,22 +365,20 @@ Status FieldEngine::FinishBuild(WalMode wal_mode, const std::string& wal_path,
 }
 
 Status FieldEngine::FinishOpen(
-    const std::string& prefix, WalMode wal_mode,
+    const std::string& prefix, const EngineOpenOptions& options,
     const std::function<Status(const WalFrame&)>& apply,
-    const std::function<Status()>& fold_checkpoint,
-    const std::string& event_log_path, double slow_query_threshold_ms,
-    EngineRecoveryReport* report_out) {
+    const std::function<Status()>& fold_checkpoint) {
   EngineRecoveryReport report;
-  FIELDDB_RETURN_IF_ERROR(
-      RecoverFromWal(prefix, wal_mode, apply, fold_checkpoint, &report));
-  if (!event_log_path.empty()) {
-    FIELDDB_RETURN_IF_ERROR(
-        AttachEventLog(event_log_path, slow_query_threshold_ms));
+  FIELDDB_RETURN_IF_ERROR(RecoverFromWal(prefix, options.wal_mode, apply,
+                                         fold_checkpoint, &report));
+  if (!options.event_log_path.empty()) {
+    FIELDDB_RETURN_IF_ERROR(AttachEventLog(options.event_log_path,
+                                           options.slow_query_threshold_ms));
     // One structured record per open: what recovery found and did. The
     // event log writes through its own fd, never the page file, so this
     // cannot disturb recovery state or I/O attribution.
-    LogRecoveryEvent(report, wal_mode);
-    if (wal_mode == WalMode::kOff && report.folded) {
+    LogRecoveryEvent(report, options.wal_mode);
+    if (options.wal_mode == WalMode::kOff && report.folded) {
       LogEvent(EventLog::Event("wal_mode_transition")
                    .Add("from", "unknown")
                    .Add("to", WalModeName(WalMode::kOff))
@@ -374,8 +386,26 @@ Status FieldEngine::FinishOpen(
     }
   }
   pool_->ResetStats();
-  if (report_out != nullptr) *report_out = std::move(report);
+  if (options.recovery_report != nullptr) {
+    *options.recovery_report = std::move(report);
+  }
   return Status::OK();
+}
+
+void FieldEngine::CountPlan(PlanKind kind) {
+  const BandScanMetrics& m = BandScanMetrics::Get();
+  (kind == PlanKind::kFusedScan ? m.plans_scan : m.plans_index)->Increment();
+}
+
+void FieldEngine::RecordIndexFallback(
+    const Status& error,
+    const std::function<void(EventLog::Event*)>& describe) const {
+  index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  BandScanMetrics::Get().index_fallbacks->Increment();
+  if (event_log_ == nullptr) return;
+  EventLog::Event event("corruption_fallback");
+  if (describe) describe(&event);
+  LogEvent(event.Add("error", error.ToString()));
 }
 
 void FieldEngine::MaybeLogSlowQuery(

@@ -1,6 +1,7 @@
 #ifndef FIELDDB_CORE_FIELD_ENGINE_H_
 #define FIELDDB_CORE_FIELD_ENGINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -15,6 +16,7 @@
 #include "core/stats.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
+#include "plan/operators.h"
 #include "plan/planner.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_sink.h"
@@ -75,34 +77,109 @@ struct EngineRecoveryReport {
   QueryTrace trace;
 };
 
+/// The build settings every field type shares; each facade's build
+/// options derive from it (FieldDatabaseOptions, and the temporal,
+/// vector and volume databases' Options).
+struct EngineBuildOptions {
+  uint32_t page_size = kDefaultPageSize;  // the paper uses 4 KB
+  /// Buffer-pool frames. The default (1024 pages = 4 MB at the default
+  /// page size) is small relative to the million-cell workloads, so page
+  /// misses remain the dominant cost as in the paper's disk setting.
+  size_t pool_pages = 1024;
+  /// Factory for the backing page file (defaults to MemPageFile). Fault-
+  /// injection tests pass a factory wrapping the file in a
+  /// FaultInjectingPageFile and keep a pointer to the wrapper to
+  /// schedule faults against the live database.
+  std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
+      page_file_factory;
+  /// Initial access-path policy for band queries (see ChoosePlan).
+  /// kAuto picks fused-scan vs indexed filter+fetch per query from the
+  /// disk-model cost; the forced modes pin one physical plan. Changeable
+  /// later with set_planner_mode.
+  PlannerMode planner_mode = PlannerMode::kAuto;
+
+  /// Durability for mutations (DESIGN.md §14). With a WAL, every update
+  /// is logged before it is applied, dirty pages are pinned in memory
+  /// until the next Save (no-steal), and Open replays the log. Requires
+  /// `wal_path`; use `<prefix>.wal` for the prefix the database will be
+  /// saved under, so Open finds the log. Durability begins at the first
+  /// Save: a crash before any checkpoint loses the freshly built
+  /// (never-persisted) database, WAL or not.
+  WalMode wal_mode = WalMode::kOff;
+  std::string wal_path;
+
+  /// Structured operational event log (obs/event_log.h): JSONL records
+  /// for slow queries, recovery outcomes, corruption fallbacks and WAL
+  /// mode transitions. Empty disables it. The log writes through its
+  /// own file descriptor, never the page file, so its I/O cannot show
+  /// up in query IoStats or in fault-injection schedules.
+  std::string event_log_path;
+  /// A query whose wall time reaches this many milliseconds is logged
+  /// as a "slow_query" event (with the chosen plan and predicted vs
+  /// observed cost). Only meaningful with event_log_path set.
+  double slow_query_threshold_ms = 25.0;
+
+  /// Bounded-memory build (DESIGN.md §16): when nonzero, the Hilbert
+  /// linearization sorts (key, record) pairs with the external merge
+  /// sorter under this in-RAM budget instead of materializing the whole
+  /// keyed field, spilling sorted runs to temp files. The resulting
+  /// store and index are byte-identical to an unlimited build. 0 =
+  /// unlimited (everything in RAM).
+  size_t build_memory_budget_bytes = 0;
+};
+
+/// The reopen settings every field type shares. `wal_mode` both arms
+/// logging for the reopened database and controls what happens to an
+/// existing log: any mode replays committed frames; kOff then folds
+/// them into a fresh checkpoint and deletes the log, the others keep
+/// appending to it. A reopened database plans under kAuto until
+/// set_planner_mode says otherwise.
+struct EngineOpenOptions {
+  size_t pool_pages = 1024;
+  WalMode wal_mode = WalMode::kOff;
+  /// Optional out-param describing the replay (may be null).
+  EngineRecoveryReport* recovery_report = nullptr;
+  /// See EngineBuildOptions::event_log_path. When set, Open also
+  /// appends a "recovery" event describing the replay.
+  std::string event_log_path;
+  double slow_query_threshold_ms = 25.0;
+};
+
+/// One band scan (FieldEngine::BandScan): the plan it runs, where it
+/// records, and what it is charged to.
+struct BandScanSpec {
+  PlanKind plan = PlanKind::kFusedScan;
+  /// Scratch runs and the live I/O sink the spans read; required.
+  QueryContext* ctx = nullptr;
+  /// Per-query spans ("filter", "fetch", "estimate"), when traced.
+  QueryTrace* trace = nullptr;
+  /// Charged with the scan: its candidates and index fallback (the
+  /// leader of a shared sweep).
+  QueryStats* stats = nullptr;
+  /// Fill `stats->candidate_cells`: the filter's count on an indexed
+  /// plan, every zone-matching record on a fused one. Off when the
+  /// visitor counts (a shared sweep's members).
+  bool count_candidates = true;
+  /// Annotates the fetch span of an indexed plan.
+  const char* fetch_detail = nullptr;
+  /// Adds the query's own fields to a corruption_fallback event.
+  std::function<void(EventLog::Event*)> describe;
+};
+
 /// The shared core every field database is hosted on: owns the page
 /// file, buffer pool, write-ahead log, event log and snapshot epoch, and
 /// implements the field-type-agnostic halves of Build/Open/Save/Update/
 /// Close and of querying — storage wiring, the crash-safe checkpoint
 /// pipeline (temp files + atomic renames + epoch stamping), WAL
 /// append/replay with stale-epoch filtering, the Build and Open
-/// epilogues, page scrubbing, crash simulation, the extension query
-/// path, slow-query logging and the workload loop. Field-type-specific
+/// epilogues, page scrubbing, crash simulation, the one band scan,
+/// slow-query logging and the workload loop. Field-type-specific
 /// knowledge (catalog schema, record layout, logical redo, estimation)
 /// enters exclusively through callbacks, so the grid facade and the
 /// temporal/vector/volume databases are thin instantiations over one
 /// tested core (DESIGN.md §16).
 class FieldEngine {
  public:
-  struct BuildConfig {
-    uint32_t page_size = kDefaultPageSize;
-    size_t pool_pages = 1024;
-    /// Readahead window (pages) for range scans, installed into the
-    /// pool (BufferPool::set_readahead_pages).
-    size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
-    /// Backing page file (defaults to MemPageFile). Fault-injection
-    /// tests pass a factory wrapping the file in a
-    /// FaultInjectingPageFile to schedule faults against the live
-    /// database.
-    std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
-        page_file_factory;
-  };
-
   FieldEngine() = default;
   /// Best-effort durability for a database dropped without Close():
   /// syncs and closes the log, then closes the pool, logging (not
@@ -113,23 +190,22 @@ class FieldEngine {
   FieldEngine& operator=(const FieldEngine&) = delete;
 
   /// Fresh storage for a Build: factory-backed (or in-memory) page file
-  /// behind a buffer pool.
-  Status InitForBuild(const BuildConfig& config);
+  /// behind a buffer pool; adopts the options' planner mode.
+  Status InitForBuild(const EngineBuildOptions& options);
 
   /// Attaches the storage of a persisted snapshot and returns its
   /// catalog. Completes a save that crashed between its renames, reads
   /// `<prefix>.meta` in `schema`'s format (ReadCatalog), opens
   /// `<prefix>.pages` (page checksums verified against the catalog's
-  /// epoch) and bounds every page the catalog names by the file
-  /// (CheckCatalogPages) before the caller sizes anything from it. The
-  /// pool is no-steal: an attached database never overwrites checkpoint
-  /// pages in place; Save is the checkpoint's only mutator. Every field
-  /// type's Open starts here.
+  /// epoch) behind a pool of `options.pool_pages` frames and bounds
+  /// every page the catalog names by the file (CheckCatalogPages) before
+  /// the caller sizes anything from it. The pool is no-steal: an
+  /// attached database never overwrites checkpoint pages in place; Save
+  /// is the checkpoint's only mutator. Every field type's Open starts
+  /// here.
   StatusOr<Catalog> InitForOpen(const std::string& prefix,
                                 const CatalogSchema& schema,
-                                size_t pool_pages,
-                                size_t readahead_pages =
-                                    BufferPool::kDefaultReadaheadPages);
+                                const EngineOpenOptions& options);
 
   /// Write-ahead logs one update frame and makes it durable per the WAL
   /// mode. No-op when no log is armed (volatile-update contract). The
@@ -155,59 +231,101 @@ class FieldEngine {
   /// but off), attaches the event log (non-empty path) and records the
   /// build's wal_mode_transition there, then zeroes the pool's counters
   /// so the first query starts from a clean slate.
-  Status FinishBuild(WalMode wal_mode, const std::string& wal_path,
-                     const std::string& event_log_path,
-                     double slow_query_threshold_ms);
+  Status FinishBuild(const EngineBuildOptions& options);
 
   /// Open epilogue shared by every field type: RecoverFromWal with the
   /// caller's logical redo `apply` and `fold_checkpoint`, then attaches
   /// the event log (non-empty path) and records the recovery there (and
   /// the wal_mode_transition of an off-mode open that folded the log),
-  /// zeroes the pool's counters, and hands the report to `*report_out`
-  /// when non-null.
-  Status FinishOpen(const std::string& prefix, WalMode wal_mode,
+  /// zeroes the pool's counters, and hands the report to
+  /// `*options.recovery_report` when non-null.
+  Status FinishOpen(const std::string& prefix,
+                    const EngineOpenOptions& options,
                     const std::function<Status(const WalFrame&)>& apply,
-                    const std::function<Status()>& fold_checkpoint,
-                    const std::string& event_log_path,
-                    double slow_query_threshold_ms,
-                    EngineRecoveryReport* report_out);
+                    const std::function<Status()>& fold_checkpoint);
 
-  /// The query path of the temporal, vector and volume databases:
-  /// executes `plan` over `store` — every record for a fused scan, else
-  /// the runs `search(std::vector<PosRange>*) -> Status` collects from
-  /// the index, merged by MergeRuns — feeding each record to `visit`
-  /// through RecordStore::ScanRanges. The query's I/O is counted by a
-  /// ScopedIoSink on `ctx` (a local context when null), never derived
-  /// from the pool-wide counters, so concurrent queries each report
-  /// exactly their own reads. Fills candidate_cells, wall_seconds and io
-  /// into `*stats`. A visitor that stops the scan early must park its
-  /// own error for the caller to check.
-  template <typename T, typename Search, typename Visitor>
-  Status RunStoreQuery(const RecordStore<T>& store, const PhysicalPlan& plan,
-                       QueryContext* ctx, Search&& search, Visitor&& visit,
-                       QueryStats* stats) const {
+  /// Runs `body(QueryContext*) -> Status` as one query's measured
+  /// stretch — every field type's queries run inside one. The query's
+  /// I/O is counted by a ScopedIoSink on `ctx` (a local context when
+  /// null), never derived from the pool-wide counters, so concurrent
+  /// queries each report exactly their own reads. Stamps
+  /// `stats->wall_seconds` and `stats->io` when `body` succeeds.
+  template <typename Body>
+  static Status MeasureQuery(QueryContext* ctx, QueryStats* stats,
+                             Body&& body) {
     QueryContext local;
     if (ctx == nullptr) ctx = &local;
     ctx->io.Reset();
     ScopedIoSink sink(&ctx->io);
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<PosRange>& runs = ctx->ranges;
-    runs.clear();
-    if (plan.kind == PlanKind::kFusedScan) {
-      runs.push_back(PosRange{0, store.size()});
-    } else {
-      std::vector<PosRange> hits;
-      FIELDDB_RETURN_IF_ERROR(search(&hits));
-      MergeRuns(&hits, &runs);
-    }
-    stats->candidate_cells = TotalRangeLength(runs);
-    FIELDDB_RETURN_IF_ERROR(store.ScanRanges(runs.data(), runs.size(),
-                                             std::forward<Visitor>(visit)));
+    FIELDDB_RETURN_IF_ERROR(body(ctx));
     stats->wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
     stats->io = ctx->io;
     return Status::OK();
+  }
+
+  /// The one band scan of every field type (DESIGN.md §16): runs
+  /// `spec.plan` over `store`, feeding each record whose zone entry
+  /// meets `zone` (a value interval, or a (u, v) box) to `visit`
+  /// (statically bound, no std::function per record).
+  ///  - Fused plan: one zone-filtered pass over the whole store.
+  ///  - Indexed plan: `search(std::vector<PosRange>*) -> Status`, the
+  ///    caller's index search, appends ascending, disjoint candidate
+  ///    runs under a "filter" span (items = candidates, detail =
+  ///    "runs=N"); the zone-filtered scan of those runs follows.
+  /// The scan itself is ScanStoreRuns ("fetch" and "estimate" spans).
+  /// A corrupt index page (kCorruption from `search`) degrades to the
+  /// fused scan regardless of the plan — the store holds the truth, the
+  /// index is only an accelerator: counted once in index_fallbacks()
+  /// and db.index_fallbacks, logged as one corruption_fallback event
+  /// that `spec.describe` fills, and flagged in
+  /// `spec.stats->index_fallbacks`. The metrics count the decision
+  /// (db.plans_scan or db.plans_index), so a fallback counts as
+  /// plans_index; db.zonemap_cells_skipped counts the filtered slots.
+  template <typename Record, typename Search, typename Visitor>
+  Status BandScan(const BasicCellStore<Record>& store,
+                  const typename BasicCellStore<Record>::Key& zone,
+                  const BandScanSpec& spec, Search&& search,
+                  Visitor&& visit) const {
+    QueryStats* const stats = spec.stats;
+    // Without a filter step the scan counts each zone-matching record
+    // it visits: the zone test is exact, so visited == matching.
+    const auto scan_all = [&] {
+      const PosRange whole{0, store.size()};
+      if (!spec.count_candidates) {
+        return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
+                             "full_scan", stats, visit);
+      }
+      return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
+                           "full_scan", stats,
+                           [&](uint64_t pos, const Record& record) {
+                             ++stats->candidate_cells;
+                             return visit(pos, record);
+                           });
+    };
+    CountPlan(spec.plan);
+    if (spec.plan == PlanKind::kFusedScan) return scan_all();
+    std::vector<PosRange>& runs = spec.ctx->ranges;
+    runs.clear();
+    Status filter;
+    {
+      ScopedSpan span(spec.trace, "filter", &spec.ctx->io);
+      filter = search(&runs);
+      span.set_items(TotalRangeLength(runs));
+      span.set_detail("runs=" + std::to_string(runs.size()));
+    }
+    if (filter.code() == StatusCode::kCorruption) {
+      // Nothing was visited yet, so there is nothing to undo.
+      RecordIndexFallback(filter, spec.describe);
+      stats->index_fallbacks = 1;
+      return scan_all();
+    }
+    FIELDDB_RETURN_IF_ERROR(filter);
+    if (spec.count_candidates) stats->candidate_cells = TotalRangeLength(runs);
+    return ScanStoreRuns(store, zone, runs.data(), runs.size(), spec.ctx,
+                         spec.trace, spec.fetch_detail, stats, visit);
   }
 
   /// Appends a "slow_query" event when an event log is attached and the
@@ -264,7 +382,33 @@ class FieldEngine {
     slow_query_threshold_ms_ = ms;
   }
 
+  /// Access-path policy for subsequent band queries. Safe to flip
+  /// between queries from the owning thread; queries in flight read the
+  /// mode once at entry.
+  PlannerMode planner_mode() const {
+    return planner_mode_.load(std::memory_order_relaxed);
+  }
+  void set_planner_mode(PlannerMode mode) {
+    planner_mode_.store(mode, std::memory_order_relaxed);
+  }
+
+  /// Cumulative count of band scans that fell back from a corrupt index
+  /// to a full store scan (see QueryStats::index_fallbacks).
+  uint64_t index_fallbacks() const {
+    return index_fallbacks_.load(std::memory_order_relaxed);
+  }
+
  private:
+  /// Counts a band scan's plan into db.plans_scan or db.plans_index.
+  static void CountPlan(PlanKind kind);
+
+  /// BandScan's corruption bookkeeping: counts the fallback here and in
+  /// db.index_fallbacks, and logs one corruption_fallback event with
+  /// the `describe`d query and the index's `error`.
+  void RecordIndexFallback(
+      const Status& error,
+      const std::function<void(EventLog::Event*)>& describe) const;
+
   /// Arms the write-ahead log (Build epilogue, or Open keeping a WAL
   /// mode): opens `wal_path` stamping frames with the current epoch and
   /// pins dirty frames in memory until the next Save (no-steal).
@@ -299,6 +443,86 @@ class FieldEngine {
   /// Snapshot generation: 0 for a freshly built database, the catalog's
   /// epoch after Open. Save stamps epoch_ + 1.
   uint32_t epoch_ = 0;
+  /// Atomic so tests and benches can flip the policy between queries
+  /// while reader threads are quiescent without formal UB; queries load
+  /// it once at entry.
+  std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
+  /// Mutable + atomic: the corruption fallback bumps it from const query
+  /// paths, possibly on several threads at once.
+  mutable std::atomic<uint64_t> index_fallbacks_{0};
+};
+
+/// What every facade exposes of its engine, declared once: the grid's
+/// FieldDatabase and the temporal, vector and volume databases derive
+/// from it and own their FieldEngine through it. The base is
+/// constructed first and destroyed last, so the storage outlives every
+/// index, tree and planner a facade builds over it.
+class EngineHost {
+ public:
+  EngineHost(const EngineHost&) = delete;
+  EngineHost& operator=(const EngineHost&) = delete;
+
+  /// Flushes and closes the storage, surfacing write-back errors the
+  /// destructor could only log. The database is unusable after a
+  /// successful Close. In WAL mode the log is synced and closed and the
+  /// dirty frames are *dropped* (no-steal: the disk keeps the last
+  /// checkpoint, the log keeps everything since — the next Open replays
+  /// it).
+  Status Close() { return engine_.Close(); }
+
+  /// Simulated power cut (tests): everything not fsynced is gone. The
+  /// WAL is truncated to its durable watermark and the buffer pool is
+  /// abandoned without write-back. The database is unusable afterwards;
+  /// destroy it and Open the prefix again to exercise recovery.
+  Status SimulateCrashForTest() { return engine_.SimulateCrashForTest(); }
+
+  BufferPool& pool() const { return *engine_.pool(); }
+  /// The write-ahead log, when the database runs in a WAL mode (null
+  /// otherwise). Exposed for the CLI's `wal` subcommand and the crash
+  /// tests' deterministic fault hooks.
+  WriteAheadLog* wal() const { return engine_.wal(); }
+  /// The attached event log, or null. Never used for page I/O.
+  EventLog* event_log() const { return engine_.event_log(); }
+  /// Snapshot epoch: 0 after Build, the catalog's after Open.
+  uint32_t epoch() const { return engine_.epoch(); }
+
+  /// See FieldEngine::set_planner_mode.
+  void set_planner_mode(PlannerMode mode) { engine_.set_planner_mode(mode); }
+  PlannerMode planner_mode() const { return engine_.planner_mode(); }
+
+  /// See FieldEngine::index_fallbacks.
+  uint64_t index_fallbacks() const { return engine_.index_fallbacks(); }
+
+ protected:
+  EngineHost() = default;
+  ~EngineHost() = default;
+
+  FieldEngine engine_;
+};
+
+/// EngineHost plus the external-sort build telemetry of the temporal,
+/// vector and volume builds (the grid reports its own through
+/// IndexBuildInfo).
+class ExtEngineHost : public EngineHost {
+ public:
+  /// Sorted runs the build spilled to temp files (0 when it never
+  /// spilled) and the high-water mark of the sorter's in-memory buffer.
+  uint64_t ext_spill_runs() const { return ext_spill_runs_; }
+  uint64_t ext_peak_buffered_bytes() const {
+    return ext_peak_buffered_bytes_;
+  }
+
+ protected:
+  /// Adopts a finished build sorter's telemetry.
+  template <typename Sorter>
+  void RecordBuildSort(const Sorter& sorter) {
+    ext_spill_runs_ = sorter.spill_runs();
+    ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
+  }
+
+ private:
+  uint64_t ext_spill_runs_ = 0;
+  uint64_t ext_peak_buffered_bytes_ = 0;
 };
 
 }  // namespace fielddb

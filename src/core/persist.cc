@@ -5,6 +5,7 @@
 // codec, core/catalog.h) and re-attaches every component (cell store,
 // value index, spatial tree) against the on-disk pages.
 
+#include <optional>
 #include <string>
 
 #include "core/field_database.h"
@@ -122,11 +123,12 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
 StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
-  StatusOr<Catalog> catalog = db->engine_.InitForOpen(
-      prefix, kGridCatalog, options.pool_pages, options.readahead_pages);
+  StatusOr<Catalog> catalog =
+      db->engine_.InitForOpen(prefix, kGridCatalog, options);
   if (!catalog.ok()) return catalog.status();
   FIELDDB_RETURN_IF_ERROR(CheckCellCounts(prefix + ".meta", *catalog));
   BufferPool* const pool = db->engine_.pool();
+  pool->set_readahead_pages(options.readahead_pages);
   db->value_range_ = catalog->value_range;
   db->domain_ = catalog->domain;
 
@@ -144,34 +146,43 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
 
   // The codec bounded the method and required a tree for every method
   // but LinearScan.
+  std::optional<RStarTree<1>> tree;
+  if (catalog->tree) {
+    StatusOr<RStarTree<1>> attached =
+        RStarTree<1>::Attach(pool, *catalog->tree);
+    if (!attached.ok()) return attached.status();
+    tree.emplace(std::move(attached).value());
+  }
   switch (static_cast<IndexMethod>(catalog->method)) {
     case IndexMethod::kLinearScan:
       db->index_ = LinearScanIndex::Attach(std::move(store).value(), info);
       break;
     case IndexMethod::kIAll:
       db->index_ = IAllIndex::Attach(std::move(store).value(),
-                                     RStarTree<1>::Attach(pool, *catalog->tree),
-                                     info);
+                                     std::move(*tree), info);
       break;
     case IndexMethod::kIHilbert:
-      db->index_ = IHilbertIndex::Attach(
-          std::move(store).value(), RStarTree<1>::Attach(pool, *catalog->tree),
-          std::move(catalog->subfields), info);
+      db->index_ = IHilbertIndex::Attach(std::move(store).value(),
+                                         std::move(*tree),
+                                         std::move(catalog->subfields), info);
       break;
     case IndexMethod::kIntervalQuadtree:
       db->index_ = IntervalQuadtreeIndex::Attach(
-          std::move(store).value(), RStarTree<1>::Attach(pool, *catalog->tree),
+          std::move(store).value(), std::move(*tree),
           std::move(catalog->subfields), info);
       break;
     case IndexMethod::kRowIp:
       return Status::Corruption("unknown index method in catalog");
   }
   if (catalog->spatial) {
-    db->spatial_.emplace(RStarTree<2>::Attach(pool, *catalog->spatial));
+    StatusOr<RStarTree<2>> spatial =
+        RStarTree<2>::Attach(pool, *catalog->spatial);
+    if (!spatial.ok()) return spatial.status();
+    db->spatial_.emplace(std::move(spatial).value());
   }
   // Planning is a pure function of the attached index state, so a
   // reopened snapshot plans exactly like the database that saved it.
-  db->InitPlanner(PlannerMode::kAuto);
+  db->InitPlanner();
 
   // Recovery: replay the write-ahead log over the snapshot (logical
   // redo through the same UpdateCellValues path the original mutations
@@ -180,16 +191,14 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   // fold into a fresh checkpoint. The scan/replay/verify pipeline,
   // stale-epoch filtering, metrics and events are the engine's.
   FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
-      prefix, options.wal_mode,
+      prefix, options,
       [&](const WalFrame& frame) -> Status {
         FIELDDB_RETURN_IF_ERROR(
             db->index_->UpdateCellValues(frame.cell_id, frame.values));
         for (const double w : frame.values) db->value_range_.Extend(w);
         return Status::OK();
       },
-      [&]() { return db->SaveImpl(prefix, SaveCrashPoint::kNone); },
-      options.event_log_path, options.slow_query_threshold_ms,
-      options.recovery_report));
+      [&]() { return db->SaveImpl(prefix, SaveCrashPoint::kNone); }));
   return db;
 }
 

@@ -522,7 +522,7 @@ Status ShardRouter::SimulateCrashForTest() {
 }
 
 ValueInterval ShardRouter::value_range() const {
-  ValueInterval hull;
+  ValueInterval hull = ValueInterval::Empty();
   for (const auto& shard : shards_) {
     hull = ValueInterval::Hull(hull, shard->db().value_range());
   }

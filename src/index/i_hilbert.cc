@@ -96,18 +96,8 @@ Status IHilbertIndex::UpdateCellValues(CellId id,
 
 Status IHilbertIndex::FilterCandidateRanges(
     const ValueInterval& query, std::vector<PosRange>* ranges) const {
-  // The filter step is naturally range-shaped here: each qualifying
-  // subfield IS a [start, end) run of store slots. Collect, sort, and
-  // merge overlaps/adjacencies — O(subfields touched), independent of
-  // how many cells the runs cover.
-  std::vector<PosRange> raw;
-  FIELDDB_RETURN_IF_ERROR(
-      tree_.Search(BoxFromInterval(query), [&](const RTreeEntry<1>& e) {
-        raw.push_back(PosRange{e.a, e.b});
-        return true;
-      }));
-  MergeRuns(&raw, ranges);
-  return Status::OK();
+  // Each qualifying subfield IS a [start, end) run of store slots.
+  return SearchRunEntries(tree_, BoxFromInterval(query), ranges);
 }
 
 Status IHilbertIndex::FilterSubfields(

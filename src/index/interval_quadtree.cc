@@ -136,16 +136,8 @@ Status IntervalQuadtreeIndex::UpdateCellValues(
 
 Status IntervalQuadtreeIndex::FilterCandidateRanges(
     const ValueInterval& query, std::vector<PosRange>* ranges) const {
-  // Like I-Hilbert: qualifying subfields are [start, end) store runs;
-  // merge them instead of expanding per position.
-  std::vector<PosRange> raw;
-  FIELDDB_RETURN_IF_ERROR(
-      tree_.Search(BoxFromInterval(query), [&](const RTreeEntry<1>& e) {
-        raw.push_back(PosRange{e.a, e.b});
-        return true;
-      }));
-  MergeRuns(&raw, ranges);
-  return Status::OK();
+  // Like I-Hilbert: qualifying subfields are [start, end) store runs.
+  return SearchRunEntries(tree_, BoxFromInterval(query), ranges);
 }
 
 }  // namespace fielddb

@@ -49,7 +49,7 @@ Status LinearScanIndex::FilterCandidateRanges(
   // SIMD pass over the SoA interval arrays, no page I/O, no record
   // deserialization. (Production LinearScan *queries* still read every
   // store page — FieldDatabase fuses filter+estimate into a single page
-  // pass, as the paper's cost model requires; see RunFuseOp.)
+  // pass, as the paper's cost model requires; see FieldEngine::BandScan.)
   store_.zone_map().FilterRanges(query, ranges);
   return Status::OK();
 }

@@ -34,6 +34,22 @@ struct RunEntry {
   }
 };
 
+/// The filter step over a RunEntry tree: the runs of every subfield
+/// whose key meets `box`, appended to `*runs` as ascending, disjoint
+/// runs (MergeRuns) — O(subfields touched), independent of how many
+/// cells the runs cover.
+template <int Dim>
+Status SearchRunEntries(const RStarTree<Dim>& tree, const Box<Dim>& box,
+                        std::vector<PosRange>* runs) {
+  std::vector<PosRange> hits;
+  FIELDDB_RETURN_IF_ERROR(tree.Search(box, [&](const RTreeEntry<Dim>& e) {
+    hits.push_back(PosRange{e.a, e.b});
+    return true;
+  }));
+  MergeRuns(&hits, runs);
+  return Status::OK();
+}
+
 /// The subfield partition of `store`'s records in storage order: the
 /// paper's insertion rule (§3.1) over the keys of its zone map.
 template <typename Record, typename Key>

@@ -54,8 +54,8 @@ class ValueIndex {
 
   /// Appends the candidate set as maximal ascending disjoint runs of
   /// store positions — the primary filter interface since the planner
-  /// refactor. This is what the query engine's FilterOp consumes
-  /// (CellStore::ScanRangesFiltered walks runs directly); a
+  /// refactor, and the search the grid's band scan runs
+  /// (FieldEngine::BandScan, whose store scan walks runs directly); a
   /// 1%-selectivity query then costs a handful of run structs instead of
   /// one uint64_t per candidate.
   virtual Status FilterCandidateRanges(const ValueInterval& query,

@@ -47,14 +47,16 @@ ZoneProbe ScalarZoneMap::Probe(const ValueInterval& query,
   return probe;
 }
 
-void BoxZoneMap::FilterRanges(const Box<2>& query,
-                              std::vector<PosRange>* out) const {
+void BoxZoneMap::FilterRange(const PosRange& run, const Box<2>& query,
+                             std::vector<PosRange>* out) const {
   std::vector<PosRange> u_runs;
   std::vector<PosRange> v_runs;
-  simd::FilterIntervalRanges(u_min_.data(), u_max_.data(), size(),
-                             /*base=*/0, query.lo[0], query.hi[0], &u_runs);
-  simd::FilterIntervalRanges(v_min_.data(), v_max_.data(), size(),
-                             /*base=*/0, query.lo[1], query.hi[1], &v_runs);
+  simd::FilterIntervalRanges(u_min_.data() + run.begin,
+                             u_max_.data() + run.begin, run.length(),
+                             run.begin, query.lo[0], query.hi[0], &u_runs);
+  simd::FilterIntervalRanges(v_min_.data() + run.begin,
+                             v_max_.data() + run.begin, run.length(),
+                             run.begin, query.lo[1], query.hi[1], &v_runs);
   IntersectRanges(u_runs, v_runs, out);
 }
 

@@ -113,7 +113,13 @@ class BoxZoneMap {
   uint64_t size() const { return u_min_.size(); }
 
   /// Appends the maximal runs of positions whose box intersects `query`.
-  void FilterRanges(const Box<2>& query, std::vector<PosRange>* out) const;
+  void FilterRanges(const Box<2>& query, std::vector<PosRange>* out) const {
+    FilterRange(PosRange{0, size()}, query, out);
+  }
+
+  /// FilterRanges restricted to the positions of `run`.
+  void FilterRange(const PosRange& run, const Box<2>& query,
+                   std::vector<PosRange>* out) const;
 
  private:
   std::vector<double> u_min_;

@@ -1,7 +1,5 @@
 #include "plan/operators.h"
 
-#include <string>
-
 #include "obs/metrics.h"
 
 namespace fielddb {
@@ -15,15 +13,5 @@ void AddZoneSkips(uint64_t skipped) {
 }
 
 }  // namespace plan_internal
-
-Status RunFilterOp(const OperatorEnv& env, const ValueInterval& query,
-                   std::vector<PosRange>* ranges, uint64_t* candidates) {
-  ScopedSpan span(env.trace, "filter", &env.ctx->io);
-  const Status s = env.index->FilterCandidateRanges(query, ranges);
-  *candidates = TotalRangeLength(*ranges);
-  span.set_items(*candidates);
-  span.set_detail("runs=" + std::to_string(ranges->size()));
-  return s;
-}
 
 }  // namespace fielddb

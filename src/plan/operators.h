@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/simd/interval_filter.h"
@@ -16,25 +17,16 @@
 
 namespace fielddb {
 
-/// What every physical operator needs from the query that runs it: the
-/// value index (and, through it, the clustered cell store), the
-/// per-query scratch context whose IoStats is the live I/O sink, and an
-/// optional trace — each operator reports itself as one span ("filter",
-/// "fetch", "estimate") when `trace` is non-null.
+/// What the grid's physical operators need from the query that runs
+/// them: the value index (and, through it, the clustered cell store),
+/// the per-query scratch context whose IoStats is the live I/O sink, and
+/// an optional trace. Kept for the external benchmark program, which
+/// replays the operators one by one (RunScanOp, RunFuseOp).
 struct OperatorEnv {
   const ValueIndex* index = nullptr;
   QueryContext* ctx = nullptr;
   QueryTrace* trace = nullptr;
 };
-
-/// FilterOp — the filtering step as an operator: runs
-/// ValueIndex::FilterCandidateRanges under a "filter" span, reporting
-/// the candidate count as the span's items and the run count as its
-/// detail. Appends to `*ranges` (callers clear it for reuse). Returns
-/// the index's status verbatim — kCorruption is the caller's cue to
-/// degrade to FuseOp.
-Status RunFilterOp(const OperatorEnv& env, const ValueInterval& query,
-                   std::vector<PosRange>* ranges, uint64_t* candidates);
 
 /// EstimateOp — the estimation step as a cell visitor: inverse
 /// interpolation (CellIsoband) of each fetched cell into `region`, or
@@ -92,39 +84,42 @@ inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace plan_internal
 
-/// ScanOp — candidate retrieval as an operator: walks the given runs
-/// through RecordStore::ScanRangesFiltered over the CellStore's pages
-/// and zone map (readahead batches, zone-map slot filtering) feeding
-/// each matching cell to `visit`, reported as a "fetch" span. On traced
-/// runs the visitor's own work is timed per
-/// cell, deducted from the fetch span, and reported as a separate
-/// zero-I/O "estimate" span — the fetch span is then pure retrieval.
-/// `stats->candidate_cells` must be final before the scan on indexed
-/// plans (the span items are read from it after the walk, so fused
-/// visitors that count candidates while scanning also report right).
+/// ScanOp — candidate retrieval as an operator, over the store of any
+/// field type: walks the given runs through
+/// RecordStore::ScanRangesFiltered over the store's pages and zone map
+/// (readahead batches, zone-map slot filtering against `zone`, a value
+/// interval or a (u, v) box) feeding each matching record to `visit`,
+/// reported as a "fetch" span on `ctx->io`. On traced runs the
+/// visitor's own work is timed per record, deducted from the fetch
+/// span, and reported as a separate zero-I/O "estimate" span — the
+/// fetch span is then pure retrieval. `stats->candidate_cells` must be
+/// final before the scan on indexed plans (the span items are read from
+/// it after the walk, so fused visitors that count candidates while
+/// scanning also report right).
 ///
 /// Statically bound visitor (no std::function on the per-record path);
 /// pass visitors whose state must survive — EstimateOp — as lvalues.
-template <typename Visitor>
-Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
-                 const PosRange* ranges, size_t num_ranges,
-                 const char* fetch_detail, QueryStats* stats,
-                 Visitor&& visit) {
+template <typename Record, typename Visitor>
+Status ScanStoreRuns(const BasicCellStore<Record>& store,
+                     const typename BasicCellStore<Record>::Key& zone,
+                     const PosRange* ranges, size_t num_ranges,
+                     QueryContext* ctx, QueryTrace* trace,
+                     const char* fetch_detail, QueryStats* stats,
+                     Visitor&& visit) {
   double est_seconds = 0.0;
   uint64_t skipped = 0;
   Status scan;
   {
-    ScopedSpan fetch(env.trace, "fetch", &env.ctx->io);
-    const CellStore& store = env.index->cell_store();
-    if (env.trace == nullptr) {
+    ScopedSpan fetch(trace, "fetch", &ctx->io);
+    if (trace == nullptr) {
       scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), query, &skipped, visit);
+          ranges, num_ranges, store.zone_map(), zone, &skipped, visit);
     } else {
       scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), query, &skipped,
-          [&](uint64_t pos, const CellRecord& cell) {
+          ranges, num_ranges, store.zone_map(), zone, &skipped,
+          [&](uint64_t pos, const Record& record) {
             const auto t0 = std::chrono::steady_clock::now();
-            const bool keep_going = visit(pos, cell);
+            const bool keep_going = visit(pos, record);
             est_seconds += plan_internal::SecondsSince(t0);
             return keep_going;
           });
@@ -135,21 +130,31 @@ Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
   }
   FIELDDB_RETURN_IF_ERROR(scan);
   plan_internal::AddZoneSkips(skipped);
-  if (env.trace != nullptr) {
+  if (trace != nullptr) {
     TraceSpan span;
     span.name = "estimate";
     span.wall_seconds = est_seconds;
     span.items = stats->answer_cells;
-    env.trace->AddSpan(std::move(span));
+    trace->AddSpan(std::move(span));
   }
   return Status::OK();
 }
 
-/// FuseOp — the single-pass scan-and-estimate plan (the paper's
-/// LinearScan execution): ScanOp over the whole store as one run, with
-/// estimation fused into the pass. Also the degraded path when the
-/// filter hits a corrupt index page — the store holds the truth, the
-/// index is only an accelerator.
+/// ScanStoreRuns over the grid's cell store. Kept for the external
+/// benchmark program only, which replays a query's scan on its own;
+/// the library's queries scan through FieldEngine::BandScan.
+template <typename Visitor>
+Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
+                 const PosRange* ranges, size_t num_ranges,
+                 const char* fetch_detail, QueryStats* stats,
+                 Visitor&& visit) {
+  return ScanStoreRuns(env.index->cell_store(), query, ranges, num_ranges,
+                       env.ctx, env.trace, fetch_detail, stats,
+                       std::forward<Visitor>(visit));
+}
+
+/// The fused scan (every cell as one run) of the grid's cell store.
+/// Kept for the external benchmark program only, like RunScanOp.
 template <typename Visitor>
 Status RunFuseOp(const OperatorEnv& env, const ValueInterval& query,
                  QueryStats* stats, Visitor&& visit) {

@@ -20,8 +20,8 @@ namespace fielddb {
 ///  - kFusedScan: one pass over every store page, testing and estimating
 ///    each cell in place (the paper's LinearScan execution, available to
 ///    every method);
-///  - kIndexedFilter: FilterOp (index search for candidate runs) then
-///    ScanOp over just those runs (the paper's filter -> fetch ->
+///  - kIndexedFilter: the index search for candidate runs, then the
+///    zone-filtered scan of just those runs (the paper's filter -> fetch ->
 ///    estimate pipeline).
 enum class PlanKind {
   kFusedScan,

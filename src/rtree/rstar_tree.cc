@@ -53,10 +53,16 @@ StatusOr<RStarTree<Dim>> RStarTree<Dim>::Create(BufferPool* pool,
 }
 
 template <int Dim>
-RStarTree<Dim> RStarTree<Dim>::Attach(BufferPool* pool, const RStarMeta& meta,
-                                      const RStarOptions& options) {
+StatusOr<RStarTree<Dim>> RStarTree<Dim>::Attach(BufferPool* pool,
+                                                const RStarMeta& meta,
+                                                const RStarOptions& options) {
   RStarTree tree(pool, options);
   tree.meta_ = meta;
+  Page root(pool->file()->page_size());
+  if (!pool->TryGetResident(meta.root, &root)) {
+    FIELDDB_RETURN_IF_ERROR(pool->file()->Read(meta.root, &root));
+  }
+  FIELDDB_RETURN_IF_ERROR(tree.CheckHeight(root));
   return tree;
 }
 
@@ -82,7 +88,12 @@ template <int Dim>
 Status RStarTree<Dim>::CheckHeight() const {
   PinnedPage pin;
   FIELDDB_RETURN_IF_ERROR(pool_->Fetch(meta_.root, &pin));
-  const uint32_t root_level = pin.page().template ReadAt<uint32_t>(0);
+  return CheckHeight(pin.page());
+}
+
+template <int Dim>
+Status RStarTree<Dim>::CheckHeight(const Page& root) const {
+  const uint32_t root_level = root.template ReadAt<uint32_t>(0);
   if (uint64_t{root_level} + 1 != meta_.height) {
     return Status::Corruption("height does not match root level");
   }

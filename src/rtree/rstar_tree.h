@@ -66,9 +66,14 @@ class RStarTree {
   static StatusOr<RStarTree> Create(BufferPool* pool,
                                     const RStarOptions& options = {});
 
-  /// Re-attaches to an existing tree in `pool`'s page file.
-  static RStarTree Attach(BufferPool* pool, const RStarMeta& meta,
-                          const RStarOptions& options = {});
+  /// Re-attaches to an existing tree in `pool`'s page file. kCorruption
+  /// when `meta.height` contradicts the root page's level (CheckHeight):
+  /// every descent, and the planner's price of one, sizes itself from
+  /// the height, which an edited catalog can set to any value. The root
+  /// is read as a checkpoint copies a page — a resident frame, else the
+  /// file — so attaching moves no frame and no pool counter.
+  static StatusOr<RStarTree> Attach(BufferPool* pool, const RStarMeta& meta,
+                                    const RStarOptions& options = {});
 
   /// Bulk-loads from leaf entries *already sorted by the caller* (for the
   /// paper's workloads: by Hilbert value, per Kamel & Faloutsos [14]).
@@ -146,8 +151,10 @@ class RStarTree {
   Status LoadNode(PageId id, Node* node) const;
   /// kCorruption unless the root page's level is height - 1. Insert and
   /// Delete check this before sizing anything from the height, which
-  /// an edited catalog can set to any value.
+  /// an edited catalog can set to any value; Attach checks `root`, its
+  /// copy of the root page.
   Status CheckHeight() const;
+  Status CheckHeight(const Page& root) const;
   Status StoreNode(PageId id, const Node& node) const;
   StatusOr<PageId> AllocNode();
   void FreeNode(PageId id);

@@ -135,7 +135,7 @@ class BufferPool {
   /// only the `storage.pool.prefetch_hit` metric.
   Status PrefetchRange(PageId first, size_t count);
 
-  /// Readahead window used by range scans (CellStore::ScanRanges*).
+  /// Readahead window used by range scans (RecordStore::ScanRangesFiltered).
   /// Set once at database-build/open time, before queries run.
   void set_readahead_pages(size_t n) {
     readahead_pages_.store(n == 0 ? 1 : n, std::memory_order_relaxed);

@@ -129,49 +129,21 @@ class RecordStore {
     return Status::OK();
   }
 
-  /// Visits every position of each run in `ranges` (ascending,
-  /// disjoint), reading ahead the pool's readahead window
-  /// (BufferPool::readahead_pages) at a time so a run's pages arrive in
-  /// one vectored batch instead of one blocking read per page. I/O
-  /// totals equal Scan-ing each run: readahead reads count as the
-  /// physical reads Fetch would have issued.
-  template <typename Visitor>
-  Status ScanRanges(const PosRange* ranges, size_t num_ranges,
-                    Visitor&& visit) const {
-    T record;
-    Readahead readahead(this);
-    for (size_t r = 0; r < num_ranges; ++r) {
-      uint64_t pos = ranges[r].begin;
-      const uint64_t end = ranges[r].end;
-      if (pos > end || end > num_records_) {
-        return Status::OutOfRange("scan range out of bounds");
-      }
-      while (pos < end) {
-        const uint64_t page_index = pos / per_page_;
-        PinnedPage pin;
-        FIELDDB_RETURN_IF_ERROR(
-            readahead.Fetch(page_index, (end - 1) / per_page_, &pin));
-        const uint64_t page_end =
-            std::min<uint64_t>(end, (page_index + 1) * per_page_);
-        for (; pos < page_end; ++pos) {
-          pin.page().Read(OffsetOf(pos), &record, sizeof(T));
-          if (!visit(pos, record)) return Status::OK();
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  /// ScanRanges with a zone-map filter fused in: every page of every run
-  /// is still fetched (so I/O totals — and the paper's page-access
-  /// semantics — are those of the unfiltered scan), but only positions
-  /// whose zone entry intersects `query` are deserialized and visited.
+  /// Visits the positions of each run in `ranges` (ascending, disjoint)
+  /// whose zone entry intersects `query`, reading ahead the pool's
+  /// readahead window (BufferPool::readahead_pages) at a time so a
+  /// run's pages arrive in one vectored batch instead of one blocking
+  /// read per page. Every page of every run is fetched, so I/O totals —
+  /// and the paper's page-access semantics — equal Scan-ing each run
+  /// (readahead reads count as the physical reads Fetch would have
+  /// issued); only matching positions are deserialized and visited.
   /// `zones.FilterRange(run, query, &out)` appends a run's matching
-  /// sub-runs (ScalarZoneMap). Non-matching positions are counted into
-  /// `*skipped` (when non-null) without their records being touched.
-  template <typename Zones, typename Visitor>
+  /// sub-runs (ScalarZoneMap for a value interval, BoxZoneMap for a
+  /// (u, v) box). Non-matching positions are counted into `*skipped`
+  /// (when non-null) without their records being touched.
+  template <typename Zones, typename Key, typename Visitor>
   Status ScanRangesFiltered(const PosRange* ranges, size_t num_ranges,
-                            const Zones& zones, const ValueInterval& query,
+                            const Zones& zones, const Key& query,
                             uint64_t* skipped, Visitor&& visit) const {
     T record;
     std::vector<PosRange> matches;

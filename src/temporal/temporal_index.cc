@@ -72,11 +72,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
       std::unique_ptr<TemporalFieldDatabase>(new TemporalFieldDatabase());
   db->num_slabs_ = field.NumSlabs();
   db->t_max_ = static_cast<double>(field.NumSnapshots() - 1);
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
-      {.page_size = options.page_size,
-       .pool_pages = options.pool_pages,
-       .page_file_factory = options.page_file_factory}));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(options));
   BufferPool* const pool = db->engine_.pool();
 
   // One shared Hilbert order over the (time-invariant) cell geometry,
@@ -106,8 +102,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
         order.push_back(id);
         return Status::OK();
       }));
-  db->ext_spill_runs_ = sorter.spill_runs();
-  db->ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
+  db->RecordBuildSort(sorter);
 
   const ValueInterval range = field.ValueRange();
   std::vector<RTreeEntry<2>> entries;
@@ -149,9 +144,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   if (!tree.ok()) return tree.status();
   db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 
-  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
-      options.wal_mode, options.wal_path, options.event_log_path,
-      options.slow_query_threshold_ms));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(options));
   return db;
 }
 
@@ -172,20 +165,14 @@ Status TemporalFieldDatabase::SaveImpl(const std::string& prefix,
 }
 
 StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
-    const std::string& prefix) {
-  return Open(prefix, OpenOptions{});
-}
-
-StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
   auto db =
       std::unique_ptr<TemporalFieldDatabase>(new TemporalFieldDatabase());
   StatusOr<Catalog> catalog =
-      db->engine_.InitForOpen(prefix, kTemporalCatalog, options.pool_pages);
+      db->engine_.InitForOpen(prefix, kTemporalCatalog, options);
   if (!catalog.ok()) return catalog.status();
   db->num_slabs_ = catalog->num_slabs;
   db->t_max_ = static_cast<double>(catalog->num_slabs);
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   BufferPool* const pool = db->engine_.pool();
 
   // Attach the slab stores; each rebuilds its id -> slot map and zone
@@ -203,15 +190,16 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
     db->slabs_.push_back(
         Slab{std::move(store).value(), std::move(subfields[k])});
   }
-  db->tree_ = std::make_unique<RStarTree<2>>(
-      RStarTree<2>::Attach(pool, *catalog->tree));
+  StatusOr<RStarTree<2>> tree = RStarTree<2>::Attach(pool, *catalog->tree);
+  if (!tree.ok()) return tree.status();
+  db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 
   // Recovery: a frame carries the snapshot index in values[0] followed
   // by the vertex samples; logical redo through the same apply path
   // updates took maintains subfield hulls, tree entries and zone maps.
   TemporalFieldDatabase* const raw = db.get();
   FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
-      prefix, options.wal_mode,
+      prefix, options,
       [raw](const WalFrame& frame) -> Status {
         if (frame.values.size() < 2) {
           return Status::Corruption("temporal WAL frame too short");
@@ -229,9 +217,7 @@ StatusOr<std::unique_ptr<TemporalFieldDatabase>> TemporalFieldDatabase::Open(
       },
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
-      },
-      options.event_log_path, options.slow_query_threshold_ms,
-      options.recovery_report));
+      }));
   return db;
 }
 
@@ -313,40 +299,57 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
   const Slab& slab = slabs_[k];
   const double tau = t - k;
   out->plan = PlanSnapshotQuery(t, band);
-  Status inner = Status::OK();
-  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
-      slab.store.records(), out->plan, ctx,
-      [&](std::vector<PosRange>* runs) {
-        Box<2> query;
-        query.lo = {band.min, t};
-        query.hi = {band.max, t};
-        return tree_->Search(query, [&](const RTreeEntry<2>& e) {
-          if (e.a == k) {  // integer t also brushes the previous slab
-            const Subfield& sf = slab.subfields[e.b];
-            runs->push_back(PosRange{sf.start, sf.end});
-          }
-          return true;
-        });
-      },
-      [&](uint64_t, const VectorCellRecord& rec) {
-        const CellRecord cell = AtTau(rec, tau);
-        StatusOr<size_t> pieces = CellIsoband(cell, band, &out->region);
-        if (!pieces.ok()) {
-          inner = pieces.status();
-          return false;
-        }
-        if (*pieces > 0) {
-          out->stats.AddAnswerCell(band.Contains(cell.Interval()), *pieces);
-        }
-        return true;
-      },
-      &out->stats));
-  FIELDDB_RETURN_IF_ERROR(inner);
-  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+  const auto describe = [&](EventLog::Event* event) {
     event->Add("field_type", "temporal")
         .Add("time_t", t)
         .Add("query_min", band.min)
         .Add("query_max", band.max);
+  };
+  // The zone filter tests each record's slab-wide interval, a superset
+  // of its interval at `t`.
+  Status inner = Status::OK();
+  const auto visit = [&](uint64_t, const TemporalSlabRecord& rec) {
+    const CellRecord cell = AtTau(rec, tau);
+    StatusOr<size_t> pieces = CellIsoband(cell, band, &out->region);
+    if (!pieces.ok()) {
+      inner = pieces.status();
+      return false;
+    }
+    if (*pieces > 0) {
+      out->stats.AddAnswerCell(band.Contains(cell.Interval()), *pieces);
+    }
+    return true;
+  };
+  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+      ctx, &out->stats, [&](QueryContext* ctx) {
+        return engine_.BandScan(
+            slab.store, band,
+            {.plan = out->plan.kind,
+             .ctx = ctx,
+             .stats = &out->stats,
+             .describe = describe},
+            [&](std::vector<PosRange>* runs) {
+              Box<2> query;
+              query.lo = {band.min, t};
+              query.hi = {band.max, t};
+              std::vector<PosRange> hits;
+              FIELDDB_RETURN_IF_ERROR(
+                  tree_->Search(query, [&](const RTreeEntry<2>& e) {
+                    // An integer t also brushes the previous slab.
+                    if (e.a == k) {
+                      const Subfield& sf = slab.subfields[e.b];
+                      hits.push_back(PosRange{sf.start, sf.end});
+                    }
+                    return true;
+                  }));
+              MergeRuns(&hits, runs);
+              return Status::OK();
+            },
+            visit);
+      }));
+  FIELDDB_RETURN_IF_ERROR(inner);
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    describe(event);
     return out->plan;
   });
   return Status::OK();

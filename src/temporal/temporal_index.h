@@ -1,8 +1,6 @@
 #ifndef FIELDDB_TEMPORAL_TEMPORAL_INDEX_H_
 #define FIELDDB_TEMPORAL_TEMPORAL_INDEX_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,47 +61,23 @@ using TemporalSnapshotQuery = std::pair<double, ValueInterval>;
 /// (value interval × [k, k+1], addressed by (k, subfield)) and the
 /// estimation visitor are temporal-specific. Each slab's store keeps its
 /// own id -> slot map: 8 B per cell per slab.
-class TemporalFieldDatabase {
+class TemporalFieldDatabase : public ExtEngineHost {
  public:
-  struct Options {
+  /// The settings every field type shares (EngineBuildOptions, with a
+  /// 2048-frame pool) plus the temporal build's own. A logged WAL frame
+  /// carries the snapshot index as values[0] followed by the vertex
+  /// samples.
+  struct Options : EngineBuildOptions {
+    Options() { pool_pages = 2048; }
     CurveType curve = CurveType::kHilbert;
     int curve_order = 16;
     SubfieldCostConfig cost;
-    uint32_t page_size = kDefaultPageSize;
-    size_t pool_pages = 2048;
     RStarOptions rstar;
-    /// Backing page file (defaults to MemPageFile). Fault-injection
-    /// tests wrap the file to schedule faults against the live database.
-    std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
-        page_file_factory;
-    /// Initial access-path policy for snapshot queries (see
-    /// ChoosePlan).
-    PlannerMode planner_mode = PlannerMode::kAuto;
-    /// Durability for UpdateSnapshotCellValues (DESIGN.md §14). Requires
-    /// `wal_path`; use `<prefix>.wal` for the prefix the database will
-    /// be saved under. A logged frame carries the snapshot index as
-    /// values[0] followed by the vertex samples.
-    WalMode wal_mode = WalMode::kOff;
-    std::string wal_path;
-    /// Structured operational event log. Empty disables it.
-    std::string event_log_path;
-    double slow_query_threshold_ms = 25.0;
-    /// Bounded-memory build (DESIGN.md §16): when nonzero, the shared
-    /// Hilbert linearization sorts (key, cell) pairs with the external
-    /// merge sorter under this in-RAM budget. Byte-identical to the
-    /// unlimited build.
-    size_t build_memory_budget_bytes = 0;
   };
 
-  /// Reopen options, mirroring FieldDatabase::OpenOptions.
-  struct OpenOptions {
-    size_t pool_pages = 2048;
-    WalMode wal_mode = WalMode::kOff;
-    /// Optional out-param describing the replay (may be null).
-    EngineRecoveryReport* recovery_report = nullptr;
-    std::string event_log_path;
-    double slow_query_threshold_ms = 25.0;
-    PlannerMode planner_mode = PlannerMode::kAuto;
+  /// EngineOpenOptions with a 2048-frame pool.
+  struct OpenOptions : EngineOpenOptions {
+    OpenOptions() { pool_pages = 2048; }
   };
 
   static StatusOr<std::unique_ptr<TemporalFieldDatabase>> Build(
@@ -112,9 +86,7 @@ class TemporalFieldDatabase {
   /// Reopens a database persisted by Save; `<prefix>.wal` frames are
   /// replayed first (see OpenOptions::wal_mode).
   static StatusOr<std::unique_ptr<TemporalFieldDatabase>> Open(
-      const std::string& prefix);
-  static StatusOr<std::unique_ptr<TemporalFieldDatabase>> Open(
-      const std::string& prefix, const OpenOptions& options);
+      const std::string& prefix, const OpenOptions& options = {});
 
   /// Persists the database as `<prefix>.pages` + `<prefix>.meta`
   /// through the engine's crash-safe checkpoint pipeline.
@@ -157,15 +129,9 @@ class TemporalFieldDatabase {
   Status UpdateSnapshotCellValues(uint32_t snapshot, CellId id,
                                   const std::vector<double>& values);
 
-  /// Flushes and closes the storage (see FieldEngine::Close).
-  Status Close() { return engine_.Close(); }
-  /// Simulated power cut (tests): everything not fsynced is gone.
-  Status SimulateCrashForTest() { return engine_.SimulateCrashForTest(); }
-
   uint32_t num_slabs() const { return num_slabs_; }
   uint64_t num_subfields() const { return total_subfields_; }
   uint64_t num_cells() const { return slabs_.front().store.size(); }
-  BufferPool& pool() { return *engine_.pool(); }
   const ScalarZoneMap& slab_zone_map(uint32_t k) const {
     return slabs_[k].store.zone_map();
   }
@@ -173,23 +139,6 @@ class TemporalFieldDatabase {
   const std::vector<Subfield>& slab_subfields(uint32_t k) const {
     return slabs_[k].subfields;
   }
-  WriteAheadLog* wal() const { return engine_.wal(); }
-  EventLog* event_log() const { return engine_.event_log(); }
-  uint32_t epoch() const { return engine_.epoch(); }
-
-  void set_planner_mode(PlannerMode mode) {
-    planner_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PlannerMode planner_mode() const {
-    return planner_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// External-sort build telemetry (0 when the build never spilled).
-  uint64_t ext_spill_runs() const { return ext_spill_runs_; }
-  uint64_t ext_peak_buffered_bytes() const {
-    return ext_peak_buffered_bytes_;
-  }
-
   /// Average stats over a snapshot-query workload (cold cache per
   /// query).
   StatusOr<WorkloadStats> RunWorkload(
@@ -222,17 +171,11 @@ class TemporalFieldDatabase {
   /// (NaN reads slab 0), because PlanSnapshotQuery takes any `t`.
   uint32_t SlabAt(double t) const;
 
-  /// Shared lifecycle core; declared first so the storage outlives the
-  /// slab stores and tree at destruction.
-  FieldEngine engine_;
   uint32_t num_slabs_ = 0;
   double t_max_ = 0.0;
   uint64_t total_subfields_ = 0;
   std::vector<Slab> slabs_;
   std::unique_ptr<RStarTree<2>> tree_;
-  std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
-  uint64_t ext_spill_runs_ = 0;
-  uint64_t ext_peak_buffered_bytes_ = 0;
 };
 
 }  // namespace fielddb

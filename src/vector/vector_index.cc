@@ -38,11 +38,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
     const VectorGridField& field, const Options& options) {
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
   db->method_ = options.method;
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
-      {.page_size = options.page_size,
-       .pool_pages = options.pool_pages,
-       .page_file_factory = options.page_file_factory}));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(options));
   BufferPool* const pool = db->engine_.pool();
 
   // Hilbert-order the cells (also for LinearScan — the scan is
@@ -71,8 +67,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   StatusOr<BasicCellStore<VectorCellRecord>> store = appender.Finish();
   if (!store.ok()) return store.status();
   db->store_.emplace(std::move(store).value());
-  db->ext_spill_runs_ = sorter.spill_runs();
-  db->ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
+  db->RecordBuildSort(sorter);
 
   if (options.method == VectorIndexMethod::kIHilbert) {
     db->subfields_ =
@@ -83,9 +78,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
     db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }
 
-  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
-      options.wal_mode, options.wal_path, options.event_log_path,
-      options.slow_query_threshold_ms));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(options));
   return db;
 }
 
@@ -102,18 +95,12 @@ Status VectorFieldDatabase::SaveImpl(const std::string& prefix,
 }
 
 StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
-    const std::string& prefix) {
-  return Open(prefix, OpenOptions{});
-}
-
-StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
   auto db = std::unique_ptr<VectorFieldDatabase>(new VectorFieldDatabase());
   StatusOr<Catalog> catalog =
-      db->engine_.InitForOpen(prefix, kVectorCatalog, options.pool_pages);
+      db->engine_.InitForOpen(prefix, kVectorCatalog, options);
   if (!catalog.ok()) return catalog.status();
   db->method_ = static_cast<VectorIndexMethod>(catalog->method);
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   BufferPool* const pool = db->engine_.pool();
 
   StatusOr<BasicCellStore<VectorCellRecord>> store =
@@ -123,8 +110,9 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
   db->store_.emplace(std::move(store).value());
   db->subfields_ = std::move(catalog->vector_subfields);
   if (db->method_ == VectorIndexMethod::kIHilbert) {
-    db->tree_ = std::make_unique<RStarTree<2>>(
-        RStarTree<2>::Attach(pool, *catalog->tree));
+    StatusOr<RStarTree<2>> tree = RStarTree<2>::Attach(pool, *catalog->tree);
+    if (!tree.ok()) return tree.status();
+    db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }
 
   // Recovery: a frame carries u followed by v; logical redo through the
@@ -132,7 +120,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
   // and the zone map.
   VectorFieldDatabase* const raw = db.get();
   FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
-      prefix, options.wal_mode,
+      prefix, options,
       [raw](const WalFrame& frame) -> Status {
         if (frame.values.empty() || frame.values.size() % 2 != 0) {
           return Status::Corruption(
@@ -147,9 +135,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Open(
       },
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
-      },
-      options.event_log_path, options.slow_query_threshold_ms,
-      options.recovery_report));
+      }));
   return db;
 }
 
@@ -195,36 +181,42 @@ Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
   out->region.pieces.clear();
   out->stats = QueryStats{};
   out->plan = PlanBandQuery(query);
-  Status inner = Status::OK();
-  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
-      store_->records(), out->plan, ctx,
-      [&](std::vector<PosRange>* runs) {
-        return tree_->Search(query.AsBox(), [&](const RTreeEntry<2>& e) {
-          runs->push_back(PosRange{e.a, e.b});
-          return true;
-        });
-      },
-      [&](uint64_t, const VectorCellRecord& cell) {
-        StatusOr<size_t> pieces =
-            VectorCellIsoband(cell, query, &out->region);
-        if (!pieces.ok()) {
-          inner = pieces.status();
-          return false;
-        }
-        if (*pieces > 0) {
-          out->stats.AddAnswerCell(query.AsBox().Contains(cell.ValueBox()),
-                                   *pieces);
-        }
-        return true;
-      },
-      &out->stats));
-  FIELDDB_RETURN_IF_ERROR(inner);
-  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+  const Box<2> box = query.AsBox();
+  const auto describe = [&](EventLog::Event* event) {
     event->Add("field_type", "vector")
         .Add("query_u_min", query.u.min)
         .Add("query_u_max", query.u.max)
         .Add("query_v_min", query.v.min)
         .Add("query_v_max", query.v.max);
+  };
+  Status inner = Status::OK();
+  const auto visit = [&](uint64_t, const VectorCellRecord& cell) {
+    StatusOr<size_t> pieces = VectorCellIsoband(cell, query, &out->region);
+    if (!pieces.ok()) {
+      inner = pieces.status();
+      return false;
+    }
+    if (*pieces > 0) {
+      out->stats.AddAnswerCell(box.Contains(cell.ValueBox()), *pieces);
+    }
+    return true;
+  };
+  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+      ctx, &out->stats, [&](QueryContext* ctx) {
+        return engine_.BandScan(
+            *store_, box,
+            {.plan = out->plan.kind,
+             .ctx = ctx,
+             .stats = &out->stats,
+             .describe = describe},
+            [&](std::vector<PosRange>* runs) {
+              return SearchRunEntries(*tree_, box, runs);
+            },
+            visit);
+      }));
+  FIELDDB_RETURN_IF_ERROR(inner);
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    describe(event);
     return out->plan;
   });
   return Status::OK();

@@ -1,8 +1,6 @@
 #ifndef FIELDDB_VECTOR_VECTOR_INDEX_H_
 #define FIELDDB_VECTOR_VECTOR_INDEX_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,48 +57,20 @@ struct VectorQueryResult {
 /// shares, keyed here by (u, v) boxes; only the catalog schema, the
 /// record layout, the WAL payload and the estimation visitor are
 /// vector-specific.
-class VectorFieldDatabase {
+class VectorFieldDatabase : public ExtEngineHost {
  public:
-  struct Options {
+  /// The settings every field type shares (EngineBuildOptions) plus the
+  /// vector build's own. A logged WAL frame carries u followed by v
+  /// (2 × num_vertices samples).
+  struct Options : EngineBuildOptions {
     VectorIndexMethod method = VectorIndexMethod::kIHilbert;
     CurveType curve = CurveType::kHilbert;
     int curve_order = 16;
     VectorCostConfig cost;
-    uint32_t page_size = kDefaultPageSize;
-    size_t pool_pages = 1024;
     RStarOptions rstar;
-    /// Backing page file (defaults to MemPageFile). Fault-injection
-    /// tests wrap the file to schedule faults against the live database.
-    std::function<std::unique_ptr<PageFile>(uint32_t page_size)>
-        page_file_factory;
-    /// Initial access-path policy for band queries (see ChoosePlan).
-    PlannerMode planner_mode = PlannerMode::kAuto;
-    /// Durability for UpdateCellValues (DESIGN.md §14). Requires
-    /// `wal_path`; use `<prefix>.wal` for the prefix the database will
-    /// be saved under. A logged frame carries u followed by v
-    /// (2 × num_vertices samples).
-    WalMode wal_mode = WalMode::kOff;
-    std::string wal_path;
-    /// Structured operational event log. Empty disables it.
-    std::string event_log_path;
-    double slow_query_threshold_ms = 25.0;
-    /// Bounded-memory build (DESIGN.md §16): when nonzero, the Hilbert
-    /// linearization runs as an external merge sort under this in-RAM
-    /// budget, streaming into the store appender and the 2-D subfield
-    /// costing. Byte-identical to the unlimited build.
-    size_t build_memory_budget_bytes = 0;
   };
 
-  /// Reopen options, mirroring FieldDatabase::OpenOptions.
-  struct OpenOptions {
-    size_t pool_pages = 1024;
-    WalMode wal_mode = WalMode::kOff;
-    /// Optional out-param describing the replay (may be null).
-    EngineRecoveryReport* recovery_report = nullptr;
-    std::string event_log_path;
-    double slow_query_threshold_ms = 25.0;
-    PlannerMode planner_mode = PlannerMode::kAuto;
-  };
+  using OpenOptions = EngineOpenOptions;
 
   static StatusOr<std::unique_ptr<VectorFieldDatabase>> Build(
       const VectorGridField& field, const Options& options);
@@ -108,9 +78,7 @@ class VectorFieldDatabase {
   /// Reopens a database persisted by Save; `<prefix>.wal` frames are
   /// replayed first (see OpenOptions::wal_mode).
   static StatusOr<std::unique_ptr<VectorFieldDatabase>> Open(
-      const std::string& prefix);
-  static StatusOr<std::unique_ptr<VectorFieldDatabase>> Open(
-      const std::string& prefix, const OpenOptions& options);
+      const std::string& prefix, const OpenOptions& options = {});
 
   /// Persists the database as `<prefix>.pages` + `<prefix>.meta`
   /// through the engine's crash-safe checkpoint pipeline.
@@ -141,34 +109,12 @@ class VectorFieldDatabase {
   Status UpdateCellValues(CellId id, const std::vector<double>& u,
                           const std::vector<double>& v);
 
-  /// Flushes and closes the storage (see FieldEngine::Close).
-  Status Close() { return engine_.Close(); }
-  /// Simulated power cut (tests): everything not fsynced is gone.
-  Status SimulateCrashForTest() { return engine_.SimulateCrashForTest(); }
-
   const std::vector<VectorSubfield>& subfields() const {
     return subfields_;
   }
   uint64_t num_cells() const { return store_->size(); }
   VectorIndexMethod method() const { return method_; }
-  BufferPool& pool() { return *engine_.pool(); }
   const BoxZoneMap& zone_map() const { return store_->zone_map(); }
-  WriteAheadLog* wal() const { return engine_.wal(); }
-  EventLog* event_log() const { return engine_.event_log(); }
-  uint32_t epoch() const { return engine_.epoch(); }
-
-  void set_planner_mode(PlannerMode mode) {
-    planner_mode_.store(mode, std::memory_order_relaxed);
-  }
-  PlannerMode planner_mode() const {
-    return planner_mode_.load(std::memory_order_relaxed);
-  }
-
-  /// External-sort build telemetry (0 when the build never spilled).
-  uint64_t ext_spill_runs() const { return ext_spill_runs_; }
-  uint64_t ext_peak_buffered_bytes() const {
-    return ext_peak_buffered_bytes_;
-  }
 
   /// Average stats over a query workload (cold cache per query).
   StatusOr<WorkloadStats> RunWorkload(
@@ -185,17 +131,11 @@ class VectorFieldDatabase {
   Status ApplyCellValues(CellId id, const std::vector<double>& u,
                          const std::vector<double>& v);
 
-  /// Shared lifecycle core; declared first so the storage outlives the
-  /// store and tree at destruction.
-  FieldEngine engine_;
   VectorIndexMethod method_ = VectorIndexMethod::kIHilbert;
   /// Cells in Hilbert order, with the (u, v) zone map the planner probes.
   std::optional<BasicCellStore<VectorCellRecord>> store_;
   std::unique_ptr<RStarTree<2>> tree_;  // null for LinearScan
   std::vector<VectorSubfield> subfields_;
-  std::atomic<PlannerMode> planner_mode_{PlannerMode::kAuto};
-  uint64_t ext_spill_runs_ = 0;
-  uint64_t ext_peak_buffered_bytes_ = 0;
 };
 
 }  // namespace fielddb

@@ -31,11 +31,7 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
     const VolumeGridField& field, const Options& options) {
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
   db->method_ = options.method;
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(
-      {.page_size = options.page_size,
-       .pool_pages = options.pool_pages,
-       .page_file_factory = options.page_file_factory}));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(options));
   BufferPool* const pool = db->engine_.pool();
   db->value_range_ = field.ValueRange();
   db->voxel_volume_ = field.VoxelVolume();
@@ -66,8 +62,7 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
   StatusOr<BasicCellStore<VoxelRecord>> store = appender.Finish();
   if (!store.ok()) return store.status();
   db->store_.emplace(std::move(store).value());
-  db->ext_spill_runs_ = sorter.spill_runs();
-  db->ext_peak_buffered_bytes_ = sorter.peak_buffered_bytes();
+  db->RecordBuildSort(sorter);
 
   if (options.method == VolumeIndexMethod::kIHilbert) {
     db->subfields_ = PartitionStore(*db->store_, db->value_range_,
@@ -78,9 +73,7 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
     db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
 
-  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(
-      options.wal_mode, options.wal_path, options.event_log_path,
-      options.slow_query_threshold_ms));
+  FIELDDB_RETURN_IF_ERROR(db->engine_.FinishBuild(options));
   return db;
 }
 
@@ -99,18 +92,12 @@ Status VolumeFieldDatabase::SaveImpl(const std::string& prefix,
 }
 
 StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
-    const std::string& prefix) {
-  return Open(prefix, OpenOptions{});
-}
-
-StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
     const std::string& prefix, const OpenOptions& options) {
   auto db = std::unique_ptr<VolumeFieldDatabase>(new VolumeFieldDatabase());
   StatusOr<Catalog> catalog =
-      db->engine_.InitForOpen(prefix, kVolumeCatalog, options.pool_pages);
+      db->engine_.InitForOpen(prefix, kVolumeCatalog, options);
   if (!catalog.ok()) return catalog.status();
   db->method_ = static_cast<VolumeIndexMethod>(catalog->method);
-  db->planner_mode_.store(options.planner_mode, std::memory_order_relaxed);
   db->value_range_ = catalog->value_range;
   db->voxel_volume_ = catalog->voxel_volume;
   BufferPool* const pool = db->engine_.pool();
@@ -122,24 +109,23 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Open(
   db->store_.emplace(std::move(store).value());
   db->subfields_ = std::move(catalog->subfields);
   if (db->method_ == VolumeIndexMethod::kIHilbert) {
-    db->tree_ = std::make_unique<RStarTree<1>>(
-        RStarTree<1>::Attach(pool, *catalog->tree));
+    StatusOr<RStarTree<1>> tree = RStarTree<1>::Attach(pool, *catalog->tree);
+    if (!tree.ok()) return tree.status();
+    db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }
 
   // Recovery: logical redo through the same apply path updates took, so
   // subfield hulls, tree entries and the zone map are maintained.
   VolumeFieldDatabase* const raw = db.get();
   FIELDDB_RETURN_IF_ERROR(db->engine_.FinishOpen(
-      prefix, options.wal_mode,
+      prefix, options,
       [raw](const WalFrame& frame) -> Status {
         return raw->ApplyVoxelValues(static_cast<VoxelId>(frame.cell_id),
                                      frame.values);
       },
       [raw, &prefix]() {
         return raw->SaveImpl(prefix, SnapshotCrashPoint::kNone);
-      },
-      options.event_log_path, options.slow_query_threshold_ms,
-      options.recovery_report));
+      }));
   return db;
 }
 
@@ -176,29 +162,36 @@ Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
   out->volume = 0.0;
   out->stats = QueryStats{};
   out->plan = PlanBandQuery(band);
-  FIELDDB_RETURN_IF_ERROR(engine_.RunStoreQuery(
-      store_->records(), out->plan, ctx,
-      [&](std::vector<PosRange>* runs) {
-        return tree_->Search(BoxFromInterval(band),
-                             [&](const RTreeEntry<1>& e) {
-                               runs->push_back(PosRange{e.a, e.b});
-                               return true;
-                             });
-      },
-      [&](uint64_t, const VoxelRecord& voxel) {
-        if (!voxel.Interval().Intersects(band)) return true;
-        const double fraction = VoxelBandFraction(voxel.w, band);
-        if (fraction > 0.0) {
-          out->volume += fraction * voxel_volume_;
-          out->stats.AddAnswerCell(band.Contains(voxel.Interval()));
-        }
-        return true;
-      },
-      &out->stats));
-  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+  const auto describe = [&](EventLog::Event* event) {
     event->Add("field_type", "volume")
         .Add("query_min", band.min)
         .Add("query_max", band.max);
+  };
+  // The zone filter hands over only voxels whose interval meets the
+  // band.
+  const auto visit = [&](uint64_t, const VoxelRecord& voxel) {
+    const double fraction = VoxelBandFraction(voxel.w, band);
+    if (fraction > 0.0) {
+      out->volume += fraction * voxel_volume_;
+      out->stats.AddAnswerCell(band.Contains(voxel.Interval()));
+    }
+    return true;
+  };
+  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+      ctx, &out->stats, [&](QueryContext* ctx) {
+        return engine_.BandScan(
+            *store_, band,
+            {.plan = out->plan.kind,
+             .ctx = ctx,
+             .stats = &out->stats,
+             .describe = describe},
+            [&](std::vector<PosRange>* runs) {
+              return SearchRunEntries(*tree_, BoxFromInterval(band), runs);
+            },
+            visit);
+      }));
+  engine_.MaybeLogSlowQuery(out->stats, [&](EventLog::Event* event) {
+    describe(event);
     return out->plan;
   });
   return Status::OK();

@@ -442,55 +442,6 @@ TEST(TemporalCatalogTest, SlabBeyondThePageFileRejected) {
   }
 }
 
-// --- The tree's height against its root ------------------------------
-
-TEST(TreeHeightTest, EditedHeightRefusedByTheFirstUpdate) {
-  // Open reads the `tree` line but not the root page, so an edited
-  // height still opens and answers queries. The first update must then
-  // refuse it before sizing anything from it or writing it back.
-  std::vector<double> samples;
-  for (uint32_t j = 0; j <= 64; ++j) {
-    for (uint32_t i = 0; i <= 64; ++i) samples.push_back(double(i * j % 97));
-  }
-  const GridField grid =
-      GridField::Create(64, 64, Rect2{{0, 0}, {1, 1}}, samples).value();
-  FieldDatabaseOptions options;
-  options.method = IndexMethod::kIAll;
-  const std::string prefix = ::testing::TempDir() + "/fielddb_catalog_height";
-  ASSERT_TRUE(FieldDatabase::Build(grid, options).value()->Save(prefix).ok());
-  const std::vector<std::string> intact =
-      SplitLines(ReadFile(prefix + ".meta"));
-
-  // "tree ROOT HEIGHT SIZE NODES": 4,096 entries make a two-level tree.
-  for (const char* height : {"2", "0", "7", "4000000000"}) {
-    std::vector<std::string> lines = intact;
-    for (std::string& line : lines) {
-      std::vector<std::string> tokens = SplitTokens(line);
-      if (tokens[0] != "tree") continue;
-      ASSERT_EQ(tokens[2], "2");
-      tokens[2] = height;
-      line = JoinTokens(tokens);
-    }
-    WriteFile(prefix + ".meta", JoinLines(lines));
-    StatusOr<std::unique_ptr<FieldDatabase>> db = FieldDatabase::Open(prefix);
-    ASSERT_TRUE(db.ok()) << height << ": " << db.status().ToString();
-    ValueQueryResult result;
-    EXPECT_TRUE(QueryOne(**db, ValueInterval{10, 20}, &result).ok());
-    const Status update = (*db)->UpdateCellValues(0, {50, 60, 70, 80});
-    if (std::string(height) == "2") {
-      EXPECT_TRUE(update.ok()) << update.ToString();
-    } else {
-      EXPECT_EQ(update.code(), StatusCode::kCorruption)
-          << height << ": " << update.ToString();
-      EXPECT_NE(update.message().find("height"), std::string::npos)
-          << update.ToString();
-    }
-  }
-  for (const char* suffix : {".pages", ".meta"}) {
-    std::remove((prefix + suffix).c_str());
-  }
-}
-
 // --- Stored records and cell counts against the catalog ----------------
 
 /// Saves the 64x64 fractal (seed 3) under `method` at `prefix`, with or
@@ -521,6 +472,89 @@ void EditCatalogLine(const std::string& prefix, const std::string& key,
     if (line.rfind(key + " ", 0) == 0) line = key + " " + value;
   }
   WriteFile(prefix + ".meta", JoinLines(lines));
+}
+
+/// Rewrites token `index` (the key is token 0) of the `key` line of
+/// the catalog at `prefix`.
+void EditCatalogToken(const std::string& prefix, const std::string& key,
+                      size_t index, const std::string& value) {
+  std::vector<std::string> lines = SplitLines(ReadFile(prefix + ".meta"));
+  for (std::string& line : lines) {
+    std::vector<std::string> tokens = SplitTokens(line);
+    if (tokens.empty() || tokens[0] != key) continue;
+    tokens.at(index) = value;
+    line = JoinTokens(tokens);
+  }
+  WriteFile(prefix + ".meta", JoinLines(lines));
+}
+
+// --- Trees against their catalog lines ---------------------------------
+
+TEST(TreeCatalogTest, EditedHeightRefusedAtOpen) {
+  // "tree ROOT HEIGHT SIZE NODES": I-All's 4,096 entries make a
+  // two-level tree. An edited height used to open and answer, and the
+  // planner priced the index from it (427.92 ms instead of 162.28 ms at
+  // 4e9); Open now reads the root page and refuses it.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_tree_height";
+  SaveFractal(IndexMethod::kIAll, /*spatial=*/true, prefix);
+  for (const char* height : {"0", "1", "3", "7", "4000000000"}) {
+    EditCatalogToken(prefix, "tree", 2, height);
+    const Status s = FieldDatabase::Open(prefix).status();
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << height;
+    EXPECT_NE(s.message().find("height"), std::string::npos) << s.ToString();
+  }
+  EditCatalogToken(prefix, "tree", 2, "2");
+  auto db = FieldDatabase::Open(prefix);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ValueQueryResult result;
+  ASSERT_TRUE(QueryOne(**db, ValueInterval{0.6, 0.65}, &result).ok());
+  EXPECT_EQ(result.stats.answer_cells, 312u);
+  EXPECT_TRUE((*db)->UpdateCellValues(0, {0.1, 0.2, 0.3, 0.4}).ok());
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(TreeCatalogTest, ExtensionEditedHeightRefusedAtOpen) {
+  const std::string prefix = ::testing::TempDir() + "/fielddb_vec_height";
+  auto built = VectorFieldDatabase::Build(TinyVectorField(), {});
+  ASSERT_TRUE(built.ok());
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  built->reset();
+  EditCatalogToken(prefix, "tree", 2, "4000000000");
+  const Status s = VectorFieldDatabase::Open(prefix).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("height"), std::string::npos) << s.ToString();
+  EditCatalogToken(prefix, "tree", 2, "1");
+  EXPECT_TRUE(VectorFieldDatabase::Open(prefix).ok());
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(TreeCatalogTest, TreeSizeDisagreeingWithTheSubfieldTableRefused) {
+  // A subfield tree holds one entry per `sf` row; an edited size used
+  // to open and answer.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_tree_size";
+  SaveFractal(IndexMethod::kIHilbert, /*spatial=*/true, prefix);
+  const std::vector<std::string> tree = [&] {
+    for (const std::string& line : SplitLines(ReadFile(prefix + ".meta"))) {
+      if (line.rfind("tree ", 0) == 0) return SplitTokens(line);
+    }
+    return std::vector<std::string>{};
+  }();
+  ASSERT_EQ(tree.size(), 5u);
+  for (const char* size : {"99999", "1"}) {
+    EditCatalogToken(prefix, "tree", 3, size);
+    const Status s = FieldDatabase::Open(prefix).status();
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << size;
+    EXPECT_NE(s.message().find("'tree'"), std::string::npos) << s.ToString();
+  }
+  EditCatalogToken(prefix, "tree", 3, tree[3]);
+  EXPECT_TRUE(FieldDatabase::Open(prefix).ok());
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
 }
 
 TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {

@@ -340,12 +340,27 @@ TEST(RStarTreeTest, AttachReopensTree) {
   // A fresh pool over the same file, attached via persisted meta.
   ASSERT_TRUE(pool.Flush().ok());
   BufferPool pool2(&file, 256);
-  RStarTree<1> reopened = RStarTree<1>::Attach(&pool2, meta);
-  ASSERT_TRUE(reopened.CheckInvariants().ok());
+  auto reopened = RStarTree<1>::Attach(&pool2, meta);
+  ASSERT_TRUE(reopened.ok());
+  ASSERT_TRUE(reopened->CheckInvariants().ok());
   for (int qi = 0; qi < 20; ++qi) {
     const Box<1> q = RandomBox<1>(rng, 0.2);
-    EXPECT_EQ(TreeSearch(reopened, q), BruteForceSearch(entries, q));
+    EXPECT_EQ(TreeSearch(*reopened, q), BruteForceSearch(entries, q));
   }
+  // A height that contradicts the root page is refused at Attach, and
+  // reading the root there moved no frame into the pool.
+  const size_t resident = pool2.num_frames();
+  const uint64_t logical = pool2.stats().logical_reads;
+  for (const uint32_t height : {0u, meta.height - 1, meta.height + 1,
+                                4000000000u}) {
+    RStarMeta edited = meta;
+    edited.height = height;
+    EXPECT_EQ(RStarTree<1>::Attach(&pool2, edited).status().code(),
+              StatusCode::kCorruption)
+        << height;
+  }
+  EXPECT_EQ(pool2.num_frames(), resident);
+  EXPECT_EQ(pool2.stats().logical_reads, logical);
 }
 
 TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {

@@ -178,6 +178,28 @@ TEST(ShardRouterTest, OutOfRangeQuerySkipsEveryShard) {
   EXPECT_EQ(stats.io.logical_reads, 0u);
 }
 
+TEST(ShardRouterTest, ValueRangeIsTheShardsHull) {
+  // Samples in [100, 200]: a hull folded from [0, 0] reported [0, 200].
+  std::vector<double> samples;
+  for (uint32_t j = 0; j <= 32; ++j) {
+    for (uint32_t i = 0; i <= 32; ++i) {
+      samples.push_back(100.0 + double((i * 7 + j * 13) % 101));
+    }
+  }
+  const GridField field =
+      GridField::Create(32, 32, Rect2{{0, 0}, {1, 1}}, samples).value();
+  auto single = FieldDatabase::Build(field);
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ((*single)->value_range(), (ValueInterval{100.0, 200.0}));
+  for (const uint32_t shards : {1u, 2u, 4u}) {
+    ShardRouterOptions ro;
+    ro.shards = shards;
+    auto router = ShardRouter::Build(field, ro);
+    ASSERT_TRUE(router.ok());
+    EXPECT_EQ((*router)->value_range(), (*single)->value_range()) << shards;
+  }
+}
+
 TEST(ShardRouterTest, RefusesWhatOneDatabaseRefuses) {
   const GridField field = MakeTestField();
   auto db = FieldDatabase::Build(field, ShardRouterOptions{}.db);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -176,6 +178,42 @@ TEST(ZoneMapAttachTest, AttachRebuildsZoneMap) {
   ExpectZoneMapMatchesRecords(*attached);
 }
 
+TEST(BoxZoneMapTest, FilterRangeIsFilterRangesRestrictedToTheRun) {
+  // Random (u, v) boxes: the vector store's zone map.
+  Rng rng(53);
+  BoxZoneMap zones;
+  for (int i = 0; i < 700; ++i) {
+    const double u = rng.NextDouble(0, 10);
+    const double v = rng.NextDouble(0, 10);
+    Box<2> box;
+    box.lo = {u, v};
+    box.hi = {u + rng.NextDouble(0, 2), v + rng.NextDouble(0, 2)};
+    zones.Append(box);
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    const double u = rng.NextDouble(-1, 11);
+    const double v = rng.NextDouble(-1, 11);
+    Box<2> query;
+    query.lo = {u, v};
+    query.hi = {u + rng.NextDouble(0, 4), v + rng.NextDouble(0, 4)};
+    const uint64_t begin = rng.NextBounded(zones.size());
+    const uint64_t end = begin + rng.NextBounded(zones.size() - begin + 1);
+    const PosRange run{begin, end};
+
+    std::vector<PosRange> all;
+    zones.FilterRanges(query, &all);
+    std::vector<PosRange> expect;
+    for (const PosRange& r : all) {
+      const PosRange cut{std::max(r.begin, run.begin),
+                         std::min(r.end, run.end)};
+      if (cut.begin < cut.end) expect.push_back(cut);
+    }
+    std::vector<PosRange> got;
+    zones.FilterRange(run, query, &got);
+    EXPECT_EQ(got, expect) << "iter " << iter;
+  }
+}
+
 TEST(ScanRangesFilteredTest, VisitsExactlyMatchingSlotsAndCountsSkips) {
   FractalOptions fo;
   fo.size_exp = 5;  // 1024 cells
@@ -252,9 +290,10 @@ TEST(ScanRangesTest, ReadaheadPreservesIoTotals) {
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
 
-  // Two pools over the same file contents: one walks runs with the
-  // readahead path, the other with the plain per-page scan. Their
-  // logical and physical totals must agree exactly.
+  // Two passes over the same file contents: one walks runs with the
+  // readahead path (a band covering every cell, so the zone map skips
+  // nothing), the other with the plain per-page scan. Their logical and
+  // physical totals must agree exactly.
   MemPageFile file;
   BufferPool pool(&file, 256);
   auto store = CellStore::Build(&pool, *field, {});
@@ -264,13 +303,16 @@ TEST(ScanRangesTest, ReadaheadPreservesIoTotals) {
 
   ASSERT_TRUE(pool.Clear().ok());
   pool.ResetStats();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   uint64_t seen_ranges = 0;
   ASSERT_TRUE(store
-                  ->records().ScanRanges(runs.data(), runs.size(),
-                               [&](uint64_t, const CellRecord&) {
-                                 ++seen_ranges;
-                                 return true;
-                               })
+                  ->records().ScanRangesFiltered(
+                      runs.data(), runs.size(), store->zone_map(),
+                      ValueInterval{-kInf, kInf}, /*skipped=*/nullptr,
+                      [&](uint64_t, const CellRecord&) {
+                        ++seen_ranges;
+                        return true;
+                      })
                   .ok());
   const IoStats with_readahead = pool.stats();
 

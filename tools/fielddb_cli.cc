@@ -972,11 +972,10 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      VolumeFieldDatabase::OpenOptions oo;
-      oo.planner_mode = mode;
-      auto reopened = VolumeFieldDatabase::Open(out, oo);
+      auto reopened = VolumeFieldDatabase::Open(out);
       if (!reopened.ok()) return Fail(reopened.status());
       db = std::move(reopened);
+      (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
     }
@@ -1019,11 +1018,10 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      VectorFieldDatabase::OpenOptions oo;
-      oo.planner_mode = mode;
-      auto reopened = VectorFieldDatabase::Open(out, oo);
+      auto reopened = VectorFieldDatabase::Open(out);
       if (!reopened.ok()) return Fail(reopened.status());
       db = std::move(reopened);
+      (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
     }
@@ -1077,11 +1075,10 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      TemporalFieldDatabase::OpenOptions oo;
-      oo.planner_mode = mode;
-      auto reopened = TemporalFieldDatabase::Open(out, oo);
+      auto reopened = TemporalFieldDatabase::Open(out);
       if (!reopened.ok()) return Fail(reopened.status());
       db = std::move(reopened);
+      (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
     }
