@@ -53,19 +53,26 @@ uint32_t PeekPagesEpoch(const std::string& path) {
   return epoch;
 }
 
-/// The band scan's instruments, looked up together by the first scan so
-/// a metrics dump lists every one of them from then on.
-struct BandScanMetrics {
+/// The db.* counters the engine increments, looked up together (in the
+/// order FieldEngine::RegisterMetrics documents) so a metrics dump lists
+/// every one of them from the first lookup on.
+struct EngineMetrics {
+  Counter* index_fallbacks;
+  Counter* scrub_pages;
+  Counter* scrub_corrupt_pages;
+  Counter* zonemap_cells_skipped;
   Counter* plans_scan;
   Counter* plans_index;
-  Counter* index_fallbacks;
 
-  static const BandScanMetrics& Get() {
-    static const BandScanMetrics m = [] {
+  static const EngineMetrics& Get() {
+    static const EngineMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Default();
-      return BandScanMetrics{reg.GetCounter("db.plans_scan"),
-                             reg.GetCounter("db.plans_index"),
-                             reg.GetCounter("db.index_fallbacks")};
+      return EngineMetrics{reg.GetCounter("db.index_fallbacks"),
+                           reg.GetCounter("db.scrub_pages"),
+                           reg.GetCounter("db.scrub_corrupt_pages"),
+                           reg.GetCounter("db.zonemap_cells_skipped"),
+                           reg.GetCounter("db.plans_scan"),
+                           reg.GetCounter("db.plans_index")};
     }();
     return m;
   }
@@ -392,8 +399,14 @@ Status FieldEngine::FinishOpen(
   return Status::OK();
 }
 
+void engine_internal::AddZoneSkips(uint64_t skipped) {
+  EngineMetrics::Get().zonemap_cells_skipped->Increment(skipped);
+}
+
+void FieldEngine::RegisterMetrics() { EngineMetrics::Get(); }
+
 void FieldEngine::CountPlan(PlanKind kind) {
-  const BandScanMetrics& m = BandScanMetrics::Get();
+  const EngineMetrics& m = EngineMetrics::Get();
   (kind == PlanKind::kFusedScan ? m.plans_scan : m.plans_index)->Increment();
 }
 
@@ -401,7 +414,7 @@ void FieldEngine::RecordIndexFallback(
     const Status& error,
     const std::function<void(EventLog::Event*)>& describe) const {
   index_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  BandScanMetrics::Get().index_fallbacks->Increment();
+  EngineMetrics::Get().index_fallbacks->Increment();
   if (event_log_ == nullptr) return;
   EventLog::Event event("corruption_fallback");
   if (describe) describe(&event);
@@ -455,9 +468,7 @@ StatusOr<WorkloadStats> FieldEngine::RunWorkload(
 
 Status FieldEngine::ScrubPages(uint64_t* pages_checked,
                                std::vector<PageId>* corrupt_pages) {
-  MetricsRegistry& reg = MetricsRegistry::Default();
-  Counter* const scrub_pages = reg.GetCounter("db.scrub_pages");
-  Counter* const scrub_corrupt = reg.GetCounter("db.scrub_corrupt_pages");
+  const EngineMetrics& m = EngineMetrics::Get();
   // Dirty frames shadow the file contents; push them down first so the
   // walk verifies what a reopen would actually read.
   FIELDDB_RETURN_IF_ERROR(pool_->Flush());
@@ -469,10 +480,10 @@ Status FieldEngine::ScrubPages(uint64_t* pages_checked,
       s = file_->VerifyPage(id);
     }
     ++*pages_checked;
-    scrub_pages->Increment();
+    m.scrub_pages->Increment();
     if (s.code() == StatusCode::kCorruption) {
       corrupt_pages->push_back(id);
-      scrub_corrupt->Increment();
+      m.scrub_corrupt_pages->Increment();
     } else if (!s.ok()) {
       return s;  // persistent I/O error: the medium, not the data
     }

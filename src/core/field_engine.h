@@ -14,9 +14,9 @@
 #include "core/catalog.h"
 #include "core/query_context.h"
 #include "core/stats.h"
+#include "index/cell_store.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
-#include "plan/operators.h"
 #include "plan/planner.h"
 #include "storage/buffer_pool.h"
 #include "storage/io_sink.h"
@@ -144,6 +144,72 @@ struct EngineOpenOptions {
   std::string event_log_path;
   double slow_query_threshold_ms = 25.0;
 };
+
+namespace engine_internal {
+
+/// Counts zone-filtered slots into db.zonemap_cells_skipped
+/// (out-of-line so the header does not pull in the metrics registry).
+void AddZoneSkips(uint64_t skipped);
+
+}  // namespace engine_internal
+
+/// The fetch and estimate steps of every band scan, over the store of
+/// any field type: walks the given runs through
+/// RecordStore::ScanRangesFiltered over the store's pages and zone map
+/// (readahead batches, zone-map slot filtering against `zone`, a value
+/// interval or a (u, v) box) feeding each matching record to `visit`,
+/// reported as a "fetch" span on `ctx->io`. On traced runs the
+/// visitor's own work is timed per record, deducted from the fetch
+/// span, and reported as a separate zero-I/O "estimate" span — the
+/// fetch span is then pure retrieval. `stats->candidate_cells` must be
+/// final before the scan on indexed plans (the span items are read from
+/// it after the walk, so fused visitors that count candidates while
+/// scanning also report right).
+///
+/// Statically bound visitor (no std::function on the per-record path);
+/// pass visitors whose state must survive — EstimateOp — as lvalues.
+template <typename Record, typename Visitor>
+Status ScanStoreRuns(const BasicCellStore<Record>& store,
+                     const typename BasicCellStore<Record>::Key& zone,
+                     const PosRange* ranges, size_t num_ranges,
+                     QueryContext* ctx, QueryTrace* trace,
+                     const char* fetch_detail, QueryStats* stats,
+                     Visitor&& visit) {
+  double est_seconds = 0.0;
+  uint64_t skipped = 0;
+  Status scan;
+  {
+    ScopedSpan fetch(trace, "fetch", &ctx->io);
+    if (trace == nullptr) {
+      scan = store.records().ScanRangesFiltered(
+          ranges, num_ranges, store.zone_map(), zone, &skipped, visit);
+    } else {
+      scan = store.records().ScanRangesFiltered(
+          ranges, num_ranges, store.zone_map(), zone, &skipped,
+          [&](uint64_t pos, const Record& record) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const bool keep_going = visit(pos, record);
+            est_seconds += std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+            return keep_going;
+          });
+    }
+    fetch.set_items(stats->candidate_cells);
+    if (fetch_detail != nullptr) fetch.set_detail(fetch_detail);
+    fetch.DeductWallSeconds(est_seconds);
+  }
+  FIELDDB_RETURN_IF_ERROR(scan);
+  engine_internal::AddZoneSkips(skipped);
+  if (trace != nullptr) {
+    TraceSpan span;
+    span.name = "estimate";
+    span.wall_seconds = est_seconds;
+    span.items = stats->answer_cells;
+    trace->AddSpan(std::move(span));
+  }
+  return Status::OK();
+}
 
 /// One band scan (FieldEngine::BandScan): the plan it runs, where it
 /// records, and what it is charged to.
@@ -397,6 +463,14 @@ class FieldEngine {
   uint64_t index_fallbacks() const {
     return index_fallbacks_.load(std::memory_order_relaxed);
   }
+
+  /// Registers the db.* counters the engine increments (band scans,
+  /// fallbacks, scrubs) in one fixed order; any later lookup registers
+  /// the rest. FieldDatabase's metrics call this between their own
+  /// registrations: that order is what keeps perfbench's terrain_warm
+  /// peak RSS where it is (registering these lazily, on the first scan,
+  /// measured about 13% higher), so keep the call where it is.
+  static void RegisterMetrics();
 
  private:
   /// Counts a band scan's plan into db.plans_scan or db.plans_index.

@@ -1,13 +1,12 @@
 #ifndef FIELDDB_PLAN_OPERATORS_H_
 #define FIELDDB_PLAN_OPERATORS_H_
 
-#include <chrono>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "common/simd/interval_filter.h"
 #include "common/status.h"
+#include "core/field_engine.h"
 #include "core/query_context.h"
 #include "core/stats.h"
 #include "field/isoband.h"
@@ -70,75 +69,6 @@ class EstimateOp {
   bool count_candidates_;
   Status status_;
 };
-
-namespace plan_internal {
-
-/// Counts zone-filtered slots into the db.zonemap_cells_skipped metric
-/// (out-of-line so the header does not pull in the metrics registry).
-void AddZoneSkips(uint64_t skipped);
-
-inline double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace plan_internal
-
-/// ScanOp — candidate retrieval as an operator, over the store of any
-/// field type: walks the given runs through
-/// RecordStore::ScanRangesFiltered over the store's pages and zone map
-/// (readahead batches, zone-map slot filtering against `zone`, a value
-/// interval or a (u, v) box) feeding each matching record to `visit`,
-/// reported as a "fetch" span on `ctx->io`. On traced runs the
-/// visitor's own work is timed per record, deducted from the fetch
-/// span, and reported as a separate zero-I/O "estimate" span — the
-/// fetch span is then pure retrieval. `stats->candidate_cells` must be
-/// final before the scan on indexed plans (the span items are read from
-/// it after the walk, so fused visitors that count candidates while
-/// scanning also report right).
-///
-/// Statically bound visitor (no std::function on the per-record path);
-/// pass visitors whose state must survive — EstimateOp — as lvalues.
-template <typename Record, typename Visitor>
-Status ScanStoreRuns(const BasicCellStore<Record>& store,
-                     const typename BasicCellStore<Record>::Key& zone,
-                     const PosRange* ranges, size_t num_ranges,
-                     QueryContext* ctx, QueryTrace* trace,
-                     const char* fetch_detail, QueryStats* stats,
-                     Visitor&& visit) {
-  double est_seconds = 0.0;
-  uint64_t skipped = 0;
-  Status scan;
-  {
-    ScopedSpan fetch(trace, "fetch", &ctx->io);
-    if (trace == nullptr) {
-      scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, &skipped, visit);
-    } else {
-      scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, &skipped,
-          [&](uint64_t pos, const Record& record) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const bool keep_going = visit(pos, record);
-            est_seconds += plan_internal::SecondsSince(t0);
-            return keep_going;
-          });
-    }
-    fetch.set_items(stats->candidate_cells);
-    if (fetch_detail != nullptr) fetch.set_detail(fetch_detail);
-    fetch.DeductWallSeconds(est_seconds);
-  }
-  FIELDDB_RETURN_IF_ERROR(scan);
-  plan_internal::AddZoneSkips(skipped);
-  if (trace != nullptr) {
-    TraceSpan span;
-    span.name = "estimate";
-    span.wall_seconds = est_seconds;
-    span.items = stats->answer_cells;
-    trace->AddSpan(std::move(span));
-  }
-  return Status::OK();
-}
 
 /// ScanStoreRuns over the grid's cell store. Kept for the external
 /// benchmark program only, which replays a query's scan on its own;

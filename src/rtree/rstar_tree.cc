@@ -59,10 +59,10 @@ StatusOr<RStarTree<Dim>> RStarTree<Dim>::Attach(BufferPool* pool,
   RStarTree tree(pool, options);
   tree.meta_ = meta;
   Page root(pool->file()->page_size());
-  if (!pool->TryGetResident(meta.root, &root)) {
-    FIELDDB_RETURN_IF_ERROR(pool->file()->Read(meta.root, &root));
+  if (pool->TryGetResident(meta.root, &root) ||
+      pool->file()->Read(meta.root, &root).ok()) {
+    FIELDDB_RETURN_IF_ERROR(tree.CheckHeight(root));
   }
-  FIELDDB_RETURN_IF_ERROR(tree.CheckHeight(root));
   return tree;
 }
 

@@ -71,7 +71,12 @@ class RStarTree {
   /// every descent, and the planner's price of one, sizes itself from
   /// the height, which an edited catalog can set to any value. The root
   /// is read as a checkpoint copies a page — a resident frame, else the
-  /// file — so attaching moves no frame and no pool counter.
+  /// file — so attaching moves no frame and no pool counter. Only a root
+  /// that reads cleanly can contradict the height: one that does not (a
+  /// checksum failure, an I/O error) attaches unchecked, because the
+  /// tree only accelerates the store. Searches then report the failure
+  /// (a corrupt page makes the band scan fall back to the store), and
+  /// Insert/Delete re-check the height before writing.
   static StatusOr<RStarTree> Attach(BufferPool* pool, const RStarMeta& meta,
                                     const RStarOptions& options = {});
 

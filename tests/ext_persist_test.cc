@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "storage/page_file.h"
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
@@ -489,6 +490,102 @@ TEST(TemporalPersistTest, SubfieldTableMustTileStore) {
   const auto opened = TemporalFieldDatabase::Open(prefix);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  Cleanup(prefix);
+}
+
+// --- Corrupt tree root ------------------------------------------------
+// The subfield tree only accelerates the store: a root that fails its
+// checksum must not stop Open, and an indexed query falls back to the
+// full store scan with the intact database's answers.
+
+// Flips a payload byte of the page the catalog names as the tree root.
+void CorruptTreeRoot(const std::string& prefix) {
+  std::ifstream meta(prefix + ".meta");
+  uint64_t page_size = 0;
+  uint64_t root = 0;
+  for (std::string key; meta >> key; std::getline(meta, key)) {
+    if (key == "page_size") meta >> page_size;
+    if (key == "tree") meta >> root;
+  }
+  ASSERT_NE(page_size, 0u);
+  ASSERT_NE(root, 0u);  // the store comes first, the tree after it
+  // epoch 0 = skip the epoch check; we want raw byte access only.
+  auto f = DiskPageFile::Open(prefix + ".pages",
+                              static_cast<uint32_t>(page_size), 0);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->CorruptRawForTest(root, kPageHeaderSize + 50, 0x08).ok());
+}
+
+TEST(CorruptTreeRootTest, VectorOpensAndFallsBack) {
+  const std::string prefix = TestPrefix("root_vec");
+  Cleanup(prefix);
+  VectorFieldDatabase::Options options;
+  options.method = VectorIndexMethod::kIHilbert;
+  auto built = VectorFieldDatabase::Build(MakeAffineVectorField(12), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  CorruptTreeRoot(prefix);
+
+  auto opened = VectorFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+  const VectorBandQuery q{{0.4, 0.6}, {-0.1, 0.1}};
+  VectorQueryResult expected, actual;
+  ASSERT_TRUE((*built)->BandQuery(q, &expected).ok());
+  ASSERT_TRUE((*opened)->BandQuery(q, &actual).ok());
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_DOUBLE_EQ(actual.region.TotalArea(), expected.region.TotalArea());
+  opened->reset();
+  Cleanup(prefix);
+}
+
+TEST(CorruptTreeRootTest, VolumeOpensAndFallsBack) {
+  const std::string prefix = TestPrefix("root_vol");
+  Cleanup(prefix);
+  const VolumeGridField field = MakeVolume();
+  VolumeFieldDatabase::Options options;
+  options.method = VolumeIndexMethod::kIHilbert;
+  auto built = VolumeFieldDatabase::Build(field, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  CorruptTreeRoot(prefix);
+
+  auto opened = VolumeFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+  const ValueInterval range = field.ValueRange();
+  const ValueInterval band{range.min + 0.45 * (range.max - range.min),
+                           range.min + 0.55 * (range.max - range.min)};
+  VolumeQueryResult expected, actual;
+  ASSERT_TRUE((*built)->BandQuery(band, &expected).ok());
+  ASSERT_TRUE((*opened)->BandQuery(band, &actual).ok());
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_DOUBLE_EQ(actual.volume, expected.volume);
+  opened->reset();
+  Cleanup(prefix);
+}
+
+TEST(CorruptTreeRootTest, TemporalOpensAndFallsBack) {
+  const std::string prefix = TestPrefix("root_temp");
+  Cleanup(prefix);
+  auto built = TemporalFieldDatabase::Build(MakeDriftingRamp(8, 4), {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  CorruptTreeRoot(prefix);
+
+  auto opened = TemporalFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+  const ValueInterval band{4.0, 9.0};
+  ValueQueryResult expected, actual;
+  ASSERT_TRUE((*built)->SnapshotValueQuery(1.5, band, &expected).ok());
+  ASSERT_TRUE((*opened)->SnapshotValueQuery(1.5, band, &actual).ok());
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_DOUBLE_EQ(actual.region.TotalArea(), expected.region.TotalArea());
+  opened->reset();
   Cleanup(prefix);
 }
 

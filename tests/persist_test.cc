@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "core/explain.h"
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/monotonic.h"
@@ -293,6 +296,69 @@ TEST_F(MetaValidationTest, CorruptStorePageFailsOpenWithChecksumError) {
   EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
   EXPECT_NE(db.status().message().find("checksum"), std::string::npos)
       << db.status().ToString();
+}
+
+TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
+  // The trees only accelerate the store: a value-tree or spatial-tree
+  // root that fails its checksum must not stop Open. Value queries fall
+  // back to the full store scan with identical answers, EXPLAIN reports
+  // the degradation, and scrub lists both roots.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_corrupt_root";
+  FractalOptions fo;
+  fo.size_exp = 5;
+  auto field = MakeFractalField(fo);
+  ASSERT_TRUE(field.ok());
+  FieldDatabaseOptions options;
+  options.method = IndexMethod::kIHilbert;
+  auto intact = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_TRUE((*intact)->Save(prefix).ok());
+
+  const std::string meta = prefix + ".meta";
+  std::vector<PageId> roots = {MetaValueOf(meta, "tree"),
+                               MetaValueOf(meta, "spatial")};
+  std::sort(roots.begin(), roots.end());
+  {
+    // epoch 0 = skip the epoch check; we want raw byte access only.
+    auto f = DiskPageFile::Open(
+        prefix + ".pages",
+        static_cast<uint32_t>(MetaValueOf(meta, "page_size")), 0);
+    ASSERT_TRUE(f.ok());
+    for (const PageId root : roots) {
+      ASSERT_TRUE((*f)->CorruptRawForTest(root, kPageHeaderSize + 50, 0x08)
+                      .ok());
+    }
+  }
+  auto db = FieldDatabase::Open(prefix);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  (*db)->set_planner_mode(PlannerMode::kForceIndex);
+
+  const auto queries = GenerateValueQueries(field->ValueRange(),
+                                            WorkloadOptions{0.04, 10, 23});
+  for (const ValueInterval& q : queries) {
+    ValueQueryResult expected, degraded;
+    ASSERT_TRUE(QueryOne(**intact, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**db, q, &degraded).ok());
+    EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
+    EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
+    EXPECT_NEAR(degraded.region.TotalArea(), expected.region.TotalArea(),
+                1e-9);
+  }
+  EXPECT_EQ((*db)->index_fallbacks(), queries.size());
+
+  ExplainResult explain;
+  ASSERT_TRUE(ExplainValueQuery(**db, queries[0], &explain).ok());
+  EXPECT_NE(explain.ToString().find("DEGRADED:"), std::string::npos)
+      << explain.ToString();
+
+  FieldDatabase::ScrubReport report;
+  ASSERT_TRUE((*db)->Scrub(&report).ok());
+  EXPECT_EQ(report.corrupt_pages, roots);
+
+  db->reset();
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
 }
 
 // Drops the second catalog line keyed `key` and decrements the
