@@ -41,8 +41,9 @@ int main(int argc, char** argv) {
       // Hold the pool's byte budget constant across page sizes.
       options.pool_pages = (4u << 20) / page_size;
       options.build_spatial_index = false;
+      // Explicit cell records, the figure benches' storage model.
       StatusOr<std::unique_ptr<FieldDatabase>> db =
-          FieldDatabase::Build(*terrain, options);
+          FieldDatabase::Build(ExplicitCellsField(*terrain), options);
       if (!db.ok()) {
         std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
         return 1;

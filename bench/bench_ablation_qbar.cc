@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
     options.method = IndexMethod::kIHilbert;
     options.build_spatial_index = false;
     options.ihilbert.cost.avg_query_fraction = qbar;
+    // Explicit cell records, the figure benches' storage model.
     StatusOr<std::unique_ptr<FieldDatabase>> db =
-        FieldDatabase::Build(*terrain, options);
+        FieldDatabase::Build(ExplicitCellsField(*terrain), options);
     if (!db.ok()) {
       std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
       return 1;

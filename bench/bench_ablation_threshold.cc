@@ -25,8 +25,9 @@ struct Row {
 StatusOr<Row> Measure(const GridField& field,
                       const FieldDatabaseOptions& options,
                       const char* label, uint32_t num_queries) {
+  // Explicit cell records, the figure benches' storage model.
   StatusOr<std::unique_ptr<FieldDatabase>> db =
-      FieldDatabase::Build(field, options);
+      FieldDatabase::Build(ExplicitCellsField(field), options);
   if (!db.ok()) return db.status();
   WorkloadOptions wo;
   wo.num_queries = num_queries;

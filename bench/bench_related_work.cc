@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
     FieldDatabaseOptions options;
     options.method = method;
     options.build_spatial_index = false;
+    // Explicit cell records, the figure benches' storage model.
     StatusOr<std::unique_ptr<FieldDatabase>> db =
-        FieldDatabase::Build(*terrain, options);
+        FieldDatabase::Build(ExplicitCellsField(*terrain), options);
     if (!db.ok()) {
       std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
       return 1;

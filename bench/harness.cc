@@ -32,8 +32,10 @@ bool RunFigure(const Field& field, const FigureConfig& config) {
     FieldDatabaseOptions options = config.base_options;
     options.method = method;
     options.build_spatial_index = false;  // Q2-only workload
+    // The paper's storage model: explicit 104-byte cell records, so the
+    // page columns stay those of EXPERIMENTS.md.
     StatusOr<std::unique_ptr<FieldDatabase>> db =
-        FieldDatabase::Build(field, options);
+        FieldDatabase::Build(ExplicitCellsField(field), options);
     if (!db.ok()) {
       std::fprintf(stderr, "build %s: %s\n", IndexMethodName(method),
                    db.status().ToString().c_str());

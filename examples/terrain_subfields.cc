@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                                    "#ccbb44", "#ee6677", "#aa3377",
                                    "#bbbbbb", "#ee8866"};
   std::vector<SvgLayer> layers;
-  const RecordStore<CellRecord>& store = (*db)->index().cell_store().records();
+  const CellStore::Records& store = (*db)->index().cell_store().records();
   for (size_t si = 0; si < subfields.size(); ++si) {
     SvgLayer layer;
     layer.fill = kPalette[si % (sizeof(kPalette) / sizeof(kPalette[0]))];

@@ -15,6 +15,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "field/cell.h"
+
 namespace fielddb {
 
 namespace {
@@ -22,7 +24,7 @@ namespace {
 // Indexed by CatalogKey.
 constexpr const char* kKeyNames[] = {
     "page_size", "epoch", "method", "num_slabs", "num_cells",
-    "store_first_page", "voxel_volume", "value_range", "domain",
+    "store_first_page", "voxel_volume", "value_range", "domain", "grid",
     "build_entries", "tree", "spatial", "slab", "subfields", "sf", "sfv",
     "tsf"};
 static_assert(std::size(kKeyNames) == static_cast<size_t>(CatalogKey::kCount));
@@ -30,7 +32,8 @@ static_assert(std::size(kKeyNames) == static_cast<size_t>(CatalogKey::kCount));
 constexpr uint32_t kRowKeys = CatalogBits(
     {CatalogKey::kSlab, CatalogKey::kSf, CatalogKey::kSfv, CatalogKey::kTsf});
 constexpr uint32_t kOptionalKeys =
-    kRowKeys | CatalogBits({CatalogKey::kTree, CatalogKey::kSpatial});
+    kRowKeys | CatalogBits({CatalogKey::kGrid, CatalogKey::kTree,
+                            CatalogKey::kSpatial});
 
 constexpr uint32_t kMaxPageSize = uint32_t{1} << 26;
 constexpr uint32_t kMaxSlabs = uint32_t{1} << 20;
@@ -48,6 +51,8 @@ bool HasKey(const CatalogSchema& schema, CatalogKey key) {
 /// Lines `key` takes in `c`: one per row, one for a present tree, else 1.
 size_t LineCount(CatalogKey key, const Catalog& c) {
   switch (key) {
+    case CatalogKey::kGrid:
+      return c.grid ? 1 : 0;
     case CatalogKey::kTree:
       return c.tree ? 1 : 0;
     case CatalogKey::kSpatial:
@@ -114,6 +119,11 @@ void ForEachValue(CatalogKey key, Catalog& c, size_t row, Visit&& visit) {
       visit(c.domain.lo.y);
       visit(c.domain.hi.x);
       return visit(c.domain.hi.y);
+    case CatalogKey::kGrid: {
+      CatalogGrid& g = c.grid ? *c.grid : c.grid.emplace();
+      visit(g.cols);
+      return visit(g.rows);
+    }
     case CatalogKey::kBuildEntries:
       return visit(c.build_entries);
     case CatalogKey::kTree:
@@ -267,7 +277,15 @@ Status ValidateCatalog(const std::string& path, const CatalogSchema& schema,
     return Status::Corruption("catalog " + path + ": missing key '" +
                               kKeyNames[std::countr_zero(missing)] + "'");
   }
-  if (c.page_size < schema.record_size || c.page_size > kMaxPageSize) {
+  if (c.grid) {
+    const uint64_t lattice_cells = uint64_t{c.grid->cols} * c.grid->rows;
+    if (lattice_cells == 0 || lattice_cells > uint64_t{kInvalidCellId} ||
+        !(c.domain.Width() > 0) || !(c.domain.Height() > 0)) {
+      return Invalid(path, "grid");
+    }
+    if (c.num_cells > lattice_cells) return Invalid(path, "num_cells");
+  }
+  if (c.page_size < RecordSize(schema, c) || c.page_size > kMaxPageSize) {
     return Invalid(path, "page_size");
   }
   // Save stamps epoch >= 1; the page file reads 0 as "skip the check".
@@ -322,6 +340,10 @@ Status ValidateCatalog(const std::string& path, const CatalogSchema& schema,
 }
 
 }  // namespace
+
+uint32_t RecordSize(const CatalogSchema& schema, const Catalog& catalog) {
+  return catalog.grid ? schema.lattice_record_size : schema.record_size;
+}
 
 Status WriteCatalogFile(const std::string& path,
                         const std::function<bool(std::FILE*)>& body) {
@@ -387,7 +409,7 @@ Status CheckCatalogPages(const std::string& path, const CatalogSchema& schema,
   // A store of n > 0 records fills pages [first, first + ceil(n /
   // per_page)); an empty store reads none. ValidateCatalog made
   // per_page >= 1.
-  const uint64_t per_page = catalog.page_size / schema.record_size;
+  const uint64_t per_page = catalog.page_size / RecordSize(schema, catalog);
   const auto check_store = [&](PageId first, const char* key) {
     if (catalog.num_cells == 0) return Status::OK();
     if (first >= num_pages) return Invalid(path, key);

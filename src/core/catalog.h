@@ -32,6 +32,7 @@ enum class CatalogKey : uint32_t {
   kVoxelVolume,     // voxel_volume <double> (volume)
   kValueRange,      // value_range <min> <max>
   kDomain,          // domain <lo.x> <lo.y> <hi.x> <hi.y> (grid)
+  kGrid,            // grid <cols> <rows>: a lattice store's lattice (grid)
   kBuildEntries,    // build_entries <u64> (grid)
   kTree,            // tree <root page> <height> <size> <num_nodes>
   kSpatial,         // spatial <root page> <height> <size> <num_nodes>
@@ -68,8 +69,19 @@ struct CatalogSchema {
   /// the other methods have no subfield rows.
   uint32_t tree_methods;
   uint32_t tiled_methods;
-  /// Bytes per store record: bounds `num_cells` by the page file.
+  /// Bytes per store slot: bounds `num_cells` by the page file
+  /// (RecordSize picks the one of the catalog's layout).
   uint32_t record_size;
+  /// Bytes per slot of a lattice store, the layout a `grid` line
+  /// selects; 0 for a type without lattice stores.
+  uint32_t lattice_record_size = 0;
+};
+
+/// The `grid` line: the lattice of a grid store that keeps only each
+/// cell's values (its domain is the `domain` line).
+struct CatalogGrid {
+  uint32_t cols = 0;
+  uint32_t rows = 0;
 };
 
 /// A temporal `slab` row: slab `slab`'s store starts at `first_page`.
@@ -96,6 +108,7 @@ struct Catalog {
   double voxel_volume = 0.0;
   ValueInterval value_range;
   Rect2 domain;
+  std::optional<CatalogGrid> grid;
   uint64_t build_entries = 0;
   std::optional<RStarMeta> tree;
   std::optional<RStarMeta> spatial;
@@ -119,6 +132,10 @@ Status WriteCatalogFile(const std::string& path,
 Status WriteCatalog(const std::string& path, const CatalogSchema& schema,
                     Catalog catalog);
 
+/// Bytes per store slot in `catalog`'s layout: the lattice slot when it
+/// has a `grid` line, else `schema.record_size`.
+uint32_t RecordSize(const CatalogSchema& schema, const Catalog& catalog);
+
 /// Reads and validates a catalog written by WriteCatalog. Every value
 /// must parse in range for its field (unsigned integers without a sign,
 /// finite doubles) with the key's fixed arity; a scalar key appears at
@@ -128,6 +145,9 @@ Status WriteCatalog(const std::string& path, const CatalogSchema& schema,
 /// the domain are not inverted, `voxel_volume` >= 0, `num_slabs` in
 /// [1, 2^20] with one `slab` line each, and the subfield rows match
 /// their declared count and tile `[0, num_cells)` (per slab for `tsf`).
+/// A `grid` line needs cols and rows >= 1 with cols x rows lattice ids
+/// that fit a CellId, no more than that many cells, and a domain of
+/// positive width and height.
 /// A failure is kCorruption naming the key; a missing file is kIOError.
 StatusOr<Catalog> ReadCatalog(const std::string& path,
                               const CatalogSchema& schema);

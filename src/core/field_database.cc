@@ -106,7 +106,7 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     }
   }
 
-  if (options.build_spatial_index) {
+  if (options.build_spatial_index && db->lattice() == nullptr) {
     // 2-D R*-tree over cell MBRs, packed in store order (Hilbert order
     // for I-Hilbert: exactly the Kamel–Faloutsos packing).
     const CellStore& store = db->index_->cell_store();
@@ -266,7 +266,7 @@ Status FieldDatabase::NearestValueQuery(double w, size_t k,
   out->clear();
   if (std::isnan(w)) return Status::InvalidArgument("NaN target value");
   if (k == 0) return Status::OK();
-  const RecordStore<CellRecord>& store = index_->cell_store().records();
+  const CellStore::Records& store = index_->cell_store().records();
 
   // Max-heap of the current k best (worst on top).
   const auto worse = [](const NearestCell& x, const NearestCell& y) {
@@ -416,8 +416,22 @@ Status FieldDatabase::UpdateCellValuesBatch(
 
 StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
   DbMetrics::Get().point_queries->Increment();
-  const RecordStore<CellRecord>& store = index_->cell_store().records();
-  if (spatial_.has_value()) {
+  const CellStore& cells = index_->cell_store();
+  const CellStore::Records& store = cells.records();
+  std::optional<Rect2> lattice_cell;  // p's cell, on a lattice
+  if (const GridLattice* lattice = this->lattice()) {
+    StatusOr<uint32_t> g = lattice->FindCell(p);
+    if (!g.ok()) return g.status();
+    lattice_cell = lattice->CellRect(*g);
+    // A grid's cell ids are its lattice ids. A shard's are not (the
+    // router reads shards through its own id map): when the slot of id
+    // g holds another lattice cell, the scan below looks for p's.
+    if (*g < cells.size()) {
+      CellRecord cell;
+      FIELDDB_RETURN_IF_ERROR(store.Get(cells.PositionOf(*g), &cell));
+      if (cell.Bounds() == *lattice_cell) return InterpolateCell(cell, p);
+    }
+  } else if (spatial_.has_value()) {
     StatusOr<double> result = Status::NotFound("point outside field domain");
     FIELDDB_RETURN_IF_ERROR(
         spatial_->Search(BoxFromPoint(p), [&](const RTreeEntry<2>& e) {
@@ -435,11 +449,12 @@ StatusOr<double> FieldDatabase::PointQuery(Point2 p) const {
         }));
     return result;
   }
-  // No spatial index: scan.
+  // No spatial index, or a shard's lattice cell: scan.
   StatusOr<double> result = Status::NotFound("point outside field domain");
   FIELDDB_RETURN_IF_ERROR(
       store.Scan(0, store.size(), [&](uint64_t, const CellRecord& cell) {
-        if (CellContains(cell, p)) {
+        if (lattice_cell ? cell.Bounds() == *lattice_cell
+                         : CellContains(cell, p)) {
           result = InterpolateCell(cell, p);
           return false;
         }

@@ -39,7 +39,8 @@ struct FieldDatabaseOptions : EngineBuildOptions {
   /// are unchanged (readahead reads replace Fetch misses one for one).
   size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
   /// Build a 2-D R*-tree over cell MBRs for conventional (Q1) point
-  /// queries.
+  /// queries on a field without a lattice (a TIN). A grid never builds
+  /// one: its point queries are arithmetic on the lattice.
   bool build_spatial_index = true;
 
   IHilbertIndex::Options ihilbert;
@@ -97,10 +98,13 @@ struct IsolineQueryResult {
 /// The public facade: a self-contained continuous-field database. `Build`
 /// copies the field's cells into paged storage (clustered as the chosen
 /// index dictates) and constructs the value index; afterwards the source
-/// Field is no longer referenced. Supports both query classes of the
-/// paper:
+/// Field is no longer referenced. A field with a lattice (a grid) stores
+/// only each cell's values, in 40-byte slots; any other field stores
+/// explicit 104-byte CellRecords (CellSlots). Supports both query
+/// classes of the paper:
 ///  - Q2 `Query`: F^-1([w', w'']) -> regions (the paper's subject);
-///  - Q1 `PointQuery`: F(v') -> value, via the 2-D R*-tree over cell MBRs.
+///  - Q1 `PointQuery`: F(v') -> value, by arithmetic on a grid's lattice,
+///    else via the 2-D R*-tree over cell MBRs.
 ///
 /// Threading model: every query entry point is const and safe to call
 /// from any number of threads concurrently on one open database — the
@@ -233,7 +237,11 @@ class FieldDatabase : public EngineHost {
   /// are extracted and stitched).
   Status IsolineQuery(double level, IsolineQueryResult* out) const;
 
-  /// Conventional point query.
+  /// Conventional point query: the interpolated value at `p`, NotFound
+  /// outside the domain. A lattice database finds the cell as
+  /// GridLattice::FindCell does and reads it through the id -> slot map,
+  /// so the answer equals the built field's ValueAt bit for bit; other
+  /// databases search the spatial tree, or scan without one.
   StatusOr<double> PointQuery(Point2 p) const;
 
   /// Replaces the sample values of cell `id` (e.g. a new sensor reading;
@@ -304,6 +312,12 @@ class FieldDatabase : public EngineHost {
   IndexMethod method() const { return index_->method(); }
   const ValueInterval& value_range() const { return value_range_; }
   const Rect2& domain() const { return domain_; }
+  /// The lattice of a store of lattice slots, else null.
+  const GridLattice* lattice() const {
+    const std::optional<GridLattice>& lattice =
+        index_->cell_store().records().slots().lattice();
+    return lattice ? &*lattice : nullptr;
+  }
 
   /// The subfield partition, when the method has one.
   const std::vector<Subfield>* subfields() const;

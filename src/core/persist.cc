@@ -2,8 +2,9 @@
 // text catalog to temp paths, fsyncs, then atomically renames them over
 // the previous snapshot (crash-safe: an interrupted save leaves the old
 // snapshot loadable). Open validates the catalog strictly (the shared
-// codec, core/catalog.h) and re-attaches every component (cell store,
-// value index, spatial tree) against the on-disk pages.
+// codec, core/catalog.h) and re-attaches every component (cell store —
+// lattice slots when the catalog has a `grid` line, explicit CellRecords
+// otherwise — value index, spatial tree) against the on-disk pages.
 
 #include <optional>
 #include <string>
@@ -24,7 +25,8 @@ constexpr CatalogSchema kGridCatalog = {
     .keys = CatalogBits({CatalogKey::kPageSize, CatalogKey::kEpoch,
                          CatalogKey::kMethod, CatalogKey::kNumCells,
                          CatalogKey::kStoreFirstPage, CatalogKey::kValueRange,
-                         CatalogKey::kDomain, CatalogKey::kBuildEntries,
+                         CatalogKey::kDomain, CatalogKey::kGrid,
+                         CatalogKey::kBuildEntries,
                          CatalogKey::kTree, CatalogKey::kSpatial,
                          CatalogKey::kSubfields, CatalogKey::kSf}),
     // Row-IP is a comparison baseline without persistence support.
@@ -35,26 +37,51 @@ constexpr CatalogSchema kGridCatalog = {
     .tiled_methods =
         CatalogBits({IndexMethod::kIHilbert, IndexMethod::kIntervalQuadtree}),
     .record_size = sizeof(CellRecord),
+    .lattice_record_size = sizeof(LatticeSlot),
 };
+
+/// kCorruption naming the key that `num_cells` disagrees with.
+Status Disagrees(const std::string& path, const Catalog& catalog,
+                 const char* key) {
+  return Status::Corruption("catalog " + path + ": 'num_cells' " +
+                            std::to_string(catalog.num_cells) +
+                            " disagrees with '" + key + "'");
+}
 
 /// kCorruption unless the catalog's own counts agree with `num_cells`:
 /// the spatial tree holds one entry per cell, and so do I-All's value
 /// tree and build. Runs after the page-file bounds, so an oversized
 /// `num_cells` is still refused under its own name first.
 Status CheckCellCounts(const std::string& path, const Catalog& catalog) {
-  const auto disagrees = [&](const char* key) {
-    return Status::Corruption("catalog " + path + ": 'num_cells' " +
-                              std::to_string(catalog.num_cells) +
-                              " disagrees with '" + key + "'");
-  };
   if (catalog.spatial && catalog.spatial->size != catalog.num_cells) {
-    return disagrees("spatial");
+    return Disagrees(path, catalog, "spatial");
   }
   if (static_cast<IndexMethod>(catalog.method) == IndexMethod::kIAll) {
-    if (catalog.tree->size != catalog.num_cells) return disagrees("tree");
-    if (catalog.build_entries != catalog.num_cells) {
-      return disagrees("build_entries");
+    if (catalog.tree->size != catalog.num_cells) {
+      return Disagrees(path, catalog, "tree");
     }
+    if (catalog.build_entries != catalog.num_cells) {
+      return Disagrees(path, catalog, "build_entries");
+    }
+  }
+  return Status::OK();
+}
+
+/// kCorruption unless the attached store ends where `num_cells` says,
+/// which nothing else states for LinearScan: the bytes past its last
+/// record on the store's last page are zero (the appender leaves them
+/// so and no update writes them), and a LinearScan store with no
+/// spatial tree after it ends at the page file's last page.
+Status CheckStoreEnd(const std::string& path, const Catalog& catalog,
+                     const CellStore& store, uint64_t file_pages) {
+  StatusOr<bool> tail_is_zero = store.records().TailIsZero();
+  if (!tail_is_zero.ok()) return tail_is_zero.status();
+  const bool store_ends_file =
+      store.first_page() + store.num_pages() == file_pages;
+  if (!*tail_is_zero ||
+      (static_cast<IndexMethod>(catalog.method) == IndexMethod::kLinearScan &&
+       !catalog.spatial && !store_ends_file)) {
+    return Disagrees(path, catalog, "store_first_page");
   }
   return Status::OK();
 }
@@ -102,6 +129,9 @@ Status FieldDatabase::SaveImpl(const std::string& prefix,
         catalog->store_first_page = store.first_page();
         catalog->value_range = value_range_;
         catalog->domain = domain_;
+        if (const GridLattice* lattice = this->lattice()) {
+          catalog->grid = CatalogGrid{lattice->cols, lattice->rows};
+        }
         catalog->build_entries = index_->build_info().num_index_entries;
         if (const RStarTree<1>* tree = ValueTree(*index_)) {
           catalog->tree = tree->meta();
@@ -132,9 +162,18 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   db->value_range_ = catalog->value_range;
   db->domain_ = catalog->domain;
 
-  StatusOr<CellStore> store =
-      CellStore::Attach(pool, catalog->store_first_page, catalog->num_cells);
+  // The `grid` line selects lattice slots; the codec made its domain a
+  // positive-area rectangle.
+  const CellSlots slots =
+      catalog->grid ? CellSlots(GridLattice{catalog->grid->cols,
+                                            catalog->grid->rows,
+                                            catalog->domain})
+                    : CellSlots();
+  StatusOr<CellStore> store = CellStore::Attach(
+      pool, catalog->store_first_page, catalog->num_cells, slots);
   if (!store.ok()) return store.status();
+  FIELDDB_RETURN_IF_ERROR(CheckStoreEnd(prefix + ".meta", *catalog, *store,
+                                        pool->file()->NumPages()));
 
   IndexBuildInfo info;
   info.num_cells = catalog->num_cells;

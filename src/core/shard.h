@@ -42,6 +42,11 @@ class FieldSlice final : public Field {
     return r;
   }
   Rect2 Domain() const override { return domain_; }
+  /// The base field's lattice: local cell `local` is lattice cell
+  /// `global_ids_[local]` of it, so a shard stores lattice slots too.
+  std::optional<GridLattice> Lattice() const override {
+    return base_->Lattice();
+  }
 
   const std::vector<CellId>& global_ids() const { return global_ids_; }
 

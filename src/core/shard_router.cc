@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/field_engine.h"
+#include "field/interpolation.h"
 #include "obs/metrics.h"
 
 namespace fielddb {
@@ -109,6 +110,11 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Build(
     const Field& field, const ShardRouterOptions& options) {
   const CellId n = field.NumCells();
   if (n == 0) return Status::InvalidArgument("field has no cells");
+  if (const std::optional<GridLattice> lattice = field.Lattice();
+      lattice && lattice->NumCells() != n) {
+    // PointQuery reads global ids as lattice ids.
+    return Status::InvalidArgument("a lattice field must hold every cell");
+  }
   if (options.shards == 0) {
     return Status::InvalidArgument("shards must be >= 1");
   }
@@ -283,6 +289,29 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     StatusOr<std::unique_ptr<FieldDatabase>> db =
         FieldDatabase::Open(ShardPrefix(prefix, static_cast<uint32_t>(k)), oo);
     if (!db.ok()) return db.status();
+    // Each shard's own catalog states its cell count too; the id maps
+    // above are sized from the router's.
+    const uint64_t shard_cells = (*db)->index().cell_store().size();
+    if (shard_cells != parsed[k].desc.num_cells()) {
+      return Status::Corruption(
+          "router catalog " + path + ": shard " + std::to_string(k) +
+          " holds " + std::to_string(shard_cells) + " cells, the catalog " +
+          std::to_string(parsed[k].desc.num_cells()));
+    }
+    // PointQuery reads lattice ids as global ids: every shard names
+    // shard 0's lattice, which has exactly the router's cells.
+    const GridLattice* lattice = (*db)->lattice();
+    const GridLattice* want =
+        k == 0 ? lattice : router->shards_.front()->db().lattice();
+    const bool agrees = lattice == nullptr
+                            ? want == nullptr
+                            : want != nullptr && *lattice == *want &&
+                                  lattice->NumCells() == num_cells;
+    if (!agrees) {
+      return Status::Corruption("router catalog " + path + ": shard " +
+                                std::to_string(k) +
+                                "'s lattice disagrees with the router's");
+    }
     report.frames_replayed += shard_report.frames_replayed;
     report.stale_frames += shard_report.stale_frames;
     report.torn_bytes += shard_report.torn_bytes;
@@ -460,6 +489,18 @@ Status ShardRouter::Query(const QueryRequest& request,
 }
 
 StatusOr<double> ShardRouter::PointQuery(Point2 p) const {
+  if (const GridLattice* lattice = shards_.front()->db().lattice()) {
+    // A grid's global ids are its lattice ids: the arithmetic names the
+    // cell, and the id map names the one shard that reads it.
+    StatusOr<uint32_t> g = lattice->FindCell(p);
+    if (!g.ok()) return g.status();
+    const auto [shard_id, local_id] = global_map_[*g];
+    const CellStore& store = shards_[shard_id]->db().index().cell_store();
+    CellRecord cell;
+    FIELDDB_RETURN_IF_ERROR(
+        store.records().Get(store.PositionOf(local_id), &cell));
+    return InterpolateCell(cell, p);
+  }
   for (const auto& shard : shards_) {
     StatusOr<double> v = shard->db().PointQuery(p);
     if (v.ok()) return v;

@@ -140,9 +140,12 @@ class ShardRouter {
     return Query({.bands = {&query, 1}}, {out, 1}, profile);
   }
 
-  /// Conventional point query: shards are probed in id order; the first
-  /// one whose spatial tree finds a containing cell answers. NotFound
-  /// when the point is outside every shard (= outside the domain).
+  /// Conventional point query. Over a grid, the lattice arithmetic
+  /// (GridLattice::FindCell) names the cell once, the global id map
+  /// names its shard and local id, and that one shard's store is read:
+  /// the answer equals the field's ValueAt bit for bit. Otherwise shards
+  /// are probed in id order and the first that finds a containing cell
+  /// answers. NotFound outside the domain.
   StatusOr<double> PointQuery(Point2 p) const;
 
   /// Routes a global-id update to the owning shard (which WAL-logs it

@@ -2,11 +2,13 @@
 #define FIELDDB_FIELD_FIELD_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "common/geometry.h"
 #include "common/interval.h"
 #include "common/status.h"
 #include "field/cell.h"
+#include "field/grid_lattice.h"
 
 namespace fielddb {
 
@@ -37,8 +39,37 @@ class Field {
   /// Computed by a scan; subclasses may cache.
   virtual ValueInterval ValueRange() const;
 
+  /// The regular grid lattice whose cells this field's cells are
+  /// (GridField and the router's slices of one), else nullopt (TINs).
+  /// Cell `id`'s place on it is the lattice cell its centroid lies in.
+  /// The field picks its store layout by this: a database over a
+  /// lattice stores only each cell's values and rebuilds the rectangle
+  /// from the lattice; any other field stores explicit CellRecords.
+  virtual std::optional<GridLattice> Lattice() const { return std::nullopt; }
+
   /// Conventional Q1 query: the interpolated field value at `p`.
   StatusOr<double> ValueAt(Point2 p) const;
+};
+
+/// A view of `base` that forwards every call but names no lattice, so
+/// a database built over it stores each cell as an explicit 104-byte
+/// CellRecord: the paper's storage model. The figure benches build
+/// through it, so their page counts stay those of EXPERIMENTS.md.
+/// `base` must outlive the view.
+class ExplicitCellsField final : public Field {
+ public:
+  explicit ExplicitCellsField(const Field& base) : base_(base) {}
+
+  CellId NumCells() const override { return base_.NumCells(); }
+  CellRecord GetCell(CellId id) const override { return base_.GetCell(id); }
+  Rect2 Domain() const override { return base_.Domain(); }
+  StatusOr<CellId> FindCell(Point2 p) const override {
+    return base_.FindCell(p);
+  }
+  ValueInterval ValueRange() const override { return base_.ValueRange(); }
+
+ private:
+  const Field& base_;
 };
 
 }  // namespace fielddb

@@ -20,32 +20,34 @@ class GridField final : public Field {
                                     const Rect2& domain,
                                     std::vector<double> samples);
 
-  CellId NumCells() const override { return cols_ * rows_; }
+  /// Cell ids are lattice ids.
+  CellId NumCells() const override { return cols() * rows(); }
   CellRecord GetCell(CellId id) const override;
-  Rect2 Domain() const override { return domain_; }
-  StatusOr<CellId> FindCell(Point2 p) const override;
+  Rect2 Domain() const override { return lattice_.domain; }
+  StatusOr<CellId> FindCell(Point2 p) const override {
+    return lattice_.FindCell(p);
+  }
   ValueInterval ValueRange() const override { return value_range_; }
+  std::optional<GridLattice> Lattice() const override { return lattice_; }
 
-  uint32_t cols() const { return cols_; }
-  uint32_t rows() const { return rows_; }
+  uint32_t cols() const { return lattice_.cols; }
+  uint32_t rows() const { return lattice_.rows; }
 
   /// Sample value at vertex (i, j), i <= cols, j <= rows.
   double SampleAt(uint32_t i, uint32_t j) const {
-    return samples_[static_cast<size_t>(j) * (cols_ + 1) + i];
+    return samples_[static_cast<size_t>(j) * (cols() + 1) + i];
   }
 
   /// Cell id of grid cell (ci, cj); ci < cols, cj < rows.
   CellId CellIdAt(uint32_t ci, uint32_t cj) const {
-    return cj * cols_ + ci;
+    return cj * cols() + ci;
   }
 
  private:
   GridField(uint32_t cols, uint32_t rows, const Rect2& domain,
             std::vector<double> samples);
 
-  uint32_t cols_;
-  uint32_t rows_;
-  Rect2 domain_;
+  GridLattice lattice_;
   std::vector<double> samples_;
   ValueInterval value_range_;
 };

@@ -1,0 +1,45 @@
+#ifndef FIELDDB_FIELD_GRID_LATTICE_H_
+#define FIELDDB_FIELD_GRID_LATTICE_H_
+
+#include <cstdint>
+
+#include "common/geometry.h"
+#include "common/status.h"
+
+namespace fielddb {
+
+/// The geometry of a regular `cols` x `rows` grid of rectangular cells
+/// over `domain` (the DEM of the paper's Fig. 1). Lattice cell g is
+/// column g % cols, row g / cols. The one place a grid cell's rectangle
+/// and the cell of a point are computed: GridField::GetCell and
+/// FindCell call it, and so does a lattice cell store decoding a slot,
+/// so a decoded cell equals GetCell bit for bit by construction.
+struct GridLattice {
+  uint32_t cols = 0;
+  uint32_t rows = 0;
+  Rect2 domain;
+
+  uint64_t NumCells() const { return uint64_t{cols} * rows; }
+
+  /// The rectangle of the cell at column `ci`, row `cj`.
+  Rect2 CellRect(uint32_t ci, uint32_t cj) const {
+    const double dx = domain.Width() / cols;
+    const double dy = domain.Height() / rows;
+    return Rect2{{domain.lo.x + ci * dx, domain.lo.y + cj * dy},
+                 {domain.lo.x + (ci + 1) * dx, domain.lo.y + (cj + 1) * dy}};
+  }
+
+  /// The rectangle of lattice cell `g`.
+  Rect2 CellRect(uint32_t g) const { return CellRect(g % cols, g / cols); }
+
+  /// The lattice cell containing `p`, up to rounding; NotFound outside
+  /// the domain. A point on an edge between two cells goes to the upper
+  /// or right one, except on the domain's far edges.
+  StatusOr<uint32_t> FindCell(Point2 p) const;
+
+  bool operator==(const GridLattice& other) const = default;
+};
+
+}  // namespace fielddb
+
+#endif  // FIELDDB_FIELD_GRID_LATTICE_H_

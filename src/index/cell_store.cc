@@ -1,9 +1,45 @@
 #include "index/cell_store.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 
 namespace fielddb {
+
+Status CellSlots::Encode(const CellRecord& record, uint8_t* slot) const {
+  if (!lattice_) {
+    std::memcpy(slot, &record, sizeof(CellRecord));
+    return Status::OK();
+  }
+  // A cell's lattice id is the lattice cell its centroid lies in; the
+  // slot stores it only if decoding rebuilds the record exactly.
+  StatusOr<uint32_t> lattice_id = lattice_->FindCell(record.Centroid());
+  LatticeSlot s;
+  s.id = record.id;
+  s.lattice_id = lattice_id.ok() ? *lattice_id : 0;
+  std::copy(record.w, record.w + 4, s.w);
+  const CellRecord rebuilt = Rebuild(s);
+  if (!lattice_id.ok() ||
+      std::memcmp(&rebuilt, &record, sizeof(CellRecord)) != 0) {
+    return Status::InvalidArgument("cell " + std::to_string(record.id) +
+                                   " is not a cell of the store's lattice");
+  }
+  std::memcpy(slot, &s, sizeof(s));
+  return Status::OK();
+}
+
+bool CellSlots::Valid(const uint8_t* slot, uint64_t num_records) const {
+  if (!lattice_) {
+    CellRecord record;
+    Decode(slot, &record);
+    return ValidStoredRecord(record, num_records);
+  }
+  LatticeSlot s;
+  std::memcpy(&s, slot, sizeof(s));
+  return s.id < num_records && s.lattice_id < lattice_->NumCells() &&
+         std::all_of(s.w, s.w + 4, [](double w) { return std::isfinite(w); });
+}
 
 Status WriteSamples(const std::vector<double>& samples, uint32_t n,
                     double* dst) {

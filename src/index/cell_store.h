@@ -1,6 +1,8 @@
 #ifndef FIELDDB_INDEX_CELL_STORE_H_
 #define FIELDDB_INDEX_CELL_STORE_H_
 
+#include <cstring>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -41,6 +43,100 @@ bool ValidStoredRecord(const Record& record, uint64_t num_records) {
   return record.id < num_records;
 }
 
+/// What a lattice cell store keeps in each slot: a grid cell's id, its
+/// lattice id and its corner values (ll, lr, ur, ul) — 40 bytes, so 102
+/// cells fit a 4 KB page where 39 CellRecords do. The rectangle follows
+/// from the lattice.
+struct LatticeSlot {
+  CellId id = kInvalidCellId;
+  uint32_t lattice_id = 0;
+  double w[4] = {0, 0, 0, 0};
+};
+
+static_assert(sizeof(LatticeSlot) == 40,
+              "LatticeSlot layout is part of the cell-store page format");
+
+/// The slot codec of the grid's CellRecord stores (see RawSlots). The
+/// field picks the layout (Field::Lattice), no option does:
+///  - explicit: a slot is the 104-byte CellRecord itself (TINs, the
+///    explicit-cells adapter, grid snapshots saved before lattice slots);
+///  - lattice: a slot is a LatticeSlot, and Decode rebuilds the
+///    rectangle with GridLattice::CellRect, the expression
+///    GridField::GetCell uses, so a decoded cell equals GetCell bit for
+///    bit.
+/// Visitors see CellRecords either way.
+class CellSlots {
+ public:
+  /// The explicit layout.
+  CellSlots() = default;
+  /// The lattice layout over `lattice`.
+  explicit CellSlots(const GridLattice& lattice) : lattice_(lattice) {}
+
+  /// The layout of a store of `field`'s cells.
+  static CellSlots For(const Field& field) {
+    const std::optional<GridLattice> lattice = field.Lattice();
+    return lattice ? CellSlots(*lattice) : CellSlots();
+  }
+
+  /// The lattice of a lattice store; nullopt for the explicit layout.
+  const std::optional<GridLattice>& lattice() const { return lattice_; }
+
+  uint32_t size() const {
+    return lattice_ ? sizeof(LatticeSlot) : sizeof(CellRecord);
+  }
+
+  void Decode(const uint8_t* slot, CellRecord* out) const {
+    if (!lattice_) {
+      std::memcpy(out, slot, sizeof(CellRecord));
+      return;
+    }
+    LatticeSlot s;
+    std::memcpy(&s, slot, sizeof(s));
+    *out = Rebuild(s);
+  }
+
+  /// Writes `record` into `slot`. In the lattice layout the record must
+  /// be a cell of the lattice — the cell its centroid lies in, rebuilt
+  /// bit for bit — else InvalidArgument, with nothing written.
+  Status Encode(const CellRecord& record, uint8_t* slot) const;
+
+  /// Whether `slot` can be used at all (ValidStoredSlot). A lattice
+  /// slot needs an id below `num_records`, a lattice id below cols x
+  /// rows and finite samples; an explicit one, ValidStoredRecord.
+  bool Valid(const uint8_t* slot, uint64_t num_records) const;
+
+ private:
+  /// The cell a lattice slot holds (lattice layout only).
+  CellRecord Rebuild(const LatticeSlot& s) const {
+    return CellRecord::Quad(s.id, lattice_->CellRect(s.lattice_id), s.w[0],
+                            s.w[1], s.w[2], s.w[3]);
+  }
+
+  std::optional<GridLattice> lattice_;
+};
+
+/// The codec of a BasicCellStore<Record>: the grid's CellRecord stores
+/// pick their layout per store; every other record's slot is its bytes.
+template <typename Record>
+using StoreSlots = std::conditional_t<std::is_same_v<Record, CellRecord>,
+                                      CellSlots, RawSlots<Record>>;
+
+/// Whether a stored slot can be used at all, checked before it is
+/// decoded (BasicCellStore::Attach): a raw slot's record passes
+/// ValidStoredRecord, a cell slot passes CellSlots::Valid.
+template <typename Record>
+bool ValidStoredSlot(const RawSlots<Record>& slots, const uint8_t* slot,
+                     uint64_t num_records) {
+  Record record;
+  slots.Decode(slot, &record);
+  return ValidStoredRecord(record, num_records);
+}
+
+inline bool ValidStoredSlot(const CellSlots& slots, const uint8_t* slot,
+                            uint64_t num_records) {
+  return slots.Valid(slot, num_records);
+}
+
 /// The edit of every sample update: copies `samples` over dst[0, n).
 /// Refuses with InvalidArgument a count other than `n` and any
 /// non-finite sample — such a sample has no value interval, so no zone
@@ -75,7 +171,8 @@ struct KeyChange {
 /// The one store of every field type: the grid's CellStore is the
 /// CellRecord instance; volume, vector and temporal slabs store
 /// VoxelRecord, VectorCellRecord and TemporalSlabRecord. The pages are a
-/// RecordStore<Record> (records()), which owns every page loop; the
+/// RecordStore<Record> (records()) through the record's slot codec
+/// (StoreSlots), which owns every page loop and every decode; the
 /// per-slot keys (StoreKeyOf) are a zone map (zone_map(): ScalarZoneMap
 /// for interval keys, BoxZoneMap for boxes). The store adds the
 /// record-id -> slot map (records carry their ids), the permutation
@@ -86,6 +183,8 @@ struct KeyChange {
 template <typename Record>
 class BasicCellStore {
  public:
+  using Slots = StoreSlots<Record>;
+  using Records = RecordStore<Record, Slots>;
   using Key = decltype(StoreKeyOf(std::declval<const Record&>()));
   using ZoneMap = std::conditional_t<std::is_same_v<Key, ValueInterval>,
                                      ScalarZoneMap, BoxZoneMap>;
@@ -97,16 +196,17 @@ class BasicCellStore {
   class Appender;
 
   /// Serializes a grid `field`'s cells into `pool`'s file (CellStore
-  /// only), visiting them in the order given by `order` (order[pos] =
-  /// field cell id stored at slot pos). `order` must be a permutation of
-  /// [0, field.NumCells()); pass an empty `order` for the identity.
+  /// only) in the field's layout (CellSlots::For), visiting them in the
+  /// order given by `order` (order[pos] = field cell id stored at slot
+  /// pos). `order` must be a permutation of [0, field.NumCells()); pass
+  /// an empty `order` for the identity.
   static StatusOr<BasicCellStore> Build(BufferPool* pool, const Field& field,
                                         const std::vector<CellId>& order) {
     const uint64_t n = field.NumCells();
     if (!order.empty() && order.size() != n) {
       return Status::InvalidArgument("order size does not match cell count");
     }
-    Appender appender(pool, n);
+    Appender appender(pool, n, Slots::For(field));
     for (uint64_t pos = 0; pos < n; ++pos) {
       const CellId cell_id =
           order.empty() ? static_cast<CellId>(pos) : order[pos];
@@ -118,27 +218,31 @@ class BasicCellStore {
     return appender.Finish();
   }
 
-  /// Re-attaches to a store persisted in `pool`'s file. Scans the
-  /// records once to rebuild the id -> slot map and the zone map;
-  /// kCorruption naming the slot of the first record that fails
-  /// ValidStoredRecord, and when the stored ids are not a permutation.
+  /// Re-attaches to a store persisted in `pool`'s file in the `slots`
+  /// layout. Scans the records once to rebuild the id -> slot map and
+  /// the zone map; kCorruption naming the slot of the first record that
+  /// fails ValidStoredSlot, and when the stored ids are not a
+  /// permutation.
   static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
-                                         uint64_t num_records) {
-    StatusOr<RecordStore<Record>> records =
-        RecordStore<Record>::Attach(pool, first_page, num_records);
+                                         uint64_t num_records,
+                                         const Slots& slots = {}) {
+    StatusOr<Records> records =
+        Records::Attach(pool, first_page, num_records, slots);
     if (!records.ok()) return records.status();
     std::vector<uint64_t> position_of(num_records, kNoPosition);
     ZoneMap zones;
     zones.Reserve(num_records);
     Status invalid;
-    FIELDDB_RETURN_IF_ERROR(records->Scan(
-        0, num_records, [&](uint64_t pos, const Record& record) {
-          if (!ValidStoredRecord(record, num_records)) {
+    Record record;
+    FIELDDB_RETURN_IF_ERROR(records->ScanSlots(
+        0, num_records, [&](uint64_t pos, const uint8_t* slot) {
+          if (!ValidStoredSlot(slots, slot, num_records)) {
             invalid = Status::Corruption("record store slot " +
                                          std::to_string(pos) +
                                          " holds an invalid record");
             return false;
           }
+          slots.Decode(slot, &record);
           position_of[record.id] = pos;
           zones.Append(StoreKeyOf(record));
           return true;
@@ -159,7 +263,7 @@ class BasicCellStore {
   BasicCellStore& operator=(const BasicCellStore&) = delete;
 
   /// The pages: every read and scan goes through here.
-  const RecordStore<Record>& records() const { return records_; }
+  const Records& records() const { return records_; }
   /// The per-slot keys (equal to each slot's StoreKeyOf at all times).
   const ZoneMap& zone_map() const { return zones_; }
 
@@ -207,12 +311,12 @@ class BasicCellStore {
  private:
   static constexpr uint64_t kNoPosition = ~uint64_t{0};
 
-  BasicCellStore(RecordStore<Record> records,
-                 std::vector<uint64_t> position_of, ZoneMap zones)
+  BasicCellStore(Records records, std::vector<uint64_t> position_of,
+                 ZoneMap zones)
       : records_(std::move(records)), position_of_(std::move(position_of)),
         zones_(std::move(zones)) {}
 
-  RecordStore<Record> records_;
+  Records records_;
   std::vector<uint64_t> position_of_;
   ZoneMap zones_;
 };
@@ -220,8 +324,10 @@ class BasicCellStore {
 template <typename Record>
 class BasicCellStore<Record>::Appender {
  public:
-  Appender(BufferPool* pool, uint64_t num_records)
-      : records_(pool), position_of_(num_records, kNoPosition) {
+  /// Lays the slots out in the `slots` layout (CellStore builds pass
+  /// CellSlots::For(field)).
+  Appender(BufferPool* pool, uint64_t num_records, const Slots& slots = {})
+      : records_(pool, slots), position_of_(num_records, kNoPosition) {
     zones_.Reserve(num_records);
   }
 
@@ -249,14 +355,14 @@ class BasicCellStore<Record>::Appender {
     if (records_.size() != position_of_.size()) {
       return Status::InvalidArgument("appended fewer cells than declared");
     }
-    StatusOr<RecordStore<Record>> records = records_.Finish();
+    StatusOr<Records> records = records_.Finish();
     if (!records.ok()) return records.status();
     return BasicCellStore(std::move(records).value(), std::move(position_of_),
                           std::move(zones_));
   }
 
  private:
-  RecordStoreAppender<Record> records_;
+  RecordStoreAppender<Record, Slots> records_;
   std::vector<uint64_t> position_of_;
   ZoneMap zones_;
 };

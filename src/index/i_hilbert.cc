@@ -54,7 +54,7 @@ StatusOr<std::unique_ptr<IHilbertIndex>> IHilbertIndex::Build(
     const double uy = (c.y - domain.lo.y) / h;
     FIELDDB_RETURN_IF_ERROR(sorter.Add(curve->EncodeUnit(ux, uy), id));
   }
-  CellStore::Appender appender(pool, n);
+  CellStore::Appender appender(pool, n, CellSlots::For(field));
   FIELDDB_RETURN_IF_ERROR(
       sorter.Merge([&](uint64_t, const CellId& id) -> Status {
         return appender.Append(field.GetCell(id));

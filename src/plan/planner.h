@@ -128,8 +128,8 @@ PlanProbe ExactProbe(const PlanCostModel& cost, const StoreShape& shape,
                      const PagePattern& filter);
 
 /// The geometry of a record store, for costing.
-template <typename T>
-StoreShape ShapeOf(const RecordStore<T>& store) {
+template <typename T, typename Slots>
+StoreShape ShapeOf(const RecordStore<T, Slots>& store) {
   StoreShape sh;
   sh.num_cells = store.size();
   sh.cells_per_page = store.records_per_page();

@@ -88,11 +88,17 @@ std::ostream& operator<<(std::ostream& os, const CatalogCase& c) {
   return os << c.name;
 }
 
-Status SaveGrid(IndexMethod method, const std::string& prefix) {
+/// Saves the tiny grid: in lattice slots, or with `explicit_cells` as
+/// explicit CellRecords plus a spatial tree, the format every grid had
+/// before lattice slots.
+Status SaveGrid(IndexMethod method, const std::string& prefix,
+                bool explicit_cells = false) {
   FieldDatabaseOptions options;
   options.method = method;
-  StatusOr<std::unique_ptr<FieldDatabase>> db =
-      FieldDatabase::Build(TinyGrid(), options);
+  const GridField grid = TinyGrid();
+  const ExplicitCellsField cells(grid);
+  StatusOr<std::unique_ptr<FieldDatabase>> db = FieldDatabase::Build(
+      explicit_cells ? static_cast<const Field&>(cells) : grid, options);
   if (!db.ok()) return db.status();
   return (*db)->Save(prefix);
 }
@@ -125,7 +131,10 @@ Status OpenStatus(const std::string& prefix) {
 }
 
 // The goldens pin the on-disk format byte for byte: snapshots saved by
-// earlier versions must keep opening, so the format does not move.
+// earlier versions must keep opening, so the format does not move. A
+// grid stores lattice slots (its `grid` line) and no spatial tree; the
+// explicit-cells cases write the format of grid snapshots saved before
+// lattice slots byte for byte, and those keep opening.
 std::vector<CatalogCase> Cases() {
   return {
       {"GridLinearScan",
@@ -141,12 +150,48 @@ std::vector<CatalogCase> Cases() {
        "store_first_page 0\n"
        "value_range 0 16\n"
        "domain 0 0 1 1\n"
+       "grid 4 4\n"
        "build_entries 0\n"
-       "spatial 1 1 16 1\n"
        "subfields 0\n"},
       {"GridIHilbert",
        [](const std::string& p) {
          return SaveGrid(IndexMethod::kIHilbert, p);
+       },
+       &OpenStatus<FieldDatabase>,
+       "fielddb-meta-v2\n"
+       "page_size 4096\n"
+       "epoch 1\n"
+       "method 2\n"
+       "num_cells 16\n"
+       "store_first_page 0\n"
+       "value_range 0 16\n"
+       "domain 0 0 1 1\n"
+       "grid 4 4\n"
+       "build_entries 3\n"
+       "tree 1 1 3 1\n"
+       "subfields 3\n"
+       "sf 0 6 0 4 21\n"
+       "sf 6 14 2 16 50\n"
+       "sf 14 16 0 4 9\n"},
+      {"GridLinearScanExplicitCells",
+       [](const std::string& p) {
+         return SaveGrid(IndexMethod::kLinearScan, p, /*explicit_cells=*/true);
+       },
+       &OpenStatus<FieldDatabase>,
+       "fielddb-meta-v2\n"
+       "page_size 4096\n"
+       "epoch 1\n"
+       "method 0\n"
+       "num_cells 16\n"
+       "store_first_page 0\n"
+       "value_range 0 16\n"
+       "domain 0 0 1 1\n"
+       "build_entries 0\n"
+       "spatial 1 1 16 1\n"
+       "subfields 0\n"},
+      {"GridIHilbertExplicitCells",
+       [](const std::string& p) {
+         return SaveGrid(IndexMethod::kIHilbert, p, /*explicit_cells=*/true);
        },
        &OpenStatus<FieldDatabase>,
        "fielddb-meta-v2\n"
@@ -359,18 +404,34 @@ TEST_P(CatalogTest, EpochZeroRejected) {
 TEST_P(CatalogTest, DroppedLineRejectedNamingItsKey) {
   // Every line but `spatial` (an optional accelerator for point
   // queries) is required; a subfield row's loss shows in its count.
+  // Without its `spatial` line a LinearScan store must end the page
+  // file, which the tree's pages after it contradict. Without its
+  // `grid` line a lattice store reads as explicit CellRecords, and the
+  // first slot that cannot be one is refused.
   const std::vector<std::string> lines = SplitLines(intact_);
+  const bool linear_scan = intact_.find("\nmethod 0\n") != std::string::npos;
   for (size_t i = 1; i < lines.size(); ++i) {
     const std::string key = SplitTokens(lines[i])[0];
     std::vector<std::string> dropped = lines;
     dropped.erase(dropped.begin() + i);
     const Status s = OpenWith(dropped);
-    if (key == "spatial") {
+    if (key == "spatial" && !linear_scan) {
       EXPECT_TRUE(s.ok()) << s.ToString();
+      continue;
+    }
+    if (key == "spatial") {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      EXPECT_NE(s.message().find("'store_first_page'"), std::string::npos)
+          << s.ToString();
       continue;
     }
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << key << ": "
                                                  << s.ToString();
+    if (key == "grid") {
+      EXPECT_NE(s.message().find("record store slot "), std::string::npos)
+          << s.ToString();
+      continue;
+    }
     const std::string named =
         key == "sf" || key == "sfv" || key == "tsf" ? "subfields" : key;
     EXPECT_NE(s.message().find("'" + named + "'"), std::string::npos)
@@ -445,9 +506,12 @@ TEST(TemporalCatalogTest, SlabBeyondThePageFileRejected) {
 // --- Stored records and cell counts against the catalog ----------------
 
 /// Saves the 64x64 fractal (seed 3) under `method` at `prefix`, with or
-/// without the spatial tree. Its band [0.6, 0.65] has 312 answer cells
-/// and 883 pieces.
-void SaveFractal(IndexMethod method, bool spatial, const std::string& prefix) {
+/// without the spatial tree, in lattice slots or with `explicit_cells`
+/// as explicit CellRecords (a grid builds no spatial tree: `spatial`
+/// only builds one for explicit cells). Its band [0.6, 0.65] has 312
+/// answer cells and 883 pieces.
+void SaveFractal(IndexMethod method, bool spatial, const std::string& prefix,
+                 bool explicit_cells = false) {
   FractalOptions fo;
   fo.size_exp = 6;
   fo.roughness_h = 0.7;
@@ -455,7 +519,10 @@ void SaveFractal(IndexMethod method, bool spatial, const std::string& prefix) {
   FieldDatabaseOptions options;
   options.method = method;
   options.build_spatial_index = spatial;
-  auto db = FieldDatabase::Build(MakeFractalField(fo).value(), options);
+  const GridField grid = MakeFractalField(fo).value();
+  const ExplicitCellsField cells(grid);
+  auto db = FieldDatabase::Build(
+      explicit_cells ? static_cast<const Field&>(cells) : grid, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ValueQueryResult result;
   ASSERT_TRUE(QueryOne(**db, ValueInterval{0.6, 0.65}, &result).ok());
@@ -560,9 +627,12 @@ TEST(TreeCatalogTest, TreeSizeDisagreeingWithTheSubfieldTableRefused) {
 TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {
   // Two pages later, the store's tail is the last store page's empty
   // slots and then spatial-tree pages. Attach must refuse the first
-  // such record before any accessor loops over its vertex count.
+  // such record before any accessor loops over its vertex count. (A
+  // grid's lattice store has no tree after it: the shift leaves the
+  // file, refused as a 'num_cells' beyond it.)
   const std::string prefix = ::testing::TempDir() + "/fielddb_shifted_store";
-  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/true, prefix);
+  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/true, prefix,
+              /*explicit_cells=*/true);
   EditCatalogLine(prefix, "store_first_page", "2");
   const Status s = FieldDatabase::Open(prefix).status();
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -576,21 +646,28 @@ TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {
 TEST(CellCountTest, NumCellsDisagreeingWithTheCatalogRefused) {
   // A lowered num_cells used to open and silently drop the cells past
   // it (311 of 312 answer cells, or none). The catalog states the count
-  // twice more: the spatial tree's size, and I-All's tree size and
-  // build_entries.
+  // again in I-All's tree size and build_entries and in an explicit
+  // store's spatial tree; the store's pages state it too: the slots past
+  // the last record are empty, and a LinearScan store without a tree
+  // after it ends the page file ('store_first_page').
   struct Case {
     IndexMethod method;
     bool spatial;
+    bool explicit_cells;
     const char* disagrees;  // the key the error names
   };
-  for (const Case c : {Case{IndexMethod::kLinearScan, true, "'spatial'"},
-                       Case{IndexMethod::kIAll, true, "'spatial'"},
-                       Case{IndexMethod::kIAll, false, "'tree'"}}) {
+  for (const Case c :
+       {Case{IndexMethod::kLinearScan, true, false, "'store_first_page'"},
+        Case{IndexMethod::kIAll, true, false, "'tree'"},
+        Case{IndexMethod::kIAll, false, false, "'tree'"},
+        Case{IndexMethod::kLinearScan, true, true, "'spatial'"},
+        Case{IndexMethod::kLinearScan, false, true, "'store_first_page'"}}) {
     const std::string prefix = ::testing::TempDir() + "/fielddb_num_cells";
-    SaveFractal(c.method, c.spatial, prefix);
+    SaveFractal(c.method, c.spatial, prefix, c.explicit_cells);
     for (const char* cells : {"4095", "3"}) {
       SCOPED_TRACE(::testing::Message()
                    << IndexMethodName(c.method) << " spatial=" << c.spatial
+                   << " explicit=" << c.explicit_cells
                    << " num_cells=" << cells);
       EditCatalogLine(prefix, "num_cells", cells);
       const Status s = FieldDatabase::Open(prefix).status();
@@ -605,6 +682,56 @@ TEST(CellCountTest, NumCellsDisagreeingWithTheCatalogRefused) {
     for (const char* suffix : {".pages", ".meta"}) {
       std::remove((prefix + suffix).c_str());
     }
+  }
+}
+
+TEST(CellCountTest, StoreEndingAtAPageBoundaryRefused) {
+  // 4,080 = 40 full pages of 102 lattice slots: the last page then has
+  // no empty slot to check, but the store no longer ends the file.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_page_boundary";
+  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/false, prefix);
+  EditCatalogLine(prefix, "num_cells", "4080");
+  const Status s = FieldDatabase::Open(prefix).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("'store_first_page'"), std::string::npos)
+      << s.ToString();
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(GridCatalogTest, LatticeLineValidated) {
+  // `grid <cols> <rows>` selects 40-byte lattice slots; its lattice must
+  // be non-empty, hold every stored cell and span a positive area.
+  const std::string prefix = ::testing::TempDir() + "/fielddb_grid_line";
+  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/false, prefix);
+  const std::string intact = ReadFile(prefix + ".meta");
+  EXPECT_NE(intact.find("\ngrid 64 64\n"), std::string::npos) << intact;
+  EXPECT_EQ(intact.find("spatial"), std::string::npos) << intact;
+  struct Case {
+    const char* key;
+    const char* value;
+    const char* named;
+  };
+  for (const Case c : {Case{"grid", "0 64", "'grid'"},
+                       Case{"grid", "64 0", "'grid'"},
+                       Case{"grid", "65536 65536", "'grid'"},
+                       Case{"grid", "63 64", "'num_cells'"},
+                       Case{"domain", "0 0 0 1", "'grid'"}}) {
+    WriteFile(prefix + ".meta", intact);
+    EditCatalogLine(prefix, c.key, c.value);
+    const Status s = FieldDatabase::Open(prefix).status();
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << c.value;
+    EXPECT_NE(s.message().find(c.named), std::string::npos) << s.ToString();
+  }
+  WriteFile(prefix + ".meta", intact);
+  auto db = FieldDatabase::Open(prefix);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_NE((*db)->lattice(), nullptr);
+  EXPECT_EQ((*db)->lattice()->cols, 64u);
+  EXPECT_EQ((*db)->index().cell_store().cells_per_page(), 102u);
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <functional>
 #include <numeric>
 
 #include "field/grid_field.h"
@@ -29,7 +32,8 @@ TEST(CellStoreTest, BuildIdentityOrder) {
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->size(), 16u);
-  EXPECT_EQ(store->cells_per_page(), 4096u / sizeof(CellRecord));
+  // A grid stores lattice slots: 102 cells per 4 KB page.
+  EXPECT_EQ(store->cells_per_page(), 4096u / sizeof(LatticeSlot));
 
   CellRecord rec;
   for (uint64_t pos = 0; pos < 16; ++pos) {
@@ -153,7 +157,7 @@ TEST(CellStoreTest, PageAccountingOneFetchPerPageOnScan) {
 TEST(CellStoreTest, NumPagesFormula) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  const GridField field = MakeGrid(8);  // 64 cells, 39 per 4 KB page
+  const GridField field = MakeGrid(8);  // 64 cells, 102 per 4 KB page
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   const uint64_t per = store->cells_per_page();
@@ -161,9 +165,10 @@ TEST(CellStoreTest, NumPagesFormula) {
 }
 
 TEST(CellStoreTest, SmallPagesSpanManyPages) {
-  MemPageFile file(256);  // 2 cells per page
+  MemPageFile file(256);  // 2 explicit CellRecords per page
   BufferPool pool(&file, 64);
-  const GridField field = MakeGrid(4);  // 16 cells
+  const GridField grid = MakeGrid(4);  // 16 cells
+  const ExplicitCellsField field(grid);
   auto store = CellStore::Build(&pool, field, {});
   ASSERT_TRUE(store.ok());
   EXPECT_EQ(store->cells_per_page(), 2u);
@@ -171,6 +176,128 @@ TEST(CellStoreTest, SmallPagesSpanManyPages) {
   CellRecord rec;
   ASSERT_TRUE(store->records().Get(15, &rec).ok());
   EXPECT_EQ(rec.id, 15u);
+}
+
+// --- The two slot layouts (CellSlots) ----------------------------------
+
+/// A grid whose domain makes every coordinate a rounded product.
+GridField OddGrid() {
+  std::vector<double> samples;
+  for (uint32_t j = 0; j <= 5; ++j) {
+    for (uint32_t i = 0; i <= 7; ++i) samples.push_back(0.1 * i - 0.37 * j);
+  }
+  return GridField::Create(7, 5, Rect2{{-3.7, 1.1}, {12.9, 5.3}}, samples)
+      .value();
+}
+
+TEST(CellSlotsTest, LatticeSlotsDecodeToGetCellBitForBit) {
+  MemPageFile file;
+  BufferPool pool(&file, 64);
+  const GridField field = OddGrid();
+  std::vector<CellId> order(field.NumCells());
+  std::iota(order.rbegin(), order.rend(), 0);  // reversed
+  auto store = CellStore::Build(&pool, field, order);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->records().slots().lattice().has_value());
+  EXPECT_EQ(*store->records().slots().lattice(), *field.Lattice());
+  auto attached = CellStore::Attach(&pool, store->first_page(), store->size(),
+                                    store->records().slots());
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  for (const CellStore* s : {&*store, &*attached}) {
+    ASSERT_TRUE(s->records()
+                    .Scan(0, s->size(),
+                          [&](uint64_t, const CellRecord& cell) {
+                            const CellRecord want = field.GetCell(cell.id);
+                            EXPECT_EQ(std::memcmp(&cell, &want, sizeof(cell)),
+                                      0)
+                                << "cell " << cell.id;
+                            return true;
+                          })
+                    .ok());
+  }
+}
+
+TEST(CellSlotsTest, ExplicitCellsKeepCellRecordSlots) {
+  MemPageFile file;
+  BufferPool pool(&file, 64);
+  const GridField grid = OddGrid();
+  auto store = CellStore::Build(&pool, ExplicitCellsField(grid), {});
+  ASSERT_TRUE(store.ok());
+  EXPECT_FALSE(store->records().slots().lattice().has_value());
+  EXPECT_EQ(store->cells_per_page(), 4096u / sizeof(CellRecord));
+  PinnedPage pin;
+  ASSERT_TRUE(pool.Fetch(store->first_page(), &pin).ok());
+  const CellRecord want = grid.GetCell(3);
+  EXPECT_EQ(std::memcmp(pin.page().data() + 3 * sizeof(CellRecord), &want,
+                        sizeof(want)),
+            0);
+}
+
+TEST(CellSlotsTest, EncodeRefusesACellOffTheLattice) {
+  MemPageFile file;
+  BufferPool pool(&file, 64);
+  const GridField field = OddGrid();
+  auto store = CellStore::Build(&pool, field, {});
+  ASSERT_TRUE(store.ok());
+  const CellRecord cell = field.GetCell(4);
+  const CellSlots& slots = store->records().slots();
+  uint8_t slot[sizeof(CellRecord)] = {};
+  ASSERT_TRUE(slots.Encode(cell, slot).ok());
+  CellRecord moved = cell;
+  moved.x[1] = std::nextafter(moved.x[1], 1e9);  // one ulp off
+  EXPECT_EQ(slots.Encode(moved, slot).code(), StatusCode::kInvalidArgument);
+  const CellRecord triangle = CellRecord::Triangle(
+      4, cell.Vertex(0), 1.0, cell.Vertex(1), 2.0, cell.Vertex(2), 3.0);
+  EXPECT_EQ(slots.Encode(triangle, slot).code(),
+            StatusCode::kInvalidArgument);
+  CellStore::Change change;
+  EXPECT_EQ(store
+                ->Update(4,
+                         [&](CellRecord* r) {
+                           *r = moved;
+                           return Status::OK();
+                         },
+                         &change)
+                .code(),
+            StatusCode::kInvalidArgument);
+  CellRecord stored;
+  ASSERT_TRUE(store->records().Get(4, &stored).ok());
+  EXPECT_EQ(std::memcmp(&stored, &cell, sizeof(cell)), 0);
+}
+
+TEST(CellSlotsTest, AttachRefusesAnInvalidLatticeSlot) {
+  // A lattice slot is {id, lattice id, w[4]}: the id must name a slot,
+  // the lattice id a lattice cell, and every sample must be finite.
+  const GridField field = OddGrid();  // 35 cells
+  const auto corrupt_slot_5 = [&](auto&& edit) {
+    MemPageFile file;
+    BufferPool pool(&file, 64);
+    auto store = CellStore::Build(&pool, field, {});
+    EXPECT_TRUE(store.ok());
+    {
+      PinnedPage pin;
+      EXPECT_TRUE(pool.Fetch(store->first_page(), &pin).ok());
+      LatticeSlot s;
+      uint8_t* const slot = pin.MutablePage().data() + 5 * sizeof(s);
+      std::memcpy(&s, slot, sizeof(s));
+      edit(&s);
+      std::memcpy(slot, &s, sizeof(s));
+    }
+    return CellStore::Attach(&pool, store->first_page(), store->size(),
+                             store->records().slots())
+        .status();
+  };
+  EXPECT_TRUE(corrupt_slot_5([](LatticeSlot*) {}).ok());
+  for (const auto& edit : std::vector<std::function<void(LatticeSlot*)>>{
+           [](LatticeSlot* s) { s->id = 35; },
+           [](LatticeSlot* s) { s->lattice_id = 35; },
+           [](LatticeSlot* s) { s->w[2] = std::nan(""); },
+           [](LatticeSlot* s) { s->w[0] = HUGE_VAL; }}) {
+    const Status st = corrupt_slot_5(edit);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("record store slot 5 "), std::string::npos)
+        << st.ToString();
+  }
 }
 
 }  // namespace

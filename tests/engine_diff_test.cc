@@ -3,12 +3,16 @@
 // shared engine now hosts — fresh build vs Save/Open round trip, and
 // unlimited vs bounded-memory (external-sort) build. Any drift in the
 // hoisted Build/Attach/Save/Open plumbing shows up here as a workload
-// mismatch.
+// mismatch. The store's layout must not show either: a grid in 40-byte
+// lattice slots answers exactly as the same grid in explicit 104-byte
+// CellRecords.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/field_database.h"
@@ -106,6 +110,112 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       }
       return name;
+    });
+
+// --- Lattice slots against explicit cell records ------------------------
+
+/// Every vertex coordinate of `region`'s pieces, as bits, in order.
+std::vector<uint64_t> PieceBits(const Region& region) {
+  std::vector<uint64_t> bits;
+  for (const ConvexPolygon& piece : region.pieces) {
+    bits.push_back(piece.vertices.size());
+    for (const Point2& v : piece.vertices) {
+      bits.push_back(std::bit_cast<uint64_t>(v.x));
+      bits.push_back(std::bit_cast<uint64_t>(v.y));
+    }
+  }
+  return bits;
+}
+
+class LayoutDiffTest
+    : public ::testing::TestWithParam<std::tuple<IndexMethod, PlannerMode>> {
+};
+
+TEST_P(LayoutDiffTest, LatticeSlotsAnswerAsExplicitCells) {
+  // Same answer, inside and candidate cells and the same pieces, bit
+  // for bit and in order, built and reopened. Pages are not compared: a
+  // run can span more 102-slot pages than 39-slot ones. Under kAuto the
+  // cheaper scans of the lattice store can move a query to the fused
+  // plan, whose candidates are its zone matches, so candidates are
+  // compared where both planned alike.
+  const auto [method, mode] = GetParam();
+  const GridField field = MakeField();
+  FieldDatabaseOptions options;
+  options.method = method;
+  options.planner_mode = mode;
+  auto lattice = FieldDatabase::Build(field, options);
+  ASSERT_TRUE(lattice.ok()) << lattice.status().ToString();
+  auto explicit_cells = FieldDatabase::Build(ExplicitCellsField(field), options);
+  ASSERT_TRUE(explicit_cells.ok()) << explicit_cells.status().ToString();
+  ASSERT_NE((*lattice)->lattice(), nullptr);
+  ASSERT_EQ((*explicit_cells)->lattice(), nullptr);
+  EXPECT_EQ((*lattice)->index().cell_store().cells_per_page(), 102u);
+  EXPECT_EQ((*explicit_cells)->index().cell_store().cells_per_page(), 39u);
+
+  std::vector<std::pair<std::unique_ptr<FieldDatabase>,
+                        std::unique_ptr<FieldDatabase>>>
+      pairs;
+  pairs.emplace_back(std::move(*lattice), std::move(*explicit_cells));
+  const std::string prefix = ::testing::TempDir() + "/fielddb_layout_diff";
+  if (method != IndexMethod::kRowIp) {  // Row-IP does not persist
+    Cleanup(prefix + "_lattice");
+    Cleanup(prefix + "_explicit");
+    ASSERT_TRUE(pairs[0].first->Save(prefix + "_lattice").ok());
+    ASSERT_TRUE(pairs[0].second->Save(prefix + "_explicit").ok());
+    auto a = FieldDatabase::Open(prefix + "_lattice");
+    auto b = FieldDatabase::Open(prefix + "_explicit");
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    (*a)->set_planner_mode(mode);
+    (*b)->set_planner_mode(mode);
+    pairs.emplace_back(std::move(*a), std::move(*b));
+  }
+  size_t same_plan = 0;
+  size_t compared = 0;
+  for (const auto& [a, b] : pairs) {
+    for (const ValueInterval& q : MakeWorkload(field)) {
+      SCOPED_TRACE(::testing::Message() << "[" << q.min << ", " << q.max
+                                        << "] reopened="
+                                        << (a != pairs[0].first));
+      ValueQueryResult ra, rb;
+      ASSERT_TRUE(QueryOne(*a, q, &ra).ok());
+      ASSERT_TRUE(QueryOne(*b, q, &rb).ok());
+      EXPECT_EQ(ra.stats.answer_cells, rb.stats.answer_cells);
+      EXPECT_EQ(ra.stats.inside_cells, rb.stats.inside_cells);
+      EXPECT_EQ(ra.stats.region_pieces, rb.stats.region_pieces);
+      EXPECT_EQ(PieceBits(ra.region), PieceBits(rb.region));
+      ++compared;
+      if (a->PlanValueQuery(q).kind == b->PlanValueQuery(q).kind) {
+        ++same_plan;
+        EXPECT_EQ(ra.stats.candidate_cells, rb.stats.candidate_cells);
+      }
+    }
+  }
+  if (mode != PlannerMode::kAuto) {
+    EXPECT_EQ(same_plan, compared);
+  }
+  EXPECT_GT(same_plan, 0u);
+  Cleanup(prefix + "_lattice");
+  Cleanup(prefix + "_explicit");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethodsAndModes, LayoutDiffTest,
+    ::testing::Combine(
+        ::testing::Values(IndexMethod::kLinearScan, IndexMethod::kIAll,
+                          IndexMethod::kIHilbert,
+                          IndexMethod::kIntervalQuadtree, IndexMethod::kRowIp),
+        ::testing::Values(PlannerMode::kAuto, PlannerMode::kForceScan,
+                          PlannerMode::kForceIndex)),
+    [](const auto& info) {
+      std::string name = IndexMethodName(std::get<0>(info.param));
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      const PlannerMode mode = std::get<1>(info.param);
+      return name + (mode == PlannerMode::kAuto        ? "_Auto"
+                     : mode == PlannerMode::kForceScan ? "_ForceScan"
+                                                       : "_ForceIndex");
     });
 
 }  // namespace

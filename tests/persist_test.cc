@@ -302,7 +302,8 @@ TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
   // The trees only accelerate the store: a value-tree or spatial-tree
   // root that fails its checksum must not stop Open. Value queries fall
   // back to the full store scan with identical answers, EXPLAIN reports
-  // the degradation, and scrub lists both roots.
+  // the degradation, and scrub lists both roots. A grid builds no
+  // spatial tree, so the fractal goes in as explicit cells.
   const std::string prefix = ::testing::TempDir() + "/fielddb_corrupt_root";
   FractalOptions fo;
   fo.size_exp = 5;
@@ -310,7 +311,7 @@ TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
   ASSERT_TRUE(field.ok());
   FieldDatabaseOptions options;
   options.method = IndexMethod::kIHilbert;
-  auto intact = FieldDatabase::Build(*field, options);
+  auto intact = FieldDatabase::Build(ExplicitCellsField(*field), options);
   ASSERT_TRUE(intact.ok());
   ASSERT_TRUE((*intact)->Save(prefix).ok());
 

@@ -426,6 +426,82 @@ TEST(ShardRouterTest, OversizedCatalogCountsRejectedBeforeAllocation) {
   std::remove(path.c_str());
 }
 
+TEST(ShardRouterTest, ShardCellCountDisagreeingWithTheRouterRefused) {
+  // Each shard's own catalog states its cell count, and so does the
+  // router's `shard` line. A lowered count used to open and answer
+  // 1,584 of the band's 1,585 cells; a whole other database in a
+  // shard's place opened too.
+  FractalOptions fo;
+  fo.size_exp = 6;
+  fo.roughness_h = 0.3;
+  fo.seed = 3;
+  const GridField field = MakeFractalField(fo).value();
+  const std::string prefix = ::testing::TempDir() + "/shard_test_shard_cells";
+  const std::string s0 = prefix + ".s0";
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  ro.db.method = IndexMethod::kLinearScan;
+  ro.db.build_spatial_index = false;
+  {
+    auto router = ShardRouter::Build(field, ro);
+    ASSERT_TRUE(router.ok());
+    ASSERT_TRUE((*router)->Save(prefix).ok());
+    ASSERT_TRUE((*router)->Close().ok());
+  }
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto write = [](const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  };
+  const std::string meta = read(s0 + ".meta");
+  const std::string pages = read(s0 + ".pages");
+  ASSERT_NE(meta.find("\nnum_cells 2048\n"), std::string::npos) << meta;
+  const auto expect_refused = [&] {
+    auto opened = ShardRouter::Open(prefix, {});
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    const std::string& message = opened.status().message();
+    EXPECT_TRUE(message.find("shard 0 ") != std::string::npos ||
+                message.find(".s0.") != std::string::npos)
+        << opened.status().ToString();
+  };
+
+  std::string lowered = meta;
+  lowered.replace(lowered.find("num_cells 2048"), 14, "num_cells 2047");
+  write(s0 + ".meta", lowered);
+  expect_refused();
+
+  {
+    FractalOptions small = fo;
+    small.size_exp = 5;  // 1,024 cells: a valid database of its own
+    FieldDatabaseOptions options;
+    options.method = IndexMethod::kLinearScan;
+    auto other = FieldDatabase::Build(MakeFractalField(small).value(), options);
+    ASSERT_TRUE(other.ok());
+    ASSERT_TRUE((*other)->Save(s0).ok());
+  }
+  ASSERT_TRUE(FieldDatabase::Open(s0).ok());
+  expect_refused();
+
+  write(s0 + ".meta", meta);
+  write(s0 + ".pages", pages);
+  auto intact = ShardRouter::Open(prefix, {});
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  QueryStats stats;
+  ASSERT_TRUE(CountOne(**intact, ValueInterval{0.3, 0.7}, &stats).ok());
+  EXPECT_EQ(stats.answer_cells, 1585u);
+  ASSERT_TRUE((*intact)->Close().ok());
+  for (uint32_t k = 0; k < 2; ++k) {
+    const std::string sp = prefix + ".s" + std::to_string(k);
+    std::remove((sp + ".pages").c_str());
+    std::remove((sp + ".meta").c_str());
+  }
+  std::remove((prefix + ".router").c_str());
+}
+
 TEST(ShardRouterTest, CrashRecoveryReplaysUpdatesAcrossTwoShards) {
   const GridField field = MakeTestField();
   const std::string prefix = "shard_test_crash";

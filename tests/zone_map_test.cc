@@ -171,7 +171,7 @@ TEST(ZoneMapAttachTest, AttachRebuildsZoneMap) {
   const PageId first = built->first_page();
   const uint64_t n = built->size();
 
-  auto attached = CellStore::Attach(&pool, first, n);
+  auto attached = CellStore::Attach(&pool, first, n, built->records().slots());
   ASSERT_TRUE(attached.ok());
   EXPECT_EQ(attached->zone_map().mins(), built->zone_map().mins());
   EXPECT_EQ(attached->zone_map().maxs(), built->zone_map().maxs());

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates BENCH_*.json bench reports (DESIGN.md §10).
 
-Usage: check_bench_json.py FILE [FILE...]
+Usage: check_bench_json.py [--baseline BASELINE] FILE [FILE...]
 
 Every report has one shape: bench_id, title, config {key: number |
 string | bool}, points [{labels, metrics}] and gates [{name, kind,
@@ -9,8 +9,11 @@ observed, op, target, ok}]. REQUIREMENTS says, per bench_id, which
 config keys, point labels, metrics and gates a report must carry and
 what values they may take. Each gate's ok must agree with `observed op
 target`; a failed invariant gate is an error, a failed timing gate a
-warning. Exits 0 when every file is valid (warnings allowed), 1
-otherwise. Stdlib only: this runs inside CTest.
+warning. With --baseline, a committed file of deterministic work counts
+(bench/baselines/), each report must also hold exactly the baseline's
+points, with its `metrics` equal to the recorded values. Exits 0 when
+every file is valid (warnings allowed), 1 otherwise. Stdlib only: this
+runs inside CTest.
 """
 
 import json
@@ -348,6 +351,33 @@ class Checker:
                     self.error("gates", f"missing gate '{name}'")
 
 
+def check_baseline(report, baseline, checker):
+    """Compares `report`'s work counts with `baseline` exactly: the same
+    bench_id, the same point labels, and for every point the baseline's
+    `metrics` at their recorded values. Counts do not depend on the
+    machine, so any difference is a change in the work done."""
+    if report.get("bench_id") != baseline.get("bench_id"):
+        checker.error("baseline", f"bench_id {report.get('bench_id')!r} is "
+                      f"not the baseline's {baseline.get('bench_id')!r}")
+        return
+    names = baseline.get("metrics", [])
+    recorded = {json.dumps(p["labels"], sort_keys=True): p["metrics"]
+                for p in baseline.get("points", [])}
+    measured = {json.dumps(p.get("labels"), sort_keys=True): p.get("metrics")
+                for p in report.get("points", []) if isinstance(p, dict)}
+    for identity in sorted(recorded.keys() - measured.keys()):
+        checker.error("baseline", f"no point labelled {identity}")
+    for identity in sorted(measured.keys() - recorded.keys()):
+        checker.error("baseline", f"point {identity} is not in the baseline")
+    for identity in sorted(recorded.keys() & measured.keys()):
+        metrics = measured[identity] or {}
+        for name in names:
+            want, got = recorded[identity].get(name), metrics.get(name)
+            if got != want:
+                checker.error("baseline", f"{identity}: '{name}' = {got!r}, "
+                              f"baseline {want!r}")
+
+
 def _object(pairs):
     """json object hook: a repeated key is an error, not a silent
     overwrite."""
@@ -358,21 +388,36 @@ def _object(pairs):
     return dict(pairs)
 
 
+def _load(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f, object_pairs_hook=_object)
+
+
 def main(argv):
-    if len(argv) < 2:
+    args = argv[1:]
+    baseline = None
+    if args[:1] == ["--baseline"] and len(args) >= 2:
+        try:
+            baseline = _load(args[1])
+        except (OSError, ValueError) as e:
+            print(f"{args[1]}: unreadable baseline: {e}", file=sys.stderr)
+            return 1
+        args = args[2:]
+    if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     failed = False
-    for path in argv[1:]:
+    for path in args:
         try:
-            with open(path, encoding="utf-8") as f:
-                report = json.load(f, object_pairs_hook=_object)
+            report = _load(path)
         except (OSError, ValueError) as e:
             print(f"{path}: unreadable: {e}", file=sys.stderr)
             failed = True
             continue
         checker = Checker()
         checker.check(report)
+        if baseline is not None and isinstance(report, dict):
+            check_baseline(report, baseline, checker)
         for warning in checker.warnings:
             print(f"{path}: {warning}", file=sys.stderr)
         for err in checker.errors:

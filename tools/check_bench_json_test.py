@@ -35,18 +35,35 @@ def valid_report(bench_id):
     }
 
 
+def baseline_of(report, names):
+    """A baseline recording `report`'s values of the metrics `names`."""
+    return {
+        "bench_id": report["bench_id"],
+        "metrics": names,
+        "points": [{"labels": p["labels"],
+                    "metrics": {n: p["metrics"][n] for n in names}}
+                   for p in report["points"]],
+    }
+
+
 class CheckBenchJsonTest(unittest.TestCase):
-    def run_checker(self, report):
-        """Writes `report` to a file and runs the checker's main on it;
-        returns (exit code, stderr)."""
+    def run_checker(self, report, baseline=None):
+        """Writes `report` (and `baseline`) to files and runs the
+        checker's main on them; returns (exit code, stderr)."""
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "BENCH_test.json")
             with open(path, "w", encoding="utf-8") as f:
                 json.dump(report, f)
+            args = ["check_bench_json.py"]
+            if baseline is not None:
+                baseline_path = os.path.join(tmp, "baseline.json")
+                with open(baseline_path, "w", encoding="utf-8") as f:
+                    json.dump(baseline, f)
+                args += ["--baseline", baseline_path]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
-                code = checker.main(["check_bench_json.py", path])
+                code = checker.main(args + [path])
         return code, err.getvalue()
 
     def assert_rejected(self, report, message):
@@ -108,6 +125,39 @@ class CheckBenchJsonTest(unittest.TestCase):
         self.assert_rejected(
             report, f"gate '{gate['name']}' says ok=True but 2 <= 1 is "
             "False")
+
+    def test_accepts_work_counts_equal_to_the_baseline(self):
+        report = valid_report("smoke")
+        baseline = baseline_of(report, ["avg_logical_reads", "store_pages"])
+        code, err = self.run_checker(report, baseline)
+        self.assertEqual(code, 0, err)
+
+    def test_rejects_a_work_count_that_differs_from_the_baseline(self):
+        report = valid_report("smoke")
+        baseline = baseline_of(report, ["avg_logical_reads", "store_pages"])
+        for delta in (1, -1):  # more work, and less without re-recording
+            changed = copy.deepcopy(report)
+            changed["points"][0]["metrics"]["store_pages"] += delta
+            self.assert_rejected_with(changed, baseline, "'store_pages' = ")
+
+    def test_rejects_points_missing_from_either_side(self):
+        report = valid_report("smoke")
+        baseline = baseline_of(report, ["store_pages"])
+        extra = copy.deepcopy(report)
+        extra["points"][0]["labels"]["method"] = "other"
+        self.assert_rejected_with(extra, baseline, "no point labelled")
+        self.assert_rejected_with(extra, baseline, "is not in the baseline")
+
+    def test_rejects_a_baseline_of_another_bench(self):
+        report = valid_report("smoke")
+        baseline = baseline_of(report, ["store_pages"])
+        baseline["bench_id"] = "fig8a"
+        self.assert_rejected_with(report, baseline, "baseline's 'fig8a'")
+
+    def assert_rejected_with(self, report, baseline, message):
+        code, err = self.run_checker(report, baseline)
+        self.assertEqual(code, 1, err)
+        self.assertIn(message, err)
 
 
 if __name__ == "__main__":
