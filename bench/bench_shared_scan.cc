@@ -5,9 +5,9 @@
 //
 // Unlike bench_scaling this run is deliberately I/O-bound: the database
 // is saved and reopened from disk with a pool far smaller than the
-// store, so every sweep really reads pages through the vectored batch
-// path (io_uring / preadv — the emitted async_backend field records
-// which backend the host selected). Its invariant gates fail the run:
+// store, so every sweep really reads pages through DiskPageFile's batch
+// path (one preadv per run of consecutive pages). Its invariant gates
+// fail the run:
 //   - no query fails, and the shared run forms at least one group,
 //   - per-query answer_cells bit-identical between the two modes,
 //   - the summed per-query IoStats of the shared run never exceed the
@@ -32,7 +32,6 @@
 #include "gen/workload.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "storage/page_file.h"
 
 namespace {
 
@@ -58,9 +57,9 @@ bool RunMode(const FieldDatabase& db, const std::vector<ValueInterval>& queries,
   eo.max_scan_group = kMaxGroup;
   QueryExecutor executor(&db, eo);
 
-  // Small warmup so lazy one-time work (async backend creation, stdio
-  // flush) never lands inside the measured window. The pool is far
-  // smaller than the store, so the measured sweeps miss either way.
+  // Small warmup so lazy one-time work never lands inside the measured
+  // window. The pool is far smaller than the store, so the measured
+  // sweeps miss either way.
   const std::vector<ValueInterval> warm(queries.begin(),
                                         queries.begin() + kThreads);
   QueryExecutor::BatchResult warmup;
@@ -77,8 +76,8 @@ int Run(uint32_t num_queries) {
   if (!terrain.ok()) return Fail(terrain.status()) ? 0 : 1;
 
   // Build in memory, persist, reopen from disk: the reopened database
-  // reads through DiskPageFile's vectored batch path, which is the
-  // machinery under test.
+  // reads through DiskPageFile's batch path, which is the machinery
+  // under test.
   const std::string prefix = "bench_shared_scan_db";
   {
     FieldDatabaseOptions options;
@@ -93,20 +92,13 @@ int Run(uint32_t num_queries) {
   FieldDatabase::OpenOptions oo;
   // Far smaller than the store: every sweep misses and pays real reads.
   oo.pool_pages = 256;
-  oo.readahead_pages = 16;
   StatusOr<std::unique_ptr<FieldDatabase>> db = FieldDatabase::Open(prefix, oo);
   if (!db.ok()) return Fail(db.status()) ? 0 : 1;
   const uint64_t field_cells = (*db)->build_info().num_cells;
-
-  const char* backend = "none";
-  if (const auto* disk = dynamic_cast<const DiskPageFile*>((*db)->pool().file())) {
-    backend = disk->async_backend_name();
-  }
-  std::printf("store: %llu cells, %llu pages; pool %zu pages; "
-              "async backend: %s\n",
+  std::printf("store: %llu cells, %llu pages; pool %zu pages\n",
               static_cast<unsigned long long>(field_cells),
               static_cast<unsigned long long>((*db)->build_info().store_pages),
-              oo.pool_pages, backend);
+              oo.pool_pages);
 
   WorkloadOptions wo;
   wo.qinterval_fraction = kQInterval;
@@ -140,7 +132,6 @@ int Run(uint32_t num_queries) {
   const unsigned hw = std::thread::hardware_concurrency();
   report.Config("hardware_threads", hw);
   report.Config("qinterval", kQInterval);
-  report.Config("async_backend", backend);
   for (const bool is_shared : {false, true}) {
     const QueryExecutor::BatchResult& b = is_shared ? shared : iso;
     report.AddPoint()

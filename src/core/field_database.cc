@@ -60,7 +60,6 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
   auto db = std::unique_ptr<FieldDatabase>(new FieldDatabase());
   FIELDDB_RETURN_IF_ERROR(db->engine_.InitForBuild(options));
   BufferPool* const pool = db->engine_.pool();
-  pool->set_readahead_pages(options.readahead_pages);
   db->value_range_ = field.ValueRange();
   db->domain_ = field.Domain();
 

@@ -33,11 +33,6 @@ namespace fielddb {
 /// every field type shares (EngineBuildOptions) plus the grid's own.
 struct FieldDatabaseOptions : EngineBuildOptions {
   IndexMethod method = IndexMethod::kIHilbert;
-  /// Pages a range scan asks the pool to read ahead — the depth of the
-  /// vectored batch PrefetchRange submits (io_uring / preadv on disk
-  /// files). Larger windows pipeline more I/O per submission; totals
-  /// are unchanged (readahead reads replace Fetch misses one for one).
-  size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
   /// Build a 2-D R*-tree over cell MBRs for conventional (Q1) point
   /// queries on a field without a lattice (a TIN). A grid never builds
   /// one: its point queries are arithmetic on the lattice.
@@ -148,12 +143,8 @@ class FieldDatabase : public EngineHost {
   /// callers.
   using RecoveryReport = EngineRecoveryReport;
 
-  /// Reopen options: the settings every field type shares
-  /// (EngineOpenOptions) plus the grid's readahead window.
-  struct OpenOptions : EngineOpenOptions {
-    /// See FieldDatabaseOptions::readahead_pages.
-    size_t readahead_pages = BufferPool::kDefaultReadaheadPages;
-  };
+  /// Reopen options: the settings every field type shares.
+  using OpenOptions = EngineOpenOptions;
 
   /// Reopens a database persisted by Save. Queries run against the
   /// on-disk page file through a buffer pool of `pool_pages` frames.

@@ -158,7 +158,6 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
   if (!catalog.ok()) return catalog.status();
   FIELDDB_RETURN_IF_ERROR(CheckCellCounts(prefix + ".meta", *catalog));
   BufferPool* const pool = db->engine_.pool();
-  pool->set_readahead_pages(options.readahead_pages);
   db->value_range_ = catalog->value_range;
   db->domain_ = catalog->domain;
 

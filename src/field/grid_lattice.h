@@ -21,12 +21,15 @@ struct GridLattice {
 
   uint64_t NumCells() const { return uint64_t{cols} * rows; }
 
-  /// The rectangle of the cell at column `ci`, row `cj`.
+  /// The rectangle of the cell at column `ci`, row `cj`. The last
+  /// column and row end exactly on the domain's far edges, wherever
+  /// rounding would put lo + cols * dx.
   Rect2 CellRect(uint32_t ci, uint32_t cj) const {
     const double dx = domain.Width() / cols;
     const double dy = domain.Height() / rows;
     return Rect2{{domain.lo.x + ci * dx, domain.lo.y + cj * dy},
-                 {domain.lo.x + (ci + 1) * dx, domain.lo.y + (cj + 1) * dy}};
+                 {ci + 1 == cols ? domain.hi.x : domain.lo.x + (ci + 1) * dx,
+                  cj + 1 == rows ? domain.hi.y : domain.lo.y + (cj + 1) * dy}};
   }
 
   /// The rectangle of lattice cell `g`.

@@ -1,6 +1,8 @@
 #ifndef FIELDDB_INDEX_CELL_STORE_H_
 #define FIELDDB_INDEX_CELL_STORE_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -31,14 +33,27 @@ auto StoreKeyOf(const Record& record) {
 
 /// Whether a record read from disk can be used at all, checked before
 /// StoreKeyOf or any other accessor reads it: its id names a slot of a
-/// store of `num_records`, and a record with vertex arrays (CellRecord,
+/// store of `num_records`; a record with vertex arrays (CellRecord,
 /// VectorCellRecord, the temporal slab record) has 3 or 4 vertices, so
-/// no loop over them leaves the arrays. VoxelRecord's count is a
-/// constant.
+/// no loop over them leaves the arrays (VoxelRecord's count is a
+/// constant); and every coordinate and sample of its vertices is
+/// finite, as a lattice slot's samples must be (CellSlots::Valid) — a
+/// NaN has no value interval, so no zone slot could hold it.
 template <typename Record>
 bool ValidStoredRecord(const Record& record, uint64_t num_records) {
+  const uint32_t n = record.num_vertices;
+  const auto finite = [n](const double* values) {
+    return std::all_of(values, values + n,
+                       [](double v) { return std::isfinite(v); });
+  };
   if constexpr (requires { record.x; }) {
-    if (record.num_vertices != 3 && record.num_vertices != 4) return false;
+    if (n != 3 && n != 4) return false;
+    if (!finite(record.x) || !finite(record.y)) return false;
+  }
+  if constexpr (requires { record.w; }) {
+    if (!finite(record.w)) return false;
+  } else {
+    if (!finite(record.u) || !finite(record.v)) return false;
   }
   return record.id < num_records;
 }

@@ -220,12 +220,11 @@ Status BufferPool::PrefetchRange(PageId first, size_t count) {
   }
   if (missing.empty()) return Status::OK();
 
-  // Pass 2 — one vectored ReadBatch for every miss, with NO shard lock
-  // held: the whole window is in flight at once (io_uring / preadv on
-  // disk files), which is the pipeline that makes readahead overlap
-  // rather than serialize. Frames come later, so a concurrent Fetch of
-  // one of these pages may race us and read it itself; pass 3 detects
-  // that and discards our copy.
+  // Pass 2 — one ReadBatch for every miss, with NO shard lock held: on
+  // a disk file a run of consecutive misses is one preadv, so the
+  // window costs one transfer instead of one per page. Frames come
+  // later, so a concurrent Fetch of one of these pages may race us and
+  // read it itself; pass 3 detects that and discards our copy.
   std::vector<Page> pages(missing.size(), Page(file_->page_size()));
   std::vector<Status> statuses(missing.size());
   const bool timing = MetricsRegistry::enabled();

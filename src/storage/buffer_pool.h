@@ -96,10 +96,9 @@ class BufferPool {
   /// enough to split.
   static constexpr size_t kDefaultShards = 16;
 
-  /// Default readahead window (pages) for range scans — the paper's
-  /// batch depth; tunable per database via
-  /// FieldDatabaseOptions::readahead_pages.
-  static constexpr size_t kDefaultReadaheadPages = 8;
+  /// Readahead window (pages) of range scans
+  /// (RecordStore::ScanRangesFiltered): the depth of one PrefetchRange.
+  static constexpr size_t kReadaheadPages = 8;
 
   /// `capacity` is the number of frames; must be >= 1. `num_shards` = 0
   /// picks automatically: kDefaultShards for pools of >= 256 frames, 1
@@ -119,14 +118,13 @@ class BufferPool {
 
   /// Batched readahead: loads pages [first, first + count) that are not
   /// yet resident into unpinned frames, so subsequent Fetches of them
-  /// hit. The misses are submitted as ONE vectored PageFile::ReadBatch
-  /// (io_uring / preadv on disk files) with no shard lock held, then
-  /// installed page by page — the real async pipeline behind range
-  /// scans. Best effort — a page whose frame cannot be made (shard full
-  /// of pins) or whose read fails is skipped, leaving Fetch's normal
-  /// counted-and-retried read path authoritative for it; failed batch
-  /// reads count the `storage.pool.prefetch_failed` metric (and nothing
-  /// else, so I/O totals stay readahead-invariant).
+  /// hit. The misses are submitted as ONE PageFile::ReadBatch (a preadv
+  /// per run of consecutive pages on disk files) with no shard lock
+  /// held, then installed page by page. Best effort — a page whose frame
+  /// cannot be made (shard full of pins) or whose read fails is skipped,
+  /// leaving Fetch's normal counted-and-retried read path authoritative
+  /// for it; failed batch reads count the `storage.pool.prefetch_failed`
+  /// metric (and nothing else, so I/O totals stay readahead-invariant).
   ///
   /// Accounting: a prefetch read counts as a physical (and, when the ids
   /// run consecutively, sequential) read exactly like the Fetch it
@@ -134,15 +132,6 @@ class BufferPool {
   /// identical with and without readahead. Already-resident pages count
   /// only the `storage.pool.prefetch_hit` metric.
   Status PrefetchRange(PageId first, size_t count);
-
-  /// Readahead window used by range scans (RecordStore::ScanRangesFiltered).
-  /// Set once at database-build/open time, before queries run.
-  void set_readahead_pages(size_t n) {
-    readahead_pages_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  size_t readahead_pages() const {
-    return readahead_pages_.load(std::memory_order_relaxed);
-  }
 
   /// Pins pages [first, first + count) in order, appending one pin per
   /// page to `*out`. Issues one PrefetchRange over the span first, so
@@ -263,8 +252,6 @@ class BufferPool {
   Counter* m_batch_reads_;
   Histogram* m_read_latency_us_;
   Histogram* m_write_latency_us_;
-
-  std::atomic<size_t> readahead_pages_{kDefaultReadaheadPages};
 };
 
 }  // namespace fielddb

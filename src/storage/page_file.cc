@@ -1,12 +1,15 @@
 #include "storage/page_file.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
-#include "storage/async_io.h"
 #include "storage/crc32c.h"
 
 namespace fielddb {
@@ -61,43 +64,106 @@ Status MemPageFile::Write(PageId id, const Page& page) {
   return Status::OK();
 }
 
-DiskPageFile::DiskPageFile(std::FILE* f, uint32_t page_size,
-                           uint64_t num_pages, uint32_t epoch)
-    : PageFile(page_size), file_(f), num_pages_(num_pages), epoch_(epoch) {}
+namespace {
 
-DiskPageFile::~DiskPageFile() {
-  if (file_ != nullptr) std::fclose(file_);
+/// A run is one preadv: keep it well under IOV_MAX (1024 on Linux);
+/// readahead windows are far smaller anyway.
+constexpr size_t kMaxRun = 512;
+
+/// pread that retries EINTR and partial transfers until `len` bytes are
+/// in or the file ends.
+Status PreadFully(int fd, uint8_t* buf, size_t len, uint64_t offset) {
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pread(fd, buf + done, len - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("read failed at offset " +
+                             std::to_string(offset) + ": " +
+                             std::strerror(errno));
+    }
+    if (n == 0) {
+      return Status::IOError("short read at offset " + std::to_string(offset) +
+                             ": " + std::to_string(done) + " of " +
+                             std::to_string(len) + " bytes");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
 }
+
+/// Reads `n` (<= kMaxRun) consecutive slots of `slot` bytes from byte
+/// `offset` on into `buf` with one preadv, one status per slot.
+void ReadRun(int fd, uint64_t slot, uint64_t offset, size_t n, uint8_t* buf,
+             Status* statuses) {
+  if (n > 1) {
+    struct iovec iov[kMaxRun];
+    for (size_t k = 0; k < n; ++k) iov[k] = {buf + k * slot, slot};
+    ssize_t got = 0;
+    do {
+      got = ::preadv(fd, iov, static_cast<int>(n), static_cast<off_t>(offset));
+    } while (got < 0 && errno == EINTR);
+    if (got == static_cast<ssize_t>(n * slot)) {
+      for (size_t k = 0; k < n; ++k) statuses[k] = Status::OK();
+      return;
+    }
+  }
+  // A lone slot, or a failed or short run: slot by slot, so each slot
+  // reports its own status and only those past the short point fail.
+  for (size_t k = 0; k < n; ++k) {
+    statuses[k] = PreadFully(fd, buf + k * slot, slot, offset + k * slot);
+  }
+}
+
+/// pwrite that retries EINTR and partial transfers.
+bool PwriteFully(int fd, const uint8_t* buf, size_t len, uint64_t offset) {
+  size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pwrite(fd, buf + done, len - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+DiskPageFile::~DiskPageFile() { ::close(fd_); }
 
 StatusOr<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
     const std::string& path, uint32_t page_size, uint32_t epoch) {
-  std::FILE* f = std::fopen(path.c_str(), "w+b");
-  if (f == nullptr) {
+  const int fd =
+      ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Status::IOError("cannot create " + path);
   }
   return std::unique_ptr<DiskPageFile>(
-      new DiskPageFile(f, page_size, 0, epoch));
+      new DiskPageFile(fd, page_size, 0, epoch));
 }
 
 StatusOr<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
     const std::string& path, uint32_t page_size, uint32_t epoch) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open " + path);
   }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("seek failed on " + path);
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IOError("fstat failed on " + path);
   }
-  const long length = std::ftell(f);
+  const uint64_t length = static_cast<uint64_t>(st.st_size);
   const uint64_t slot = uint64_t{kPageHeaderSize} + page_size;
-  if (length < 0 || static_cast<uint64_t>(length) % slot != 0) {
-    std::fclose(f);
+  if (length % slot != 0) {
+    ::close(fd);
     return Status::Corruption(
         "file length not a multiple of the page slot size: " + path);
   }
-  return std::unique_ptr<DiskPageFile>(new DiskPageFile(
-      f, page_size, static_cast<uint64_t>(length) / slot, epoch));
+  return std::unique_ptr<DiskPageFile>(
+      new DiskPageFile(fd, page_size, length / slot, epoch));
 }
 
 Status DiskPageFile::WriteSlot(PageId id, const uint8_t* payload) {
@@ -108,15 +174,14 @@ Status DiskPageFile::WriteSlot(PageId id, const uint8_t* payload) {
   const uint32_t crc =
       MaskCrc(Crc32c(slot.data() + 4, slot.size() - 4));
   std::memcpy(slot.data(), &crc, sizeof(crc));
-  if (std::fseek(file_, static_cast<long>(id * SlotSize()), SEEK_SET) != 0 ||
-      std::fwrite(slot.data(), 1, slot.size(), file_) != slot.size()) {
+  if (!PwriteFully(fd_, slot.data(), slot.size(), id * SlotSize())) {
     return Status::IOError("write failed for page " + std::to_string(id));
   }
   return Status::OK();
 }
 
 StatusOr<PageId> DiskPageFile::Allocate() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(allocate_mu_);
   const PageId id = num_pages_.load(std::memory_order_relaxed);
   const std::vector<uint8_t> zeros(page_size_, 0);
   FIELDDB_RETURN_IF_ERROR(WriteSlot(id, zeros.data()));
@@ -157,77 +222,35 @@ Status DiskPageFile::VerifySlot(PageId id, const uint8_t* slot,
 }
 
 Status DiskPageFile::Read(PageId id, Page* out) const {
-  if (id >= NumPages()) {
-    return Status::OutOfRange("page id out of range");
-  }
-  std::vector<uint8_t> slot(SlotSize());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (std::fseek(file_, static_cast<long>(id * SlotSize()), SEEK_SET) != 0 ||
-        std::fread(slot.data(), 1, slot.size(), file_) != slot.size()) {
-      return Status::IOError("read failed for page " + std::to_string(id));
-    }
-  }
-  return VerifySlot(id, slot.data(), out);
-}
-
-AsyncIoBackend* DiskPageFile::BackendLocked() const {
-  if (backend_ == nullptr) backend_ = AsyncIoBackend::Create();
-  return backend_.get();
-}
-
-const char* DiskPageFile::async_backend_name() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return BackendLocked()->name();
+  Status status;
+  return ReadBatch(&id, 1, out, &status);
 }
 
 Status DiskPageFile::ReadBatch(const PageId* ids, size_t count, Page* outs,
                                Status* statuses) const {
-  if (count == 0) return Status::OK();
   const uint64_t num_pages = NumPages();
-  AsyncIoBackend* backend = nullptr;
-  {
-    // One flush up front: the batch reads through the fd (positioned
-    // reads), which does not see bytes still sitting in the stdio
-    // buffer. Allocate/Write complete before any read of their page can
-    // be requested, so flushing here is sufficient coherence.
-    std::lock_guard<std::mutex> lock(mu_);
-    backend = BackendLocked();
-    std::fflush(file_);
-  }
-
-  std::vector<SlotRead> reqs;
-  std::vector<size_t> req_index;  // reqs[k] serves ids[req_index[k]]
-  reqs.reserve(count);
-  req_index.reserve(count);
-  std::vector<uint8_t> slots(count * SlotSize());
-  for (size_t i = 0; i < count; ++i) {
+  const uint64_t slot = SlotSize();
+  std::vector<uint8_t> slots(count * slot);
+  for (size_t i = 0; i < count;) {
     if (ids[i] >= num_pages) {
-      statuses[i] = Status::OutOfRange("page id out of range");
+      statuses[i++] = Status::OutOfRange("page id out of range");
       continue;
     }
-    SlotRead req;
-    req.offset = ids[i] * SlotSize();
-    req.buf = slots.data() + i * SlotSize();
-    req.len = SlotSize();
-    reqs.push_back(req);
-    req_index.push_back(i);
-  }
-  if (!reqs.empty()) {
-    backend->ReadVectored(::fileno(file_), reqs.data(), reqs.size());
-  }
-  for (size_t k = 0; k < reqs.size(); ++k) {
-    const size_t i = req_index[k];
-    statuses[i] = reqs[k].status.ok()
-                      ? VerifySlot(ids[i], reqs[k].buf, &outs[i])
-                      : reqs[k].status;
+    size_t j = i + 1;
+    while (j < count && j - i < kMaxRun && ids[j] < num_pages &&
+           ids[j] == ids[j - 1] + 1) {
+      ++j;
+    }
+    ReadRun(fd_, slot, ids[i] * slot, j - i, slots.data() + i * slot,
+            statuses + i);
+    i = j;
   }
   Status first = Status::OK();
   for (size_t i = 0; i < count; ++i) {
-    if (!statuses[i].ok()) {
-      first = statuses[i];
-      break;
+    if (statuses[i].ok()) {
+      statuses[i] = VerifySlot(ids[i], slots.data() + i * slot, &outs[i]);
     }
+    if (first.ok() && !statuses[i].ok()) first = statuses[i];
   }
   return first;
 }
@@ -239,21 +262,14 @@ Status DiskPageFile::Write(PageId id, const Page& page) {
   if (page.size() != page_size_) {
     return Status::InvalidArgument("page size mismatch");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  FIELDDB_RETURN_IF_ERROR(WriteSlot(id, page.data()));
-  std::fflush(file_);
-  return Status::OK();
+  return WriteSlot(id, page.data());
 }
 
 Status DiskPageFile::Sync() {
   // fsync is the single most expensive storage call; always worth a
   // span so checkpoint/commit stalls are visible in the trace.
   TraceScope span("file.sync", "pool");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("fflush failed");
-  }
-  if (::fsync(::fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::IOError("fsync failed");
   }
   return Status::OK();
@@ -264,19 +280,15 @@ Status DiskPageFile::CorruptRawForTest(PageId id, uint32_t offset,
   if (id >= NumPages() || offset >= SlotSize()) {
     return Status::OutOfRange("corrupt target out of range");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  const long pos = static_cast<long>(id * SlotSize() + offset);
+  const off_t pos = static_cast<off_t>(id * SlotSize() + offset);
   uint8_t byte = 0;
-  if (std::fseek(file_, pos, SEEK_SET) != 0 ||
-      std::fread(&byte, 1, 1, file_) != 1) {
+  if (::pread(fd_, &byte, 1, pos) != 1) {
     return Status::IOError("corrupt-for-test read failed");
   }
   byte ^= xor_mask;
-  if (std::fseek(file_, pos, SEEK_SET) != 0 ||
-      std::fwrite(&byte, 1, 1, file_) != 1) {
+  if (::pwrite(fd_, &byte, 1, pos) != 1) {
     return Status::IOError("corrupt-for-test write failed");
   }
-  std::fflush(file_);
   return Status::OK();
 }
 

@@ -2,7 +2,6 @@
 #define FIELDDB_STORAGE_PAGE_FILE_H_
 
 #include <atomic>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -13,8 +12,6 @@
 #include "storage/page.h"
 
 namespace fielddb {
-
-class AsyncIoBackend;
 
 /// Backing store for pages. Two implementations: in-memory (the default
 /// for benchmarks — timing then reflects algorithmic work, while the
@@ -53,10 +50,9 @@ class PageFile {
   /// verification, same error taxonomy). Returns OK iff every page
   /// succeeded; otherwise the first failing page's status.
   ///
-  /// The default loops over Read; DiskPageFile overrides it with a
-  /// batched submission through the async I/O backend (io_uring when
-  /// available, vectored preads otherwise — storage/async_io.h), which
-  /// is what makes BufferPool::PrefetchRange a real pipeline.
+  /// The default loops over Read; DiskPageFile overrides it with one
+  /// preadv per run of consecutive ids, which is what makes
+  /// BufferPool::PrefetchRange one transfer per window.
   virtual Status ReadBatch(const PageId* ids, size_t count, Page* outs,
                            Status* statuses) const;
 
@@ -105,8 +101,10 @@ class MemPageFile final : public PageFile {
 /// crash landed between the two commit renames).
 inline constexpr uint32_t kPageHeaderSize = 16;
 
-/// On-disk page file backed by stdio. Page `id` occupies the slot at
-/// offset id * (kPageHeaderSize + page_size).
+/// On-disk page file: one descriptor, read and written with positioned
+/// calls, so no call moves a shared file position and no read takes a
+/// lock. Page `id` occupies the slot at offset
+/// id * (kPageHeaderSize + page_size).
 class DiskPageFile final : public PageFile {
  public:
   ~DiskPageFile() override;
@@ -128,20 +126,17 @@ class DiskPageFile final : public PageFile {
     return num_pages_.load(std::memory_order_acquire);
   }
   StatusOr<PageId> Allocate() override;
+  /// A batch of one, so a lone read and a batch slot report the same
+  /// status.
   Status Read(PageId id, Page* out) const override;
-  /// Batched page reads through the process's async I/O backend: slot
-  /// transfers are submitted together (fd-level positioned reads, so
-  /// nothing touches the shared stdio position) and each slot is then
-  /// verified exactly as Read verifies it. The stdio buffer is flushed
-  /// once up front so buffered writes are visible to the fd reads.
+  /// One preadv per run of consecutive in-range ids. A failed or short
+  /// run is re-read slot by slot, so only the slots past the short
+  /// point fail; an out-of-range id fails its slot alone. Every slot
+  /// read is then verified (VerifySlot).
   Status ReadBatch(const PageId* ids, size_t count, Page* outs,
                    Status* statuses) const override;
   Status Write(PageId id, const Page& page) override;
   Status Sync() override;
-
-  /// The async read backend's name ("iouring", "preadv", "sync");
-  /// resolves the backend if no ReadBatch has run yet.
-  const char* async_backend_name() const;
 
   uint32_t epoch() const { return epoch_; }
 
@@ -152,32 +147,24 @@ class DiskPageFile final : public PageFile {
   Status CorruptRawForTest(PageId id, uint32_t offset, uint8_t xor_mask);
 
  private:
-  // Out of line: members include a unique_ptr to the forward-declared
-  // AsyncIoBackend.
-  DiskPageFile(std::FILE* f, uint32_t page_size, uint64_t num_pages,
-               uint32_t epoch);
+  DiskPageFile(int fd, uint32_t page_size, uint64_t num_pages,
+               uint32_t epoch)
+      : PageFile(page_size), fd_(fd), num_pages_(num_pages), epoch_(epoch) {}
 
   uint64_t SlotSize() const { return uint64_t{kPageHeaderSize} + page_size_; }
-  /// Caller holds mu_.
+  /// Frames `payload` as page `id` and writes the slot.
   Status WriteSlot(PageId id, const uint8_t* payload);
   /// Verifies a raw slot (CRC -> page id -> epoch, counting
   /// storage.file.corrupt_page_reads on failure) and copies its payload
-  /// into `*out`. Shared by Read and ReadBatch so both report identical
-  /// corruption taxonomy.
+  /// into `*out`.
   Status VerifySlot(PageId id, const uint8_t* slot, Page* out) const;
-  /// Lazily resolves the async backend (caller holds mu_).
-  AsyncIoBackend* BackendLocked() const;
 
-  // Serializes the stdio seek+transfer pairs, which share one file
-  // position.
-  mutable std::mutex mu_;
-  std::FILE* file_;
+  const int fd_;
+  // Allocate's append moves num_pages_; nothing else locks.
+  std::mutex allocate_mu_;
   std::atomic<uint64_t> num_pages_;
   /// Stamped into written headers; verified on Read when non-zero.
-  uint32_t epoch_;
-  /// Created on first ReadBatch (under mu_); reads after that go
-  /// through it lock-free (positioned fd reads).
-  mutable std::unique_ptr<AsyncIoBackend> backend_;
+  const uint32_t epoch_;
 };
 
 }  // namespace fielddb

@@ -177,13 +177,13 @@ class RecordStore {
   }
 
   /// Visits the positions of each run in `ranges` (ascending, disjoint)
-  /// whose zone entry intersects `query`, reading ahead the pool's
-  /// readahead window (BufferPool::readahead_pages) at a time so a
-  /// run's pages arrive in one vectored batch instead of one blocking
-  /// read per page. Every page of every run is fetched, so I/O totals —
-  /// and the paper's page-access semantics — equal Scan-ing each run
-  /// (readahead reads count as the physical reads Fetch would have
-  /// issued); only matching positions are deserialized and visited.
+  /// whose zone entry intersects `query`, reading ahead
+  /// BufferPool::kReadaheadPages at a time so a run's pages arrive in
+  /// one batch instead of one blocking read per page. Every page of
+  /// every run is fetched, so I/O totals — and the paper's page-access
+  /// semantics — equal Scan-ing each run (readahead reads count as the
+  /// physical reads Fetch would have issued); only matching positions
+  /// are deserialized and visited.
   /// `zones.FilterRange(run, query, &out)` appends a run's matching
   /// sub-runs (ScalarZoneMap for a value interval, BoxZoneMap for a
   /// (u, v) box). Non-matching positions are counted into `*skipped`
@@ -258,20 +258,18 @@ class RecordStore {
   }
 
   /// One range scan's readahead cursor: before fetching a page beyond
-  /// the prefetched window, prefetch up to readahead_pages more pages of
-  /// the current run.
+  /// the prefetched window, prefetch up to BufferPool::kReadaheadPages
+  /// more pages of the current run.
   class Readahead {
    public:
-    explicit Readahead(const RecordStore* store)
-        : store_(store),
-          window_(std::max<size_t>(store->pool_->readahead_pages(), 1)) {}
+    explicit Readahead(const RecordStore* store) : store_(store) {}
 
     Status Fetch(uint64_t page_index, uint64_t last_page_index,
                  PinnedPage* pin) {
       const PageId page = store_->first_page_ + page_index;
       if (page >= prefetched_to_) {
         const size_t count = static_cast<size_t>(std::min<uint64_t>(
-            window_, last_page_index - page_index + 1));
+            BufferPool::kReadaheadPages, last_page_index - page_index + 1));
         FIELDDB_RETURN_IF_ERROR(store_->pool_->PrefetchRange(page, count));
         prefetched_to_ = page + count;
       }
@@ -280,7 +278,6 @@ class RecordStore {
 
    private:
     const RecordStore* store_;
-    uint64_t window_;
     PageId prefetched_to_ = 0;
   };
 

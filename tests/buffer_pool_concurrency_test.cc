@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -160,64 +163,77 @@ TEST(BufferPoolConcurrencyTest, ClearRacesWithReaders) {
             static_cast<uint64_t>(kReaders) * kIters);
 }
 
-// Every shard prefetches (one vectored ReadBatch per window, no shard
-// lock held during the submission) while every other shard fetches and
-// evicts: the install-after-read races and the readahead-invariant
-// accounting both run hot.
+// Every shard prefetches (one ReadBatch per window, no shard lock held
+// during the submission) while every other shard fetches and evicts:
+// the install-after-read races and the readahead-invariant accounting
+// both run hot. Over memory, and over a disk file, whose reads take no
+// lock: the TSan sweep vets the concurrent preads and preadvs on its
+// one descriptor.
 TEST(BufferPoolConcurrencyTest, PrefetchFetchHammerKeepsContentsAndCounts) {
-  MemPageFile file(256);
-  BufferPool pool(&file, 64, 8);
-  std::vector<PageId> ids;
-  SeedPages(pool, 512, &ids);
+  MemPageFile mem(256);
+  const std::string path =
+      ::testing::TempDir() + "/fielddb_prefetch_hammer.pages";
+  StatusOr<std::unique_ptr<DiskPageFile>> disk =
+      DiskPageFile::Create(path, 256);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  for (PageFile* file : {static_cast<PageFile*>(&mem),
+                         static_cast<PageFile*>(disk->get())}) {
+    SCOPED_TRACE(file == &mem ? "memory" : "disk");
+    BufferPool pool(file, 64, 8);
+    std::vector<PageId> ids;
+    SeedPages(pool, 512, &ids);
 
-  constexpr int kThreads = 8;
-  constexpr int kIters = 1500;
-  constexpr size_t kWindow = 8;
-  std::atomic<uint64_t> errors{0};
-  std::atomic<uint64_t> mismatches{0};
-  std::vector<IoStats> per_thread(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ScopedIoSink sink(&per_thread[t]);
-      std::mt19937_64 rng(3000 + t);
-      std::uniform_int_distribution<size_t> pick(0, ids.size() - kWindow);
-      for (int i = 0; i < kIters; ++i) {
-        const size_t start = pick(rng);
-        if (!pool.PrefetchRange(ids[start], kWindow).ok()) {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-        for (size_t k = 0; k < kWindow; ++k) {
-          const PageId id = ids[start + k];
-          PinnedPage pin;
-          if (!pool.Fetch(id, &pin).ok()) {
+    constexpr int kThreads = 8;
+    constexpr int kIters = 1500;
+    constexpr size_t kWindow = 8;
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> mismatches{0};
+    std::vector<IoStats> per_thread(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ScopedIoSink sink(&per_thread[t]);
+        std::mt19937_64 rng(3000 + t);
+        std::uniform_int_distribution<size_t> pick(0, ids.size() - kWindow);
+        for (int i = 0; i < kIters; ++i) {
+          const size_t start = pick(rng);
+          if (!pool.PrefetchRange(ids[start], kWindow).ok()) {
             errors.fetch_add(1, std::memory_order_relaxed);
-            continue;
           }
-          if (pin.page().ReadAt<uint64_t>(0) != TagFor(id)) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
+          for (size_t k = 0; k < kWindow; ++k) {
+            const PageId id = ids[start + k];
+            PinnedPage pin;
+            if (!pool.Fetch(id, &pin).ok()) {
+              errors.fetch_add(1, std::memory_order_relaxed);
+              continue;
+            }
+            if (pin.page().ReadAt<uint64_t>(0) != TagFor(id)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
           }
         }
-      }
-    });
+      });
+    }
+    for (std::thread& th : threads) th.join();
+
+    EXPECT_EQ(errors.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_LE(pool.num_frames(), pool.capacity());
+
+    // Readahead-invariant accounting: prefetch reads count as the
+    // physical reads they replace and never as logical ones, so the
+    // logical total is exactly the Fetch count and the per-thread sinks
+    // still partition both totals exactly.
+    const IoStats total = pool.stats();
+    EXPECT_EQ(total.logical_reads,
+              static_cast<uint64_t>(kThreads) * kIters * kWindow);
+    IoStats merged;
+    for (const IoStats& s : per_thread) merged += s;
+    EXPECT_EQ(merged.logical_reads, total.logical_reads);
+    EXPECT_EQ(merged.physical_reads, total.physical_reads);
   }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(errors.load(), 0u);
-  EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_LE(pool.num_frames(), pool.capacity());
-
-  // Readahead-invariant accounting: prefetch reads count as the
-  // physical reads they replace and never as logical ones, so the
-  // logical total is exactly the Fetch count and the per-thread sinks
-  // still partition both totals exactly.
-  const IoStats total = pool.stats();
-  EXPECT_EQ(total.logical_reads,
-            static_cast<uint64_t>(kThreads) * kIters * kWindow);
-  IoStats merged;
-  for (const IoStats& s : per_thread) merged += s;
-  EXPECT_EQ(merged.logical_reads, total.logical_reads);
-  EXPECT_EQ(merged.physical_reads, total.physical_reads);
+  disk->reset();
+  std::remove(path.c_str());
 }
 
 // The same hammer over a file with a 1% transient read-error rate: the

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "field/grid_field.h"
 #include "gen/fractal.h"
 #include "storage/page.h"
+#include "storage/page_file.h"
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
@@ -640,6 +643,80 @@ TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {
       << s.ToString();
   for (const char* suffix : {".pages", ".meta"}) {
     std::remove((prefix + suffix).c_str());
+  }
+}
+
+/// Overwrites the double at byte `offset` of store slot 5 (slots of
+/// `slot_size` bytes from page 0 on) of the snapshot at `prefix` with
+/// `value`, writing the page back with the catalog's epoch so that its
+/// checksum stays valid.
+void PoisonSlot5(const std::string& prefix, size_t slot_size, size_t offset,
+                 double value) {
+  auto file = DiskPageFile::Open(prefix + ".pages", 4096, /*epoch=*/1);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const size_t per_page = 4096 / slot_size;
+  const PageId page_id = 5 / per_page;
+  Page page(4096);
+  ASSERT_TRUE((*file)->Read(page_id, &page).ok());
+  page.WriteAt<double>(static_cast<uint32_t>((5 % per_page) * slot_size +
+                                             offset),
+                       value);
+  ASSERT_TRUE((*file)->Write(page_id, page).ok());
+}
+
+TEST(StoredRecordTest, NonFiniteRecordRefusedNamingTheSlot) {
+  // A stored record with a NaN sample or an infinite coordinate, under
+  // a valid page checksum, used to open and silently drop the record
+  // from every answer (Interval() skips the NaN). Attach refuses it
+  // like any other unusable record, on every field type.
+  struct Case {
+    const char* name;
+    std::function<Status(const std::string& prefix)> save;
+    std::function<Status(const std::string& prefix)> open;
+    size_t slot_size;
+    size_t offset;  // of the poisoned double within the record
+    double value;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto explicit_grid = [](const std::string& p) {
+    return SaveGrid(IndexMethod::kIHilbert, p, /*explicit_cells=*/true);
+  };
+  const auto vector = [](const std::string& p) {
+    return SaveVector(VectorIndexMethod::kIHilbert, p);
+  };
+  const Case cases[] = {
+      {"ExplicitGridSample", explicit_grid, &OpenStatus<FieldDatabase>,
+       sizeof(CellRecord), offsetof(CellRecord, w) + sizeof(double), nan},
+      {"ExplicitGridCoordinate", explicit_grid, &OpenStatus<FieldDatabase>,
+       sizeof(CellRecord), offsetof(CellRecord, y) + 2 * sizeof(double), inf},
+      {"VectorSample", vector, &OpenStatus<VectorFieldDatabase>,
+       sizeof(VectorCellRecord), offsetof(VectorCellRecord, u), nan},
+      {"VectorCoordinate", vector, &OpenStatus<VectorFieldDatabase>,
+       sizeof(VectorCellRecord), offsetof(VectorCellRecord, x), -inf},
+      {"VolumeSample",
+       [](const std::string& p) {
+         return SaveVolume(VolumeIndexMethod::kIHilbert, p);
+       },
+       &OpenStatus<VolumeFieldDatabase>, sizeof(VoxelRecord),
+       offsetof(VoxelRecord, w) + 7 * sizeof(double), nan},
+      {"TemporalSample", &SaveTemporal, &OpenStatus<TemporalFieldDatabase>,
+       sizeof(TemporalSlabRecord),
+       offsetof(VectorCellRecord, v) + 2 * sizeof(double), nan},
+  };
+  const std::string prefix = ::testing::TempDir() + "/fielddb_non_finite";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.save(prefix).ok());
+    ASSERT_TRUE(c.open(prefix).ok());
+    PoisonSlot5(prefix, c.slot_size, c.offset, c.value);
+    const Status s = c.open(prefix);
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    EXPECT_NE(s.message().find("record store slot 5 "), std::string::npos)
+        << s.ToString();
+    for (const char* suffix : {".pages", ".meta"}) {
+      std::remove((prefix + suffix).c_str());
+    }
   }
 }
 

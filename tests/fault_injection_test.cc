@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -456,7 +455,17 @@ TEST_F(DiskChecksumTest, CleanPagesSurviveReopen) {
 // ---------------------------------------------------------------------
 // DiskPageFile::ReadBatch: the vectored path must be indistinguishable
 // from a loop of single Reads — same bytes, same error taxonomy, per
-// slot — regardless of which async backend the host selected.
+// slot.
+
+/// A failing batch slot reports exactly what a lone Read of its page
+/// does, in code and message.
+void ExpectLoneReadStatus(const DiskPageFile& file, PageId id,
+                          const Status& slot) {
+  Page lone(512);
+  const Status s = file.Read(id, &lone);
+  EXPECT_EQ(s.code(), slot.code()) << id;
+  EXPECT_EQ(s.message(), slot.message()) << id;
+}
 
 TEST_F(DiskChecksumTest, ReadBatchMatchesSingleReads) {
   auto f = DiskPageFile::Create(path_, 512);
@@ -486,6 +495,7 @@ TEST_F(DiskChecksumTest, ReadBatchMatchesSingleReads) {
   ASSERT_TRUE(mstat[0].ok());
   EXPECT_EQ(mouts[0].ReadAt<uint64_t>(0), 902u);
   EXPECT_EQ(mstat[1].code(), StatusCode::kOutOfRange);
+  ExpectLoneReadStatus(**f, 64, mstat[1]);
   ASSERT_TRUE(mstat[2].ok());
   EXPECT_EQ(mouts[2].ReadAt<uint64_t>(0), 906u);
 }
@@ -510,6 +520,7 @@ TEST_F(DiskChecksumTest, ReadBatchReportsTheCorruptSlotAlone) {
   for (uint64_t i = 0; i < 4; ++i) {
     if (i == 2) {
       EXPECT_EQ(statuses[i].code(), StatusCode::kCorruption);
+      ExpectLoneReadStatus(**f, i, statuses[i]);
     } else {
       ASSERT_TRUE(statuses[i].ok()) << i;
       EXPECT_EQ(outs[i].ReadAt<uint64_t>(0), 40 + i);
@@ -526,11 +537,9 @@ TEST_F(DiskChecksumTest, ReadBatchShortReadFailsOnlyTheTruncatedSlot) {
     p.WriteAt<uint64_t>(0, 60 + i);
     ASSERT_TRUE((*f)->Write(i, p).ok());
   }
-  // Flush stdio first: ReadBatch's own flush must not resurrect the
-  // bytes the truncation below is about to destroy.
   ASSERT_TRUE((*f)->Sync().ok());
-  // The device loses the tail of the last slot: every backend must turn
-  // the short transfer into a per-slot IOError, never garbage bytes.
+  // The device loses the tail of the last slot: the short transfer must
+  // become a per-slot IOError, never garbage bytes.
   const uint64_t slot = kPageHeaderSize + 512;
   ASSERT_EQ(::truncate(path_.c_str(), 3 * slot + 17), 0);
   const PageId ids[] = {0, 1, 2, 3};
@@ -543,34 +552,7 @@ TEST_F(DiskChecksumTest, ReadBatchShortReadFailsOnlyTheTruncatedSlot) {
     EXPECT_EQ(outs[i].ReadAt<uint64_t>(0), 60 + i);
   }
   EXPECT_EQ(statuses[3].code(), StatusCode::kIOError);
-}
-
-TEST_F(DiskChecksumTest, AsyncBackendEnvOverridePinsTheBackend) {
-  // "iouring" is deliberately absent: it degrades to "preadv" on hosts
-  // whose build or kernel lacks it, so its name is not assertable.
-  for (const char* want : {"sync", "preadv"}) {
-    SCOPED_TRACE(want);
-    ASSERT_EQ(::setenv("FIELDDB_ASYNC_IO", want, 1), 0);
-    std::remove(path_.c_str());
-    auto f = DiskPageFile::Create(path_, 512);
-    ASSERT_TRUE(f.ok());
-    for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE((*f)->Allocate().ok());
-      Page p(512);
-      p.WriteAt<uint64_t>(0, 80 + i);
-      ASSERT_TRUE((*f)->Write(i, p).ok());
-    }
-    EXPECT_STREQ((*f)->async_backend_name(), want);
-    const PageId ids[] = {5, 4, 3, 2, 1, 0};
-    std::vector<Page> outs(6, Page(512));
-    std::vector<Status> statuses(6);
-    ASSERT_TRUE((*f)->ReadBatch(ids, 6, outs.data(), statuses.data()).ok());
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(statuses[i].ok()) << i;
-      EXPECT_EQ(outs[i].ReadAt<uint64_t>(0), 80 + ids[i]);
-    }
-  }
-  ASSERT_EQ(::unsetenv("FIELDDB_ASYNC_IO"), 0);
+  ExpectLoneReadStatus(**f, 3, statuses[3]);
 }
 
 // ---------------------------------------------------------------------

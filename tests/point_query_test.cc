@@ -73,13 +73,15 @@ std::vector<Point2> OutsidePoints(const GridField& field) {
           {-1e300, mid_y}};
 }
 
-/// `query(p)` agrees with field.ValueAt(p) bit for bit at every inside
-/// point, and is NotFound at every outside one.
+/// field.ValueAt(p) answers at every inside point, the far edges and
+/// corners included, and `query(p)` agrees with it bit for bit; at
+/// every outside point `query(p)` is NotFound.
 template <typename Query>
 void ExpectValueAt(const GridField& field, Query&& query) {
   for (const Point2 p : InsidePoints(field)) {
     SCOPED_TRACE(::testing::Message() << "(" << p.x << ", " << p.y << ")");
     const StatusOr<double> want = field.ValueAt(p);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
     const StatusOr<double> got = query(p);
     ASSERT_EQ(got.status().code(), want.status().code())
         << got.status().ToString();

@@ -179,8 +179,7 @@ REQUIREMENTS = {
                 "num_queries": POSITIVE, "clients": POSITIVE,
                 "threads": POSITIVE, "max_scan_group": POSITIVE,
                 "workload_seed": NONNEG, "hardware_threads": POSITIVE,
-                "qinterval": FRACTION,
-                "async_backend": one_of("sync", "preadv", "iouring")},
+                "qinterval": FRACTION},
         kinds=[Kind(labels={"mode": one_of("isolated", "shared")},
                     metrics={"qps": POSITIVE, "p50_wall_ms": NONNEG,
                              "p99_wall_ms": NONNEG,

@@ -14,9 +14,10 @@
 # concurrent value queries, concurrent cost-based planning), the WAL /
 # crash-recovery paths, the extension engines (vector / volume /
 # temporal persistence and external-sort builds), the lock-free
-# trace-v2 ring buffers, the async batch-I/O / shared-scan path
-# (vectored prefetch installs, executor grouping), and the shard
-# router's scatter/gather across per-shard executor lanes.
+# trace-v2 ring buffers, the batch read / shared-scan path (concurrent
+# preads and preadvs on one page-file descriptor, prefetch installs,
+# executor grouping), and the shard router's scatter/gather across
+# per-shard executor lanes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
