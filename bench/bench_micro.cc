@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrates: space-filling
-// curve encoding, R*-tree insert/search, subfield construction, the
+// curve encoding, R*-tree bulk load/search, subfield construction, the
 // isoband estimation step and the page checksum. These are not paper
 // figures; they document the constant factors underneath them.
 
@@ -34,26 +34,6 @@ BENCHMARK(BM_CurveEncode)
     ->Arg(static_cast<int>(CurveType::kZOrder))
     ->Arg(static_cast<int>(CurveType::kGrayCode))
     ->Arg(static_cast<int>(CurveType::kRowMajor));
-
-void BM_RTreeInsert1D(benchmark::State& state) {
-  Rng rng(2);
-  for (auto _ : state) {
-    state.PauseTiming();
-    MemPageFile file;
-    BufferPool pool(&file, 4096);
-    auto tree = RStarTree<1>::Create(&pool);
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      const double lo = rng.NextDouble();
-      Box<1> b;
-      b.lo = {lo};
-      b.hi = {lo + 0.01};
-      benchmark::DoNotOptimize(tree->Insert(b, i));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsert1D)->Arg(1000)->Arg(10000);
 
 void BM_RTreeBulkLoad1D(benchmark::State& state) {
   Rng rng(3);

@@ -73,18 +73,14 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
     }
     case IndexMethod::kIAll: {
       StatusOr<std::unique_ptr<IAllIndex>> idx =
-          IAllIndex::Build(pool, field, options.iall);
+          IAllIndex::Build(pool, field);
       if (!idx.ok()) return idx.status();
       db->index_ = std::move(idx).value();
       break;
     }
     case IndexMethod::kIHilbert: {
-      IHilbertIndex::Options ihopts = options.ihilbert;
-      if (options.build_memory_budget_bytes > 0) {
-        ihopts.build_memory_budget_bytes = options.build_memory_budget_bytes;
-      }
-      StatusOr<std::unique_ptr<IHilbertIndex>> idx =
-          IHilbertIndex::Build(pool, field, ihopts);
+      StatusOr<std::unique_ptr<IHilbertIndex>> idx = IHilbertIndex::Build(
+          pool, field, options.ihilbert, options.build_memory_budget_bytes);
       if (!idx.ok()) return idx.status();
       db->index_ = std::move(idx).value();
       break;

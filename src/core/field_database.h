@@ -39,7 +39,6 @@ struct FieldDatabaseOptions : EngineBuildOptions {
   bool build_spatial_index = true;
 
   IHilbertIndex::Options ihilbert;
-  IAllIndex::Options iall;
   IntervalQuadtreeIndex::Options iqt;
 };
 

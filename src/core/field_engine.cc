@@ -205,9 +205,7 @@ Status FieldEngine::SaveSnapshot(
       if (!no_steal || !pool_->TryGetResident(id, &page)) {
         FIELDDB_RETURN_IF_ERROR(file_->Read(id, &page));
       }
-      StatusOr<PageId> copied = (*out)->Allocate();
-      if (!copied.ok()) return copied.status();
-      FIELDDB_RETURN_IF_ERROR((*out)->Write(*copied, page));
+      FIELDDB_RETURN_IF_ERROR((*out)->Allocate(page).status());
     }
     FIELDDB_RETURN_IF_ERROR((*out)->Sync());
     // Scope end closes the temp file before it is renamed into place.

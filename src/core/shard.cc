@@ -51,22 +51,17 @@ Status Shard::Close() {
 
 std::vector<std::pair<uint64_t, CellId>> HilbertPartitionKeys(
     const Field& field) {
-  // Mirrors LinearizeCells (index/i_hilbert.cc) with the default
-  // IHilbertOptions curve (Hilbert, order 16): identical normalization
-  // and tie-break, but the keys are kept — the router records each
+  // I-Hilbert's order under the default IHilbertOptions curve
+  // (Hilbert, order 16), with the keys kept: the router records each
   // shard's key range in its catalog.
   const std::unique_ptr<SpaceFillingCurve> curve =
       MakeCurve(CurveType::kHilbert, 16);
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
-  const double w = std::max(domain.Width(), kGeomEpsilon);
-  const double h = std::max(domain.Height(), kGeomEpsilon);
   std::vector<std::pair<uint64_t, CellId>> keyed(n);
   for (CellId id = 0; id < n; ++id) {
-    const Point2 c = field.GetCell(id).Centroid();
-    const double ux = (c.x - domain.lo.x) / w;
-    const double uy = (c.y - domain.lo.y) / h;
-    keyed[id] = {curve->EncodeUnit(ux, uy), id};
+    keyed[id] = {CellCurveKey(*curve, domain, field.GetCell(id).Centroid()),
+                 id};
   }
   std::sort(keyed.begin(), keyed.end());
   return keyed;

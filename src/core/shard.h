@@ -119,11 +119,11 @@ class Shard {
   Histogram* wall_ms_;  // shard.s<k>.wall_ms
 };
 
-/// Global Hilbert linearization keys for partitioning: (key, id) pairs
-/// sorted exactly like IHilbertIndex's LinearizeCells (same curve-grid
-/// normalization over field.Domain(), same (key, id) tie-break), so
-/// splitting the sorted sequence into contiguous runs yields shards
-/// whose concatenation reproduces the global linearization.
+/// Global Hilbert linearization keys for partitioning: (CellCurveKey,
+/// id) pairs sorted exactly like IHilbertIndex's store (same key over
+/// field.Domain(), same (key, id) tie-break), so splitting the sorted
+/// sequence into contiguous runs yields shards whose concatenation
+/// reproduces the global linearization.
 std::vector<std::pair<uint64_t, CellId>> HilbertPartitionKeys(
     const Field& field);
 

@@ -55,6 +55,14 @@ uint64_t SpaceFillingCurve::EncodeUnit(double ux, double uy) const {
   return Encode(quantize(ux), quantize(uy));
 }
 
+uint64_t CellCurveKey(const SpaceFillingCurve& curve, const Rect2& domain,
+                      const Point2& centroid) {
+  const double w = std::max(domain.Width(), kGeomEpsilon);
+  const double h = std::max(domain.Height(), kGeomEpsilon);
+  return curve.EncodeUnit((centroid.x - domain.lo.x) / w,
+                          (centroid.y - domain.lo.y) / h);
+}
+
 std::unique_ptr<SpaceFillingCurve> MakeCurve(CurveType type, int order) {
   assert(order >= 1 && order <= 31);
   switch (type) {

@@ -5,6 +5,8 @@
 #include <memory>
 #include <string>
 
+#include "common/geometry.h"
+
 namespace fielddb {
 
 /// Linearization orders for 2-D cell grids. The paper adopts Hilbert
@@ -49,6 +51,14 @@ class SpaceFillingCurve {
  private:
   int order_;
 };
+
+/// The curve key of a cell: its centroid normalized to `domain` (each
+/// side taken as at least kGeomEpsilon) and quantized onto `curve`'s
+/// grid. Every curve-ordered build sorts cells by (key, id) — I-Hilbert,
+/// the vector and temporal stores and the router's partition — so a
+/// shard's cells are a contiguous run of the unsharded order.
+uint64_t CellCurveKey(const SpaceFillingCurve& curve, const Rect2& domain,
+                      const Point2& centroid);
 
 /// Factory. `order` must be in [1, 31].
 std::unique_ptr<SpaceFillingCurve> MakeCurve(CurveType type, int order);

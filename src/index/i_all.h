@@ -14,21 +14,14 @@ namespace fielddb {
 /// value interval goes into the 1-D R*-tree. Simple, but the tree holds
 /// as many heavily-overlapping intervals as there are cells — tall, large
 /// and slow; on smooth / high-selectivity workloads it loses even to
-/// LinearScan (the effect Fig. 11.a shows).
-struct IAllOptions {
-  /// When true, intervals are packed bottom-up (Kamel–Faloutsos [14])
-  /// instead of inserted one by one; identical query semantics, much
-  /// faster builds on the million-cell workloads.
-  bool bulk_load = true;
-  RStarOptions rstar;
-};
-
+/// LinearScan (the effect Fig. 11.a shows). The paper inserts the
+/// intervals one by one; here they are packed bottom-up in midpoint
+/// order (Kamel–Faloutsos [14]): the same answers, much faster builds
+/// on the million-cell workloads.
 class IAllIndex final : public ValueIndex {
  public:
-  using Options = IAllOptions;
-
-  static StatusOr<std::unique_ptr<IAllIndex>> Build(
-      BufferPool* pool, const Field& field, const Options& options = {});
+  static StatusOr<std::unique_ptr<IAllIndex>> Build(BufferPool* pool,
+                                                    const Field& field);
 
   /// Re-wraps a persisted store + tree (for FieldDatabase::Open).
   static std::unique_ptr<IAllIndex> Attach(CellStore store,

@@ -8,28 +8,9 @@
 
 namespace fielddb {
 
-std::vector<CellId> LinearizeCells(const Field& field,
-                                   const SpaceFillingCurve& curve) {
-  const CellId n = field.NumCells();
-  const Rect2 domain = field.Domain();
-  const double w = std::max(domain.Width(), kGeomEpsilon);
-  const double h = std::max(domain.Height(), kGeomEpsilon);
-
-  std::vector<std::pair<uint64_t, CellId>> keyed(n);
-  for (CellId id = 0; id < n; ++id) {
-    const Point2 c = field.GetCell(id).Centroid();
-    const double ux = (c.x - domain.lo.x) / w;
-    const double uy = (c.y - domain.lo.y) / h;
-    keyed[id] = {curve.EncodeUnit(ux, uy), id};
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<CellId> order(n);
-  for (CellId pos = 0; pos < n; ++pos) order[pos] = keyed[pos].second;
-  return order;
-}
-
 StatusOr<std::unique_ptr<IHilbertIndex>> IHilbertIndex::Build(
-    BufferPool* pool, const Field& field, const Options& options) {
+    BufferPool* pool, const Field& field, const Options& options,
+    size_t build_memory_budget_bytes) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::unique_ptr<SpaceFillingCurve> curve =
       MakeCurve(options.curve, options.curve_order);
@@ -38,21 +19,17 @@ StatusOr<std::unique_ptr<IHilbertIndex>> IHilbertIndex::Build(
   }
 
   // The linearization sort runs through the external sorter: budget 0
-  // is one in-RAM sort, a budget spills runs of (hilbert_key, cell_id)
+  // is one in-RAM sort, a budget spills runs of (curve key, cell_id)
   // to temp files, and either way the merge streams straight into the
-  // store appender. The merge's (key, insertion-seq) tie-break equals
-  // LinearizeCells's (key, id) order because ids are added in order, so
-  // every budget builds the same bytes.
+  // store appender. The merge's (key, insertion-seq) tie-break is the
+  // (key, id) order because ids are added in order, so every budget
+  // builds the same bytes.
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
-  const double w = std::max(domain.Width(), kGeomEpsilon);
-  const double h = std::max(domain.Height(), kGeomEpsilon);
-  ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
+  ExternalKeyRecordSorter<CellId> sorter(build_memory_budget_bytes);
   for (CellId id = 0; id < n; ++id) {
-    const Point2 c = field.GetCell(id).Centroid();
-    const double ux = (c.x - domain.lo.x) / w;
-    const double uy = (c.y - domain.lo.y) / h;
-    FIELDDB_RETURN_IF_ERROR(sorter.Add(curve->EncodeUnit(ux, uy), id));
+    FIELDDB_RETURN_IF_ERROR(sorter.Add(
+        CellCurveKey(*curve, domain, field.GetCell(id).Centroid()), id));
   }
   CellStore::Appender appender(pool, n, CellSlots::For(field));
   FIELDDB_RETURN_IF_ERROR(
@@ -65,8 +42,7 @@ StatusOr<std::unique_ptr<IHilbertIndex>> IHilbertIndex::Build(
       PartitionStore(*store, field.ValueRange(), options.cost);
 
   StatusOr<RStarTree<1>> tree =
-      BuildSubfieldTree(pool, SubfieldEntries(subfields, RunEntry{}),
-                        options.rstar, options.bulk_load);
+      RStarTree<1>::BulkLoad(pool, SubfieldEntries(subfields, RunEntry{}));
   if (!tree.ok()) return tree.status();
 
   IndexBuildInfo info;

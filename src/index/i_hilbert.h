@@ -32,25 +32,18 @@ struct IHilbertOptions {
   /// would alias for every workload in this repository.
   int curve_order = 16;
   SubfieldCostConfig cost;
-  /// Pack the subfield intervals bottom-up instead of R*-inserting.
-  bool bulk_load = true;
-  RStarOptions rstar;
-  /// When > 0, the (hilbert_key, cell) linearization sort runs as a
-  /// bounded-memory external merge sort: the sorter's in-RAM buffer is
-  /// capped at this many bytes, overflow spills sorted runs to temp
-  /// files, and the k-way merge feeds the store appender streamwise. The
-  /// resulting index is byte-identical to the in-RAM build (same
-  /// (key, id) tie-break, same page layout). 0 (the default) sorts once
-  /// in RAM.
-  size_t build_memory_budget_bytes = 0;
 };
 
 class IHilbertIndex final : public ValueIndex {
  public:
   using Options = IHilbertOptions;
 
+  /// The linearization sort runs under `build_memory_budget_bytes`,
+  /// the engine's build budget (EngineBuildOptions; 0 sorts once in
+  /// RAM); every budget builds the same bytes.
   static StatusOr<std::unique_ptr<IHilbertIndex>> Build(
-      BufferPool* pool, const Field& field, const Options& options = {});
+      BufferPool* pool, const Field& field, const Options& options = {},
+      size_t build_memory_budget_bytes = 0);
 
   /// Re-wraps persisted components (for FieldDatabase::Open).
   static std::unique_ptr<IHilbertIndex> Attach(
@@ -88,14 +81,6 @@ class IHilbertIndex final : public ValueIndex {
   std::vector<Subfield> subfields_;
   IndexBuildInfo info_;
 };
-
-/// Computes the linearization order of a field's cells under `curve`:
-/// result[pos] = cell id stored at slot pos. Cell centers are normalized
-/// to the field domain and quantized onto the curve grid; ties (cells
-/// sharing a quantized center) break by cell id, keeping the order
-/// deterministic.
-std::vector<CellId> LinearizeCells(const Field& field,
-                                   const SpaceFillingCurve& curve);
 
 }  // namespace fielddb
 

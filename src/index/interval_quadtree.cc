@@ -107,8 +107,7 @@ StatusOr<std::unique_ptr<IntervalQuadtreeIndex>> IntervalQuadtreeIndex::Build(
   if (!store.ok()) return store.status();
 
   StatusOr<RStarTree<1>> tree =
-      BuildSubfieldTree(pool, SubfieldEntries(subfields, RunEntry{}),
-                        options.rstar, options.bulk_load);
+      RStarTree<1>::BulkLoad(pool, SubfieldEntries(subfields, RunEntry{}));
   if (!tree.ok()) return tree.status();
 
   IndexBuildInfo info;

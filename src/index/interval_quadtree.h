@@ -31,8 +31,6 @@ struct IntervalQuadtreeOptions {
   /// Division stops at this depth regardless of the threshold (a
   /// 2^max_depth x 2^max_depth finest grid).
   int max_depth = 16;
-  bool bulk_load = true;
-  RStarOptions rstar;
 };
 
 class IntervalQuadtreeIndex final : public ValueIndex {

@@ -19,9 +19,11 @@ namespace fielddb {
 /// one copy for every field type and key (value interval or (u, v) box).
 ///
 /// A type names its tree entry once, as `entry_of(row, index) ->
-/// RTreeEntry<D>`, and both the bulk load (SubfieldEntries) and the
-/// refresh use it: RunEntry for trees over the subfields' own runs, the
-/// temporal database's slab entry for its value × time tree.
+/// RTreeEntry<D>`, and both the bulk load (SubfieldEntries, packed in
+/// the subfields' curve order, the order Kamel & Faloutsos [14]
+/// prescribe) and the refresh use it: RunEntry for trees over the
+/// subfields' own runs, the temporal database's slab entry for its
+/// value × time tree.
 
 /// The entry of a subfield indexed by its own run: the key's box plus
 /// (start, end) — every subfield tree but the temporal one.
@@ -75,22 +77,6 @@ auto SubfieldEntries(const std::vector<Row>& subfields,
   return entries;
 }
 
-/// The R*-tree over `entries`: packed bottom-up in the given order (the
-/// subfields' curve order is the packing order Kamel & Faloutsos [14]
-/// prescribe) or, without `bulk_load`, R*-inserted one at a time.
-template <int Dim>
-StatusOr<RStarTree<Dim>> BuildSubfieldTree(
-    BufferPool* pool, const std::vector<RTreeEntry<Dim>>& entries,
-    const RStarOptions& options, bool bulk_load = true) {
-  if (bulk_load) return RStarTree<Dim>::BulkLoad(pool, entries, options);
-  StatusOr<RStarTree<Dim>> tree = RStarTree<Dim>::Create(pool, options);
-  if (!tree.ok()) return tree.status();
-  for (const RTreeEntry<Dim>& e : entries) {
-    FIELDDB_RETURN_IF_ERROR(tree->Insert(e.box, e.a, e.b));
-  }
-  return tree;
-}
-
 /// Index of the subfield whose [start, end) range contains store
 /// position `pos`. `subfields` must tile the store, which every catalog
 /// reader checks (ReadCatalog) and every builder guarantees.
@@ -107,9 +93,9 @@ size_t SubfieldContaining(const std::vector<Row>& subfields, uint64_t pos) {
 
 /// After an update changed the key of the record at `change.pos`,
 /// refreshes the containing subfield: recomputes its key hull and SI from
-/// its members in the store and, if the hull moved, replaces its tree
-/// entry (`entry_of`, see above). Nothing to do when the record's key
-/// did not change.
+/// its members in the store and, if the hull moved, rewrites its tree
+/// entry's box in place (`entry_of`, see above). Nothing to do when the
+/// record's key did not change.
 template <typename Record, typename Key, int Dim, typename EntryOf>
 Status RefreshSubfieldAfterUpdate(const BasicCellStore<Record>& store,
                                   const KeyChange<Key>& change,
@@ -133,11 +119,9 @@ Status RefreshSubfieldAfterUpdate(const BasicCellStore<Record>& store,
     typename Traits::Row moved = sf;
     Traits::KeyOf(moved) = hull;
     const RTreeEntry<Dim> old_entry = entry_of(sf, si);
-    const RTreeEntry<Dim> new_entry = entry_of(moved, si);
-    FIELDDB_RETURN_IF_ERROR(
-        tree->Delete(old_entry.box, old_entry.a, old_entry.b));
-    FIELDDB_RETURN_IF_ERROR(
-        tree->Insert(new_entry.box, new_entry.a, new_entry.b));
+    FIELDDB_RETURN_IF_ERROR(tree->Replace(old_entry.box, old_entry.a,
+                                          old_entry.b,
+                                          entry_of(moved, si).box));
     Traits::KeyOf(sf) = hull;
   }
   Traits::SumOf(sf) = sum_sizes;

@@ -1,9 +1,9 @@
 #ifndef FIELDDB_RTREE_RSTAR_TREE_H_
 #define FIELDDB_RTREE_RSTAR_TREE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -27,15 +27,6 @@ struct RTreeEntry {
   bool operator==(const RTreeEntry& other) const = default;
 };
 
-/// Tuning knobs. Defaults follow Beckmann et al. [1]: 40% minimum fill,
-/// 30% forced-reinsert fraction.
-struct RStarOptions {
-  double min_fill_fraction = 0.4;
-  double reinsert_fraction = 0.3;
-  /// Leaf/internal fill used by BulkLoad (Kamel & Faloutsos packing [14]).
-  double bulk_fill_fraction = 1.0;
-};
-
 /// Persistable tree identity: everything needed to re-attach a tree to its
 /// page file in a later session.
 struct RStarMeta {
@@ -45,14 +36,19 @@ struct RStarMeta {
   uint64_t num_nodes = 0;
 };
 
-/// A disk-page R*-tree (Beckmann, Kriegel, Schneider, Seeger, SIGMOD'90)
-/// over `Dim`-dimensional boxes. Nodes occupy one buffer-pool page each;
-/// all node traffic is counted by the pool, which is how the experiment
-/// harness attributes I/O cost to the index.
+/// A paged R-tree with the R*-tree's node layout (Beckmann, Kriegel,
+/// Schneider, Seeger, SIGMOD'90) over `Dim`-dimensional boxes, packed
+/// bottom-up once (Kamel & Faloutsos [14]) and updated in place. Nodes
+/// occupy one buffer-pool page each; all node traffic is counted by the
+/// pool, which is how the experiment harness attributes I/O cost to the
+/// index. The shape is fixed at BulkLoad: Replace rewrites one leaf
+/// entry's box and refits the boxes above it, so no update allocates,
+/// splits or frees a node, and height, size and node count stay what
+/// BulkLoad made.
 ///
 /// Used with Dim=1 to index value intervals (the paper's 1-D R*-tree for
 /// I-All and I-Hilbert) and Dim=2 as the conventional spatial index for
-/// point (Q1) queries on TINs.
+/// point (Q1) queries on TINs and for the vector and temporal subfields.
 template <int Dim>
 class RStarTree {
  public:
@@ -60,11 +56,6 @@ class RStarTree {
   using BoxT = Box<Dim>;
   /// Return false to stop the search early.
   using Visitor = std::function<bool(const Entry&)>;
-
-  /// Creates an empty tree whose nodes are allocated from `pool`.
-  /// The pool must outlive the tree.
-  static StatusOr<RStarTree> Create(BufferPool* pool,
-                                    const RStarOptions& options = {});
 
   /// Re-attaches to an existing tree in `pool`'s page file. kCorruption
   /// when `meta.height` contradicts the root page's level (CheckHeight):
@@ -76,30 +67,28 @@ class RStarTree {
   /// checksum failure, an I/O error) attaches unchecked, because the
   /// tree only accelerates the store. Searches then report the failure
   /// (a corrupt page makes the band scan fall back to the store), and
-  /// Insert/Delete re-check the height before writing.
-  static StatusOr<RStarTree> Attach(BufferPool* pool, const RStarMeta& meta,
-                                    const RStarOptions& options = {});
+  /// Replace re-checks the height before writing.
+  static StatusOr<RStarTree> Attach(BufferPool* pool, const RStarMeta& meta);
 
-  /// Bulk-loads from leaf entries *already sorted by the caller* (for the
-  /// paper's workloads: by Hilbert value, per Kamel & Faloutsos [14]).
-  /// Packs leaves to `options.bulk_fill_fraction` of capacity and builds
-  /// upper levels bottom-up.
+  /// Packs leaf entries *already sorted by the caller* (for the paper's
+  /// workloads: by Hilbert value, per Kamel & Faloutsos [14]) into full
+  /// nodes and builds the upper levels bottom-up; the last node of a
+  /// level borrows from its predecessor to keep the minimum fill. No
+  /// entries make one empty root leaf. The pool must outlive the tree.
   static StatusOr<RStarTree> BulkLoad(BufferPool* pool,
-                                      const std::vector<Entry>& sorted,
-                                      const RStarOptions& options = {});
+                                      const std::vector<Entry>& sorted);
 
   RStarTree(RStarTree&&) = default;
   RStarTree& operator=(RStarTree&&) = default;
   RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
 
-  /// Inserts one leaf entry (R* insertion with forced reinsert).
-  Status Insert(const BoxT& box, uint64_t a, uint64_t b = 0);
-
-  /// Removes the leaf entry exactly matching (box, a, b). Underfull nodes
-  /// are dissolved and their entries reinserted (condense-tree).
-  /// Returns NotFound if no such entry exists.
-  Status Delete(const BoxT& box, uint64_t a, uint64_t b = 0);
+  /// Sets the box of the leaf entry exactly matching (old_box, a, b) to
+  /// `new_box` and refits every box on its path to the root, which may
+  /// shrink or grow; only the nodes on that path are written. NotFound
+  /// when no leaf entry matches, InvalidArgument for an empty `new_box`.
+  Status Replace(const BoxT& old_box, uint64_t a, uint64_t b,
+                 const BoxT& new_box);
 
   /// Visits every leaf entry whose box intersects `query`.
   Status Search(const BoxT& query, const Visitor& visit) const;
@@ -125,16 +114,15 @@ class RStarTree {
 
   /// Number of leaf entries.
   uint64_t size() const { return meta_.size; }
-  /// Number of levels (0 for an about-to-be-created tree, 1 = just a leaf).
+  /// Number of levels (1 = just a leaf).
   uint32_t height() const { return meta_.height; }
   uint64_t num_nodes() const { return meta_.num_nodes; }
   const RStarMeta& meta() const { return meta_; }
 
   /// Max entries per node for this pool's page size.
   uint32_t max_entries() const { return max_entries_; }
-  uint32_t min_entries() const { return min_entries_; }
 
-  /// Walks the whole tree verifying structural invariants (MBR containment,
+  /// Walks the whole tree verifying structural invariants (exact MBRs,
   /// fill bounds, uniform leaf depth, node/entry counts). For tests.
   Status CheckInvariants() const;
 
@@ -144,46 +132,27 @@ class RStarTree {
     std::vector<Entry> entries;
   };
 
-  struct PendingInsert {
-    Entry entry;
-    uint32_t level;
-  };
-
-  RStarTree(BufferPool* pool, const RStarOptions& options);
+  explicit RStarTree(BufferPool* pool);
 
   static uint32_t MaxEntriesFor(uint32_t page_size);
 
   Status LoadNode(PageId id, Node* node) const;
-  /// kCorruption unless the root page's level is height - 1. Insert and
-  /// Delete check this before sizing anything from the height, which
-  /// an edited catalog can set to any value; Attach checks `root`, its
-  /// copy of the root page.
+  /// kCorruption unless the root page's level is height - 1. Replace
+  /// checks this before sizing anything from the height, which an
+  /// edited catalog can set to any value; Attach checks `root`, its copy
+  /// of the root page.
   Status CheckHeight() const;
   Status CheckHeight(const Page& root) const;
   Status StoreNode(PageId id, const Node& node) const;
   StatusOr<PageId> AllocNode();
-  void FreeNode(PageId id);
 
   static BoxT NodeBox(const Node& node);
 
-  /// R* ChooseSubtree: index of the child of `node` to descend into when
-  /// inserting `box` toward `target_level`.
-  size_t ChooseSubtree(const Node& node, const BoxT& box) const;
-
-  /// Recursive insert; see implementation for the contract.
-  Status InsertRec(PageId page_id, const PendingInsert& ins,
-                   std::vector<bool>* reinserted_at_level,
-                   std::vector<PendingInsert>* pending,
-                   std::optional<Entry>* split_out, BoxT* box_out);
-
-  /// Splits an overflowing node (R* topological split). On return `node`
-  /// keeps the first group; the second group is written to a new page and
-  /// returned as an entry.
-  StatusOr<Entry> SplitNode(Node* node);
-
-  Status DeleteRec(PageId page_id, const BoxT& box, uint64_t a, uint64_t b,
-                   std::vector<PendingInsert>* orphans, bool* found,
-                   bool* underflow, BoxT* box_out);
+  /// Replace below `page_id`: sets `*found` and, when found, `*box_out`
+  /// to the node's refitted box.
+  Status ReplaceRec(PageId page_id, const BoxT& old_box, uint64_t a,
+                    uint64_t b, const BoxT& new_box, bool* found,
+                    BoxT* box_out);
 
   Status SearchRec(PageId page_id, const BoxT& query, const Visitor& visit,
                    bool* keep_going) const;
@@ -192,29 +161,19 @@ class RStarTree {
                   uint32_t expected_level, uint64_t* leaf_entries,
                   uint64_t* nodes) const;
 
-  Status DrainPending(std::vector<PendingInsert>* pending,
-                      std::vector<bool>* reinserted_at_level);
-
   BufferPool* pool_;
-  RStarOptions options_;
   RStarMeta meta_;
   uint32_t max_entries_;
   uint32_t min_entries_;
-  uint32_t reinsert_count_;
-  std::vector<PageId> free_pages_;
 
-  // Process-wide observability counters (obs/metrics.h), shared by every
-  // tree: search-time node visits explain filtering I/O, reinserts and
-  // splits expose update-path churn.
+  // Process-wide observability counter (obs/metrics.h), shared by every
+  // tree: search-time node visits explain filtering I/O.
   Counter* m_node_visits_;
-  Counter* m_reinserts_;
-  Counter* m_splits_;
 };
 
 // Instantiated in rstar_tree.cc for the dimensions the library uses.
 extern template class RStarTree<1>;
 extern template class RStarTree<2>;
-extern template class RStarTree<3>;
 
 }  // namespace fielddb
 

@@ -305,7 +305,8 @@ StatusOr<PageId> BufferPool::Allocate(PinnedPage* out) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
-  StatusOr<PageId> id = file_->Allocate();
+  Page zeroed(file_->page_size());
+  StatusOr<PageId> id = file_->Allocate(zeroed);
   if (!id.ok()) return id.status();
   Shard& sh = ShardOf(*id);
   PinnedPage pin;  // assigned into *out outside the lock, as in Fetch
@@ -316,7 +317,7 @@ StatusOr<PageId> BufferPool::Allocate(PinnedPage* out) {
     assert(inserted);
     (void)inserted;
     BufferFrame& f = fit->second;
-    f.page = Page(file_->page_size());
+    f.page = std::move(zeroed);
     f.pin_count.store(1, std::memory_order_relaxed);
     f.dirty.store(true, std::memory_order_relaxed);
     pin = PinnedPage(this, *id, &f);

@@ -113,12 +113,12 @@ Status FaultInjectingPageFile::VerifyPage(PageId id) const {
   return base_->VerifyPage(id);
 }
 
-StatusOr<PageId> FaultInjectingPageFile::Allocate() {
+StatusOr<PageId> FaultInjectingPageFile::Allocate(const Page& page) {
   std::lock_guard<std::mutex> lock(mu_);
   if (TickKillLocked()) {
     return Status::IOError("injected kill point: device gone (allocate)");
   }
-  return base_->Allocate();
+  return base_->Allocate(page);
 }
 
 Status FaultInjectingPageFile::Sync() {

@@ -53,7 +53,7 @@ class FaultInjectingPageFile final : public PageFile {
   }
 
   uint64_t NumPages() const override { return base_->NumPages(); }
-  StatusOr<PageId> Allocate() override;
+  StatusOr<PageId> Allocate(const Page& page) override;
   Status Read(PageId id, Page* out) const override;
   /// Batched reads inject per submitted page, in submission order, with
   /// exactly the schedule semantics of `count` single Reads — an armed

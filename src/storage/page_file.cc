@@ -34,9 +34,12 @@ uint64_t MemPageFile::NumPages() const {
   return pages_.size();
 }
 
-StatusOr<PageId> MemPageFile::Allocate() {
+StatusOr<PageId> MemPageFile::Allocate(const Page& page) {
+  if (page.size() != page_size_) {
+    return Status::InvalidArgument("page size mismatch");
+  }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  pages_.emplace_back(page_size_, 0);
+  pages_.emplace_back(page.data(), page.data() + page_size_);
   return PageId{pages_.size() - 1};
 }
 
@@ -180,11 +183,13 @@ Status DiskPageFile::WriteSlot(PageId id, const uint8_t* payload) {
   return Status::OK();
 }
 
-StatusOr<PageId> DiskPageFile::Allocate() {
+StatusOr<PageId> DiskPageFile::Allocate(const Page& page) {
+  if (page.size() != page_size_) {
+    return Status::InvalidArgument("page size mismatch");
+  }
   std::lock_guard<std::mutex> lock(allocate_mu_);
   const PageId id = num_pages_.load(std::memory_order_relaxed);
-  const std::vector<uint8_t> zeros(page_size_, 0);
-  FIELDDB_RETURN_IF_ERROR(WriteSlot(id, zeros.data()));
+  FIELDDB_RETURN_IF_ERROR(WriteSlot(id, page.data()));
   num_pages_.store(id + 1, std::memory_order_release);
   return id;
 }

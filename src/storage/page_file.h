@@ -35,8 +35,8 @@ class PageFile {
   /// Number of allocated pages; valid ids are [0, NumPages()).
   virtual uint64_t NumPages() const = 0;
 
-  /// Appends a zeroed page and returns its id.
-  virtual StatusOr<PageId> Allocate() = 0;
+  /// Appends `page` (must have size == page_size()) and returns its id.
+  virtual StatusOr<PageId> Allocate(const Page& page) = 0;
 
   /// Reads page `id` into `*out` (resized to page_size() if needed).
   /// Implementations with integrity framing return kCorruption (naming
@@ -81,7 +81,7 @@ class MemPageFile final : public PageFile {
       : PageFile(page_size) {}
 
   uint64_t NumPages() const override;
-  StatusOr<PageId> Allocate() override;
+  StatusOr<PageId> Allocate(const Page& page) override;
   Status Read(PageId id, Page* out) const override;
   Status Write(PageId id, const Page& page) override;
 
@@ -125,7 +125,7 @@ class DiskPageFile final : public PageFile {
   uint64_t NumPages() const override {
     return num_pages_.load(std::memory_order_acquire);
   }
-  StatusOr<PageId> Allocate() override;
+  StatusOr<PageId> Allocate(const Page& page) override;
   /// A batch of one, so a lone read and a batch slot report the same
   /// status.
   Status Read(PageId id, Page* out) const override;

@@ -77,23 +77,18 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
 
   // One shared Hilbert order over the (time-invariant) cell geometry,
   // computed with the external sorter under the build memory budget.
-  // The (key, insertion-seq) tie-break equals LinearizeCells's (key, id)
-  // sort, so the order is byte-identical to the in-RAM path.
+  // The (key, insertion-seq) tie-break is the (key, id) sort, so the
+  // order is byte-identical to the in-RAM path.
   StatusOr<GridField> first = field.Snapshot(0);
   if (!first.ok()) return first.status();
   const std::unique_ptr<SpaceFillingCurve> curve =
       MakeCurve(options.curve, options.curve_order);
   const CellId n = field.NumCells();
   const Rect2 domain = first->Domain();
-  const double dw = std::max(domain.Width(), kGeomEpsilon);
-  const double dh = std::max(domain.Height(), kGeomEpsilon);
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
   for (CellId id = 0; id < n; ++id) {
-    const Point2 c = first->GetCell(id).Centroid();
     FIELDDB_RETURN_IF_ERROR(sorter.Add(
-        curve->EncodeUnit((c.x - domain.lo.x) / dw,
-                          (c.y - domain.lo.y) / dh),
-        id));
+        CellCurveKey(*curve, domain, first->GetCell(id).Centroid()), id));
   }
   std::vector<CellId> order;
   order.reserve(n);
@@ -139,8 +134,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   }
 
   // Entries arrive slab-major in Hilbert order — already well packed.
-  StatusOr<RStarTree<2>> tree =
-      BuildSubfieldTree(pool, entries, options.rstar);
+  StatusOr<RStarTree<2>> tree = RStarTree<2>::BulkLoad(pool, entries);
   if (!tree.ok()) return tree.status();
   db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
 

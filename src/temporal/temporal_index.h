@@ -72,7 +72,6 @@ class TemporalFieldDatabase : public ExtEngineHost {
     CurveType curve = CurveType::kHilbert;
     int curve_order = 16;
     SubfieldCostConfig cost;
-    RStarOptions rstar;
   };
 
   /// EngineOpenOptions with a 2048-frame pool.
@@ -139,6 +138,8 @@ class TemporalFieldDatabase : public ExtEngineHost {
   const std::vector<Subfield>& slab_subfields(uint32_t k) const {
     return slabs_[k].subfields;
   }
+  /// The one (value × time) tree over every slab's subfields.
+  const RStarTree<2>& tree() const { return *tree_; }
   /// Average stats over a snapshot-query workload (cold cache per
   /// query).
   StatusOr<WorkloadStats> RunWorkload(

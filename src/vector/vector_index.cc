@@ -52,10 +52,8 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   const Rect2 domain = field.Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
   for (CellId id = 0; id < n; ++id) {
-    const Point2 c = field.ComponentCell(0, id).Centroid();
     FIELDDB_RETURN_IF_ERROR(sorter.Add(
-        curve->EncodeUnit((c.x - domain.lo.x) / domain.Width(),
-                          (c.y - domain.lo.y) / domain.Height()),
+        CellCurveKey(*curve, domain, field.ComponentCell(0, id).Centroid()),
         id));
   }
 
@@ -72,8 +70,8 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   if (options.method == VectorIndexMethod::kIHilbert) {
     db->subfields_ =
         PartitionStore(*db->store_, field.ValueRangeBox(), options.cost);
-    StatusOr<RStarTree<2>> tree = BuildSubfieldTree(
-        pool, SubfieldEntries(db->subfields_, RunEntry{}), options.rstar);
+    StatusOr<RStarTree<2>> tree = RStarTree<2>::BulkLoad(
+        pool, SubfieldEntries(db->subfields_, RunEntry{}));
     if (!tree.ok()) return tree.status();
     db->tree_ = std::make_unique<RStarTree<2>>(std::move(tree).value());
   }

@@ -67,7 +67,6 @@ class VectorFieldDatabase : public ExtEngineHost {
     CurveType curve = CurveType::kHilbert;
     int curve_order = 16;
     VectorCostConfig cost;
-    RStarOptions rstar;
   };
 
   using OpenOptions = EngineOpenOptions;
@@ -115,6 +114,8 @@ class VectorFieldDatabase : public ExtEngineHost {
   uint64_t num_cells() const { return store_->size(); }
   VectorIndexMethod method() const { return method_; }
   const BoxZoneMap& zone_map() const { return store_->zone_map(); }
+  /// The subfield tree; null for LinearScan.
+  const RStarTree<2>* tree() const { return tree_.get(); }
 
   /// Average stats over a query workload (cold cache per query).
   StatusOr<WorkloadStats> RunWorkload(

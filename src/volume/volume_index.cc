@@ -67,8 +67,8 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
   if (options.method == VolumeIndexMethod::kIHilbert) {
     db->subfields_ = PartitionStore(*db->store_, db->value_range_,
                                     options.cost);
-    StatusOr<RStarTree<1>> tree = BuildSubfieldTree(
-        pool, SubfieldEntries(db->subfields_, RunEntry{}), options.rstar);
+    StatusOr<RStarTree<1>> tree = RStarTree<1>::BulkLoad(
+        pool, SubfieldEntries(db->subfields_, RunEntry{}));
     if (!tree.ok()) return tree.status();
     db->tree_ = std::make_unique<RStarTree<1>>(std::move(tree).value());
   }

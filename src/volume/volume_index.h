@@ -57,7 +57,6 @@ class VolumeFieldDatabase : public ExtEngineHost {
   struct Options : EngineBuildOptions {
     VolumeIndexMethod method = VolumeIndexMethod::kIHilbert;
     SubfieldCostConfig cost;
-    RStarOptions rstar;
   };
 
   using OpenOptions = EngineOpenOptions;
@@ -103,6 +102,8 @@ class VolumeFieldDatabase : public ExtEngineHost {
   const ValueInterval& value_range() const { return value_range_; }
   VolumeIndexMethod method() const { return method_; }
   const ScalarZoneMap& zone_map() const { return store_->zone_map(); }
+  /// The subfield tree; null for LinearScan.
+  const RStarTree<1>* tree() const { return tree_.get(); }
 
   /// Average stats over a query workload (cold cache per query).
   StatusOr<WorkloadStats> RunWorkload(

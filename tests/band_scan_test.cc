@@ -21,6 +21,7 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -258,7 +259,7 @@ void ExpectFallback(const FallbackCase& c, const std::string& name) {
     injector = wrapped.get();
     return wrapped;
   };
-  const std::string events = ::testing::TempDir() + "/fielddb_" + name +
+  const std::string events = TestTempDir() + "/fielddb_" + name +
                              "_fallback.jsonl";
   std::remove(events.c_str());
   options.event_log_path = events;

@@ -19,6 +19,7 @@
 #include "storage/fault_injection.h"
 #include "storage/io_sink.h"
 #include "storage/io_stats.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -172,7 +173,7 @@ TEST(BufferPoolConcurrencyTest, ClearRacesWithReaders) {
 TEST(BufferPoolConcurrencyTest, PrefetchFetchHammerKeepsContentsAndCounts) {
   MemPageFile mem(256);
   const std::string path =
-      ::testing::TempDir() + "/fielddb_prefetch_hammer.pages";
+      TestTempDir() + "/fielddb_prefetch_hammer.pages";
   StatusOr<std::unique_ptr<DiskPageFile>> disk =
       DiskPageFile::Create(path, 256);
   ASSERT_TRUE(disk.ok()) << disk.status().ToString();

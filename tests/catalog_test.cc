@@ -27,6 +27,7 @@
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -332,7 +333,7 @@ std::string JoinTokens(const std::vector<std::string>& tokens) {
 class CatalogTest : public ::testing::TestWithParam<CatalogCase> {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_catalog_" + GetParam().name;
+    prefix_ = TestTempDir() + "/fielddb_catalog_" + GetParam().name;
     Cleanup();
     ASSERT_TRUE(GetParam().save(prefix_).ok());
     meta_path_ = prefix_ + ".meta";
@@ -484,7 +485,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TemporalCatalogTest, SlabBeyondThePageFileRejected) {
   // Each slab's store must end inside the page file too: slab 1 moved
   // to the last page leaves its records past the end.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_catalog_slab";
+  const std::string prefix = TestTempDir() + "/fielddb_catalog_slab";
   ASSERT_TRUE(SaveTemporal(prefix).ok());
   std::ifstream pages(prefix + ".pages", std::ios::binary | std::ios::ate);
   const uint64_t num_pages =
@@ -565,7 +566,7 @@ TEST(TreeCatalogTest, EditedHeightRefusedAtOpen) {
   // two-level tree. An edited height used to open and answer, and the
   // planner priced the index from it (427.92 ms instead of 162.28 ms at
   // 4e9); Open now reads the root page and refuses it.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_tree_height";
+  const std::string prefix = TestTempDir() + "/fielddb_tree_height";
   SaveFractal(IndexMethod::kIAll, /*spatial=*/true, prefix);
   for (const char* height : {"0", "1", "3", "7", "4000000000"}) {
     EditCatalogToken(prefix, "tree", 2, height);
@@ -586,7 +587,7 @@ TEST(TreeCatalogTest, EditedHeightRefusedAtOpen) {
 }
 
 TEST(TreeCatalogTest, ExtensionEditedHeightRefusedAtOpen) {
-  const std::string prefix = ::testing::TempDir() + "/fielddb_vec_height";
+  const std::string prefix = TestTempDir() + "/fielddb_vec_height";
   auto built = VectorFieldDatabase::Build(TinyVectorField(), {});
   ASSERT_TRUE(built.ok());
   ASSERT_TRUE((*built)->Save(prefix).ok());
@@ -605,7 +606,7 @@ TEST(TreeCatalogTest, ExtensionEditedHeightRefusedAtOpen) {
 TEST(TreeCatalogTest, TreeSizeDisagreeingWithTheSubfieldTableRefused) {
   // A subfield tree holds one entry per `sf` row; an edited size used
   // to open and answer.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_tree_size";
+  const std::string prefix = TestTempDir() + "/fielddb_tree_size";
   SaveFractal(IndexMethod::kIHilbert, /*spatial=*/true, prefix);
   const std::vector<std::string> tree = [&] {
     for (const std::string& line : SplitLines(ReadFile(prefix + ".meta"))) {
@@ -633,7 +634,7 @@ TEST(StoredRecordTest, ShiftedStoreRefusedNamingTheSlot) {
   // such record before any accessor loops over its vertex count. (A
   // grid's lattice store has no tree after it: the shift leaves the
   // file, refused as a 'num_cells' beyond it.)
-  const std::string prefix = ::testing::TempDir() + "/fielddb_shifted_store";
+  const std::string prefix = TestTempDir() + "/fielddb_shifted_store";
   SaveFractal(IndexMethod::kLinearScan, /*spatial=*/true, prefix,
               /*explicit_cells=*/true);
   EditCatalogLine(prefix, "store_first_page", "2");
@@ -704,7 +705,7 @@ TEST(StoredRecordTest, NonFiniteRecordRefusedNamingTheSlot) {
        sizeof(TemporalSlabRecord),
        offsetof(VectorCellRecord, v) + 2 * sizeof(double), nan},
   };
-  const std::string prefix = ::testing::TempDir() + "/fielddb_non_finite";
+  const std::string prefix = TestTempDir() + "/fielddb_non_finite";
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     ASSERT_TRUE(c.save(prefix).ok());
@@ -739,7 +740,7 @@ TEST(CellCountTest, NumCellsDisagreeingWithTheCatalogRefused) {
         Case{IndexMethod::kIAll, false, false, "'tree'"},
         Case{IndexMethod::kLinearScan, true, true, "'spatial'"},
         Case{IndexMethod::kLinearScan, false, true, "'store_first_page'"}}) {
-    const std::string prefix = ::testing::TempDir() + "/fielddb_num_cells";
+    const std::string prefix = TestTempDir() + "/fielddb_num_cells";
     SaveFractal(c.method, c.spatial, prefix, c.explicit_cells);
     for (const char* cells : {"4095", "3"}) {
       SCOPED_TRACE(::testing::Message()
@@ -765,7 +766,7 @@ TEST(CellCountTest, NumCellsDisagreeingWithTheCatalogRefused) {
 TEST(CellCountTest, StoreEndingAtAPageBoundaryRefused) {
   // 4,080 = 40 full pages of 102 lattice slots: the last page then has
   // no empty slot to check, but the store no longer ends the file.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_page_boundary";
+  const std::string prefix = TestTempDir() + "/fielddb_page_boundary";
   SaveFractal(IndexMethod::kLinearScan, /*spatial=*/false, prefix);
   EditCatalogLine(prefix, "num_cells", "4080");
   const Status s = FieldDatabase::Open(prefix).status();
@@ -780,7 +781,7 @@ TEST(CellCountTest, StoreEndingAtAPageBoundaryRefused) {
 TEST(GridCatalogTest, LatticeLineValidated) {
   // `grid <cols> <rows>` selects 40-byte lattice slots; its lattice must
   // be non-empty, hold every stored cell and span a positive area.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_grid_line";
+  const std::string prefix = TestTempDir() + "/fielddb_grid_line";
   SaveFractal(IndexMethod::kLinearScan, /*spatial=*/false, prefix);
   const std::string intact = ReadFile(prefix + ".meta");
   EXPECT_NE(intact.find("\ngrid 64 64\n"), std::string::npos) << intact;

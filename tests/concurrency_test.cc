@@ -16,6 +16,7 @@
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -115,7 +116,7 @@ TEST(ConcurrencyTest, ReopenedDatabaseUnderEvictionPressure) {
   auto built = FieldDatabase::Build(*field);
   ASSERT_TRUE(built.ok());
   const std::string prefix =
-      ::testing::TempDir() + "/fielddb_concurrency_stress";
+      TestTempDir() + "/fielddb_concurrency_stress";
   ASSERT_TRUE((*built)->Save(prefix).ok());
 
   auto db = FieldDatabase::Open(prefix, /*pool_pages=*/16);

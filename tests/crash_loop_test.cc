@@ -16,6 +16,7 @@
 #include "gen/monotonic.h"
 #include "storage/wal.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -27,7 +28,7 @@ constexpr uint32_t kGrid = 8;  // 64 cells
 class CrashLoopTest : public ::testing::TestWithParam<IndexMethod> {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_crash_loop_" +
+    prefix_ = TestTempDir() + "/fielddb_crash_loop_" +
               std::to_string(static_cast<int>(GetParam()));
     Cleanup();
   }

@@ -19,6 +19,7 @@
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -68,7 +69,7 @@ class EngineDiffTest : public ::testing::TestWithParam<IndexMethod> {};
 
 TEST_P(EngineDiffTest, ReopenedDatabaseAnswersIdentically) {
   const std::string prefix =
-      ::testing::TempDir() + "/fielddb_engine_diff_" +
+      TestTempDir() + "/fielddb_engine_diff_" +
       std::to_string(static_cast<int>(GetParam()));
   Cleanup(prefix);
   const GridField field = MakeField();
@@ -156,7 +157,7 @@ TEST_P(LayoutDiffTest, LatticeSlotsAnswerAsExplicitCells) {
                         std::unique_ptr<FieldDatabase>>>
       pairs;
   pairs.emplace_back(std::move(*lattice), std::move(*explicit_cells));
-  const std::string prefix = ::testing::TempDir() + "/fielddb_layout_diff";
+  const std::string prefix = TestTempDir() + "/fielddb_layout_diff";
   if (method != IndexMethod::kRowIp) {  // Row-IP does not persist
     Cleanup(prefix + "_lattice");
     Cleanup(prefix + "_explicit");

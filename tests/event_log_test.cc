@@ -169,9 +169,9 @@ class CountingPageFile final : public PageFile {
       : PageFile(base->page_size()), base_(std::move(base)) {}
 
   uint64_t NumPages() const override { return base_->NumPages(); }
-  StatusOr<PageId> Allocate() override {
+  StatusOr<PageId> Allocate(const Page& page) override {
     ops_.fetch_add(1, std::memory_order_relaxed);
-    return base_->Allocate();
+    return base_->Allocate(page);
   }
   Status Read(PageId id, Page* out) const override {
     reads_.fetch_add(1, std::memory_order_relaxed);

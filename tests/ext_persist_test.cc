@@ -18,12 +18,13 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
 
 std::string TestPrefix(const std::string& tag) {
-  return ::testing::TempDir() + "/fielddb_ext_persist_" + tag;
+  return TestTempDir() + "/fielddb_ext_persist_" + tag;
 }
 
 void Cleanup(const std::string& prefix) {

@@ -14,6 +14,7 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -30,7 +31,7 @@ void Cleanup(const std::string& prefix) {
 class VolumeRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_ext_rec_vol";
+    prefix_ = TestTempDir() + "/fielddb_ext_rec_vol";
     Cleanup(prefix_);
     VolumeFractalOptions fo;
     fo.nx = fo.ny = fo.nz = 4;
@@ -160,7 +161,7 @@ TEST_F(VolumeRecoveryTest, WalOffFoldsPendingFramesIntoCheckpoint) {
 class VectorRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_ext_rec_vec";
+    prefix_ = TestTempDir() + "/fielddb_ext_rec_vec";
     Cleanup(prefix_);
     std::vector<double> su, sv;
     const uint32_t n = 8;
@@ -271,7 +272,7 @@ TEST_F(VectorRecoveryTest, TornFrameKeepsCommittedPrefix) {
 class TemporalRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_ext_rec_temp";
+    prefix_ = TestTempDir() + "/fielddb_ext_rec_temp";
     Cleanup(prefix_);
     const uint32_t n = 6;
     std::vector<std::vector<double>> snapshots(3);

@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -35,7 +36,7 @@ class FaultInjectionTest : public ::testing::Test {
   FaultInjectionTest() : base_(256), faulty_(&base_) {}
 
   PageId AllocWritten(uint64_t tag) {
-    StatusOr<PageId> id = faulty_.Allocate();
+    StatusOr<PageId> id = faulty_.Allocate(Page(256));
     EXPECT_TRUE(id.ok());
     Page p(256);
     p.WriteAt<uint64_t>(0, tag);
@@ -199,7 +200,7 @@ TEST(FaultInjectionSeedTest, ProbabilisticScheduleIsDeterministic) {
   for (int run = 0; run < 2; ++run) {
     MemPageFile base(128);
     FaultInjectingPageFile faulty(&base, options);
-    ASSERT_TRUE(faulty.Allocate().ok());
+    ASSERT_TRUE(faulty.Allocate(Page(128)).ok());
     Page p(128);
     for (int i = 0; i < 100; ++i) {
       pattern[run].push_back(faulty.Read(0, &p).ok());
@@ -385,7 +386,7 @@ TEST(BufferPoolFaultTest, PrefetchFailureCountsOnlyTheDedicatedMetric) {
 class DiskChecksumTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/fielddb_checksum_test.bin";
+    path_ = TestTempDir() + "/fielddb_checksum_test.bin";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -395,7 +396,7 @@ class DiskChecksumTest : public ::testing::Test {
 TEST_F(DiskChecksumTest, BitFlipInPayloadDetected) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE((*f)->Allocate().ok());
+  ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
   Page p(512);
   p.WriteAt<uint64_t>(64, 0x1234);
   ASSERT_TRUE((*f)->Write(0, p).ok());
@@ -412,7 +413,7 @@ TEST_F(DiskChecksumTest, BitFlipInPayloadDetected) {
 TEST_F(DiskChecksumTest, TornTailDetected) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE((*f)->Allocate().ok());
+  ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
   Page p(512);
   for (uint32_t i = 0; i < 512; i += 8) p.WriteAt<uint64_t>(i, 7);
   ASSERT_TRUE((*f)->Write(0, p).ok());
@@ -425,7 +426,7 @@ TEST_F(DiskChecksumTest, TornTailDetected) {
 TEST_F(DiskChecksumTest, HeaderCorruptionDetected) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
-  ASSERT_TRUE((*f)->Allocate().ok());
+  ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
   ASSERT_TRUE((*f)->CorruptRawForTest(0, 9, 0x01).ok());  // page-id field
   Page p(512);
   EXPECT_EQ((*f)->Read(0, &p).code(), StatusCode::kCorruption);
@@ -435,7 +436,7 @@ TEST_F(DiskChecksumTest, CleanPagesSurviveReopen) {
   {
     auto f = DiskPageFile::Create(path_, 512, /*epoch=*/3);
     ASSERT_TRUE(f.ok());
-    for (int i = 0; i < 4; ++i) ASSERT_TRUE((*f)->Allocate().ok());
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
     Page p(512);
     p.WriteAt<uint64_t>(0, 11);
     ASSERT_TRUE((*f)->Write(2, p).ok());
@@ -471,7 +472,7 @@ TEST_F(DiskChecksumTest, ReadBatchMatchesSingleReads) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
   for (uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE((*f)->Allocate().ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
     Page p(512);
     p.WriteAt<uint64_t>(0, 900 + i);
     ASSERT_TRUE((*f)->Write(i, p).ok());
@@ -504,7 +505,7 @@ TEST_F(DiskChecksumTest, ReadBatchReportsTheCorruptSlotAlone) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*f)->Allocate().ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
     Page p(512);
     p.WriteAt<uint64_t>(0, 40 + i);
     ASSERT_TRUE((*f)->Write(i, p).ok());
@@ -532,7 +533,7 @@ TEST_F(DiskChecksumTest, ReadBatchShortReadFailsOnlyTheTruncatedSlot) {
   auto f = DiskPageFile::Create(path_, 512);
   ASSERT_TRUE(f.ok());
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE((*f)->Allocate().ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
     Page p(512);
     p.WriteAt<uint64_t>(0, 60 + i);
     ASSERT_TRUE((*f)->Write(i, p).ok());
@@ -628,7 +629,7 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
 
   // Every fallback writes one corruption_fallback event (no query here
   // is slow enough for a slow_query event).
-  const std::string events = ::testing::TempDir() + "/fielddb_fallback.jsonl";
+  const std::string events = TestTempDir() + "/fielddb_fallback.jsonl";
   std::remove(events.c_str());
   ASSERT_TRUE((*db)->AttachEventLog(events, /*slow_query_threshold_ms=*/1e9)
                   .ok());

@@ -4,7 +4,9 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 
+#include "core/shard.h"
 #include "gen/fractal.h"
 #include "gen/noise_tin.h"
 #include "gen/workload.h"
@@ -210,30 +212,6 @@ TEST(IAllTest, ExactCandidatesOnly) {
   }
 }
 
-TEST(IAllTest, InsertAndBulkAgree) {
-  FractalOptions fo;
-  fo.size_exp = 4;
-  auto field = MakeFractalField(fo);
-  ASSERT_TRUE(field.ok());
-
-  MemPageFile f1, f2;
-  BufferPool p1(&f1, 1024), p2(&f2, 1024);
-  IAllOptions bulk_opts, insert_opts;
-  insert_opts.bulk_load = false;
-  auto bulk = IAllIndex::Build(&p1, *field, bulk_opts);
-  auto inserted = IAllIndex::Build(&p2, *field, insert_opts);
-  ASSERT_TRUE(bulk.ok());
-  ASSERT_TRUE(inserted.ok());
-  ASSERT_TRUE((*bulk)->tree().CheckInvariants().ok());
-  ASSERT_TRUE((*inserted)->tree().CheckInvariants().ok());
-
-  const auto queries = GenerateValueQueries(field->ValueRange(),
-                                            WorkloadOptions{0.04, 25, 2});
-  for (const ValueInterval& q : queries) {
-    EXPECT_EQ(FilterPositions(**bulk, q), FilterPositions(**inserted, q));
-  }
-}
-
 TEST(IHilbertTest, SubfieldsPartitionStore) {
   FractalOptions fo;
   fo.size_exp = 6;
@@ -277,13 +255,14 @@ TEST(IHilbertTest, StoreIsHilbertOrdered) {
   fo.size_exp = 4;
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
-  const auto curve = MakeCurve(CurveType::kHilbert, 16);
-  const std::vector<CellId> order = LinearizeCells(*field, *curve);
+  // The router's partition keys are I-Hilbert's order.
+  const std::vector<std::pair<uint64_t, CellId>> order =
+      HilbertPartitionKeys(*field);
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
   CellRecord rec;
   for (uint64_t pos = 0; pos < order.size(); ++pos) {
     ASSERT_TRUE(fx.index->cell_store().records().Get(pos, &rec).ok());
-    EXPECT_EQ(rec.id, order[pos]);
+    EXPECT_EQ(rec.id, order[pos].second);
   }
 }
 

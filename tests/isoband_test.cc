@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "field/region.h"
 #include "isoband_oracle.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -351,7 +352,7 @@ TEST(RegionTest, Totals) {
 TEST(SvgTest, RejectsEmptyViewportAndBadPath) {
   Region region;
   region.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
-  const std::string path = ::testing::TempDir() + "/fielddb_bad.svg";
+  const std::string path = TestTempDir() + "/fielddb_bad.svg";
   EXPECT_FALSE(WriteSvg(path.c_str(), Rect2::Empty(),
                         {SvgLayer{region.pieces}}));
   EXPECT_FALSE(WriteSvg("/no/such/dir/out.svg", Rect2{{0, 0}, {1, 1}},
@@ -362,7 +363,7 @@ TEST(SvgTest, RejectsEmptyViewportAndBadPath) {
 TEST(SvgTest, WritesFile) {
   Region region;
   region.pieces.push_back(PolygonFromRect(Rect2{{0, 0}, {1, 1}}));
-  const std::string path = ::testing::TempDir() + "/fielddb_region.svg";
+  const std::string path = TestTempDir() + "/fielddb_region.svg";
   ASSERT_TRUE(WriteSvg(path.c_str(), Rect2{{0, 0}, {2, 2}},
                        {SvgLayer{region.pieces, "#ff0000", "#000000", 0.5}}));
   std::FILE* f = std::fopen(path.c_str(), "r");

@@ -26,8 +26,6 @@ TEST(MinDistTest, PointToBox) {
 TEST(RTreeNearestTest, MatchesBruteForce1D) {
   MemPageFile file(512);
   BufferPool pool(&file, 256);
-  auto tree = RStarTree<1>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Rng rng(61);
   std::vector<RTreeEntry<1>> entries(500);
   for (int i = 0; i < 500; ++i) {
@@ -35,8 +33,9 @@ TEST(RTreeNearestTest, MatchesBruteForce1D) {
     entries[i].box.lo = {lo};
     entries[i].box.hi = {lo + 0.01};
     entries[i].a = i;
-    ASSERT_TRUE(tree->Insert(entries[i].box, i).ok());
   }
+  auto tree = RStarTree<1>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
   for (int trial = 0; trial < 20; ++trial) {
     const double q = rng.NextDouble(-0.2, 1.2);
     std::vector<RStarTree<1>::Neighbor> got;
@@ -87,16 +86,18 @@ TEST(RTreeNearestTest, MatchesBruteForce2D) {
 TEST(RTreeNearestTest, EdgeCases) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<1>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
+  auto empty = RStarTree<1>::BulkLoad(&pool, {});
+  ASSERT_TRUE(empty.ok());
   std::vector<RStarTree<1>::Neighbor> got;
   // Empty tree and k = 0.
-  ASSERT_TRUE(tree->NearestNeighbors({0.5}, 3, &got).ok());
+  ASSERT_TRUE(empty->NearestNeighbors({0.5}, 3, &got).ok());
   EXPECT_TRUE(got.empty());
-  Box<1> b;
-  b.lo = {0};
-  b.hi = {1};
-  ASSERT_TRUE(tree->Insert(b, 1).ok());
+  std::vector<RTreeEntry<1>> one(1);
+  one[0].box.lo = {0};
+  one[0].box.hi = {1};
+  one[0].a = 1;
+  auto tree = RStarTree<1>::BulkLoad(&pool, one);
+  ASSERT_TRUE(tree.ok());
   ASSERT_TRUE(tree->NearestNeighbors({0.5}, 0, &got).ok());
   EXPECT_TRUE(got.empty());
   // k larger than tree size returns everything.

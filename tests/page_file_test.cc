@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
+
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -31,7 +34,7 @@ TEST(MemPageFileTest, AllocateSequentialIds) {
   MemPageFile f(512);
   EXPECT_EQ(f.NumPages(), 0u);
   for (PageId want = 0; want < 5; ++want) {
-    StatusOr<PageId> id = f.Allocate();
+    StatusOr<PageId> id = f.Allocate(Page(f.page_size()));
     ASSERT_TRUE(id.ok());
     EXPECT_EQ(*id, want);
   }
@@ -40,7 +43,7 @@ TEST(MemPageFileTest, AllocateSequentialIds) {
 
 TEST(MemPageFileTest, WriteReadRoundtrip) {
   MemPageFile f(512);
-  ASSERT_TRUE(f.Allocate().ok());
+  ASSERT_TRUE(f.Allocate(Page(f.page_size())).ok());
   Page p(512);
   p.WriteAt<uint32_t>(0, 777u);
   ASSERT_TRUE(f.Write(0, p).ok());
@@ -51,12 +54,26 @@ TEST(MemPageFileTest, WriteReadRoundtrip) {
 
 TEST(MemPageFileTest, FreshPagesAreZeroed) {
   MemPageFile f(128);
-  ASSERT_TRUE(f.Allocate().ok());
+  ASSERT_TRUE(f.Allocate(Page(f.page_size())).ok());
   Page p(128);
   ASSERT_TRUE(f.Read(0, &p).ok());
   for (uint32_t i = 0; i < 128; i += 8) {
     EXPECT_EQ(p.ReadAt<uint64_t>(i), 0u);
   }
+}
+
+TEST(MemPageFileTest, AllocateStoresThePage) {
+  MemPageFile f(512);
+  Page p(512);
+  p.WriteAt<uint64_t>(8, 4242u);
+  StatusOr<PageId> id = f.Allocate(p);
+  ASSERT_TRUE(id.ok());
+  Page q(512);
+  ASSERT_TRUE(f.Read(*id, &q).ok());
+  EXPECT_EQ(std::memcmp(p.data(), q.data(), 512), 0);
+  EXPECT_EQ(f.Allocate(Page(256)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(f.NumPages(), 1u);
 }
 
 TEST(MemPageFileTest, OutOfRangeRejected) {
@@ -68,7 +85,7 @@ TEST(MemPageFileTest, OutOfRangeRejected) {
 
 TEST(MemPageFileTest, SizeMismatchRejected) {
   MemPageFile f(512);
-  ASSERT_TRUE(f.Allocate().ok());
+  ASSERT_TRUE(f.Allocate(Page(f.page_size())).ok());
   Page wrong(256);
   EXPECT_EQ(f.Write(0, wrong).code(), StatusCode::kInvalidArgument);
 }
@@ -76,7 +93,7 @@ TEST(MemPageFileTest, SizeMismatchRejected) {
 class DiskPageFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/fielddb_pagefile_test.bin";
+    path_ = TestTempDir() + "/fielddb_pagefile_test.bin";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -87,8 +104,8 @@ TEST_F(DiskPageFileTest, CreateWriteReopenRead) {
   {
     auto f = DiskPageFile::Create(path_, 512);
     ASSERT_TRUE(f.ok());
-    ASSERT_TRUE((*f)->Allocate().ok());
-    ASSERT_TRUE((*f)->Allocate().ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
     Page p(512);
     p.WriteAt<uint64_t>(8, 4242u);
     ASSERT_TRUE((*f)->Write(1, p).ok());
@@ -99,6 +116,31 @@ TEST_F(DiskPageFileTest, CreateWriteReopenRead) {
   Page p(512);
   ASSERT_TRUE((*f)->Read(1, &p).ok());
   EXPECT_EQ(p.ReadAt<uint64_t>(8), 4242u);
+}
+
+TEST_F(DiskPageFileTest, AllocateStoresThePageUnderItsChecksum) {
+  Page p(512);
+  for (uint32_t i = 0; i < 512; i += 8) p.WriteAt<uint64_t>(i, i * 31 + 5);
+  {
+    auto f = DiskPageFile::Create(path_, 512, /*epoch=*/5);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->Allocate(Page(512)).ok());
+    StatusOr<PageId> id = (*f)->Allocate(p);
+    ASSERT_TRUE(id.ok());
+    EXPECT_EQ(*id, 1u);
+    EXPECT_EQ((*f)->Allocate(Page(256)).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*f)->NumPages(), 2u);
+  }
+  auto f = DiskPageFile::Open(path_, 512, /*epoch=*/5);
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ((*f)->NumPages(), 2u);
+  // Read verifies the slot's CRC, page id and epoch.
+  Page q(512);
+  ASSERT_TRUE((*f)->Read(1, &q).ok());
+  EXPECT_EQ(std::memcmp(p.data(), q.data(), 512), 0);
+  ASSERT_TRUE((*f)->CorruptRawForTest(1, kPageHeaderSize + 100, 0x04).ok());
+  EXPECT_EQ((*f)->Read(1, &q).code(), StatusCode::kCorruption);
 }
 
 TEST_F(DiskPageFileTest, OpenMissingFails) {

@@ -14,6 +14,7 @@
 #include "gen/workload.h"
 #include "storage/page_file.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -21,7 +22,7 @@ namespace {
 class PersistTest : public ::testing::TestWithParam<IndexMethod> {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_persist_" +
+    prefix_ = TestTempDir() + "/fielddb_persist_" +
               std::to_string(static_cast<int>(GetParam()));
     Cleanup();
   }
@@ -115,12 +116,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(PersistErrorsTest, OpenMissingFiles) {
-  auto db = FieldDatabase::Open(::testing::TempDir() + "/no_such_db");
+  auto db = FieldDatabase::Open(TestTempDir() + "/no_such_db");
   EXPECT_FALSE(db.ok());
 }
 
 TEST(PersistErrorsTest, CorruptMetaRejected) {
-  const std::string prefix = ::testing::TempDir() + "/fielddb_corrupt";
+  const std::string prefix = TestTempDir() + "/fielddb_corrupt";
   std::FILE* f = std::fopen((prefix + ".meta").c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fputs("not-a-catalog at all\n", f);
@@ -192,7 +193,7 @@ bool FileExists(const std::string& path) {
 class MetaValidationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_meta_validation";
+    prefix_ = TestTempDir() + "/fielddb_meta_validation";
     Cleanup();
     auto field = MakeMonotonicField(8, 8);
     ASSERT_TRUE(field.ok());
@@ -304,7 +305,7 @@ TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
   // back to the full store scan with identical answers, EXPLAIN reports
   // the degradation, and scrub lists both roots. A grid builds no
   // spatial tree, so the fractal goes in as explicit cells.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_corrupt_root";
+  const std::string prefix = TestTempDir() + "/fielddb_corrupt_root";
   FractalOptions fo;
   fo.size_exp = 5;
   auto field = MakeFractalField(fo);
@@ -385,7 +386,7 @@ TEST(SubfieldTilingTest, CatalogWithGapRejected) {
   // A dropped subfield leaves its cells in no subfield: an update there
   // would refresh the wrong one and its answers vanish from queries, so
   // Open must refuse the catalog instead.
-  const std::string prefix = ::testing::TempDir() + "/fielddb_tiling_gap";
+  const std::string prefix = TestTempDir() + "/fielddb_tiling_gap";
   FractalOptions fo;
   fo.size_exp = 5;  // 32x32
   auto field = MakeFractalField(fo);
@@ -414,7 +415,7 @@ TEST(SubfieldTilingTest, CatalogWithGapRejected) {
 class CrashSafetyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_crash_safety";
+    prefix_ = TestTempDir() + "/fielddb_crash_safety";
     Cleanup();
     auto field = MakeMonotonicField(8, 8);
     ASSERT_TRUE(field.ok());

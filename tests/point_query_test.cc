@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/shard_router.h"
 #include "field/grid_field.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -119,7 +120,7 @@ TEST(PointQueryTest, GridAnswersValueAtBitForBit) {
     ASSERT_NE((*db)->lattice(), nullptr);
     ExpectValueAt(field, [&](Point2 p) { return (*db)->PointQuery(p); });
 
-    const std::string prefix = ::testing::TempDir() + "/fielddb_point_query";
+    const std::string prefix = TestTempDir() + "/fielddb_point_query";
     Cleanup(prefix, 0);
     ASSERT_TRUE((*db)->Save(prefix).ok());
     auto reopened = FieldDatabase::Open(prefix);
@@ -140,7 +141,7 @@ TEST(PointQueryTest, RouterAnswersValueAtBitForBit) {
     ASSERT_TRUE(router.ok()) << router.status().ToString();
     ExpectValueAt(field, [&](Point2 p) { return (*router)->PointQuery(p); });
 
-    const std::string prefix = ::testing::TempDir() + "/fielddb_point_router";
+    const std::string prefix = TestTempDir() + "/fielddb_point_router";
     Cleanup(prefix, shards);
     ASSERT_TRUE((*router)->Save(prefix).ok());
     auto reopened = ShardRouter::Open(prefix, {});

@@ -135,33 +135,6 @@ TEST(RepresentationInvarianceTest, CurveOrderDoesNotChangeAnswers) {
   }
 }
 
-TEST(RepresentationInvarianceTest, BulkAndInsertBuildsAgree) {
-  FractalOptions fo;
-  fo.size_exp = 5;
-  auto field = MakeFractalField(fo);
-  ASSERT_TRUE(field.ok());
-  const auto queries = GenerateValueQueries(field->ValueRange(),
-                                            WorkloadOptions{0.02, 10, 83});
-  for (const IndexMethod method :
-       {IndexMethod::kIAll, IndexMethod::kIHilbert}) {
-    FieldDatabaseOptions bulk, insert;
-    bulk.method = insert.method = method;
-    insert.iall.bulk_load = false;
-    insert.ihilbert.bulk_load = false;
-    auto db_bulk = FieldDatabase::Build(*field, bulk);
-    auto db_insert = FieldDatabase::Build(*field, insert);
-    ASSERT_TRUE(db_bulk.ok());
-    ASSERT_TRUE(db_insert.ok());
-    for (const ValueInterval& q : queries) {
-      ValueQueryResult a, b;
-      ASSERT_TRUE(QueryOne(**db_bulk, q, &a).ok());
-      ASSERT_TRUE(QueryOne(**db_insert, q, &b).ok());
-      EXPECT_NEAR(a.region.TotalArea(), b.region.TotalArea(), 1e-9);
-      EXPECT_EQ(a.stats.answer_cells, b.stats.answer_cells);
-    }
-  }
-}
-
 TEST(RepresentationInvarianceTest, QueryAnswersAreDeterministic) {
   FractalOptions fo;
   fo.size_exp = 4;

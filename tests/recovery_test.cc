@@ -20,6 +20,7 @@
 #include "gen/workload.h"
 #include "storage/wal.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -41,7 +42,7 @@ const std::vector<double> kValuesB = {500.0, 500.0, 500.0, 500.0};
 class RecoveryTest : public ::testing::TestWithParam<IndexMethod> {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/fielddb_recovery_" +
+    prefix_ = TestTempDir() + "/fielddb_recovery_" +
               std::to_string(static_cast<int>(GetParam()));
     Cleanup();
     auto field = MakeMonotonicField(8, 8);
@@ -440,7 +441,7 @@ TEST(RecoveryContractTest, RowIpHasNoPersistence) {
   options.method = IndexMethod::kRowIp;
   auto db = FieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->Save(::testing::TempDir() + "/fielddb_rowip").code(),
+  EXPECT_EQ((*db)->Save(TestTempDir() + "/fielddb_rowip").code(),
             StatusCode::kUnimplemented);
 }
 

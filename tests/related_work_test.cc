@@ -14,6 +14,7 @@
 #include "index/row_ip_index.h"
 #include "storage/page_file.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -169,7 +170,7 @@ TEST(RowIpIndexTest, WorksThroughFieldDatabase) {
                 1e-9);
   }
   // No persistence for the baseline.
-  EXPECT_EQ((*db)->Save("/tmp/fielddb_rowip").code(),
+  EXPECT_EQ((*db)->Save(TestTempDir() + "/fielddb_rowip").code(),
             StatusCode::kUnimplemented);
 }
 

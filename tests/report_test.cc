@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
+
 namespace fielddb {
 namespace {
 
@@ -50,7 +52,7 @@ TEST(BenchReportTest, NonFiniteMetricRendersAsNull) {
 }
 
 TEST(BenchReportTest, FinishFailsOnAFailedInvariantOnly) {
-  const std::string path = ::testing::TempDir() + "report_test.json";
+  const std::string path = TestTempDir() + "/report_test.json";
   BenchReport timing_only("test", "timing");
   timing_only.Timing("speedup", 1.0, GateOp::kGe, 2.0);
   EXPECT_EQ(timing_only.Finish(path), 0);

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "storage/fault_injection.h"
 #include "storage/page_file.h"
 
 namespace fielddb {
@@ -49,7 +50,7 @@ std::vector<uint64_t> TreeSearch(const RStarTree<Dim>& tree,
 TEST(RStarTreeTest, EmptyTreeSearchFindsNothing) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<2>::Create(&pool);
+  auto tree = RStarTree<2>::BulkLoad(&pool, {});
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), 0u);
   EXPECT_EQ(tree->height(), 1u);
@@ -60,15 +61,15 @@ TEST(RStarTreeTest, EmptyTreeSearchFindsNothing) {
   EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
-TEST(RStarTreeTest, SingleInsertAndHit) {
+TEST(RStarTreeTest, SingleEntryHitAndMiss) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<2>::Create(&pool);
+  std::vector<RTreeEntry<2>> one(1);
+  one[0].box.lo = {0.2, 0.2};
+  one[0].box.hi = {0.4, 0.4};
+  one[0].a = 42;
+  auto tree = RStarTree<2>::BulkLoad(&pool, one);
   ASSERT_TRUE(tree.ok());
-  Box<2> b;
-  b.lo = {0.2, 0.2};
-  b.hi = {0.4, 0.4};
-  ASSERT_TRUE(tree->Insert(b, 42).ok());
   EXPECT_EQ(tree->size(), 1u);
 
   Box<2> hit_q;
@@ -85,23 +86,28 @@ TEST(RStarTreeTest, SingleInsertAndHit) {
 TEST(RStarTreeTest, RejectsEmptyBox) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<1>::Create(&pool);
+  std::vector<RTreeEntry<1>> one(1);
+  one[0].box.lo = {0.1};
+  one[0].box.hi = {0.2};
+  auto tree = RStarTree<1>::BulkLoad(&pool, one);
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->Insert(Box<1>::Empty(), 0).code(),
+  EXPECT_EQ(tree->Replace(one[0].box, 0, 0, Box<1>::Empty()).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(TreeSearch(*tree, one[0].box), std::vector<uint64_t>{0});
 }
 
 TEST(RStarTreeTest, PayloadWordsRoundTrip) {
   MemPageFile file;
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<1>::Create(&pool);
+  std::vector<RTreeEntry<1>> one(1);
+  one[0].box.lo = {1};
+  one[0].box.hi = {2};
+  one[0].a = 7;
+  one[0].b = 13;
+  auto tree = RStarTree<1>::BulkLoad(&pool, one);
   ASSERT_TRUE(tree.ok());
-  Box<1> b;
-  b.lo = {1};
-  b.hi = {2};
-  ASSERT_TRUE(tree->Insert(b, 7, 13).ok());
   bool seen = false;
-  ASSERT_TRUE(tree->Search(b, [&](const RTreeEntry<1>& e) {
+  ASSERT_TRUE(tree->Search(one[0].box, [&](const RTreeEntry<1>& e) {
                     EXPECT_EQ(e.a, 7u);
                     EXPECT_EQ(e.b, 13u);
                     seen = true;
@@ -111,18 +117,26 @@ TEST(RStarTreeTest, PayloadWordsRoundTrip) {
 }
 
 // Cross-checks tree search against brute force over many random queries,
-// for 1-D and 2-D and for both insertion and bulk-loading.
+// for 1-D and 2-D, packing the entries in generation order or (1-D
+// `sorted`) sorted by lower bound.
 struct RandomizedCase {
   int num_entries;
-  bool bulk;
+  bool sorted;
   uint64_t seed;
 };
+
+std::string RandomizedCaseName(
+    const ::testing::TestParamInfo<RandomizedCase>& info) {
+  return std::string(info.param.sorted ? "sorted" : "unsorted") +
+         std::to_string(info.param.num_entries) + "_seed" +
+         std::to_string(info.param.seed);
+}
 
 class RandomizedRTree1DTest
     : public ::testing::TestWithParam<RandomizedCase> {};
 
 TEST_P(RandomizedRTree1DTest, MatchesBruteForce) {
-  const auto [n, bulk, seed] = GetParam();
+  const auto [n, sorted, seed] = GetParam();
   Rng rng(seed);
   MemPageFile file;
   BufferPool pool(&file, 256);
@@ -132,23 +146,13 @@ TEST_P(RandomizedRTree1DTest, MatchesBruteForce) {
     entries[i].box = RandomBox<1>(rng, 0.05);
     entries[i].a = i;
   }
-
-  StatusOr<RStarTree<1>> tree = [&] {
-    if (bulk) {
-      auto sorted = entries;
-      std::sort(sorted.begin(), sorted.end(),
-                [](const auto& x, const auto& y) {
-                  return x.box.lo[0] < y.box.lo[0];
-                });
-      return RStarTree<1>::BulkLoad(&pool, sorted);
-    }
-    auto t = RStarTree<1>::Create(&pool);
-    EXPECT_TRUE(t.ok());
-    for (const auto& e : entries) {
-      EXPECT_TRUE(t->Insert(e.box, e.a).ok());
-    }
-    return t;
-  }();
+  std::vector<RTreeEntry<1>> packed = entries;
+  if (sorted) {
+    std::sort(packed.begin(), packed.end(), [](const auto& x, const auto& y) {
+      return x.box.lo[0] < y.box.lo[0];
+    });
+  }
+  auto tree = RStarTree<1>::BulkLoad(&pool, packed);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->size(), static_cast<uint64_t>(n));
   ASSERT_TRUE(tree->CheckInvariants().ok());
@@ -167,17 +171,14 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomizedCase{2000, false, 3},
                       RandomizedCase{300, true, 4},
                       RandomizedCase{5000, true, 5}),
-    [](const ::testing::TestParamInfo<RandomizedCase>& info) {
-      return std::string(info.param.bulk ? "bulk" : "insert") +
-             std::to_string(info.param.num_entries);
-    });
+    RandomizedCaseName);
 
 class RandomizedRTree2DTest
     : public ::testing::TestWithParam<RandomizedCase> {};
 
 TEST_P(RandomizedRTree2DTest, MatchesBruteForce) {
-  const auto [n, bulk, seed] = GetParam();
-  Rng rng(seed);
+  const int n = GetParam().num_entries;
+  Rng rng(GetParam().seed);
   MemPageFile file;
   BufferPool pool(&file, 256);
 
@@ -186,18 +187,7 @@ TEST_P(RandomizedRTree2DTest, MatchesBruteForce) {
     entries[i].box = RandomBox<2>(rng, 0.1);
     entries[i].a = i;
   }
-
-  StatusOr<RStarTree<2>> tree = [&] {
-    if (bulk) {
-      return RStarTree<2>::BulkLoad(&pool, entries);
-    }
-    auto t = RStarTree<2>::Create(&pool);
-    EXPECT_TRUE(t.ok());
-    for (const auto& e : entries) {
-      EXPECT_TRUE(t->Insert(e.box, e.a).ok());
-    }
-    return t;
-  }();
+  auto tree = RStarTree<2>::BulkLoad(&pool, entries);
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE(tree->CheckInvariants().ok());
 
@@ -213,107 +203,124 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RandomizedCase{10, false, 11},
                       RandomizedCase{500, false, 12},
                       RandomizedCase{3000, false, 13},
-                      RandomizedCase{3000, true, 14}),
-    [](const ::testing::TestParamInfo<RandomizedCase>& info) {
-      return std::string(info.param.bulk ? "bulk" : "insert") +
-             std::to_string(info.param.num_entries);
-    });
+                      RandomizedCase{3000, false, 14}),
+    RandomizedCaseName);
 
 TEST(RStarTreeTest, GrowsBeyondOneLevel) {
   MemPageFile file(512);  // small pages force low fan-out
   BufferPool pool(&file, 256);
-  auto tree = RStarTree<2>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Rng rng(9);
+  std::vector<RTreeEntry<2>> entries(500);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree->Insert(RandomBox<2>(rng, 0.02), i).ok());
+    entries[i].box = RandomBox<2>(rng, 0.02);
+    entries[i].a = i;
   }
+  auto tree = RStarTree<2>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
   EXPECT_GT(tree->height(), 2u);
   EXPECT_TRUE(tree->CheckInvariants().ok());
 }
 
-TEST(RStarTreeTest, DeleteRemovesExactEntry) {
+TEST(RStarTreeTest, ReplaceChangesExactlyOneEntry) {
   MemPageFile file;
   BufferPool pool(&file, 256);
-  auto tree = RStarTree<1>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Box<1> b;
   b.lo = {0.5};
   b.hi = {0.6};
-  ASSERT_TRUE(tree->Insert(b, 1).ok());
-  ASSERT_TRUE(tree->Insert(b, 2).ok());  // same box, different payload
-  ASSERT_TRUE(tree->Delete(b, 1).ok());
-  EXPECT_EQ(tree->size(), 1u);
+  Box<1> moved;
+  moved.lo = {0.7};
+  moved.hi = {0.9};
+  // The same box with two payloads.
+  std::vector<RTreeEntry<1>> entries = {{b, 1, 10}, {b, 2, 10}};
+  auto tree = RStarTree<1>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(tree->Replace(b, 1, 10, moved).ok());
+  EXPECT_EQ(tree->size(), 2u);
   EXPECT_EQ(TreeSearch(*tree, b), std::vector<uint64_t>{2});
-  EXPECT_EQ(tree->Delete(b, 99).code(), StatusCode::kNotFound);
+  EXPECT_EQ(TreeSearch(*tree, moved), std::vector<uint64_t>{1});
+  EXPECT_TRUE(tree->CheckInvariants().ok());
+
+  // Only an exact (box, a, b) match is replaced.
+  EXPECT_EQ(tree->Replace(b, 99, 10, moved).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree->Replace(b, 2, 11, moved).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree->Replace(moved, 2, 10, b).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree->Replace(b, 1, 10, moved).code(), StatusCode::kNotFound);
+  EXPECT_EQ(tree->Replace(b, 2, 10, Box<1>::Empty()).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TreeSearch(*tree, b), std::vector<uint64_t>{2});
+  EXPECT_EQ(TreeSearch(*tree, moved), std::vector<uint64_t>{1});
 }
 
-TEST(RStarTreeTest, DeleteManyCondensesTree) {
-  MemPageFile file(512);
+TEST(RStarTreeTest, ReplaceFuzzKeepsShape) {
+  // Random boxes grow and shrink in place, cross-checked against a
+  // brute-force shadow set; the shape BulkLoad made never changes.
+  MemPageFile file(512);  // fan-out 10: four levels
   BufferPool pool(&file, 256);
-  auto tree = RStarTree<2>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(21);
-  std::vector<RTreeEntry<2>> entries(400);
-  for (int i = 0; i < 400; ++i) {
-    entries[i].box = RandomBox<2>(rng, 0.05);
-    entries[i].a = i;
-    ASSERT_TRUE(tree->Insert(entries[i].box, i).ok());
+  Rng rng(101);
+  std::vector<RTreeEntry<2>> shadow(600);
+  for (size_t i = 0; i < shadow.size(); ++i) {
+    shadow[i].box = RandomBox<2>(rng, 0.05);
+    shadow[i].a = i;
+    shadow[i].b = i * 7;
   }
-  const uint32_t height_full = tree->height();
-  EXPECT_GT(height_full, 1u);
+  auto tree = RStarTree<2>::BulkLoad(&pool, shadow);
+  ASSERT_TRUE(tree.ok());
+  const RStarMeta built = tree->meta();
+  ASSERT_GE(built.height, 3u);
 
-  // Delete 90% and verify correctness against brute force on the rest.
-  for (int i = 0; i < 360; ++i) {
-    ASSERT_TRUE(tree->Delete(entries[i].box, entries[i].a).ok()) << i;
-    if (i % 60 == 0) {
-      ASSERT_TRUE(tree->CheckInvariants().ok()) << "after delete " << i;
+  for (int step = 0; step < 1500; ++step) {
+    RTreeEntry<2>& victim = shadow[rng.NextBounded(shadow.size())];
+    const double extent = step % 3 == 0 ? 0.4 : (step % 3 == 1 ? 0.01 : 0.05);
+    const Box<2> box = RandomBox<2>(rng, extent);
+    ASSERT_TRUE(tree->Replace(victim.box, victim.a, victim.b, box).ok())
+        << "step " << step;
+    victim.box = box;
+    if (step % 250 == 249) {
+      ASSERT_TRUE(tree->CheckInvariants().ok()) << "step " << step;
+      EXPECT_EQ(tree->meta().root, built.root);
+      EXPECT_EQ(tree->height(), built.height);
+      EXPECT_EQ(tree->size(), built.size);
+      EXPECT_EQ(tree->num_nodes(), built.num_nodes);
+      for (int qi = 0; qi < 5; ++qi) {
+        const Box<2> q = RandomBox<2>(rng, 0.4);
+        ASSERT_EQ(TreeSearch(*tree, q), BruteForceSearch(shadow, q))
+            << "step " << step;
+      }
     }
   }
-  EXPECT_EQ(tree->size(), 40u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  EXPECT_LE(tree->height(), height_full);
-
-  const std::vector<RTreeEntry<2>> rest(entries.begin() + 360,
-                                        entries.end());
-  for (int qi = 0; qi < 30; ++qi) {
-    const Box<2> q = RandomBox<2>(rng, 0.3);
-    EXPECT_EQ(TreeSearch(*tree, q), BruteForceSearch(rest, q));
-  }
 }
 
-TEST(RStarTreeTest, DeleteEverythingLeavesEmptyWorkingTree) {
-  MemPageFile file(512);
-  BufferPool pool(&file, 256);
-  auto tree = RStarTree<1>::Create(&pool);
+TEST(RStarTreeTest, NodeCountPastFanOutIsCorruption) {
+  // A node page whose entry count exceeds the fan-out would be read
+  // past the page end; the load refuses it instead.
+  MemPageFile file;
+  BufferPool pool(&file, 64);
+  std::vector<RTreeEntry<1>> one(1);
+  one[0].box.lo = {0.1};
+  one[0].box.hi = {0.2};
+  auto tree = RStarTree<1>::BulkLoad(&pool, one);
   ASSERT_TRUE(tree.ok());
-  Rng rng(33);
-  std::vector<Box<1>> boxes(100);
-  for (int i = 0; i < 100; ++i) {
-    boxes[i] = RandomBox<1>(rng, 0.1);
-    ASSERT_TRUE(tree->Insert(boxes[i], i).ok());
+  {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(tree->meta().root, &pin).ok());
+    pin.MutablePage().WriteAt<uint32_t>(4, tree->max_entries() + 1);
   }
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree->Delete(boxes[i], i).ok());
-  }
-  EXPECT_EQ(tree->size(), 0u);
-  ASSERT_TRUE(tree->CheckInvariants().ok());
-  // And it is reusable.
-  ASSERT_TRUE(tree->Insert(boxes[0], 7).ok());
-  EXPECT_EQ(TreeSearch(*tree, boxes[0]), std::vector<uint64_t>{7});
+  EXPECT_EQ(tree->Search(one[0].box, [](const RTreeEntry<1>&) {
+                  return true;
+                }).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(RStarTreeTest, SearchEarlyTermination) {
   MemPageFile file;
   BufferPool pool(&file, 256);
-  auto tree = RStarTree<1>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Box<1> b;
   b.lo = {0};
   b.hi = {1};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree->Insert(b, i).ok());
-  }
+  std::vector<RTreeEntry<1>> entries(100);
+  for (int i = 0; i < 100; ++i) entries[i] = {b, static_cast<uint64_t>(i)};
+  auto tree = RStarTree<1>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
   int visited = 0;
   ASSERT_TRUE(tree->Search(b, [&](const RTreeEntry<1>&) {
                     return ++visited < 5;
@@ -327,14 +334,13 @@ TEST(RStarTreeTest, AttachReopensTree) {
   RStarMeta meta;
   Rng rng(55);
   std::vector<RTreeEntry<1>> entries(200);
+  for (int i = 0; i < 200; ++i) {
+    entries[i].box = RandomBox<1>(rng, 0.05);
+    entries[i].a = i;
+  }
   {
-    auto tree = RStarTree<1>::Create(&pool);
+    auto tree = RStarTree<1>::BulkLoad(&pool, entries);
     ASSERT_TRUE(tree.ok());
-    for (int i = 0; i < 200; ++i) {
-      entries[i].box = RandomBox<1>(rng, 0.05);
-      entries[i].a = i;
-      ASSERT_TRUE(tree->Insert(entries[i].box, i).ok());
-    }
     meta = tree->meta();
   }
   // A fresh pool over the same file, attached via persisted meta.
@@ -363,6 +369,33 @@ TEST(RStarTreeTest, AttachReopensTree) {
   EXPECT_EQ(pool2.stats().logical_reads, logical);
 }
 
+TEST(RStarTreeTest, ReplaceChecksTheHeightAttachCouldNot) {
+  // A root that does not read cleanly at Attach is attached unchecked;
+  // once it reads, Replace refuses a height that contradicts it before
+  // writing anything.
+  MemPageFile base;
+  FaultInjectingPageFile file(&base);
+  BufferPool pool(&file, 64);
+  std::vector<RTreeEntry<1>> one(1);
+  one[0].box.lo = {0.1};
+  one[0].box.hi = {0.2};
+  RStarMeta meta;
+  {
+    auto tree = RStarTree<1>::BulkLoad(&pool, one);
+    ASSERT_TRUE(tree.ok());
+    meta = tree->meta();
+  }
+  ASSERT_TRUE(pool.Flush().ok());
+  BufferPool reopened(&file, 64);
+  meta.height = 3;
+  file.FailNextReads(meta.root, 1);
+  auto tree = RStarTree<1>::Attach(&reopened, meta);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_EQ(tree->Replace(one[0].box, 0, 0, Box<1>{{0.3}, {0.4}}).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(TreeSearch(*tree, one[0].box), std::vector<uint64_t>{0});
+}
+
 TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {
   MemPageFile file;
   BufferPool pool(&file, 64);
@@ -382,82 +415,17 @@ TEST(RStarTreeTest, BulkLoadEmptyAndTiny) {
   EXPECT_TRUE(tiny->CheckInvariants().ok());
 }
 
-TEST(RStarTreeTest, BulkLoadPagesAreDenser) {
-  // Packing should use fewer nodes than one-at-a-time insertion.
-  Rng rng(77);
-  std::vector<RTreeEntry<1>> entries(5000);
-  for (int i = 0; i < 5000; ++i) {
-    entries[i].box = RandomBox<1>(rng, 0.01);
-    entries[i].a = i;
-  }
-  auto sorted = entries;
-  std::sort(sorted.begin(), sorted.end(), [](const auto& x, const auto& y) {
-    return x.box.lo[0] < y.box.lo[0];
-  });
-
-  MemPageFile f1;
-  BufferPool p1(&f1, 256);
-  auto bulk = RStarTree<1>::BulkLoad(&p1, sorted);
-  ASSERT_TRUE(bulk.ok());
-
-  MemPageFile f2;
-  BufferPool p2(&f2, 256);
-  auto inserted = RStarTree<1>::Create(&p2);
-  ASSERT_TRUE(inserted.ok());
-  for (const auto& e : entries) {
-    ASSERT_TRUE(inserted->Insert(e.box, e.a).ok());
-  }
-  EXPECT_LT(bulk->num_nodes(), inserted->num_nodes());
-}
-
 TEST(RStarTreeTest, FanOutMatchesPageSize) {
   MemPageFile file(4096);
   BufferPool pool(&file, 16);
-  auto tree1 = RStarTree<1>::Create(&pool);
+  auto tree1 = RStarTree<1>::BulkLoad(&pool, {});
   ASSERT_TRUE(tree1.ok());
   // Entry<1> = 2 doubles + 2 u64 = 32 bytes; (4096-16)/32 = 127.
   EXPECT_EQ(tree1->max_entries(), 127u);
-  auto tree2 = RStarTree<2>::Create(&pool);
+  auto tree2 = RStarTree<2>::BulkLoad(&pool, {});
   ASSERT_TRUE(tree2.ok());
   // Entry<2> = 4 doubles + 2 u64 = 48 bytes; (4096-16)/48 = 85.
   EXPECT_EQ(tree2->max_entries(), 85u);
-}
-
-TEST(RStarTreeTest, RandomInsertDeleteFuzz) {
-  // Interleaved random inserts and deletes, cross-checked against a
-  // brute-force shadow set at every step batch.
-  MemPageFile file(512);
-  BufferPool pool(&file, 256);
-  auto tree = RStarTree<2>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(101);
-  std::vector<RTreeEntry<2>> shadow;
-  uint64_t next_payload = 0;
-
-  for (int step = 0; step < 1500; ++step) {
-    const bool insert = shadow.empty() || rng.NextDouble() < 0.6;
-    if (insert) {
-      RTreeEntry<2> e;
-      e.box = RandomBox<2>(rng, 0.05);
-      e.a = next_payload++;
-      ASSERT_TRUE(tree->Insert(e.box, e.a).ok());
-      shadow.push_back(e);
-    } else {
-      const size_t victim = rng.NextBounded(shadow.size());
-      ASSERT_TRUE(
-          tree->Delete(shadow[victim].box, shadow[victim].a).ok());
-      shadow.erase(shadow.begin() + victim);
-    }
-    if (step % 250 == 249) {
-      ASSERT_TRUE(tree->CheckInvariants().ok()) << "step " << step;
-      for (int qi = 0; qi < 5; ++qi) {
-        const Box<2> q = RandomBox<2>(rng, 0.4);
-        ASSERT_EQ(TreeSearch(*tree, q), BruteForceSearch(shadow, q))
-            << "step " << step;
-      }
-    }
-  }
-  EXPECT_EQ(tree->size(), shadow.size());
 }
 
 TEST(RStarTreeTest, HeightGrowsLogarithmically) {
@@ -481,14 +449,13 @@ TEST(RStarTreeTest, HeightGrowsLogarithmically) {
 TEST(RStarTreeTest, DuplicateBoxesAllRetrievable) {
   MemPageFile file(512);
   BufferPool pool(&file, 64);
-  auto tree = RStarTree<1>::Create(&pool);
-  ASSERT_TRUE(tree.ok());
   Box<1> b;
   b.lo = {0.5};
   b.hi = {0.5};
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree->Insert(b, i).ok());
-  }
+  std::vector<RTreeEntry<1>> entries(200);
+  for (int i = 0; i < 200; ++i) entries[i] = {b, static_cast<uint64_t>(i)};
+  auto tree = RStarTree<1>::BulkLoad(&pool, entries);
+  ASSERT_TRUE(tree.ok());
   const auto hits = TreeSearch(*tree, b);
   EXPECT_EQ(hits.size(), 200u);
   EXPECT_TRUE(tree->CheckInvariants().ok());

@@ -20,6 +20,7 @@
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -436,7 +437,7 @@ TEST(ShardRouterTest, ShardCellCountDisagreeingWithTheRouterRefused) {
   fo.roughness_h = 0.3;
   fo.seed = 3;
   const GridField field = MakeFractalField(fo).value();
-  const std::string prefix = ::testing::TempDir() + "/shard_test_shard_cells";
+  const std::string prefix = TestTempDir() + "/shard_test_shard_cells";
   const std::string s0 = prefix + ".s0";
   ShardRouterOptions ro;
   ro.shards = 2;

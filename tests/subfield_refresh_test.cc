@@ -1,9 +1,12 @@
 // Property test of the one subfield refresh every field type shares
 // (RefreshSubfieldAfterUpdate): after 200 seeded sample edits that grow,
 // shrink or keep cells' keys, every stored subfield key is still the
-// tight hull of its members' keys and its SI their size sum, the grid
-// trees keep their invariants, and a 16-query sweep through the index
-// answers exactly like a fresh Build of the updated field.
+// tight hull of its members' keys and its SI their size sum, every tree
+// keeps its invariants and the root, height, size and node count Build
+// gave it (updates rewrite entries in place), and a 16-query sweep
+// through the index answers exactly like a fresh Build of the updated
+// field. Grid I-All, whose tree holds one entry per cell, runs the same
+// edits.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "index/i_all.h"
 #include "index/i_hilbert.h"
 #include "index/interval_quadtree.h"
 #include "temporal/temporal_index.h"
@@ -139,6 +143,28 @@ void ExpectExactSubfields(const std::vector<Subfield>& subfields,
   }
 }
 
+// Checks that `tree` still has the shape Build gave it, `built`.
+template <int Dim>
+void ExpectBuiltShape(const RStarTree<Dim>& tree, const RStarMeta& built) {
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.meta().root, built.root);
+  EXPECT_EQ(tree.height(), built.height);
+  EXPECT_EQ(tree.size(), built.size);
+  EXPECT_EQ(tree.num_nodes(), built.num_nodes);
+}
+
+// The value tree of a grid index.
+const RStarTree<1>& ValueTree(const ValueIndex& index) {
+  switch (index.method()) {
+    case IndexMethod::kIAll:
+      return static_cast<const IAllIndex&>(index).tree();
+    case IndexMethod::kIHilbert:
+      return static_cast<const IHilbertIndex&>(index).tree();
+    default:
+      return static_cast<const IntervalQuadtreeIndex&>(index).tree();
+  }
+}
+
 class GridRefreshTest : public ::testing::TestWithParam<IndexMethod> {};
 
 TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
@@ -152,6 +178,7 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
   options.method = GetParam();
   auto db = FieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const RStarMeta built = ValueTree((*db)->index()).meta();
 
   VertexEdits edits(&samples, 7);
   for (int u = 0; u < kUpdates; ++u) {
@@ -164,16 +191,14 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
   }
 
   const ValueIndex& index = (*db)->index();
-  ExpectExactSubfields(*(*db)->subfields(), [&](uint64_t pos) {
-    CellRecord cell;
-    EXPECT_TRUE(index.cell_store().records().Get(pos, &cell).ok());
-    return cell.Interval();
-  });
-  const RStarTree<1>& tree =
-      GetParam() == IndexMethod::kIHilbert
-          ? static_cast<const IHilbertIndex&>(index).tree()
-          : static_cast<const IntervalQuadtreeIndex&>(index).tree();
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  if (GetParam() != IndexMethod::kIAll) {
+    ExpectExactSubfields(*(*db)->subfields(), [&](uint64_t pos) {
+      CellRecord cell;
+      EXPECT_TRUE(index.cell_store().records().Get(pos, &cell).ok());
+      return cell.Interval();
+    });
+  }
+  ExpectBuiltShape(ValueTree(index), built);
 
   auto updated = GridField::Create(n, n, domain, samples);
   ASSERT_TRUE(updated.ok());
@@ -192,8 +217,9 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SubfieldMethods, GridRefreshTest,
-    ::testing::Values(IndexMethod::kIHilbert, IndexMethod::kIntervalQuadtree),
+    TreeMethods, GridRefreshTest,
+    ::testing::Values(IndexMethod::kIAll, IndexMethod::kIHilbert,
+                      IndexMethod::kIntervalQuadtree),
     [](const ::testing::TestParamInfo<IndexMethod>& info) {
       std::string name = IndexMethodName(info.param);
       std::replace(name.begin(), name.end(), '-', '_');
@@ -219,6 +245,7 @@ TEST(VectorRefreshTest, SubfieldBoxesStayExact) {
   VectorFieldDatabase::Options options;
   auto db = VectorFieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const RStarMeta built = (*db)->tree()->meta();
 
   VertexEdits edits(&uv, 8);
   for (int u = 0; u < kUpdates; ++u) {
@@ -242,6 +269,7 @@ TEST(VectorRefreshTest, SubfieldBoxesStayExact) {
     EXPECT_EQ(sf.box, hull) << "subfield at " << sf.start;
     EXPECT_EQ(sf.sum_box_sizes, si) << "subfield at " << sf.start;
   }
+  ExpectBuiltShape(*(*db)->tree(), built);
 
   auto updated = make_field();
   ASSERT_TRUE(updated.ok());
@@ -294,6 +322,7 @@ TEST(VolumeRefreshTest, SubfieldKeysStayExact) {
   VolumeFieldDatabase::Options options;
   auto db = VolumeFieldDatabase::Build(*original, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const RStarMeta built = (*db)->tree()->meta();
 
   VertexEdits edits(&samples, 9);
   for (int u = 0; u < kUpdates; ++u) {
@@ -321,6 +350,7 @@ TEST(VolumeRefreshTest, SubfieldKeysStayExact) {
 
   ExpectExactSubfields((*db)->subfields(),
                        [&](uint64_t pos) { return (*db)->zone_map().At(pos); });
+  ExpectBuiltShape(*(*db)->tree(), built);
 
   auto updated = VolumeGridField::Create(nv, nv, nv, samples);
   ASSERT_TRUE(updated.ok());
@@ -364,6 +394,7 @@ TEST(TemporalRefreshTest, SlabSubfieldKeysStayExact) {
   TemporalFieldDatabase::Options options;
   auto db = TemporalFieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const RStarMeta built = (*db)->tree().meta();
 
   VertexEdits edits(&all, 10);
   for (int u = 0; u < kUpdates; ++u) {
@@ -385,6 +416,7 @@ TEST(TemporalRefreshTest, SlabSubfieldKeysStayExact) {
       return (*db)->slab_zone_map(k).At(pos);
     });
   }
+  ExpectBuiltShape((*db)->tree(), built);
 
   auto updated = make_field();
   ASSERT_TRUE(updated.ok());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "storage/crc32c.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -20,7 +21,7 @@ namespace {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/fielddb_wal_test.wal";
+    path_ = TestTempDir() + "/fielddb_wal_test.wal";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
