@@ -25,7 +25,7 @@
 #include "common/rng.h"
 #include "common/simd/interval_filter.h"
 #include "gen/fractal.h"
-#include "index/linear_scan.h"
+#include "index/value_index.h"
 #include "obs/report.h"
 #include "storage/page_file.h"
 
@@ -180,8 +180,8 @@ int main(int argc, char** argv) {
 
   MemPageFile file;
   BufferPool pool(&file, 1 << 15);  // whole store resident
-  StatusOr<std::unique_ptr<LinearScanIndex>> index =
-      LinearScanIndex::Build(&pool, *terrain);
+  StatusOr<std::unique_ptr<ValueIndex>> index =
+      ValueIndex::Build(IndexMethod::kLinearScan, &pool, *terrain);
   if (!index.ok()) {
     std::fprintf(stderr, "%s\n", index.status().ToString().c_str());
     return 1;

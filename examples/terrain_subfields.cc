@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "build: %s\n", db.status().ToString().c_str());
     return 1;
   }
-  const std::vector<Subfield>& subfields = *(*db)->subfields();
+  const std::vector<Subfield>& subfields = *(*db)->index().subfields();
   std::printf("%u cells grouped into %zu subfields\n", terrain->NumCells(),
               subfields.size());
   std::printf("subfield sizes: first=%llu cells %s",

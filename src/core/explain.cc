@@ -73,7 +73,7 @@ Status ExplainValueQuery(const FieldDatabase& db, const ValueInterval& query,
   // skipped when the executed plan never consulted the subfield table:
   // after a corruption fallback, and when the planner chose the fused
   // scan (the filter step didn't run).
-  const std::vector<Subfield>* sfs = db.subfields();
+  const std::vector<Subfield>* sfs = db.index().subfields();
   if (sfs != nullptr && out->stats.index_fallbacks == 0 &&
       out->chosen_plan == PlanKind::kIndexedFilter) {
     const CellStore& store = db.index().cell_store();

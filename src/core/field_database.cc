@@ -63,43 +63,11 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Build(
   db->value_range_ = field.ValueRange();
   db->domain_ = field.Domain();
 
-  switch (options.method) {
-    case IndexMethod::kLinearScan: {
-      StatusOr<std::unique_ptr<LinearScanIndex>> idx =
-          LinearScanIndex::Build(pool, field);
-      if (!idx.ok()) return idx.status();
-      db->index_ = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIAll: {
-      StatusOr<std::unique_ptr<IAllIndex>> idx =
-          IAllIndex::Build(pool, field);
-      if (!idx.ok()) return idx.status();
-      db->index_ = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIHilbert: {
-      StatusOr<std::unique_ptr<IHilbertIndex>> idx = IHilbertIndex::Build(
-          pool, field, options.ihilbert, options.build_memory_budget_bytes);
-      if (!idx.ok()) return idx.status();
-      db->index_ = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIntervalQuadtree: {
-      StatusOr<std::unique_ptr<IntervalQuadtreeIndex>> idx =
-          IntervalQuadtreeIndex::Build(pool, field, options.iqt);
-      if (!idx.ok()) return idx.status();
-      db->index_ = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kRowIp: {
-      StatusOr<std::unique_ptr<RowIpIndex>> idx =
-          RowIpIndex::Build(pool, field);
-      if (!idx.ok()) return idx.status();
-      db->index_ = std::move(idx).value();
-      break;
-    }
-  }
+  StatusOr<std::unique_ptr<ValueIndex>> index =
+      ValueIndex::Build(options.method, pool, field, options.ihilbert,
+                        options.iqt, options.build_memory_budget_bytes);
+  if (!index.ok()) return index.status();
+  db->index_ = std::move(index).value();
 
   if (options.build_spatial_index && db->lattice() == nullptr) {
     // 2-D R*-tree over cell MBRs, packed in store order (Hilbert order
@@ -142,7 +110,7 @@ void FieldDatabase::MaybeLogSlowQuery(const ValueInterval& query,
 }
 
 void FieldDatabase::InitPlanner() {
-  planner_ = std::make_unique<QueryPlanner>(index_.get(), subfields());
+  planner_ = std::make_unique<QueryPlanner>(index_.get());
 }
 
 Status QueryRequest::Check(size_t num_results) const {
@@ -281,10 +249,9 @@ Status FieldDatabase::NearestValueQuery(double w, size_t k,
   };
 
   if (index_->method() == IndexMethod::kIAll) {
-    const auto& tree =
-        static_cast<const IAllIndex*>(index_.get())->tree();
     std::vector<RStarTree<1>::Neighbor> neighbors;
-    FIELDDB_RETURN_IF_ERROR(tree.NearestNeighbors({w}, k, &neighbors));
+    FIELDDB_RETURN_IF_ERROR(
+        index_->tree()->NearestNeighbors({w}, k, &neighbors));
     CellRecord cell;
     for (const auto& n : neighbors) {
       FIELDDB_RETURN_IF_ERROR(store.Get(n.entry.a, &cell));
@@ -294,7 +261,7 @@ Status FieldDatabase::NearestValueQuery(double w, size_t k,
     return Status::OK();
   }
 
-  if (const std::vector<Subfield>* sfs = subfields(); sfs != nullptr) {
+  if (const std::vector<Subfield>* sfs = index_->subfields()) {
     // Visit subfields in ascending interval distance; stop once the
     // next subfield cannot beat the current kth best.
     std::vector<std::pair<double, const Subfield*>> ordered;
@@ -474,17 +441,6 @@ StatusOr<WorkloadStats> FieldDatabase::RunWorkload(
 Status FieldDatabase::Scrub(ScrubReport* out) {
   *out = ScrubReport{};
   return engine_.ScrubPages(&out->pages_checked, &out->corrupt_pages);
-}
-
-const std::vector<Subfield>* FieldDatabase::subfields() const {
-  if (index_->method() == IndexMethod::kIHilbert) {
-    return &static_cast<const IHilbertIndex*>(index_.get())->subfields();
-  }
-  if (index_->method() == IndexMethod::kIntervalQuadtree) {
-    return &static_cast<const IntervalQuadtreeIndex*>(index_.get())
-                ->subfields();
-  }
-  return nullptr;
 }
 
 }  // namespace fielddb

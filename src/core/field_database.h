@@ -13,11 +13,6 @@
 #include "field/field.h"
 #include "field/isoline.h"
 #include "field/region.h"
-#include "index/i_all.h"
-#include "index/i_hilbert.h"
-#include "index/interval_quadtree.h"
-#include "index/linear_scan.h"
-#include "index/row_ip_index.h"
 #include "index/value_index.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
@@ -38,8 +33,8 @@ struct FieldDatabaseOptions : EngineBuildOptions {
   /// one: its point queries are arithmetic on the lattice.
   bool build_spatial_index = true;
 
-  IHilbertIndex::Options ihilbert;
-  IntervalQuadtreeIndex::Options iqt;
+  IHilbertOptions ihilbert;
+  IntervalQuadtreeOptions iqt;
 };
 
 /// Result of a field value query (Q2).
@@ -309,9 +304,6 @@ class FieldDatabase : public EngineHost {
     return lattice ? &*lattice : nullptr;
   }
 
-  /// The subfield partition, when the method has one.
-  const std::vector<Subfield>* subfields() const;
-
  private:
   FieldDatabase() = default;
 
@@ -323,10 +315,9 @@ class FieldDatabase : public EngineHost {
   /// (CellStore::CheckUpdate).
   Status ValidateUpdate(CellId id, const std::vector<double>& values) const;
 
-  /// Constructs planner_ over the finished index (and subfield table,
-  /// when the method has one). Called once at the end of Build and Open;
-  /// the planner borrows index_/subfields() so it must be re-created if
-  /// the index ever were (it isn't).
+  /// Constructs planner_ over the finished index. Called once at the end
+  /// of Build and Open; the planner borrows index_ so it must be
+  /// re-created if the index ever were (it isn't).
   void InitPlanner();
 
   /// FieldEngine::MaybeLogSlowQuery for a value query. Re-plans the

@@ -342,9 +342,10 @@ class FieldEngine {
   ///    runs under a "filter" span (items = candidates, detail =
   ///    "runs=N"); the zone-filtered scan of those runs follows.
   /// The scan itself is ScanStoreRuns ("fetch" and "estimate" spans).
-  /// A corrupt index page (kCorruption from `search`) degrades to the
-  /// fused scan regardless of the plan — the store holds the truth, the
-  /// index is only an accelerator: counted once in index_fallbacks()
+  /// A corrupt index page (kCorruption from `search`, or a run that
+  /// ends past the store) degrades to the fused scan regardless of the
+  /// plan — the store holds the truth, the index is only an
+  /// accelerator: counted once in index_fallbacks()
   /// and db.index_fallbacks, logged as one corruption_fallback event
   /// that `spec.describe` fills, and flagged in
   /// `spec.stats->index_fallbacks`. The metrics count the decision
@@ -381,6 +382,11 @@ class FieldEngine {
       filter = search(&runs);
       span.set_items(TotalRangeLength(runs));
       span.set_detail("runs=" + std::to_string(runs.size()));
+    }
+    if (filter.ok() && !runs.empty() && runs.back().end > store.size()) {
+      // An index entry past the store under a valid checksum is as
+      // corrupt as a page that fails its checksum.
+      filter = Status::Corruption("index run ends past the store");
     }
     if (filter.code() == StatusCode::kCorruption) {
       // Nothing was visited yet, so there is nothing to undo.

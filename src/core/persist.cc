@@ -86,20 +86,6 @@ Status CheckStoreEnd(const std::string& path, const Catalog& catalog,
   return Status::OK();
 }
 
-/// The 1-D value tree of the persistable methods that have one.
-const RStarTree<1>* ValueTree(const ValueIndex& index) {
-  switch (index.method()) {
-    case IndexMethod::kIAll:
-      return &static_cast<const IAllIndex&>(index).tree();
-    case IndexMethod::kIHilbert:
-      return &static_cast<const IHilbertIndex&>(index).tree();
-    case IndexMethod::kIntervalQuadtree:
-      return &static_cast<const IntervalQuadtreeIndex&>(index).tree();
-    default:
-      return nullptr;
-  }
-}
-
 }  // namespace
 
 StatusOr<uint32_t> FieldDatabase::PeekEpoch(const std::string& prefix) {
@@ -133,10 +119,10 @@ Status FieldDatabase::SaveImpl(const std::string& prefix,
           catalog->grid = CatalogGrid{lattice->cols, lattice->rows};
         }
         catalog->build_entries = index_->build_info().num_index_entries;
-        if (const RStarTree<1>* tree = ValueTree(*index_)) {
+        if (const RStarTree<1>* tree = index_->tree()) {
           catalog->tree = tree->meta();
         }
-        if (const std::vector<Subfield>* sfs = subfields()) {
+        if (const std::vector<Subfield>* sfs = index_->subfields()) {
           catalog->subfields = *sfs;
         }
         if (spatial_.has_value()) catalog->spatial = spatial_->meta();
@@ -191,27 +177,9 @@ StatusOr<std::unique_ptr<FieldDatabase>> FieldDatabase::Open(
     if (!attached.ok()) return attached.status();
     tree.emplace(std::move(attached).value());
   }
-  switch (static_cast<IndexMethod>(catalog->method)) {
-    case IndexMethod::kLinearScan:
-      db->index_ = LinearScanIndex::Attach(std::move(store).value(), info);
-      break;
-    case IndexMethod::kIAll:
-      db->index_ = IAllIndex::Attach(std::move(store).value(),
-                                     std::move(*tree), info);
-      break;
-    case IndexMethod::kIHilbert:
-      db->index_ = IHilbertIndex::Attach(std::move(store).value(),
-                                         std::move(*tree),
-                                         std::move(catalog->subfields), info);
-      break;
-    case IndexMethod::kIntervalQuadtree:
-      db->index_ = IntervalQuadtreeIndex::Attach(
-          std::move(store).value(), std::move(*tree),
-          std::move(catalog->subfields), info);
-      break;
-    case IndexMethod::kRowIp:
-      return Status::Corruption("unknown index method in catalog");
-  }
+  db->index_ = ValueIndex::Attach(
+      static_cast<IndexMethod>(catalog->method), std::move(store).value(),
+      std::move(tree), std::move(catalog->subfields), info);
   if (catalog->spatial) {
     StatusOr<RStarTree<2>> spatial =
         RStarTree<2>::Attach(pool, *catalog->spatial);

@@ -49,13 +49,13 @@ Status Shard::Close() {
   return db_->Close();
 }
 
-std::vector<std::pair<uint64_t, CellId>> HilbertPartitionKeys(
-    const Field& field) {
-  // I-Hilbert's order under the default IHilbertOptions curve
-  // (Hilbert, order 16), with the keys kept: the router records each
-  // shard's key range in its catalog.
+StatusOr<std::vector<std::pair<uint64_t, CellId>>> CurvePartitionKeys(
+    const Field& field, CurveType type) {
+  // I-Hilbert's order under `type`, with the keys kept: the router
+  // records each shard's key range in its catalog.
   const std::unique_ptr<SpaceFillingCurve> curve =
-      MakeCurve(CurveType::kHilbert, 16);
+      MakeCurve(type, kCurveOrder);
+  if (curve == nullptr) return Status::InvalidArgument("unknown curve type");
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
   std::vector<std::pair<uint64_t, CellId>> keyed(n);

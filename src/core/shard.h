@@ -119,13 +119,14 @@ class Shard {
   Histogram* wall_ms_;  // shard.s<k>.wall_ms
 };
 
-/// Global Hilbert linearization keys for partitioning: (CellCurveKey,
-/// id) pairs sorted exactly like IHilbertIndex's store (same key over
-/// field.Domain(), same (key, id) tie-break), so splitting the sorted
-/// sequence into contiguous runs yields shards whose concatenation
-/// reproduces the global linearization.
-std::vector<std::pair<uint64_t, CellId>> HilbertPartitionKeys(
-    const Field& field);
+/// Global linearization keys for partitioning: (CellCurveKey, id)
+/// pairs under curve `type`, sorted exactly like an I-Hilbert store
+/// built with that curve (same key over field.Domain(), same (key, id)
+/// tie-break), so splitting the sorted sequence into contiguous runs
+/// yields shards whose concatenation reproduces the global
+/// linearization. InvalidArgument for an unknown curve.
+StatusOr<std::vector<std::pair<uint64_t, CellId>>> CurvePartitionKeys(
+    const Field& field, CurveType type);
 
 }  // namespace fielddb
 

@@ -125,8 +125,11 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Build(
   const uint32_t num_shards =
       static_cast<uint32_t>(std::min<uint64_t>(options.shards, n));
 
-  const std::vector<std::pair<uint64_t, CellId>> keyed =
-      HilbertPartitionKeys(field);
+  // The shards' own I-Hilbert curve, so each shard's store is a
+  // contiguous run of the unsharded store's order.
+  const StatusOr<std::vector<std::pair<uint64_t, CellId>>> keyed =
+      CurvePartitionKeys(field, options.db.ihilbert.curve);
+  if (!keyed.ok()) return keyed.status();
 
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   router->domain_ = field.Domain();
@@ -137,14 +140,14 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Build(
     const uint64_t end = static_cast<uint64_t>(k + 1) * n / num_shards;
     ShardDescriptor desc;
     desc.id = k;
-    desc.key_begin = keyed[begin].first;
-    desc.key_end = keyed[end - 1].first;
+    desc.key_begin = (*keyed)[begin].first;
+    desc.key_end = (*keyed)[end - 1].first;
     desc.local_to_global.reserve(end - begin);
     for (uint64_t i = begin; i < end; ++i) {
-      desc.local_to_global.push_back(keyed[i].second);
+      desc.local_to_global.push_back((*keyed)[i].second);
     }
     if (options.db.method == IndexMethod::kRowIp) {
-      // RowIpIndex infers row structure from the field's native order
+      // Row-IP infers row structure from the field's native order
       // (non-decreasing lower-y). The partition stays Hilbert-ranged —
       // same cell sets, same catalog key ranges — but within the shard
       // the slice presents cells ascending by global id, which for a

@@ -19,8 +19,9 @@ namespace fielddb {
 
 /// Build-time configuration of a sharded database.
 struct ShardRouterOptions {
-  /// Contiguous Hilbert-range shards; clamped to [1, NumCells()].
-  /// One per core is the intended deployment (bench_shard_scaling).
+  /// Contiguous ranges of the cells' `db.ihilbert.curve` order (the
+  /// Hilbert curve by default); clamped to [1, NumCells()]. One per
+  /// core is the intended deployment (bench_shard_scaling).
   uint32_t shards = 1;
   /// Per-shard database options (method, page size, planner mode, WAL
   /// mode, ...). pool_pages is PER SHARD: N shards own N independent

@@ -21,6 +21,12 @@ enum class CurveType {
 
 const char* CurveTypeName(CurveType type);
 
+/// Bits per dimension of the grid every curve-ordered build quantizes
+/// cell centers onto: I-Hilbert, the vector and temporal stores and the
+/// router's partition. 16 gives a 65536^2 grid — far below a center
+/// spacing that would alias for every workload in this repository.
+constexpr int kCurveOrder = 16;
+
 /// A bijection between 2-D grid coordinates and positions along a linear
 /// traversal of the grid. `order` is the number of bits per dimension; the
 /// curve covers the 2^order x 2^order grid and produces indexes in

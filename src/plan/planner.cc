@@ -30,10 +30,8 @@ const char* PlannerModeName(PlannerMode mode) {
   return "unknown";
 }
 
-QueryPlanner::QueryPlanner(const ValueIndex* index,
-                           const std::vector<Subfield>* subfields,
-                           PlanCostModel cost)
-    : index_(index), subfields_(subfields), cost_(cost) {}
+QueryPlanner::QueryPlanner(const ValueIndex* index, PlanCostModel cost)
+    : index_(index), cost_(cost) {}
 
 StoreShape QueryPlanner::shape() const {
   return ShapeOf(index_->cell_store().records());
@@ -119,12 +117,12 @@ QueryPlanner::Selectivity QueryPlanner::Probe(
   Selectivity sel;
   runs->clear();
   const CellStore& store = index_->cell_store();
-  if (subfields_ != nullptr) {
+  if (const std::vector<Subfield>* subfields = index_->subfields()) {
     // Subfield methods: the filter returns exactly the subfields whose
     // interval intersects the query, so walking the in-memory table
     // predicts the candidate runs perfectly — O(#subfields), no I/O.
     uint64_t matched = 0;
-    for (const Subfield& sf : *subfields_) {
+    for (const Subfield& sf : *subfields) {
       if (sf.end <= sf.start || !sf.interval.Intersects(query)) continue;
       ++matched;
       if (!runs->empty() && sf.start <= runs->back().end) {
@@ -136,9 +134,9 @@ QueryPlanner::Selectivity QueryPlanner::Probe(
     sel.candidates = TotalRangeLength(*runs);
     sel.runs = runs->size();
     sel.entry_fraction =
-        subfields_->empty()
+        subfields->empty()
             ? 0.0
-            : static_cast<double>(matched) / subfields_->size();
+            : static_cast<double>(matched) / subfields->size();
     return sel;
   }
   // Per-cell methods (I-All, Row-IP): the index's entries are the

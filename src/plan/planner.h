@@ -167,10 +167,9 @@ PhysicalPlan PlanStoreQuery(
 /// plans exactly like the original.
 class QueryPlanner {
  public:
-  /// `subfields` may be null (methods without a partition). Both
-  /// pointers must outlive the planner.
-  QueryPlanner(const ValueIndex* index, const std::vector<Subfield>* subfields,
-               PlanCostModel cost = PlanCostModel{});
+  /// `index` must outlive the planner.
+  explicit QueryPlanner(const ValueIndex* index,
+                        PlanCostModel cost = PlanCostModel{});
 
   PhysicalPlan Plan(const ValueInterval& query,
                     PlannerMode mode = PlannerMode::kAuto) const;
@@ -212,7 +211,6 @@ class QueryPlanner {
   PagePattern FilterPattern(const Selectivity& sel) const;
 
   const ValueIndex* index_;
-  const std::vector<Subfield>* subfields_;
   PlanCostModel cost_;
 };
 

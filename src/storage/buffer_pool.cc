@@ -284,23 +284,6 @@ Status BufferPool::PrefetchRange(PageId first, size_t count) {
   return Status::OK();
 }
 
-Status BufferPool::PinMany(PageId first, size_t count,
-                           std::vector<PinnedPage>* out) {
-  const size_t original = out->size();
-  FIELDDB_RETURN_IF_ERROR(PrefetchRange(first, count));
-  out->reserve(original + count);
-  for (size_t i = 0; i < count; ++i) {
-    PinnedPage pin;
-    const Status s = Fetch(first + i, &pin);
-    if (!s.ok()) {
-      out->resize(original);
-      return s;
-    }
-    out->push_back(std::move(pin));
-  }
-  return Status::OK();
-}
-
 StatusOr<PageId> BufferPool::Allocate(PinnedPage* out) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");

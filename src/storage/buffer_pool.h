@@ -133,12 +133,6 @@ class BufferPool {
   /// only the `storage.pool.prefetch_hit` metric.
   Status PrefetchRange(PageId first, size_t count);
 
-  /// Pins pages [first, first + count) in order, appending one pin per
-  /// page to `*out`. Issues one PrefetchRange over the span first, so
-  /// the misses are read back-to-back. On error, pins already taken are
-  /// released and `*out` is restored to its original size.
-  Status PinMany(PageId first, size_t count, std::vector<PinnedPage>* out);
-
   /// Allocates a fresh page in the file and pins it (dirty).
   StatusOr<PageId> Allocate(PinnedPage* out);
 

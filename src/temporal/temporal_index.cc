@@ -82,7 +82,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   StatusOr<GridField> first = field.Snapshot(0);
   if (!first.ok()) return first.status();
   const std::unique_ptr<SpaceFillingCurve> curve =
-      MakeCurve(options.curve, options.curve_order);
+      MakeCurve(options.curve, kCurveOrder);
   const CellId n = field.NumCells();
   const Rect2 domain = first->Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);

@@ -70,7 +70,6 @@ class TemporalFieldDatabase : public ExtEngineHost {
   struct Options : EngineBuildOptions {
     Options() { pool_pages = 2048; }
     CurveType curve = CurveType::kHilbert;
-    int curve_order = 16;
     SubfieldCostConfig cost;
   };
 

@@ -47,7 +47,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   // its (key, insertion-seq) tie-break equals the (key, id) order, so
   // both paths emit cells identically.
   const std::unique_ptr<SpaceFillingCurve> curve =
-      MakeCurve(options.curve, options.curve_order);
+      MakeCurve(options.curve, kCurveOrder);
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);

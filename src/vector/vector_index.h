@@ -65,7 +65,6 @@ class VectorFieldDatabase : public ExtEngineHost {
   struct Options : EngineBuildOptions {
     VectorIndexMethod method = VectorIndexMethod::kIHilbert;
     CurveType curve = CurveType::kHilbert;
-    int curve_order = 16;
     VectorCostConfig cost;
   };
 

@@ -284,39 +284,6 @@ TEST_F(BufferPoolTest, PrefetchReadFailureIsSilentAndUncounted) {
   EXPECT_EQ(pool.stats().physical_reads, 1u);
 }
 
-TEST_F(BufferPoolTest, PinManyPinsTheWholeSpan) {
-  BufferPool pool(&file_, 16);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 5; ++i) ids.push_back(AllocViaPool(pool, i));
-  ASSERT_TRUE(pool.Clear().ok());
-  pool.ResetStats();
-
-  std::vector<PinnedPage> pins;
-  ASSERT_TRUE(pool.PinMany(ids.front(), ids.size(), &pins).ok());
-  ASSERT_EQ(pins.size(), ids.size());
-  for (size_t i = 0; i < pins.size(); ++i) {
-    EXPECT_EQ(pins[i].id(), ids[i]);
-    EXPECT_EQ(pins[i].page().ReadAt<uint64_t>(0), i);
-  }
-  EXPECT_EQ(pool.stats().logical_reads, 5u);
-  EXPECT_EQ(pool.stats().physical_reads, 5u);
-}
-
-TEST_F(BufferPoolTest, PinManyRollsBackOnFailure) {
-  BufferPool pool(&file_, 16);
-  const PageId a = AllocViaPool(pool, 1);
-  AllocViaPool(pool, 2);
-  std::vector<PinnedPage> pins;
-  // Span runs past the end of the file: the pin batch must fail and
-  // leave `pins` exactly as it was.
-  PinnedPage keep;
-  ASSERT_TRUE(pool.Fetch(a, &keep).ok());
-  pins.push_back(std::move(keep));
-  EXPECT_FALSE(pool.PinMany(a, 100, &pins).ok());
-  ASSERT_EQ(pins.size(), 1u);
-  EXPECT_EQ(pins[0].id(), a);
-}
-
 TEST_F(BufferPoolTest, TransientReadFaultRetriedTransparently) {
   FaultInjectingPageFile faulty(&file_);
   BufferPool pool(&faulty, 4);

@@ -237,14 +237,21 @@ TEST(FieldDatabaseTest, SubfieldsAccessor) {
     options.method = method;
     auto db = FieldDatabase::Build(*field, options);
     ASSERT_TRUE(db.ok());
-    ASSERT_NE((*db)->subfields(), nullptr);
-    EXPECT_FALSE((*db)->subfields()->empty());
+    ASSERT_NE((*db)->index().subfields(), nullptr);
+    EXPECT_FALSE((*db)->index().subfields()->empty());
+    EXPECT_NE((*db)->index().tree(), nullptr);
   }
   FieldDatabaseOptions options;
+  options.method = IndexMethod::kIAll;
+  auto iall = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(iall.ok());
+  EXPECT_EQ((*iall)->index().subfields(), nullptr);
+  EXPECT_NE((*iall)->index().tree(), nullptr);
   options.method = IndexMethod::kLinearScan;
   auto db = FieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ((*db)->subfields(), nullptr);
+  EXPECT_EQ((*db)->index().subfields(), nullptr);
+  EXPECT_EQ((*db)->index().tree(), nullptr);
 }
 
 TEST(FieldDatabaseTest, PointQueryWithoutSpatialIndexFallsBackToScan) {

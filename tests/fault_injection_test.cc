@@ -19,7 +19,6 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "index/i_hilbert.h"
 #include "obs/metrics.h"
 #include "storage/buffer_pool.h"
 #include "query_util.h"
@@ -622,8 +621,8 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
   (*db)->set_planner_mode(PlannerMode::kForceIndex);
   // Corrupt the I-Hilbert tree root: the filtering step becomes
   // unusable, but the clustered cell store is untouched.
-  const auto* idx = static_cast<const IHilbertIndex*>(&(*db)->index());
-  injector_->CorruptPage(idx->tree().meta().root);
+  const RStarTree<1>* tree = (*db)->index().tree();
+  injector_->CorruptPage(tree->meta().root);
   // Drop cached frames so the next tree descent actually hits storage.
   ASSERT_TRUE((*db)->pool().Clear().ok());
 
@@ -701,7 +700,7 @@ TEST_F(DatabaseFaultTest, CorruptIndexFallsBackToScanWithIdenticalResults) {
   FieldDatabase::ScrubReport report;
   ASSERT_TRUE((*db)->Scrub(&report).ok());
   ASSERT_EQ(report.corrupt_pages.size(), 1u);
-  EXPECT_EQ(report.corrupt_pages[0], idx->tree().meta().root);
+  EXPECT_EQ(report.corrupt_pages[0], tree->meta().root);
 }
 
 TEST_F(DatabaseFaultTest, TransientFaultsDuringQueriesAreInvisible) {

@@ -10,11 +10,6 @@
 #include "gen/fractal.h"
 #include "gen/noise_tin.h"
 #include "gen/workload.h"
-#include "index/i_all.h"
-#include "index/i_hilbert.h"
-#include "index/interval_quadtree.h"
-#include "index/linear_scan.h"
-#include "index/row_ip_index.h"
 #include "storage/page_file.h"
 
 namespace fielddb {
@@ -30,38 +25,9 @@ IndexFixture BuildIndex(IndexMethod method, const Field& field) {
   IndexFixture fx;
   fx.file = std::make_unique<MemPageFile>();
   fx.pool = std::make_unique<BufferPool>(fx.file.get(), 4096);
-  switch (method) {
-    case IndexMethod::kLinearScan: {
-      auto idx = LinearScanIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIAll: {
-      auto idx = IAllIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIHilbert: {
-      auto idx = IHilbertIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIntervalQuadtree: {
-      auto idx = IntervalQuadtreeIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kRowIp: {
-      auto idx = RowIpIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-  }
+  auto idx = ValueIndex::Build(method, fx.pool.get(), field);
+  EXPECT_TRUE(idx.ok());
+  fx.index = std::move(idx).value();
   return fx;
 }
 
@@ -218,16 +184,15 @@ TEST(IHilbertTest, SubfieldsPartitionStore) {
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
-  const auto* ih = static_cast<const IHilbertIndex*>(fx.index.get());
 
-  const auto& sfs = ih->subfields();
+  const std::vector<Subfield>& sfs = *fx.index->subfields();
   ASSERT_FALSE(sfs.empty());
   EXPECT_EQ(sfs.front().start, 0u);
   EXPECT_EQ(sfs.back().end, field->NumCells());
   for (size_t i = 0; i + 1 < sfs.size(); ++i) {
     EXPECT_EQ(sfs[i].end, sfs[i + 1].start);
   }
-  EXPECT_EQ(ih->build_info().num_subfields, sfs.size());
+  EXPECT_EQ(fx.index->build_info().num_subfields, sfs.size());
   // The whole point: far fewer index entries than cells.
   EXPECT_LT(sfs.size(), field->NumCells() / 4);
 }
@@ -238,11 +203,10 @@ TEST(IHilbertTest, SubfieldIntervalCoversMembers) {
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
-  const auto* ih = static_cast<const IHilbertIndex*>(fx.index.get());
   CellRecord rec;
-  for (const Subfield& sf : ih->subfields()) {
+  for (const Subfield& sf : *fx.index->subfields()) {
     for (uint64_t pos = sf.start; pos < sf.end; ++pos) {
-      ASSERT_TRUE(ih->cell_store().records().Get(pos, &rec).ok());
+      ASSERT_TRUE(fx.index->cell_store().records().Get(pos, &rec).ok());
       const ValueInterval iv = rec.Interval();
       EXPECT_GE(iv.min, sf.interval.min);
       EXPECT_LE(iv.max, sf.interval.max);
@@ -257,7 +221,7 @@ TEST(IHilbertTest, StoreIsHilbertOrdered) {
   ASSERT_TRUE(field.ok());
   // The router's partition keys are I-Hilbert's order.
   const std::vector<std::pair<uint64_t, CellId>> order =
-      HilbertPartitionKeys(*field);
+      CurvePartitionKeys(*field, CurveType::kHilbert).value();
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
   CellRecord rec;
   for (uint64_t pos = 0; pos < order.size(); ++pos) {
@@ -266,23 +230,32 @@ TEST(IHilbertTest, StoreIsHilbertOrdered) {
   }
 }
 
-TEST(IHilbertTest, FilterSubfieldsFindsIntersecting) {
+TEST(IHilbertTest, FilterRunsAreTheIntersectingSubfields) {
   FractalOptions fo;
   fo.size_exp = 5;
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
-  const auto* ih = static_cast<const IHilbertIndex*>(fx.index.get());
   const ValueInterval range = field->ValueRange();
   const ValueInterval q{range.min + 0.3 * range.Length(),
                         range.min + 0.4 * range.Length()};
-  std::vector<uint32_t> ids;
-  ASSERT_TRUE(ih->FilterSubfields(q, &ids).ok());
-  std::set<uint32_t> expected;
-  for (uint32_t i = 0; i < ih->subfields().size(); ++i) {
-    if (ih->subfields()[i].interval.Intersects(q)) expected.insert(i);
+  std::vector<PosRange> runs;
+  ASSERT_TRUE(fx.index->FilterCandidateRanges(q, &runs).ok());
+  std::vector<std::pair<uint64_t, uint64_t>> got;
+  for (const PosRange& r : runs) got.emplace_back(r.begin, r.end);
+  // The tree search finds exactly the subfields whose interval meets
+  // the query; neighbors merge into one run.
+  std::vector<std::pair<uint64_t, uint64_t>> expected;
+  for (const Subfield& sf : *fx.index->subfields()) {
+    if (!sf.interval.Intersects(q)) continue;
+    if (!expected.empty() && expected.back().second == sf.start) {
+      expected.back().second = sf.end;
+    } else {
+      expected.emplace_back(sf.start, sf.end);
+    }
   }
-  EXPECT_EQ(std::set<uint32_t>(ids.begin(), ids.end()), expected);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(got, expected);
 }
 
 TEST(IHilbertTest, CurveChoiceAffectsSubfieldCount) {
@@ -300,9 +273,10 @@ TEST(IHilbertTest, CurveChoiceAffectsSubfieldCount) {
     BufferPool pool(&file, 4096);
     IHilbertOptions options;
     options.curve = curve;
-    auto idx = IHilbertIndex::Build(&pool, *field, options);
+    auto idx =
+        ValueIndex::Build(IndexMethod::kIHilbert, &pool, *field, options);
     EXPECT_TRUE(idx.ok());
-    return (*idx)->subfields().size();
+    return (*idx)->subfields()->size();
   };
   EXPECT_LT(count_subfields(CurveType::kHilbert),
             count_subfields(CurveType::kRowMajor));
@@ -319,9 +293,10 @@ TEST(IntervalQuadtreeTest, ThresholdControlsPartition) {
     BufferPool pool(&file, 4096);
     IntervalQuadtreeOptions options;
     options.threshold_fraction = threshold;
-    auto idx = IntervalQuadtreeIndex::Build(&pool, *field, options);
+    auto idx = ValueIndex::Build(IndexMethod::kIntervalQuadtree, &pool,
+                                 *field, {}, options);
     EXPECT_TRUE(idx.ok());
-    return (*idx)->subfields().size();
+    return (*idx)->subfields()->size();
   };
   // Tighter thresholds force deeper division -> more subfields.
   EXPECT_GT(count_subfields(0.02), count_subfields(0.5));
@@ -336,10 +311,11 @@ TEST(IntervalQuadtreeTest, SubfieldsRespectThreshold) {
   BufferPool pool(&file, 4096);
   IntervalQuadtreeOptions options;
   options.threshold_fraction = 0.25;
-  auto idx = IntervalQuadtreeIndex::Build(&pool, *field, options);
+  auto idx = ValueIndex::Build(IndexMethod::kIntervalQuadtree, &pool, *field,
+                               {}, options);
   ASSERT_TRUE(idx.ok());
   const double threshold = 0.25 * field->ValueRange().Length();
-  for (const Subfield& sf : (*idx)->subfields()) {
+  for (const Subfield& sf : *(*idx)->subfields()) {
     // Single-cell quadrants may exceed the threshold (indivisible), as
     // may max-depth cutoffs; multi-cell quadrants must respect it.
     if (sf.NumCells() > 1) {
@@ -357,7 +333,9 @@ TEST(IntervalQuadtreeTest, RejectsBadThreshold) {
   BufferPool pool(&file, 1024);
   IntervalQuadtreeOptions options;
   options.threshold_fraction = 0.0;
-  EXPECT_FALSE(IntervalQuadtreeIndex::Build(&pool, *field, options).ok());
+  EXPECT_FALSE(ValueIndex::Build(IndexMethod::kIntervalQuadtree, &pool,
+                                 *field, {}, options)
+                   .ok());
 }
 
 TEST(BuildInfoTest, ReportsSensibleNumbers) {

@@ -363,6 +363,82 @@ TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
   }
 }
 
+class ForgedLeafTest : public ::testing::TestWithParam<IndexMethod> {};
+
+TEST_P(ForgedLeafTest, RunPastTheStoreFallsBackToTheStore) {
+  // A value-tree leaf entry that points past the store, under a valid
+  // page checksum: Open and scrub find nothing wrong, so the band scan
+  // must treat the run as a corrupt index page — fall back to the store
+  // with identical answers — instead of failing the query.
+  const std::string prefix = TestTempDir() + "/fielddb_forged_leaf_" +
+                             std::to_string(static_cast<int>(GetParam()));
+  FractalOptions fo;
+  fo.size_exp = 5;
+  auto field = MakeFractalField(fo);
+  ASSERT_TRUE(field.ok());
+  FieldDatabaseOptions options;
+  options.method = GetParam();
+  auto intact = FieldDatabase::Build(*field, options);
+  ASSERT_TRUE(intact.ok());
+  ASSERT_TRUE((*intact)->Save(prefix).ok());
+
+  // Node pages are [level u32][count u32][8 reserved][entries], an
+  // entry [lo f64][hi f64][a u64][b u64]; leaf entry 0 of the first
+  // leaf gets a payload past the store: I-Hilbert's run end b, I-All's
+  // position a.
+  const std::string meta = prefix + ".meta";
+  const auto page_size =
+      static_cast<uint32_t>(MetaValueOf(meta, "page_size"));
+  ValueInterval forged;
+  {
+    auto f = DiskPageFile::Open(
+        prefix + ".pages", page_size,
+        static_cast<uint32_t>(MetaValueOf(meta, "epoch")));
+    ASSERT_TRUE(f.ok());
+    Page page(page_size);
+    PageId id = MetaValueOf(meta, "tree");
+    ASSERT_TRUE((*f)->Read(id, &page).ok());
+    while (page.ReadAt<uint32_t>(0) > 0) {
+      id = page.ReadAt<uint64_t>(32);
+      ASSERT_TRUE((*f)->Read(id, &page).ok());
+    }
+    forged = ValueInterval{page.ReadAt<double>(16), page.ReadAt<double>(24)};
+    page.WriteAt<uint64_t>(GetParam() == IndexMethod::kIHilbert ? 40 : 32,
+                           field->NumCells() + 7);
+    ASSERT_TRUE((*f)->Write(id, page).ok());
+  }
+  auto db = FieldDatabase::Open(prefix);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  FieldDatabase::ScrubReport report;
+  ASSERT_TRUE((*db)->Scrub(&report).ok());
+  EXPECT_TRUE(report.clean());
+  (*db)->set_planner_mode(PlannerMode::kForceIndex);
+
+  ValueQueryResult expected, degraded;
+  ASSERT_TRUE(QueryOne(**intact, forged, &expected).ok());
+  const Status s = QueryOne(**db, forged, &degraded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
+  EXPECT_EQ((*db)->index_fallbacks(), 1u);
+  EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_EQ(degraded.region.NumPieces(), expected.region.NumPieces());
+  EXPECT_EQ(degraded.region.TotalArea(), expected.region.TotalArea());
+
+  db->reset();
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeMethods, ForgedLeafTest,
+    ::testing::Values(IndexMethod::kIAll, IndexMethod::kIHilbert),
+    [](const ::testing::TestParamInfo<IndexMethod>& info) {
+      std::string name = IndexMethodName(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
+
 // Drops the second catalog line keyed `key` and decrements the
 // `subfields` count: a well-formed catalog whose subfield table no
 // longer tiles the store.

@@ -10,7 +10,6 @@
 #include "field/isoband.h"
 #include "field/interpolation.h"
 #include "gen/fractal.h"
-#include "gen/noise_tin.h"
 #include "gen/workload.h"
 #include "query_util.h"
 
@@ -108,29 +107,6 @@ TEST(RepresentationInvarianceTest, PoolSizeDoesNotChangeAnswers) {
     } else {
       EXPECT_NEAR(result.region.TotalArea(), reference, 1e-9)
           << "pool " << pool_pages;
-    }
-  }
-}
-
-TEST(RepresentationInvarianceTest, CurveOrderDoesNotChangeAnswers) {
-  NoiseTinOptions no;
-  no.num_sites = 300;
-  auto field = MakeUrbanNoiseTin(no);
-  ASSERT_TRUE(field.ok());
-  const ValueInterval band{75.0, 85.0};
-  double reference = -1;
-  for (const int order : {4, 8, 16}) {
-    FieldDatabaseOptions options;
-    options.ihilbert.curve_order = order;
-    auto db = FieldDatabase::Build(*field, options);
-    ASSERT_TRUE(db.ok());
-    ValueQueryResult result;
-    ASSERT_TRUE(QueryOne(**db, band, &result).ok());
-    if (reference < 0) {
-      reference = result.region.TotalArea();
-    } else {
-      EXPECT_NEAR(result.region.TotalArea(), reference, 1e-9)
-          << "order " << order;
     }
   }
 }

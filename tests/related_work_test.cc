@@ -11,7 +11,7 @@
 #include "gen/noise_tin.h"
 #include "gen/workload.h"
 #include "index/interval_tree.h"
-#include "index/row_ip_index.h"
+#include "index/value_index.h"
 #include "storage/page_file.h"
 #include "query_util.h"
 #include "temp_dir.h"
@@ -109,24 +109,24 @@ TEST(IntervalTreeTest, MemoryScalesWithSize) {
   EXPECT_GT(large, 10000 * sizeof(IntervalTree::Item));
 }
 
-TEST(RowIpIndexTest, RejectsNonGridFields) {
+TEST(RowIpTest, RejectsNonGridFields) {
   NoiseTinOptions no;
   no.num_sites = 100;
   auto tin = MakeUrbanNoiseTin(no);
   ASSERT_TRUE(tin.ok());
   MemPageFile file;
   BufferPool pool(&file, 1024);
-  EXPECT_FALSE(RowIpIndex::Build(&pool, *tin).ok());
+  EXPECT_FALSE(ValueIndex::Build(IndexMethod::kRowIp, &pool, *tin).ok());
 }
 
-TEST(RowIpIndexTest, CandidatesMatchGroundTruth) {
+TEST(RowIpTest, CandidatesMatchGroundTruth) {
   FractalOptions fo;
   fo.size_exp = 5;
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   MemPageFile file;
   BufferPool pool(&file, 4096);
-  auto idx = RowIpIndex::Build(&pool, *field);
+  auto idx = ValueIndex::Build(IndexMethod::kRowIp, &pool, *field);
   ASSERT_TRUE(idx.ok());
   EXPECT_EQ((*idx)->num_rows(), 32u);
 
@@ -146,7 +146,7 @@ TEST(RowIpIndexTest, CandidatesMatchGroundTruth) {
   }
 }
 
-TEST(RowIpIndexTest, WorksThroughFieldDatabase) {
+TEST(RowIpTest, WorksThroughFieldDatabase) {
   FractalOptions fo;
   fo.size_exp = 5;
   auto field = MakeFractalField(fo);
@@ -174,14 +174,14 @@ TEST(RowIpIndexTest, WorksThroughFieldDatabase) {
             StatusCode::kUnimplemented);
 }
 
-TEST(RowIpIndexTest, UpdatesMaintainCorrectness) {
+TEST(RowIpTest, UpdatesMaintainCorrectness) {
   FractalOptions fo;
   fo.size_exp = 4;
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   MemPageFile file;
   BufferPool pool(&file, 4096);
-  auto idx = RowIpIndex::Build(&pool, *field);
+  auto idx = ValueIndex::Build(IndexMethod::kRowIp, &pool, *field);
   ASSERT_TRUE(idx.ok());
 
   ASSERT_TRUE((*idx)->UpdateCellValues(100, {70, 71, 72, 73}).ok());
@@ -197,7 +197,7 @@ TEST(RowIpIndexTest, UpdatesMaintainCorrectness) {
   }
 }
 
-TEST(RowIpIndexTest, TouchesMorePagesThanIHilbert) {
+TEST(RowIpTest, TouchesMorePagesThanIHilbert) {
   // The paper's point, quantified: per-row 1-D indexing cannot group
   // across rows, so its filtering touches far more pages.
   FractalOptions fo;

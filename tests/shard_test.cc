@@ -159,6 +159,57 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The router partitions by the shards' own curve: under each ablation
+// curve, two I-Hilbert shards concatenate to the one-shard store order,
+// so their pieces arrive in the one-shard order, not just as the same
+// set.
+class ShardCurveTest : public ::testing::TestWithParam<CurveType> {};
+
+TEST_P(ShardCurveTest, PieceOrderFollowsTheShardsCurve) {
+  const GridField field = MakeTestField();
+  ShardRouterOptions ro;
+  ro.db.method = IndexMethod::kIHilbert;
+  ro.db.ihilbert.curve = GetParam();
+  ro.shards = 1;
+  auto baseline = ShardRouter::Build(field, ro);
+  ASSERT_TRUE(baseline.ok());
+  ro.shards = 2;
+  auto router = ShardRouter::Build(field, ro);
+  ASSERT_TRUE(router.ok());
+  for (const ValueInterval& q : TestQueries(field.ValueRange())) {
+    ValueQueryResult expected, actual;
+    ASSERT_TRUE(QueryOne(**baseline, q, &expected).ok());
+    ASSERT_TRUE(QueryOne(**router, q, &actual).ok());
+    EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+    EXPECT_EQ(ExactPieces(actual.region), ExactPieces(expected.region))
+        << CurveTypeName(GetParam()) << " " << q.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AblationCurves, ShardCurveTest,
+    ::testing::Values(CurveType::kZOrder, CurveType::kGrayCode,
+                      CurveType::kRowMajor),
+    [](const ::testing::TestParamInfo<CurveType>& info) {
+      std::string name = CurveTypeName(info.param);
+      name.erase(std::remove_if(name.begin(), name.end(),
+                                [](char c) { return !std::isalnum(
+                                    static_cast<unsigned char>(c)); }),
+                 name.end());
+      return name;
+    });
+
+TEST(ShardRouterTest, UnknownCurveRefusedLikeOneDatabase) {
+  const GridField field = MakeTestField();
+  ShardRouterOptions ro;
+  ro.db.ihilbert.curve = static_cast<CurveType>(9);
+  EXPECT_EQ(FieldDatabase::Build(field, ro.db).status().code(),
+            StatusCode::kInvalidArgument);
+  ro.shards = 2;
+  EXPECT_EQ(ShardRouter::Build(field, ro).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ShardRouterTest, OutOfRangeQuerySkipsEveryShard) {
   const GridField field = MakeTestField();
   ShardRouterOptions ro;

@@ -17,7 +17,6 @@
 #include "core/query_executor.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "index/i_hilbert.h"
 #include "obs/metrics.h"
 #include "storage/fault_injection.h"
 #include "query_util.h"
@@ -310,8 +309,8 @@ TEST_F(SharedScanTest, CorruptIndexDegradesTheWholeGroupOnce) {
   // Pin the indexed plan so the shared sweep's filter really descends
   // the (corrupt) tree instead of planning the fused scan around it.
   (*db)->set_planner_mode(PlannerMode::kForceIndex);
-  const auto* idx = static_cast<const IHilbertIndex*>(&(*db)->index());
-  injector->CorruptPage(idx->tree().meta().root);
+  const RStarTree<1>* tree = (*db)->index().tree();
+  injector->CorruptPage(tree->meta().root);
   ASSERT_TRUE((*db)->pool().Clear().ok());
 
   const std::vector<ValueInterval> queries = OverlappingQueries(3);

@@ -17,9 +17,6 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "index/i_all.h"
-#include "index/i_hilbert.h"
-#include "index/interval_quadtree.h"
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
@@ -153,18 +150,6 @@ void ExpectBuiltShape(const RStarTree<Dim>& tree, const RStarMeta& built) {
   EXPECT_EQ(tree.num_nodes(), built.num_nodes);
 }
 
-// The value tree of a grid index.
-const RStarTree<1>& ValueTree(const ValueIndex& index) {
-  switch (index.method()) {
-    case IndexMethod::kIAll:
-      return static_cast<const IAllIndex&>(index).tree();
-    case IndexMethod::kIHilbert:
-      return static_cast<const IHilbertIndex&>(index).tree();
-    default:
-      return static_cast<const IntervalQuadtreeIndex&>(index).tree();
-  }
-}
-
 class GridRefreshTest : public ::testing::TestWithParam<IndexMethod> {};
 
 TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
@@ -178,7 +163,7 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
   options.method = GetParam();
   auto db = FieldDatabase::Build(*field, options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  const RStarMeta built = ValueTree((*db)->index()).meta();
+  const RStarMeta built = (*db)->index().tree()->meta();
 
   VertexEdits edits(&samples, 7);
   for (int u = 0; u < kUpdates; ++u) {
@@ -192,13 +177,13 @@ TEST_P(GridRefreshTest, SubfieldKeysStayExact) {
 
   const ValueIndex& index = (*db)->index();
   if (GetParam() != IndexMethod::kIAll) {
-    ExpectExactSubfields(*(*db)->subfields(), [&](uint64_t pos) {
+    ExpectExactSubfields(*index.subfields(), [&](uint64_t pos) {
       CellRecord cell;
       EXPECT_TRUE(index.cell_store().records().Get(pos, &cell).ok());
       return cell.Interval();
     });
   }
-  ExpectBuiltShape(ValueTree(index), built);
+  ExpectBuiltShape(*index.tree(), built);
 
   auto updated = GridField::Create(n, n, domain, samples);
   ASSERT_TRUE(updated.ok());

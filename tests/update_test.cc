@@ -8,11 +8,7 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
-#include "index/i_all.h"
-#include "index/i_hilbert.h"
-#include "index/interval_quadtree.h"
-#include "index/linear_scan.h"
-#include "index/row_ip_index.h"
+#include "index/value_index.h"
 #include "storage/page_file.h"
 #include "query_util.h"
 
@@ -29,38 +25,9 @@ IndexFixture BuildIndex(IndexMethod method, const Field& field) {
   IndexFixture fx;
   fx.file = std::make_unique<MemPageFile>();
   fx.pool = std::make_unique<BufferPool>(fx.file.get(), 4096);
-  switch (method) {
-    case IndexMethod::kLinearScan: {
-      auto idx = LinearScanIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIAll: {
-      auto idx = IAllIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIHilbert: {
-      auto idx = IHilbertIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIntervalQuadtree: {
-      auto idx = IntervalQuadtreeIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kRowIp: {
-      auto idx = RowIpIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-  }
+  auto idx = ValueIndex::Build(method, fx.pool.get(), field);
+  EXPECT_TRUE(idx.ok());
+  fx.index = std::move(idx).value();
   return fx;
 }
 
@@ -235,25 +202,25 @@ TEST(SubfieldUpdateTest, IntervalCanShrink) {
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
   IndexFixture fx = BuildIndex(IndexMethod::kIHilbert, *field);
-  auto* ih = static_cast<IHilbertIndex*>(fx.index.get());
+  const ValueIndex* ih = fx.index.get();
 
   // Blow one cell's values far out, then restore them.
   CellRecord before;
   ASSERT_TRUE(ih->cell_store().records().Get(0, &before).ok());
   const CellId target = before.id;
   const size_t sf_idx = 0;
-  const ValueInterval original = ih->subfields()[sf_idx].interval;
+  const ValueInterval original = (*ih->subfields())[sf_idx].interval;
 
   ASSERT_TRUE(
       fx.index->UpdateCellValues(target, {999, 999, 999, 999}).ok());
-  EXPECT_GE(ih->subfields()[sf_idx].interval.max, 999.0);
+  EXPECT_GE((*ih->subfields())[sf_idx].interval.max, 999.0);
 
   ASSERT_TRUE(fx.index
                   ->UpdateCellValues(target, {before.w[0], before.w[1],
                                               before.w[2], before.w[3]})
                   .ok());
-  EXPECT_EQ(ih->subfields()[sf_idx].interval, original);
-  EXPECT_TRUE(ih->tree().CheckInvariants().ok());
+  EXPECT_EQ((*ih->subfields())[sf_idx].interval, original);
+  EXPECT_TRUE(ih->tree()->CheckInvariants().ok());
 }
 
 TEST(DatabaseUpdateTest, EndToEndUpdateChangesAnswers) {

@@ -8,11 +8,7 @@
 
 #include "common/rng.h"
 #include "gen/fractal.h"
-#include "index/i_all.h"
-#include "index/i_hilbert.h"
-#include "index/interval_quadtree.h"
-#include "index/linear_scan.h"
-#include "index/row_ip_index.h"
+#include "index/value_index.h"
 #include "storage/page_file.h"
 
 namespace fielddb {
@@ -28,38 +24,9 @@ IndexFixture BuildIndex(IndexMethod method, const Field& field) {
   IndexFixture fx;
   fx.file = std::make_unique<MemPageFile>();
   fx.pool = std::make_unique<BufferPool>(fx.file.get(), 4096);
-  switch (method) {
-    case IndexMethod::kLinearScan: {
-      auto idx = LinearScanIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIAll: {
-      auto idx = IAllIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIHilbert: {
-      auto idx = IHilbertIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kIntervalQuadtree: {
-      auto idx = IntervalQuadtreeIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-    case IndexMethod::kRowIp: {
-      auto idx = RowIpIndex::Build(fx.pool.get(), field);
-      EXPECT_TRUE(idx.ok());
-      fx.index = std::move(idx).value();
-      break;
-    }
-  }
+  auto idx = ValueIndex::Build(method, fx.pool.get(), field);
+  EXPECT_TRUE(idx.ok());
+  fx.index = std::move(idx).value();
   return fx;
 }
 
