@@ -41,7 +41,9 @@ int main(int argc, char** argv) {
       // Hold the pool's byte budget constant across page sizes.
       options.pool_pages = (4u << 20) / page_size;
       options.build_spatial_index = false;
-      // Explicit cell records, the figure benches' storage model.
+      // The figure benches' storage and page model: explicit cell
+      // records, every page of every run read.
+      options.read_whole_runs = true;
       StatusOr<std::unique_ptr<FieldDatabase>> db =
           FieldDatabase::Build(ExplicitCellsField(*terrain), options);
       if (!db.ok()) {

@@ -22,10 +22,11 @@ struct Row {
   double avg_pages;
 };
 
-StatusOr<Row> Measure(const GridField& field,
-                      const FieldDatabaseOptions& options,
+StatusOr<Row> Measure(const GridField& field, FieldDatabaseOptions options,
                       const char* label, uint32_t num_queries) {
-  // Explicit cell records, the figure benches' storage model.
+  // The figure benches' storage and page model: explicit cell records,
+  // every page of every run read.
+  options.read_whole_runs = true;
   StatusOr<std::unique_ptr<FieldDatabase>> db =
       FieldDatabase::Build(ExplicitCellsField(field), options);
   if (!db.ok()) return db.status();

@@ -57,6 +57,8 @@ int main(int argc, char** argv) {
          {VectorIndexMethod::kLinearScan, VectorIndexMethod::kIHilbert}) {
       VectorFieldDatabase::Options options;
       options.method = method;
+      // The paper's page model: every page of every run read.
+      options.read_whole_runs = true;
       auto db = VectorFieldDatabase::Build(*wind, options);
       if (!db.ok()) {
         std::fprintf(stderr, "%s\n", db.status().ToString().c_str());

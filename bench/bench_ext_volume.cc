@@ -47,6 +47,8 @@ int main(int argc, char** argv) {
          {VolumeIndexMethod::kLinearScan, VolumeIndexMethod::kIHilbert}) {
       VolumeFieldDatabase::Options options;
       options.method = method;
+      // The paper's page model: every page of every run read.
+      options.read_whole_runs = true;
       auto db = VolumeFieldDatabase::Build(*volume, options);
       if (!db.ok()) {
         std::fprintf(stderr, "%s\n", db.status().ToString().c_str());

@@ -67,6 +67,11 @@ int main(int argc, char** argv) {
   FieldDatabaseOptions options;
   options.method = IndexMethod::kIHilbert;
   options.build_spatial_index = false;
+  // The planner prices whole-run reads with the paper's disk model; the
+  // sweep scores its choices against the reads it prices. (The default
+  // scan reads only the pages holding a match under either plan, so the
+  // two plans would differ by their tree reads alone.)
+  options.read_whole_runs = true;
   StatusOr<std::unique_ptr<FieldDatabase>> db =
       FieldDatabase::Build(*terrain, options);
   if (!db.ok()) {

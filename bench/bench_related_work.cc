@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
     FieldDatabaseOptions options;
     options.method = method;
     options.build_spatial_index = false;
-    // Explicit cell records, the figure benches' storage model.
+    // The figure benches' storage and page model: explicit cell
+    // records, every page of every run read.
+    options.read_whole_runs = true;
     StatusOr<std::unique_ptr<FieldDatabase>> db =
         FieldDatabase::Build(ExplicitCellsField(*terrain), options);
     if (!db.ok()) {

@@ -28,14 +28,17 @@ bool RunFigure(const Field& field, const FigureConfig& config) {
   run.num_queries = config.num_queries;
   run.workload_seed = config.workload_seed;
 
+  const ExplicitCellsField explicit_cells(field);
+  const Field& stored = config.paper_model
+                            ? static_cast<const Field&>(explicit_cells)
+                            : field;
   for (const IndexMethod method : config.methods) {
     FieldDatabaseOptions options = config.base_options;
     options.method = method;
     options.build_spatial_index = false;  // Q2-only workload
-    // The paper's storage model: explicit 104-byte cell records, so the
-    // page columns stay those of EXPERIMENTS.md.
+    options.read_whole_runs = config.paper_model;
     StatusOr<std::unique_ptr<FieldDatabase>> db =
-        FieldDatabase::Build(ExplicitCellsField(field), options);
+        FieldDatabase::Build(stored, options);
     if (!db.ok()) {
       std::fprintf(stderr, "build %s: %s\n", IndexMethodName(method),
                    db.status().ToString().c_str());

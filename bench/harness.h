@@ -28,6 +28,12 @@ struct FigureConfig {
   uint32_t num_queries = 200;
   uint64_t workload_seed = 2002;
   FieldDatabaseOptions base_options;  // method is overridden per series
+  /// The paper's storage and page model, which EXPERIMENTS.md's page
+  /// columns count: explicit 104-byte cell records, and every page of
+  /// every run read (read_whole_runs). Off, the engine's own: lattice
+  /// slots where the field has a lattice, and only the store pages that
+  /// hold a zone match read.
+  bool paper_model = true;
 };
 
 /// Runs the sweep, prints the figure table to stdout and writes the

@@ -61,6 +61,7 @@ struct EngineMetrics {
   Counter* scrub_pages;
   Counter* scrub_corrupt_pages;
   Counter* zonemap_cells_skipped;
+  Counter* zonemap_pages_skipped;
   Counter* plans_scan;
   Counter* plans_index;
 
@@ -71,6 +72,7 @@ struct EngineMetrics {
                            reg.GetCounter("db.scrub_pages"),
                            reg.GetCounter("db.scrub_corrupt_pages"),
                            reg.GetCounter("db.zonemap_cells_skipped"),
+                           reg.GetCounter("db.zonemap_pages_skipped"),
                            reg.GetCounter("db.plans_scan"),
                            reg.GetCounter("db.plans_index")};
     }();
@@ -126,6 +128,7 @@ Status FieldEngine::InitForBuild(const EngineBuildOptions& options) {
               : std::make_unique<MemPageFile>(options.page_size);
   pool_ = std::make_unique<BufferPool>(file_.get(), options.pool_pages);
   set_planner_mode(options.planner_mode);
+  read_whole_runs_ = options.read_whole_runs;
   return Status::OK();
 }
 
@@ -397,8 +400,10 @@ Status FieldEngine::FinishOpen(
   return Status::OK();
 }
 
-void engine_internal::AddZoneSkips(uint64_t skipped) {
-  EngineMetrics::Get().zonemap_cells_skipped->Increment(skipped);
+void engine_internal::AddZoneSkips(const ZoneSkips& skipped) {
+  const EngineMetrics& m = EngineMetrics::Get();
+  m.zonemap_cells_skipped->Increment(skipped.cells);
+  m.zonemap_pages_skipped->Increment(skipped.pages);
 }
 
 void FieldEngine::RegisterMetrics() { EngineMetrics::Get(); }

@@ -126,6 +126,16 @@ struct EngineBuildOptions {
   /// store and index are byte-identical to an unlimited build. 0 =
   /// unlimited (everything in RAM).
   size_t build_memory_budget_bytes = 0;
+
+  /// The paper's page accesses (§3.2): every band scan fetches every
+  /// page of every run its plan hands the fetch step, which is what the
+  /// 2002 disk model prices, instead of only the pages that hold a slot
+  /// whose zone entry meets the band. Answers, candidates and piece
+  /// order are the same either way; only the page reads differ. The
+  /// figure benches set it so their page columns stay those of
+  /// EXPERIMENTS.md. Not in the catalog: a reopened database reads only
+  /// the pages that hold a match.
+  bool read_whole_runs = false;
 };
 
 /// The reopen settings every field type shares. `wal_mode` both arms
@@ -147,21 +157,23 @@ struct EngineOpenOptions {
 
 namespace engine_internal {
 
-/// Counts zone-filtered slots into db.zonemap_cells_skipped
-/// (out-of-line so the header does not pull in the metrics registry).
-void AddZoneSkips(uint64_t skipped);
+/// Counts a scan's zone-filtered slots into db.zonemap_cells_skipped
+/// and its skipped pages into db.zonemap_pages_skipped (out-of-line so
+/// the header does not pull in the metrics registry).
+void AddZoneSkips(const ZoneSkips& skipped);
 
 }  // namespace engine_internal
 
 /// The fetch and estimate steps of every band scan, over the store of
 /// any field type: walks the given runs through
 /// RecordStore::ScanRangesFiltered over the store's pages and zone map
-/// (readahead batches, zone-map slot filtering against `zone`, a value
-/// interval or a (u, v) box) feeding each matching record to `visit`,
-/// reported as a "fetch" span on `ctx->io`. On traced runs the
-/// visitor's own work is timed per record, deducted from the fetch
-/// span, and reported as a separate zero-I/O "estimate" span — the
-/// fetch span is then pure retrieval. `stats->candidate_cells` must be
+/// (zone-map slot filtering against `zone`, a value interval or a (u, v)
+/// box; readahead batches of the pages holding a match, or of every
+/// page of every run with `read_whole_runs`) feeding each matching
+/// record to `visit`, reported as a "fetch" span on `ctx->io`. On
+/// traced runs the visitor's own work is timed per record, deducted
+/// from the fetch span, and reported as a separate zero-I/O "estimate"
+/// span — the fetch span is then pure retrieval. `stats->candidate_cells` must be
 /// final before the scan on indexed plans (the span items are read from
 /// it after the walk, so fused visitors that count candidates while
 /// scanning also report right).
@@ -174,19 +186,20 @@ Status ScanStoreRuns(const BasicCellStore<Record>& store,
                      const PosRange* ranges, size_t num_ranges,
                      QueryContext* ctx, QueryTrace* trace,
                      const char* fetch_detail, QueryStats* stats,
-                     Visitor&& visit) {
+                     bool read_whole_runs, Visitor&& visit) {
   double est_seconds = 0.0;
-  uint64_t skipped = 0;
+  ZoneSkips skipped;
   Status scan;
   {
     ScopedSpan fetch(trace, "fetch", &ctx->io);
     if (trace == nullptr) {
       scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, &skipped, visit);
+          ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
+          &skipped, visit);
     } else {
       scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, &skipped,
-          [&](uint64_t pos, const Record& record) {
+          ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
+          &skipped, [&](uint64_t pos, const Record& record) {
             const auto t0 = std::chrono::steady_clock::now();
             const bool keep_going = visit(pos, record);
             est_seconds += std::chrono::duration<double>(
@@ -341,7 +354,10 @@ class FieldEngine {
   ///    caller's index search, appends ascending, disjoint candidate
   ///    runs under a "filter" span (items = candidates, detail =
   ///    "runs=N"); the zone-filtered scan of those runs follows.
-  /// The scan itself is ScanStoreRuns ("fetch" and "estimate" spans).
+  /// The scan itself is ScanStoreRuns ("fetch" and "estimate" spans):
+  /// both plans fetch only the store pages that hold a zone match, or
+  /// every page of every run when the database was built with
+  /// EngineBuildOptions::read_whole_runs.
   /// A corrupt index page (kCorruption from `search`, or a run that
   /// ends past the store) degrades to the fused scan regardless of the
   /// plan — the store holds the truth, the index is only an
@@ -350,7 +366,8 @@ class FieldEngine {
   /// that `spec.describe` fills, and flagged in
   /// `spec.stats->index_fallbacks`. The metrics count the decision
   /// (db.plans_scan or db.plans_index), so a fallback counts as
-  /// plans_index; db.zonemap_cells_skipped counts the filtered slots.
+  /// plans_index; db.zonemap_cells_skipped counts the filtered slots and
+  /// db.zonemap_pages_skipped the pages of the runs left unread.
   template <typename Record, typename Search, typename Visitor>
   Status BandScan(const BasicCellStore<Record>& store,
                   const typename BasicCellStore<Record>::Key& zone,
@@ -363,10 +380,10 @@ class FieldEngine {
       const PosRange whole{0, store.size()};
       if (!spec.count_candidates) {
         return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
-                             "full_scan", stats, visit);
+                             "full_scan", stats, read_whole_runs_, visit);
       }
       return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
-                           "full_scan", stats,
+                           "full_scan", stats, read_whole_runs_,
                            [&](uint64_t pos, const Record& record) {
                              ++stats->candidate_cells;
                              return visit(pos, record);
@@ -397,7 +414,8 @@ class FieldEngine {
     FIELDDB_RETURN_IF_ERROR(filter);
     if (spec.count_candidates) stats->candidate_cells = TotalRangeLength(runs);
     return ScanStoreRuns(store, zone, runs.data(), runs.size(), spec.ctx,
-                         spec.trace, spec.fetch_detail, stats, visit);
+                         spec.trace, spec.fetch_detail, stats,
+                         read_whole_runs_, visit);
   }
 
   /// Appends a "slow_query" event when an event log is attached and the
@@ -523,6 +541,8 @@ class FieldEngine {
   /// Snapshot generation: 0 for a freshly built database, the catalog's
   /// epoch after Open. Save stamps epoch_ + 1.
   uint32_t epoch_ = 0;
+  /// EngineBuildOptions::read_whole_runs of the build; false after Open.
+  bool read_whole_runs_ = false;
   /// Atomic so tests and benches can flip the policy between queries
   /// while reader threads are quiescent without formal UB; queries load
   /// it once at entry.

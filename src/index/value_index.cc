@@ -363,10 +363,11 @@ Status ValueIndex::FilterCandidateRanges(const ValueInterval& query,
     case IndexMethod::kLinearScan:
       // The scan baseline's filter step is the zone-map sweep itself:
       // one SIMD pass over the SoA interval arrays, no page I/O, no
-      // record deserialization. (LinearScan *queries* still read every
-      // store page — FieldDatabase fuses filter+estimate into a single
-      // page pass, as the paper's cost model requires; see
-      // FieldEngine::BandScan.)
+      // record deserialization. (LinearScan *queries* run the fused
+      // scan, filter and estimate in one pass over the store, which
+      // reads the pages holding a zone match — or every store page, as
+      // the paper's cost model requires, when the database was built
+      // with read_whole_runs; see FieldEngine::BandScan.)
       store_.zone_map().FilterRanges(query, ranges);
       return Status::OK();
     case IndexMethod::kIAll: {

@@ -63,7 +63,9 @@ struct StoreShape {
 /// with the DiskModel. The pattern rules mirror the buffer pool's
 /// accounting (a physical read is sequential iff its page id is exactly
 /// one past the previous physical read), so predicted and observed costs
-/// are directly comparable.
+/// are directly comparable for a database built with
+/// EngineBuildOptions::read_whole_runs. The default scan reads only the
+/// pages that hold a zone match, a pattern this model does not price.
 class PlanCostModel {
  public:
   explicit PlanCostModel(DiskModel disk = {}) : disk_(disk) {}

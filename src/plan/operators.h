@@ -70,9 +70,10 @@ class EstimateOp {
   Status status_;
 };
 
-/// ScanStoreRuns over the grid's cell store. Kept for the external
-/// benchmark program only, which replays a query's scan on its own;
-/// the library's queries scan through FieldEngine::BandScan.
+/// ScanStoreRuns over the grid's cell store, fetching the pages that
+/// hold a zone match as a database's default band scan does. Kept for
+/// the external benchmark program only, which replays a query's scan on
+/// its own; the library's queries scan through FieldEngine::BandScan.
 template <typename Visitor>
 Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
                  const PosRange* ranges, size_t num_ranges,
@@ -80,6 +81,7 @@ Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
                  Visitor&& visit) {
   return ScanStoreRuns(env.index->cell_store(), query, ranges, num_ranges,
                        env.ctx, env.trace, fetch_detail, stats,
+                       /*read_whole_runs=*/false,
                        std::forward<Visitor>(visit));
 }
 

@@ -17,7 +17,7 @@
 namespace fielddb {
 
 /// The two physical shapes a field value query can execute as:
-///  - kFusedScan: one pass over every store page, testing and estimating
+///  - kFusedScan: one pass over the whole store, testing and estimating
 ///    each cell in place (the paper's LinearScan execution, available to
 ///    every method);
 ///  - kIndexedFilter: the index search for candidate runs, then the

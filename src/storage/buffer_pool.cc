@@ -3,6 +3,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <thread>
 
 #include "obs/trace_buffer.h"
@@ -192,20 +193,25 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
 }
 
 Status BufferPool::PrefetchRange(PageId first, size_t count) {
+  std::vector<PageId> ids(count);
+  std::iota(ids.begin(), ids.end(), first);
+  return Prefetch(ids);
+}
+
+Status BufferPool::Prefetch(std::span<const PageId> ids) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
   TraceScope span("pool.prefetch", "pool");
-  span.set_items(count);
+  span.set_items(ids.size());
 
   // Pass 1 — classify under brief shard locks: which of the pages are
   // already resident (count a hit, done) and which must be read. A
   // resident page moves to the MRU end, so making room for the window's
   // misses never evicts a page the caller is about to fetch.
   std::vector<PageId> missing;
-  missing.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const PageId id = first + i;
+  missing.reserve(ids.size());
+  for (const PageId id : ids) {
     Shard& sh = ShardOf(id);
     std::lock_guard<std::mutex> lock(sh.mu);
     const auto it = sh.frames.find(id);

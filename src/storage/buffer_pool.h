@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -97,7 +98,7 @@ class BufferPool {
   static constexpr size_t kDefaultShards = 16;
 
   /// Readahead window (pages) of range scans
-  /// (RecordStore::ScanRangesFiltered): the depth of one PrefetchRange.
+  /// (RecordStore::ScanRangesFiltered): the depth of one Prefetch.
   static constexpr size_t kReadaheadPages = 8;
 
   /// `capacity` is the number of frames; must be >= 1. `num_shards` = 0
@@ -116,21 +117,25 @@ class BufferPool {
   /// from any number of threads concurrently.
   Status Fetch(PageId id, PinnedPage* out);
 
-  /// Batched readahead: loads pages [first, first + count) that are not
-  /// yet resident into unpinned frames, so subsequent Fetches of them
-  /// hit. The misses are submitted as ONE PageFile::ReadBatch (a preadv
-  /// per run of consecutive pages on disk files) with no shard lock
-  /// held, then installed page by page. Best effort — a page whose frame
-  /// cannot be made (shard full of pins) or whose read fails is skipped,
-  /// leaving Fetch's normal counted-and-retried read path authoritative
-  /// for it; failed batch reads count the `storage.pool.prefetch_failed`
-  /// metric (and nothing else, so I/O totals stay readahead-invariant).
+  /// Batched readahead: loads the listed pages (ascending ids, not
+  /// necessarily consecutive) that are not yet resident into unpinned
+  /// frames, so subsequent Fetches of them hit. The misses are submitted
+  /// as ONE PageFile::ReadBatch (a preadv per run of consecutive pages
+  /// on disk files) with no shard lock held, then installed page by
+  /// page. Best effort — a page whose frame cannot be made (shard full
+  /// of pins) or whose read fails is skipped, leaving Fetch's normal
+  /// counted-and-retried read path authoritative for it; failed batch
+  /// reads count the `storage.pool.prefetch_failed` metric (and nothing
+  /// else, so I/O totals stay readahead-invariant).
   ///
   /// Accounting: a prefetch read counts as a physical (and, when the ids
   /// run consecutively, sequential) read exactly like the Fetch it
   /// replaces, and never as a logical read — so a scan's I/O totals are
   /// identical with and without readahead. Already-resident pages count
   /// only the `storage.pool.prefetch_hit` metric.
+  Status Prefetch(std::span<const PageId> ids);
+
+  /// Prefetch of the consecutive pages [first, first + count).
   Status PrefetchRange(PageId first, size_t count);
 
   /// Allocates a fresh page in the file and pins it (dirty).

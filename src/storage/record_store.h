@@ -39,6 +39,15 @@ struct RawSlots {
 template <typename T, typename Slots = RawSlots<T>>
 class RecordStoreAppender;
 
+/// What a zone-filtered scan (RecordStore::ScanRangesFiltered) left
+/// alone: the runs' slots whose zone entry misses the query, and the
+/// page reads that walking every page of every run makes and the scan
+/// did not (0 when it walked them all).
+struct ZoneSkips {
+  uint64_t cells = 0;
+  uint64_t pages = 0;
+};
+
 /// Fixed-size records packed into consecutive pages of a buffer pool —
 /// the one paged record store of every field type: BasicCellStore
 /// (index/cell_store.h) wraps one per store and adds the id map and zone
@@ -176,59 +185,86 @@ class RecordStore {
                        [](uint8_t b) { return b == 0; });
   }
 
-  /// Visits the positions of each run in `ranges` (ascending, disjoint)
-  /// whose zone entry intersects `query`, reading ahead
-  /// BufferPool::kReadaheadPages at a time so a run's pages arrive in
-  /// one batch instead of one blocking read per page. Every page of
-  /// every run is fetched, so I/O totals — and the paper's page-access
-  /// semantics — equal Scan-ing each run (readahead reads count as the
-  /// physical reads Fetch would have issued); only matching positions
-  /// are deserialized and visited.
-  /// `zones.FilterRange(run, query, &out)` appends a run's matching
-  /// sub-runs (ScalarZoneMap for a value interval, BoxZoneMap for a
-  /// (u, v) box). Non-matching positions are counted into `*skipped`
-  /// (when non-null) without their records being touched.
+  /// Visits, in storage order, the positions of each run in `ranges`
+  /// (ascending, disjoint) whose zone entry intersects `query`; only
+  /// those are deserialized. `zones.FilterRange(run, query, &out)`
+  /// appends a run's matching sub-runs (ScalarZoneMap for a value
+  /// interval, BoxZoneMap for a (u, v) box). The runs are zone-filtered
+  /// first, into one list of the pages to fetch, and one loop walks it:
+  ///  - by default, the distinct pages that hold a matching slot — a
+  ///    page with no match is never read;
+  ///  - with `read_whole_runs`, the paper's page accesses (§3.2): every
+  ///    page of every run, a page that two runs share once per run.
+  /// Before fetching a page past the prefetched window the loop
+  /// prefetches the next BufferPool::kReadaheadPages listed pages as one
+  /// batch (BufferPool::Prefetch); under `read_whole_runs` a window ends
+  /// with its run, as a per-run scan's would. Readahead reads count as
+  /// the physical reads Fetch would have issued. `*skipped` (when
+  /// non-null) gains the runs' slots that miss `query` and the page
+  /// reads of a whole-run walk this one did not make.
   template <typename Zones, typename Key, typename Visitor>
   Status ScanRangesFiltered(const PosRange* ranges, size_t num_ranges,
                             const Zones& zones, const Key& query,
-                            uint64_t* skipped, Visitor&& visit) const {
-    T record;
+                            bool read_whole_runs, ZoneSkips* skipped,
+                            Visitor&& visit) const {
     std::vector<PosRange> matches;
-    Readahead readahead(this);
+    std::vector<PageId> pages;
+    // List positions no readahead window crosses, ascending.
+    std::vector<size_t> window_ends;
+    uint64_t run_slots = 0;
+    uint64_t run_pages = 0;
     for (size_t r = 0; r < num_ranges; ++r) {
-      const uint64_t begin = ranges[r].begin;
-      const uint64_t end = ranges[r].end;
-      if (begin > end || end > num_records_) {
+      const PosRange& run = ranges[r];
+      if (run.begin > run.end || run.end > num_records_) {
         return Status::OutOfRange("scan range out of bounds");
       }
-      if (begin == end) continue;
-      matches.clear();
-      zones.FilterRange(ranges[r], query, &matches);
-      if (skipped != nullptr) {
-        *skipped += (end - begin) - TotalRangeLength(matches);
+      if (run.begin == run.end) continue;
+      const size_t first_match = matches.size();
+      zones.FilterRange(run, query, &matches);
+      run_slots += run.length();
+      run_pages += PageOf(run.end - 1) - PageOf(run.begin) + 1;
+      if (read_whole_runs) {
+        AppendPages(run, first_page_, &pages);
+        window_ends.push_back(pages.size());
+        continue;
       }
-      size_t m = 0;
-      const uint64_t last_page_index = (end - 1) / per_page_;
-      for (uint64_t page_index = begin / per_page_;
-           page_index <= last_page_index; ++page_index) {
-        PinnedPage pin;
-        FIELDDB_RETURN_IF_ERROR(
-            readahead.Fetch(page_index, last_page_index, &pin));
-        const uint64_t page_begin = page_index * per_page_;
-        const uint64_t page_end = page_begin + per_page_;
-        while (m < matches.size() && matches[m].begin < page_end) {
-          const uint64_t lo = std::max(matches[m].begin, page_begin);
-          const uint64_t hi = std::min(matches[m].end, page_end);
-          for (uint64_t pos = lo; pos < hi; ++pos) {
-            slots_.Decode(SlotIn(pin.page(), pos), &record);
-            if (!visit(pos, record)) return Status::OK();
-          }
-          if (matches[m].end <= page_end) {
-            ++m;
-          } else {
-            break;  // run continues on the next page
-          }
+      for (size_t k = first_match; k < matches.size(); ++k) {
+        AppendPages(matches[k], pages.empty() ? first_page_ : pages.back() + 1,
+                    &pages);
+      }
+    }
+    window_ends.push_back(pages.size());
+    if (skipped != nullptr) {
+      skipped->cells += run_slots - TotalRangeLength(matches);
+      skipped->pages += run_pages - pages.size();
+    }
+
+    T record;
+    size_t m = 0;       // the next match to visit; its begin advances
+    size_t window = 0;  // the window_ends entry bounding page i's window
+    PageId prefetched_to = 0;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      while (window_ends[window] <= i) ++window;
+      if (pages[i] >= prefetched_to) {
+        const size_t count = std::min(BufferPool::kReadaheadPages,
+                                      window_ends[window] - i);
+        FIELDDB_RETURN_IF_ERROR(pool_->Prefetch({&pages[i], count}));
+        prefetched_to = pages[i + count - 1] + 1;
+      }
+      PinnedPage pin;
+      FIELDDB_RETURN_IF_ERROR(pool_->Fetch(pages[i], &pin));
+      const uint64_t page_end = (pages[i] - first_page_ + 1) * per_page_;
+      // A listed page visits every match slot on it not visited yet; a
+      // page listed twice (two runs' whole walks) visits them once.
+      while (m < matches.size() && matches[m].begin < page_end) {
+        const uint64_t hi = std::min(matches[m].end, page_end);
+        for (uint64_t pos = matches[m].begin; pos < hi; ++pos) {
+          slots_.Decode(SlotIn(pin.page(), pos), &record);
+          if (!visit(pos, record)) return Status::OK();
         }
+        matches[m].begin = hi;
+        if (hi < matches[m].end) break;  // the match goes on next page
+        ++m;
       }
     }
     return Status::OK();
@@ -257,29 +293,15 @@ class RecordStore {
     return Status::OK();
   }
 
-  /// One range scan's readahead cursor: before fetching a page beyond
-  /// the prefetched window, prefetch up to BufferPool::kReadaheadPages
-  /// more pages of the current run.
-  class Readahead {
-   public:
-    explicit Readahead(const RecordStore* store) : store_(store) {}
-
-    Status Fetch(uint64_t page_index, uint64_t last_page_index,
-                 PinnedPage* pin) {
-      const PageId page = store_->first_page_ + page_index;
-      if (page >= prefetched_to_) {
-        const size_t count = static_cast<size_t>(std::min<uint64_t>(
-            BufferPool::kReadaheadPages, last_page_index - page_index + 1));
-        FIELDDB_RETURN_IF_ERROR(store_->pool_->PrefetchRange(page, count));
-        prefetched_to_ = page + count;
-      }
-      return store_->pool_->Fetch(page, pin);
+  /// Appends the ids of the pages holding positions [run.begin, run.end)
+  /// (non-empty), from page `from` on, to `pages`.
+  void AppendPages(const PosRange& run, PageId from,
+                   std::vector<PageId>* pages) const {
+    for (PageId page = std::max(PageOf(run.begin), from);
+         page <= PageOf(run.end - 1); ++page) {
+      pages->push_back(page);
     }
-
-   private:
-    const RecordStore* store_;
-    PageId prefetched_to_ = 0;
-  };
+  }
 
   BufferPool* pool_;
   PageId first_page_;

@@ -83,6 +83,9 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   if (!first.ok()) return first.status();
   const std::unique_ptr<SpaceFillingCurve> curve =
       MakeCurve(options.curve, kCurveOrder);
+  if (curve == nullptr) {
+    return Status::InvalidArgument("unknown curve type");
+  }
   const CellId n = field.NumCells();
   const Rect2 domain = first->Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
@@ -265,6 +268,14 @@ Status TemporalFieldDatabase::UpdateSnapshotCellValues(
   return ApplySnapshotCellValues(snapshot, id, values);
 }
 
+StatusOr<const Subfield*> TemporalFieldDatabase::EntrySubfield(
+    const RTreeEntry<2>& e) const {
+  if (e.a >= slabs_.size() || e.b >= slabs_[e.a].subfields.size()) {
+    return Status::Corruption("temporal tree entry past the subfield table");
+  }
+  return &slabs_[e.a].subfields[e.b];
+}
+
 uint32_t TemporalFieldDatabase::SlabAt(double t) const {
   if (!(t > 0.0)) return 0;  // NaN too
   if (t >= t_max_ - 1.0) return num_slabs_ - 1;
@@ -327,15 +338,21 @@ Status TemporalFieldDatabase::SnapshotValueQuery(double t,
               query.lo = {band.min, t};
               query.hi = {band.max, t};
               std::vector<PosRange> hits;
+              Status entry;
               FIELDDB_RETURN_IF_ERROR(
                   tree_->Search(query, [&](const RTreeEntry<2>& e) {
+                    const StatusOr<const Subfield*> sf = EntrySubfield(e);
+                    if (!sf.ok()) {
+                      entry = sf.status();
+                      return false;
+                    }
                     // An integer t also brushes the previous slab.
                     if (e.a == k) {
-                      const Subfield& sf = slab.subfields[e.b];
-                      hits.push_back(PosRange{sf.start, sf.end});
+                      hits.push_back(PosRange{(*sf)->start, (*sf)->end});
                     }
                     return true;
                   }));
+              FIELDDB_RETURN_IF_ERROR(entry);
               MergeRuns(&hits, runs);
               return Status::OK();
             },
@@ -364,10 +381,15 @@ Status TemporalFieldDatabase::TimeRangeCandidates(
   Status inner = Status::OK();
   FIELDDB_RETURN_IF_ERROR(
       tree_->Search(query, [&](const RTreeEntry<2>& e) {
+        const StatusOr<const Subfield*> sf = EntrySubfield(e);
+        if (!sf.ok()) {
+          inner = sf.status();
+          return false;
+        }
         const Slab& slab = slabs_[e.a];
-        const Subfield& sf = slab.subfields[e.b];
         const Status s = slab.store.records().Scan(
-            sf.start, sf.end, [&](uint64_t, const TemporalSlabRecord& rec) {
+            (*sf)->start, (*sf)->end,
+            [&](uint64_t, const TemporalSlabRecord& rec) {
               if (seen.empty()) {
                 seen.resize(slab.store.size(), false);
               }

@@ -166,6 +166,11 @@ class TemporalFieldDatabase : public ExtEngineHost {
   Status UpdateSlabSide(uint32_t k, CellId id, bool u_side,
                         const std::vector<double>& values);
 
+  /// The subfield a tree leaf entry names (slab `e.a`, subfield `e.b`),
+  /// or kCorruption when either index is past its table: an entry
+  /// forged under a valid page checksum.
+  StatusOr<const Subfield*> EntrySubfield(const RTreeEntry<2>& e) const;
+
   /// The slab a snapshot query at time `t` reads: t clamped to
   /// [0, T-1], t = T-1 reading the last slab. Defined for every double
   /// (NaN reads slab 0), because PlanSnapshotQuery takes any `t`.

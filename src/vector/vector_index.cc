@@ -48,6 +48,9 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   // both paths emit cells identically.
   const std::unique_ptr<SpaceFillingCurve> curve =
       MakeCurve(options.curve, kCurveOrder);
+  if (curve == nullptr) {
+    return Status::InvalidArgument("unknown curve type");
+  }
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);

@@ -494,6 +494,72 @@ TEST(TemporalPersistTest, SubfieldTableMustTileStore) {
   Cleanup(prefix);
 }
 
+TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
+  // A tree leaf entry naming a subfield past its slab's table, under a
+  // valid page checksum: Open finds nothing wrong, so the search must
+  // report the entry as corrupt — the band scan then falls back to the
+  // store with the intact answers, and the time-range search fails —
+  // instead of reading past the table.
+  const std::string prefix = TestPrefix("forged_leaf");
+  Cleanup(prefix);
+  auto built = TemporalFieldDatabase::Build(MakeDriftingRamp(16, 3), {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+
+  std::ifstream meta(prefix + ".meta");
+  uint64_t page_size = 0, epoch = 0, root = 0;
+  for (std::string key; meta >> key; std::getline(meta, key)) {
+    if (key == "page_size") meta >> page_size;
+    if (key == "epoch") meta >> epoch;
+    if (key == "tree") meta >> root;
+  }
+  ASSERT_NE(page_size, 0u);
+  // Node pages are [level u32][count u32][8 reserved][entries], a 2-D
+  // entry [lo f64 f64][hi f64 f64][a u64][b u64] (a: slab or child, b:
+  // subfield): leaf entry 0 of the first leaf gets b = 2^40.
+  ValueInterval band;
+  uint64_t slab = 0;
+  {
+    auto f = DiskPageFile::Open(prefix + ".pages",
+                                static_cast<uint32_t>(page_size),
+                                static_cast<uint32_t>(epoch));
+    ASSERT_TRUE(f.ok());
+    Page page(static_cast<uint32_t>(page_size));
+    PageId id = root;
+    ASSERT_TRUE((*f)->Read(id, &page).ok());
+    while (page.ReadAt<uint32_t>(0) > 0) {
+      id = page.ReadAt<uint64_t>(48);
+      ASSERT_TRUE((*f)->Read(id, &page).ok());
+    }
+    band = ValueInterval{page.ReadAt<double>(16), page.ReadAt<double>(32)};
+    slab = page.ReadAt<uint64_t>(48);
+    page.WriteAt<uint64_t>(56, uint64_t{1} << 40);
+    ASSERT_TRUE((*f)->Write(id, page).ok());
+  }
+  auto opened = TemporalFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*built)->set_planner_mode(PlannerMode::kForceIndex);
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+
+  const double t = static_cast<double>(slab) + 0.5;
+  ValueQueryResult expected, actual;
+  ASSERT_TRUE((*built)->SnapshotValueQuery(t, band, &expected).ok());
+  const Status s = (*opened)->SnapshotValueQuery(t, band, &actual);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ((*opened)->index_fallbacks(), 1u);
+  EXPECT_GT(expected.stats.answer_cells, 0u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_EQ(actual.region.NumPieces(), expected.region.NumPieces());
+  EXPECT_EQ(actual.region.TotalArea(), expected.region.TotalArea());
+
+  std::vector<CellId> ids;
+  EXPECT_EQ((*opened)->TimeRangeCandidates(band, t, t, &ids).code(),
+            StatusCode::kCorruption);
+  opened->reset();
+  Cleanup(prefix);
+}
+
 // --- Corrupt tree root ------------------------------------------------
 // The subfield tree only accelerates the store: a root that fails its
 // checksum must not stop Open, and an indexed query falls back to the

@@ -254,5 +254,14 @@ TEST(TemporalDbTest, SubfieldsPerSlab) {
   EXPECT_LT((*db)->num_subfields(), 2u * field.NumCells() / 4);
 }
 
+TEST(TemporalBuildTest, UnknownCurveRefused) {
+  // As the grid's I-Hilbert build does: an invalid argument, not a crash.
+  TemporalFieldDatabase::Options options;
+  options.curve = static_cast<CurveType>(9);
+  auto db = TemporalFieldDatabase::Build(MakeDriftingField(3, 2, 5), options);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace fielddb

@@ -441,6 +441,9 @@ TEST(VectorDbTest, IHilbertReadsFewerPages) {
     // plan: under kAuto the cost-based planner is free to (correctly)
     // prefer the fused scan when the band is not selective enough.
     options.planner_mode = PlannerMode::kForceIndex;
+    // The paper's page accesses: the claim is about the pages each
+    // method's runs span, which the default scan does not all read.
+    options.read_whole_runs = true;
     auto db = VectorFieldDatabase::Build(field, options);
     EXPECT_TRUE(db.ok());
     VectorQueryResult result;
@@ -449,6 +452,19 @@ TEST(VectorDbTest, IHilbertReadsFewerPages) {
   };
   EXPECT_LT(2 * pages(VectorIndexMethod::kIHilbert),
             pages(VectorIndexMethod::kLinearScan));
+}
+
+TEST(VectorBuildTest, UnknownCurveRefused) {
+  // As the grid's I-Hilbert build does: an invalid argument, not a crash.
+  for (const VectorIndexMethod method :
+       {VectorIndexMethod::kLinearScan, VectorIndexMethod::kIHilbert}) {
+    VectorFieldDatabase::Options options;
+    options.method = method;
+    options.curve = static_cast<CurveType>(9);
+    auto db = VectorFieldDatabase::Build(MakeFractalVectorField(3, 5), options);
+    ASSERT_FALSE(db.ok());
+    EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -210,6 +210,7 @@ TEST(ScanRangesFilteredTest, VisitsExactlyMatchingSlotsAndCountsSkips) {
 
     // Ground truth from an unfiltered walk of the same runs.
     std::set<uint64_t> expect_visited;
+    std::set<uint64_t> match_pages;  // distinct pages holding a match
     uint64_t total_slots = 0;
     uint64_t expect_pages = 0;
     for (const PosRange& r : ranges) {
@@ -221,33 +222,45 @@ TEST(ScanRangesFilteredTest, VisitsExactlyMatchingSlotsAndCountsSkips) {
                              [&](uint64_t pos, const CellRecord& cell) {
                                if (cell.Interval().Intersects(q)) {
                                  expect_visited.insert(pos);
+                                 match_pages.insert(
+                                     pos / store->cells_per_page());
                                }
                                return true;
                              })
                       .ok());
     }
 
-    std::set<uint64_t> visited;
-    uint64_t skipped = 0;
-    const IoStats before = pool.stats();
-    ASSERT_TRUE(store
-                    ->records().ScanRangesFiltered(
-                        ranges.data(), ranges.size(), store->zone_map(), q,
-                        &skipped,
-                        [&](uint64_t pos, const CellRecord& cell) {
-                          EXPECT_TRUE(cell.Interval().Intersects(q));
-                          EXPECT_TRUE(visited.insert(pos).second);
-                          return true;
-                        })
-                    .ok());
-    const IoStats delta = pool.stats() - before;
+    for (const bool read_whole_runs : {true, false}) {
+      std::set<uint64_t> visited;
+      ZoneSkips skipped;
+      const IoStats before = pool.stats();
+      ASSERT_TRUE(store
+                      ->records().ScanRangesFiltered(
+                          ranges.data(), ranges.size(), store->zone_map(), q,
+                          read_whole_runs, &skipped,
+                          [&](uint64_t pos, const CellRecord& cell) {
+                            EXPECT_TRUE(cell.Interval().Intersects(q));
+                            EXPECT_TRUE(visited.insert(pos).second);
+                            return true;
+                          })
+                      .ok());
+      const IoStats delta = pool.stats() - before;
 
-    EXPECT_EQ(visited, expect_visited) << "iter " << iter;
-    EXPECT_EQ(skipped, total_slots - expect_visited.size())
-        << "iter " << iter;
-    // Every page of every run is fetched exactly once — the zone map
-    // skips record deserialization, never page reads.
-    EXPECT_EQ(delta.logical_reads, expect_pages) << "iter " << iter;
+      EXPECT_EQ(visited, expect_visited) << "iter " << iter;
+      EXPECT_EQ(skipped.cells, total_slots - expect_visited.size())
+          << "iter " << iter;
+      if (read_whole_runs) {
+        // Every page of every run is fetched exactly once — the zone map
+        // skips record deserialization, never page reads.
+        EXPECT_EQ(delta.logical_reads, expect_pages) << "iter " << iter;
+      } else {
+        // Only the distinct pages holding a match are fetched.
+        EXPECT_EQ(delta.logical_reads, match_pages.size())
+            << "iter " << iter;
+      }
+      EXPECT_EQ(delta.logical_reads + skipped.pages, expect_pages)
+          << "iter " << iter;
+    }
   }
 }
 
@@ -275,7 +288,8 @@ TEST(ScanRangesTest, ReadaheadPreservesIoTotals) {
   ASSERT_TRUE(store
                   ->records().ScanRangesFiltered(
                       runs.data(), runs.size(), store->zone_map(),
-                      ValueInterval{-kInf, kInf}, /*skipped=*/nullptr,
+                      ValueInterval{-kInf, kInf},
+                      /*read_whole_runs=*/false, /*skipped=*/nullptr,
                       [&](uint64_t, const CellRecord&) {
                         ++seen_ranges;
                         return true;

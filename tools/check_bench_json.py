@@ -97,8 +97,9 @@ _FIGURE = Row(
            "build_cell_mismatches"])
 
 REQUIREMENTS = {
-    **dict.fromkeys(["smoke", "cli", "fig8a", "fig8b", "fig11_h01",
-                     "fig11_h03", "fig11_h06", "fig11_h09", "fig12"],
+    **dict.fromkeys(["smoke", "smoke_engine", "cli", "fig8a", "fig8b",
+                     "fig11_h01", "fig11_h03", "fig11_h06", "fig11_h09",
+                     "fig12"],
                     _FIGURE),
     "scaling": Row(
         config={"field_cells": POSITIVE, "num_queries": POSITIVE,
