@@ -39,7 +39,6 @@ using namespace fielddb;
 
 constexpr size_t kClients = 64;     // concurrent in-flight queries
 constexpr size_t kThreads = 8;      // executor workers, both modes
-constexpr size_t kMaxGroup = 16;    // shared-scan group cap
 constexpr uint64_t kSeed = 3003;
 constexpr double kQInterval = 0.35;  // wide => heavy overlap across clients
 
@@ -54,7 +53,6 @@ bool RunMode(const FieldDatabase& db, const std::vector<ValueInterval>& queries,
   eo.threads = kThreads;
   eo.queue_capacity = kClients;
   eo.shared_scan = shared;
-  eo.max_scan_group = kMaxGroup;
   QueryExecutor executor(&db, eo);
 
   // Small warmup so lazy one-time work never lands inside the measured
@@ -127,7 +125,7 @@ int Run(uint32_t num_queries) {
   report.Config("num_queries", num_queries);
   report.Config("clients", kClients);
   report.Config("threads", kThreads);
-  report.Config("max_scan_group", kMaxGroup);
+  report.Config("scan_group_cap", QueryExecutor::kMaxScanGroup);
   report.Config("workload_seed", kSeed);
   const unsigned hw = std::thread::hardware_concurrency();
   report.Config("hardware_threads", hw);

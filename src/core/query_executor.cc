@@ -15,7 +15,6 @@ QueryExecutor::QueryExecutor(const FieldDatabase* db, const Options& options)
       queue_capacity_(std::max<size_t>(1, options.queue_capacity)),
       slo_(options.slo),
       shared_scan_(options.shared_scan),
-      max_scan_group_(std::max<size_t>(1, options.max_scan_group)),
       queue_wait_us_(
           MetricsRegistry::Default().GetHistogram("exec.queue_wait_us")),
       shared_groups_(MetricsRegistry::Default().GetCounter(
@@ -79,17 +78,6 @@ void QueryExecutor::RecordQueueWait(
   }
 }
 
-void QueryExecutor::RecordSlo(const Task& task,
-                              const QueryStats& stats) const {
-  if (slo_ == nullptr) return;
-  const ValueInterval& range = db_->value_range();
-  const double span = range.max - range.min;
-  const double width = task.query.max - task.query.min;
-  const double frac = span > 0 ? width / span : 1.0;
-  slo_->Record(slo_->ClassForWidthFraction(frac),
-               stats.wall_seconds * 1000.0);
-}
-
 void QueryExecutor::WorkerLoop() {
   // The worker's private per-query state; reused for every query this
   // thread runs.
@@ -115,11 +103,10 @@ void QueryExecutor::WorkerLoop() {
         // bounds the per-cell predicate fan-out.
         ValueInterval envelope = group.front().query;
         for (auto it = queue_.begin();
-             it != queue_.end() && group.size() < max_scan_group_;) {
+             it != queue_.end() && group.size() < kMaxScanGroup;) {
           if (it->work == nullptr && envelope.Intersects(it->query) &&
-              db_->planner()
-                  .CostSharedScan(envelope, it->query, db_->planner_mode())
-                  .share) {
+              db_->planner().SharesScan(envelope, it->query,
+                                        db_->planner_mode())) {
             envelope.Extend(it->query);
             group.push_back(std::move(*it));
             it = queue_.erase(it);
@@ -152,7 +139,10 @@ void QueryExecutor::WorkerLoop() {
       const Status s =
           db_->Query({.bands = bands, .regions = false}, results, &ctx);
       for (size_t i = 0; i < group.size(); ++i) {
-        RecordSlo(group[i], results[i].stats);
+        if (slo_ != nullptr) {
+          slo_->RecordQuery(db_->value_range(), group[i].query,
+                            results[i].stats.wall_seconds * 1000.0);
+        }
         if (group[i].done) group[i].done(s, results[i].stats);
       }
     }

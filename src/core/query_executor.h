@@ -49,19 +49,21 @@ class QueryExecutor {
     /// the queue's head, it also pulls any still-queued queries whose
     /// intervals overlap the group's growing envelope AND whose
     /// admission the planner prices as no more expensive fused than
-    /// isolated (QueryPlanner::CostSharedScan — zero-I/O probes), then
+    /// isolated (QueryPlanner::SharesScan — zero-I/O probes), then
     /// runs the whole group as ONE stats-only FieldDatabase::Query
     /// sweep. Answers are bit-identical to isolated execution; each
     /// member's stats.io is leader-charged (member 0 carries the
     /// sweep). Fairness: groups form only at head-dequeue from already
     /// queued work — a member can only move *earlier* than its FIFO
     /// turn, the head never waits for future arrivals, and the group
-    /// size is capped — so no query's latency is worsened by grouping.
+    /// size is capped (kMaxScanGroup) — so no query's latency is
+    /// worsened by grouping.
     bool shared_scan = false;
-    /// Largest group one sweep may carry (clamped to >= 1). Bounds both
-    /// the per-cell predicate fan-out and the latency a rider can add.
-    size_t max_scan_group = 16;
   };
+
+  /// Largest group one shared sweep carries. Bounds both the per-cell
+  /// predicate fan-out and the latency a rider can add.
+  static constexpr size_t kMaxScanGroup = 16;
 
   /// Invoked on the worker thread that ran the query.
   using Callback = std::function<void(const Status&, const QueryStats&)>;
@@ -135,17 +137,15 @@ class QueryExecutor {
 
   void WorkerLoop();
 
-  /// Records queue-wait (histogram + trace) and per-class SLO latency
-  /// for one finished task; shared by the solo and grouped paths.
+  /// Records queue-wait (histogram + trace) for one dequeued task;
+  /// shared by the solo and grouped paths.
   void RecordQueueWait(const Task& task,
                        std::chrono::steady_clock::time_point dequeued) const;
-  void RecordSlo(const Task& task, const QueryStats& stats) const;
 
   const FieldDatabase* db_;
   const size_t queue_capacity_;
   SloTracker* const slo_;
   const bool shared_scan_;
-  const size_t max_scan_group_;
   Histogram* const queue_wait_us_;  // exec.queue_wait_us
   Counter* const shared_groups_;    // executor.shared_scan_groups
 

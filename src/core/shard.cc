@@ -28,11 +28,11 @@ bool Shard::MayContain(const ValueInterval& query) const {
     return false;
   }
   // The planner's zero-I/O selectivity probe (subfield table or
-  // in-memory zone map). Only an exact probe may prune: the strided
-  // sample can miss matching cells, and an unprobed plan (LinearScan,
-  // forced scan) predicts 0 for "unknown".
+  // in-memory zone map) is exact, so a probed plan predicting no
+  // candidates proves the shard empty for `query`; an unprobed plan
+  // (LinearScan, forced scan) predicts 0 for "unknown".
   const PhysicalPlan plan = db_->PlanValueQuery(query);
-  if (plan.probed && !plan.probe_sampled && plan.predicted_candidates == 0) {
+  if (plan.probed && plan.predicted_candidates == 0) {
     skips_->Increment();
     return false;
   }

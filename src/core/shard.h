@@ -94,10 +94,9 @@ class Shard {
 
   /// Zero-I/O pruning decision: false only when this shard provably
   /// contributes nothing to `query` — the query misses the shard's
-  /// value hull, or the shard planner's selectivity probe was EXACT and
-  /// predicted zero candidates. A sampled probe (stores above
-  /// QueryPlanner::kExactProbeCells) can undercount, so it never skips.
-  /// Increments this shard's skip counter when it says no.
+  /// value hull, or the shard planner's exact selectivity probe ran and
+  /// predicted zero candidates. Increments this shard's skip counter
+  /// when it says no.
   bool MayContain(const ValueInterval& query) const;
 
   /// Records one scattered sub-query against this shard's metrics

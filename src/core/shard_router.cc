@@ -333,15 +333,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
 
 ShardRouter::~ShardRouter() = default;
 
-void ShardRouter::RecordSlo(const ValueInterval& query,
-                            double wall_ms) const {
-  const ValueInterval range = value_range();
-  const double span = range.max - range.min;
-  const double width = query.max - query.min;
-  const double frac = span > 0 ? width / span : 1.0;
-  slo_.Record(slo_.ClassForWidthFraction(frac), wall_ms);
-}
-
 struct ShardRouter::ShardWork {
   std::vector<size_t> members;  // indices into the request's bands
   std::vector<ValueInterval> bands;
@@ -364,7 +355,7 @@ Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
   ValueInterval envelope = bands[0];
   for (size_t i = 1; i <= bands.size(); ++i) {
     if (i < bands.size() && envelope.Intersects(bands[i]) &&
-        db.planner().CostSharedScan(envelope, bands[i], mode).share) {
+        db.planner().SharesScan(envelope, bands[i], mode)) {
       envelope.Extend(bands[i]);
       continue;
     }
@@ -470,9 +461,10 @@ Status ShardRouter::Query(const QueryRequest& request,
     }
   }
   const double wall_ms = MsSince(t0);
+  const ValueInterval range = value_range();
   for (size_t i = 0; i < bands.size(); ++i) {
     out[i].stats.wall_seconds = wall_ms / 1000.0;
-    RecordSlo(bands[i], wall_ms);
+    slo_.RecordQuery(range, bands[i], wall_ms);
   }
   if (profile != nullptr) {
     profile->shards_touched = static_cast<uint32_t>(targets.size());

@@ -122,7 +122,7 @@ class ShardRouter {
   /// cut down to the bands MayContain admits; the shard groups them
   /// greedily in request order — a band joins the current group only
   /// when it overlaps the group's envelope AND the shard planner's
-  /// CostSharedScan prices the widened sweep no higher than running it
+  /// SharesScan prices the widened sweep no higher than running it
   /// separately — and runs each group as one FieldDatabase::Query.
   /// Gather is in ascending shard id (see the class comment for why
   /// that is deterministic); the lowest shard touching a band answers
@@ -205,8 +205,6 @@ class ShardRouter {
    private:
     const ShardRouter* router_;
   };
-
-  void RecordSlo(const ValueInterval& query, double wall_ms) const;
 
   std::vector<std::unique_ptr<Shard>> shards_;
   /// global cell id -> (shard id, local cell id).

@@ -36,18 +36,40 @@ struct RunEntry {
   }
 };
 
+/// Whether `e` is exactly the RunEntry of one row of `subfields` (its
+/// [start, end) run and its key); the rows tile the store in order.
+template <typename Row, int Dim>
+bool IsRowEntry(const std::vector<Row>& subfields, const RTreeEntry<Dim>& e) {
+  auto it = std::lower_bound(
+      subfields.begin(), subfields.end(), e.a,
+      [](const Row& sf, uint64_t start) { return sf.start < start; });
+  for (; it != subfields.end() && it->start == e.a; ++it) {
+    if (RunEntry{}(*it, 0) == e) return true;
+  }
+  return false;
+}
+
 /// The filter step over a RunEntry tree: the runs of every subfield
 /// whose key meets `box`, appended to `*runs` as ascending, disjoint
 /// runs (MergeRuns) — O(subfields touched), independent of how many
-/// cells the runs cover.
-template <int Dim>
-Status SearchRunEntries(const RStarTree<Dim>& tree, const Box<Dim>& box,
-                        std::vector<PosRange>* runs) {
+/// cells the runs cover. The tree indexes `subfields`, so a hit that is
+/// not exactly one of its rows (a leaf entry rewritten under a valid
+/// checksum) is kCorruption, as a page that fails its checksum is: the
+/// band scan then falls back to the store.
+template <int Dim, typename Row>
+Status SearchRunEntries(const RStarTree<Dim>& tree,
+                        const std::vector<Row>& subfields,
+                        const Box<Dim>& box, std::vector<PosRange>* runs) {
   std::vector<PosRange> hits;
+  bool agrees = true;
   FIELDDB_RETURN_IF_ERROR(tree.Search(box, [&](const RTreeEntry<Dim>& e) {
-    hits.push_back(PosRange{e.a, e.b});
-    return true;
+    agrees = IsRowEntry(subfields, e);
+    if (agrees) hits.push_back(PosRange{e.a, e.b});
+    return agrees;
   }));
+  if (!agrees) {
+    return Status::Corruption("subfield tree entry matches no subfield row");
+  }
   MergeRuns(&hits, runs);
   return Status::OK();
 }

@@ -373,13 +373,21 @@ Status ValueIndex::FilterCandidateRanges(const ValueInterval& query,
     case IndexMethod::kIAll: {
       // One tree entry per cell, so the search yields individual
       // positions; sort them ascending (sequential store fetches) and
-      // merge contiguous neighbors into runs.
+      // merge contiguous neighbors into runs. An entry's box is its
+      // cell's interval (Replace keeps it so), so an entry that
+      // disagrees with the zone map is corrupt.
       std::vector<uint64_t> positions;
+      bool agrees = true;
       FIELDDB_RETURN_IF_ERROR(
           tree_->Search(BoxFromInterval(query), [&](const RTreeEntry<1>& e) {
-            positions.push_back(e.a);
-            return true;
+            agrees = e.a < store_.size() &&
+                     e.box == BoxFromInterval(store_.zone_map().At(e.a));
+            if (agrees) positions.push_back(e.a);
+            return agrees;
           }));
+      if (!agrees) {
+        return Status::Corruption("value tree entry disagrees with its cell");
+      }
       std::sort(positions.begin(), positions.end());
       for (const uint64_t pos : positions) AppendPosition(ranges, pos);
       return Status::OK();
@@ -387,7 +395,8 @@ Status ValueIndex::FilterCandidateRanges(const ValueInterval& query,
     case IndexMethod::kIHilbert:
     case IndexMethod::kIntervalQuadtree:
       // Each qualifying subfield IS a [start, end) run of store slots.
-      return SearchRunEntries(*tree_, BoxFromInterval(query), ranges);
+      return SearchRunEntries(*tree_, subfields_, BoxFromInterval(query),
+                              ranges);
     case IndexMethod::kRowIp:
       return FilterRows(query, ranges);
   }

@@ -29,24 +29,6 @@ void IntersectRanges(const std::vector<PosRange>& a,
 
 }  // namespace
 
-ZoneProbe ScalarZoneMap::Probe(const ValueInterval& query,
-                               uint64_t stride) const {
-  ZoneProbe probe;
-  if (stride == 0) stride = 1;
-  bool prev_matched = false;
-  for (uint64_t pos = 0; pos < size(); pos += stride) {
-    ++probe.sampled;
-    // Same predicate as the SIMD kernels: NaN zones never match.
-    const bool match = mins_[pos] <= query.max && maxs_[pos] >= query.min;
-    if (match) {
-      ++probe.matched;
-      if (!prev_matched) ++probe.run_starts;
-    }
-    prev_matched = match;
-  }
-  return probe;
-}
-
 void BoxZoneMap::FilterRange(const PosRange& run, const Box<2>& query,
                              std::vector<PosRange>* out) const {
   std::vector<PosRange> u_runs;

@@ -21,14 +21,6 @@ namespace fielddb {
 /// planner probe over them is zero-I/O and nothing about the page format
 /// changes.
 
-/// The strided sample ScalarZoneMap::Probe returns.
-struct ZoneProbe {
-  uint64_t sampled = 0;     // positions tested
-  uint64_t matched = 0;     // tested positions intersecting the query
-  uint64_t run_starts = 0;  // matches whose previous sample missed — an
-                            // estimate of the candidate run count
-};
-
 /// Scalar values: one closed interval per position. The zone map of
 /// every store keyed by a value interval (grid cells, voxels, temporal
 /// slab records).
@@ -69,11 +61,6 @@ class ScalarZoneMap {
                                maxs_.data() + run.begin, run.length(),
                                run.begin, query.min, query.max, out);
   }
-
-  /// Strided sample, the planner's sublinear selectivity probe for
-  /// stores too large for an exact FilterRanges sweep: tests every
-  /// `stride`-th position (stride 0 behaves as 1) against `query`.
-  ZoneProbe Probe(const ValueInterval& query, uint64_t stride) const;
 
  private:
   std::vector<double> mins_;

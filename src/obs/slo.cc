@@ -45,6 +45,13 @@ void SloTracker::Record(int class_index, double latency_ms) {
   state.latency_ms->Record(latency_ms);
 }
 
+void SloTracker::RecordQuery(const ValueInterval& value_range,
+                             const ValueInterval& query, double latency_ms) {
+  const double span = value_range.max - value_range.min;
+  const double width = query.max - query.min;
+  Record(ClassForWidthFraction(span > 0 ? width / span : 1.0), latency_ms);
+}
+
 std::vector<SloTracker::ClassSnapshot> SloTracker::Snapshot() {
   std::lock_guard<std::mutex> lock(window_mu_);
   std::vector<ClassSnapshot> out;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/interval.h"
 #include "obs/metrics.h"
 
 namespace fielddb {
@@ -73,6 +74,12 @@ class SloTracker {
 
   /// Records one completed query. Lock-free; safe from any thread.
   void Record(int class_index, double latency_ms);
+
+  /// Records one completed value query under the class of its width as
+  /// a fraction of `value_range`'s (1 when the range has no width) —
+  /// the classification QueryExecutor and ShardRouter both apply.
+  void RecordQuery(const ValueInterval& value_range,
+                   const ValueInterval& query, double latency_ms);
 
   struct ClassSnapshot {
     std::string query_class;

@@ -1,7 +1,5 @@
 #include "plan/cost_model.h"
 
-#include <algorithm>
-
 namespace fielddb {
 
 PagePattern PlanCostModel::ScanPattern(const StoreShape& shape) const {
@@ -40,20 +38,6 @@ PagePattern PlanCostModel::FetchPattern(
     }
     prev_last = last;
   }
-  return p;
-}
-
-PagePattern PlanCostModel::ApproxFetchPattern(const StoreShape& shape,
-                                              uint64_t candidates,
-                                              uint64_t runs) const {
-  PagePattern p;
-  if (candidates == 0) return p;
-  const uint32_t per_page = std::max<uint32_t>(1, shape.cells_per_page);
-  const uint64_t body = (candidates + per_page - 1) / per_page;
-  const uint64_t seeks = std::max<uint64_t>(1, std::min(runs, body));
-  p.pages = std::min<uint64_t>(shape.store_pages, body + seeks - 1);
-  p.random_reads = std::min(seeks, p.pages);
-  p.sequential_reads = p.pages - p.random_reads;
   return p;
 }
 

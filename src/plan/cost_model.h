@@ -81,13 +81,6 @@ class PlanCostModel {
   PagePattern FetchPattern(const StoreShape& shape,
                            const std::vector<PosRange>& runs) const;
 
-  /// FetchPattern for a sampled selectivity probe, where only candidate
-  /// and run *counts* are known (large stores, strided zone probe): each
-  /// of the `runs` clusters pays one seek and the candidates spread over
-  /// ceil(candidates / cells_per_page) pages, capped at the store size.
-  PagePattern ApproxFetchPattern(const StoreShape& shape, uint64_t candidates,
-                                 uint64_t runs) const;
-
   double CostMs(const PagePattern& pattern) const {
     return disk_.EstimateMs(pattern.sequential_reads, pattern.random_reads);
   }

@@ -52,8 +52,7 @@ PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
                         PlannerMode mode, bool has_index,
                         const std::function<PlanProbe()>& probe) {
   PhysicalPlan plan;
-  plan.scan_pattern = cost.ScanPattern(shape);
-  plan.scan_cost_ms = cost.CostMs(plan.scan_pattern);
+  plan.scan_cost_ms = cost.CostMs(cost.ScanPattern(shape));
 
   if (!has_index) {
     plan.kind = PlanKind::kFusedScan;
@@ -78,15 +77,13 @@ PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
     probe_span.set_items(p.candidates);
   }
   plan.probed = true;
-  plan.probe_sampled = p.sampled;
   plan.predicted_candidates = p.candidates;
   plan.predicted_runs = p.runs;
   plan.selectivity =
       shape.num_cells > 0
           ? static_cast<double>(p.candidates) / shape.num_cells
           : 0.0;
-  plan.index_pattern = p.index_pattern;
-  plan.index_cost_ms = cost.CostMs(plan.index_pattern);
+  plan.index_cost_ms = cost.CostMs(p.index_pattern);
 
   if (mode == PlannerMode::kForceIndex) {
     plan.kind = PlanKind::kIndexedFilter;
@@ -113,9 +110,8 @@ PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
 }
 
 QueryPlanner::Selectivity QueryPlanner::Probe(
-    const ValueInterval& query, std::vector<PosRange>* runs) const {
+    const ValueInterval& query) const {
   Selectivity sel;
-  runs->clear();
   const CellStore& store = index_->cell_store();
   if (const std::vector<Subfield>* subfields = index_->subfields()) {
     // Subfield methods: the filter returns exactly the subfields whose
@@ -125,14 +121,12 @@ QueryPlanner::Selectivity QueryPlanner::Probe(
     for (const Subfield& sf : *subfields) {
       if (sf.end <= sf.start || !sf.interval.Intersects(query)) continue;
       ++matched;
-      if (!runs->empty() && sf.start <= runs->back().end) {
-        runs->back().end = std::max(runs->back().end, sf.end);
+      if (!sel.runs.empty() && sf.start <= sel.runs.back().end) {
+        sel.runs.back().end = std::max(sel.runs.back().end, sf.end);
       } else {
-        runs->push_back(PosRange{sf.start, sf.end});
+        sel.runs.push_back(PosRange{sf.start, sf.end});
       }
     }
-    sel.candidates = TotalRangeLength(*runs);
-    sel.runs = runs->size();
     sel.entry_fraction =
         subfields->empty()
             ? 0.0
@@ -140,26 +134,12 @@ QueryPlanner::Selectivity QueryPlanner::Probe(
     return sel;
   }
   // Per-cell methods (I-All, Row-IP): the index's entries are the
-  // records' own intervals, so the zone-map sidecar predicts the filter
-  // output exactly. Above kExactProbeCells, fall back to the strided
-  // sample to keep planning sublinear in the store size.
-  if (store.size() <= kExactProbeCells) {
-    store.zone_map().FilterRanges(query, runs);
-    sel.candidates = TotalRangeLength(*runs);
-    sel.runs = runs->size();
-  } else {
-    const uint64_t stride =
-        (store.size() + kExactProbeCells - 1) / kExactProbeCells;
-    const ZoneProbe probe = store.zone_map().Probe(query, stride);
-    sel.sampled = true;
-    sel.candidates =
-        std::min<uint64_t>(store.size(), probe.matched * stride);
-    sel.runs = std::max<uint64_t>(probe.run_starts,
-                                  probe.matched > 0 ? 1 : 0);
-  }
+  // records' own intervals, so one sweep of the zone-map sidecar
+  // predicts the filter output exactly.
+  store.zone_map().FilterRanges(query, &sel.runs);
   sel.entry_fraction =
       store.size() > 0
-          ? static_cast<double>(sel.candidates) / store.size()
+          ? static_cast<double>(TotalRangeLength(sel.runs)) / store.size()
           : 0.0;
   return sel;
 }
@@ -193,22 +173,13 @@ PagePattern QueryPlanner::FilterPattern(const Selectivity& sel) const {
       std::min<uint64_t>(info.tree_nodes, info.tree_height + spread));
 }
 
-SharedScanDecision QueryPlanner::CostSharedScan(
-    const ValueInterval& group_envelope, const ValueInterval& candidate,
-    PlannerMode mode) const {
-  SharedScanDecision d;
-  const ValueInterval widened = ValueInterval::Hull(group_envelope, candidate);
-  d.shared_cost_ms = Plan(widened, mode).predicted_cost_ms;
-  d.isolated_cost_ms = Plan(group_envelope, mode).predicted_cost_ms +
-                       Plan(candidate, mode).predicted_cost_ms;
-  d.share = d.shared_cost_ms <= d.isolated_cost_ms;
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "%s: widened sweep %.2f ms %s separate %.2f ms",
-                d.share ? "share" : "isolate", d.shared_cost_ms,
-                d.share ? "<=" : ">", d.isolated_cost_ms);
-  d.reason = buf;
-  return d;
+bool QueryPlanner::SharesScan(const ValueInterval& envelope,
+                              const ValueInterval& candidate,
+                              PlannerMode mode) const {
+  const double shared_ms =
+      Plan(ValueInterval::Hull(envelope, candidate), mode).predicted_cost_ms;
+  return shared_ms <= Plan(envelope, mode).predicted_cost_ms +
+                          Plan(candidate, mode).predicted_cost_ms;
 }
 
 PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
@@ -216,19 +187,8 @@ PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,
   return ChoosePlan(
       cost_, shape(), mode, index_->method() != IndexMethod::kLinearScan,
       [this, &query] {
-        std::vector<PosRange> runs;
-        const Selectivity sel = Probe(query, &runs);
-        if (!sel.sampled) {
-          return ExactProbe(cost_, shape(), runs, FilterPattern(sel));
-        }
-        PlanProbe probe;
-        probe.candidates = sel.candidates;
-        probe.runs = sel.runs;
-        probe.sampled = true;
-        probe.index_pattern = FilterPattern(sel);
-        probe.index_pattern +=
-            cost_.ApproxFetchPattern(shape(), sel.candidates, sel.runs);
-        return probe;
+        const Selectivity sel = Probe(query);
+        return ExactProbe(cost_, shape(), sel.runs, FilterPattern(sel));
       });
 }
 

@@ -43,38 +43,20 @@ enum class PlannerMode {
 
 const char* PlannerModeName(PlannerMode mode);
 
-/// The planner's verdict on admitting one more query into a shared scan
-/// group (see QueryPlanner::CostSharedScan).
-struct SharedScanDecision {
-  /// True when executing the widened group as one fused sweep is
-  /// predicted no more expensive than the group and the candidate
-  /// executing separately.
-  bool share = false;
-  /// Predicted cost of one sweep over the widened envelope.
-  double shared_cost_ms = 0.0;
-  /// Predicted cost of the group's envelope and the candidate running
-  /// as two independent queries (each under its own best plan).
-  double isolated_cost_ms = 0.0;
-  std::string reason;
-};
-
 /// The planner's decision for one query: the chosen kind, the predicted
-/// page patterns and disk-model costs of both alternatives, and a
-/// human-readable reason. Flows into trace spans, ExplainResult, and the
-/// `fielddb_cli plan` subcommand.
+/// disk-model costs of both alternatives, and a human-readable reason.
+/// Flows into trace spans, ExplainResult, and the `fielddb_cli plan`
+/// subcommand.
 struct PhysicalPlan {
   PlanKind kind = PlanKind::kFusedScan;
-  /// Candidate cells the filter step is predicted to produce (exact for
-  /// subfield tables and in-memory zone maps; scaled for the strided
-  /// probe on very large stores). 0 when no probe ran (LinearScan,
-  /// forced scan).
+  /// Candidate cells the filter step is predicted to produce, exactly
+  /// (a subfield-table walk or a zone-map sweep). 0 when no probe ran
+  /// (LinearScan, forced scan).
   uint64_t predicted_candidates = 0;
   /// Predicted candidate runs (seek count of the fetch).
   uint64_t predicted_runs = 0;
   /// predicted_candidates / num_cells.
   double selectivity = 0.0;
-  PagePattern scan_pattern;
-  PagePattern index_pattern;  // filter descent + candidate fetch
   double scan_cost_ms = 0.0;
   double index_cost_ms = 0.0;
   /// Disk-model cost of the *chosen* kind.
@@ -83,13 +65,6 @@ struct PhysicalPlan {
   /// databases and forced scans never probe, so their
   /// predicted_candidates == 0 means "unknown", not "empty".
   bool probed = false;
-  /// True when the probe used the strided zone-map sample (stores above
-  /// kExactProbeCells): predicted_candidates may then undercount, so a
-  /// zero prediction is not proof of an empty answer. The shard router
-  /// keys its skip decision on this — a shard may be skipped only when
-  /// its probe was exact and predicted zero candidates (or its value
-  /// hull misses the query entirely).
-  bool probe_sampled = false;
   std::string reason;
 };
 
@@ -99,9 +74,6 @@ struct PlanProbe {
   /// Candidate cells and runs the filter step is predicted to produce.
   uint64_t candidates = 0;
   uint64_t runs = 0;
-  /// True for a sampled (possibly undercounting) probe; see
-  /// PhysicalPlan::probe_sampled.
-  bool sampled = false;
   /// Filter descent plus candidate fetch.
   PagePattern index_pattern;
 };
@@ -158,10 +130,11 @@ PhysicalPlan PlanStoreQuery(
 }
 
 /// The cost-based access-path selector. Pure function of the immutable
-/// post-build index state: selectivity comes from the subfield table
-/// (I-Hilbert, I-Quadtree) or the in-memory zone-map sidecar (the other
-/// methods) — cheap, no page I/O — and both alternatives are priced with
-/// the paper's disk model. Deterministic and independent of buffer-pool
+/// post-build index state: selectivity comes from one exact probe at
+/// every store size — a walk of the subfield table (I-Hilbert,
+/// I-Quadtree) or a sweep of the in-memory zone-map sidecar (the other
+/// methods, as PlanStoreQuery does), no page I/O — and both
+/// alternatives are priced with the paper's disk model. Deterministic and independent of buffer-pool
 /// state, so warm and cold runs of the same query read the same logical
 /// pages, concurrent threads decide identically, and a reopened snapshot
 /// plans exactly like the original.
@@ -174,40 +147,29 @@ class QueryPlanner {
   PhysicalPlan Plan(const ValueInterval& query,
                     PlannerMode mode = PlannerMode::kAuto) const;
 
-  /// Share-vs-isolate costing for the executor's shared-scan grouping:
-  /// should `candidate` join a group whose members' hull is
-  /// `group_envelope`? Prices the widened envelope's single sweep (the
-  /// group executes as one pass whose I/O is the envelope's plan)
-  /// against the group and candidate running separately, using the same
-  /// zero-I/O selectivity probes and disk model as Plan — deterministic
-  /// and buffer-state independent, so grouping decisions are
-  /// reproducible. Shares on ties: the fused sweep also saves the
-  /// per-query fixed costs the model does not price.
-  SharedScanDecision CostSharedScan(const ValueInterval& group_envelope,
-                                    const ValueInterval& candidate,
-                                    PlannerMode mode = PlannerMode::kAuto)
-      const;
+  /// Share-vs-isolate admission for the executor's and the router's
+  /// shared-scan grouping: should `candidate` join a group whose
+  /// members' hull is `envelope`? True when the widened envelope's
+  /// plan (the group executes as one pass whose I/O is that plan's) is
+  /// predicted no more expensive than the envelope's and the
+  /// candidate's plans together. Shares on ties: the fused sweep also
+  /// saves the per-query fixed costs the model does not price.
+  bool SharesScan(const ValueInterval& envelope, const ValueInterval& candidate,
+                  PlannerMode mode = PlannerMode::kAuto) const;
 
   StoreShape shape() const;
   const PlanCostModel& cost_model() const { return cost_; }
 
-  /// Stores at or below this many cells are probed with the exact
-  /// zone-map filter; larger ones use the strided sample (see
-  /// ScalarZoneMap::Probe) so planning stays sublinear.
-  static constexpr uint64_t kExactProbeCells = uint64_t{1} << 20;
-
  private:
+  /// What the exact probe returns: the filter's candidate runs and the
+  /// fraction of the index's entries (subfields or cells) it touches,
+  /// which drives the tree-descent cost estimate.
   struct Selectivity {
-    uint64_t candidates = 0;
-    uint64_t runs = 0;
-    /// Fraction of the index's entries (subfields or cells) the filter
-    /// is predicted to touch — drives the tree-descent cost estimate.
+    std::vector<PosRange> runs;
     double entry_fraction = 0.0;
-    bool sampled = false;
   };
 
-  Selectivity Probe(const ValueInterval& query,
-                    std::vector<PosRange>* runs) const;
+  Selectivity Probe(const ValueInterval& query) const;
   PagePattern FilterPattern(const Selectivity& sel) const;
 
   const ValueIndex* index_;

@@ -57,40 +57,6 @@ struct Box {
     }
   }
 
-  /// Product of extents (length in 1-D, area in 2-D, volume in 3-D).
-  double Area() const {
-    if (IsEmpty()) return 0.0;
-    double a = 1.0;
-    for (int d = 0; d < Dim; ++d) a *= hi[d] - lo[d];
-    return a;
-  }
-
-  /// Sum of extents — the "margin" the R* split minimizes.
-  double Margin() const {
-    if (IsEmpty()) return 0.0;
-    double m = 0.0;
-    for (int d = 0; d < Dim; ++d) m += hi[d] - lo[d];
-    return m;
-  }
-
-  /// Area of the intersection with `o` (0 when disjoint).
-  double OverlapArea(const Box& o) const {
-    double a = 1.0;
-    for (int d = 0; d < Dim; ++d) {
-      const double w =
-          std::min(hi[d], o.hi[d]) - std::max(lo[d], o.lo[d]);
-      if (w <= 0.0) return 0.0;
-      a *= w;
-    }
-    return a;
-  }
-
-  std::array<double, Dim> Center() const {
-    std::array<double, Dim> c;
-    for (int d = 0; d < Dim; ++d) c[d] = (lo[d] + hi[d]) / 2.0;
-    return c;
-  }
-
   /// Squared Euclidean distance from a point to the nearest point of
   /// this box (0 when the point is inside) — MINDIST of the classic
   /// R-tree nearest-neighbor algorithms.
@@ -108,16 +74,6 @@ struct Box {
     return s;
   }
 
-  /// Squared Euclidean distance between box centers.
-  double CenterDistance2(const Box& o) const {
-    double s = 0.0;
-    for (int d = 0; d < Dim; ++d) {
-      const double dd = (lo[d] + hi[d]) / 2.0 - (o.lo[d] + o.hi[d]) / 2.0;
-      s += dd * dd;
-    }
-    return s;
-  }
-
   bool operator==(const Box& other) const = default;
 };
 
@@ -129,19 +85,11 @@ inline Box<1> BoxFromInterval(const ValueInterval& iv) {
   return b;
 }
 
-inline ValueInterval IntervalFromBox(const Box<1>& b) {
-  return ValueInterval{b.lo[0], b.hi[0]};
-}
-
 inline Box<2> BoxFromRect(const Rect2& r) {
   Box<2> b;
   b.lo = {r.lo.x, r.lo.y};
   b.hi = {r.hi.x, r.hi.y};
   return b;
-}
-
-inline Rect2 RectFromBox(const Box<2>& b) {
-  return Rect2{{b.lo[0], b.lo[1]}, {b.hi[0], b.hi[1]}};
 }
 
 /// A degenerate box covering exactly one point.

@@ -100,20 +100,33 @@ BufferPool::~BufferPool() {
   }
 }
 
-void BufferPool::CountLogicalRead() {
-  stats_.logical_reads.fetch_add(1, std::memory_order_relaxed);
+IoStats BufferPool::stats() const {
+  IoStats total;
+  for (size_t i = 0; i < num_shards_; ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i].mu);
+    total += shards_[i].stats;
+  }
+  return total;
+}
+
+void BufferPool::ResetStats() {
+  for (size_t i = 0; i < num_shards_; ++i) {
+    std::lock_guard<std::mutex> lock(shards_[i].mu);
+    shards_[i].stats.Reset();
+  }
+}
+
+void BufferPool::CountLogicalRead(Shard& sh) {
+  ++sh.stats.logical_reads;
   if (IoStats* sink = CurrentIoSink()) ++sink->logical_reads;
   m_logical_reads_->Increment();
 }
 
-bool BufferPool::CountPhysicalRead(PageId id) {
-  const uint64_t phys =
-      stats_.physical_reads.fetch_add(1, std::memory_order_relaxed) + 1;
+bool BufferPool::CountPhysicalRead(Shard& sh, PageId id) {
+  const uint64_t phys = ++sh.stats.physical_reads;
   const PageId prev = last_physical_read_.exchange(id, std::memory_order_relaxed);
   const bool sequential = (id == prev + 1);
-  if (sequential) {
-    stats_.sequential_reads.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (sequential) ++sh.stats.sequential_reads;
   if (IoStats* sink = CurrentIoSink()) {
     ++sink->physical_reads;
     if (sequential) ++sink->sequential_reads;
@@ -122,12 +135,12 @@ bool BufferPool::CountPhysicalRead(PageId id) {
   return MetricsRegistry::enabled() && phys % kLatencySampleEvery == 0;
 }
 
-Status BufferPool::ReadWithRetry(PageId id, Page* out) {
+Status BufferPool::ReadWithRetry(Shard& sh, PageId id, Page* out) {
   Status s = file_->Read(id, out);
   for (int attempt = 0; !s.ok() && s.code() == StatusCode::kIOError &&
                         attempt < kMaxReadRetries;
        ++attempt) {
-    stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
+    ++sh.stats.read_retries;
     if (IoStats* sink = CurrentIoSink()) ++sink->read_retries;
     m_read_retries_->Increment();
     // Capped exponential backoff: 64us, 128us, 256us. Long enough to
@@ -136,7 +149,7 @@ Status BufferPool::ReadWithRetry(PageId id, Page* out) {
     s = file_->Read(id, out);
   }
   if (!s.ok()) {
-    stats_.failed_reads.fetch_add(1, std::memory_order_relaxed);
+    ++sh.stats.failed_reads;
     if (IoStats* sink = CurrentIoSink()) ++sink->failed_reads;
     m_failed_reads_->Increment();
   }
@@ -147,7 +160,6 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
-  CountLogicalRead();
   Shard& sh = ShardOf(id);
   // The new pin is constructed under the shard lock but assigned into
   // *out only after it is released: assigning may Release a previous
@@ -155,6 +167,7 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
   PinnedPage pin;
   {
     std::lock_guard<std::mutex> lock(sh.mu);
+    CountLogicalRead(sh);
     auto it = sh.frames.find(id);
     if (it != sh.frames.end()) {
       BufferFrame& f = it->second;
@@ -170,14 +183,14 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
       // misses for pages in the same shard serialize, which also
       // guarantees the same page is never read (and counted) twice by
       // racing threads.
-      const bool time_read = CountPhysicalRead(id);
+      const bool time_read = CountPhysicalRead(sh, id);
       Page page(file_->page_size());
       if (time_read) {
         const auto t0 = std::chrono::steady_clock::now();
-        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(id, &page));
+        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(sh, id, &page));
         m_read_latency_us_->Record(MicrosSince(t0));
       } else {
-        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(id, &page));
+        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(sh, id, &page));
       }
       auto [fit, inserted] = sh.frames.try_emplace(id);
       assert(inserted);
@@ -275,7 +288,7 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
       // failed). Readahead is optional; leave the page to Fetch.
       continue;
     }
-    CountPhysicalRead(id);
+    CountPhysicalRead(sh, id);
     m_prefetch_issued_->Increment();
     auto [fit, inserted] = sh.frames.try_emplace(id);
     assert(inserted);
@@ -331,21 +344,22 @@ void BufferPool::Unpin(PageId id) {
   }
 }
 
-Status BufferPool::WriteBackLocked(PageId id, BufferFrame& frame) {
+Status BufferPool::WriteBackLocked(Shard& sh, PageId id,
+                                   BufferFrame& frame) {
   if (frame.dirty.load(std::memory_order_relaxed)) {
     const bool time_write = MetricsRegistry::enabled();
     const auto t0 = time_write ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
     const Status s = file_->Write(id, frame.page);
     if (!s.ok()) {
-      stats_.failed_writes.fetch_add(1, std::memory_order_relaxed);
+      ++sh.stats.failed_writes;
       if (IoStats* sink = CurrentIoSink()) ++sink->failed_writes;
       m_failed_writes_->Increment();
       return s;
     }
     if (time_write) m_write_latency_us_->Record(MicrosSince(t0));
     frame.dirty.store(false, std::memory_order_relaxed);
-    stats_.writes.fetch_add(1, std::memory_order_relaxed);
+    ++sh.stats.writes;
     if (IoStats* sink = CurrentIoSink()) ++sink->writes;
   }
   return Status::OK();
@@ -371,7 +385,7 @@ Status BufferPool::EnsureCapacityLocked(Shard& sh) {
       f.in_lru = false;
       sh.lru.erase(lit);
       sh.frames.erase(it);
-      stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+      ++sh.stats.evictions;
       if (IoStats* sink = CurrentIoSink()) ++sink->evictions;
       m_evictions_->Increment();
       return Status::OK();
@@ -385,7 +399,7 @@ Status BufferPool::EnsureCapacityLocked(Shard& sh) {
   assert(it != sh.frames.end());
   BufferFrame& f = it->second;
   f.in_lru = false;
-  const Status s = WriteBackLocked(victim, f);
+  const Status s = WriteBackLocked(sh, victim, f);
   if (!s.ok()) {
     // The victim stays resident (its dirty data would otherwise be
     // lost); re-enter it into the LRU so the shard's bookkeeping stays
@@ -396,7 +410,7 @@ Status BufferPool::EnsureCapacityLocked(Shard& sh) {
     return s;
   }
   sh.frames.erase(it);
-  stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+  ++sh.stats.evictions;
   if (IoStats* sink = CurrentIoSink()) ++sink->evictions;
   m_evictions_->Increment();
   return Status::OK();
@@ -412,7 +426,7 @@ Status BufferPool::Flush() {
     Shard& sh = shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
     for (auto& [id, frame] : sh.frames) {
-      FIELDDB_RETURN_IF_ERROR(WriteBackLocked(id, frame));
+      FIELDDB_RETURN_IF_ERROR(WriteBackLocked(sh, id, frame));
     }
   }
   return Status::OK();
@@ -442,7 +456,7 @@ Status BufferPool::Clear() {
       if (no_steal && f.dirty.load(std::memory_order_relaxed)) continue;
       sh.lru.erase(f.lru_pos);
       f.in_lru = false;
-      const Status s = WriteBackLocked(victim, f);
+      const Status s = WriteBackLocked(sh, victim, f);
       if (!s.ok()) {
         sh.lru.push_back(victim);
         f.lru_pos = std::prev(sh.lru.end());

@@ -76,8 +76,9 @@ class PinnedPage {
 /// readers: the frame table and LRU list are split into shards (pages
 /// map to shards by id), each guarded by its own mutex, so N threads
 /// fetching different pages contend only when their pages share a shard.
-/// Pool-wide I/O counters are atomic; per-query attribution flows
-/// through the calling thread's ScopedIoSink (storage/io_sink.h). All
+/// Each shard counts its own I/O events under its mutex, and stats()
+/// sums the shards; per-query attribution flows through the calling
+/// thread's ScopedIoSink (storage/io_sink.h). All
 /// page traffic in the library goes through a pool, which is also where
 /// the experiment harness reads its I/O counters (logical accesses vs.
 /// misses).
@@ -184,11 +185,12 @@ class BufferPool {
   /// with zero pool pressure. Returns false on a miss.
   bool TryGetResident(PageId id, Page* out);
 
-  /// Snapshot of the pool-wide I/O counters. Each counter is exact;
-  /// a snapshot taken while traffic is in flight may be skewed between
-  /// counters by the in-flight events.
-  IoStats stats() const { return stats_.Snapshot(); }
-  void ResetStats() { stats_.Reset(); }
+  /// The pool-wide I/O counters: the sum of every shard's, each read
+  /// under its shard's mutex. Each counter is exact; a sum taken while
+  /// traffic is in flight may be skewed between shards by the in-flight
+  /// events.
+  IoStats stats() const;
+  void ResetStats();
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return num_shards_; }
@@ -205,6 +207,8 @@ class BufferPool {
     std::unordered_map<PageId, BufferFrame> frames;
     // Unpinned frames in LRU order (front = least recently used).
     std::list<PageId> lru;
+    // This shard's share of the pool's I/O counters.
+    IoStats stats;
   };
 
   Shard& ShardOf(PageId id) { return shards_[id % num_shards_]; }
@@ -212,14 +216,15 @@ class BufferPool {
   /// Evicts one unpinned frame if the shard is at capacity. Fails if
   /// all of the shard's frames are pinned. Caller holds `shard.mu`.
   Status EnsureCapacityLocked(Shard& shard);
-  /// Caller holds the owning shard's mutex.
-  Status WriteBackLocked(PageId id, BufferFrame& frame);
+  // The members below run with `shard.mu` held, where `shard` owns
+  // the page, and count each event in the shard's stats, the calling
+  // thread's sink and the metric.
+  Status WriteBackLocked(Shard& shard, PageId id, BufferFrame& frame);
   /// file_->Read with the bounded transient-fault retry policy.
-  Status ReadWithRetry(PageId id, Page* out);
-  /// Counter updates: pool-wide atomic + calling thread's sink + metric.
-  void CountLogicalRead();
+  Status ReadWithRetry(Shard& shard, PageId id, Page* out);
+  void CountLogicalRead(Shard& shard);
   /// Returns whether this physical read should be latency-sampled.
-  bool CountPhysicalRead(PageId id);
+  bool CountPhysicalRead(Shard& shard, PageId id);
 
   PageFile* file_;
   size_t capacity_;
@@ -227,7 +232,6 @@ class BufferPool {
   std::atomic<bool> closed_{false};
   std::atomic<bool> no_steal_{false};
   std::unique_ptr<Shard[]> shards_;
-  AtomicIoStats stats_;
   // Previous physical read's page id, for sequential-read accounting.
   // Pool-wide: under one reader it reproduces the single-thread counts
   // exactly; under concurrent readers interleaved streams make the
@@ -236,8 +240,9 @@ class BufferPool {
 
   // Process-wide instruments (registered once per pool; cheap relaxed
   // RMW updates on the hot path, see obs/metrics.h). Physical-read
-  // latency is sampled 1-in-kLatencySampleEvery to keep the clock calls
-  // off the common path; write-backs are rare enough to time every one.
+  // latency is sampled 1-in-kLatencySampleEvery (every 16th physical
+  // read of a shard) to keep the clock calls off the common path;
+  // write-backs are rare enough to time every one.
   static constexpr uint64_t kLatencySampleEvery = 16;
   Counter* m_logical_reads_;
   Counter* m_physical_reads_;

@@ -1,7 +1,6 @@
 #ifndef FIELDDB_STORAGE_IO_STATS_H_
 #define FIELDDB_STORAGE_IO_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace fielddb {
@@ -56,45 +55,6 @@ struct IoStats {
                    read_retries - o.read_retries,
                    failed_reads - o.failed_reads,
                    failed_writes - o.failed_writes};
-  }
-};
-
-/// The pool-wide mirror of IoStats, updatable by concurrent recorders
-/// (one atomic RMW per event, all relaxed — counters are independent, so
-/// a snapshot taken mid-traffic may be internally skewed by in-flight
-/// events but every counter is individually exact).
-struct AtomicIoStats {
-  std::atomic<uint64_t> logical_reads{0};
-  std::atomic<uint64_t> physical_reads{0};
-  std::atomic<uint64_t> sequential_reads{0};
-  std::atomic<uint64_t> writes{0};
-  std::atomic<uint64_t> evictions{0};
-  std::atomic<uint64_t> read_retries{0};
-  std::atomic<uint64_t> failed_reads{0};
-  std::atomic<uint64_t> failed_writes{0};
-
-  IoStats Snapshot() const {
-    IoStats s;
-    s.logical_reads = logical_reads.load(std::memory_order_relaxed);
-    s.physical_reads = physical_reads.load(std::memory_order_relaxed);
-    s.sequential_reads = sequential_reads.load(std::memory_order_relaxed);
-    s.writes = writes.load(std::memory_order_relaxed);
-    s.evictions = evictions.load(std::memory_order_relaxed);
-    s.read_retries = read_retries.load(std::memory_order_relaxed);
-    s.failed_reads = failed_reads.load(std::memory_order_relaxed);
-    s.failed_writes = failed_writes.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  void Reset() {
-    logical_reads.store(0, std::memory_order_relaxed);
-    physical_reads.store(0, std::memory_order_relaxed);
-    sequential_reads.store(0, std::memory_order_relaxed);
-    writes.store(0, std::memory_order_relaxed);
-    evictions.store(0, std::memory_order_relaxed);
-    read_retries.store(0, std::memory_order_relaxed);
-    failed_reads.store(0, std::memory_order_relaxed);
-    failed_writes.store(0, std::memory_order_relaxed);
   }
 };
 

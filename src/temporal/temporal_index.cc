@@ -273,7 +273,11 @@ StatusOr<const Subfield*> TemporalFieldDatabase::EntrySubfield(
   if (e.a >= slabs_.size() || e.b >= slabs_[e.a].subfields.size()) {
     return Status::Corruption("temporal tree entry past the subfield table");
   }
-  return &slabs_[e.a].subfields[e.b];
+  const Subfield& sf = slabs_[e.a].subfields[e.b];
+  if (!(SlabEntry{static_cast<uint32_t>(e.a)}(sf, e.b) == e)) {
+    return Status::Corruption("temporal tree entry is not its subfield's");
+  }
+  return &sf;
 }
 
 uint32_t TemporalFieldDatabase::SlabAt(double t) const {
@@ -408,18 +412,6 @@ Status TemporalFieldDatabase::TimeRangeCandidates(
   FIELDDB_RETURN_IF_ERROR(inner);
   std::sort(out->begin(), out->end());
   return Status::OK();
-}
-
-StatusOr<WorkloadStats> TemporalFieldDatabase::RunWorkload(
-    const std::vector<TemporalSnapshotQuery>& queries) const {
-  return engine_.RunWorkload(
-      queries.size(), /*cold_cache=*/true, [&](size_t i, QueryStats* stats) {
-        ValueQueryResult result;
-        FIELDDB_RETURN_IF_ERROR(
-            SnapshotValueQuery(queries[i].first, queries[i].second, &result));
-        *stats = result.stats;
-        return Status::OK();
-      });
 }
 
 }  // namespace fielddb

@@ -40,8 +40,7 @@ struct TemporalSlabRecord : VectorCellRecord {
 static_assert(sizeof(TemporalSlabRecord) == sizeof(VectorCellRecord),
               "TemporalSlabRecord layout is part of the store page format");
 
-/// A (time, value-band) snapshot query — the workload unit for
-/// TemporalFieldDatabase::RunWorkload.
+/// A (time, value-band) snapshot query.
 using TemporalSnapshotQuery = std::pair<double, ValueInterval>;
 
 /// I-Hilbert lifted to space-time: cells are Hilbert-ordered once; each
@@ -139,10 +138,6 @@ class TemporalFieldDatabase : public ExtEngineHost {
   }
   /// The one (value × time) tree over every slab's subfields.
   const RStarTree<2>& tree() const { return *tree_; }
-  /// Average stats over a snapshot-query workload (cold cache per
-  /// query).
-  StatusOr<WorkloadStats> RunWorkload(
-      const std::vector<TemporalSnapshotQuery>& queries) const;
 
  private:
   TemporalFieldDatabase() = default;
@@ -167,8 +162,9 @@ class TemporalFieldDatabase : public ExtEngineHost {
                         const std::vector<double>& values);
 
   /// The subfield a tree leaf entry names (slab `e.a`, subfield `e.b`),
-  /// or kCorruption when either index is past its table: an entry
-  /// forged under a valid page checksum.
+  /// or kCorruption when either index is past its table or the entry is
+  /// not that subfield's (its key × [k, k+1]): an entry forged under a
+  /// valid page checksum.
   StatusOr<const Subfield*> EntrySubfield(const RTreeEntry<2>& e) const;
 
   /// The slab a snapshot query at time `t` reads: t clamped to

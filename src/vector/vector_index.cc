@@ -211,7 +211,7 @@ Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
              .stats = &out->stats,
              .describe = describe},
             [&](std::vector<PosRange>* runs) {
-              return SearchRunEntries(*tree_, box, runs);
+              return SearchRunEntries(*tree_, subfields_, box, runs);
             },
             visit);
       }));
@@ -221,17 +221,6 @@ Status VectorFieldDatabase::BandQuery(const VectorBandQuery& query,
     return out->plan;
   });
   return Status::OK();
-}
-
-StatusOr<WorkloadStats> VectorFieldDatabase::RunWorkload(
-    const std::vector<VectorBandQuery>& queries) const {
-  return engine_.RunWorkload(
-      queries.size(), /*cold_cache=*/true, [&](size_t i, QueryStats* stats) {
-        VectorQueryResult result;
-        FIELDDB_RETURN_IF_ERROR(BandQuery(queries[i], &result));
-        *stats = result.stats;
-        return Status::OK();
-      });
 }
 
 }  // namespace fielddb

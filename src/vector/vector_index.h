@@ -116,10 +116,6 @@ class VectorFieldDatabase : public ExtEngineHost {
   /// The subfield tree; null for LinearScan.
   const RStarTree<2>* tree() const { return tree_.get(); }
 
-  /// Average stats over a query workload (cold cache per query).
-  StatusOr<WorkloadStats> RunWorkload(
-      const std::vector<VectorBandQuery>& queries) const;
-
  private:
   VectorFieldDatabase() = default;
 

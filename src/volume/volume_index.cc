@@ -186,7 +186,8 @@ Status VolumeFieldDatabase::BandQuery(const ValueInterval& band,
              .stats = &out->stats,
              .describe = describe},
             [&](std::vector<PosRange>* runs) {
-              return SearchRunEntries(*tree_, BoxFromInterval(band), runs);
+              return SearchRunEntries(*tree_, subfields_,
+                                      BoxFromInterval(band), runs);
             },
             visit);
       }));

@@ -494,13 +494,15 @@ TEST(TemporalPersistTest, SubfieldTableMustTileStore) {
   Cleanup(prefix);
 }
 
-TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
-  // A tree leaf entry naming a subfield past its slab's table, under a
-  // valid page checksum: Open finds nothing wrong, so the search must
-  // report the entry as corrupt — the band scan then falls back to the
-  // store with the intact answers, and the time-range search fails —
-  // instead of reading past the table.
-  const std::string prefix = TestPrefix("forged_leaf");
+// Saves a 16x16, 3-snapshot temporal database, rewrites the subfield
+// index b of leaf entry 0 of its tree's first leaf to `forge(b, rows)`
+// (rows: the size of that entry's slab table) under a valid page
+// checksum, and checks that Open finds nothing wrong while the search
+// reports the entry as corrupt: the band scan falls back to the store
+// with the intact answers and the time-range search fails.
+void ExpectForgedTemporalEntryFallsBack(
+    const std::string& tag, uint64_t (*forge)(uint64_t b, size_t rows)) {
+  const std::string prefix = TestPrefix(tag);
   Cleanup(prefix);
   auto built = TemporalFieldDatabase::Build(MakeDriftingRamp(16, 3), {});
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -516,7 +518,7 @@ TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
   ASSERT_NE(page_size, 0u);
   // Node pages are [level u32][count u32][8 reserved][entries], a 2-D
   // entry [lo f64 f64][hi f64 f64][a u64][b u64] (a: slab or child, b:
-  // subfield): leaf entry 0 of the first leaf gets b = 2^40.
+  // subfield).
   ValueInterval band;
   uint64_t slab = 0;
   {
@@ -533,7 +535,10 @@ TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
     }
     band = ValueInterval{page.ReadAt<double>(16), page.ReadAt<double>(32)};
     slab = page.ReadAt<uint64_t>(48);
-    page.WriteAt<uint64_t>(56, uint64_t{1} << 40);
+    page.WriteAt<uint64_t>(
+        56, forge(page.ReadAt<uint64_t>(56),
+                  (*built)->slab_subfields(static_cast<uint32_t>(slab))
+                      .size()));
     ASSERT_TRUE((*f)->Write(id, page).ok());
   }
   auto opened = TemporalFieldDatabase::Open(prefix);
@@ -556,6 +561,121 @@ TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
   std::vector<CellId> ids;
   EXPECT_EQ((*opened)->TimeRangeCandidates(band, t, t, &ids).code(),
             StatusCode::kCorruption);
+  opened->reset();
+  Cleanup(prefix);
+}
+
+TEST(TemporalPersistTest, ForgedLeafEntryFallsBackToTheStore) {
+  // A subfield index past its slab's table: never read past the table.
+  ExpectForgedTemporalEntryFallsBack(
+      "forged_leaf", [](uint64_t, size_t) { return uint64_t{1} << 40; });
+}
+
+TEST(TemporalPersistTest, ForgedEntryWithinTheTableFallsBackToTheStore) {
+  // Another row of the same table: the entry is no longer that row's
+  // key × slab, so its run must not replace the true one.
+  ExpectForgedTemporalEntryFallsBack(
+      "forged_row", [](uint64_t b, size_t rows) {
+        return b + 1 < rows ? b + 1 : b - 1;
+      });
+}
+
+// --- Forged subfield run ----------------------------------------------
+// A subfield tree leaf entry whose run is moved within the store under a
+// valid page checksum: the search must find that the entry is no longer
+// its subfield's row and report a corrupt index page, so the band scan
+// falls back to the store instead of silently dropping the run's first
+// cell.
+
+// Starts the run of leaf entry 0 of the first leaf of the subfield tree
+// saved under `prefix` one slot late, at the catalog's epoch, and
+// returns the entry's box. Node pages are [level u32][count u32]
+// [8 reserved][entries], an entry [lo f64 x Dim][hi f64 x Dim][a u64]
+// [b u64]; a is the run start (a child page in an inner node).
+template <int Dim>
+void ShiftFirstLeafRun(const std::string& prefix, Box<Dim>* box) {
+  std::ifstream meta(prefix + ".meta");
+  uint64_t page_size = 0, epoch = 0, root = 0;
+  for (std::string key; meta >> key; std::getline(meta, key)) {
+    if (key == "page_size") meta >> page_size;
+    if (key == "epoch") meta >> epoch;
+    if (key == "tree") meta >> root;
+  }
+  ASSERT_NE(page_size, 0u);
+  auto f = DiskPageFile::Open(prefix + ".pages",
+                              static_cast<uint32_t>(page_size),
+                              static_cast<uint32_t>(epoch));
+  ASSERT_TRUE(f.ok());
+  constexpr uint32_t kEntry = 16;
+  constexpr uint32_t kA = kEntry + 16 * Dim;
+  Page page(static_cast<uint32_t>(page_size));
+  PageId id = root;
+  ASSERT_TRUE((*f)->Read(id, &page).ok());
+  while (page.ReadAt<uint32_t>(0) > 0) {
+    id = page.ReadAt<uint64_t>(kA);
+    ASSERT_TRUE((*f)->Read(id, &page).ok());
+  }
+  for (int d = 0; d < Dim; ++d) {
+    box->lo[d] = page.ReadAt<double>(kEntry + 8 * d);
+    box->hi[d] = page.ReadAt<double>(kEntry + 8 * (Dim + d));
+  }
+  page.WriteAt<uint64_t>(kA, page.ReadAt<uint64_t>(kA) + 1);
+  ASSERT_TRUE((*f)->Write(id, page).ok());
+}
+
+TEST(ForgedRunTest, VectorRunWithinTheStoreFallsBack) {
+  const std::string prefix = TestPrefix("forged_run_vec");
+  Cleanup(prefix);
+  VectorFieldDatabase::Options options;
+  options.method = VectorIndexMethod::kIHilbert;
+  auto built = VectorFieldDatabase::Build(MakeAffineVectorField(12), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  Box<2> box = Box<2>::Empty();
+  ASSERT_NO_FATAL_FAILURE(ShiftFirstLeafRun(prefix, &box));
+
+  auto opened = VectorFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*built)->set_planner_mode(PlannerMode::kForceIndex);
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+  const VectorBandQuery q{{box.lo[0], box.hi[0]}, {box.lo[1], box.hi[1]}};
+  VectorQueryResult expected, actual;
+  ASSERT_TRUE((*built)->BandQuery(q, &expected).ok());
+  ASSERT_TRUE((*opened)->BandQuery(q, &actual).ok());
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ((*opened)->index_fallbacks(), 1u);
+  EXPECT_GT(expected.stats.answer_cells, 0u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_EQ(actual.region.NumPieces(), expected.region.NumPieces());
+  EXPECT_EQ(actual.region.TotalArea(), expected.region.TotalArea());
+  opened->reset();
+  Cleanup(prefix);
+}
+
+TEST(ForgedRunTest, VolumeRunWithinTheStoreFallsBack) {
+  const std::string prefix = TestPrefix("forged_run_vol");
+  Cleanup(prefix);
+  VolumeFieldDatabase::Options options;
+  options.method = VolumeIndexMethod::kIHilbert;
+  auto built = VolumeFieldDatabase::Build(MakeVolume(), options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_TRUE((*built)->Save(prefix).ok());
+  Box<1> box = Box<1>::Empty();
+  ASSERT_NO_FATAL_FAILURE(ShiftFirstLeafRun(prefix, &box));
+
+  auto opened = VolumeFieldDatabase::Open(prefix);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  (*built)->set_planner_mode(PlannerMode::kForceIndex);
+  (*opened)->set_planner_mode(PlannerMode::kForceIndex);
+  const ValueInterval band{box.lo[0], box.hi[0]};
+  VolumeQueryResult expected, actual;
+  ASSERT_TRUE((*built)->BandQuery(band, &expected).ok());
+  ASSERT_TRUE((*opened)->BandQuery(band, &actual).ok());
+  EXPECT_EQ(actual.stats.index_fallbacks, 1u);
+  EXPECT_EQ((*opened)->index_fallbacks(), 1u);
+  EXPECT_GT(expected.stats.answer_cells, 0u);
+  EXPECT_EQ(actual.stats.answer_cells, expected.stats.answer_cells);
+  EXPECT_EQ(actual.volume, expected.volume);
   opened->reset();
   Cleanup(prefix);
 }

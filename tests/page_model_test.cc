@@ -317,8 +317,9 @@ TEST_P(VectorPageModelTest, ModelsAgreeAndReadWhatTheyShould) {
       const Runs runs = RunsOf(dbs[0]->PlanBandQuery(q).kind,
                                dbs[0]->num_cells(),
                                [&](std::vector<PosRange>* out) {
-                                 return SearchRunEntries(*dbs[0]->tree(),
-                                                         q.AsBox(), out);
+                                 return SearchRunEntries(
+                                     *dbs[0]->tree(), dbs[0]->subfields(),
+                                     q.AsBox(), out);
                                });
       Outcome got[2];
       for (const bool whole : {false, true}) {
@@ -370,8 +371,8 @@ TEST_P(VolumePageModelTest, ModelsAgreeAndReadWhatTheyShould) {
                                dbs[0]->num_cells(),
                                [&](std::vector<PosRange>* out) {
                                  return SearchRunEntries(
-                                     *dbs[0]->tree(), BoxFromInterval(band),
-                                     out);
+                                     *dbs[0]->tree(), dbs[0]->subfields(),
+                                     BoxFromInterval(band), out);
                                });
       Outcome got[2];
       for (const bool whole : {false, true}) {

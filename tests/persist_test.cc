@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -363,71 +364,113 @@ TEST(CorruptTreeRootTest, OpensAndFallsBackToTheStore) {
   }
 }
 
-class ForgedLeafTest : public ::testing::TestWithParam<IndexMethod> {};
+class ForgedLeafTest : public ::testing::TestWithParam<IndexMethod> {
+ protected:
+  // Saves a 32x32 fractal database, rewrites the (a, b) payload of leaf
+  // entry 0 of the value tree's first leaf with `forge(field, key, &a,
+  // &b)` under a valid page checksum at the catalog's epoch, so Open
+  // and scrub find nothing wrong, and checks that a forced-index query
+  // over the entry's key falls back to the store once with the intact
+  // database's answers.
+  void ExpectForgedEntryFallsBack(
+      const std::string& tag,
+      const std::function<void(const Field&, const ValueInterval&,
+                               uint64_t*, uint64_t*)>& forge) {
+    const std::string prefix = TestTempDir() + "/fielddb_forged_" + tag +
+                               std::to_string(static_cast<int>(GetParam()));
+    FractalOptions fo;
+    fo.size_exp = 5;
+    auto field = MakeFractalField(fo);
+    ASSERT_TRUE(field.ok());
+    FieldDatabaseOptions options;
+    options.method = GetParam();
+    auto intact = FieldDatabase::Build(*field, options);
+    ASSERT_TRUE(intact.ok());
+    ASSERT_TRUE((*intact)->Save(prefix).ok());
+
+    // Node pages are [level u32][count u32][8 reserved][entries], an
+    // entry [lo f64][hi f64][a u64][b u64].
+    const std::string meta = prefix + ".meta";
+    const auto page_size =
+        static_cast<uint32_t>(MetaValueOf(meta, "page_size"));
+    ValueInterval forged;
+    {
+      auto f = DiskPageFile::Open(
+          prefix + ".pages", page_size,
+          static_cast<uint32_t>(MetaValueOf(meta, "epoch")));
+      ASSERT_TRUE(f.ok());
+      Page page(page_size);
+      PageId id = MetaValueOf(meta, "tree");
+      ASSERT_TRUE((*f)->Read(id, &page).ok());
+      while (page.ReadAt<uint32_t>(0) > 0) {
+        id = page.ReadAt<uint64_t>(32);
+        ASSERT_TRUE((*f)->Read(id, &page).ok());
+      }
+      forged = ValueInterval{page.ReadAt<double>(16), page.ReadAt<double>(24)};
+      uint64_t a = page.ReadAt<uint64_t>(32);
+      uint64_t b = page.ReadAt<uint64_t>(40);
+      forge(*field, forged, &a, &b);
+      page.WriteAt<uint64_t>(32, a);
+      page.WriteAt<uint64_t>(40, b);
+      ASSERT_TRUE((*f)->Write(id, page).ok());
+    }
+    auto db = FieldDatabase::Open(prefix);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    FieldDatabase::ScrubReport report;
+    ASSERT_TRUE((*db)->Scrub(&report).ok());
+    EXPECT_TRUE(report.clean());
+    (*db)->set_planner_mode(PlannerMode::kForceIndex);
+
+    ValueQueryResult expected, degraded;
+    ASSERT_TRUE(QueryOne(**intact, forged, &expected).ok());
+    const Status s = QueryOne(**db, forged, &degraded);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
+    EXPECT_EQ((*db)->index_fallbacks(), 1u);
+    EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
+    EXPECT_EQ(degraded.region.NumPieces(), expected.region.NumPieces());
+    EXPECT_EQ(degraded.region.TotalArea(), expected.region.TotalArea());
+
+    db->reset();
+    for (const char* suffix : {".pages", ".meta"}) {
+      std::remove((prefix + suffix).c_str());
+    }
+  }
+};
 
 TEST_P(ForgedLeafTest, RunPastTheStoreFallsBackToTheStore) {
-  // A value-tree leaf entry that points past the store, under a valid
-  // page checksum: Open and scrub find nothing wrong, so the band scan
-  // must treat the run as a corrupt index page — fall back to the store
-  // with identical answers — instead of failing the query.
-  const std::string prefix = TestTempDir() + "/fielddb_forged_leaf_" +
-                             std::to_string(static_cast<int>(GetParam()));
-  FractalOptions fo;
-  fo.size_exp = 5;
-  auto field = MakeFractalField(fo);
-  ASSERT_TRUE(field.ok());
-  FieldDatabaseOptions options;
-  options.method = GetParam();
-  auto intact = FieldDatabase::Build(*field, options);
-  ASSERT_TRUE(intact.ok());
-  ASSERT_TRUE((*intact)->Save(prefix).ok());
+  // A leaf entry that points past the store: the band scan must treat
+  // the run as a corrupt index page instead of failing the query.
+  // I-Hilbert's run end b, I-All's position a.
+  ExpectForgedEntryFallsBack(
+      "past", [](const Field& field, const ValueInterval&, uint64_t* a,
+                 uint64_t* b) {
+        *(GetParam() == IndexMethod::kIHilbert ? b : a) =
+            field.NumCells() + 7;
+      });
+}
 
-  // Node pages are [level u32][count u32][8 reserved][entries], an
-  // entry [lo f64][hi f64][a u64][b u64]; leaf entry 0 of the first
-  // leaf gets a payload past the store: I-Hilbert's run end b, I-All's
-  // position a.
-  const std::string meta = prefix + ".meta";
-  const auto page_size =
-      static_cast<uint32_t>(MetaValueOf(meta, "page_size"));
-  ValueInterval forged;
-  {
-    auto f = DiskPageFile::Open(
-        prefix + ".pages", page_size,
-        static_cast<uint32_t>(MetaValueOf(meta, "epoch")));
-    ASSERT_TRUE(f.ok());
-    Page page(page_size);
-    PageId id = MetaValueOf(meta, "tree");
-    ASSERT_TRUE((*f)->Read(id, &page).ok());
-    while (page.ReadAt<uint32_t>(0) > 0) {
-      id = page.ReadAt<uint64_t>(32);
-      ASSERT_TRUE((*f)->Read(id, &page).ok());
-    }
-    forged = ValueInterval{page.ReadAt<double>(16), page.ReadAt<double>(24)};
-    page.WriteAt<uint64_t>(GetParam() == IndexMethod::kIHilbert ? 40 : 32,
-                           field->NumCells() + 7);
-    ASSERT_TRUE((*f)->Write(id, page).ok());
-  }
-  auto db = FieldDatabase::Open(prefix);
-  ASSERT_TRUE(db.ok()) << db.status().ToString();
-  FieldDatabase::ScrubReport report;
-  ASSERT_TRUE((*db)->Scrub(&report).ok());
-  EXPECT_TRUE(report.clean());
-  (*db)->set_planner_mode(PlannerMode::kForceIndex);
-
-  ValueQueryResult expected, degraded;
-  ASSERT_TRUE(QueryOne(**intact, forged, &expected).ok());
-  const Status s = QueryOne(**db, forged, &degraded);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  EXPECT_EQ(degraded.stats.index_fallbacks, 1u);
-  EXPECT_EQ((*db)->index_fallbacks(), 1u);
-  EXPECT_EQ(degraded.stats.answer_cells, expected.stats.answer_cells);
-  EXPECT_EQ(degraded.region.NumPieces(), expected.region.NumPieces());
-  EXPECT_EQ(degraded.region.TotalArea(), expected.region.TotalArea());
-
-  db->reset();
-  for (const char* suffix : {".pages", ".meta"}) {
-    std::remove((prefix + suffix).c_str());
-  }
+TEST_P(ForgedLeafTest, EntryWithinTheStoreFallsBackToTheStore) {
+  // A leaf entry moved to other slots of the store: the search must see
+  // that it is no longer its subfield's row (I-Hilbert: the run starts
+  // one slot late) or its cell's interval (I-All: a cell whose interval
+  // misses the key) and report a corrupt index page, instead of
+  // silently dropping the entry's cells from the answer.
+  ExpectForgedEntryFallsBack(
+      "within", [](const Field& field, const ValueInterval& key,
+                   uint64_t* a, uint64_t*) {
+        if (GetParam() == IndexMethod::kIHilbert) {
+          ++*a;
+          return;
+        }
+        CellId other = 0;
+        while (other < field.NumCells() &&
+               field.GetCell(other).Interval().Intersects(key)) {
+          ++other;
+        }
+        ASSERT_LT(other, field.NumCells());
+        *a = other;
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,7 +15,6 @@
 
 #include "core/field_database.h"
 #include "gen/fractal.h"
-#include "index/cell_store.h"
 #include "plan/cost_model.h"
 #include "plan/planner.h"
 #include "query_util.h"
@@ -108,26 +107,6 @@ TEST(CostModelTest, FetchPatternDisjointRunsEachPaySeek) {
   EXPECT_EQ(p.sequential_reads, 1u);
 }
 
-TEST(CostModelTest, ApproxFetchPatternGolden) {
-  const PlanCostModel cost;
-  // 95 candidates over 4 clusters: ceil(95/10) = 10 body pages plus one
-  // extra page straddle per additional cluster; 4 seeks.
-  const PagePattern p = cost.ApproxFetchPattern(SyntheticShape(), 95, 4);
-  EXPECT_EQ(p.pages, 13u);
-  EXPECT_EQ(p.random_reads, 4u);
-  EXPECT_EQ(p.sequential_reads, 9u);
-
-  const PagePattern none = cost.ApproxFetchPattern(SyntheticShape(), 0, 0);
-  EXPECT_EQ(none.pages, 0u);
-  EXPECT_EQ(none.random_reads, 0u);
-
-  // Degenerate worst case — every cell a candidate, every cell its own
-  // run — must stay capped at the store size.
-  const PagePattern all = cost.ApproxFetchPattern(SyntheticShape(), 1000, 1000);
-  EXPECT_EQ(all.pages, 100u);
-  EXPECT_LE(all.random_reads, all.pages);
-}
-
 TEST(CostModelTest, CostMsUsesConfiguredDiskModel) {
   DiskModel disk;
   disk.seek_ms = 10.0;
@@ -166,58 +145,6 @@ ValueInterval Band(const FieldDatabase& db, double lo_frac, double hi_frac) {
   const ValueInterval& vr = db.value_range();
   const double span = vr.max - vr.min;
   return ValueInterval{vr.min + lo_frac * span, vr.min + hi_frac * span};
-}
-
-// ---------------------------------------------------------------------------
-// The strided zone probe the planner uses on very large stores.
-
-TEST(ZoneProbeTest, StrideOneMatchesExactFilter) {
-  auto dem = MakeDem(6);
-  ASSERT_TRUE(dem.ok());
-  auto db = MakeDb(*dem, IndexMethod::kLinearScan);
-  ASSERT_TRUE(db.ok());
-  const CellStore& store = (*db)->index().cell_store();
-  const ValueInterval band = Band(**db, 0.3, 0.5);
-
-  std::vector<PosRange> exact;
-  store.zone_map().FilterRanges(band, &exact);
-  const ZoneProbe probe = store.zone_map().Probe(band, 1);
-  EXPECT_EQ(probe.sampled, store.size());
-  EXPECT_EQ(probe.matched, TotalRangeLength(exact));
-  EXPECT_EQ(probe.run_starts, exact.size());
-}
-
-TEST(ZoneProbeTest, StridedSampleCountsAndEdgeCases) {
-  auto dem = MakeDem(6);
-  ASSERT_TRUE(dem.ok());
-  auto db = MakeDb(*dem, IndexMethod::kLinearScan);
-  ASSERT_TRUE(db.ok());
-  const CellStore& store = (*db)->index().cell_store();
-
-  // Stride k samples ceil(size / k) slots.
-  const ZoneProbe strided =
-      store.zone_map().Probe(Band(**db, 0.3, 0.5), 7);
-  EXPECT_EQ(strided.sampled, (store.size() + 6) / 7);
-  EXPECT_LE(strided.matched, strided.sampled);
-  EXPECT_LE(strided.run_starts, strided.matched);
-
-  // The whole value range matches every sample in one run.
-  const ZoneProbe all =
-      store.zone_map().Probe((*db)->value_range(), 4);
-  EXPECT_EQ(all.matched, all.sampled);
-  EXPECT_EQ(all.run_starts, 1u);
-
-  // A band outside the value range matches nothing.
-  const ValueInterval& vr = (*db)->value_range();
-  const ZoneProbe none =
-      store.zone_map().Probe(ValueInterval{vr.max + 1.0, vr.max + 2.0}, 4);
-  EXPECT_EQ(none.matched, 0u);
-  EXPECT_EQ(none.run_starts, 0u);
-
-  // Stride 0 behaves as stride 1.
-  const ZoneProbe zero =
-      store.zone_map().Probe(Band(**db, 0.3, 0.5), 0);
-  EXPECT_EQ(zero.sampled, store.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -407,8 +334,8 @@ TEST_P(DifferentialTest, AutoMatchesBothForcedPlansAcrossSelectivities) {
     EXPECT_EQ(chosen.stats.io.logical_reads, same_kind.stats.io.logical_reads)
         << PlanKindName(plan.kind);
 
-    // The probe predicts the filter's output exactly for every
-    // non-sampled method (subfield table walk or exact zone sweep).
+    // The probe predicts the filter's output exactly for every indexed
+    // method (subfield table walk or zone-map sweep).
     if (method != IndexMethod::kLinearScan) {
       EXPECT_EQ(plan.predicted_candidates, index.stats.candidate_cells);
     }

@@ -165,18 +165,24 @@ TEST_F(SharedScanTest, DegenerateBatches) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SharedScanTest, CostSharedScanIsConsistentAndSharesIdentical) {
+TEST_F(SharedScanTest, SharesScanMatchesPlanCostsAndSharesIdentical) {
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
+  const QueryPlanner& planner = (*db)->planner();
   const std::vector<ValueInterval> queries = OverlappingQueries(8);
   for (const ValueInterval& a : queries) {
     for (const ValueInterval& b : queries) {
-      const SharedScanDecision d = (*db)->planner().CostSharedScan(a, b);
-      EXPECT_EQ(d.share, d.shared_cost_ms <= d.isolated_cost_ms) << d.reason;
-      EXPECT_FALSE(d.reason.empty());
+      // The widened sweep against the two separate plans, ties shared.
+      const double shared_ms =
+          planner.Plan(ValueInterval::Hull(a, b)).predicted_cost_ms;
+      const double isolated_ms = planner.Plan(a).predicted_cost_ms +
+                                 planner.Plan(b).predicted_cost_ms;
+      EXPECT_EQ(planner.SharesScan(a, b), shared_ms <= isolated_ms)
+          << "[" << a.min << ", " << a.max << "] + [" << b.min << ", "
+          << b.max << "]";
     }
     // An identical candidate never widens the sweep: always shared.
-    EXPECT_TRUE((*db)->planner().CostSharedScan(a, a).share);
+    EXPECT_TRUE(planner.SharesScan(a, a));
   }
 }
 
@@ -208,7 +214,6 @@ TEST_F(SharedScanTest, ExecutorGroupsQueuedOverlappingQueries) {
   QueryExecutor::Options eo;
   eo.threads = 1;  // one worker: the queue backlog is deterministic
   eo.shared_scan = true;
-  eo.max_scan_group = 16;
   QueryExecutor executor(db->get(), eo);
 
   // Gate the single worker inside a sentinel query's callback: wait for

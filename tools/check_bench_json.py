@@ -178,7 +178,7 @@ REQUIREMENTS = {
     "shared_scan": Row(
         config={"method": NAME, "field_cells": POSITIVE,
                 "num_queries": POSITIVE, "clients": POSITIVE,
-                "threads": POSITIVE, "max_scan_group": POSITIVE,
+                "threads": POSITIVE, "scan_group_cap": POSITIVE,
                 "workload_seed": NONNEG, "hardware_threads": POSITIVE,
                 "qinterval": FRACTION},
         kinds=[Kind(labels={"mode": one_of("isolated", "shared")},

@@ -76,6 +76,10 @@
 //                       Save/Open round-trips it through --out, then
 //                       runs one band query and prints the physical
 //                       plan the extension planner chose)
+//
+// Each subcommand takes only the flags it reads (see Commands() below;
+// most workload subcommands also take --qinterval and --seed): any
+// other flag exits 2, naming it, before anything opens or runs.
 
 #include <algorithm>
 #include <atomic>
@@ -144,6 +148,16 @@ class Args {
     return it == values_.end() ? def : std::atol(it->second.c_str());
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// The first given flag that is not in `known`; empty when none is.
+  std::string Unknown(const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
+  }
 
  private:
   std::map<std::string, std::string> values_;
@@ -972,9 +986,8 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      auto reopened = VolumeFieldDatabase::Open(out);
-      if (!reopened.ok()) return Fail(reopened.status());
-      db = std::move(reopened);
+      db = VolumeFieldDatabase::Open(out);
+      if (!db.ok()) return Fail(db.status());
       (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
@@ -1018,9 +1031,8 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      auto reopened = VectorFieldDatabase::Open(out);
-      if (!reopened.ok()) return Fail(reopened.status());
-      db = std::move(reopened);
+      db = VectorFieldDatabase::Open(out);
+      if (!db.ok()) return Fail(db.status());
       (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
@@ -1075,9 +1087,8 @@ int CmdExt(const Args& args) {
                            (*db)->ext_peak_buffered_bytes(), budget);
     if (!out.empty()) {
       if (const Status s = (*db)->Save(out); !s.ok()) return Fail(s);
-      auto reopened = TemporalFieldDatabase::Open(out);
-      if (!reopened.ok()) return Fail(reopened.status());
-      db = std::move(reopened);
+      db = TemporalFieldDatabase::Open(out);
+      if (!db.ok()) return Fail(db.status());
       (*db)->set_planner_mode(mode);
       std::printf("round trip:     saved + reopened %s (epoch %u)\n",
                   out.c_str(), (*db)->epoch());
@@ -1109,6 +1120,46 @@ void Usage() {
                "|ext> [--key value ...]\n");
 }
 
+/// A subcommand and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"gen", CmdGen, {"out", "type", "size-exp", "h", "seed", "method"}},
+      {"info", CmdInfo, {"db"}},
+      {"query", CmdQuery, {"db", "min", "max", "svg"}},
+      {"explain", CmdExplain, {"db", "min", "max", "format"}},
+      {"plan", CmdPlan, {"db", "min", "max", "mode"}},
+      {"isoline", CmdIsoline, {"db", "level"}},
+      {"point", CmdPoint, {"db", "x", "y"}},
+      {"bench", CmdBench,
+       {"db", "qinterval", "queries", "seed", "json", "threads"}},
+      {"stats", CmdStats,
+       {"db", "qinterval", "queries", "seed", "threads", "format", "watch",
+        "count"}},
+      {"serve", CmdServe,
+       {"db", "shards", "clients", "seconds", "interval", "qinterval",
+        "queries", "seed", "pool-pages"}},
+      {"trace", CmdTrace,
+       {"db", "out", "qinterval", "queries", "seed", "threads"}},
+      {"top", CmdTop,
+       {"db", "rounds", "queries", "qinterval", "seed", "top", "json"}},
+      {"events", CmdEvents,
+       {"db", "log", "threshold", "limit", "qinterval", "queries", "seed"}},
+      {"scrub", CmdScrub, {"db"}},
+      {"wal", CmdWal, {"db", "limit"}},
+      {"recover", CmdRecover, {"db", "dry-run", "mode"}},
+      {"ext", CmdExt,
+       {"type", "n", "snapshots", "budget", "mode", "min", "max", "vmin",
+        "vmax", "t", "out"}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1117,24 +1168,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const Args args(argc, argv, 2);
-  const std::string cmd = argv[1];
-  if (cmd == "gen") return CmdGen(args);
-  if (cmd == "info") return CmdInfo(args);
-  if (cmd == "query") return CmdQuery(args);
-  if (cmd == "explain") return CmdExplain(args);
-  if (cmd == "plan") return CmdPlan(args);
-  if (cmd == "isoline") return CmdIsoline(args);
-  if (cmd == "point") return CmdPoint(args);
-  if (cmd == "bench") return CmdBench(args);
-  if (cmd == "stats") return CmdStats(args);
-  if (cmd == "serve") return CmdServe(args);
-  if (cmd == "trace") return CmdTrace(args);
-  if (cmd == "top") return CmdTop(args);
-  if (cmd == "events") return CmdEvents(args);
-  if (cmd == "scrub") return CmdScrub(args);
-  if (cmd == "wal") return CmdWal(args);
-  if (cmd == "recover") return CmdRecover(args);
-  if (cmd == "ext") return CmdExt(args);
+  for (const Command& cmd : Commands()) {
+    if (std::strcmp(cmd.name, argv[1]) != 0) continue;
+    // A flag the subcommand does not read is refused before anything
+    // opens or runs, rather than ignored.
+    const std::string unknown = args.Unknown(cmd.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", cmd.name,
+                   unknown.c_str());
+      return 2;
+    }
+    return cmd.run(args);
+  }
   Usage();
   return 2;
 }
