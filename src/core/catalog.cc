@@ -16,6 +16,7 @@
 #include <type_traits>
 
 #include "field/cell.h"
+#include "storage/crc32c.h"
 
 namespace fielddb {
 
@@ -41,6 +42,12 @@ constexpr uint64_t kMaxRows = uint64_t{1} << 24;
 // The longest line WriteCatalog emits (`sfv`) is under 200 bytes.
 constexpr size_t kMaxLineBytes = 512;
 constexpr const char* kSpace = " \t\r\n\v\f";
+// The key of the checksum line that ends a signed catalog.
+constexpr const char* kChecksumKey = "crc32c";
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 bool Has(uint32_t bits, uint32_t i) { return i < 32 && ((bits >> i) & 1); }
 
@@ -159,31 +166,6 @@ void ForEachValue(CatalogKey key, Catalog& c, size_t row, Visit&& visit) {
   }
 }
 
-/// Splits the next whitespace-separated token off `*rest`; empty at the
-/// end of the line.
-std::string_view NextToken(std::string_view* rest) {
-  const size_t begin = rest->find_first_not_of(kSpace);
-  if (begin == std::string_view::npos) {
-    *rest = {};
-    return {};
-  }
-  const size_t end = std::min(rest->find_first_of(kSpace, begin), rest->size());
-  const std::string_view token = rest->substr(begin, end - begin);
-  rest->remove_prefix(end);
-  return token;
-}
-
-/// Parses a whole token into `*out`, range-checked: an unsigned integer
-/// must fit its field and carry no sign, a double must be finite.
-template <typename T>
-bool ParseValue(std::string_view token, T* out) {
-  const char* const last = token.data() + token.size();
-  const auto [end, ec] = std::from_chars(token.data(), last, *out);
-  if (ec != std::errc() || end != last) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
-}
-
 bool Ordered(const Subfield& s) { return s.interval.min <= s.interval.max; }
 
 bool Ordered(const VectorSubfield& s) {
@@ -210,27 +192,25 @@ Status Invalid(const std::string& path, std::string_view key) {
                             std::string(key) + "'");
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
-
-/// Parses the lines of `f` into `*c`, setting bit k of `*seen` for each
-/// key k met.
-Status ParseLines(std::FILE* f, const std::string& path,
+/// Parses the lines of `body` into `*c`, setting bit k of `*seen` for
+/// each key k met.
+Status ParseLines(std::string_view body, const std::string& path,
                   const CatalogSchema& schema, Catalog* c, uint32_t* seen) {
-  char buf[kMaxLineBytes];
   bool magic = false;
   uint64_t rows = 0;
-  while (std::fgets(buf, sizeof(buf), f) != nullptr) {
-    std::string_view rest(buf);
-    // Empty only after a NUL byte; unterminated only when too long.
-    if (rest.empty() || (rest.back() != '\n' && !std::feof(f))) {
+  while (!body.empty()) {
+    const size_t eol = std::min(body.find('\n'), body.size());
+    std::string_view rest = body.substr(0, eol);
+    body.remove_prefix(std::min(eol + 1, body.size()));
+    // No line WriteCatalog emits is this long or holds a NUL byte.
+    if (rest.size() >= kMaxLineBytes ||
+        rest.find('\0') != std::string_view::npos) {
       return Status::Corruption("catalog " + path + ": malformed line");
     }
-    const std::string_view name = NextToken(&rest);
+    const std::string_view name = NextCatalogToken(&rest);
     if (name.empty()) continue;
     if (!magic) {
-      if (name == schema.magic && NextToken(&rest).empty()) {
+      if (name == schema.magic && NextCatalogToken(&rest).empty()) {
         magic = true;
         continue;
       }
@@ -256,9 +236,9 @@ Status ParseLines(std::FILE* f, const std::string& path,
     const CatalogKey key = static_cast<CatalogKey>(k);
     bool ok = true;
     ForEachValue(key, *c, LineCount(key, *c), [&](auto& v) {
-      ok = ok && ParseValue(NextToken(&rest), &v);
+      ok = ok && ParseCatalogValue(NextCatalogToken(&rest), &v);
     });
-    if (!ok || !NextToken(&rest).empty()) return Invalid(path, name);
+    if (!ok || !NextCatalogToken(&rest).empty()) return Invalid(path, name);
   }
   if (!magic) return Status::Corruption("bad magic in " + path);
   return Status::OK();
@@ -345,15 +325,69 @@ uint32_t RecordSize(const CatalogSchema& schema, const Catalog& catalog) {
   return catalog.grid ? schema.lattice_record_size : schema.record_size;
 }
 
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body) {
+Status WriteCatalogFile(const std::string& path, std::string_view text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::IOError("cannot write " + path);
-  bool ok = body(f);
+  bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   // Make the catalog durable before it can become a rename target.
   ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   std::fclose(f);
   return ok ? Status::OK() : Status::IOError("flush failed for " + path);
+}
+
+void SignCatalog(std::string* text) {
+  char line[32];
+  std::snprintf(line, sizeof(line), "%s %08x\n", kChecksumKey,
+                Crc32c(text->data(), text->size()));
+  *text += line;
+}
+
+StatusOr<std::string> ReadCatalogBody(const std::string& path) {
+  std::string text;
+  {
+    const std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(path.c_str(), "rb"));
+    if (f == nullptr) return Status::IOError("cannot read " + path);
+    char buf[1 << 16];
+    size_t got = 0;
+    while ((got = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
+      text.append(buf, got);
+    }
+    if (std::ferror(f.get())) return Status::IOError("cannot read " + path);
+  }
+  // The checksum line starts the text or follows a newline.
+  const std::string key = std::string(kChecksumKey) + " ";
+  size_t at = text.starts_with(key) ? 0 : text.find("\n" + key);
+  if (at == std::string::npos) return text;  // unsigned
+  if (at > 0) ++at;
+  std::string_view line = std::string_view(text).substr(at);
+  uint32_t stored = 0;
+  const std::string_view hex = line.substr(key.size(), 8);
+  const auto [end, ec] =
+      std::from_chars(hex.data(), hex.data() + hex.size(), stored, 16);
+  // Exactly `crc32c` and 8 hex digits, then the end of the text.
+  if (hex.size() != 8 || ec != std::errc() || end != hex.data() + 8 ||
+      line.substr(key.size() + 8) != "\n") {
+    return Status::Corruption("catalog " + path + ": invalid value for '" +
+                              kChecksumKey + "'");
+  }
+  if (Crc32c(text.data(), at) != stored) {
+    return Status::Corruption("catalog " + path + ": checksum mismatch");
+  }
+  text.resize(at);
+  return text;
+}
+
+std::string_view NextCatalogToken(std::string_view* rest) {
+  const size_t begin = rest->find_first_not_of(kSpace);
+  if (begin == std::string_view::npos) {
+    *rest = {};
+    return {};
+  }
+  const size_t end = std::min(rest->find_first_of(kSpace, begin), rest->size());
+  const std::string_view token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return token;
 }
 
 Status WriteCatalog(const std::string& path, const CatalogSchema& schema,
@@ -381,19 +415,17 @@ Status WriteCatalog(const std::string& path, const CatalogSchema& schema,
       text += '\n';
     }
   }
-  return WriteCatalogFile(path, [&](std::FILE* f) {
-    return std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  });
+  SignCatalog(&text);
+  return WriteCatalogFile(path, text);
 }
 
 StatusOr<Catalog> ReadCatalog(const std::string& path,
                               const CatalogSchema& schema) {
-  const std::unique_ptr<std::FILE, FileCloser> f(
-      std::fopen(path.c_str(), "r"));
-  if (f == nullptr) return Status::IOError("cannot read " + path);
+  const StatusOr<std::string> body = ReadCatalogBody(path);
+  if (!body.ok()) return body.status();
   Catalog catalog;
   uint32_t seen = 0;
-  FIELDDB_RETURN_IF_ERROR(ParseLines(f.get(), path, schema, &catalog, &seen));
+  FIELDDB_RETURN_IF_ERROR(ParseLines(*body, path, schema, &catalog, &seen));
   FIELDDB_RETURN_IF_ERROR(ValidateCatalog(path, schema, catalog, seen));
   return catalog;
 }

@@ -1,12 +1,15 @@
 #ifndef FIELDDB_CORE_CATALOG_H_
 #define FIELDDB_CORE_CATALOG_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/geometry.h"
@@ -120,15 +123,41 @@ struct Catalog {
   std::vector<CatalogSlabSubfield> slab_subfields;  // tsf rows, slab-major
 };
 
-/// Writes a text catalog at `path` through `body`, then makes it durable
-/// (fflush + fsync) before it can become a rename target. `body` returns
-/// false on a formatting failure.
-Status WriteCatalogFile(const std::string& path,
-                        const std::function<bool(std::FILE*)>& body);
+/// Writes the text catalog `text` at `path`, then makes it durable
+/// (fflush + fsync) before it can become a rename target.
+Status WriteCatalogFile(const std::string& path, std::string_view text);
 
-/// Writes `catalog` in `schema`'s format to `path` and makes it durable
-/// (WriteCatalogFile). Integers print in decimal and doubles as `%.17g`,
-/// so every value reads back exactly.
+/// Appends the checksum line that ends every catalog (grid, temporal,
+/// vector, volume and the router's): `crc32c <8 hex digits>`, the
+/// CRC32C of every byte of `*text` before the line.
+void SignCatalog(std::string* text);
+
+/// Reads the catalog file at `path` (kIOError when it cannot be read)
+/// and returns its body: the bytes before its checksum line, checked
+/// against it before any key is parsed. A catalog without the line —
+/// one saved before catalogs were signed — is all body. A checksum that
+/// does not match, a malformed line or one that is not the last (a
+/// second one included) is kCorruption.
+StatusOr<std::string> ReadCatalogBody(const std::string& path);
+
+/// Splits the next whitespace-separated token off `*rest`; empty at the
+/// end of the text.
+std::string_view NextCatalogToken(std::string_view* rest);
+
+/// Parses a whole token into `*out`, range-checked: an unsigned integer
+/// must fit its field and carry no sign, a double must be finite.
+template <typename T>
+bool ParseCatalogValue(std::string_view token, T* out) {
+  const char* const last = token.data() + token.size();
+  const auto [end, ec] = std::from_chars(token.data(), last, *out);
+  if (ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
+}
+
+/// Writes `catalog` in `schema`'s format to `path`, signed (SignCatalog),
+/// and makes it durable (WriteCatalogFile). Integers print in decimal
+/// and doubles as `%.17g`, so every value reads back exactly.
 Status WriteCatalog(const std::string& path, const CatalogSchema& schema,
                     Catalog catalog);
 
@@ -148,7 +177,9 @@ uint32_t RecordSize(const CatalogSchema& schema, const Catalog& catalog);
 /// A `grid` line needs cols and rows >= 1 with cols x rows lattice ids
 /// that fit a CellId, no more than that many cells, and a domain of
 /// positive width and height.
-/// A failure is kCorruption naming the key; a missing file is kIOError.
+/// The body is checked against its checksum line first
+/// (ReadCatalogBody). A failure is kCorruption naming the key; a missing
+/// file is kIOError.
 StatusOr<Catalog> ReadCatalog(const std::string& path,
                               const CatalogSchema& schema);
 

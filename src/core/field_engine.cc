@@ -9,10 +9,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace_buffer.h"
 
 namespace fielddb {
 
@@ -36,6 +39,9 @@ void SyncParentDir(const std::string& path) {
 }
 
 namespace {
+
+/// Pages Save stages and writes per run (256 KB at 4 KB pages).
+constexpr uint64_t kSaveRunPages = 64;
 
 /// Epoch a page file was stamped with, read from the raw slot-0 header
 /// (bytes [4, 8): DiskPageFile::WriteSlot stores the epoch unmasked
@@ -114,6 +120,9 @@ FieldEngine::~FieldEngine() {
     }
   }
   if (pool_ != nullptr && !pool_->closed()) {
+    // In-memory pages die with the engine: writing the frames back into
+    // them would only copy every page once more.
+    if (pages_in_memory_ && pool_->Abandon().ok()) return;
     const Status s = pool_->Close();
     if (!s.ok()) {
       std::fprintf(stderr, "FieldEngine: close failed at destruction: %s\n",
@@ -123,9 +132,9 @@ FieldEngine::~FieldEngine() {
 }
 
 Status FieldEngine::InitForBuild(const EngineBuildOptions& options) {
-  file_ = options.page_file_factory
-              ? options.page_file_factory(options.page_size)
-              : std::make_unique<MemPageFile>(options.page_size);
+  pages_in_memory_ = !options.page_file_factory;
+  file_ = pages_in_memory_ ? std::make_unique<MemPageFile>(options.page_size)
+                           : options.page_file_factory(options.page_size);
   pool_ = std::make_unique<BufferPool>(file_.get(), options.pool_pages);
   set_planner_mode(options.planner_mode);
   read_whole_runs_ = options.read_whole_runs;
@@ -135,6 +144,7 @@ Status FieldEngine::InitForBuild(const EngineBuildOptions& options) {
 StatusOr<Catalog> FieldEngine::InitForOpen(const std::string& prefix,
                                            const CatalogSchema& schema,
                                            const EngineOpenOptions& options) {
+  TraceScope span("open.catalog", "open");
   TryCompleteInterruptedSave(prefix, schema);
   const std::string meta_path = prefix + ".meta";
   StatusOr<Catalog> catalog = ReadCatalog(meta_path, schema);
@@ -199,26 +209,45 @@ Status FieldEngine::SaveSnapshot(
         DiskPageFile::Create(pages_tmp, file_->page_size(), epoch);
     if (!out.ok()) return out.status();
     const uint64_t num_pages = file_->NumPages();
-    Page page(file_->page_size());
-    for (PageId id = 0; id < num_pages; ++id) {
-      if (crash_point == SnapshotCrashPoint::kMidPagesTmp &&
-          id == num_pages / 2) {
-        return Status::OK();  // "crash": torn temp file, snapshot untouched
+    // The crash point stops after exactly half the pages.
+    const uint64_t stop = crash_point == SnapshotCrashPoint::kMidPagesTmp
+                              ? num_pages / 2
+                              : num_pages;
+    {
+      TraceScope span("save.pages", "save");
+      span.set_items(stop);
+      // Runs of pages are staged in one reused buffer and each written
+      // with one positioned vector write.
+      std::vector<Page> run(std::min(kSaveRunPages, num_pages),
+                            Page(file_->page_size()));
+      for (PageId id = 0; id < stop;) {
+        const size_t n = std::min<uint64_t>(run.size(), stop - id);
+        for (size_t k = 0; k < n; ++k) {
+          if (!no_steal || !pool_->TryGetResident(id + k, &run[k])) {
+            FIELDDB_RETURN_IF_ERROR(file_->Read(id + k, &run[k]));
+          }
+        }
+        FIELDDB_RETURN_IF_ERROR((*out)->AppendRun(run.data(), n).status());
+        id += n;
       }
-      if (!no_steal || !pool_->TryGetResident(id, &page)) {
-        FIELDDB_RETURN_IF_ERROR(file_->Read(id, &page));
-      }
-      FIELDDB_RETURN_IF_ERROR((*out)->Allocate(page).status());
     }
+    if (stop < num_pages) {
+      return Status::OK();  // "crash": torn temp file, snapshot untouched
+    }
+    TraceScope span("save.sync", "save");
     FIELDDB_RETURN_IF_ERROR((*out)->Sync());
     // Scope end closes the temp file before it is renamed into place.
   }
 
-  Catalog catalog;
-  catalog.page_size = file_->page_size();
-  catalog.epoch = epoch;
-  describe(&catalog);
-  FIELDDB_RETURN_IF_ERROR(WriteCatalog(meta_tmp, schema, std::move(catalog)));
+  {
+    TraceScope span("save.catalog", "save");
+    Catalog catalog;
+    catalog.page_size = file_->page_size();
+    catalog.epoch = epoch;
+    describe(&catalog);
+    FIELDDB_RETURN_IF_ERROR(
+        WriteCatalog(meta_tmp, schema, std::move(catalog)));
+  }
 
   if (crash_point == SnapshotCrashPoint::kBeforeRename) return Status::OK();
 

@@ -543,6 +543,10 @@ class FieldEngine {
   uint32_t epoch_ = 0;
   /// EngineBuildOptions::read_whole_runs of the build; false after Open.
   bool read_whole_runs_ = false;
+  /// The pages live in the default in-memory file, which dies with the
+  /// engine: destruction drops the pool's frames instead of writing
+  /// them back into it.
+  bool pages_in_memory_ = false;
   /// Atomic so tests and benches can flip the policy between queries
   /// while reader threads are quiescent without formal UB; queries load
   /// it once at entry.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "core/query_context.h"
 #include "obs/metrics.h"
@@ -37,13 +38,23 @@ QueryExecutor::~QueryExecutor() {
 }
 
 void QueryExecutor::Submit(const ValueInterval& query, Callback done) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
+  // Shared-scan admission weighs a queued candidate's own plan. Only a
+  // query that queues behind another task can be a candidate, so it is
+  // priced here, off the queue lock; one that reaches an empty queue is
+  // pushed unpriced in the same lock hold.
+  std::optional<double> cost_ms;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
     not_full_.wait(lock, [this] { return queue_.size() < queue_capacity_; });
-    queue_.push_back(Task{query, std::move(done), nullptr,
-                          std::chrono::steady_clock::now()});
-    ++in_flight_;
+    if (!shared_scan_ || cost_ms || queue_.empty()) break;
+    lock.unlock();
+    cost_ms = db_->planner().Plan(query, db_->planner_mode()).predicted_cost_ms;
+    lock.lock();
   }
+  queue_.push_back(Task{query, std::move(done), nullptr,
+                        std::chrono::steady_clock::now(), cost_ms});
+  ++in_flight_;
+  lock.unlock();
   not_empty_.notify_one();
 }
 
@@ -52,7 +63,7 @@ void QueryExecutor::SubmitTask(std::function<void()> work) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [this] { return queue_.size() < queue_capacity_; });
     queue_.push_back(Task{ValueInterval{}, nullptr, std::move(work),
-                          std::chrono::steady_clock::now()});
+                          std::chrono::steady_clock::now(), std::nullopt});
     ++in_flight_;
   }
   not_empty_.notify_one();
@@ -100,14 +111,28 @@ void QueryExecutor::WorkerLoop() {
         // fused than isolated. Members only ever move EARLIER than
         // their FIFO turn and the head never waits for arrivals, so
         // grouping cannot worsen any query's latency; the size cap
-        // bounds the per-cell predicate fan-out.
+        // bounds the per-cell predicate fan-out. Each candidate costs
+        // one plan here, the widened envelope's: Submit priced the
+        // candidate (it queued behind the head), and the envelope's
+        // cost is carried. A head that reached an empty queue is
+        // priced once, when a candidate first meets it.
+        const PlannerMode mode = db_->planner_mode();
         ValueInterval envelope = group.front().query;
+        std::optional<double> envelope_ms = group.front().cost_ms;
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < kMaxScanGroup;) {
-          if (it->work == nullptr && envelope.Intersects(it->query) &&
-              db_->planner().SharesScan(envelope, it->query,
-                                        db_->planner_mode())) {
+          std::optional<double> shared_ms;
+          if (it->work == nullptr && envelope.Intersects(it->query)) {
+            if (!envelope_ms) {
+              envelope_ms =
+                  db_->planner().Plan(envelope, mode).predicted_cost_ms;
+            }
+            shared_ms = db_->planner().SharedScanCost(
+                envelope, *envelope_ms, it->query, *it->cost_ms, mode);
+          }
+          if (shared_ms) {
             envelope.Extend(it->query);
+            envelope_ms = shared_ms;
             group.push_back(std::move(*it));
             it = queue_.erase(it);
           } else {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -49,15 +50,21 @@ class QueryExecutor {
     /// the queue's head, it also pulls any still-queued queries whose
     /// intervals overlap the group's growing envelope AND whose
     /// admission the planner prices as no more expensive fused than
-    /// isolated (QueryPlanner::SharesScan — zero-I/O probes), then
+    /// isolated (QueryPlanner::SharedScanCost — zero-I/O probes), then
     /// runs the whole group as ONE stats-only FieldDatabase::Query
-    /// sweep. Answers are bit-identical to isolated execution; each
-    /// member's stats.io is leader-charged (member 0 carries the
-    /// sweep). Fairness: groups form only at head-dequeue from already
-    /// queued work — a member can only move *earlier* than its FIFO
-    /// turn, the head never waits for future arrivals, and the group
-    /// size is capped (kMaxScanGroup) — so no query's latency is
-    /// worsened by grouping.
+    /// sweep. Submit prices a query's own plan off the queue lock when
+    /// the queue already holds a task (a query that reaches an empty
+    /// queue leaves as a head and is never a candidate), and the worker
+    /// carries the envelope's cost, so admitting a candidate plans only
+    /// the widened envelope; an unpriced head is planned once, when a
+    /// candidate first meets it, and a lone query plans nothing extra.
+    /// Answers are
+    /// bit-identical to isolated execution; each member's stats.io is
+    /// leader-charged (member 0 carries the sweep). Fairness: groups
+    /// form only at head-dequeue from already queued work — a member
+    /// can only move *earlier* than its FIFO turn, the head never waits
+    /// for future arrivals, and the group size is capped
+    /// (kMaxScanGroup) — so no query's latency is worsened by grouping.
     bool shared_scan = false;
   };
 
@@ -133,6 +140,13 @@ class QueryExecutor {
     /// exec.queue_wait_us) — the saturation signal admission control
     /// will key on.
     std::chrono::steady_clock::time_point enqueued;
+    /// With shared_scan: the query's predicted plan cost, priced by
+    /// Submit off the queue lock when the queue held a task (the
+    /// planner mode changes only while the database is quiescent).
+    /// Unset for a query that reached an empty queue: nothing is ahead
+    /// of it, so it is dequeued as a head, never compared as a
+    /// candidate.
+    std::optional<double> cost_ms;
   };
 
   void WorkerLoop();

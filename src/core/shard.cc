@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/geometry.h"
+#include "core/ext_sort.h"
 #include "curve/curves.h"
 #include "obs/metrics.h"
 
@@ -63,7 +64,10 @@ StatusOr<std::vector<std::pair<uint64_t, CellId>>> CurvePartitionKeys(
     keyed[id] = {CellCurveKey(*curve, domain, field.GetCell(id).Centroid()),
                  id};
   }
-  std::sort(keyed.begin(), keyed.end());
+  // Ids go in ascending, and the sort keeps that order within a key.
+  std::vector<std::pair<uint64_t, CellId>> scratch(n);
+  RadixSortByKey(std::span(keyed), std::span(scratch),
+                 [](const std::pair<uint64_t, CellId>& k) { return k.first; });
   return keyed;
 }
 

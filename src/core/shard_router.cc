@@ -5,10 +5,10 @@
 #include "core/shard_router.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "core/field_engine.h"
@@ -170,6 +170,39 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Build(
   return router;
 }
 
+std::string ShardRouter::FormatCatalog() const {
+  // Numbers format with std::to_chars into one buffer: the id maps are
+  // one number per cell.
+  std::string text;
+  text.reserve(8 * global_map_.size() + 256);
+  char buf[24];
+  const auto number = [&](auto value, char after) {
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    (void)ec;  // 24 bytes hold any 64-bit value
+    text.append(buf, end);
+    text += after;
+  };
+  text += kRouterMagic;
+  text += "\nshards ";
+  number(shards_.size(), '\n');
+  text += "num_cells ";
+  number(static_cast<uint64_t>(global_map_.size()), '\n');
+  for (const auto& shard : shards_) {
+    const ShardDescriptor& d = shard->descriptor();
+    text += "shard ";
+    number(d.id, ' ');
+    number(d.num_cells(), ' ');
+    number(d.key_begin, ' ');
+    number(d.key_end, '\n');
+    for (size_t i = 0; i < d.local_to_global.size(); ++i) {
+      number(d.local_to_global[i],
+             i + 1 == d.local_to_global.size() ? '\n' : ' ');
+    }
+  }
+  SignCatalog(&text);
+  return text;
+}
+
 Status ShardRouter::Save(const std::string& prefix) {
   for (auto& shard : shards_) {
     const Status s = shard->db().Save(ShardPrefix(prefix, shard->descriptor().id));
@@ -180,28 +213,7 @@ Status ShardRouter::Save(const std::string& prefix) {
   // previous catalog describing shards that all still open (each at
   // its own epoch, each with its own WAL bridging its gap).
   const std::string tmp = prefix + ".router.tmp";
-  const Status w = WriteCatalogFile(tmp, [this](std::FILE* f) {
-    if (std::fprintf(f, "%s\n", kRouterMagic) < 0) return false;
-    if (std::fprintf(f, "shards %zu\n", shards_.size()) < 0) return false;
-    if (std::fprintf(f, "num_cells %" PRIu64 "\n",
-                     static_cast<uint64_t>(global_map_.size())) < 0) {
-      return false;
-    }
-    for (const auto& shard : shards_) {
-      const ShardDescriptor& d = shard->descriptor();
-      if (std::fprintf(f, "shard %u %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
-                       d.id, d.num_cells(), d.key_begin, d.key_end) < 0) {
-        return false;
-      }
-      for (size_t i = 0; i < d.local_to_global.size(); ++i) {
-        if (std::fprintf(f, i + 1 == d.local_to_global.size() ? "%u\n" : "%u ",
-                         d.local_to_global[i]) < 0) {
-          return false;
-        }
-      }
-    }
-    return true;
-  });
+  const Status w = WriteCatalogFile(tmp, FormatCatalog());
   if (!w.ok()) return w;
   const Status r = RenameFile(tmp, prefix + ".router");
   if (!r.ok()) return r;
@@ -212,40 +224,36 @@ Status ShardRouter::Save(const std::string& prefix) {
 StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     const std::string& prefix, const OpenOptions& options) {
   const std::string path = prefix + ".router";
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return Status::NotFound("no router catalog at " + path);
-
+  const StatusOr<std::string> body = ReadCatalogBody(path);
+  if (body.status().code() == StatusCode::kIOError) {
+    return Status::NotFound("no router catalog at " + path);
+  }
+  if (!body.ok()) return body.status();
   const auto bad = [&](const std::string& what) {
-    std::fclose(f);
     return Status::Corruption("router catalog " + path + ": " + what);
   };
 
-  // The file's size bounds the counts below before anything is sized
-  // from them (-1 when unknown, which rejects every count).
-  const long file_bytes =
-      std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
-  std::rewind(f);
-
-  char magic[64];
-  if (std::fscanf(f, "%63s", magic) != 1 ||
-      std::string(magic) != kRouterMagic) {
-    return bad("bad magic");
-  }
-  char key[64];
+  std::string_view rest = *body;
+  const auto next_key = [&rest](std::string_view key) {
+    return NextCatalogToken(&rest) == key;
+  };
+  const auto next_value = [&rest](auto* value) {
+    return ParseCatalogValue(NextCatalogToken(&rest), value);
+  };
+  if (NextCatalogToken(&rest) != kRouterMagic) return bad("bad magic");
   uint64_t num_shards = 0;
   uint64_t num_cells = 0;
-  if (std::fscanf(f, "%63s %" SCNu64, key, &num_shards) != 2 ||
-      std::string(key) != "shards" || num_shards == 0 ||
+  if (!next_key("shards") || !next_value(&num_shards) || num_shards == 0 ||
       num_shards > (uint64_t{1} << 16)) {
     return bad("bad shard count");
   }
-  if (std::fscanf(f, "%63s %" SCNu64, key, &num_cells) != 2 ||
-      std::string(key) != "num_cells" || num_cells == 0) {
+  if (!next_key("num_cells") || !next_value(&num_cells) || num_cells == 0) {
     return bad("bad cell count");
   }
-  // Each id in the maps takes at least two bytes: a digit and a
+  // The file's size bounds the counts before anything is sized from
+  // them: each id in the maps takes at least two bytes, a digit and a
   // separator.
-  if (file_bytes < 0 || num_cells > static_cast<uint64_t>(file_bytes) / 2) {
+  if (num_cells > body->size() / 2) {
     return bad("invalid value for 'num_cells'");
   }
 
@@ -259,9 +267,9 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     uint32_t id = 0;
     uint64_t cells = 0;
     ShardDescriptor& d = parsed[k].desc;
-    if (std::fscanf(f, "%63s %u %" SCNu64 " %" SCNu64 " %" SCNu64, key, &id,
-                    &cells, &d.key_begin, &d.key_end) != 5 ||
-        std::string(key) != "shard" || id != k || cells == 0) {
+    if (!next_key("shard") || !next_value(&id) || !next_value(&cells) ||
+        !next_value(&d.key_begin) || !next_value(&d.key_end) || id != k ||
+        cells == 0) {
       return bad("bad shard header");
     }
     if (cells > num_cells - total) return bad("invalid value for 'shard'");
@@ -269,8 +277,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     d.local_to_global.resize(cells);
     for (uint64_t i = 0; i < cells; ++i) {
       uint32_t gid = 0;
-      if (std::fscanf(f, "%u", &gid) != 1 || gid >= num_cells ||
-          seen[gid]) {
+      if (!next_value(&gid) || gid >= num_cells || seen[gid]) {
         return bad("id map is not a permutation");
       }
       seen[gid] = true;
@@ -278,8 +285,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     }
     total += cells;
   }
-  std::fclose(f);
-  if (total != num_cells) return Status::Corruption("router catalog " + path + ": cell counts disagree");
+  if (total != num_cells) return bad("cell counts disagree");
 
   std::unique_ptr<ShardRouter> router(new ShardRouter());
   RouterRecoveryReport report;
@@ -350,14 +356,27 @@ Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
   // Greedy fused-vs-split aggregation, the executor's admission rule
   // applied per shard against the most recent group only (FIFO-like,
   // matching the executor's head-group formation), so every group is a
-  // run of consecutive members.
+  // run of consecutive members. The envelope's cost is planned the
+  // first time a band meets it and then carried, so a band costs its
+  // own plan and the widened envelope's, and a one-band request plans
+  // nothing here.
+  const auto cost_ms = [&](const ValueInterval& band) {
+    return db.planner().Plan(band, mode).predicted_cost_ms;
+  };
   size_t start = 0;
   ValueInterval envelope = bands[0];
+  std::optional<double> envelope_ms;
   for (size_t i = 1; i <= bands.size(); ++i) {
-    if (i < bands.size() && envelope.Intersects(bands[i]) &&
-        db.planner().SharesScan(envelope, bands[i], mode)) {
-      envelope.Extend(bands[i]);
-      continue;
+    std::optional<double> band_ms;  // bands[i]'s cost, once planned
+    if (i < bands.size() && envelope.Intersects(bands[i])) {
+      if (!envelope_ms) envelope_ms = cost_ms(envelope);
+      band_ms = cost_ms(bands[i]);
+      if (const std::optional<double> shared_ms = db.planner().SharedScanCost(
+              envelope, *envelope_ms, bands[i], *band_ms, mode)) {
+        envelope.Extend(bands[i]);
+        envelope_ms = shared_ms;
+        continue;
+      }
     }
     const size_t len = i - start;
     if (request.bands.size() > 1) {
@@ -369,7 +388,10 @@ Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
                                      results.subspan(start, len)));
     work->wall_seconds += results[start].stats.wall_seconds;
     start = i;
-    if (i < bands.size()) envelope = bands[i];
+    if (i < bands.size()) {
+      envelope = bands[i];
+      envelope_ms = band_ms;
+    }
   }
   return Status::OK();
 }

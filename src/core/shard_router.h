@@ -122,7 +122,7 @@ class ShardRouter {
   /// cut down to the bands MayContain admits; the shard groups them
   /// greedily in request order — a band joins the current group only
   /// when it overlaps the group's envelope AND the shard planner's
-  /// SharesScan prices the widened sweep no higher than running it
+  /// SharedScanCost prices the widened sweep no higher than running it
   /// separately — and runs each group as one FieldDatabase::Query.
   /// Gather is in ascending shard id (see the class comment for why
   /// that is deterministic); the lowest shard touching a band answers
@@ -187,6 +187,8 @@ class ShardRouter {
   /// Common post-construction wiring: global map, metrics, SLO,
   /// admission bound.
   void Init();
+  /// The `.router` catalog's text, signed (SignCatalog).
+  std::string FormatCatalog() const;
 
   /// One touched shard's part of a Query: the request's bands it may
   /// contribute to, their results, and what running them cost.

@@ -1,52 +1,112 @@
 #include "curve/hilbert.h"
 
+#include <array>
 #include <cassert>
 
 namespace fielddb {
 
 namespace {
 
-// Rotates/flips a quadrant-local coordinate pair for step size `n`.
-void Rot(uint32_t n, uint32_t* x, uint32_t* y, uint32_t rx, uint32_t ry) {
-  if (ry == 0) {
-    if (rx == 1) {
-      *x = n - 1 - *x;
-      *y = n - 1 - *y;
+// The 2-D curve as a four-state machine, read several bits at a time.
+// A state is the transform the quadrant rotations above a level have
+// applied to the coordinates: bit 0 swaps x and y, bit 1 complements
+// both. One level reads one bit of each coordinate, emits the quadrant
+// digit (3 * rx) ^ ry of the transformed bits and, in the lower
+// quadrants (ry == 0), swaps — complementing too in quadrant 3 — as the
+// classic quadrant-rotation loop does (curve_test keeps that loop as
+// the oracle).
+struct Level {
+  uint32_t digit;
+  uint32_t state;
+};
+
+constexpr Level EncodeLevel(uint32_t state, uint32_t bx, uint32_t by) {
+  const uint32_t flip = state >> 1;
+  const uint32_t rx = ((state & 1) != 0 ? by : bx) ^ flip;
+  const uint32_t ry = ((state & 1) != 0 ? bx : by) ^ flip;
+  return {(3 * rx) ^ ry, ry == 0 ? state ^ 1 ^ (rx << 1) : state};
+}
+
+// Levels per table step: 4 bits of each coordinate in, 8 key bits out.
+constexpr int kStepBits = 4;
+constexpr uint32_t kStepMask = (uint32_t{1} << kStepBits) - 1;
+
+// kEncode[state << 8 | x bits << 4 | y bits] = key bits | next state << 8.
+// kDecode[state << 8 | key bits] = x bits << 4 | y bits | next state << 8.
+struct Tables {
+  std::array<uint16_t, 4 << (2 * kStepBits)> encode{};
+  std::array<uint16_t, 4 << (2 * kStepBits)> decode{};
+};
+
+constexpr Tables MakeTables() {
+  Tables t;
+  for (uint32_t state = 0; state < 4; ++state) {
+    for (uint32_t xy = 0; xy < (1u << (2 * kStepBits)); ++xy) {
+      uint32_t s = state;
+      uint32_t key = 0;
+      for (int b = kStepBits - 1; b >= 0; --b) {
+        const Level level = EncodeLevel(s, (xy >> (kStepBits + b)) & 1,
+                                        (xy >> b) & 1);
+        key = key << 2 | level.digit;
+        s = level.state;
+      }
+      t.encode[state << 8 | xy] = static_cast<uint16_t>(key | s << 8);
+      t.decode[state << 8 | key] = static_cast<uint16_t>(xy | s << 8);
     }
-    const uint32_t t = *x;
-    *x = *y;
-    *y = t;
   }
+  return t;
+}
+
+constexpr Tables kTables = MakeTables();
+
+// An order that is not a multiple of kStepBits is read as the next
+// multiple, with zero bits on top. A zero level from a state that does
+// not complement emits digit 0 and toggles the swap, so starting in the
+// swap state for an odd pad reaches the order's top level unswapped.
+int PaddedOrder(int order) { return (order + kStepBits - 1) & -kStepBits; }
+uint32_t StartState(int order) {
+  return static_cast<uint32_t>(PaddedOrder(order) - order) & 1;
 }
 
 }  // namespace
 
 uint64_t HilbertEncode2D(int order, uint32_t x, uint32_t y) {
   assert(order >= 1 && order <= 31);
+  // Bits at and above `order` are not part of the input.
+  const uint32_t mask = (uint32_t{1} << order) - 1;
+  x &= mask;
+  y &= mask;
+  uint32_t state = StartState(order);
   uint64_t d = 0;
-  for (uint32_t s = uint32_t{1} << (order - 1); s > 0; s >>= 1) {
-    const uint32_t rx = (x & s) > 0 ? 1 : 0;
-    const uint32_t ry = (y & s) > 0 ? 1 : 0;
-    d += static_cast<uint64_t>(s) * s * ((3 * rx) ^ ry);
-    Rot(s, &x, &y, rx, ry);
+  for (int shift = PaddedOrder(order) - kStepBits; shift >= 0;
+       shift -= kStepBits) {
+    const uint32_t e = kTables.encode[state << 8 |
+                                      ((x >> shift) & kStepMask) << 4 |
+                                      ((y >> shift) & kStepMask)];
+    d = d << (2 * kStepBits) | (e & 0xff);
+    state = e >> 8;
   }
   return d;
 }
 
 void HilbertDecode2D(int order, uint64_t index, uint32_t* x, uint32_t* y) {
   assert(order >= 1 && order <= 31);
-  uint32_t rx = 0, ry = 0;
-  uint64_t t = index;
-  *x = 0;
-  *y = 0;
-  for (uint32_t s = 1; s < (uint32_t{1} << order); s <<= 1) {
-    rx = 1 & static_cast<uint32_t>(t / 2);
-    ry = 1 & static_cast<uint32_t>(t ^ rx);
-    Rot(s, x, y, rx, ry);
-    *x += s * rx;
-    *y += s * ry;
-    t /= 4;
+  // Key bits at and above 2 * order are not part of the index.
+  index &= (uint64_t{1} << (2 * order)) - 1;
+  uint32_t state = StartState(order);
+  uint32_t ox = 0;
+  uint32_t oy = 0;
+  for (int shift = PaddedOrder(order) - kStepBits; shift >= 0;
+       shift -= kStepBits) {
+    const uint32_t key =
+        static_cast<uint32_t>(index >> (2 * shift)) & 0xff;
+    const uint32_t e = kTables.decode[state << 8 | key];
+    ox = ox << kStepBits | ((e >> kStepBits) & kStepMask);
+    oy = oy << kStepBits | (e & kStepMask);
+    state = e >> 8;
   }
+  *x = ox;
+  *y = oy;
 }
 
 uint64_t HilbertEncodeND(int order, const std::vector<uint32_t>& coords) {

@@ -8,13 +8,15 @@
 
 namespace fielddb {
 
-/// Hilbert index of (x, y) on the 2^order x 2^order grid. Classic
-/// quadrant-rotation formulation; successive indexes are always
-/// 4-neighbors in the grid (no "jumps"), the property the subfield
-/// builder relies on (Section 3.1.2).
+/// Hilbert index of (x, y) on the 2^order x 2^order grid: the classic
+/// quadrant-rotation curve, read four levels per table lookup; bits of
+/// x and y at and above `order` are ignored. Successive indexes are
+/// always 4-neighbors in the grid (no "jumps"), the property the
+/// subfield builder relies on (Section 3.1.2).
 uint64_t HilbertEncode2D(int order, uint32_t x, uint32_t y);
 
-/// Inverse of HilbertEncode2D.
+/// Inverse of HilbertEncode2D (index bits at and above 2 * order are
+/// ignored).
 void HilbertDecode2D(int order, uint64_t index, uint32_t* x, uint32_t* y);
 
 /// d-dimensional Hilbert index via Skilling's transpose algorithm

@@ -6,7 +6,9 @@ namespace fielddb {
 
 GridField::GridField(uint32_t cols, uint32_t rows, const Rect2& domain,
                      std::vector<double> samples)
-    : lattice_{cols, rows, domain}, samples_(std::move(samples)) {
+    : lattice_{cols, rows, domain},
+      steps_(lattice_.CellSteps()),
+      samples_(std::move(samples)) {
   value_range_ = ValueInterval::Empty();
   for (const double w : samples_) value_range_.Extend(w);
 }
@@ -36,9 +38,9 @@ StatusOr<GridField> GridField::Create(uint32_t cols, uint32_t rows,
 CellRecord GridField::GetCell(CellId id) const {
   const uint32_t ci = id % cols();
   const uint32_t cj = id / cols();
-  return CellRecord::Quad(id, lattice_.CellRect(ci, cj), SampleAt(ci, cj),
-                          SampleAt(ci + 1, cj), SampleAt(ci + 1, cj + 1),
-                          SampleAt(ci, cj + 1));
+  return CellRecord::Quad(id, lattice_.CellRect(ci, cj, steps_),
+                          SampleAt(ci, cj), SampleAt(ci + 1, cj),
+                          SampleAt(ci + 1, cj + 1), SampleAt(ci, cj + 1));
 }
 
 }  // namespace fielddb

@@ -48,6 +48,7 @@ class GridField final : public Field {
             std::vector<double> samples);
 
   GridLattice lattice_;
+  GridLattice::Steps steps_;  // lattice_.CellSteps(), computed once
   std::vector<double> samples_;
   ValueInterval value_range_;
 };

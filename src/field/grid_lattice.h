@@ -21,19 +21,36 @@ struct GridLattice {
 
   uint64_t NumCells() const { return uint64_t{cols} * rows; }
 
-  /// The rectangle of the cell at column `ci`, row `cj`. The last
-  /// column and row end exactly on the domain's far edges, wherever
-  /// rounding would put lo + cols * dx.
-  Rect2 CellRect(uint32_t ci, uint32_t cj) const {
-    const double dx = domain.Width() / cols;
-    const double dy = domain.Height() / rows;
+  /// A cell's width and height: domain.Width() / cols and
+  /// domain.Height() / rows. A store that rebuilds many cells computes
+  /// them once and passes them to CellRect.
+  struct Steps {
+    double dx = 0.0;
+    double dy = 0.0;
+  };
+  Steps CellSteps() const {
+    return {domain.Width() / cols, domain.Height() / rows};
+  }
+
+  /// The rectangle of the cell at column `ci`, row `cj`, for `steps` =
+  /// CellSteps(). The last column and row end exactly on the domain's
+  /// far edges, wherever rounding would put lo + cols * dx.
+  Rect2 CellRect(uint32_t ci, uint32_t cj, Steps steps) const {
+    const double dx = steps.dx;
+    const double dy = steps.dy;
     return Rect2{{domain.lo.x + ci * dx, domain.lo.y + cj * dy},
                  {ci + 1 == cols ? domain.hi.x : domain.lo.x + (ci + 1) * dx,
                   cj + 1 == rows ? domain.hi.y : domain.lo.y + (cj + 1) * dy}};
   }
+  Rect2 CellRect(uint32_t ci, uint32_t cj) const {
+    return CellRect(ci, cj, CellSteps());
+  }
 
   /// The rectangle of lattice cell `g`.
-  Rect2 CellRect(uint32_t g) const { return CellRect(g % cols, g / cols); }
+  Rect2 CellRect(uint32_t g, Steps steps) const {
+    return CellRect(g % cols, g / cols, steps);
+  }
+  Rect2 CellRect(uint32_t g) const { return CellRect(g, CellSteps()); }
 
   /// The lattice cell containing `p`, up to rounding; NotFound outside
   /// the domain. A point on an edge between two cells goes to the upper

@@ -14,6 +14,7 @@
 #include "field/cell.h"
 #include "field/field.h"
 #include "index/zone_sidecar.h"
+#include "obs/trace_buffer.h"
 #include "storage/buffer_pool.h"
 #include "storage/record_store.h"
 
@@ -85,7 +86,8 @@ class CellSlots {
   /// The explicit layout.
   CellSlots() = default;
   /// The lattice layout over `lattice`.
-  explicit CellSlots(const GridLattice& lattice) : lattice_(lattice) {}
+  explicit CellSlots(const GridLattice& lattice)
+      : lattice_(lattice), steps_(lattice.CellSteps()) {}
 
   /// The layout of a store of `field`'s cells.
   static CellSlots For(const Field& field) {
@@ -123,11 +125,13 @@ class CellSlots {
  private:
   /// The cell a lattice slot holds (lattice layout only).
   CellRecord Rebuild(const LatticeSlot& s) const {
-    return CellRecord::Quad(s.id, lattice_->CellRect(s.lattice_id), s.w[0],
-                            s.w[1], s.w[2], s.w[3]);
+    return CellRecord::Quad(s.id, lattice_->CellRect(s.lattice_id, steps_),
+                            s.w[0], s.w[1], s.w[2], s.w[3]);
   }
 
   std::optional<GridLattice> lattice_;
+  /// The lattice's CellSteps, computed once per store.
+  GridLattice::Steps steps_;
 };
 
 /// The codec of a BasicCellStore<Record>: the grid's CellRecord stores
@@ -217,7 +221,9 @@ class BasicCellStore {
   /// an empty `order` for the identity.
   static StatusOr<BasicCellStore> Build(BufferPool* pool, const Field& field,
                                         const std::vector<CellId>& order) {
+    TraceScope span("build.store", "build");
     const uint64_t n = field.NumCells();
+    span.set_items(n);
     if (!order.empty() && order.size() != n) {
       return Status::InvalidArgument("order size does not match cell count");
     }
@@ -235,12 +241,15 @@ class BasicCellStore {
 
   /// Re-attaches to a store persisted in `pool`'s file in the `slots`
   /// layout. Scans the records once to rebuild the id -> slot map and
-  /// the zone map; kCorruption naming the slot of the first record that
-  /// fails ValidStoredSlot, and when the stored ids are not a
-  /// permutation.
+  /// the zone map, reading ahead BufferPool::kReadaheadPages pages per
+  /// batch when the pool holds twice that; kCorruption naming the slot of
+  /// the first record that fails ValidStoredSlot, and when the stored ids
+  /// are not a permutation.
   static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
                                          uint64_t num_records,
                                          const Slots& slots = {}) {
+    TraceScope span("open.attach", "open");
+    span.set_items(num_records);
     StatusOr<Records> records =
         Records::Attach(pool, first_page, num_records, slots);
     if (!records.ok()) return records.status();
@@ -249,19 +258,37 @@ class BasicCellStore {
     zones.Reserve(num_records);
     Status invalid;
     Record record;
-    FIELDDB_RETURN_IF_ERROR(records->ScanSlots(
-        0, num_records, [&](uint64_t pos, const uint8_t* slot) {
-          if (!ValidStoredSlot(slots, slot, num_records)) {
-            invalid = Status::Corruption("record store slot " +
-                                         std::to_string(pos) +
-                                         " holds an invalid record");
-            return false;
-          }
-          slots.Decode(slot, &record);
-          position_of[record.id] = pos;
-          zones.Append(StoreKeyOf(record));
-          return true;
-        }));
+    const auto visit = [&](uint64_t pos, const uint8_t* slot) {
+      if (!ValidStoredSlot(slots, slot, num_records)) {
+        invalid = Status::Corruption("record store slot " +
+                                     std::to_string(pos) +
+                                     " holds an invalid record");
+        return false;
+      }
+      slots.Decode(slot, &record);
+      position_of[record.id] = pos;
+      zones.Append(StoreKeyOf(record));
+      return true;
+    };
+    // A window's pages arrive in one batch read (Prefetch), then the
+    // scan fetches them as pool hits; a pool too small to hold a window
+    // beside the page being scanned reads page by page.
+    const uint64_t per_page = records->records_per_page();
+    const uint64_t window_pages =
+        pool->capacity() >= 2 * BufferPool::kReadaheadPages
+            ? BufferPool::kReadaheadPages
+            : 0;
+    const uint64_t window = std::max<uint64_t>(window_pages, 1) * per_page;
+    for (uint64_t begin = 0; begin < num_records && invalid.ok();
+         begin += window) {
+      const uint64_t end = std::min(num_records, begin + window);
+      if (window_pages > 0) {
+        const uint64_t page = begin / per_page;
+        FIELDDB_RETURN_IF_ERROR(pool->PrefetchRange(
+            first_page + page, (end - 1) / per_page - page + 1));
+      }
+      FIELDDB_RETURN_IF_ERROR(records->ScanSlots(begin, end, visit));
+    }
     FIELDDB_RETURN_IF_ERROR(invalid);
     for (const uint64_t pos : position_of) {
       if (pos == kNoPosition) {

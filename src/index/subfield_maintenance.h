@@ -10,6 +10,7 @@
 #include "index/cell_store.h"
 #include "index/subfield.h"
 #include "rtree/box.h"
+#include "obs/trace_buffer.h"
 #include "rtree/rstar_tree.h"
 
 namespace fielddb {
@@ -80,6 +81,8 @@ template <typename Record, typename Key>
 std::vector<SubfieldOf<Key>> PartitionStore(
     const BasicCellStore<Record>& store, const Key& value_range,
     const SubfieldCostConfigOf<Key>& config) {
+  TraceScope span("build.partition", "build");
+  span.set_items(store.size());
   SubfieldStreamBuilder<Key> builder(value_range, config);
   for (uint64_t pos = 0; pos < store.size(); ++pos) {
     builder.Add(store.zone_map().At(pos));

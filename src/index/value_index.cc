@@ -7,6 +7,7 @@
 
 #include "core/ext_sort.h"
 #include "index/subfield_maintenance.h"
+#include "obs/trace_buffer.h"
 
 namespace fielddb {
 
@@ -63,12 +64,16 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildIAll(BufferPool* pool,
     entries[pos].box = BoxFromInterval(iv);
     entries[pos].a = pos;
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const RTreeEntry<1>& x, const RTreeEntry<1>& y) {
-              const double mx = x.box.lo[0] + x.box.hi[0];
-              const double my = y.box.lo[0] + y.box.hi[0];
-              return mx < my || (mx == my && x.a < y.a);
-            });
+  {
+    TraceScope span("build.sort", "build");
+    span.set_items(n);
+    std::sort(entries.begin(), entries.end(),
+              [](const RTreeEntry<1>& x, const RTreeEntry<1>& y) {
+                const double mx = x.box.lo[0] + x.box.hi[0];
+                const double my = y.box.lo[0] + y.box.hi[0];
+                return mx < my || (mx == my && x.a < y.a);
+              });
+  }
   StatusOr<RStarTree<1>> tree = RStarTree<1>::BulkLoad(pool, entries);
   if (!tree.ok()) return tree.status();
 
@@ -104,15 +109,26 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildIHilbert(
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
   ExternalKeyRecordSorter<CellId> sorter(build_memory_budget_bytes);
-  for (CellId id = 0; id < n; ++id) {
-    FIELDDB_RETURN_IF_ERROR(sorter.Add(
-        CellCurveKey(*curve, domain, field.GetCell(id).Centroid()), id));
+  sorter.Reserve(n);
+  {
+    TraceScope span("build.keys", "build");
+    span.set_items(n);
+    for (CellId id = 0; id < n; ++id) {
+      FIELDDB_RETURN_IF_ERROR(sorter.Add(
+          CellCurveKey(*curve, domain, field.GetCell(id).Centroid()), id));
+    }
   }
   CellStore::Appender appender(pool, n, CellSlots::For(field));
-  FIELDDB_RETURN_IF_ERROR(
-      sorter.Merge([&](uint64_t, const CellId& id) -> Status {
-        return appender.Append(field.GetCell(id));
-      }));
+  {
+    // The merge sorts what is still buffered (build.sort) and streams
+    // the cells into the store.
+    TraceScope span("build.store", "build");
+    span.set_items(n);
+    FIELDDB_RETURN_IF_ERROR(
+        sorter.Merge([&](uint64_t, const CellId& id) -> Status {
+          return appender.Append(field.GetCell(id));
+        }));
+  }
   StatusOr<CellStore> store = appender.Finish();
   if (!store.ok()) return store.status();
   std::vector<Subfield> subfields =
@@ -230,8 +246,12 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildQuadtree(
   std::vector<CellId> order;
   order.reserve(n);
   std::vector<Subfield> subfields;
-  Divide(intervals, centroids, std::move(root), threshold, &order,
-         &subfields);
+  {
+    TraceScope span("build.partition", "build");
+    span.set_items(n);
+    Divide(intervals, centroids, std::move(root), threshold, &order,
+           &subfields);
+  }
 
   StatusOr<CellStore> store = CellStore::Build(pool, field, order);
   if (!store.ok()) return store.status();

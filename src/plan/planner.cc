@@ -176,10 +176,20 @@ PagePattern QueryPlanner::FilterPattern(const Selectivity& sel) const {
 bool QueryPlanner::SharesScan(const ValueInterval& envelope,
                               const ValueInterval& candidate,
                               PlannerMode mode) const {
+  return SharedScanCost(envelope, Plan(envelope, mode).predicted_cost_ms,
+                        candidate, Plan(candidate, mode).predicted_cost_ms,
+                        mode)
+      .has_value();
+}
+
+std::optional<double> QueryPlanner::SharedScanCost(
+    const ValueInterval& envelope, double envelope_ms,
+    const ValueInterval& candidate, double candidate_ms,
+    PlannerMode mode) const {
   const double shared_ms =
       Plan(ValueInterval::Hull(envelope, candidate), mode).predicted_cost_ms;
-  return shared_ms <= Plan(envelope, mode).predicted_cost_ms +
-                          Plan(candidate, mode).predicted_cost_ms;
+  if (shared_ms <= envelope_ms + candidate_ms) return shared_ms;
+  return std::nullopt;
 }
 
 PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,

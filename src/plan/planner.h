@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,17 @@ class QueryPlanner {
   /// saves the per-query fixed costs the model does not price.
   bool SharesScan(const ValueInterval& envelope, const ValueInterval& candidate,
                   PlannerMode mode = PlannerMode::kAuto) const;
+
+  /// SharesScan with the envelope's and the candidate's predicted costs
+  /// (Plan(...).predicted_cost_ms under `mode`) already known, so only
+  /// the widened envelope is planned: its predicted cost when the
+  /// candidate shares, nullopt when it does not. A caller growing a
+  /// group keeps the returned cost as the new envelope's.
+  std::optional<double> SharedScanCost(const ValueInterval& envelope,
+                                       double envelope_ms,
+                                       const ValueInterval& candidate,
+                                       double candidate_ms,
+                                       PlannerMode mode) const;
 
   StoreShape shape() const;
   const PlanCostModel& cost_model() const { return cost_; }

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <queue>
 
+#include "obs/trace_buffer.h"
+
 namespace fielddb {
 
 namespace {
@@ -239,6 +241,8 @@ Status RStarTree<Dim>::NearestNeighbors(
 template <int Dim>
 StatusOr<RStarTree<Dim>> RStarTree<Dim>::BulkLoad(
     BufferPool* pool, const std::vector<Entry>& sorted) {
+  TraceScope span("build.tree", "build");
+  span.set_items(sorted.size());
   RStarTree tree(pool);
   // Pack the current level into full nodes; the last node may run short
   // but never below min_entries_ (borrow from its predecessor). No

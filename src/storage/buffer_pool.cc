@@ -192,11 +192,10 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
       } else {
         FIELDDB_RETURN_IF_ERROR(ReadWithRetry(sh, id, &page));
       }
-      auto [fit, inserted] = sh.frames.try_emplace(id);
+      auto [fit, inserted] = sh.frames.try_emplace(id, std::move(page));
       assert(inserted);
       (void)inserted;
       BufferFrame& f = fit->second;
-      f.page = std::move(page);
       f.pin_count.store(1, std::memory_order_relaxed);
       pin = PinnedPage(this, id, &f);
     }
@@ -290,11 +289,10 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
     }
     CountPhysicalRead(sh, id);
     m_prefetch_issued_->Increment();
-    auto [fit, inserted] = sh.frames.try_emplace(id);
+    auto [fit, inserted] = sh.frames.try_emplace(id, std::move(pages[k]));
     assert(inserted);
     (void)inserted;
     BufferFrame& f = fit->second;
-    f.page = std::move(pages[k]);
     // Unpinned and immediately evictable: enter at the MRU end.
     sh.lru.push_back(id);
     f.lru_pos = std::prev(sh.lru.end());
@@ -307,19 +305,19 @@ StatusOr<PageId> BufferPool::Allocate(PinnedPage* out) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
-  Page zeroed(file_->page_size());
-  StatusOr<PageId> id = file_->Allocate(zeroed);
+  StatusOr<PageId> id = file_->AllocateZeroed();
   if (!id.ok()) return id.status();
+  // The new page's one copy, zeroed once and moved into its frame.
+  Page page(file_->page_size());
   Shard& sh = ShardOf(*id);
   PinnedPage pin;  // assigned into *out outside the lock, as in Fetch
   {
     std::lock_guard<std::mutex> lock(sh.mu);
     FIELDDB_RETURN_IF_ERROR(EnsureCapacityLocked(sh));
-    auto [fit, inserted] = sh.frames.try_emplace(*id);
+    auto [fit, inserted] = sh.frames.try_emplace(*id, std::move(page));
     assert(inserted);
     (void)inserted;
     BufferFrame& f = fit->second;
-    f.page = std::move(zeroed);
     f.pin_count.store(1, std::memory_order_relaxed);
     f.dirty.store(true, std::memory_order_relaxed);
     pin = PinnedPage(this, *id, &f);

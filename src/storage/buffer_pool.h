@@ -8,6 +8,7 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -26,6 +27,10 @@ class BufferPool;
 /// shard's mutex; `dirty` is atomic because PinnedPage::MutablePage sets
 /// it without taking the shard lock.
 struct BufferFrame {
+  /// A frame is made around its page's bytes (read, prefetched or
+  /// freshly zeroed), so the page is never allocated twice.
+  explicit BufferFrame(Page p) : page(std::move(p)) {}
+
   Page page;
   std::atomic<uint32_t> pin_count{0};
   std::atomic<bool> dirty{false};
@@ -139,7 +144,9 @@ class BufferPool {
   /// Prefetch of the consecutive pages [first, first + count).
   Status PrefetchRange(PageId first, size_t count);
 
-  /// Allocates a fresh page in the file and pins it (dirty).
+  /// Allocates a fresh all-zero page in the file (PageFile::
+  /// AllocateZeroed) and pins it (dirty); its bytes are zeroed once, in
+  /// the frame.
   StatusOr<PageId> Allocate(PinnedPage* out);
 
   /// Writes back all dirty frames.

@@ -121,6 +121,14 @@ StatusOr<PageId> FaultInjectingPageFile::Allocate(const Page& page) {
   return base_->Allocate(page);
 }
 
+StatusOr<PageId> FaultInjectingPageFile::AllocateZeroed() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (TickKillLocked()) {
+    return Status::IOError("injected kill point: device gone (allocate)");
+  }
+  return base_->AllocateZeroed();
+}
+
 Status FaultInjectingPageFile::Sync() {
   std::lock_guard<std::mutex> lock(mu_);
   if (TickKillLocked()) {

@@ -5,6 +5,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -43,6 +44,12 @@ StatusOr<PageId> MemPageFile::Allocate(const Page& page) {
   return PageId{pages_.size() - 1};
 }
 
+StatusOr<PageId> MemPageFile::AllocateZeroed() {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  pages_.emplace_back();
+  return PageId{pages_.size() - 1};
+}
+
 Status MemPageFile::Read(PageId id, Page* out) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (id >= pages_.size()) {
@@ -50,7 +57,11 @@ Status MemPageFile::Read(PageId id, Page* out) const {
                               " >= " + std::to_string(pages_.size()));
   }
   if (out->size() != page_size_) *out = Page(page_size_);
-  std::memcpy(out->data(), pages_[id].data(), page_size_);
+  if (pages_[id].empty()) {
+    out->Zero();
+  } else {
+    std::memcpy(out->data(), pages_[id].data(), page_size_);
+  }
   return Status::OK();
 }
 
@@ -63,14 +74,17 @@ Status MemPageFile::Write(PageId id, const Page& page) {
   if (page.size() != page_size_) {
     return Status::InvalidArgument("page size mismatch");
   }
-  std::memcpy(pages_[id].data(), page.data(), page_size_);
+  // The slot is this page's alone (writers of one page are excluded by
+  // the caller), so its first write may size it under the shared lock.
+  pages_[id].assign(page.data(), page.data() + page_size_);
   return Status::OK();
 }
 
 namespace {
 
-/// A run is one preadv: keep it well under IOV_MAX (1024 on Linux);
-/// readahead windows are far smaller anyway.
+/// A run is one preadv or pwritev of two iovecs per slot (its header and
+/// its payload): keep it within IOV_MAX (1024 on Linux); readahead
+/// windows and Save's runs are far smaller anyway.
 constexpr size_t kMaxRun = 512;
 
 /// pread that retries EINTR and partial transfers until `len` bytes are
@@ -96,38 +110,58 @@ Status PreadFully(int fd, uint8_t* buf, size_t len, uint64_t offset) {
   return Status::OK();
 }
 
-/// Reads `n` (<= kMaxRun) consecutive slots of `slot` bytes from byte
-/// `offset` on into `buf` with one preadv, one status per slot.
-void ReadRun(int fd, uint64_t slot, uint64_t offset, size_t n, uint8_t* buf,
-             Status* statuses) {
-  if (n > 1) {
-    struct iovec iov[kMaxRun];
-    for (size_t k = 0; k < n; ++k) iov[k] = {buf + k * slot, slot};
-    ssize_t got = 0;
-    do {
-      got = ::preadv(fd, iov, static_cast<int>(n), static_cast<off_t>(offset));
-    } while (got < 0 && errno == EINTR);
-    if (got == static_cast<ssize_t>(n * slot)) {
-      for (size_t k = 0; k < n; ++k) statuses[k] = Status::OK();
-      return;
-    }
-  }
-  // A lone slot, or a failed or short run: slot by slot, so each slot
-  // reports its own status and only those past the short point fail.
+/// Reads `n` (<= kMaxRun) consecutive slots from byte `offset` on with
+/// one preadv: slot k's header into `headers` + k * kPageHeaderSize and
+/// its payload straight into pages[k] (each page_size bytes). One
+/// status per slot.
+void ReadRun(int fd, uint32_t page_size, uint64_t offset, size_t n,
+             uint8_t* headers, Page* pages, Status* statuses) {
+  const uint64_t slot = uint64_t{kPageHeaderSize} + page_size;
+  struct iovec iov[2 * kMaxRun];
   for (size_t k = 0; k < n; ++k) {
-    statuses[k] = PreadFully(fd, buf + k * slot, slot, offset + k * slot);
+    iov[2 * k] = {headers + k * kPageHeaderSize, kPageHeaderSize};
+    iov[2 * k + 1] = {pages[k].data(), page_size};
+  }
+  ssize_t got = 0;
+  do {
+    got = ::preadv(fd, iov, static_cast<int>(2 * n),
+                   static_cast<off_t>(offset));
+  } while (got < 0 && errno == EINTR);
+  if (got == static_cast<ssize_t>(n * slot)) {
+    for (size_t k = 0; k < n; ++k) statuses[k] = Status::OK();
+    return;
+  }
+  // A failed or short run: slot by slot, so each slot reports its own
+  // status and only those past the short point fail.
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t at = offset + k * slot;
+    statuses[k] = PreadFully(fd, headers + k * kPageHeaderSize,
+                             kPageHeaderSize, at);
+    if (statuses[k].ok()) {
+      statuses[k] = PreadFully(fd, pages[k].data(), page_size,
+                               at + kPageHeaderSize);
+    }
   }
 }
 
-/// pwrite that retries EINTR and partial transfers.
-bool PwriteFully(int fd, const uint8_t* buf, size_t len, uint64_t offset) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pwrite(fd, buf + done, len - done,
-                               static_cast<off_t>(offset + done));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    done += static_cast<size_t>(n);
+/// pwritev that retries EINTR and partial transfers. Consumes `iov`.
+bool PwritevFully(int fd, struct iovec* iov, size_t n, uint64_t offset) {
+  while (n > 0) {
+    const ssize_t w =
+        ::pwritev(fd, iov, static_cast<int>(n), static_cast<off_t>(offset));
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    offset += static_cast<uint64_t>(w);
+    size_t left = static_cast<size_t>(w);
+    while (n > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --n;
+    }
+    if (n > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return true;
 }
@@ -169,43 +203,65 @@ StatusOr<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
       new DiskPageFile(fd, page_size, length / slot, epoch));
 }
 
-Status DiskPageFile::WriteSlot(PageId id, const uint8_t* payload) {
-  std::vector<uint8_t> slot(SlotSize());
-  std::memcpy(slot.data() + 4, &epoch_, sizeof(epoch_));
-  std::memcpy(slot.data() + 8, &id, sizeof(id));
-  std::memcpy(slot.data() + kPageHeaderSize, payload, page_size_);
-  const uint32_t crc =
-      MaskCrc(Crc32c(slot.data() + 4, slot.size() - 4));
-  std::memcpy(slot.data(), &crc, sizeof(crc));
-  if (!PwriteFully(fd_, slot.data(), slot.size(), id * SlotSize())) {
-    return Status::IOError("write failed for page " + std::to_string(id));
+uint32_t DiskPageFile::SlotCrc(const uint8_t* header,
+                               const uint8_t* payload) const {
+  return Crc32cExtend(Crc32c(header + 4, kPageHeaderSize - 4), payload,
+                      page_size_);
+}
+
+Status DiskPageFile::WriteSlots(PageId first, const Page* pages,
+                                size_t count) {
+  uint8_t headers[kMaxRun * kPageHeaderSize];
+  struct iovec iov[2 * kMaxRun];
+  for (size_t k = 0; k < count; ++k) {
+    uint8_t* const header = headers + k * kPageHeaderSize;
+    const PageId id = first + k;
+    std::memcpy(header + 4, &epoch_, sizeof(epoch_));
+    std::memcpy(header + 8, &id, sizeof(id));
+    const uint32_t crc = MaskCrc(SlotCrc(header, pages[k].data()));
+    std::memcpy(header, &crc, sizeof(crc));
+    iov[2 * k] = {header, kPageHeaderSize};
+    // pwritev does not write through its iovecs.
+    iov[2 * k + 1] = {const_cast<uint8_t*>(pages[k].data()), page_size_};
+  }
+  if (!PwritevFully(fd_, iov, 2 * count, first * SlotSize())) {
+    return Status::IOError("write failed for page " + std::to_string(first));
   }
   return Status::OK();
 }
 
-StatusOr<PageId> DiskPageFile::Allocate(const Page& page) {
-  if (page.size() != page_size_) {
-    return Status::InvalidArgument("page size mismatch");
+StatusOr<PageId> DiskPageFile::AppendRun(const Page* pages, size_t count) {
+  for (size_t k = 0; k < count; ++k) {
+    if (pages[k].size() != page_size_) {
+      return Status::InvalidArgument("page size mismatch");
+    }
   }
   std::lock_guard<std::mutex> lock(allocate_mu_);
-  const PageId id = num_pages_.load(std::memory_order_relaxed);
-  FIELDDB_RETURN_IF_ERROR(WriteSlot(id, page.data()));
-  num_pages_.store(id + 1, std::memory_order_release);
-  return id;
+  const PageId first = num_pages_.load(std::memory_order_relaxed);
+  for (size_t done = 0; done < count;) {
+    const size_t n = std::min(count - done, kMaxRun);
+    FIELDDB_RETURN_IF_ERROR(WriteSlots(first + done, pages + done, n));
+    done += n;
+    num_pages_.store(first + done, std::memory_order_release);
+  }
+  return first;
 }
 
-Status DiskPageFile::VerifySlot(PageId id, const uint8_t* slot,
-                                Page* out) const {
+StatusOr<PageId> DiskPageFile::Allocate(const Page& page) {
+  return AppendRun(&page, 1);
+}
+
+Status DiskPageFile::VerifySlot(PageId id, const uint8_t* header,
+                                const Page& payload) const {
   static Counter* const corrupt_reads =
       MetricsRegistry::Default().GetCounter("storage.file.corrupt_page_reads");
   uint32_t stored_crc = 0;
   uint32_t stored_epoch = 0;
   uint64_t stored_id = 0;
-  std::memcpy(&stored_crc, slot, sizeof(stored_crc));
-  std::memcpy(&stored_epoch, slot + 4, sizeof(stored_epoch));
-  std::memcpy(&stored_id, slot + 8, sizeof(stored_id));
-  const uint32_t actual = Crc32c(slot + 4, SlotSize() - 4);
-  if (UnmaskCrc(stored_crc) != actual) {
+  std::memcpy(&stored_crc, header, sizeof(stored_crc));
+  std::memcpy(&stored_epoch, header + 4, sizeof(stored_epoch));
+  std::memcpy(&stored_id, header + 8, sizeof(stored_id));
+  if (UnmaskCrc(stored_crc) != SlotCrc(header, payload.data())) {
     corrupt_reads->Increment();
     return Status::Corruption("checksum mismatch on page " +
                               std::to_string(id));
@@ -221,8 +277,6 @@ Status DiskPageFile::VerifySlot(PageId id, const uint8_t* slot,
         "epoch mismatch on page " + std::to_string(id) + ": stored " +
         std::to_string(stored_epoch) + ", expected " + std::to_string(epoch_));
   }
-  if (out->size() != page_size_) *out = Page(page_size_);
-  std::memcpy(out->data(), slot + kPageHeaderSize, page_size_);
   return Status::OK();
 }
 
@@ -234,28 +288,32 @@ Status DiskPageFile::Read(PageId id, Page* out) const {
 Status DiskPageFile::ReadBatch(const PageId* ids, size_t count, Page* outs,
                                Status* statuses) const {
   const uint64_t num_pages = NumPages();
-  const uint64_t slot = SlotSize();
-  std::vector<uint8_t> slots(count * slot);
-  for (size_t i = 0; i < count;) {
-    if (ids[i] >= num_pages) {
-      statuses[i++] = Status::OutOfRange("page id out of range");
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < count && j - i < kMaxRun && ids[j] < num_pages &&
-           ids[j] == ids[j - 1] + 1) {
-      ++j;
-    }
-    ReadRun(fd_, slot, ids[i] * slot, j - i, slots.data() + i * slot,
-            statuses + i);
-    i = j;
-  }
+  uint8_t headers[kMaxRun * kPageHeaderSize];
   Status first = Status::OK();
-  for (size_t i = 0; i < count; ++i) {
-    if (statuses[i].ok()) {
-      statuses[i] = VerifySlot(ids[i], slots.data() + i * slot, &outs[i]);
+  for (size_t i = 0; i < count;) {
+    size_t j = i + 1;
+    if (ids[i] >= num_pages) {
+      statuses[i] = Status::OutOfRange("page id out of range");
+    } else {
+      while (j < count && j - i < kMaxRun && ids[j] < num_pages &&
+             ids[j] == ids[j - 1] + 1) {
+        ++j;
+      }
+      for (size_t k = i; k < j; ++k) {
+        if (outs[k].size() != page_size_) outs[k] = Page(page_size_);
+      }
+      ReadRun(fd_, page_size_, ids[i] * SlotSize(), j - i, headers, outs + i,
+              statuses + i);
+      for (size_t k = i; k < j; ++k) {
+        if (statuses[k].ok()) {
+          statuses[k] = VerifySlot(
+              ids[k], headers + (k - i) * kPageHeaderSize, outs[k]);
+        }
+      }
     }
-    if (first.ok() && !statuses[i].ok()) first = statuses[i];
+    for (; i < j; ++i) {
+      if (first.ok() && !statuses[i].ok()) first = statuses[i];
+    }
   }
   return first;
 }
@@ -267,7 +325,7 @@ Status DiskPageFile::Write(PageId id, const Page& page) {
   if (page.size() != page_size_) {
     return Status::InvalidArgument("page size mismatch");
   }
-  return WriteSlot(id, page.data());
+  return WriteSlots(id, &page, 1);
 }
 
 Status DiskPageFile::Sync() {

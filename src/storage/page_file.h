@@ -38,9 +38,18 @@ class PageFile {
   /// Appends `page` (must have size == page_size()) and returns its id.
   virtual StatusOr<PageId> Allocate(const Page& page) = 0;
 
+  /// Appends an all-zero page and returns its id: the buffer pool's
+  /// allocation, whose frame holds the new page's bytes. The default
+  /// appends a zeroed Page; the in-memory file stores nothing for the
+  /// page until it is first written.
+  virtual StatusOr<PageId> AllocateZeroed() {
+    return Allocate(Page(page_size_));
+  }
+
   /// Reads page `id` into `*out` (resized to page_size() if needed).
   /// Implementations with integrity framing return kCorruption (naming
-  /// the page id) instead of handing back bytes that fail verification.
+  /// the page id) instead of handing back bytes that fail verification;
+  /// after a failed read, `*out` holds unspecified bytes.
   virtual Status Read(PageId id, Page* out) const = 0;
 
   /// Vectored read: pages `ids[0..count)` into `outs[0..count)`, one
@@ -74,7 +83,9 @@ class PageFile {
   uint32_t page_size_;
 };
 
-/// Heap-backed page file.
+/// Heap-backed page file. A page allocated zeroed (AllocateZeroed) holds
+/// no bytes until its first Write and reads as zeros, so a pool that
+/// keeps every page of an in-memory database resident is its only copy.
 class MemPageFile final : public PageFile {
  public:
   explicit MemPageFile(uint32_t page_size = kDefaultPageSize)
@@ -82,12 +93,14 @@ class MemPageFile final : public PageFile {
 
   uint64_t NumPages() const override;
   StatusOr<PageId> Allocate(const Page& page) override;
+  StatusOr<PageId> AllocateZeroed() override;
   Status Read(PageId id, Page* out) const override;
   Status Write(PageId id, const Page& page) override;
 
  private:
   // Shared: Read/Write touch one slot (stable address); exclusive:
-  // Allocate may reallocate the outer vector.
+  // Allocate may reallocate the outer vector. An empty slot is a page
+  // of zeros never written.
   mutable std::shared_mutex mu_;
   std::vector<std::vector<uint8_t>> pages_;
 };
@@ -125,14 +138,20 @@ class DiskPageFile final : public PageFile {
   uint64_t NumPages() const override {
     return num_pages_.load(std::memory_order_acquire);
   }
+  /// AppendRun of one page.
   StatusOr<PageId> Allocate(const Page& page) override;
+  /// Appends `count` pages (each of page_size()) as the next ids, framed
+  /// as Write frames a page, with one positioned vector write per run of
+  /// up to 512 pages. Returns the first page's id.
+  StatusOr<PageId> AppendRun(const Page* pages, size_t count);
   /// A batch of one, so a lone read and a batch slot report the same
   /// status.
   Status Read(PageId id, Page* out) const override;
-  /// One preadv per run of consecutive in-range ids. A failed or short
-  /// run is re-read slot by slot, so only the slots past the short
-  /// point fail; an out-of-range id fails its slot alone. Every slot
-  /// read is then verified (VerifySlot).
+  /// One preadv per run of consecutive in-range ids, each slot's header
+  /// into a small buffer and its payload straight into the caller's
+  /// page. A failed or short run is re-read slot by slot, so only the
+  /// slots past the short point fail; an out-of-range id fails its slot
+  /// alone. Every slot read is then verified (VerifySlot).
   Status ReadBatch(const PageId* ids, size_t count, Page* outs,
                    Status* statuses) const override;
   Status Write(PageId id, const Page& page) override;
@@ -152,12 +171,16 @@ class DiskPageFile final : public PageFile {
       : PageFile(page_size), fd_(fd), num_pages_(num_pages), epoch_(epoch) {}
 
   uint64_t SlotSize() const { return uint64_t{kPageHeaderSize} + page_size_; }
-  /// Frames `payload` as page `id` and writes the slot.
-  Status WriteSlot(PageId id, const uint8_t* payload);
-  /// Verifies a raw slot (CRC -> page id -> epoch, counting
-  /// storage.file.corrupt_page_reads on failure) and copies its payload
-  /// into `*out`.
-  Status VerifySlot(PageId id, const uint8_t* slot, Page* out) const;
+  /// The unmasked CRC32C of a slot: its header's epoch and id, then its
+  /// payload.
+  uint32_t SlotCrc(const uint8_t* header, const uint8_t* payload) const;
+  /// Frames `pages` as pages first .. first + count - 1 (count <= 512)
+  /// and writes the slots with one pwritev.
+  Status WriteSlots(PageId first, const Page* pages, size_t count);
+  /// Verifies a slot read as its header and payload (CRC -> page id ->
+  /// epoch), counting storage.file.corrupt_page_reads on failure.
+  Status VerifySlot(PageId id, const uint8_t* header,
+                    const Page& payload) const;
 
   const int fd_;
   // Allocate's append moves num_pages_; nothing else locks.

@@ -89,6 +89,7 @@ TemporalFieldDatabase::Build(const TemporalGridField& field,
   const CellId n = field.NumCells();
   const Rect2 domain = first->Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
+  sorter.Reserve(n);
   for (CellId id = 0; id < n; ++id) {
     FIELDDB_RETURN_IF_ERROR(sorter.Add(
         CellCurveKey(*curve, domain, first->GetCell(id).Centroid()), id));

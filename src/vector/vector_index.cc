@@ -54,6 +54,7 @@ StatusOr<std::unique_ptr<VectorFieldDatabase>> VectorFieldDatabase::Build(
   const CellId n = field.NumCells();
   const Rect2 domain = field.Domain();
   ExternalKeyRecordSorter<CellId> sorter(options.build_memory_budget_bytes);
+  sorter.Reserve(n);
   for (CellId id = 0; id < n; ++id) {
     FIELDDB_RETURN_IF_ERROR(sorter.Add(
         CellCurveKey(*curve, domain, field.ComponentCell(0, id).Centroid()),

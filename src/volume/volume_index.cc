@@ -49,6 +49,7 @@ StatusOr<std::unique_ptr<VolumeFieldDatabase>> VolumeFieldDatabase::Build(
   const VoxelId n = field.NumCells();
   ExternalKeyRecordSorter<VoxelId> sorter(
       options.build_memory_budget_bytes);
+  sorter.Reserve(n);
   for (VoxelId id = 0; id < n; ++id) {
     const std::array<uint32_t, 3> c = field.VoxelCoords(id);
     FIELDDB_RETURN_IF_ERROR(

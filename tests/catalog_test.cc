@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/field_database.h"
+#include "core/shard_router.h"
 #include "field/grid_field.h"
 #include "gen/fractal.h"
 #include "storage/page.h"
@@ -26,6 +27,7 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "catalog_sign.h"
 #include "query_util.h"
 #include "temp_dir.h"
 
@@ -298,8 +300,9 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// Writes an edited catalog, re-signed.
 void WriteFile(const std::string& path, const std::string& contents) {
-  std::ofstream(path, std::ios::trunc) << contents;
+  std::ofstream(path, std::ios::trunc) << SignedCatalog(contents);
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -337,7 +340,7 @@ class CatalogTest : public ::testing::TestWithParam<CatalogCase> {
     Cleanup();
     ASSERT_TRUE(GetParam().save(prefix_).ok());
     meta_path_ = prefix_ + ".meta";
-    intact_ = ReadFile(meta_path_);
+    intact_ = CatalogBodyOf(ReadFile(meta_path_));
   }
   void TearDown() override { Cleanup(); }
   void Cleanup() {
@@ -359,7 +362,7 @@ class CatalogTest : public ::testing::TestWithParam<CatalogCase> {
 };
 
 TEST_P(CatalogTest, SaveWritesTheGoldenCatalog) {
-  EXPECT_EQ(intact_, GetParam().golden);
+  EXPECT_EQ(ReadFile(meta_path_), SignedCatalog(GetParam().golden));
   EXPECT_TRUE(GetParam().open(prefix_).ok());
 }
 
@@ -809,6 +812,146 @@ TEST(GridCatalogTest, LatticeLineValidated) {
   EXPECT_EQ((*db)->lattice()->cols, 64u);
   EXPECT_EQ((*db)->index().cell_store().cells_per_page(), 102u);
   for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+// --- The checksum line -------------------------------------------------
+
+/// Writes `text` as it is: an edit left unsigned.
+void WriteUnsigned(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+void RemoveSnapshot(const std::string& prefix) {
+  for (const char* suffix : {".pages", ".meta"}) {
+    std::remove((prefix + suffix).c_str());
+  }
+}
+
+TEST(ChecksumTest, UnsignedGridShapeEditRefused) {
+  // `grid 64 64` -> `grid 32 128` keeps the cell count, and no other
+  // line or page states the lattice's shape: an unsigned catalog so
+  // edited opens and answers with pieces on the wrong rectangles
+  // (`point (0.3, 0.7)` read 0.6328 instead of 0.2688). A signed one
+  // fails its checksum before any key is parsed.
+  const std::string prefix = TestTempDir() + "/fielddb_checksum_grid";
+  FractalOptions fo;
+  fo.size_exp = 6;
+  fo.roughness_h = 0.7;
+  fo.seed = 42;
+  FieldDatabaseOptions options;
+  options.method = IndexMethod::kLinearScan;
+  {
+    auto db = FieldDatabase::Build(MakeFractalField(fo).value(), options);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Save(prefix).ok());
+  }
+  std::string text = ReadFile(prefix + ".meta");
+  const std::string shape = "\ngrid 64 64\n";
+  const size_t at = text.find(shape);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, shape.size(), "\ngrid 32 128\n");
+  WriteUnsigned(prefix + ".meta", text);
+  const Status s = FieldDatabase::Open(prefix).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("checksum mismatch"), std::string::npos)
+      << s.ToString();
+  RemoveSnapshot(prefix);
+}
+
+TEST(ChecksumTest, CatalogWithoutTheLineOpensAsBefore) {
+  // Catalogs saved before the checksum line have none: they open, and
+  // every validator behind the checksum still reads them.
+  const std::string prefix = TestTempDir() + "/fielddb_checksum_unsigned";
+  SaveFractal(IndexMethod::kIHilbert, /*spatial=*/true, prefix);
+  const std::string signed_text = ReadFile(prefix + ".meta");
+  ASSERT_EQ(signed_text.rfind("\ncrc32c "),
+            signed_text.size() - std::string("\ncrc32c 01234567\n").size())
+      << signed_text;
+  const std::string body = CatalogBodyOf(signed_text);
+  WriteUnsigned(prefix + ".meta", body);
+  {
+    auto db = FieldDatabase::Open(prefix);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ValueQueryResult result;
+    ASSERT_TRUE(QueryOne(**db, ValueInterval{0.6, 0.65}, &result).ok());
+    EXPECT_EQ(result.stats.answer_cells, 312u);
+    EXPECT_EQ(result.region.NumPieces(), 883u);
+  }
+  WriteUnsigned(prefix + ".meta", body + "bogus_key 1\n");
+  const Status s = FieldDatabase::Open(prefix).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("unknown key 'bogus_key'"), std::string::npos)
+      << s.ToString();
+  RemoveSnapshot(prefix);
+}
+
+TEST(ChecksumTest, WrongRepeatedOrMisplacedLineRefused) {
+  const std::string prefix = TestTempDir() + "/fielddb_checksum_line";
+  SaveFractal(IndexMethod::kLinearScan, /*spatial=*/false, prefix);
+  const std::string signed_text = ReadFile(prefix + ".meta");
+  const size_t line = signed_text.rfind("crc32c ");
+  ASSERT_NE(line, std::string::npos);
+  const std::string body = signed_text.substr(0, line);
+  const std::string checksum = signed_text.substr(line);
+  std::string flipped = checksum;
+  flipped[7] = flipped[7] == '0' ? '1' : '0';
+  const size_t last_line = body.rfind('\n', body.size() - 2) + 1;
+  struct Case {
+    const char* what;
+    std::string text;
+    const char* named;
+  };
+  for (const Case& c :
+       {Case{"wrong", body + flipped, "checksum mismatch"},
+        Case{"repeated", signed_text + checksum, "'crc32c'"},
+        Case{"not last", body.substr(0, last_line) + checksum +
+                             body.substr(last_line),
+             "'crc32c'"},
+        Case{"short", body + "crc32c 1234\n", "'crc32c'"},
+        Case{"not hex", body + "crc32c 0123456z\n", "'crc32c'"}}) {
+    WriteUnsigned(prefix + ".meta", c.text);
+    const Status s = FieldDatabase::Open(prefix).status();
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << c.what;
+    EXPECT_NE(s.message().find(c.named), std::string::npos)
+        << c.what << ": " << s.ToString();
+  }
+  WriteUnsigned(prefix + ".meta", signed_text);
+  EXPECT_TRUE(FieldDatabase::Open(prefix).ok());
+  RemoveSnapshot(prefix);
+}
+
+TEST(ChecksumTest, RouterCatalogIsSigned) {
+  FractalOptions fo;
+  fo.size_exp = 5;
+  fo.seed = 3;
+  const std::string prefix = TestTempDir() + "/fielddb_checksum_router";
+  ShardRouterOptions options;
+  options.shards = 2;
+  {
+    auto router = ShardRouter::Build(MakeFractalField(fo).value(), options);
+    ASSERT_TRUE(router.ok());
+    ASSERT_TRUE((*router)->Save(prefix).ok());
+  }
+  const std::string path = prefix + ".router";
+  const std::string signed_text = ReadFile(path);
+  const std::string body = CatalogBodyOf(signed_text);
+  EXPECT_EQ(signed_text, SignedCatalog(body));
+  // Unsigned, it opens as before; an id edited under the checksum is
+  // refused before the id map is read.
+  WriteUnsigned(path, body);
+  EXPECT_TRUE(ShardRouter::Open(prefix, {}).ok());
+  std::string edited = signed_text;
+  const size_t ids = edited.find('\n', edited.find("\nshard 0 ") + 1) + 1;
+  edited[ids] = edited[ids] == '1' ? '2' : '1';
+  WriteUnsigned(path, edited);
+  const Status s = ShardRouter::Open(prefix, {}).status();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("checksum mismatch"), std::string::npos)
+      << s.ToString();
+  for (const char* suffix :
+       {".router", ".s0.pages", ".s0.meta", ".s1.pages", ".s1.meta"}) {
     std::remove((prefix + suffix).c_str());
   }
 }

@@ -4,14 +4,91 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "curve/gray.h"
 #include "curve/hilbert.h"
 #include "curve/zorder.h"
 
 namespace fielddb {
 namespace {
+
+/// The classic quadrant-rotation loop, one bit per level: the oracle
+/// the table-driven HilbertEncode2D must equal on every input.
+uint64_t LoopHilbertEncode2D(int order, uint32_t x, uint32_t y) {
+  uint64_t d = 0;
+  for (uint32_t s = uint32_t{1} << (order - 1); s > 0; s >>= 1) {
+    const uint32_t rx = (x & s) > 0 ? 1 : 0;
+    const uint32_t ry = (y & s) > 0 ? 1 : 0;
+    d += static_cast<uint64_t>(s) * s * ((3 * rx) ^ ry);
+    if (ry == 0) {
+      if (rx == 1) {
+        x = s - 1 - x;
+        y = s - 1 - y;
+      }
+      std::swap(x, y);
+    }
+  }
+  return d;
+}
+
+TEST(HilbertTest, TableEqualsLoopOnEveryInputOfOrdersOneToEight) {
+  for (int order = 1; order <= 8; ++order) {
+    const uint32_t side = uint32_t{1} << order;
+    std::vector<bool> seen(uint64_t{side} * side, false);
+    for (uint32_t x = 0; x < side; ++x) {
+      for (uint32_t y = 0; y < side; ++y) {
+        const uint64_t d = HilbertEncode2D(order, x, y);
+        ASSERT_EQ(d, LoopHilbertEncode2D(order, x, y))
+            << "order " << order << " (" << x << ", " << y << ")";
+        ASSERT_LT(d, seen.size());
+        ASSERT_FALSE(seen[d]);
+        seen[d] = true;
+        uint32_t dx = 0, dy = 0;
+        HilbertDecode2D(order, d, &dx, &dy);
+        ASSERT_EQ(dx, x);
+        ASSERT_EQ(dy, y);
+      }
+    }
+  }
+}
+
+TEST(HilbertTest, TableEqualsLoopOnRandomOrderSixteenInputs) {
+  Rng rng(16);
+  for (int i = 0; i < 1000000; ++i) {
+    const uint64_t bits = rng.NextU64();
+    const uint32_t x = static_cast<uint32_t>(bits) & 0xffff;
+    const uint32_t y = static_cast<uint32_t>(bits >> 32) & 0xffff;
+    const uint64_t d = HilbertEncode2D(16, x, y);
+    ASSERT_EQ(d, LoopHilbertEncode2D(16, x, y)) << "(" << x << ", " << y << ")";
+    uint32_t dx = 0, dy = 0;
+    HilbertDecode2D(16, d, &dx, &dy);
+    ASSERT_EQ(dx, x);
+    ASSERT_EQ(dy, y);
+  }
+}
+
+TEST(HilbertTest, BitsAboveTheOrderAreIgnored) {
+  // The loop reads only the low `order` bits of x and y; so does the
+  // table, at every order up to 31.
+  Rng rng(31);
+  for (int order = 1; order <= 31; ++order) {
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t bits = rng.NextU64();
+      const uint32_t x = static_cast<uint32_t>(bits);
+      const uint32_t y = static_cast<uint32_t>(bits >> 32);
+      const uint64_t d = HilbertEncode2D(order, x, y);
+      ASSERT_EQ(d, LoopHilbertEncode2D(order, x, y)) << "order " << order;
+      const uint32_t mask = (uint32_t{1} << order) - 1;
+      uint32_t dx = 0, dy = 0;
+      HilbertDecode2D(order, d | (~uint64_t{0} << (2 * order)), &dx, &dy);
+      ASSERT_EQ(dx, x & mask);
+      ASSERT_EQ(dy, y & mask);
+    }
+  }
+}
 
 TEST(HilbertTest, Order1KnownSequence) {
   // The order-1 Hilbert curve visits (0,0), (0,1), (1,1), (1,0).

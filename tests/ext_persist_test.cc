@@ -18,6 +18,7 @@
 #include "temporal/temporal_index.h"
 #include "vector/vector_index.h"
 #include "volume/volume_index.h"
+#include "catalog_sign.h"
 #include "temp_dir.h"
 
 namespace fielddb {
@@ -66,6 +67,7 @@ void DropSecondSubfieldLine(const std::string& path, const std::string& key) {
   in.close();
   ASSERT_GE(seen, 2) << "fewer than two '" << key << "' lines";
   std::ofstream(path, std::ios::trunc) << out;
+  ResignCatalog(path);
 }
 
 // u = x + y, v = x - y over the unit square (affine, analytic answers).
@@ -475,6 +477,7 @@ TEST(TemporalPersistTest, CorruptCatalogRejected) {
   }
   saved.close();
   std::ofstream(prefix + ".meta", std::ios::trunc) << slabless;
+  ResignCatalog(prefix + ".meta");
   const auto opened = TemporalFieldDatabase::Open(prefix);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -85,8 +87,66 @@ TEST(ExtSortTest, TinyBudgetSpillsAndMatchesUnlimited) {
   EXPECT_GT(budgeted.spilled_records(), 0u);
   EXPECT_LE(budgeted.peak_buffered_bytes(), 32 * sizeof(Sorter::Entry));
   EXPECT_EQ(unlimited.spill_runs(), 0u);
+  // The buffer and the radix sort's scratch copy of it.
   EXPECT_EQ(unlimited.peak_buffered_bytes(),
-            kEntries * sizeof(Sorter::Entry));
+            2 * kEntries * sizeof(Sorter::Entry));
+}
+
+/// The radix path's oracle: std::sort over (key, insertion order).
+Emitted ComparisonSorted(const std::vector<uint64_t>& keys) {
+  Emitted expected;
+  for (uint64_t i = 0; i < keys.size(); ++i) expected.emplace_back(keys[i], i);
+  std::sort(expected.begin(), expected.end());
+  return expected;
+}
+
+TEST(ExtSortTest, RadixSortEqualsComparisonSortAtEveryBudget) {
+  using Sorter = ExternalKeyRecordSorter<Payload>;
+  Rng rng(7);
+  // Heavy ties in a narrow key space, keys spread over every byte, and
+  // keys that differ only in their top byte.
+  const std::vector<std::vector<uint64_t>> inputs = [&] {
+    std::vector<std::vector<uint64_t>> out(3);
+    for (int i = 0; i < 5000; ++i) {
+      out[0].push_back(rng.NextU64() % 13);
+      out[1].push_back(rng.NextU64());
+      out[2].push_back((rng.NextU64() % 4) << 56 | 0x55);
+    }
+    return out;
+  }();
+  for (const std::vector<uint64_t>& keys : inputs) {
+    const Emitted expected = ComparisonSorted(keys);
+    for (const size_t budget :
+         {size_t{0}, 64 * sizeof(Sorter::Entry),
+          1000 * sizeof(Sorter::Entry)}) {
+      SCOPED_TRACE(budget);
+      Sorter sorter(budget);
+      for (uint64_t i = 0; i < keys.size(); ++i) {
+        ASSERT_TRUE(sorter.Add(keys[i], Payload{i, 0.0}).ok());
+      }
+      EXPECT_EQ(Drain(&sorter), expected);
+      if (budget > 0) {
+        EXPECT_GT(sorter.spill_runs(), 1u);
+        // Scratch included.
+        EXPECT_LE(sorter.peak_buffered_bytes(), budget);
+      }
+    }
+  }
+}
+
+TEST(ExtSortTest, RadixSortByKeyIsStable) {
+  Rng rng(11);
+  std::vector<std::pair<uint64_t, uint32_t>> items;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    const uint64_t key = i % 3 == 0 ? rng.NextU64() : rng.NextU64() % 7;
+    items.emplace_back(key, i);
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> expected = items;
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::pair<uint64_t, uint32_t>> scratch(items.size());
+  RadixSortByKey(std::span(items), std::span(scratch),
+                 [](const auto& item) { return item.first; });
+  EXPECT_EQ(items, expected);
 }
 
 TEST(ExtSortTest, EmitErrorAbortsMerge) {

@@ -62,6 +62,26 @@ TEST(MemPageFileTest, FreshPagesAreZeroed) {
   }
 }
 
+TEST(MemPageFileTest, ZeroedPageReadsAsZerosUntilWritten) {
+  // AllocateZeroed stores nothing for the page; a read before its first
+  // write is still all zeros, and a read after it returns the bytes.
+  MemPageFile f(256);
+  Page dirty(256);
+  dirty.WriteAt<uint64_t>(8, 0x1122334455667788ULL);
+  ASSERT_TRUE(f.Allocate(dirty).ok());
+  StatusOr<PageId> id = f.AllocateZeroed();
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, 1u);
+  EXPECT_EQ(f.NumPages(), 2u);
+  Page p = dirty;  // a reused buffer holding other bytes
+  ASSERT_TRUE(f.Read(1, &p).ok());
+  EXPECT_EQ(p.ReadAt<uint64_t>(8), 0u);
+  for (uint32_t i = 0; i < 256; ++i) ASSERT_EQ(p.data()[i], 0u) << i;
+  ASSERT_TRUE(f.Write(1, dirty).ok());
+  ASSERT_TRUE(f.Read(1, &p).ok());
+  EXPECT_EQ(p.ReadAt<uint64_t>(8), 0x1122334455667788ULL);
+}
+
 TEST(MemPageFileTest, AllocateStoresThePage) {
   MemPageFile f(512);
   Page p(512);

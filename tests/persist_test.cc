@@ -14,6 +14,7 @@
 #include "gen/monotonic.h"
 #include "gen/workload.h"
 #include "storage/page_file.h"
+#include "catalog_sign.h"
 #include "query_util.h"
 #include "temp_dir.h"
 
@@ -162,6 +163,7 @@ bool ReplaceMetaLine(const std::string& path, const std::string& key,
     if (contents.compare(pos, prefix.size(), prefix) == 0) {
       WriteTextFile(path, contents.substr(0, pos) + replacement +
                               contents.substr(end));
+      ResignCatalog(path);
       return true;
     }
     pos = end + 1;
@@ -274,6 +276,7 @@ TEST_F(MetaValidationTest, RejectsV1Catalog) {
   const std::string contents = ReadTextFile(meta_path_);
   WriteTextFile(meta_path_,
                 "fielddb-meta-v1" + contents.substr(contents.find('\n')));
+  ResignCatalog(meta_path_);
   auto db = FieldDatabase::Open(prefix_);
   ASSERT_FALSE(db.ok());
   EXPECT_EQ(db.status().code(), StatusCode::kCorruption);
@@ -499,6 +502,7 @@ void DropSecondSubfieldLine(const std::string& path, const std::string& key) {
   }
   ASSERT_GE(seen, 2) << "fewer than two '" << key << "' lines";
   WriteTextFile(path, out);
+  ResignCatalog(path);
 }
 
 TEST(SubfieldTilingTest, CatalogWithGapRejected) {

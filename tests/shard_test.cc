@@ -19,6 +19,7 @@
 
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "catalog_sign.h"
 #include "query_util.h"
 #include "temp_dir.h"
 
@@ -431,6 +432,7 @@ void ReplaceRouterLine(const std::string& path, size_t line_index,
   }
   in.close();
   std::ofstream(path, std::ios::trunc) << out;
+  ResignCatalog(path);
 }
 
 TEST(ShardRouterTest, OversizedCatalogCountsRejectedBeforeAllocation) {
@@ -519,11 +521,14 @@ TEST(ShardRouterTest, ShardCellCountDisagreeingWithTheRouterRefused) {
     EXPECT_TRUE(message.find("shard 0 ") != std::string::npos ||
                 message.find(".s0.") != std::string::npos)
         << opened.status().ToString();
+    EXPECT_EQ(message.find("checksum mismatch"), std::string::npos)
+        << opened.status().ToString();
   };
 
   std::string lowered = meta;
   lowered.replace(lowered.find("num_cells 2048"), 14, "num_cells 2047");
   write(s0 + ".meta", lowered);
+  ResignCatalog(s0 + ".meta");
   expect_refused();
 
   {

@@ -6,18 +6,23 @@
 // queued queries; and a corrupt index must degrade the whole group to
 // the store sweep exactly like the single-query path.
 
+#include <algorithm>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/field_database.h"
 #include "core/query_executor.h"
+#include "core/shard_router.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "obs/metrics.h"
+#include "obs/trace_buffer.h"
 #include "storage/fault_injection.h"
 #include "query_util.h"
 
@@ -265,6 +270,136 @@ TEST_F(SharedScanTest, ExecutorGroupsQueuedOverlappingQueries) {
   for (size_t i = 2; i < queries.size(); ++i) {
     EXPECT_EQ(got[i].io.logical_reads, 0u) << "query " << i;
   }
+}
+
+// Admission plans in a trace: the plan.probe spans not nested in a
+// query's own "plan" span on the same thread. Every plan of an indexed
+// auto-mode database records one plan.probe span.
+size_t AdmissionPlans(const std::vector<TraceEvent>& events) {
+  size_t admission_plans = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string_view(e.name) != "plan.probe") continue;
+    const bool in_query = std::any_of(
+        events.begin(), events.end(), [&](const TraceEvent& plan) {
+          return plan.tid == e.tid && std::string_view(plan.name) == "plan" &&
+                 plan.ts_ns <= e.ts_ns &&
+                 e.ts_ns + e.dur_ns <= plan.ts_ns + plan.dur_ns;
+        });
+    if (!in_query) ++admission_plans;
+  }
+  return admission_plans;
+}
+
+TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
+  // Admission runs under the queue lock: the candidates' own plans come
+  // priced from Submit and the envelope's is carried, so the worker
+  // plans one widened envelope per queued candidate — not the three
+  // plans SharesScan makes (widened, envelope, candidate) — plus the
+  // head's own plan once, as the head reached an empty queue and went
+  // unpriced.
+  auto db = BuildDb(IndexMethod::kIHilbert);
+  ASSERT_TRUE(db.ok());
+  const std::vector<ValueInterval> seed_queries = OverlappingQueries(2);
+
+  QueryExecutor::Options eo;
+  eo.threads = 1;
+  eo.shared_scan = true;
+  QueryExecutor executor(db->get(), eo);
+
+  // Park the worker in a sentinel's callback, queue the group behind it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  executor.Submit(seed_queries[0], [&](const Status&, const QueryStats&) {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  constexpr size_t kCandidates = 10;
+  for (size_t i = 0; i <= kCandidates; ++i) {
+    executor.Submit(seed_queries[1], nullptr);
+  }
+  // Only the worker records from here on.
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  executor.Drain();
+  TraceBuffer::set_enabled(false);
+
+  const std::vector<TraceEvent> events = tb.Snapshot();
+  const size_t waits = std::count_if(
+      events.begin(), events.end(), [](const TraceEvent& e) {
+        return std::string_view(e.name) == "queue.wait";
+      });
+  EXPECT_EQ(waits, kCandidates + 1);  // one group: head + candidates
+  EXPECT_EQ(AdmissionPlans(events), kCandidates + 1);
+}
+
+TEST_F(SharedScanTest, ExecutorLeavesALoneQueryUnplanned) {
+  // A query that reaches an empty queue is never a candidate, and with
+  // nothing queued behind it no group forms: shared-scan admission
+  // plans nothing for it, neither at Submit nor at its dequeue.
+  auto db = BuildDb(IndexMethod::kIHilbert);
+  ASSERT_TRUE(db.ok());
+  const std::vector<ValueInterval> queries = OverlappingQueries(4);
+
+  QueryExecutor::Options eo;
+  eo.threads = 1;
+  eo.shared_scan = true;
+  QueryExecutor executor(db->get(), eo);
+
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  size_t answered = 0;
+  for (const ValueInterval& q : queries) {
+    executor.Submit(q, [&](const Status& s, const QueryStats&) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      ++answered;
+    });
+    executor.Drain();
+  }
+  TraceBuffer::set_enabled(false);
+
+  EXPECT_EQ(answered, queries.size());
+  EXPECT_EQ(AdmissionPlans(tb.Snapshot()), 0u);
+}
+
+TEST_F(SharedScanTest, RouterPlansNoAdmissionForOneBand) {
+  // A shard groups a request's bands by the executor's rule, planning
+  // the envelope only when a following band meets it: a one-band
+  // request plans nothing for admission. The band spans the whole
+  // value range, so each shard's MayContain plans it exactly once.
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  ro.db.method = IndexMethod::kIHilbert;
+  auto router = ShardRouter::Build(*field_, ro);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  const ValueInterval band = field_->ValueRange();
+
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  ValueQueryResult result;
+  const Status s =
+      (*router)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
+  TraceBuffer::set_enabled(false);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+
+  EXPECT_EQ(result.stats.answer_cells, field_->NumCells());
+  EXPECT_EQ(AdmissionPlans(tb.Snapshot()), size_t{ro.shards});
+  ASSERT_TRUE((*router)->Close().ok());
 }
 
 TEST_F(SharedScanTest, RunBatchSharedMatchesIsolatedBatch) {

@@ -164,8 +164,8 @@ REQUIREMENTS = {
                "trace_events.recovery", "trace_events.queue-wait"]),
     "ext_build": Row(
         config={},
-        kinds=[Kind(labels={"field_type": one_of("volume", "vector",
-                                                 "temporal"),
+        kinds=[Kind(labels={"field_type": one_of("grid", "volume",
+                                                 "vector", "temporal"),
                             "budget_bytes": NONNEG},
                     metrics={"num_cells": POSITIVE, "build_ms": POSITIVE,
                              "cells_per_sec": POSITIVE,
