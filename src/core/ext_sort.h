@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -232,7 +232,7 @@ class ExternalKeyRecordSorter {
     peak_buffered_bytes_ =
         std::max(peak_buffered_bytes_, SortBytes(buffer_.size()));
     if (buffer_.size() < 2) return;
-    TraceScope span("build.sort", "build");
+    ScopedSpan span("build.sort", "build");
     span.set_items(buffer_.size());
     const size_t n = buffer_.size();
     const auto scratch = std::make_unique_for_overwrite<Entry[]>(n);

@@ -7,7 +7,7 @@
 #include "field/interpolation.h"
 #include "field/isoband.h"
 #include "obs/metrics.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 #include "plan/operators.h"
 
 namespace fielddb {
@@ -147,7 +147,7 @@ Status FieldDatabase::Query(const QueryRequest& request,
         // in-memory zone-map sidecar).
         PhysicalPlan plan;
         {
-          ScopedSpan span(trace, "plan", &ctx->io);
+          ScopedSpan span("plan", "plan", trace);
           plan = planner_->Plan(envelope, planner_mode());
           span.set_items(plan.predicted_candidates);
           span.set_detail(plan.reason);
@@ -170,7 +170,7 @@ Status FieldDatabase::Query(const QueryRequest& request,
               engine_.BandScan(store, envelope, spec, search, estimate));
           return estimate.status();
         }
-        TraceScope span("scan.shared", "exec");
+        ScopedSpan span("scan.shared", "exec");
         span.set_items(n);
         // Demultiplexing visitor: each zone-matching cell of the envelope
         // is handed to every member whose band it meets (cell.Interval()

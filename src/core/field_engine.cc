@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -144,7 +144,7 @@ Status FieldEngine::InitForBuild(const EngineBuildOptions& options) {
 StatusOr<Catalog> FieldEngine::InitForOpen(const std::string& prefix,
                                            const CatalogSchema& schema,
                                            const EngineOpenOptions& options) {
-  TraceScope span("open.catalog", "open");
+  ScopedSpan span("open.catalog", "open");
   TryCompleteInterruptedSave(prefix, schema);
   const std::string meta_path = prefix + ".meta";
   StatusOr<Catalog> catalog = ReadCatalog(meta_path, schema);
@@ -214,7 +214,7 @@ Status FieldEngine::SaveSnapshot(
                               ? num_pages / 2
                               : num_pages;
     {
-      TraceScope span("save.pages", "save");
+      ScopedSpan span("save.pages", "save");
       span.set_items(stop);
       // Runs of pages are staged in one reused buffer and each written
       // with one positioned vector write.
@@ -234,13 +234,13 @@ Status FieldEngine::SaveSnapshot(
     if (stop < num_pages) {
       return Status::OK();  // "crash": torn temp file, snapshot untouched
     }
-    TraceScope span("save.sync", "save");
+    ScopedSpan span("save.sync", "save");
     FIELDDB_RETURN_IF_ERROR((*out)->Sync());
     // Scope end closes the temp file before it is renamed into place.
   }
 
   {
-    TraceScope span("save.catalog", "save");
+    ScopedSpan span("save.catalog", "save");
     Catalog catalog;
     catalog.page_size = file_->page_size();
     catalog.epoch = epoch;
@@ -308,10 +308,10 @@ Status FieldEngine::RecoverFromWal(
   uint64_t replayed = 0;
   uint64_t stale = 0;
   {
-    ScopedSpan recovery(&report->trace, "recovery", nullptr);
+    ScopedSpan recovery("recovery", "recovery", &report->trace);
     WalScanResult scan;
     {
-      ScopedSpan scan_span(&report->trace, "wal.scan", nullptr);
+      ScopedSpan scan_span("wal.scan", "wal", &report->trace);
       StatusOr<WalScanResult> scanned = WriteAheadLog::Scan(wal_path);
       if (!scanned.ok()) return scanned.status();
       scan = std::move(scanned).value();
@@ -328,7 +328,7 @@ Status FieldEngine::RecoverFromWal(
       // same update path the original mutations took, so derived
       // structures (zone maps, subfield hulls, tree entries) are all
       // maintained, not just pages.
-      ScopedSpan replay_span(&report->trace, "wal.replay", nullptr);
+      ScopedSpan replay_span("wal.replay", "wal", &report->trace);
       for (const WalFrame& frame : scan.frames) {
         if (frame.epoch != epoch_) {
           // A completed checkpoint already captured this frame; only
@@ -358,7 +358,7 @@ Status FieldEngine::RecoverFromWal(
       // Post-replay verification with the scrub machinery: under
       // no-steal the flush inside is a no-op, so this proves the
       // checkpoint base the redo was applied over is bit-intact.
-      ScopedSpan verify_span(&report->trace, "verify", nullptr);
+      ScopedSpan verify_span("verify", "recovery", &report->trace);
       FIELDDB_RETURN_IF_ERROR(
           ScrubPages(&report->pages_verified, &report->corrupt_pages));
       verify_span.set_items(report->pages_verified);

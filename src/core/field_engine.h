@@ -170,13 +170,14 @@ void AddZoneSkips(const ZoneSkips& skipped);
 /// (zone-map slot filtering against `zone`, a value interval or a (u, v)
 /// box; readahead batches of the pages holding a match, or of every
 /// page of every run with `read_whole_runs`) feeding each matching
-/// record to `visit`, reported as a "fetch" span on `ctx->io`. On
-/// traced runs the visitor's own work is timed per record, deducted
-/// from the fetch span, and reported as a separate zero-I/O "estimate"
-/// span — the fetch span is then pure retrieval. `stats->candidate_cells` must be
-/// final before the scan on indexed plans (the span items are read from
-/// it after the walk, so fused visitors that count candidates while
-/// scanning also report right).
+/// record to `visit`, reported as a "fetch" span. On traced runs the
+/// visitor's own work is timed per record, deducted from the fetch
+/// span, and reported as a separate zero-I/O "estimate" span that
+/// starts where the fetch span ends — the fetch span is then pure
+/// retrieval, and the two tile the scan. `stats->candidate_cells` must
+/// be final before the scan on indexed plans (the span items are read
+/// from it after the walk, so fused visitors that count candidates
+/// while scanning also report right).
 ///
 /// Statically bound visitor (no std::function on the per-record path);
 /// pass visitors whose state must survive — EstimateOp — as lvalues.
@@ -184,42 +185,36 @@ template <typename Record, typename Visitor>
 Status ScanStoreRuns(const BasicCellStore<Record>& store,
                      const typename BasicCellStore<Record>::Key& zone,
                      const PosRange* ranges, size_t num_ranges,
-                     QueryContext* ctx, QueryTrace* trace,
-                     const char* fetch_detail, QueryStats* stats,
-                     bool read_whole_runs, Visitor&& visit) {
-  double est_seconds = 0.0;
+                     QueryTrace* trace, const char* fetch_detail,
+                     QueryStats* stats, bool read_whole_runs,
+                     Visitor&& visit) {
+  uint64_t est_ns = 0;
   ZoneSkips skipped;
   Status scan;
-  {
-    ScopedSpan fetch(trace, "fetch", &ctx->io);
-    if (trace == nullptr) {
-      scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
-          &skipped, visit);
-    } else {
-      scan = store.records().ScanRangesFiltered(
-          ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
-          &skipped, [&](uint64_t pos, const Record& record) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const bool keep_going = visit(pos, record);
-            est_seconds += std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
-            return keep_going;
-          });
-    }
-    fetch.set_items(stats->candidate_cells);
-    if (fetch_detail != nullptr) fetch.set_detail(fetch_detail);
-    fetch.DeductWallSeconds(est_seconds);
+  ScopedSpan fetch("fetch", "query", trace);
+  if (trace == nullptr) {
+    scan = store.records().ScanRangesFiltered(
+        ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
+        &skipped, visit);
+  } else {
+    scan = store.records().ScanRangesFiltered(
+        ranges, num_ranges, store.zone_map(), zone, read_whole_runs,
+        &skipped, [&](uint64_t pos, const Record& record) {
+          const uint64_t t0 = TraceBuffer::NowNs();
+          const bool keep_going = visit(pos, record);
+          est_ns += TraceBuffer::NowNs() - t0;
+          return keep_going;
+        });
   }
+  fetch.set_items(stats->candidate_cells);
+  if (fetch_detail != nullptr) fetch.set_detail(fetch_detail);
+  fetch.DeductNs(est_ns);
+  fetch.Finish();
   FIELDDB_RETURN_IF_ERROR(scan);
   engine_internal::AddZoneSkips(skipped);
   if (trace != nullptr) {
-    TraceSpan span;
-    span.name = "estimate";
-    span.wall_seconds = est_seconds;
-    span.items = stats->answer_cells;
-    trace->AddSpan(std::move(span));
+    ScopedSpan::Record("estimate", "query", trace, fetch.end_ns(), est_ns,
+                       stats->answer_cells);
   }
   return Status::OK();
 }
@@ -228,7 +223,7 @@ Status ScanStoreRuns(const BasicCellStore<Record>& store,
 /// records, and what it is charged to.
 struct BandScanSpec {
   PlanKind plan = PlanKind::kFusedScan;
-  /// Scratch runs and the live I/O sink the spans read; required.
+  /// Scratch runs; required.
   QueryContext* ctx = nullptr;
   /// Per-query spans ("filter", "fetch", "estimate"), when traced.
   QueryTrace* trace = nullptr;
@@ -379,11 +374,11 @@ class FieldEngine {
     const auto scan_all = [&] {
       const PosRange whole{0, store.size()};
       if (!spec.count_candidates) {
-        return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
-                             "full_scan", stats, read_whole_runs_, visit);
+        return ScanStoreRuns(store, zone, &whole, 1, spec.trace, "full_scan",
+                             stats, read_whole_runs_, visit);
       }
-      return ScanStoreRuns(store, zone, &whole, 1, spec.ctx, spec.trace,
-                           "full_scan", stats, read_whole_runs_,
+      return ScanStoreRuns(store, zone, &whole, 1, spec.trace, "full_scan",
+                           stats, read_whole_runs_,
                            [&](uint64_t pos, const Record& record) {
                              ++stats->candidate_cells;
                              return visit(pos, record);
@@ -395,10 +390,12 @@ class FieldEngine {
     runs.clear();
     Status filter;
     {
-      ScopedSpan span(spec.trace, "filter", &spec.ctx->io);
+      ScopedSpan span("filter", "query", spec.trace);
       filter = search(&runs);
       span.set_items(TotalRangeLength(runs));
-      span.set_detail("runs=" + std::to_string(runs.size()));
+      if (span.traced()) {
+        span.set_detail("runs=" + std::to_string(runs.size()));
+      }
     }
     if (filter.ok() && !runs.empty() && runs.back().end > store.size()) {
       // An index entry past the store under a valid checksum is as
@@ -413,9 +410,8 @@ class FieldEngine {
     }
     FIELDDB_RETURN_IF_ERROR(filter);
     if (spec.count_candidates) stats->candidate_cells = TotalRangeLength(runs);
-    return ScanStoreRuns(store, zone, runs.data(), runs.size(), spec.ctx,
-                         spec.trace, spec.fetch_detail, stats,
-                         read_whole_runs_, visit);
+    return ScanStoreRuns(store, zone, runs.data(), runs.size(), spec.trace,
+                         spec.fetch_detail, stats, read_whole_runs_, visit);
   }
 
   /// Appends a "slow_query" event when an event log is attached and the

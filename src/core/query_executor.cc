@@ -7,7 +7,7 @@
 #include "core/query_context.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -51,8 +51,8 @@ void QueryExecutor::Submit(const ValueInterval& query, Callback done) {
     cost_ms = db_->planner().Plan(query, db_->planner_mode()).predicted_cost_ms;
     lock.lock();
   }
-  queue_.push_back(Task{query, std::move(done), nullptr,
-                        std::chrono::steady_clock::now(), cost_ms});
+  queue_.push_back(
+      Task{query, std::move(done), nullptr, TraceBuffer::NowNs(), cost_ms});
   ++in_flight_;
   lock.unlock();
   not_empty_.notify_one();
@@ -63,7 +63,7 @@ void QueryExecutor::SubmitTask(std::function<void()> work) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [this] { return queue_.size() < queue_capacity_; });
     queue_.push_back(Task{ValueInterval{}, nullptr, std::move(work),
-                          std::chrono::steady_clock::now(), std::nullopt});
+                          TraceBuffer::NowNs(), std::nullopt});
     ++in_flight_;
   }
   not_empty_.notify_one();
@@ -74,19 +74,15 @@ void QueryExecutor::Drain() {
   idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void QueryExecutor::RecordQueueWait(
-    const Task& task, std::chrono::steady_clock::time_point dequeued) const {
+void QueryExecutor::RecordQueueWait(const Task& task,
+                                    uint64_t dequeued_ns) const {
   // Queue wait: the stretch between Submit's enqueue and the dequeue.
   // Recorded even for queries that go on to fail — the wait happened
   // either way.
-  const double wait_s =
-      std::chrono::duration<double>(dequeued - task.enqueued).count();
-  queue_wait_us_->Record(wait_s * 1e6);
-  if (TraceBuffer::enabled()) {
-    TraceBuffer& tb = TraceBuffer::Global();
-    tb.Record("queue.wait", "queue-wait", tb.TimestampNs(task.enqueued),
-              static_cast<uint64_t>(wait_s * 1e9));
-  }
+  const uint64_t wait_ns = dequeued_ns - task.enqueued_ns;
+  queue_wait_us_->Record(static_cast<double>(wait_ns) / 1e3);
+  ScopedSpan::Record("queue.wait", "queue-wait", nullptr, task.enqueued_ns,
+                     wait_ns);
 }
 
 void QueryExecutor::WorkerLoop() {
@@ -149,8 +145,8 @@ void QueryExecutor::WorkerLoop() {
       not_full_.notify_one();
     }
 
-    const auto dequeued = std::chrono::steady_clock::now();
-    for (const Task& task : group) RecordQueueWait(task, dequeued);
+    const uint64_t dequeued_ns = TraceBuffer::NowNs();
+    for (const Task& task : group) RecordQueueWait(task, dequeued_ns);
 
     if (group.front().work != nullptr) {
       group.front().work();  // a closure never joins a group

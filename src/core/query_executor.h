@@ -1,7 +1,6 @@
 #ifndef FIELDDB_CORE_QUERY_EXECUTOR_H_
 #define FIELDDB_CORE_QUERY_EXECUTOR_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -135,11 +134,11 @@ class QueryExecutor {
     /// Non-null for SubmitTask closures; such tasks bypass the query
     /// path entirely (no grouping, no SLO).
     std::function<void()> work;
-    /// Submit time; the worker records dequeue-minus-enqueue as the
-    /// query's queue-wait (trace span "queue.wait" + histogram
-    /// exec.queue_wait_us) — the saturation signal admission control
-    /// will key on.
-    std::chrono::steady_clock::time_point enqueued;
+    /// Submit time on the trace clock (TraceBuffer::NowNs); the worker
+    /// records dequeue-minus-enqueue as the query's queue-wait (trace
+    /// span "queue.wait" + histogram exec.queue_wait_us) — the
+    /// saturation signal admission control will key on.
+    uint64_t enqueued_ns = 0;
     /// With shared_scan: the query's predicted plan cost, priced by
     /// Submit off the queue lock when the queue held a task (the
     /// planner mode changes only while the database is quiescent).
@@ -153,8 +152,7 @@ class QueryExecutor {
 
   /// Records queue-wait (histogram + trace) for one dequeued task;
   /// shared by the solo and grouped paths.
-  void RecordQueueWait(const Task& task,
-                       std::chrono::steady_clock::time_point dequeued) const;
+  void RecordQueueWait(const Task& task, uint64_t dequeued_ns) const;
 
   const FieldDatabase* db_;
   const size_t queue_capacity_;

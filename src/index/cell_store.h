@@ -14,7 +14,7 @@
 #include "field/cell.h"
 #include "field/field.h"
 #include "index/zone_sidecar.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/record_store.h"
 
@@ -221,7 +221,7 @@ class BasicCellStore {
   /// an empty `order` for the identity.
   static StatusOr<BasicCellStore> Build(BufferPool* pool, const Field& field,
                                         const std::vector<CellId>& order) {
-    TraceScope span("build.store", "build");
+    ScopedSpan span("build.store", "build");
     const uint64_t n = field.NumCells();
     span.set_items(n);
     if (!order.empty() && order.size() != n) {
@@ -248,7 +248,7 @@ class BasicCellStore {
   static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
                                          uint64_t num_records,
                                          const Slots& slots = {}) {
-    TraceScope span("open.attach", "open");
+    ScopedSpan span("open.attach", "open");
     span.set_items(num_records);
     StatusOr<Records> records =
         Records::Attach(pool, first_page, num_records, slots);

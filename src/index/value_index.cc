@@ -7,7 +7,7 @@
 
 #include "core/ext_sort.h"
 #include "index/subfield_maintenance.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -65,7 +65,7 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildIAll(BufferPool* pool,
     entries[pos].a = pos;
   }
   {
-    TraceScope span("build.sort", "build");
+    ScopedSpan span("build.sort", "build");
     span.set_items(n);
     std::sort(entries.begin(), entries.end(),
               [](const RTreeEntry<1>& x, const RTreeEntry<1>& y) {
@@ -111,7 +111,7 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildIHilbert(
   ExternalKeyRecordSorter<CellId> sorter(build_memory_budget_bytes);
   sorter.Reserve(n);
   {
-    TraceScope span("build.keys", "build");
+    ScopedSpan span("build.keys", "build");
     span.set_items(n);
     for (CellId id = 0; id < n; ++id) {
       FIELDDB_RETURN_IF_ERROR(sorter.Add(
@@ -122,7 +122,7 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildIHilbert(
   {
     // The merge sorts what is still buffered (build.sort) and streams
     // the cells into the store.
-    TraceScope span("build.store", "build");
+    ScopedSpan span("build.store", "build");
     span.set_items(n);
     FIELDDB_RETURN_IF_ERROR(
         sorter.Merge([&](uint64_t, const CellId& id) -> Status {
@@ -247,7 +247,7 @@ StatusOr<std::unique_ptr<ValueIndex>> BuildQuadtree(
   order.reserve(n);
   std::vector<Subfield> subfields;
   {
-    TraceScope span("build.partition", "build");
+    ScopedSpan span("build.partition", "build");
     span.set_items(n);
     Divide(intervals, centroids, std::move(root), threshold, &order,
            &subfields);

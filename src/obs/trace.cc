@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "obs/json.h"
-#include "obs/trace_buffer.h"
+#include "storage/io_sink.h"
 
 namespace fielddb {
 
@@ -75,55 +75,44 @@ std::string QueryTrace::ToJson() const {
   return out;
 }
 
-namespace {
-
-/// Span-family category for the Chrome trace export, derived from the
-/// span's dotted name ("wal.scan" -> "wal", "recovery"/"verify" ->
-/// "recovery", "plan*" -> "plan", everything else is a query phase).
-const char* CategoryForSpanName(const char* name) {
-  const std::string_view n(name);
-  if (n.substr(0, 3) == "wal") return "wal";
-  if (n == "recovery" || n == "verify") return "recovery";
-  if (n.substr(0, 4) == "plan") return "plan";
-  return "query";
+void ScopedSpan::Start(QueryTrace* trace) {
+  open_ = true;
+  if (trace != nullptr) {
+    per_query_.emplace();
+    per_query_->trace = trace;
+    per_query_->sink = CurrentIoSink();
+    if (per_query_->sink != nullptr) per_query_->io_start = *per_query_->sink;
+  }
+  start_ns_ = TraceBuffer::NowNs();
 }
 
-}  // namespace
-
-ScopedSpan::ScopedSpan(QueryTrace* trace, const char* name,
-                       const IoStats* live_io)
-    : trace_(trace),
-      live_io_(live_io),
-      name_(name),
-      buffer_active_(TraceBuffer::enabled()) {
-  if (trace_ == nullptr && !buffer_active_) return;
-  started_ = true;
-  if (trace_ != nullptr) {
-    span_.name = name;
-    if (live_io_ != nullptr) io_start_ = *live_io_;
+void ScopedSpan::Close() {
+  open_ = false;
+  const uint64_t elapsed = TraceBuffer::NowNs() - start_ns_;
+  const uint64_t dur_ns = elapsed > deduct_ns_ ? elapsed - deduct_ns_ : 0;
+  end_ns_ = start_ns_ + dur_ns;
+  if (ring_) {
+    TraceBuffer::Global().Record(name_, category_, start_ns_, dur_ns,
+                                 items_);
   }
-  t0_ = std::chrono::steady_clock::now();
+  if (per_query_) {
+    IoStats io;
+    if (per_query_->sink != nullptr) {
+      io = *per_query_->sink - per_query_->io_start;
+    }
+    per_query_->trace->AddSpan(TraceSpan{name_, dur_ns / 1e9, io, items_,
+                                         std::move(per_query_->detail)});
+  }
 }
 
-void ScopedSpan::Finish() {
-  if (!started_ || done_) return;
-  done_ = true;
-  double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-          .count() -
-      deduct_;
-  if (wall < 0) wall = 0;
-  if (buffer_active_) {
-    TraceBuffer& tb = TraceBuffer::Global();
-    const uint64_t dur_ns = static_cast<uint64_t>(wall * 1e9);
-    tb.Record(name_, CategoryForSpanName(name_), tb.TimestampNs(t0_),
-              dur_ns, span_.items);
+void ScopedSpan::Record(const char* name, const char* category,
+                        QueryTrace* trace, uint64_t start_ns,
+                        uint64_t dur_ns, uint64_t items) {
+  if (TraceBuffer::enabled()) {
+    TraceBuffer::Global().Record(name, category, start_ns, dur_ns, items);
   }
-  if (trace_ != nullptr) {
-    span_.wall_seconds = wall;
-    if (live_io_ != nullptr) span_.io = *live_io_ - io_start_;
-    trace_->AddSpan(std::move(span_));
-    trace_ = nullptr;
+  if (trace != nullptr) {
+    trace->AddSpan(TraceSpan{name, dur_ns / 1e9, IoStats{}, items, {}});
   }
 }
 

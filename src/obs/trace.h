@@ -1,12 +1,13 @@
 #ifndef FIELDDB_OBS_TRACE_H_
 #define FIELDDB_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/trace_buffer.h"
 #include "storage/io_stats.h"
 
 namespace fielddb {
@@ -39,8 +40,6 @@ class QueryTrace {
   double TotalWallSeconds() const;
   IoStats TotalIo() const;
 
-  void Clear() { spans_.clear(); }
-
   /// Human-readable tree, one line per span.
   std::string ToString() const;
   /// {"spans":[{"name":...,"wall_ms":...,"logical_reads":...,...}]}
@@ -50,47 +49,77 @@ class QueryTrace {
   std::vector<TraceSpan> spans_;
 };
 
-/// RAII span recorder with two sinks. Snapshots the wall clock and
-/// `*live_io` (a stable pointer into the live IoStats being mutated
-/// underneath, e.g. BufferPool::stats()) at construction;
-/// Finish()/destruction appends the deltas to the trace. A null
-/// `trace` skips the per-query span list, so untraced query paths pay
-/// one branch per phase — but when the global TraceBuffer
-/// (obs/trace_buffer.h) is enabled, every span is *also* recorded
-/// there regardless of `trace`, which is how the always-on trace-v2
-/// layer sees plan/filter/fetch/estimate and recovery phases without
-/// the caller opting in. `name` must be a string literal (the
-/// TraceBuffer stores the pointer).
+/// The one span recorder. A span is recorded into two sinks, each only
+/// when it exists: the process-wide TraceBuffer ring (obs/trace_buffer.h)
+/// when tracing is enabled at construction, and `trace`, the per-query
+/// list EXPLAIN reads, when non-null. Both take the span's duration from
+/// the same two TraceBuffer::NowNs() reads, at construction and at
+/// Finish(); the per-query span also gets the I/O delta of the calling
+/// thread's sink (CurrentIoSink(), installed by the query's
+/// FieldEngine::MeasureQuery) and the detail. With neither sink a span
+/// costs one relaxed load and a branch: it builds no string and copies
+/// no IoStats. `name` and `category` must be string literals (the ring
+/// stores the pointers).
 class ScopedSpan {
  public:
-  ScopedSpan(QueryTrace* trace, const char* name, const IoStats* live_io);
+  ScopedSpan(const char* name, const char* category,
+             QueryTrace* trace = nullptr)
+      : name_(name), category_(category), ring_(TraceBuffer::enabled()) {
+    if (ring_ || trace != nullptr) Start(trace);
+  }
   ~ScopedSpan() { Finish(); }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  void set_items(uint64_t n) { span_.items = n; }
-  void set_detail(std::string d) { span_.detail = std::move(d); }
+  void set_items(uint64_t n) { items_ = n; }
+  /// Annotates the per-query span; a no-op without a trace, so build a
+  /// costly detail only when traced().
+  void set_detail(std::string_view d) {
+    if (per_query_) per_query_->detail = d;
+  }
+  bool traced() const { return per_query_.has_value(); }
 
-  /// Moves `seconds` of this span's wall time out of it — used when a
-  /// nested phase (e.g. "estimate" inside the fetch scan) is timed
-  /// separately and reported as its own span.
-  void DeductWallSeconds(double seconds) { deduct_ += seconds; }
+  /// Moves `ns` of this span's duration out of its tail: a nested phase
+  /// timed in slices (the estimate step inside the fetch scan) is
+  /// recorded as its own span starting at end_ns().
+  void DeductNs(uint64_t ns) { deduct_ns_ += ns; }
 
   /// Records the span now (idempotent; also called by the destructor).
-  void Finish();
+  void Finish() {
+    if (open_) Close();
+  }
+  /// Where the recorded span ends, on the NowNs() clock (after Finish).
+  uint64_t end_ns() const { return end_ns_; }
+
+  /// Records a span timed elsewhere — it started on another thread, or
+  /// is a sum of slices — into the same sinks: the ring when enabled and
+  /// `trace` when non-null (no I/O, no detail).
+  static void Record(const char* name, const char* category,
+                     QueryTrace* trace, uint64_t start_ns, uint64_t dur_ns,
+                     uint64_t items = 0);
 
  private:
-  QueryTrace* trace_ = nullptr;
-  const IoStats* live_io_ = nullptr;
-  const char* name_ = nullptr;
-  TraceSpan span_;
-  IoStats io_start_;
-  double deduct_ = 0.0;
-  std::chrono::steady_clock::time_point t0_;
-  bool started_ = false;
-  bool buffer_active_ = false;  // TraceBuffer was enabled at start
-  bool done_ = false;
+  // What only a span with a per-query trace needs.
+  struct PerQuery {
+    QueryTrace* trace = nullptr;
+    const IoStats* sink = nullptr;
+    IoStats io_start;
+    std::string detail;
+  };
+
+  void Start(QueryTrace* trace);
+  void Close();
+
+  const char* name_;
+  const char* category_;
+  const bool ring_;  // TraceBuffer was enabled at construction
+  bool open_ = false;
+  uint64_t start_ns_ = 0;
+  uint64_t end_ns_ = 0;
+  uint64_t deduct_ns_ = 0;
+  uint64_t items_ = 0;
+  std::optional<PerQuery> per_query_;
 };
 
 }  // namespace fielddb

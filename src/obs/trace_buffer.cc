@@ -10,6 +10,8 @@ namespace fielddb {
 
 namespace trace_internal {
 std::atomic<bool> g_trace_enabled{false};
+const std::chrono::steady_clock::time_point g_epoch =
+    std::chrono::steady_clock::now();
 }  // namespace trace_internal
 
 namespace {
@@ -20,8 +22,6 @@ namespace {
 std::atomic<uint32_t> g_next_tid{1};
 
 }  // namespace
-
-TraceBuffer::TraceBuffer() : epoch_(std::chrono::steady_clock::now()) {}
 
 TraceBuffer& TraceBuffer::Global() {
   static TraceBuffer* buffer = new TraceBuffer();
@@ -39,18 +39,6 @@ void TraceBuffer::set_ring_capacity(size_t capacity) {
 
 size_t TraceBuffer::ring_capacity() const {
   return ring_capacity_.load(std::memory_order_relaxed);
-}
-
-uint64_t TraceBuffer::NowNs() const {
-  return TimestampNs(std::chrono::steady_clock::now());
-}
-
-uint64_t TraceBuffer::TimestampNs(
-    std::chrono::steady_clock::time_point tp) const {
-  if (tp < epoch_) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(tp - epoch_)
-          .count());
 }
 
 TraceBuffer::Ring* TraceBuffer::RingForThisThread() {

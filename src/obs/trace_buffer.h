@@ -13,22 +13,23 @@
 
 namespace fielddb {
 
-/// Trace v2: an always-on, process-wide span recorder. Where QueryTrace
+/// Trace v2: an always-on, process-wide span store. Where QueryTrace
 /// (obs/trace.h) builds a per-query span list that the caller asked for
-/// explicitly, TraceBuffer passively collects *every* instrumented span
-/// in the process — query phases, WAL commits, buffer-pool evictions
-/// and prefetches, executor queue waits, recovery phases — into
-/// bounded per-thread ring buffers, and exports them as Chrome
-/// trace-event JSON loadable in Perfetto (ui.perfetto.dev).
+/// explicitly, TraceBuffer passively collects *every* span ScopedSpan
+/// (obs/trace.h) records in the process — query phases, WAL commits,
+/// buffer-pool evictions and prefetches, executor queue waits, recovery
+/// phases — into bounded per-thread ring buffers, and exports them as
+/// Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev).
 ///
 /// Design constraints, in order:
 ///  1. Recording must be cheap enough to leave on in production
 ///     (bench/bench_obs_overhead.cc pins the whole obs layer under 5%
-///     on the Fig-8a workload). Disabled, a TraceScope is one relaxed
-///     atomic load and a branch. Enabled, a record is two clock reads
-///     plus a handful of relaxed atomic stores into a ring slot owned
-///     by the recording thread — no locks, no allocation, no
-///     cross-thread cache-line contention on the hot path.
+///     on the Fig-8a workload). Disabled, a ScopedSpan without a
+///     per-query trace is one relaxed atomic load and a branch.
+///     Enabled, a record is two clock reads plus a handful of relaxed
+///     atomic stores into a ring slot owned by the recording thread —
+///     no locks, no allocation, no cross-thread cache-line contention
+///     on the hot path.
 ///  2. Memory is bounded: each thread owns a fixed-capacity ring and
 ///     overwrites its own oldest events (drop-oldest). Drops are
 ///     counted exactly (total recorded minus ring capacity), never
@@ -46,7 +47,7 @@ struct TraceEvent {
   const char* name = nullptr;
   const char* category = nullptr;
   uint32_t tid = 0;      // stable per-thread id assigned at ring creation
-  uint64_t ts_ns = 0;    // start, nanoseconds since the buffer's epoch
+  uint64_t ts_ns = 0;    // start, TraceBuffer::NowNs() (since process start)
   uint64_t dur_ns = 0;   // duration, nanoseconds
   uint64_t items = 0;    // span-specific cardinality (0 = unset)
 };
@@ -55,11 +56,11 @@ class TraceBuffer {
  public:
   static constexpr size_t kDefaultRingCapacity = 8192;  // per thread
 
-  /// The process-wide buffer every TraceScope records into.
+  /// The process-wide buffer every ScopedSpan records into.
   static TraceBuffer& Global();
 
   /// Globally enables/disables recording (export still works). The
-  /// flag gates TraceScope's constructor, so a disabled process pays
+  /// flag gates ScopedSpan's constructor, so a disabled process pays
   /// one relaxed load + branch per instrumented site.
   static void set_enabled(bool enabled);
   static bool enabled();
@@ -76,12 +77,11 @@ class TraceBuffer {
   void Record(const char* name, const char* category, uint64_t ts_ns,
               uint64_t dur_ns, uint64_t items = 0);
 
-  /// Nanoseconds since this buffer's epoch (process start, steady
-  /// clock) — the timebase every event timestamp uses.
-  uint64_t NowNs() const;
-  /// Converts an already-captured steady_clock time point into the
-  /// same timebase (for recorders that timed the span themselves).
-  uint64_t TimestampNs(std::chrono::steady_clock::time_point tp) const;
+  /// Steady-clock nanoseconds since process start: the one clock every
+  /// span reads, at its start and at its end. The epoch is fixed during
+  /// static initialization, not at the first use of the buffer, so a
+  /// span that began before the buffer was enabled keeps its true start.
+  static uint64_t NowNs();
 
   /// Copies out every retained event, oldest-first per thread. Safe
   /// concurrently with recorders; slots being overwritten mid-read are
@@ -133,52 +133,30 @@ class TraceBuffer {
     std::atomic<uint64_t> floor{0};
   };
 
-  TraceBuffer();
+  TraceBuffer() = default;
   Ring* RingForThisThread();
 
   mutable std::mutex registry_mu_;  // guards rings_ growth only
   std::vector<std::unique_ptr<Ring>> rings_;
   std::atomic<size_t> ring_capacity_{kDefaultRingCapacity};
-  std::chrono::steady_clock::time_point epoch_;
-};
-
-/// RAII span for the global TraceBuffer. Construction snapshots the
-/// clock when tracing is enabled; destruction records the completed
-/// span. Cheap enough to leave in hot paths: the disabled cost is one
-/// relaxed load and a branch.
-class TraceScope {
- public:
-  TraceScope(const char* name, const char* category)
-      : name_(name), category_(category), active_(TraceBuffer::enabled()) {
-    if (active_) t0_ = TraceBuffer::Global().NowNs();
-  }
-  ~TraceScope() {
-    if (!active_) return;
-    TraceBuffer& tb = TraceBuffer::Global();
-    tb.Record(name_, category_, t0_, tb.NowNs() - t0_, items_);
-  }
-
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  void set_items(uint64_t n) { items_ = n; }
-  bool active() const { return active_; }
-
- private:
-  const char* name_;
-  const char* category_;
-  uint64_t t0_ = 0;
-  uint64_t items_ = 0;
-  const bool active_;
 };
 
 namespace trace_internal {
 /// Storage for the global enable flag; use TraceBuffer::enabled().
 extern std::atomic<bool> g_trace_enabled;
+/// The trace clock's epoch; use TraceBuffer::NowNs().
+extern const std::chrono::steady_clock::time_point g_epoch;
 }  // namespace trace_internal
 
 inline bool TraceBuffer::enabled() {
   return trace_internal::g_trace_enabled.load(std::memory_order_relaxed);
+}
+
+inline uint64_t TraceBuffer::NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - trace_internal::g_epoch)
+          .count());
 }
 
 }  // namespace fielddb

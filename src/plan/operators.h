@@ -18,9 +18,11 @@ namespace fielddb {
 
 /// What the grid's physical operators need from the query that runs
 /// them: the value index (and, through it, the clustered cell store),
-/// the per-query scratch context whose IoStats is the live I/O sink, and
-/// an optional trace. Kept for the external benchmark program, which
-/// replays the operators one by one (RunScanOp, RunFuseOp).
+/// the per-query scratch context and an optional trace. The spans read
+/// the I/O of the calling thread's sink, so a traced replay installs
+/// `ctx->io` with a ScopedIoSink first. Kept for the external benchmark
+/// program, which replays the operators one by one (RunScanOp,
+/// RunFuseOp).
 struct OperatorEnv {
   const ValueIndex* index = nullptr;
   QueryContext* ctx = nullptr;
@@ -80,7 +82,7 @@ Status RunScanOp(const OperatorEnv& env, const ValueInterval& query,
                  const char* fetch_detail, QueryStats* stats,
                  Visitor&& visit) {
   return ScanStoreRuns(env.index->cell_store(), query, ranges, num_ranges,
-                       env.ctx, env.trace, fetch_detail, stats,
+                       env.trace, fetch_detail, stats,
                        /*read_whole_runs=*/false,
                        std::forward<Visitor>(visit));
 }

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -72,7 +72,7 @@ PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
     // The probe is the only part of planning whose cost scales with the
     // index (zone-map walk / subfield-table scan); give it its own span
     // so planner time is attributable when the trace buffer is on.
-    TraceScope probe_span("plan.probe", "plan");
+    ScopedSpan probe_span("plan.probe", "plan");
     p = probe();
     probe_span.set_items(p.candidates);
   }
@@ -171,15 +171,6 @@ PagePattern QueryPlanner::FilterPattern(const Selectivity& sel) const {
       std::ceil(static_cast<double>(info.tree_nodes) * sel.entry_fraction));
   return PagePattern::Random(
       std::min<uint64_t>(info.tree_nodes, info.tree_height + spread));
-}
-
-bool QueryPlanner::SharesScan(const ValueInterval& envelope,
-                              const ValueInterval& candidate,
-                              PlannerMode mode) const {
-  return SharedScanCost(envelope, Plan(envelope, mode).predicted_cost_ms,
-                        candidate, Plan(candidate, mode).predicted_cost_ms,
-                        mode)
-      .has_value();
 }
 
 std::optional<double> QueryPlanner::SharedScanCost(

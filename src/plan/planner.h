@@ -150,19 +150,15 @@ class QueryPlanner {
 
   /// Share-vs-isolate admission for the executor's and the router's
   /// shared-scan grouping: should `candidate` join a group whose
-  /// members' hull is `envelope`? True when the widened envelope's
-  /// plan (the group executes as one pass whose I/O is that plan's) is
-  /// predicted no more expensive than the envelope's and the
-  /// candidate's plans together. Shares on ties: the fused sweep also
-  /// saves the per-query fixed costs the model does not price.
-  bool SharesScan(const ValueInterval& envelope, const ValueInterval& candidate,
-                  PlannerMode mode = PlannerMode::kAuto) const;
-
-  /// SharesScan with the envelope's and the candidate's predicted costs
-  /// (Plan(...).predicted_cost_ms under `mode`) already known, so only
-  /// the widened envelope is planned: its predicted cost when the
-  /// candidate shares, nullopt when it does not. A caller growing a
-  /// group keeps the returned cost as the new envelope's.
+  /// members' hull is `envelope`? Given the envelope's and the
+  /// candidate's predicted costs (Plan(...).predicted_cost_ms under
+  /// `mode`), only the widened envelope is planned; the candidate
+  /// shares when that plan (the group executes as one pass whose I/O is
+  /// that plan's) is predicted no more expensive than the two together.
+  /// Shares on ties: the fused sweep also saves the per-query fixed
+  /// costs the model does not price. Returns the widened plan's cost
+  /// when the candidate shares, nullopt when it does not; a caller
+  /// growing a group keeps it as the new envelope's.
   std::optional<double> SharedScanCost(const ValueInterval& envelope,
                                        double envelope_ms,
                                        const ValueInterval& candidate,

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <queue>
 
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 
 namespace fielddb {
 
@@ -241,7 +241,7 @@ Status RStarTree<Dim>::NearestNeighbors(
 template <int Dim>
 StatusOr<RStarTree<Dim>> RStarTree<Dim>::BulkLoad(
     BufferPool* pool, const std::vector<Entry>& sorted) {
-  TraceScope span("build.tree", "build");
+  ScopedSpan span("build.tree", "build");
   span.set_items(sorted.size());
   RStarTree tree(pool);
   // Pack the current level into full nodes; the last node may run short

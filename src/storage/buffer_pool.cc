@@ -6,7 +6,7 @@
 #include <numeric>
 #include <thread>
 
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 #include "storage/io_sink.h"
 
 namespace fielddb {
@@ -214,7 +214,7 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
   if (closed_.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
-  TraceScope span("pool.prefetch", "pool");
+  ScopedSpan span("pool.prefetch", "pool");
   span.set_items(ids.size());
 
   // Pass 1 — classify under brief shard locks: which of the pages are
@@ -249,7 +249,7 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
   const auto t0 = timing ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
   {
-    TraceScope reap("pool.reap", "pool");
+    ScopedSpan reap("pool.reap", "pool");
     reap.set_items(missing.size());
     file_->ReadBatch(missing.data(), missing.size(), pages.data(),
                      statuses.data());
@@ -371,7 +371,7 @@ Status BufferPool::EnsureCapacityLocked(Shard& sh) {
   }
   // Reached only when a frame must actually be evicted, so the span
   // traces eviction pressure (and its write-back cost), not every pin.
-  TraceScope span("pool.evict", "pool");
+  ScopedSpan span("pool.evict", "pool");
   if (no_steal_.load(std::memory_order_acquire)) {
     // Dirty frames are pinned to memory until the next checkpoint:
     // evict the least-recently-used *clean* frame instead.

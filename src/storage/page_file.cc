@@ -10,7 +10,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 #include "storage/crc32c.h"
 
 namespace fielddb {
@@ -331,7 +331,7 @@ Status DiskPageFile::Write(PageId id, const Page& page) {
 Status DiskPageFile::Sync() {
   // fsync is the single most expensive storage call; always worth a
   // span so checkpoint/commit stalls are visible in the trace.
-  TraceScope span("file.sync", "pool");
+  ScopedSpan span("file.sync", "pool");
   if (::fsync(fd_) != 0) {
     return Status::IOError("fsync failed");
   }

@@ -6,7 +6,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
-#include "obs/trace_buffer.h"
+#include "obs/trace.h"
 #include "storage/crc32c.h"
 
 namespace fielddb {
@@ -305,7 +305,7 @@ Status WriteAheadLog::Commit() {
   if (file_ == nullptr || broken_) {
     return Status::FailedPrecondition("wal is closed");
   }
-  TraceScope span("wal.commit", "wal");
+  ScopedSpan span("wal.commit", "wal");
   WalMetrics::Get().commits->Increment();
   if (mode_ == WalMode::kFsyncOnCommit) {
     return DoSync();

@@ -3,6 +3,8 @@
 // span I/O deltas sum exactly to the query's IoStats, and the EXPLAIN
 // subfield list agrees with what the filter actually produced.
 
+#include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 #include "core/field_database.h"
 #include "gen/fractal.h"
 #include "obs/trace.h"
+#include "obs/trace_buffer.h"
 #include "query_util.h"
 
 namespace fielddb {
@@ -54,8 +57,7 @@ ValueInterval MidBand(const FieldDatabase& db, double lo_frac,
 }
 
 TEST(TraceTest, ScopedSpanIsNoOpWithoutTrace) {
-  IoStats io;
-  ScopedSpan span(nullptr, "filter", &io);
+  ScopedSpan span("filter", "query");
   span.set_items(5);
   span.Finish();  // must not crash or dereference anything
 }
@@ -125,6 +127,52 @@ TEST(TraceTest, LinearScanTracesFusedPipeline) {
   ASSERT_NE(qs.trace->Find("fetch"), nullptr);
   ASSERT_NE(qs.trace->Find("estimate"), nullptr);
   EXPECT_EQ(qs.trace->TotalIo().logical_reads, qs.io.logical_reads);
+}
+
+TEST(TraceTest, RingAgreesWithTraceOnATracedQuery) {
+  auto db = MakeDb(IndexMethod::kIHilbert);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  (*db)->set_planner_mode(PlannerMode::kForceIndex);
+  const ValueInterval band = MidBand(**db, 0.30, 0.45);
+
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  QueryStats qs;
+  const Status s = TracedCount(**db, band, &qs);
+  TraceBuffer::set_enabled(false);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_NE(qs.trace, nullptr);
+
+  // The query's phase events (the planner's probe and the pool record
+  // spans of their own).
+  const std::map<std::string, std::string> categories = {
+      {"plan", "plan"},
+      {"filter", "query"},
+      {"fetch", "query"},
+      {"estimate", "query"}};
+  std::map<std::string, TraceEvent> ring;
+  for (const TraceEvent& e : tb.Snapshot()) {
+    if (categories.contains(e.name)) {
+      EXPECT_TRUE(ring.emplace(e.name, e).second) << e.name << " twice";
+    }
+  }
+  tb.Clear();
+  for (const auto& [phase, category] : categories) {
+    const TraceSpan* span = qs.trace->Find(phase);
+    ASSERT_NE(span, nullptr) << phase;
+    const auto it = ring.find(phase);
+    ASSERT_NE(it, ring.end()) << phase << " never reached the ring";
+    EXPECT_EQ(it->second.category, category) << phase;
+    EXPECT_EQ(it->second.items, span->items) << phase;
+    EXPECT_EQ(it->second.dur_ns,
+              static_cast<uint64_t>(std::llround(span->wall_seconds * 1e9)))
+        << phase;
+  }
+  // The estimate slices are cut from the fetch span's tail: the two
+  // events tile the scan.
+  const TraceEvent& fetch = ring.at("fetch");
+  EXPECT_EQ(ring.at("estimate").ts_ns, fetch.ts_ns + fetch.dur_ns);
 }
 
 TEST(ExplainTest, SubfieldListMatchesActualCandidates) {

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -175,6 +176,12 @@ TEST_F(SharedScanTest, SharesScanMatchesPlanCostsAndSharesIdentical) {
   ASSERT_TRUE(db.ok());
   const QueryPlanner& planner = (*db)->planner();
   const std::vector<ValueInterval> queries = OverlappingQueries(8);
+  const auto shared_cost = [&](const ValueInterval& a,
+                               const ValueInterval& b) {
+    return planner.SharedScanCost(a, planner.Plan(a).predicted_cost_ms, b,
+                                  planner.Plan(b).predicted_cost_ms,
+                                  PlannerMode::kAuto);
+  };
   for (const ValueInterval& a : queries) {
     for (const ValueInterval& b : queries) {
       // The widened sweep against the two separate plans, ties shared.
@@ -182,12 +189,16 @@ TEST_F(SharedScanTest, SharesScanMatchesPlanCostsAndSharesIdentical) {
           planner.Plan(ValueInterval::Hull(a, b)).predicted_cost_ms;
       const double isolated_ms = planner.Plan(a).predicted_cost_ms +
                                  planner.Plan(b).predicted_cost_ms;
-      EXPECT_EQ(planner.SharesScan(a, b), shared_ms <= isolated_ms)
+      const std::optional<double> cost = shared_cost(a, b);
+      EXPECT_EQ(cost.has_value(), shared_ms <= isolated_ms)
           << "[" << a.min << ", " << a.max << "] + [" << b.min << ", "
           << b.max << "]";
+      if (cost) {
+        EXPECT_EQ(*cost, shared_ms);
+      }
     }
     // An identical candidate never widens the sweep: always shared.
-    EXPECT_TRUE(planner.SharesScan(a, a));
+    EXPECT_TRUE(shared_cost(a, a).has_value());
   }
 }
 
@@ -294,9 +305,9 @@ TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
   // Admission runs under the queue lock: the candidates' own plans come
   // priced from Submit and the envelope's is carried, so the worker
   // plans one widened envelope per queued candidate — not the three
-  // plans SharesScan makes (widened, envelope, candidate) — plus the
-  // head's own plan once, as the head reached an empty queue and went
-  // unpriced.
+  // plans of a comparison from scratch (widened, envelope, candidate) —
+  // plus the head's own plan once, as the head reached an empty queue
+  // and went unpriced.
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
   const std::vector<ValueInterval> seed_queries = OverlappingQueries(2);

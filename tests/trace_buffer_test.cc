@@ -14,11 +14,14 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
+
 namespace fielddb {
 namespace {
 
-// Every test shares the process-global buffer (TraceScope has no other
-// sink), so each restores the disabled state and clears retained events.
+// Every test shares the process-global buffer (a ScopedSpan without a
+// per-query trace has no other sink), so each restores the disabled
+// state and clears retained events.
 class TraceBufferTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -37,7 +40,7 @@ TEST_F(TraceBufferTest, DisabledRecordsNothing) {
   TraceBuffer::set_enabled(false);
   const uint64_t before = TraceBuffer::Global().total_recorded();
   {
-    TraceScope span("test.disabled", "test");
+    ScopedSpan span("test.disabled", "test");
     span.set_items(3);
   }
   EXPECT_EQ(TraceBuffer::Global().total_recorded(), before);
@@ -45,7 +48,7 @@ TEST_F(TraceBufferTest, DisabledRecordsNothing) {
 
 TEST_F(TraceBufferTest, ScopeRoundTrip) {
   {
-    TraceScope span("test.roundtrip", "test");
+    ScopedSpan span("test.roundtrip", "test");
     span.set_items(7);
   }
   bool found = false;
@@ -177,7 +180,7 @@ TEST_F(TraceBufferTest, ConcurrentExportIsSafe) {
 
 TEST_F(TraceBufferTest, ChromeExportShape) {
   {
-    TraceScope span("test.export", "test");
+    ScopedSpan span("test.export", "test");
     span.set_items(5);
   }
   const std::string json = TraceBuffer::Global().ExportChromeTrace();

@@ -7,10 +7,12 @@ Checks that each file is the JSON-object flavor of the Chrome
 trace-event format (the one ui.perfetto.dev and chrome://tracing load):
 a top-level object with a "traceEvents" array of "X" (complete) and "M"
 (metadata) events carrying valid name/cat/ts/dur/pid/tid fields, plus
-the exporter's own schema stamp in otherData. By default it also
-requires at least one complete event from each span family an
-instrumented fielddb process must produce: plan, wal, recovery, and
-queue (matched as category prefixes).
+the exporter's own schema stamp in otherData. Every span name must
+appear under one category only: each recording site states its span's
+category, so a name under two categories is a site that drifted. By
+default it also requires at least one complete event from each span
+family an instrumented fielddb process must produce: plan, wal,
+recovery, queue and query (matched as category prefixes).
 
 Exits 0 when every file is valid; prints each violation and exits 1
 otherwise. Stdlib only — this runs inside CTest (bench/CMakeLists.txt
@@ -21,7 +23,7 @@ import json
 import math
 import sys
 
-DEFAULT_FAMILIES = ["plan", "wal", "recovery", "queue"]
+DEFAULT_FAMILIES = ["plan", "wal", "recovery", "queue", "query"]
 
 
 def check_file(path, families):
@@ -60,6 +62,7 @@ def check_file(path, families):
         return errors
 
     seen_families = set()
+    categories_by_name = {}
     complete_events = 0
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
@@ -95,12 +98,18 @@ def check_file(path, families):
         if not isinstance(cat, str) or not cat:
             error(where, "cat is missing or empty")
         else:
+            if isinstance(name, str):
+                categories_by_name.setdefault(name, set()).add(cat)
             for family in families:
                 if cat.startswith(family):
                     seen_families.add(family)
 
     if complete_events == 0:
         error("traceEvents", "no 'X' (complete) events")
+    for name, cats in sorted(categories_by_name.items()):
+        if len(cats) > 1:
+            error("traceEvents", f"span name {name!r} appears under "
+                  f"categories {sorted(cats)}")
     for family in families:
         if family not in seen_families:
             error("traceEvents",
