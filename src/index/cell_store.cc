@@ -29,16 +29,26 @@ Status CellSlots::Encode(const CellRecord& record, uint8_t* slot) const {
   return Status::OK();
 }
 
-bool CellSlots::Valid(const uint8_t* slot, uint64_t num_records) const {
-  if (!lattice_) {
-    CellRecord record;
-    Decode(slot, &record);
-    return ValidStoredRecord(record, num_records);
+std::optional<SlotEntry<ValueInterval>> ReadStoredSlot(const CellSlots& slots,
+                                                       const uint8_t* slot,
+                                                       uint64_t num_records) {
+  const std::optional<GridLattice>& lattice = slots.lattice();
+  if (!lattice) {
+    return ReadStoredSlot(RawSlots<CellRecord>{}, slot, num_records);
   }
   LatticeSlot s;
   std::memcpy(&s, slot, sizeof(s));
-  return s.id < num_records && s.lattice_id < lattice_->NumCells() &&
-         std::all_of(s.w, s.w + 4, [](double w) { return std::isfinite(w); });
+  if (s.id >= num_records || s.lattice_id >= lattice->NumCells()) {
+    return std::nullopt;
+  }
+  // Extended in vertex order, as CellRecord::Interval() extends, so the
+  // key is bit for bit the rebuilt cell's.
+  ValueInterval key = ValueInterval::Empty();
+  for (const double w : s.w) {
+    if (!std::isfinite(w)) return std::nullopt;
+    key.Extend(w);
+  }
+  return SlotEntry<ValueInterval>{s.id, key};
 }
 
 Status WriteSamples(const std::vector<double>& samples, uint32_t n,

@@ -32,13 +32,16 @@ auto StoreKeyOf(const Record& record) {
   }
 }
 
+template <typename Record>
+using StoreKey = decltype(StoreKeyOf(std::declval<const Record&>()));
+
 /// Whether a record read from disk can be used at all, checked before
 /// StoreKeyOf or any other accessor reads it: its id names a slot of a
 /// store of `num_records`; a record with vertex arrays (CellRecord,
 /// VectorCellRecord, the temporal slab record) has 3 or 4 vertices, so
 /// no loop over them leaves the arrays (VoxelRecord's count is a
 /// constant); and every coordinate and sample of its vertices is
-/// finite, as a lattice slot's samples must be (CellSlots::Valid) — a
+/// finite, as a lattice slot's samples must be (ReadStoredSlot) — a
 /// NaN has no value interval, so no zone slot could hold it.
 template <typename Record>
 bool ValidStoredRecord(const Record& record, uint64_t num_records) {
@@ -117,11 +120,6 @@ class CellSlots {
   /// bit for bit — else InvalidArgument, with nothing written.
   Status Encode(const CellRecord& record, uint8_t* slot) const;
 
-  /// Whether `slot` can be used at all (ValidStoredSlot). A lattice
-  /// slot needs an id below `num_records`, a lattice id below cols x
-  /// rows and finite samples; an explicit one, ValidStoredRecord.
-  bool Valid(const uint8_t* slot, uint64_t num_records) const;
-
  private:
   /// The cell a lattice slot holds (lattice layout only).
   CellRecord Rebuild(const LatticeSlot& s) const {
@@ -140,21 +138,33 @@ template <typename Record>
 using StoreSlots = std::conditional_t<std::is_same_v<Record, CellRecord>,
                                       CellSlots, RawSlots<Record>>;
 
-/// Whether a stored slot can be used at all, checked before it is
-/// decoded (BasicCellStore::Attach): a raw slot's record passes
-/// ValidStoredRecord, a cell slot passes CellSlots::Valid.
+/// What Attach reads of a stored slot: its record's id and key.
+template <typename Key>
+struct SlotEntry {
+  uint64_t id = 0;
+  Key key;
+};
+
+/// A stored slot's id and key (StoreKeyOf), read in one step before
+/// anything else reads the slot (BasicCellStore::Attach); nullopt when
+/// its record fails ValidStoredRecord.
 template <typename Record>
-bool ValidStoredSlot(const RawSlots<Record>& slots, const uint8_t* slot,
-                     uint64_t num_records) {
+std::optional<SlotEntry<StoreKey<Record>>> ReadStoredSlot(
+    const RawSlots<Record>& slots, const uint8_t* slot,
+    uint64_t num_records) {
   Record record;
   slots.Decode(slot, &record);
-  return ValidStoredRecord(record, num_records);
+  if (!ValidStoredRecord(record, num_records)) return std::nullopt;
+  return SlotEntry<StoreKey<Record>>{record.id, StoreKeyOf(record)};
 }
 
-inline bool ValidStoredSlot(const CellSlots& slots, const uint8_t* slot,
-                            uint64_t num_records) {
-  return slots.Valid(slot, num_records);
-}
+/// The same for a cell slot. An explicit slot is a raw CellRecord; a
+/// lattice slot needs an id below `num_records`, a lattice id below
+/// cols x rows and finite samples, and its key is their hull, the
+/// Interval() of the cell Decode would rebuild.
+std::optional<SlotEntry<ValueInterval>> ReadStoredSlot(const CellSlots& slots,
+                                                       const uint8_t* slot,
+                                                       uint64_t num_records);
 
 /// The edit of every sample update: copies `samples` over dst[0, n).
 /// Refuses with InvalidArgument a count other than `n` and any
@@ -204,7 +214,7 @@ class BasicCellStore {
  public:
   using Slots = StoreSlots<Record>;
   using Records = RecordStore<Record, Slots>;
-  using Key = decltype(StoreKeyOf(std::declval<const Record&>()));
+  using Key = StoreKey<Record>;
   using ZoneMap = std::conditional_t<std::is_same_v<Key, ValueInterval>,
                                      ScalarZoneMap, BoxZoneMap>;
   using Change = KeyChange<Key>;
@@ -243,7 +253,7 @@ class BasicCellStore {
   /// layout. Scans the records once to rebuild the id -> slot map and
   /// the zone map, reading ahead BufferPool::kReadaheadPages pages per
   /// batch when the pool holds twice that; kCorruption naming the slot of
-  /// the first record that fails ValidStoredSlot, and when the stored ids
+  /// the first record ReadStoredSlot refuses, and when the stored ids
   /// are not a permutation.
   static StatusOr<BasicCellStore> Attach(BufferPool* pool, PageId first_page,
                                          uint64_t num_records,
@@ -257,17 +267,17 @@ class BasicCellStore {
     ZoneMap zones;
     zones.Reserve(num_records);
     Status invalid;
-    Record record;
     const auto visit = [&](uint64_t pos, const uint8_t* slot) {
-      if (!ValidStoredSlot(slots, slot, num_records)) {
+      const std::optional<SlotEntry<Key>> entry =
+          ReadStoredSlot(slots, slot, num_records);
+      if (!entry) {
         invalid = Status::Corruption("record store slot " +
                                      std::to_string(pos) +
                                      " holds an invalid record");
         return false;
       }
-      slots.Decode(slot, &record);
-      position_of[record.id] = pos;
-      zones.Append(StoreKeyOf(record));
+      position_of[entry->id] = pos;
+      zones.Append(entry->key);
       return true;
     };
     // A window's pages arrive in one batch read (Prefetch), then the

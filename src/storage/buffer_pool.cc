@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -14,12 +15,7 @@ namespace fielddb {
 PinnedPage& PinnedPage::operator=(PinnedPage&& other) noexcept {
   if (this != &other) {
     Release();
-    pool_ = other.pool_;
-    id_ = other.id_;
-    frame_ = other.frame_;
-    other.pool_ = nullptr;
-    other.id_ = kInvalidPageId;
-    other.frame_ = nullptr;
+    frame_ = std::exchange(other.frame_, nullptr);
   }
   return *this;
 }
@@ -36,10 +32,11 @@ Page& PinnedPage::MutablePage() {
 }
 
 void PinnedPage::Release() {
-  if (pool_ != nullptr) {
-    pool_->Unpin(id_);
-    pool_ = nullptr;
-    id_ = kInvalidPageId;
+  if (frame_ != nullptr) {
+    // No lock: every pin is taken under the shard lock, and a frame is
+    // reused only after the sweep, under that lock, reads its count as 0
+    // with an acquire load, which this release pairs with.
+    frame_->pin_count.fetch_sub(1, std::memory_order_release);
     frame_ = nullptr;
   }
 }
@@ -54,20 +51,23 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-BufferPool::BufferPool(PageFile* file, size_t capacity, size_t num_shards)
-    : file_(file), capacity_(capacity == 0 ? 1 : capacity) {
-  if (num_shards == 0) {
-    // Small pools (the sizes eviction tests use) keep the single global
-    // LRU so their eviction order is exactly the classic one; pools big
-    // enough for real workloads split for concurrency.
-    num_shards = capacity_ >= 256 ? kDefaultShards : 1;
-  }
-  if (num_shards > capacity_) num_shards = capacity_;
-  num_shards_ = num_shards;
-  shards_ = std::make_unique<Shard[]>(num_shards_);
+BufferPool::BufferPool(PageFile* file, size_t capacity)
+    : file_(file),
+      capacity_(capacity == 0 ? 1 : capacity),
+      // Small pools (the sizes eviction tests use) keep one hand over
+      // every frame, so their eviction order is exactly the classic
+      // one; pools big enough for real workloads split for concurrency.
+      num_shards_(capacity_ >= 256 ? kDefaultShards : 1),
+      shards_(std::make_unique<Shard[]>(num_shards_)) {
+  static_assert(kDefaultShards <= 256, "every shard needs a frame");
   for (size_t i = 0; i < num_shards_; ++i) {
-    shards_[i].capacity =
+    Shard& sh = shards_[i];
+    const size_t n =
         capacity_ / num_shards_ + (i < capacity_ % num_shards_ ? 1 : 0);
+    sh.frames = std::vector<BufferFrame>(n);
+    // Frame 0 is taken first, then on in the hand's direction.
+    sh.free.resize(n);
+    std::iota(sh.free.rbegin(), sh.free.rend(), 0u);
   }
   MetricsRegistry& reg = MetricsRegistry::Default();
   m_logical_reads_ = reg.GetCounter("storage.pool.logical_reads");
@@ -161,46 +161,34 @@ Status BufferPool::Fetch(PageId id, PinnedPage* out) {
     return Status::FailedPrecondition("buffer pool is closed");
   }
   Shard& sh = ShardOf(id);
-  // The new pin is constructed under the shard lock but assigned into
-  // *out only after it is released: assigning may Release a previous
-  // pin *out holds, and that Unpin may need this same shard's mutex.
-  PinnedPage pin;
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    CountLogicalRead(sh);
-    auto it = sh.frames.find(id);
-    if (it != sh.frames.end()) {
-      BufferFrame& f = it->second;
-      if (f.in_lru) {
-        sh.lru.erase(f.lru_pos);
-        f.in_lru = false;
-      }
-      f.pin_count.fetch_add(1, std::memory_order_relaxed);
-      pin = PinnedPage(this, id, &f);
-    } else {
-      FIELDDB_RETURN_IF_ERROR(EnsureCapacityLocked(sh));
-      // The file read happens while the shard lock is held: concurrent
-      // misses for pages in the same shard serialize, which also
-      // guarantees the same page is never read (and counted) twice by
-      // racing threads.
-      const bool time_read = CountPhysicalRead(sh, id);
-      Page page(file_->page_size());
-      if (time_read) {
-        const auto t0 = std::chrono::steady_clock::now();
-        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(sh, id, &page));
-        m_read_latency_us_->Record(MicrosSince(t0));
-      } else {
-        FIELDDB_RETURN_IF_ERROR(ReadWithRetry(sh, id, &page));
-      }
-      auto [fit, inserted] = sh.frames.try_emplace(id, std::move(page));
-      assert(inserted);
-      (void)inserted;
-      BufferFrame& f = fit->second;
-      f.pin_count.store(1, std::memory_order_relaxed);
-      pin = PinnedPage(this, id, &f);
-    }
+  std::lock_guard<std::mutex> lock(sh.mu);
+  CountLogicalRead(sh);
+  if (const auto it = sh.index.find(id); it != sh.index.end()) {
+    BufferFrame& f = sh.frames[it->second];
+    f.referenced = true;
+    PinLocked(f, out);
+    return Status::OK();
   }
-  *out = std::move(pin);
+  StatusOr<uint32_t> k = TakeFrameLocked(sh);
+  if (!k.ok()) return k.status();
+  // The file read happens while the shard lock is held: concurrent
+  // misses for pages in the same shard serialize, which also
+  // guarantees the same page is never read (and counted) twice by
+  // racing threads. The page enters unreferenced, so a page touched
+  // once is evicted before one touched twice; the read sizes a new
+  // frame's bytes.
+  BufferFrame& f = sh.frames[*k];
+  const bool time_read = CountPhysicalRead(sh, id);
+  const auto t0 = time_read ? std::chrono::steady_clock::now()
+                            : std::chrono::steady_clock::time_point{};
+  if (const Status s = ReadWithRetry(sh, id, &f.page); !s.ok()) {
+    sh.free.push_back(*k);
+    return s;
+  }
+  if (time_read) m_read_latency_us_->Record(MicrosSince(t0));
+  f.id = id;
+  sh.index.emplace(id, *k);
+  PinLocked(f, out);
   return Status::OK();
 }
 
@@ -218,20 +206,14 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
   span.set_items(ids.size());
 
   // Pass 1 — classify under brief shard locks: which of the pages are
-  // already resident (count a hit, done) and which must be read. A
-  // resident page moves to the MRU end, so making room for the window's
-  // misses never evicts a page the caller is about to fetch.
+  // already resident (count a hit, done) and which must be read.
   std::vector<PageId> missing;
   missing.reserve(ids.size());
   for (const PageId id : ids) {
     Shard& sh = ShardOf(id);
     std::lock_guard<std::mutex> lock(sh.mu);
-    const auto it = sh.frames.find(id);
-    if (it != sh.frames.end()) {
+    if (sh.index.contains(id)) {
       m_prefetch_hit_->Increment();
-      if (it->second.in_lru) {
-        sh.lru.splice(sh.lru.end(), sh.lru, it->second.lru_pos);
-      }
     } else {
       missing.push_back(id);
     }
@@ -268,7 +250,8 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
   // keeping I/O totals identical to the no-readahead path. On success
   // the read counts as physical (+sequential when ids run
   // consecutively) exactly like the Fetch miss it replaces, and never
-  // as logical.
+  // as logical. Making room passes the window's own pages by, so no
+  // install evicts a page the caller is about to fetch.
   for (size_t k = 0; k < missing.size(); ++k) {
     const PageId id = missing[k];
     if (!statuses[k].ok()) {
@@ -277,26 +260,27 @@ Status BufferPool::Prefetch(std::span<const PageId> ids) {
     }
     Shard& sh = ShardOf(id);
     std::lock_guard<std::mutex> lock(sh.mu);
-    if (sh.frames.find(id) != sh.frames.end()) {
+    if (sh.index.contains(id)) {
       // A Fetch raced us and already read (and counted) this page;
       // our copy is redundant and counts nowhere.
       continue;
     }
-    if (!EnsureCapacityLocked(sh).ok()) {
-      // Shard is wedged (all frames pinned, or the victim's write-back
-      // failed). Readahead is optional; leave the page to Fetch.
+    const StatusOr<uint32_t> slot = TakeFrameLocked(sh, ids);
+    if (!slot.ok()) {
+      // Shard is wedged (all frames pinned or in the window, or the
+      // victim's write-back failed). Readahead is optional; leave the
+      // page to Fetch.
       continue;
     }
     CountPhysicalRead(sh, id);
     m_prefetch_issued_->Increment();
-    auto [fit, inserted] = sh.frames.try_emplace(id, std::move(pages[k]));
-    assert(inserted);
-    (void)inserted;
-    BufferFrame& f = fit->second;
-    // Unpinned and immediately evictable: enter at the MRU end.
-    sh.lru.push_back(id);
-    f.lru_pos = std::prev(sh.lru.end());
-    f.in_lru = true;
+    // Referenced, so other traffic's sweeps give it a turn before the
+    // caller fetches it.
+    BufferFrame& f = sh.frames[*slot];
+    f.page = std::move(pages[k]);
+    f.id = id;
+    f.referenced = true;
+    sh.index.emplace(id, *slot);
   }
   return Status::OK();
 }
@@ -307,48 +291,37 @@ StatusOr<PageId> BufferPool::Allocate(PinnedPage* out) {
   }
   StatusOr<PageId> id = file_->AllocateZeroed();
   if (!id.ok()) return id.status();
-  // The new page's one copy, zeroed once and moved into its frame.
-  Page page(file_->page_size());
   Shard& sh = ShardOf(*id);
-  PinnedPage pin;  // assigned into *out outside the lock, as in Fetch
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    FIELDDB_RETURN_IF_ERROR(EnsureCapacityLocked(sh));
-    auto [fit, inserted] = sh.frames.try_emplace(*id, std::move(page));
-    assert(inserted);
-    (void)inserted;
-    BufferFrame& f = fit->second;
-    f.pin_count.store(1, std::memory_order_relaxed);
-    f.dirty.store(true, std::memory_order_relaxed);
-    pin = PinnedPage(this, *id, &f);
+  std::lock_guard<std::mutex> lock(sh.mu);
+  StatusOr<uint32_t> k = TakeFrameLocked(sh);
+  if (!k.ok()) return k.status();
+  // The new page's one copy, zeroed once, in its frame.
+  BufferFrame& f = sh.frames[*k];
+  if (f.page.size() == 0) {
+    f.page = Page(file_->page_size());
+  } else {
+    f.page.Zero();
   }
-  *out = std::move(pin);
+  f.id = *id;
+  f.dirty.store(true, std::memory_order_relaxed);
+  sh.index.emplace(*id, *k);
+  PinLocked(f, out);
   return *id;
 }
 
-void BufferPool::Unpin(PageId id) {
-  Shard& sh = ShardOf(id);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.frames.find(id);
-  assert(it != sh.frames.end());
-  BufferFrame& f = it->second;
-  const uint32_t prev = f.pin_count.fetch_sub(1, std::memory_order_relaxed);
-  assert(prev > 0);
-  (void)prev;
-  if (prev == 1) {
-    sh.lru.push_back(id);
-    f.lru_pos = std::prev(sh.lru.end());
-    f.in_lru = true;
-  }
+void BufferPool::PinLocked(BufferFrame& frame, PinnedPage* out) {
+  frame.pin_count.fetch_add(1, std::memory_order_relaxed);
+  // Releasing the pin *out held takes no lock, so this may run under
+  // the shard's.
+  *out = PinnedPage(&frame);
 }
 
-Status BufferPool::WriteBackLocked(Shard& sh, PageId id,
-                                   BufferFrame& frame) {
+Status BufferPool::WriteBackLocked(Shard& sh, BufferFrame& frame) {
   if (frame.dirty.load(std::memory_order_relaxed)) {
     const bool time_write = MetricsRegistry::enabled();
     const auto t0 = time_write ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
-    const Status s = file_->Write(id, frame.page);
+    const Status s = file_->Write(frame.id, frame.page);
     if (!s.ok()) {
       ++sh.stats.failed_writes;
       if (IoStats* sink = CurrentIoSink()) ++sink->failed_writes;
@@ -363,55 +336,58 @@ Status BufferPool::WriteBackLocked(Shard& sh, PageId id,
   return Status::OK();
 }
 
-Status BufferPool::EnsureCapacityLocked(Shard& sh) {
-  if (sh.frames.size() < sh.capacity) return Status::OK();
-  if (sh.lru.empty()) {
-    return Status::FailedPrecondition(
-        "buffer pool exhausted: all frames pinned");
+StatusOr<uint32_t> BufferPool::TakeFrameLocked(
+    Shard& sh, std::span<const PageId> keep) {
+  if (!sh.free.empty()) {
+    const uint32_t k = sh.free.back();
+    sh.free.pop_back();
+    return k;
   }
   // Reached only when a frame must actually be evicted, so the span
   // traces eviction pressure (and its write-back cost), not every pin.
   ScopedSpan span("pool.evict", "pool");
-  if (no_steal_.load(std::memory_order_acquire)) {
-    // Dirty frames are pinned to memory until the next checkpoint:
-    // evict the least-recently-used *clean* frame instead.
-    for (auto lit = sh.lru.begin(); lit != sh.lru.end(); ++lit) {
-      auto it = sh.frames.find(*lit);
-      assert(it != sh.frames.end());
-      BufferFrame& f = it->second;
-      if (f.dirty.load(std::memory_order_relaxed)) continue;
-      f.in_lru = false;
-      sh.lru.erase(lit);
-      sh.frames.erase(it);
-      ++sh.stats.evictions;
-      if (IoStats* sink = CurrentIoSink()) ++sink->evictions;
-      m_evictions_->Increment();
-      return Status::OK();
+  const bool no_steal = no_steal_.load(std::memory_order_acquire);
+  const uint32_t n = static_cast<uint32_t>(sh.frames.size());
+  bool all_pinned = true;
+  // Two turns: the first may find only reference bits to clear.
+  for (uint32_t step = 0; step < 2 * n; ++step) {
+    const uint32_t k = sh.hand;
+    sh.hand = k + 1 == n ? 0 : k + 1;
+    BufferFrame& f = sh.frames[k];
+    if (f.pin_count.load(std::memory_order_acquire) != 0 ||
+        std::binary_search(keep.begin(), keep.end(), f.id)) {
+      continue;
     }
-    return Status::FailedPrecondition(
-        "buffer pool full of dirty frames: checkpoint required");
+    all_pinned = false;
+    if (f.referenced) {
+      f.referenced = false;
+      continue;
+    }
+    // Under no-steal a dirty frame stays in memory until the next
+    // checkpoint.
+    if (no_steal && f.dirty.load(std::memory_order_relaxed)) continue;
+    // A failed write-back leaves the victim resident (its dirty data
+    // would otherwise be lost); a later sweep meets it again.
+    FIELDDB_RETURN_IF_ERROR(WriteBackLocked(sh, f));
+    sh.index.erase(f.id);
+    f.id = kInvalidPageId;
+    ++sh.stats.evictions;
+    if (IoStats* sink = CurrentIoSink()) ++sink->evictions;
+    m_evictions_->Increment();
+    return k;
   }
-  const PageId victim = sh.lru.front();
-  sh.lru.pop_front();
-  auto it = sh.frames.find(victim);
-  assert(it != sh.frames.end());
-  BufferFrame& f = it->second;
-  f.in_lru = false;
-  const Status s = WriteBackLocked(sh, victim, f);
-  if (!s.ok()) {
-    // The victim stays resident (its dirty data would otherwise be
-    // lost); re-enter it into the LRU so the shard's bookkeeping stays
-    // consistent and a later eviction can retry the write-back.
-    sh.lru.push_back(victim);
-    f.lru_pos = std::prev(sh.lru.end());
-    f.in_lru = true;
-    return s;
-  }
-  sh.frames.erase(it);
-  ++sh.stats.evictions;
-  if (IoStats* sink = CurrentIoSink()) ++sink->evictions;
-  m_evictions_->Increment();
-  return Status::OK();
+  return Status::FailedPrecondition(
+      all_pinned ? "buffer pool exhausted: all frames pinned"
+                 : "buffer pool full of dirty frames: checkpoint required");
+}
+
+void BufferPool::FreeLocked(Shard& sh, uint32_t k) {
+  BufferFrame& f = sh.frames[k];
+  sh.index.erase(f.id);
+  f.id = kInvalidPageId;
+  f.referenced = false;
+  f.dirty.store(false, std::memory_order_relaxed);
+  sh.free.push_back(k);
 }
 
 Status BufferPool::Flush() {
@@ -423,8 +399,9 @@ Status BufferPool::Flush() {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& sh = shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
-    for (auto& [id, frame] : sh.frames) {
-      FIELDDB_RETURN_IF_ERROR(WriteBackLocked(sh, id, frame));
+    // A free frame is clean, so it writes nothing.
+    for (BufferFrame& f : sh.frames) {
+      FIELDDB_RETURN_IF_ERROR(WriteBackLocked(sh, f));
     }
   }
   return Status::OK();
@@ -443,26 +420,19 @@ Status BufferPool::Clear() {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& sh = shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
-    // Snapshot the eviction candidates first: under no-steal a dirty
-    // frame is skipped (left resident *and* back in the LRU), so a
-    // simple pop-from-front loop would spin on it forever.
-    std::vector<PageId> victims(sh.lru.begin(), sh.lru.end());
-    for (const PageId victim : victims) {
-      auto it = sh.frames.find(victim);
-      assert(it != sh.frames.end());
-      BufferFrame& f = it->second;
-      if (no_steal && f.dirty.load(std::memory_order_relaxed)) continue;
-      sh.lru.erase(f.lru_pos);
-      f.in_lru = false;
-      const Status s = WriteBackLocked(sh, victim, f);
-      if (!s.ok()) {
-        sh.lru.push_back(victim);
-        f.lru_pos = std::prev(sh.lru.end());
-        f.in_lru = true;
-        return s;
+    // Backwards, with the hand back at frame 0, so a cleared shard
+    // takes its frames in the order a new one does.
+    for (uint32_t k = static_cast<uint32_t>(sh.frames.size()); k-- > 0;) {
+      BufferFrame& f = sh.frames[k];
+      if (f.id == kInvalidPageId ||
+          f.pin_count.load(std::memory_order_acquire) != 0 ||
+          (no_steal && f.dirty.load(std::memory_order_relaxed))) {
+        continue;
       }
-      sh.frames.erase(it);
+      FIELDDB_RETURN_IF_ERROR(WriteBackLocked(sh, f));
+      FreeLocked(sh, k);
     }
+    sh.hand = 0;
   }
   return Status::OK();
 }
@@ -472,19 +442,19 @@ Status BufferPool::Abandon() {
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& sh = shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
-    for (auto& [id, frame] : sh.frames) {
-      if (frame.pin_count.load(std::memory_order_relaxed) != 0) {
+    for (const BufferFrame& f : sh.frames) {
+      if (f.pin_count.load(std::memory_order_acquire) != 0) {
         return Status::FailedPrecondition(
             "cannot abandon buffer pool: a frame is still pinned");
       }
-      (void)id;
     }
   }
   for (size_t i = 0; i < num_shards_; ++i) {
     Shard& sh = shards_[i];
     std::lock_guard<std::mutex> lock(sh.mu);
-    sh.lru.clear();
-    sh.frames.clear();
+    for (uint32_t k = 0; k < sh.frames.size(); ++k) {
+      if (sh.frames[k].id != kInvalidPageId) FreeLocked(sh, k);
+    }
   }
   closed_.store(true, std::memory_order_release);
   return Status::OK();
@@ -493,9 +463,9 @@ Status BufferPool::Abandon() {
 bool BufferPool::TryGetResident(PageId id, Page* out) {
   Shard& sh = ShardOf(id);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.frames.find(id);
-  if (it == sh.frames.end()) return false;
-  *out = it->second.page;
+  const auto it = sh.index.find(id);
+  if (it == sh.index.end()) return false;
+  *out = sh.frames[it->second].page;
   return true;
 }
 
@@ -503,7 +473,7 @@ size_t BufferPool::num_frames() const {
   size_t total = 0;
   for (size_t i = 0; i < num_shards_; ++i) {
     std::lock_guard<std::mutex> lock(shards_[i].mu);
-    total += shards_[i].frames.size();
+    total += shards_[i].index.size();
   }
   return total;
 }

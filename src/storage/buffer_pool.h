@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -19,31 +18,31 @@
 
 namespace fielddb {
 
-class BufferPool;
-
-/// One resident page (internal to BufferPool; exposed at namespace scope
-/// only so PinnedPage's inline accessors can dereference it). The map
-/// entry, LRU membership and pin transitions are guarded by the owning
-/// shard's mutex; `dirty` is atomic because PinnedPage::MutablePage sets
-/// it without taking the shard lock.
+/// One frame of a pool shard (internal to BufferPool; exposed at
+/// namespace scope only so PinnedPage's inline accessors can dereference
+/// it). `id`, `referenced` and every pin are set under the owning
+/// shard's mutex; a pin is released without it (PinnedPage::Release),
+/// so `pin_count` is atomic, and `dirty` is atomic because
+/// PinnedPage::MutablePage sets it without the lock.
 struct BufferFrame {
-  /// A frame is made around its page's bytes (read, prefetched or
-  /// freshly zeroed), so the page is never allocated twice.
-  explicit BufferFrame(Page p) : page(std::move(p)) {}
-
-  Page page;
+  /// No bytes until the frame first holds a page; it keeps them from
+  /// one page to the next.
+  Page page{0};
+  /// The page held, kInvalidPageId while the frame is free.
+  PageId id = kInvalidPageId;
   std::atomic<uint32_t> pin_count{0};
   std::atomic<bool> dirty{false};
-  // Position in the shard's LRU list when pin_count == 0.
-  std::list<PageId>::iterator lru_pos{};
-  bool in_lru = false;
+  /// The second-chance bit: set by a hit and by Prefetch's install,
+  /// cleared by a sweep passing the frame.
+  bool referenced = false;
 };
 
 /// RAII pin on a buffer-pool frame. While alive, the underlying page is
 /// guaranteed not to be evicted; `page()` stays valid. Marking the pin
 /// dirty causes a write-back on eviction / flush. A pin is held and
 /// released by one thread; distinct threads may hold distinct pins on
-/// the same page concurrently.
+/// the same page concurrently. A pin must be released before its pool
+/// is destroyed.
 class PinnedPage {
  public:
   PinnedPage() = default;
@@ -54,8 +53,9 @@ class PinnedPage {
   PinnedPage(const PinnedPage&) = delete;
   PinnedPage& operator=(const PinnedPage&) = delete;
 
-  bool valid() const { return pool_ != nullptr; }
-  PageId id() const { return id_; }
+  bool valid() const { return frame_ != nullptr; }
+  /// A pinned frame keeps its page, so its id needs no lock.
+  PageId id() const { return valid() ? frame_->id : kInvalidPageId; }
 
   const Page& page() const;
   /// Grants mutable access and marks the frame dirty. Mutating a page
@@ -64,23 +64,24 @@ class PinnedPage {
   /// the database to themselves.
   Page& MutablePage();
 
-  /// Drops the pin early (idempotent).
+  /// Drops the pin early (idempotent). Takes no lock.
   void Release();
 
  private:
   friend class BufferPool;
-  PinnedPage(BufferPool* pool, PageId id, BufferFrame* frame)
-      : pool_(pool), id_(id), frame_(frame) {}
+  explicit PinnedPage(BufferFrame* frame) : frame_(frame) {}
 
-  BufferPool* pool_ = nullptr;
-  PageId id_ = kInvalidPageId;
   BufferFrame* frame_ = nullptr;
 };
 
-/// A fixed-capacity LRU page cache over a PageFile, safe for concurrent
-/// readers: the frame table and LRU list are split into shards (pages
-/// map to shards by id), each guarded by its own mutex, so N threads
-/// fetching different pages contend only when their pages share a shard.
+/// A fixed-capacity page cache over a PageFile, safe for concurrent
+/// readers. The frames are split into shards (pages map to shards by
+/// id), each guarded by its own mutex, so N threads fetching different
+/// pages contend only when their pages share a shard. A shard is a fixed
+/// array of frames, a page -> frame map and one second-chance (CLOCK)
+/// hand: a hit is a map probe, a reference bit and a pin; a miss takes a
+/// free frame or the first frame the hand finds unpinned and
+/// unreferenced, clearing the bits it passes.
 /// Each shard counts its own I/O events under its mutex, and stats()
 /// sums the shards; per-query attribution flows through the calling
 /// thread's ScopedIoSink (storage/io_sink.h). All
@@ -91,29 +92,26 @@ class PinnedPage {
 /// Failure behavior: transient read faults (kIOError) are absorbed by a
 /// bounded retry loop with capped backoff; corruption and out-of-range
 /// errors are never retried. A failed write-back leaves the dirty frame
-/// resident and re-enters it into the LRU, so the data is not lost and a
-/// later Flush/eviction can retry.
+/// resident, so the data is not lost and a later Flush/eviction can
+/// retry.
 class BufferPool {
  public:
   /// Reads that fail with kIOError are retried up to this many times
   /// before the error propagates to the caller.
   static constexpr int kMaxReadRetries = 3;
 
-  /// Shard count used when `num_shards` is 0 and the pool is large
-  /// enough to split.
+  /// Shard count of pools of at least 256 frames; a smaller pool is one
+  /// shard, one hand over every frame.
   static constexpr size_t kDefaultShards = 16;
 
   /// Readahead window (pages) of range scans
   /// (RecordStore::ScanRangesFiltered): the depth of one Prefetch.
   static constexpr size_t kReadaheadPages = 8;
 
-  /// `capacity` is the number of frames; must be >= 1. `num_shards` = 0
-  /// picks automatically: kDefaultShards for pools of >= 256 frames, 1
-  /// (exact global-LRU semantics) for the small pools tests use. The
-  /// pool does not take ownership of `file`; the file's Read must be
-  /// safe to call from multiple shards concurrently (both library
-  /// PageFiles are).
-  BufferPool(PageFile* file, size_t capacity, size_t num_shards = 0);
+  /// `capacity` is the number of frames (0 reads as 1). The pool does
+  /// not take ownership of `file`; the file's Read must be safe to call
+  /// from multiple shards concurrently (both library PageFiles are).
+  BufferPool(PageFile* file, size_t capacity);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -124,15 +122,16 @@ class BufferPool {
   Status Fetch(PageId id, PinnedPage* out);
 
   /// Batched readahead: loads the listed pages (ascending ids, not
-  /// necessarily consecutive) that are not yet resident into unpinned
-  /// frames, so subsequent Fetches of them hit. The misses are submitted
-  /// as ONE PageFile::ReadBatch (a preadv per run of consecutive pages
-  /// on disk files) with no shard lock held, then installed page by
-  /// page. Best effort — a page whose frame cannot be made (shard full
-  /// of pins) or whose read fails is skipped, leaving Fetch's normal
-  /// counted-and-retried read path authoritative for it; failed batch
-  /// reads count the `storage.pool.prefetch_failed` metric (and nothing
-  /// else, so I/O totals stay readahead-invariant).
+  /// necessarily consecutive) that are not yet resident into unpinned,
+  /// referenced frames, so subsequent Fetches of them hit. The misses
+  /// are submitted as ONE PageFile::ReadBatch (a preadv per run of
+  /// consecutive pages on disk files) with no shard lock held, then
+  /// installed page by page; making room passes the listed pages by,
+  /// so no install evicts one. Best effort — a page whose frame cannot
+  /// be made (shard full of pins) or whose read fails is skipped,
+  /// leaving Fetch's normal counted-and-retried read path authoritative
+  /// for it; failed batch reads count the `storage.pool.prefetch_failed`
+  /// metric (and nothing else, so I/O totals stay readahead-invariant).
   ///
   /// Accounting: a prefetch read counts as a physical (and, when the ids
   /// run consecutively, sequential) read exactly like the Fetch it
@@ -170,9 +169,9 @@ class BufferPool {
   /// is never written back by eviction, Flush, Clear, or the
   /// destructor — the on-disk pages always hold exactly the last
   /// checkpoint, so recovery is a pure logical redo of the log and a
-  /// torn in-place page write is architecturally impossible. Eviction
-  /// picks the least-recently-used *clean* frame; if every frame is
-  /// dirty the pool reports FailedPrecondition ("checkpoint required").
+  /// torn in-place page write is architecturally impossible. The sweep
+  /// passes dirty frames by; if every unpinned frame is dirty the pool
+  /// reports FailedPrecondition ("checkpoint required").
   /// After its snapshot renames commit, the checkpoint epilogue briefly
   /// clears no-steal and Flushes the dirty frames into the still-open
   /// (now unlinked) pre-checkpoint inode, which both clears the dirty
@@ -187,7 +186,7 @@ class BufferPool {
   Status Abandon();
 
   /// Copies page `id` out of the pool if it is resident (dirty or
-  /// clean), without promoting it in the LRU or touching the file.
+  /// clean), without setting its reference bit or touching the file.
   /// The checkpoint uses this to capture in-memory state page by page
   /// with zero pool pressure. Returns false on a miss.
   bool TryGetResident(PageId id, Page* out);
@@ -206,27 +205,36 @@ class BufferPool {
   PageFile* file() const { return file_; }
 
  private:
-  friend class PinnedPage;
-
   struct Shard {
     std::mutex mu;
-    size_t capacity = 0;
-    std::unordered_map<PageId, BufferFrame> frames;
-    // Unpinned frames in LRU order (front = least recently used).
-    std::list<PageId> lru;
+    std::vector<BufferFrame> frames;
+    // Resident page -> the index of its frame.
+    std::unordered_map<PageId, uint32_t> index;
+    // Frames holding no page, the next one taken last.
+    std::vector<uint32_t> free;
+    // The frame the next sweep examines first.
+    uint32_t hand = 0;
     // This shard's share of the pool's I/O counters.
     IoStats stats;
   };
 
   Shard& ShardOf(PageId id) { return shards_[id % num_shards_]; }
-  void Unpin(PageId id);
-  /// Evicts one unpinned frame if the shard is at capacity. Fails if
-  /// all of the shard's frames are pinned. Caller holds `shard.mu`.
-  Status EnsureCapacityLocked(Shard& shard);
   // The members below run with `shard.mu` held, where `shard` owns
-  // the page, and count each event in the shard's stats, the calling
-  // thread's sink and the metric.
-  Status WriteBackLocked(Shard& shard, PageId id, BufferFrame& frame);
+  // the page, and count each I/O event in the shard's stats, the
+  // calling thread's sink and the metric.
+  /// Pins `frame` into `*out`, releasing the pin `*out` held.
+  static void PinLocked(BufferFrame& frame, PinnedPage* out);
+  /// A free frame of `shard` for a new page, else the second-chance
+  /// sweep's victim (see the class comment), written back and unmapped.
+  /// The sweep passes by the pinned frames and those holding a page of
+  /// `keep` (ascending ids) and fails with FailedPrecondition after two
+  /// turns. The caller maps the frame's page and sets its id, or puts
+  /// it back on the free list.
+  StatusOr<uint32_t> TakeFrameLocked(Shard& shard,
+                                     std::span<const PageId> keep = {});
+  /// Unmaps frame `k` and puts it on the free list, clean.
+  static void FreeLocked(Shard& shard, uint32_t k);
+  Status WriteBackLocked(Shard& shard, BufferFrame& frame);
   /// file_->Read with the bounded transient-fault retry policy.
   Status ReadWithRetry(Shard& shard, PageId id, Page* out);
   void CountLogicalRead(Shard& shard);

@@ -43,12 +43,12 @@ void SeedPages(BufferPool& pool, int n, std::vector<PageId>* ids) {
 
 TEST(BufferPoolConcurrencyTest, ShardedFetchHammerKeepsContentsAndCounts) {
   MemPageFile file(256);
-  // 512 pages through 64 frames in 8 shards: every thread's fetch storm
-  // evicts pages other threads are about to read.
-  BufferPool pool(&file, 64, 8);
-  ASSERT_EQ(pool.num_shards(), 8u);
+  // 2,048 pages through 256 frames in 16 shards: every thread's fetch
+  // storm evicts pages other threads are about to read.
+  BufferPool pool(&file, 256);
+  ASSERT_EQ(pool.num_shards(), 16u);
   std::vector<PageId> ids;
-  SeedPages(pool, 512, &ids);
+  SeedPages(pool, 2048, &ids);
 
   // Page-content access follows the pool's contract — any number of
   // concurrent readers, or one writer with the page to itself. The
@@ -56,7 +56,7 @@ TEST(BufferPoolConcurrencyTest, ShardedFetchHammerKeepsContentsAndCounts) {
   // rest are write targets partitioned by thread (index % kThreads), so
   // dirty marking and eviction write-back run hot without two threads
   // ever touching one page's bytes with a writer involved.
-  constexpr size_t kShared = 256;
+  constexpr size_t kShared = 1024;
   constexpr int kThreads = 8;
   constexpr int kIters = 4000;
   std::atomic<uint64_t> errors{0};
@@ -98,8 +98,8 @@ TEST(BufferPoolConcurrencyTest, ShardedFetchHammerKeepsContentsAndCounts) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_LE(pool.num_frames(), pool.capacity());
 
-  // The pool-wide counters are atomic RMW: the logical-read total is
-  // exact, and the per-thread sinks partition it exactly.
+  // Each shard counts its events under its mutex: the logical-read
+  // total is exact, and the per-thread sinks partition it exactly.
   const IoStats total = pool.stats();
   EXPECT_EQ(total.logical_reads, static_cast<uint64_t>(kThreads) * kIters);
   IoStats merged;
@@ -119,9 +119,9 @@ TEST(BufferPoolConcurrencyTest, ShardedFetchHammerKeepsContentsAndCounts) {
 
 TEST(BufferPoolConcurrencyTest, ClearRacesWithReaders) {
   MemPageFile file(256);
-  BufferPool pool(&file, 32, 4);
+  BufferPool pool(&file, 256);
   std::vector<PageId> ids;
-  SeedPages(pool, 128, &ids);
+  SeedPages(pool, 1024, &ids);
 
   constexpr int kReaders = 4;
   constexpr int kIters = 2000;
@@ -180,9 +180,9 @@ TEST(BufferPoolConcurrencyTest, PrefetchFetchHammerKeepsContentsAndCounts) {
   for (PageFile* file : {static_cast<PageFile*>(&mem),
                          static_cast<PageFile*>(disk->get())}) {
     SCOPED_TRACE(file == &mem ? "memory" : "disk");
-    BufferPool pool(file, 64, 8);
+    BufferPool pool(file, 256);
     std::vector<PageId> ids;
-    SeedPages(pool, 512, &ids);
+    SeedPages(pool, 2048, &ids);
 
     constexpr int kThreads = 8;
     constexpr int kIters = 1500;
@@ -247,9 +247,9 @@ TEST(BufferPoolConcurrencyTest, PrefetchFetchHammerAbsorbsTransientFaults) {
   fo.seed = 404;
   fo.read_error_prob = 0.01;
   FaultInjectingPageFile faulty(&base, fo);
-  BufferPool pool(&faulty, 64, 8);
+  BufferPool pool(&faulty, 256);
   std::vector<PageId> ids;
-  SeedPages(pool, 256, &ids);
+  SeedPages(pool, 1024, &ids);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 600;

@@ -19,6 +19,15 @@ class BufferPoolTest : public ::testing::Test {
     return *id;
   }
 
+  // A page written straight to the file, so a pool reads it clean.
+  PageId AllocInFile(uint64_t tag) {
+    Page page(256);
+    page.WriteAt<uint64_t>(0, tag);
+    StatusOr<PageId> id = file_.Allocate(page);
+    EXPECT_TRUE(id.ok());
+    return *id;
+  }
+
   MemPageFile file_;
 };
 
@@ -45,7 +54,7 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   BufferPool pool(&file_, 2);
   const PageId a = AllocViaPool(pool, 10);
   const PageId b = AllocViaPool(pool, 20);
-  const PageId c = AllocViaPool(pool, 30);  // evicts the LRU frame (a)
+  const PageId c = AllocViaPool(pool, 30);  // evicts a, at the hand
   EXPECT_GE(pool.stats().evictions, 1u);
   EXPECT_GE(pool.stats().writes, 1u);
 
@@ -58,12 +67,12 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
   }
 }
 
-TEST_F(BufferPoolTest, LruOrderEvictsLeastRecentlyUsed) {
+TEST_F(BufferPoolTest, ReferencedFrameSurvivesUnreferencedOneGoes) {
   BufferPool pool(&file_, 2);
   const PageId a = AllocViaPool(pool, 1);
   const PageId b = AllocViaPool(pool, 2);
   {
-    PinnedPage pin;  // touch `a` so `b` becomes LRU
+    PinnedPage pin;  // a hit: `a`'s reference bit is set, `b`'s is not
     ASSERT_TRUE(pool.Fetch(a, &pin).ok());
   }
   AllocViaPool(pool, 3);  // must evict b, not a
@@ -78,6 +87,67 @@ TEST_F(BufferPoolTest, LruOrderEvictsLeastRecentlyUsed) {
     ASSERT_TRUE(pool.Fetch(b, &pin).ok());
   }
   EXPECT_EQ(pool.stats().physical_reads, 1u);  // b was evicted
+}
+
+TEST_F(BufferPoolTest, EveryFrameReferencedEvictsTheFrameAtTheHand) {
+  BufferPool pool(&file_, 3);
+  const PageId a = AllocViaPool(pool, 1);  // frame 0, where the hand is
+  const PageId b = AllocViaPool(pool, 2);
+  const PageId c = AllocViaPool(pool, 3);
+  // Touched newest first, so `c` is the least recently used.
+  for (const PageId id : {c, b, a}) {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(id, &pin).ok());
+  }
+  // The sweep clears all three bits, then evicts `a` on its second turn.
+  AllocViaPool(pool, 4);
+  pool.ResetStats();
+  for (const PageId id : {c, b}) {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(id, &pin).ok());
+  }
+  EXPECT_EQ(pool.stats().physical_reads, 0u);  // c and b stayed resident
+  {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(a, &pin).ok());
+    EXPECT_EQ(pin.page().ReadAt<uint64_t>(0), 1u);
+  }
+  EXPECT_EQ(pool.stats().physical_reads, 1u);  // a was evicted
+}
+
+TEST_F(BufferPoolTest, NoStealSweepPassesDirtyFramesBy) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(AllocInFile(i));
+  BufferPool pool(&file_, 3);
+  pool.set_no_steal(true);
+  // Frames 0 and 1 dirty, frame 2 clean; none referenced.
+  for (int i = 0; i < 3; ++i) {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(ids[i], &pin).ok());
+    if (i < 2) pin.MutablePage().WriteAt<uint64_t>(8, 1);
+  }
+  PinnedPage pin;
+  ASSERT_TRUE(pool.Fetch(ids[3], &pin).ok());  // evicts the clean frame
+  pin.Release();
+  Page copy(256);
+  EXPECT_TRUE(pool.TryGetResident(ids[0], &copy));
+  EXPECT_TRUE(pool.TryGetResident(ids[1], &copy));
+  EXPECT_FALSE(pool.TryGetResident(ids[2], &copy));
+
+  // Clear drops the clean page and leaves the dirty ones resident.
+  ASSERT_TRUE(pool.Clear().ok());
+  EXPECT_EQ(pool.num_frames(), 2u);
+  EXPECT_TRUE(pool.TryGetResident(ids[0], &copy));
+  EXPECT_TRUE(pool.TryGetResident(ids[1], &copy));
+
+  // With every unpinned frame dirty, a miss asks for a checkpoint.
+  ASSERT_TRUE(pool.Fetch(ids[3], &pin).ok());
+  pin.MutablePage().WriteAt<uint64_t>(8, 1);
+  pin.Release();
+  const Status full = pool.Fetch(ids[2], &pin);
+  EXPECT_EQ(full.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(full.message().find("checkpoint required"), std::string::npos);
+  EXPECT_EQ(pool.num_frames(), 3u);
 }
 
 TEST_F(BufferPoolTest, PinnedFramesAreNotEvicted) {
@@ -248,8 +318,7 @@ TEST_F(BufferPoolTest, PrefetchOfResidentPagesReadsNothing) {
 }
 
 TEST_F(BufferPoolTest, PrefetchedFramesAreEvictable) {
-  // Prefetched frames enter the LRU unpinned; they must not wedge a
-  // small pool.
+  // Prefetched frames enter unpinned; they must not wedge a small pool.
   BufferPool pool(&file_, 2);
   std::vector<PageId> ids;
   for (int i = 0; i < 6; ++i) ids.push_back(AllocViaPool(pool, i));
@@ -259,6 +328,29 @@ TEST_F(BufferPoolTest, PrefetchedFramesAreEvictable) {
   PinnedPage pin;
   ASSERT_TRUE(pool.Fetch(ids[0], &pin).ok());
   EXPECT_EQ(pin.page().ReadAt<uint64_t>(0), 0u);
+}
+
+// A window page already resident is never evicted by the window's own
+// installs, even when it sits at the hand with every bit set.
+TEST_F(BufferPoolTest, PrefetchInstallsKeepTheWindowsResidentPages) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(AllocInFile(i));
+  BufferPool pool(&file_, 4);
+  // ids[0..3] fill frames 0..3, and the second round references each.
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      PinnedPage pin;
+      ASSERT_TRUE(pool.Fetch(ids[i], &pin).ok());
+    }
+  }
+  pool.ResetStats();
+  const PageId window[] = {ids[0], ids[4]};
+  ASSERT_TRUE(pool.Prefetch(window).ok());
+  for (const PageId id : window) {
+    PinnedPage pin;
+    ASSERT_TRUE(pool.Fetch(id, &pin).ok());
+  }
+  EXPECT_EQ(pool.stats().physical_reads, 1u);  // ids[4], once
 }
 
 TEST_F(BufferPoolTest, PrefetchReadFailureIsSilentAndUncounted) {

@@ -131,18 +131,25 @@ TEST(ZoneMapAttachTest, AttachRebuildsZoneMap) {
   fo.size_exp = 4;
   auto field = MakeFractalField(fo);
   ASSERT_TRUE(field.ok());
-  MemPageFile file;
-  BufferPool pool(&file, 256);
-  auto built = CellStore::Build(&pool, *field, {});
-  ASSERT_TRUE(built.ok());
-  const PageId first = built->first_page();
-  const uint64_t n = built->size();
+  // Both slot layouts: the grid's lattice slots and explicit records.
+  const ExplicitCellsField explicit_cells(*field);
+  for (const Field* f : {static_cast<const Field*>(&*field),
+                         static_cast<const Field*>(&explicit_cells)}) {
+    SCOPED_TRACE(f->Lattice() ? "lattice" : "explicit");
+    MemPageFile file;
+    BufferPool pool(&file, 256);
+    auto built = CellStore::Build(&pool, *f, {});
+    ASSERT_TRUE(built.ok());
+    const PageId first = built->first_page();
+    const uint64_t n = built->size();
 
-  auto attached = CellStore::Attach(&pool, first, n, built->records().slots());
-  ASSERT_TRUE(attached.ok());
-  EXPECT_EQ(attached->zone_map().mins(), built->zone_map().mins());
-  EXPECT_EQ(attached->zone_map().maxs(), built->zone_map().maxs());
-  ExpectZoneMapMatchesRecords(*attached);
+    auto attached =
+        CellStore::Attach(&pool, first, n, built->records().slots());
+    ASSERT_TRUE(attached.ok());
+    EXPECT_EQ(attached->zone_map().mins(), built->zone_map().mins());
+    EXPECT_EQ(attached->zone_map().maxs(), built->zone_map().maxs());
+    ExpectZoneMapMatchesRecords(*attached);
+  }
 }
 
 TEST(BoxZoneMapTest, FilterRangeIsFilterRangesRestrictedToTheRun) {

@@ -35,10 +35,11 @@ run_one() {
     -DFIELDDB_BUILD_BENCHMARKS=OFF \
     -DFIELDDB_BUILD_EXAMPLES=OFF \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-  cmake --build "${dir}" -j >/dev/null
+  # A bare -j would let make start every compile at once.
+  cmake --build "${dir}" -j "$(nproc)" >/dev/null
   echo "=== ${name}: running tests ==="
   # shellcheck disable=SC2086  # ctest_args is intentionally word-split
-  (cd "${dir}" && ctest ${ctest_args} --output-on-failure -j)
+  (cd "${dir}" && ctest ${ctest_args} --output-on-failure -j "$(nproc)")
 }
 
 case "${mode}" in
