@@ -1,6 +1,6 @@
 // EXPLAIN: a client of FieldDatabase's public surface. It runs the
 // query through Query with tracing on and annotates the result with the
-// planner's decision, the subfields the filter chose, the R*-tree
+// plan the query ran, the subfields the filter chose, the R*-tree
 // descent and the disk-model cost of the observed reads.
 
 #include "core/explain.h"
@@ -27,15 +27,6 @@ Status ExplainValueQuery(const FieldDatabase& db, const ValueInterval& query,
     return Status::InvalidArgument("empty query interval");
   }
 
-  // The decision the traced run below will make, captured up front for
-  // the report (planning is deterministic, so this is the same plan).
-  const PhysicalPlan plan = db.PlanValueQuery(query);
-  out->chosen_plan = plan.kind;
-  out->predicted_cost_ms = plan.predicted_cost_ms;
-  out->predicted_scan_cost_ms = plan.scan_cost_ms;
-  out->predicted_index_cost_ms = plan.index_cost_ms;
-  out->planner_reason = plan.reason;
-
   // EXPLAIN forces metrics on so the R*-tree descent profile is
   // recorded even when the process runs with recording disabled.
   const bool prev_enabled = MetricsRegistry::enabled();
@@ -53,6 +44,11 @@ Status ExplainValueQuery(const FieldDatabase& db, const ValueInterval& query,
         db.Query({.bands = {&query, 1}, .regions = false, .trace = true},
                  {&result, 1}));
     out->stats = std::move(result.stats);
+    out->chosen_plan = result.plan.kind;
+    out->predicted_cost_ms = result.plan.predicted_cost_ms;
+    out->predicted_scan_cost_ms = result.plan.scan_cost_ms;
+    out->predicted_index_cost_ms = result.plan.index_cost_ms;
+    out->planner_reason = std::move(result.plan.reason);
     return Status::OK();
   }();
   out->rtree_nodes_visited = node_visits->value() - visits_before;

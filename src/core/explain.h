@@ -50,10 +50,11 @@ struct ExplainResult {
   /// What the simulated 2002 disk would charge for this query's
   /// physical read pattern (DiskModel on sequential/random reads).
   double est_disk_ms = 0.0;
-  /// The planner's decision for this query: which physical plan ran,
-  /// what it was predicted to cost, what the alternative would have
-  /// cost, and why. `predicted_cost_ms` is comparable to `est_disk_ms`
-  /// (same disk model; predicted vs observed read pattern).
+  /// The plan this query ran (the result's stamped `plan`): which
+  /// physical plan, what it was predicted to cost, what the alternative
+  /// would have cost, and why. `predicted_cost_ms` is comparable to
+  /// `est_disk_ms` (same disk model; predicted vs observed read
+  /// pattern).
   PlanKind chosen_plan = PlanKind::kFusedScan;
   double predicted_cost_ms = 0.0;
   double predicted_scan_cost_ms = 0.0;
@@ -66,8 +67,8 @@ struct ExplainResult {
 
 /// EXPLAIN for a value query, a client of the facade's public surface:
 /// runs `query` through FieldDatabase::Query cold (buffer pool cleared)
-/// and traced, then annotates the result with the planner's decision
-/// (PlanValueQuery), the subfields the filter chose and their
+/// and traced, then annotates the result with the plan it ran (the
+/// result's `plan`), the subfields the filter chose and their
 /// false-positive ratios, the R*-tree descent count, and the disk-model
 /// cost of the observed I/O. Metrics recording is forced on for the
 /// duration (EXPLAIN is explicitly diagnostic); the previous enabled

@@ -98,17 +98,6 @@ Status FieldDatabase::AttachEventLog(const std::string& path,
   return engine_.AttachEventLog(path, slow_query_threshold_ms);
 }
 
-void FieldDatabase::MaybeLogSlowQuery(const ValueInterval& query,
-                                      const QueryStats& stats) const {
-  engine_.MaybeLogSlowQuery(stats, [&](EventLog::Event* event) {
-    event->Add("query_min", query.min).Add("query_max", query.max);
-    // The probe is zero-I/O and deterministic, so this is the plan the
-    // query ran (modulo a concurrent set_planner_mode, which callers
-    // exclude).
-    return PlanValueQuery(query);
-  });
-}
-
 void FieldDatabase::InitPlanner() {
   planner_ = std::make_unique<QueryPlanner>(index_.get());
 }
@@ -140,12 +129,12 @@ Status FieldDatabase::Query(const QueryRequest& request,
   // member matches the envelope, so one envelope pass sees them all.
   ValueInterval envelope = ValueInterval::Empty();
   for (const ValueInterval& band : bands) envelope.Extend(band);
+  PhysicalPlan plan;
   FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
       ctx, &leader, [&](QueryContext* ctx) -> Status {
         // Cost-based access-path selection, reported as its own span (no
         // page I/O: the probe reads only the subfield table or the
         // in-memory zone-map sidecar).
-        PhysicalPlan plan;
         {
           ScopedSpan span("plan", "plan", trace);
           plan = planner_->Plan(envelope, planner_mode());
@@ -203,13 +192,19 @@ Status FieldDatabase::Query(const QueryRequest& request,
         return Status::OK();
       }));
 
-  DbMetrics::Get().query_wall_us->Record(leader.wall_seconds * 1e6);
   // Leader-charged attribution: the sweep's I/O lands on member 0, the
-  // riders report zero — so the members sum to exactly one sweep.
+  // riders report zero — so the members sum to exactly one sweep. Every
+  // member waited for the sweep and ran its plan.
   for (size_t q = 0; q < n; ++q) {
-    out[q].stats.wall_seconds = leader.wall_seconds;
-    out[q].stats.index_fallbacks = leader.index_fallbacks;
-    MaybeLogSlowQuery(bands[q], out[q].stats);
+    ValueQueryResult& member = out[q];
+    member.stats.wall_seconds = leader.wall_seconds;
+    member.stats.index_fallbacks = leader.index_fallbacks;
+    member.plan = plan;
+    DbMetrics::Get().query_wall_us->Record(leader.wall_seconds * 1e6);
+    engine_.MaybeLogSlowQuery(member.stats, [&](EventLog::Event* event) {
+      event->Add("query_min", bands[q].min).Add("query_max", bands[q].max);
+      return member.plan;
+    });
   }
   return Status::OK();
 }

@@ -41,9 +41,11 @@ struct FieldDatabaseOptions : EngineBuildOptions {
 struct ValueQueryResult {
   Region region;       // exact answer regions (estimation step output)
   QueryStats stats;
-  /// The planner's decision this query executed. Stamped by the
-  /// extension engines (temporal snapshot queries); the grid facade
-  /// reports its decision through EXPLAIN instead.
+  /// The plan this query executed: FieldDatabase::Query stamps every
+  /// member of a shared sweep with the sweep's plan (its envelope's),
+  /// and the extension engines stamp theirs. EXPLAIN, the `slow_query`
+  /// event and `fielddb_cli plan` report it. ShardRouter::Query leaves
+  /// it at its default: each touched shard ran a plan of its own.
   PhysicalPlan plan;
 
   /// Empties the result in place. The pieces keep their capacity, so a
@@ -174,9 +176,11 @@ class FieldDatabase : public EngineHost {
   /// to running it alone, and each member counts its own candidates.
   /// I/O is leader-charged: the sweep's whole I/O lands on member 0 and
   /// the riders report zero, so the members' I/O sums to exactly the one
-  /// sweep. Every member reports the sweep's wall time (they all waited
-  /// for it). A corrupt index page degrades the sweep to a full store
-  /// scan with identical answers, reported by every member.
+  /// sweep. Every member reports the sweep's wall time and plan (they
+  /// all waited for it and ran it), and each is one `db.value_queries`
+  /// and one `db.query_wall_us` sample. A corrupt index page degrades
+  /// the sweep to a full store scan with identical answers, reported by
+  /// every member.
   Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
                QueryContext* ctx = nullptr) const;
 
@@ -285,8 +289,8 @@ class FieldDatabase : public EngineHost {
   }
 
   /// The planner's decision for `query` under the current mode, without
-  /// executing anything. What a one-band Query would run; also the
-  /// CLI's `plan` subcommand and EXPLAIN's report.
+  /// executing anything: what a one-band Query would run and stamp in
+  /// its result's `plan`.
   PhysicalPlan PlanValueQuery(const ValueInterval& query) const {
     return planner_->Plan(query, planner_mode());
   }
@@ -319,13 +323,6 @@ class FieldDatabase : public EngineHost {
   /// of Build and Open; the planner borrows index_ so it must be
   /// re-created if the index ever were (it isn't).
   void InitPlanner();
-
-  /// FieldEngine::MaybeLogSlowQuery for a value query. Re-plans the
-  /// query (zero I/O, deterministic) only when it was slow, to report
-  /// the chosen plan next to the observed cost. Called from const query
-  /// paths on any thread; EventLog synchronizes internally.
-  void MaybeLogSlowQuery(const ValueInterval& query,
-                         const QueryStats& stats) const;
 
   std::unique_ptr<ValueIndex> index_;
   std::unique_ptr<QueryPlanner> planner_;

@@ -417,9 +417,9 @@ class FieldEngine {
   /// Appends a "slow_query" event when an event log is attached and the
   /// query's wall time reached the threshold — one record shape for
   /// every field type. `describe` adds the query's own fields and
-  /// returns the plan it ran (it runs only for a slow query, so a caller
-  /// may re-plan lazily); the plan, its reason, predicted vs observed
-  /// disk-model cost, the counts and the full IoStats follow.
+  /// returns the plan it ran (its result's stamped `plan`); the plan,
+  /// its reason, predicted vs observed disk-model cost, the counts and
+  /// the full IoStats follow.
   void MaybeLogSlowQuery(
       const QueryStats& stats,
       const std::function<PhysicalPlan(EventLog::Event*)>& describe) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "core/query_context.h"
 #include "obs/metrics.h"
@@ -38,32 +37,19 @@ QueryExecutor::~QueryExecutor() {
 }
 
 void QueryExecutor::Submit(const ValueInterval& query, Callback done) {
-  // Shared-scan admission weighs a queued candidate's own plan. Only a
-  // query that queues behind another task can be a candidate, so it is
-  // priced here, off the queue lock; one that reaches an empty queue is
-  // pushed unpriced in the same lock hold.
-  std::optional<double> cost_ms;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    not_full_.wait(lock, [this] { return queue_.size() < queue_capacity_; });
-    if (!shared_scan_ || cost_ms || queue_.empty()) break;
-    lock.unlock();
-    cost_ms = db_->planner().Plan(query, db_->planner_mode()).predicted_cost_ms;
-    lock.lock();
-  }
-  queue_.push_back(
-      Task{query, std::move(done), nullptr, TraceBuffer::NowNs(), cost_ms});
-  ++in_flight_;
-  lock.unlock();
-  not_empty_.notify_one();
+  Enqueue(Task{query, std::move(done), nullptr});
 }
 
 void QueryExecutor::SubmitTask(std::function<void()> work) {
+  Enqueue(Task{ValueInterval{}, nullptr, std::move(work)});
+}
+
+void QueryExecutor::Enqueue(Task task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [this] { return queue_.size() < queue_capacity_; });
-    queue_.push_back(Task{ValueInterval{}, nullptr, std::move(work),
-                          TraceBuffer::NowNs(), std::nullopt});
+    task.enqueued_ns = TraceBuffer::NowNs();
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   not_empty_.notify_one();
@@ -100,35 +86,18 @@ void QueryExecutor::WorkerLoop() {
       if (queue_.empty()) return;  // stopping and drained
       group.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      if (shared_scan_ && group.front().work == nullptr && !queue_.empty()) {
-        // Shared-scan grouping, at head-dequeue only: greedily admit
-        // still-queued queries that overlap the group's envelope and
-        // whose admission the planner prices as no more expensive
-        // fused than isolated. Members only ever move EARLIER than
-        // their FIFO turn and the head never waits for arrivals, so
-        // grouping cannot worsen any query's latency; the size cap
-        // bounds the per-cell predicate fan-out. Each candidate costs
-        // one plan here, the widened envelope's: Submit priced the
-        // candidate (it queued behind the head), and the envelope's
-        // cost is carried. A head that reached an empty queue is
-        // priced once, when a candidate first meets it.
-        const PlannerMode mode = db_->planner_mode();
+      if (shared_scan_ && group.front().work == nullptr) {
+        // Shared-scan grouping, at head-dequeue only: admit still-queued
+        // queries that meet the group's envelope, in queue order. Members
+        // only ever move EARLIER than their FIFO turn and the head never
+        // waits for arrivals, so grouping cannot worsen any query's
+        // latency; the size cap bounds the per-cell predicate fan-out.
+        // Nothing is planned here: the group's sweep plans its envelope.
         ValueInterval envelope = group.front().query;
-        std::optional<double> envelope_ms = group.front().cost_ms;
         for (auto it = queue_.begin();
              it != queue_.end() && group.size() < kMaxScanGroup;) {
-          std::optional<double> shared_ms;
           if (it->work == nullptr && envelope.Intersects(it->query)) {
-            if (!envelope_ms) {
-              envelope_ms =
-                  db_->planner().Plan(envelope, mode).predicted_cost_ms;
-            }
-            shared_ms = db_->planner().SharedScanCost(
-                envelope, *envelope_ms, it->query, *it->cost_ms, mode);
-          }
-          if (shared_ms) {
             envelope.Extend(it->query);
-            envelope_ms = shared_ms;
             group.push_back(std::move(*it));
             it = queue_.erase(it);
           } else {

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -46,20 +45,14 @@ class QueryExecutor {
     /// executor. Null disables tracking.
     SloTracker* slo = nullptr;
     /// Shared-scan scheduling (DESIGN.md §17): when a worker dequeues
-    /// the queue's head, it also pulls any still-queued queries whose
-    /// intervals overlap the group's growing envelope AND whose
-    /// admission the planner prices as no more expensive fused than
-    /// isolated (QueryPlanner::SharedScanCost — zero-I/O probes), then
-    /// runs the whole group as ONE stats-only FieldDatabase::Query
-    /// sweep. Submit prices a query's own plan off the queue lock when
-    /// the queue already holds a task (a query that reaches an empty
-    /// queue leaves as a head and is never a candidate), and the worker
-    /// carries the envelope's cost, so admitting a candidate plans only
-    /// the widened envelope; an unpriced head is planned once, when a
-    /// candidate first meets it, and a lone query plans nothing extra.
-    /// Answers are
-    /// bit-identical to isolated execution; each member's stats.io is
-    /// leader-charged (member 0 carries the sweep). Fairness: groups
+    /// the queue's head, it also pulls, in queue order, every
+    /// still-queued query whose interval meets the group's growing
+    /// envelope, then runs the whole group as ONE stats-only
+    /// FieldDatabase::Query sweep — the only plan the group makes.
+    /// Overlap is the whole admission rule: for intersecting bands the
+    /// hull's plan never costs more than the two plans apart. Answers
+    /// are bit-identical to isolated execution; each member's stats.io
+    /// is leader-charged (member 0 carries the sweep). Fairness: groups
     /// form only at head-dequeue from already queued work — a member
     /// can only move *earlier* than its FIFO turn, the head never waits
     /// for future arrivals, and the group size is capped
@@ -139,15 +132,11 @@ class QueryExecutor {
     /// span "queue.wait" + histogram exec.queue_wait_us) — the
     /// saturation signal admission control will key on.
     uint64_t enqueued_ns = 0;
-    /// With shared_scan: the query's predicted plan cost, priced by
-    /// Submit off the queue lock when the queue held a task (the
-    /// planner mode changes only while the database is quiescent).
-    /// Unset for a query that reached an empty queue: nothing is ahead
-    /// of it, so it is dequeued as a head, never compared as a
-    /// candidate.
-    std::optional<double> cost_ms;
   };
 
+  /// The body of Submit and SubmitTask: blocks while the queue is at
+  /// capacity, then stamps `task`'s enqueue time and queues it.
+  void Enqueue(Task task);
   void WorkerLoop();
 
   /// Records queue-wait (histogram + trace) for one dequeued task;

@@ -24,20 +24,9 @@ Shard::Shard(ShardDescriptor descriptor, std::unique_ptr<FieldDatabase> db)
 }
 
 bool Shard::MayContain(const ValueInterval& query) const {
-  if (!db_->value_range().Intersects(query)) {
-    skips_->Increment();
-    return false;
-  }
-  // The planner's zero-I/O selectivity probe (subfield table or
-  // in-memory zone map) is exact, so a probed plan predicting no
-  // candidates proves the shard empty for `query`; an unprobed plan
-  // (LinearScan, forced scan) predicts 0 for "unknown".
-  const PhysicalPlan plan = db_->PlanValueQuery(query);
-  if (plan.probed && plan.predicted_candidates == 0) {
-    skips_->Increment();
-    return false;
-  }
-  return true;
+  if (db_->value_range().Intersects(query)) return true;
+  skips_->Increment();
+  return false;
 }
 
 void Shard::RecordQuery(double wall_ms) const {

@@ -92,11 +92,12 @@ class Shard {
   FieldDatabase& db() const { return *db_; }
   QueryExecutor& lane() const { return *lane_; }
 
-  /// Zero-I/O pruning decision: false only when this shard provably
-  /// contributes nothing to `query` — the query misses the shard's
-  /// value hull, or the shard planner's exact selectivity probe ran and
-  /// predicted zero candidates. Increments this shard's skip counter
-  /// when it says no.
+  /// The router's skip rule: false when `query` misses the shard's
+  /// value hull, so the shard holds no cell that meets it; increments
+  /// this shard's skip counter then. Reads no page and plans nothing:
+  /// a shard that is sent the band plans it once, in its own Query.
+  /// Updates only widen the hull, so it may admit a band the shard no
+  /// longer holds a cell for; the shard's filter then finds none.
   bool MayContain(const ValueInterval& query) const;
 
   /// Records one scattered sub-query against this shard's metrics

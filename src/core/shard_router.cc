@@ -1,6 +1,6 @@
 // The shard-per-core serving layer: Hilbert-range partitioning at
 // Build, a text catalog (`<prefix>.router`) persisting the partition,
-// and the cost-aware scatter/gather query paths (DESIGN.md §18).
+// and the scatter/gather query paths (DESIGN.md §18).
 
 #include "core/shard_router.h"
 
@@ -349,49 +349,32 @@ struct ShardRouter::ShardWork {
 
 Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
                                ShardWork* work) const {
-  const FieldDatabase& db = shard.db();
-  const PlannerMode mode = db.planner_mode();
   const std::span<const ValueInterval> bands(work->bands);
   const std::span<ValueQueryResult> results(work->results);
-  // Greedy fused-vs-split aggregation, the executor's admission rule
-  // applied per shard against the most recent group only (FIFO-like,
-  // matching the executor's head-group formation), so every group is a
-  // run of consecutive members. The envelope's cost is planned the
-  // first time a band meets it and then carried, so a band costs its
-  // own plan and the widened envelope's, and a one-band request plans
-  // nothing here.
-  const auto cost_ms = [&](const ValueInterval& band) {
-    return db.planner().Plan(band, mode).predicted_cost_ms;
-  };
+  // The executor's admission rule applied per shard against the most
+  // recent group only (FIFO-like, matching the executor's head-group
+  // formation): a band joins the group whose envelope it meets, so
+  // every group is a run of consecutive members, and each group's
+  // Query is the only plan it makes.
   size_t start = 0;
   ValueInterval envelope = bands[0];
-  std::optional<double> envelope_ms;
   for (size_t i = 1; i <= bands.size(); ++i) {
-    std::optional<double> band_ms;  // bands[i]'s cost, once planned
     if (i < bands.size() && envelope.Intersects(bands[i])) {
-      if (!envelope_ms) envelope_ms = cost_ms(envelope);
-      band_ms = cost_ms(bands[i]);
-      if (const std::optional<double> shared_ms = db.planner().SharedScanCost(
-              envelope, *envelope_ms, bands[i], *band_ms, mode)) {
-        envelope.Extend(bands[i]);
-        envelope_ms = shared_ms;
-        continue;
-      }
+      envelope.Extend(bands[i]);
+      continue;
     }
     const size_t len = i - start;
     if (request.bands.size() > 1) {
       (len > 1 ? groups_fused_ : groups_split_)->Increment();
     }
-    FIELDDB_RETURN_IF_ERROR(db.Query({.bands = bands.subspan(start, len),
-                                      .regions = request.regions,
-                                      .trace = request.trace},
-                                     results.subspan(start, len)));
+    FIELDDB_RETURN_IF_ERROR(
+        shard.db().Query({.bands = bands.subspan(start, len),
+                          .regions = request.regions,
+                          .trace = request.trace},
+                         results.subspan(start, len)));
     work->wall_seconds += results[start].stats.wall_seconds;
     start = i;
-    if (i < bands.size()) {
-      envelope = bands[i];
-      envelope_ms = band_ms;
-    }
+    if (i < bands.size()) envelope = bands[i];
   }
   return Status::OK();
 }

@@ -58,12 +58,11 @@ struct RouterQueryProfile {
 /// The shard-per-core serving layer (DESIGN.md §18): N contiguous
 /// Hilbert-range shards, each a self-contained FieldDatabase with its
 /// own BufferPool, value index, zone-map sidecar and executor lane,
-/// behind a cost-aware scatter/gather front end.
+/// behind a scatter/gather front end.
 ///
-/// Routing: every query is clipped against each shard's value hull and
-/// the shard planner's zero-I/O selectivity probe (Shard::MayContain);
-/// only shards with a possible contribution are scattered to, each on
-/// its own lane. Gather is deterministic — per-shard results merge in
+/// Routing: every query is clipped against each shard's value hull
+/// (Shard::MayContain); only shards whose hull it meets are scattered
+/// to, each on its own lane. Gather is deterministic — per-shard results merge in
 /// ascending shard id, and because shard-local store order equals the
 /// global Hilbert linearization restricted to the shard, the
 /// concatenated Region is bit-identical to the 1-shard answer (exactly
@@ -120,17 +119,17 @@ class ShardRouter {
   /// (see FieldDatabase::Query for the request). Every band is
   /// validated before admission. Each touched shard gets the request
   /// cut down to the bands MayContain admits; the shard groups them
-  /// greedily in request order — a band joins the current group only
-  /// when it overlaps the group's envelope AND the shard planner's
-  /// SharedScanCost prices the widened sweep no higher than running it
-  /// separately — and runs each group as one FieldDatabase::Query.
-  /// Gather is in ascending shard id (see the class comment for why
-  /// that is deterministic); the lowest shard touching a band answers
-  /// into the caller's piece storage, so its capacity is reused and
-  /// those pieces are never copied. Each band's merged stats sum every
-  /// touched shard's counters (leader-charged I/O within each shard's
-  /// sweep, so summed member I/O equals the I/O issued); wall_seconds
-  /// is the router-level wall time.
+  /// greedily in request order — a band joins the current group when
+  /// it meets the group's envelope — and runs each group as one
+  /// FieldDatabase::Query, which plans it. Nothing is planned on the
+  /// caller's thread. Gather is in ascending shard id (see the class
+  /// comment for why that is deterministic); the lowest shard touching
+  /// a band answers into the caller's piece storage, so its capacity is
+  /// reused and those pieces are never copied. Each band's merged stats
+  /// sum every touched shard's counters (leader-charged I/O within each
+  /// shard's sweep, so summed member I/O equals the I/O issued);
+  /// wall_seconds is the router-level wall time. Each result's `plan`
+  /// stays at its default: every touched shard ran a plan of its own.
   Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
                RouterQueryProfile* profile = nullptr) const;
 
@@ -193,8 +192,9 @@ class ShardRouter {
   /// One touched shard's part of a Query: the request's bands it may
   /// contribute to, their results, and what running them cost.
   struct ShardWork;
-  /// Runs `work`'s bands on `shard` in cost-admitted groups (on the
-  /// shard's lane), counting a batch's groups in router.shared_groups_*.
+  /// Runs `work`'s bands on `shard` in groups of overlapping bands (on
+  /// the shard's lane), counting a batch's groups in
+  /// router.shared_groups_*.
   Status RunOnShard(const Shard& shard, const QueryRequest& request,
                     ShardWork* work) const;
 

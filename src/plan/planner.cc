@@ -76,7 +76,6 @@ PhysicalPlan ChoosePlan(const PlanCostModel& cost, const StoreShape& shape,
     p = probe();
     probe_span.set_items(p.candidates);
   }
-  plan.probed = true;
   plan.predicted_candidates = p.candidates;
   plan.predicted_runs = p.runs;
   plan.selectivity =
@@ -171,16 +170,6 @@ PagePattern QueryPlanner::FilterPattern(const Selectivity& sel) const {
       std::ceil(static_cast<double>(info.tree_nodes) * sel.entry_fraction));
   return PagePattern::Random(
       std::min<uint64_t>(info.tree_nodes, info.tree_height + spread));
-}
-
-std::optional<double> QueryPlanner::SharedScanCost(
-    const ValueInterval& envelope, double envelope_ms,
-    const ValueInterval& candidate, double candidate_ms,
-    PlannerMode mode) const {
-  const double shared_ms =
-      Plan(ValueInterval::Hull(envelope, candidate), mode).predicted_cost_ms;
-  if (shared_ms <= envelope_ms + candidate_ms) return shared_ms;
-  return std::nullopt;
 }
 
 PhysicalPlan QueryPlanner::Plan(const ValueInterval& query,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,10 +61,6 @@ struct PhysicalPlan {
   double index_cost_ms = 0.0;
   /// Disk-model cost of the *chosen* kind.
   double predicted_cost_ms = 0.0;
-  /// True when a selectivity probe ran for this plan. LinearScan
-  /// databases and forced scans never probe, so their
-  /// predicted_candidates == 0 means "unknown", not "empty".
-  bool probed = false;
   std::string reason;
 };
 
@@ -147,23 +142,6 @@ class QueryPlanner {
 
   PhysicalPlan Plan(const ValueInterval& query,
                     PlannerMode mode = PlannerMode::kAuto) const;
-
-  /// Share-vs-isolate admission for the executor's and the router's
-  /// shared-scan grouping: should `candidate` join a group whose
-  /// members' hull is `envelope`? Given the envelope's and the
-  /// candidate's predicted costs (Plan(...).predicted_cost_ms under
-  /// `mode`), only the widened envelope is planned; the candidate
-  /// shares when that plan (the group executes as one pass whose I/O is
-  /// that plan's) is predicted no more expensive than the two together.
-  /// Shares on ties: the fused sweep also saves the per-query fixed
-  /// costs the model does not price. Returns the widened plan's cost
-  /// when the candidate shares, nullopt when it does not; a caller
-  /// growing a group keeps it as the new envelope's.
-  std::optional<double> SharedScanCost(const ValueInterval& envelope,
-                                       double envelope_ms,
-                                       const ValueInterval& candidate,
-                                       double candidate_ms,
-                                       PlannerMode mode) const;
 
   StoreShape shape() const;
   const PlanCostModel& cost_model() const { return cost_; }

@@ -273,6 +273,47 @@ TEST(PlannerTest, ConcurrentAutoPlanningIsDeterministic) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(PlannerTest, HullOfIntersectingBandsNeverCostsMoreThanBoth) {
+  // Why shared-scan admission is the overlap test alone (DESIGN.md §17):
+  // for intersecting bands a and b the hull is a ∪ b, so its candidates
+  // are the union of theirs, its fetch reads the union of their pages
+  // with no more seeks, its descent is subadditive and the scan cost is
+  // one constant. Sharing one sweep is never priced above running both.
+  auto dem = MakeDem(8);
+  ASSERT_TRUE(dem.ok());
+  for (const IndexMethod method :
+       {IndexMethod::kLinearScan, IndexMethod::kIAll, IndexMethod::kIHilbert,
+        IndexMethod::kIntervalQuadtree, IndexMethod::kRowIp}) {
+    SCOPED_TRACE(IndexMethodName(method));
+    auto db = MakeDb(*dem, method);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    std::vector<ValueInterval> bands;
+    for (const double width : {0.002, 0.02, 0.1, 0.4}) {
+      for (const double lo : {0.0, 0.05, 0.3, 0.55, 0.9}) {
+        bands.push_back(Band(**db, lo, std::min(lo + width, 1.0)));
+      }
+    }
+    const QueryPlanner& planner = (*db)->planner();
+    for (const PlannerMode mode : {PlannerMode::kAuto, PlannerMode::kForceScan,
+                                   PlannerMode::kForceIndex}) {
+      std::vector<double> alone_ms;
+      for (const ValueInterval& band : bands) {
+        alone_ms.push_back(planner.Plan(band, mode).predicted_cost_ms);
+      }
+      for (size_t i = 0; i < bands.size(); ++i) {
+        for (size_t j = i; j < bands.size(); ++j) {
+          if (!bands[i].Intersects(bands[j])) continue;
+          const ValueInterval hull = ValueInterval::Hull(bands[i], bands[j]);
+          EXPECT_LE(planner.Plan(hull, mode).predicted_cost_ms,
+                    alone_ms[i] + alone_ms[j])
+              << PlannerModeName(mode) << " " << bands[i].ToString() << " + "
+              << bands[j].ToString();
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The differential suite: for every index method and a selectivity
 // sweep from ~0.1% to 90%, the plan the planner picks must return

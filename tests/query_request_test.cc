@@ -14,6 +14,7 @@
 #include "core/field_database.h"
 #include "core/shard_router.h"
 #include "gen/fractal.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fielddb {
@@ -225,6 +226,24 @@ TEST(QueryRequestTest, RefusesMismatchedAndEmptyRequests) {
             StatusCode::kInvalidArgument);
   // No bands is an empty request, answered with nothing.
   EXPECT_TRUE((*db)->Query({}, {}).ok());
+}
+
+TEST(QueryRequestTest, EveryMemberIsOneQueryAndOneWallSample) {
+  // db.query_wall_us is per query, like db.value_queries: a shared
+  // sweep records one sample per member, each the sweep's wall time.
+  auto db = FieldDatabase::Build(MakeTestField(), FieldDatabaseOptions{});
+  ASSERT_TRUE(db.ok());
+  MetricsRegistry& registry = MetricsRegistry::Default();
+  const Counter* queries = registry.GetCounter("db.value_queries");
+  const Histogram* wall_us = registry.GetHistogram("db.query_wall_us");
+  const uint64_t queries_before = queries->value();
+  const uint64_t samples_before = wall_us->count();
+  const std::vector<ValueInterval> bands =
+      OverlappingBands((*db)->value_range());
+  std::vector<ValueQueryResult> results(bands.size());
+  ASSERT_TRUE((*db)->Query({.bands = bands}, results).ok());
+  EXPECT_EQ(queries->value() - queries_before, bands.size());
+  EXPECT_EQ(wall_us->count() - samples_before, bands.size());
 }
 
 }  // namespace

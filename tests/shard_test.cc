@@ -345,6 +345,45 @@ TEST(ShardRouterTest, PointQueryAndUpdateRouting) {
   EXPECT_EQ(stats.answer_cells, 1u);
 }
 
+TEST(ShardRouterTest, StaleHullAnswersAsOneDatabase) {
+  // Updates only widen a shard's value hull: once the cells of shard 0
+  // that met a band move below it, the hull still admits the band, so
+  // shard 0 is sent it, its filter finds nothing, and the answer is one
+  // database's after the same updates.
+  const GridField field = MakeTestField();
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  auto router = ShardRouter::Build(field, ro);
+  ASSERT_TRUE(router.ok());
+  auto db = FieldDatabase::Build(field, ro.db);
+  ASSERT_TRUE(db.ok());
+
+  const Shard& shard = (*router)->shard(0);
+  const ValueInterval hull = shard.db().value_range();
+  const ValueInterval band{hull.max - 0.05 * (hull.max - hull.min),
+                           hull.max};
+  const double w = hull.min;
+  size_t moved = 0;
+  for (const CellId id : shard.descriptor().local_to_global) {
+    if (!field.GetCell(id).Interval().Intersects(band)) continue;
+    ASSERT_TRUE((*router)->UpdateCellValues(id, {w, w, w, w}).ok());
+    ASSERT_TRUE((*db)->UpdateCellValues(id, {w, w, w, w}).ok());
+    ++moved;
+  }
+  ASSERT_GT(moved, 0u);
+  ASSERT_TRUE(shard.db().value_range().Intersects(band));
+
+  ValueQueryResult routed;
+  ValueQueryResult alone;
+  RouterQueryProfile profile;
+  ASSERT_TRUE(QueryOne(**router, band, &routed, &profile).ok());
+  ASSERT_TRUE(QueryOne(**db, band, &alone).ok());
+  EXPECT_GT(profile.per_shard[0].wall_seconds, 0.0);  // shard 0 ran it
+  EXPECT_EQ(profile.per_shard[0].answer_cells, 0u);
+  EXPECT_EQ(routed.stats.answer_cells, alone.stats.answer_cells);
+  EXPECT_EQ(ExactPieces(routed.region), ExactPieces(alone.region));
+}
+
 TEST(ShardRouterTest, BatchWithNonFiniteSampleChangesNoShard) {
   const GridField field = MakeTestField();
   ShardRouterOptions ro;

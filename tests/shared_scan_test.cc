@@ -3,29 +3,34 @@
 // the same queries run in isolation, across every index method; the
 // members' leader-charged IoStats must sum to no more than the isolated
 // totals; the executor's head-dequeue grouping must fuse overlapping
-// queued queries; and a corrupt index must degrade the whole group to
-// the store sweep exactly like the single-query path.
+// queued queries; every plan must be a sweep's own — the executor, the
+// router, EXPLAIN and the slow-query log plan nothing else; and a
+// corrupt index must degrade the whole group to the store sweep exactly
+// like the single-query path.
 
 #include <algorithm>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/explain.h"
 #include "core/field_database.h"
 #include "core/query_executor.h"
 #include "core/shard_router.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 #include "storage/fault_injection.h"
 #include "query_util.h"
+#include "temp_dir.h"
 
 namespace fielddb {
 namespace {
@@ -49,6 +54,19 @@ class SharedScanTest : public ::testing::Test {
     FieldDatabaseOptions options;
     options.method = method;
     return FieldDatabase::Build(*field_, options);
+  }
+
+  /// `n` distinct intervals, each a fifth of the value range wide and
+  /// starting a twentieth after the one before: consecutive ones meet.
+  std::vector<ValueInterval> ChainedQueries(uint32_t n) const {
+    const ValueInterval range = field_->ValueRange();
+    const double step = (range.max - range.min) / 20.0;
+    std::vector<ValueInterval> queries;
+    for (uint32_t i = 0; i < n; ++i) {
+      const double lo = range.min + step * i;
+      queries.push_back(ValueInterval{lo, lo + 4.0 * step});
+    }
+    return queries;
   }
 
   std::vector<ValueInterval> OverlappingQueries(uint32_t n) const {
@@ -171,49 +189,13 @@ TEST_F(SharedScanTest, DegenerateBatches) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(SharedScanTest, SharesScanMatchesPlanCostsAndSharesIdentical) {
-  auto db = BuildDb(IndexMethod::kIHilbert);
-  ASSERT_TRUE(db.ok());
-  const QueryPlanner& planner = (*db)->planner();
-  const std::vector<ValueInterval> queries = OverlappingQueries(8);
-  const auto shared_cost = [&](const ValueInterval& a,
-                               const ValueInterval& b) {
-    return planner.SharedScanCost(a, planner.Plan(a).predicted_cost_ms, b,
-                                  planner.Plan(b).predicted_cost_ms,
-                                  PlannerMode::kAuto);
-  };
-  for (const ValueInterval& a : queries) {
-    for (const ValueInterval& b : queries) {
-      // The widened sweep against the two separate plans, ties shared.
-      const double shared_ms =
-          planner.Plan(ValueInterval::Hull(a, b)).predicted_cost_ms;
-      const double isolated_ms = planner.Plan(a).predicted_cost_ms +
-                                 planner.Plan(b).predicted_cost_ms;
-      const std::optional<double> cost = shared_cost(a, b);
-      EXPECT_EQ(cost.has_value(), shared_ms <= isolated_ms)
-          << "[" << a.min << ", " << a.max << "] + [" << b.min << ", "
-          << b.max << "]";
-      if (cost) {
-        EXPECT_EQ(*cost, shared_ms);
-      }
-    }
-    // An identical candidate never widens the sweep: always shared.
-    EXPECT_TRUE(shared_cost(a, a).has_value());
-  }
-}
-
 TEST_F(SharedScanTest, ExecutorGroupsQueuedOverlappingQueries) {
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
-  // The sentinel plus 11 copies of one interval: an identical candidate
-  // never widens the envelope, so the greedy admission must accept all
-  // of them — the group composition is fully deterministic. (Distinct
-  // overlapping intervals may legitimately split into several groups
-  // once the hull grows past what the cost model will share;
-  // RunBatchSharedMatchesIsolatedBatch covers that workload.)
-  const std::vector<ValueInterval> seed_queries = OverlappingQueries(2);
-  std::vector<ValueInterval> queries(12, seed_queries[1]);
-  queries[0] = seed_queries[0];
+  // The sentinel plus 11 distinct intervals, each meeting the one
+  // before it: every one meets the growing envelope in queue order, so
+  // the greedy admission must take all of them into one group.
+  const std::vector<ValueInterval> queries = ChainedQueries(12);
 
   // Isolated reference answers.
   std::vector<uint64_t> expected;
@@ -272,8 +254,8 @@ TEST_F(SharedScanTest, ExecutorGroupsQueuedOverlappingQueries) {
     ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
     EXPECT_EQ(got[i].answer_cells, expected[i]) << "query " << i;
   }
-  // The 11 queued queries (all overlapping, all priced shareable) formed
-  // one fused group behind the sentinel.
+  // The 11 queued queries (a chain of overlaps) formed one fused group
+  // behind the sentinel.
   EXPECT_EQ(groups->value() - groups_before, 1u);
   // The group's head (queries[1]) is its leader and carries the sweep;
   // every rider reports zero I/O.
@@ -301,16 +283,21 @@ size_t AdmissionPlans(const std::vector<TraceEvent>& events) {
   return admission_plans;
 }
 
-TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
-  // Admission runs under the queue lock: the candidates' own plans come
-  // priced from Submit and the envelope's is carried, so the worker
-  // plans one widened envelope per queued candidate — not the three
-  // plans of a comparison from scratch (widened, envelope, candidate) —
-  // plus the head's own plan once, as the head reached an empty queue
-  // and went unpriced.
+/// Every plan in a trace, admission or a query's own.
+size_t Plans(const std::vector<TraceEvent>& events) {
+  return std::count_if(events.begin(), events.end(), [](const TraceEvent& e) {
+    return std::string_view(e.name) == "plan.probe";
+  });
+}
+
+TEST_F(SharedScanTest, ExecutorAdmitsQueuedCandidatesWithoutPlanning) {
+  // Admission is the overlap test under the queue lock: forming the
+  // group plans nothing, and the group's one sweep plans its envelope
+  // once.
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
-  const std::vector<ValueInterval> seed_queries = OverlappingQueries(2);
+  constexpr size_t kCandidates = 10;
+  const std::vector<ValueInterval> queries = ChainedQueries(kCandidates + 2);
 
   QueryExecutor::Options eo;
   eo.threads = 1;
@@ -322,7 +309,7 @@ TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
   std::condition_variable cv;
   bool started = false;
   bool release = false;
-  executor.Submit(seed_queries[0], [&](const Status&, const QueryStats&) {
+  executor.Submit(queries[0], [&](const Status&, const QueryStats&) {
     std::unique_lock<std::mutex> lock(mu);
     started = true;
     cv.notify_all();
@@ -332,9 +319,8 @@ TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return started; });
   }
-  constexpr size_t kCandidates = 10;
-  for (size_t i = 0; i <= kCandidates; ++i) {
-    executor.Submit(seed_queries[1], nullptr);
+  for (size_t i = 1; i < queries.size(); ++i) {
+    executor.Submit(queries[i], nullptr);
   }
   // Only the worker records from here on.
   TraceBuffer& tb = TraceBuffer::Global();
@@ -354,13 +340,13 @@ TEST_F(SharedScanTest, ExecutorPlansEachQueuedCandidateOnce) {
         return std::string_view(e.name) == "queue.wait";
       });
   EXPECT_EQ(waits, kCandidates + 1);  // one group: head + candidates
-  EXPECT_EQ(AdmissionPlans(events), kCandidates + 1);
+  EXPECT_EQ(AdmissionPlans(events), 0u);
+  EXPECT_EQ(Plans(events), 1u);  // the sweep's own
 }
 
 TEST_F(SharedScanTest, ExecutorLeavesALoneQueryUnplanned) {
-  // A query that reaches an empty queue is never a candidate, and with
-  // nothing queued behind it no group forms: shared-scan admission
-  // plans nothing for it, neither at Submit nor at its dequeue.
+  // A query that reaches an empty queue forms no group: nothing plans
+  // it but its own Query.
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
   const std::vector<ValueInterval> queries = OverlappingQueries(4);
@@ -387,30 +373,114 @@ TEST_F(SharedScanTest, ExecutorLeavesALoneQueryUnplanned) {
   EXPECT_EQ(AdmissionPlans(tb.Snapshot()), 0u);
 }
 
-TEST_F(SharedScanTest, RouterPlansNoAdmissionForOneBand) {
-  // A shard groups a request's bands by the executor's rule, planning
-  // the envelope only when a following band meets it: a one-band
-  // request plans nothing for admission. The band spans the whole
-  // value range, so each shard's MayContain plans it exactly once.
+TEST_F(SharedScanTest, RouterPlansNoAdmission) {
+  // The router skips a shard by its value hull and a shard groups a
+  // request's bands by overlap alone, so every plan is a shard-level
+  // Query's own: one per group, for one band and for several.
   ShardRouterOptions ro;
   ro.shards = 2;
   ro.db.method = IndexMethod::kIHilbert;
   auto router = ShardRouter::Build(*field_, ro);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
+  TraceBuffer& tb = TraceBuffer::Global();
+
+  // One band over the whole value range: each shard plans it once.
   const ValueInterval band = field_->ValueRange();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  ValueQueryResult result;
+  Status s =
+      (*router)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
+  TraceBuffer::set_enabled(false);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(result.stats.answer_cells, field_->NumCells());
+  std::vector<TraceEvent> events = tb.Snapshot();
+  EXPECT_EQ(AdmissionPlans(events), 0u);
+  EXPECT_EQ(Plans(events), size_t{ro.shards});
+
+  // Several bands: each shard plans each of its groups once.
+  Counter* fused =
+      MetricsRegistry::Default().GetCounter("router.shared_groups_fused");
+  Counter* split =
+      MetricsRegistry::Default().GetCounter("router.shared_groups_split");
+  const uint64_t groups_before = fused->value() + split->value();
+  const std::vector<ValueInterval> bands = OverlappingQueries(8);
+  std::vector<ValueQueryResult> results(bands.size());
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  s = (*router)->Query({.bands = bands, .regions = false}, results);
+  TraceBuffer::set_enabled(false);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  events = tb.Snapshot();
+  EXPECT_EQ(AdmissionPlans(events), 0u);
+  EXPECT_EQ(Plans(events), fused->value() + split->value() - groups_before);
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
+TEST_F(SharedScanTest, ExplainReportsThePlanItsQueryRan) {
+  auto db = BuildDb(IndexMethod::kIHilbert);
+  ASSERT_TRUE(db.ok());
+  const ValueInterval band = OverlappingQueries(1)[0];
 
   TraceBuffer& tb = TraceBuffer::Global();
   tb.Clear();
   TraceBuffer::set_enabled(true);
-  ValueQueryResult result;
-  const Status s =
-      (*router)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
+  ExplainResult explain;
+  const Status s = ExplainValueQuery(**db, band, &explain);
   TraceBuffer::set_enabled(false);
   ASSERT_TRUE(s.ok()) << s.ToString();
 
-  EXPECT_EQ(result.stats.answer_cells, field_->NumCells());
-  EXPECT_EQ(AdmissionPlans(tb.Snapshot()), size_t{ro.shards});
-  ASSERT_TRUE((*router)->Close().ok());
+  const std::vector<TraceEvent> events = tb.Snapshot();
+  EXPECT_EQ(AdmissionPlans(events), 0u);
+  EXPECT_EQ(Plans(events), 1u);
+  EXPECT_EQ(explain.planner_reason, (*db)->PlanValueQuery(band).reason);
+}
+
+TEST_F(SharedScanTest, SlowQueryEventsReportTheSweepsPlan) {
+  // Every member of a shared sweep ran the sweep's plan, its envelope's,
+  // and its slow_query event says so without planning again. I-All
+  // predicts each band's candidates cell by cell, so each band alone
+  // would plan differently: fewer candidates than their hull.
+  const std::string log_path = TestTempDir() + "/shared_scan_slow.jsonl";
+  FieldDatabaseOptions options;
+  options.method = IndexMethod::kIAll;
+  options.event_log_path = log_path;
+  options.slow_query_threshold_ms = 0.0;  // every query is slow
+  auto db = FieldDatabase::Build(*field_, options);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const std::vector<ValueInterval> chain = ChainedQueries(9);
+  const std::vector<ValueInterval> bands(chain.begin() + 6, chain.end());
+  ValueInterval hull = ValueInterval::Empty();
+  for (const ValueInterval& band : bands) hull.Extend(band);
+  const PhysicalPlan sweep = (*db)->PlanValueQuery(hull);
+  for (const ValueInterval& band : bands) {
+    ASSERT_NE((*db)->PlanValueQuery(band).reason, sweep.reason);
+  }
+
+  TraceBuffer& tb = TraceBuffer::Global();
+  tb.Clear();
+  TraceBuffer::set_enabled(true);
+  std::vector<ValueQueryResult> results(bands.size());
+  const Status s = (*db)->Query({.bands = bands, .regions = false}, results);
+  TraceBuffer::set_enabled(false);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const std::vector<TraceEvent> events = tb.Snapshot();
+  EXPECT_EQ(AdmissionPlans(events), 0u);
+  EXPECT_EQ(Plans(events), 1u);
+
+  std::string reason;
+  JsonAppendString(&reason, sweep.reason);
+  std::ifstream log(log_path);
+  size_t slow = 0;
+  for (std::string line; std::getline(log, line);) {
+    if (line.find("\"type\": \"slow_query\"") == std::string::npos) continue;
+    ++slow;
+    EXPECT_NE(line.find("\"reason\": " + reason), std::string::npos) << line;
+  }
+  EXPECT_EQ(slow, bands.size());
+  for (const ValueQueryResult& r : results) {
+    EXPECT_EQ(r.plan.reason, sweep.reason);
+  }
 }
 
 TEST_F(SharedScanTest, RunBatchSharedMatchesIsolatedBatch) {

@@ -9,9 +9,9 @@
 //   fielddb_cli explain --db PREFIX --min W --max W [--format text|json]
 //   fielddb_cli plan    --db PREFIX --min W --max W
 //                       [--mode auto|scan|index]
-//                       (prints the planner's decision and predicted
-//                       disk-model cost, then executes the query and
-//                       reports the observed cost next to it)
+//                       (executes the query cold, then prints the
+//                       plan it ran with its predicted disk-model cost
+//                       and the observed cost next to it)
 //   fielddb_cli isoline --db PREFIX --level W
 //   fielddb_cli point   --db PREFIX --x X --y Y
 //   fielddb_cli bench   --db PREFIX [--qinterval F] [--queries N]
@@ -341,7 +341,16 @@ int CmdPlan(const Args& args) {
   const ValueInterval band{args.GetDouble("min", 0),
                            args.GetDouble("max", 0)};
 
-  const PhysicalPlan plan = (*db)->PlanValueQuery(band);
+  // Run the query cold and put the observed cost next to the plan it
+  // ran (the pool is warm after Open's store scan; the predicted
+  // pattern models cold reads, so clear it for a comparable number).
+  const Status cs = (*db)->pool().Clear();
+  if (!cs.ok()) return Fail(cs);
+  ValueQueryResult result;
+  const Status s =
+      (*db)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
+  if (!s.ok()) return Fail(s);
+  const PhysicalPlan& plan = result.plan;
   std::printf("PLAN %s (mode %s) on %s\n", band.ToString().c_str(),
               PlannerModeName(mode), IndexMethodName((*db)->method()));
   std::printf("  chosen:     %s\n", PlanKindName(plan.kind));
@@ -353,16 +362,6 @@ int CmdPlan(const Args& args) {
               static_cast<unsigned long long>(plan.predicted_candidates),
               plan.selectivity * 100.0,
               static_cast<unsigned long long>(plan.predicted_runs));
-
-  // Now run the same query cold and put the observed cost next to the
-  // prediction (the pool is warm after Open's store scan; the predicted
-  // pattern models cold reads, so clear it for a comparable number).
-  const Status cs = (*db)->pool().Clear();
-  if (!cs.ok()) return Fail(cs);
-  ValueQueryResult result;
-  const Status s =
-      (*db)->Query({.bands = {&band, 1}, .regions = false}, {&result, 1});
-  if (!s.ok()) return Fail(s);
   const QueryStats& qs = result.stats;
   const DiskModel disk = (*db)->planner().cost_model().disk();
   std::printf(
