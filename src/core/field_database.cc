@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "field/interpolation.h"
 #include "field/isoband.h"
@@ -118,93 +119,113 @@ Status FieldDatabase::Query(const QueryRequest& request,
   for (ValueQueryResult& result : out) result.Reset();
   FIELDDB_RETURN_IF_ERROR(request.Check(out.size()));
   const std::span<const ValueInterval> bands = request.bands;
-  const size_t n = bands.size();
-  if (n == 0) return Status::OK();
-  QueryStats& leader = out[0].stats;
-  if (request.trace) leader.trace = std::make_shared<QueryTrace>();
-  QueryTrace* const trace = leader.trace.get();
-  DbMetrics::Get().value_queries->Increment(n);
+  if (bands.empty()) return Status::OK();
+  DbMetrics::Get().value_queries->Increment(bands.size());
 
-  // A batch plans and scans its members' hull: every cell matching any
-  // member matches the envelope, so one envelope pass sees them all.
-  ValueInterval envelope = ValueInterval::Empty();
-  for (const ValueInterval& band : bands) envelope.Extend(band);
-  PhysicalPlan plan;
-  FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
-      ctx, &leader, [&](QueryContext* ctx) -> Status {
-        // Cost-based access-path selection, reported as its own span (no
-        // page I/O: the probe reads only the subfield table or the
-        // in-memory zone-map sidecar).
-        {
-          ScopedSpan span("plan", "plan", trace);
-          plan = planner_->Plan(envelope, planner_mode());
-          span.set_items(plan.predicted_candidates);
-          span.set_detail(plan.reason);
-        }
-        BandScanSpec spec{.plan = plan.kind,
-                          .ctx = ctx,
-                          .trace = trace,
-                          .stats = &leader,
-                          .describe = DescribeBand(envelope, n)};
-        const auto search = [&](std::vector<PosRange>* runs) {
-          return index_->FilterCandidateRanges(envelope, runs);
-        };
-        const CellStore& store = index_->cell_store();
-        if (n == 1) {
-          // The filter's count is the candidate count.
-          EstimateOp estimate(bands[0],
-                              request.regions ? &out[0].region : nullptr,
-                              &leader, /*count_candidates=*/false);
-          FIELDDB_RETURN_IF_ERROR(
-              engine_.BandScan(store, envelope, spec, search, estimate));
-          return estimate.status();
-        }
-        ScopedSpan span("scan.shared", "exec");
-        span.set_items(n);
-        // Demultiplexing visitor: each zone-matching cell of the envelope
-        // is handed to every member whose band it meets (cell.Interval()
-        // IS the zone entry), so each member counts exactly the
-        // candidates, answers and pieces — in the storage order — that it
-        // would alone.
-        std::vector<EstimateOp> members;
-        members.reserve(n);
-        for (size_t q = 0; q < n; ++q) {
-          members.emplace_back(bands[q],
-                               request.regions ? &out[q].region : nullptr,
-                               &out[q].stats, /*count_candidates=*/true);
-        }
-        auto visit = [&](uint64_t pos, const CellRecord& cell) {
-          const ValueInterval iv = cell.Interval();
-          for (size_t q = 0; q < n; ++q) {
-            if (iv.Intersects(bands[q]) && !members[q](pos, cell)) {
-              return false;
-            }
+  // One group's sweep; `group` lists its members in request order.
+  const auto sweep = [&](std::span<const size_t> group,
+                         const ValueInterval& envelope) -> Status {
+    const size_t n = group.size();
+    QueryStats& leader = out[group[0]].stats;
+    if (request.trace) leader.trace = std::make_shared<QueryTrace>();
+    QueryTrace* const trace = leader.trace.get();
+    PhysicalPlan plan;
+    FIELDDB_RETURN_IF_ERROR(FieldEngine::MeasureQuery(
+        ctx, &leader, [&](QueryContext* ctx) -> Status {
+          // Cost-based access-path selection, reported as its own span
+          // (no page I/O: the probe reads only the subfield table or the
+          // in-memory zone-map sidecar).
+          {
+            ScopedSpan span("plan", "plan", trace);
+            plan = planner_->Plan(envelope, planner_mode());
+            span.set_items(plan.predicted_candidates);
+            span.set_detail(plan.reason);
           }
-          return true;
-        };
-        spec.count_candidates = false;
-        spec.fetch_detail = "shared_fetch";
-        FIELDDB_RETURN_IF_ERROR(
-            engine_.BandScan(store, envelope, spec, search, visit));
-        for (const EstimateOp& member : members) {
-          FIELDDB_RETURN_IF_ERROR(member.status());
-        }
-        return Status::OK();
-      }));
+          BandScanSpec spec{.plan = plan.kind,
+                            .ctx = ctx,
+                            .trace = trace,
+                            .stats = &leader,
+                            .describe = DescribeBand(envelope, n)};
+          const auto search = [&](std::vector<PosRange>* runs) {
+            return index_->FilterCandidateRanges(envelope, runs);
+          };
+          const CellStore& store = index_->cell_store();
+          if (n == 1) {
+            // The filter's count is the candidate count.
+            EstimateOp estimate(
+                bands[group[0]],
+                request.regions ? &out[group[0]].region : nullptr, &leader,
+                /*count_candidates=*/false);
+            FIELDDB_RETURN_IF_ERROR(
+                engine_.BandScan(store, envelope, spec, search, estimate));
+            return estimate.status();
+          }
+          ScopedSpan span("scan.shared", "exec");
+          span.set_items(n);
+          // Demultiplexing visitor: each zone-matching cell of the
+          // envelope is handed to every member whose band it meets
+          // (cell.Interval() IS the zone entry), so each member counts
+          // exactly the candidates, answers and pieces — in the storage
+          // order — that it would alone.
+          std::vector<EstimateOp> members;
+          members.reserve(n);
+          for (const size_t q : group) {
+            members.emplace_back(bands[q],
+                                 request.regions ? &out[q].region : nullptr,
+                                 &out[q].stats, /*count_candidates=*/true);
+          }
+          auto visit = [&](uint64_t pos, const CellRecord& cell) {
+            const ValueInterval iv = cell.Interval();
+            for (size_t j = 0; j < n; ++j) {
+              if (iv.Intersects(bands[group[j]]) && !members[j](pos, cell)) {
+                return false;
+              }
+            }
+            return true;
+          };
+          spec.count_candidates = false;
+          spec.fetch_detail = "shared_fetch";
+          FIELDDB_RETURN_IF_ERROR(
+              engine_.BandScan(store, envelope, spec, search, visit));
+          for (const EstimateOp& member : members) {
+            FIELDDB_RETURN_IF_ERROR(member.status());
+          }
+          return Status::OK();
+        }));
 
-  // Leader-charged attribution: the sweep's I/O lands on member 0, the
-  // riders report zero — so the members sum to exactly one sweep. Every
-  // member waited for the sweep and ran its plan.
-  for (size_t q = 0; q < n; ++q) {
-    ValueQueryResult& member = out[q];
-    member.stats.wall_seconds = leader.wall_seconds;
-    member.stats.index_fallbacks = leader.index_fallbacks;
-    member.plan = plan;
-    DbMetrics::Get().query_wall_us->Record(leader.wall_seconds * 1e6);
-    engine_.MaybeLogSlowQuery(member.stats, [&](EventLog::Event* event) {
-      event->Add("query_min", bands[q].min).Add("query_max", bands[q].max);
-      return member.plan;
-    });
+    // Leader-charged attribution: the sweep's I/O lands on the leader,
+    // the other members report zero — so the members sum to exactly one
+    // sweep. Every member waited for the sweep and ran its plan.
+    for (const size_t q : group) {
+      ValueQueryResult& member = out[q];
+      member.stats.wall_seconds = leader.wall_seconds;
+      member.stats.index_fallbacks = leader.index_fallbacks;
+      member.plan = plan;
+      DbMetrics::Get().query_wall_us->Record(leader.wall_seconds * 1e6);
+      engine_.MaybeLogSlowQuery(member.stats, [&](EventLog::Event* event) {
+        event->Add("query_min", bands[q].min).Add("query_max", bands[q].max);
+        return member.plan;
+      });
+    }
+    return Status::OK();
+  };
+
+  // The sweep rule (DESIGN.md §17): in order of `min`, a band joins the
+  // current group when it meets the group's envelope, so the groups are
+  // the connected components of "these bands overlap".
+  std::vector<size_t> order(bands.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return bands[a].min < bands[b].min;
+  });
+  for (size_t begin = 0, end = 1; begin < order.size(); begin = end++) {
+    ValueInterval envelope = bands[order[begin]];
+    while (end < order.size() && envelope.Intersects(bands[order[end]])) {
+      envelope.Extend(bands[order[end++]]);
+    }
+    const std::span<size_t> group(order.data() + begin, end - begin);
+    std::sort(group.begin(), group.end());  // request order
+    FIELDDB_RETURN_IF_ERROR(sweep(group, envelope));
   }
   return Status::OK();
 }

@@ -58,8 +58,8 @@ struct ValueQueryResult {
 };
 
 /// One field value query (Q2) request: FieldDatabase::Query and
-/// ShardRouter::Query take it. One band is a single query; several
-/// bands are answered together by one shared sweep (DESIGN.md §17),
+/// ShardRouter::Query take it. One band is a single query; bands that
+/// overlap are answered together by one shared sweep (DESIGN.md §17),
 /// each member bit-identical to running it alone.
 struct QueryRequest {
   std::span<const ValueInterval> bands;
@@ -68,10 +68,10 @@ struct QueryRequest {
   /// times filtering + retrieval + interpolation, not polygon
   /// bookkeeping.
   bool regions = true;
-  /// Record per-phase spans into member 0's `stats.trace`: "plan",
-  /// "filter" (indexed plans), "fetch" and "estimate". Span I/O sums
-  /// exactly to member 0's `io`. Slower than an untraced query
-  /// (per-cell clock reads in the estimation step).
+  /// Record per-phase spans into each sweep leader's `stats.trace` (see
+  /// FieldDatabase::Query): "plan", "filter" (indexed plans), "fetch"
+  /// and "estimate". Span I/O sums exactly to the leader's `io`. Slower
+  /// than an untraced query (per-cell clock reads when estimating).
   bool trace = false;
 
   /// Every facade's admission check: one result slot per band and no
@@ -167,20 +167,20 @@ class FieldDatabase : public EngineHost {
   /// `ctx` lets a thread reuse its scratch across queries; null creates
   /// a local context per call.
   ///
-  /// One band plans and runs alone; its `candidate_cells` is the filter
-  /// step's count, subfield false positives included. Several bands run
-  /// as ONE sweep (DESIGN.md §17): the members' hull is planned like a
-  /// single query, executed in one pass over the clustered store, and
+  /// The one place that decides which bands share a sweep (DESIGN.md
+  /// §17): each connected group of overlapping bands is planned over its
+  /// envelope and swept once, so no sweep reads a gap. A band alone runs
+  /// as a single query; its `candidate_cells` is the filter step's
+  /// count, subfield false positives included. A group of several is
   /// demultiplexed — every visited cell is tested against each member's
   /// band exactly, so each member's region and counts are bit-identical
   /// to running it alone, and each member counts its own candidates.
-  /// I/O is leader-charged: the sweep's whole I/O lands on member 0 and
-  /// the riders report zero, so the members' I/O sums to exactly the one
-  /// sweep. Every member reports the sweep's wall time and plan (they
-  /// all waited for it and ran it), and each is one `db.value_queries`
-  /// and one `db.query_wall_us` sample. A corrupt index page degrades
-  /// the sweep to a full store scan with identical answers, reported by
-  /// every member.
+  /// A group's I/O and trace land on its leader, its first member in
+  /// request order; the others report zero I/O, so the members' I/O
+  /// sums to exactly the sweeps issued. Every member reports its group's
+  /// wall time, plan and index fallback (a corrupt index page degrades
+  /// the sweep to a full store scan with identical answers), and each is
+  /// one `db.value_queries` and one `db.query_wall_us` sample.
   Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
                QueryContext* ctx = nullptr) const;
 

@@ -40,7 +40,7 @@ void QueryExecutor::Submit(const ValueInterval& query, Callback done) {
   Enqueue(Task{query, std::move(done), nullptr});
 }
 
-void QueryExecutor::SubmitTask(std::function<void()> work) {
+void QueryExecutor::SubmitTask(std::function<void(QueryContext*)> work) {
   Enqueue(Task{ValueInterval{}, nullptr, std::move(work)});
 }
 
@@ -118,7 +118,7 @@ void QueryExecutor::WorkerLoop() {
     for (const Task& task : group) RecordQueueWait(task, dequeued_ns);
 
     if (group.front().work != nullptr) {
-      group.front().work();  // a closure never joins a group
+      group.front().work(&ctx);  // a closure never joins a group
     } else {
       // One stats-only Query per group: one band runs alone, a grouped
       // head runs as one shared sweep.
@@ -130,8 +130,12 @@ void QueryExecutor::WorkerLoop() {
           db_->Query({.bands = bands, .regions = false}, results, &ctx);
       for (size_t i = 0; i < group.size(); ++i) {
         if (slo_ != nullptr) {
-          slo_->RecordQuery(db_->value_range(), group[i].query,
-                            results[i].stats.wall_seconds * 1000.0);
+          if (s.ok()) {
+            slo_->RecordQuery(db_->value_range(), group[i].query,
+                              results[i].stats.wall_seconds * 1000.0);
+          } else {
+            slo_->RecordFailure(db_->value_range(), group[i].query);
+          }
         }
         if (group[i].done) group[i].done(s, results[i].stats);
       }
@@ -153,21 +157,23 @@ Status QueryExecutor::RunBatch(const std::vector<ValueInterval>& queries,
   out->per_query.resize(queries.size());
   if (queries.empty()) return Status::OK();
 
-  // Failure bookkeeping shared by the callbacks; guarded by its own
-  // mutex so it never contends with the queue lock.
-  std::mutex err_mu;
+  // The callbacks' bookkeeping, guarded by its own mutex so it never
+  // contends with the queue lock: failures, and the wall times of the
+  // queries that succeeded (a failed query has no latency to rank).
+  std::mutex mu;
+  std::vector<double> wall_ms;
+  wall_ms.reserve(queries.size());
 
   const auto t0 = std::chrono::steady_clock::now();
   for (size_t i = 0; i < queries.size(); ++i) {
-    // Each callback writes its own slot of per_query — disjoint
-    // locations, so no lock is needed for the stats themselves.
     QueryStats* slot = &out->per_query[i];
-    Submit(queries[i], [slot, out, &err_mu](const Status& s,
-                                            const QueryStats& stats) {
+    Submit(queries[i], [slot, out, &mu, &wall_ms](const Status& s,
+                                                  const QueryStats& stats) {
+      std::lock_guard<std::mutex> lock(mu);
       if (s.ok()) {
         *slot = stats;
+        wall_ms.push_back(stats.wall_seconds * 1000.0);
       } else {
-        std::lock_guard<std::mutex> lock(err_mu);
         ++out->failed;
         if (out->first_error.ok()) out->first_error = s;
       }
@@ -178,12 +184,7 @@ Status QueryExecutor::RunBatch(const std::vector<ValueInterval>& queries,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  std::vector<double> wall_ms;
-  wall_ms.reserve(out->per_query.size());
-  for (const QueryStats& qs : out->per_query) {
-    out->total.Accumulate(qs);
-    wall_ms.push_back(qs.wall_seconds * 1000.0);
-  }
+  for (const QueryStats& qs : out->per_query) out->total.Accumulate(qs);
   std::sort(wall_ms.begin(), wall_ms.end());
   out->p50_wall_ms = PercentileOfSorted(wall_ms, 50);
   out->p90_wall_ms = PercentileOfSorted(wall_ms, 90);

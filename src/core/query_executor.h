@@ -39,20 +39,21 @@ class QueryExecutor {
     /// blocks; clamped to >= 1.
     size_t queue_capacity = 1024;
     /// Optional per-query-class SLO tracking (obs/slo.h): every
-    /// completed query is classified by its value-interval width
-    /// relative to the database's value range and recorded against
-    /// that class's latency objective. Not owned; must outlive the
+    /// query is classified by its value-interval width relative to the
+    /// database's value range and recorded against that class's latency
+    /// objective; a failed query misses it. Not owned; must outlive the
     /// executor. Null disables tracking.
     SloTracker* slo = nullptr;
     /// Shared-scan scheduling (DESIGN.md §17): when a worker dequeues
     /// the queue's head, it also pulls, in queue order, every
     /// still-queued query whose interval meets the group's growing
     /// envelope, then runs the whole group as ONE stats-only
-    /// FieldDatabase::Query sweep — the only plan the group makes.
+    /// FieldDatabase::Query, one connected group of overlapping bands
+    /// that it sweeps once — the only plan the group makes.
     /// Overlap is the whole admission rule: for intersecting bands the
     /// hull's plan never costs more than the two plans apart. Answers
     /// are bit-identical to isolated execution; each member's stats.io
-    /// is leader-charged (member 0 carries the sweep). Fairness: groups
+    /// is leader-charged (the head carries the sweep). Fairness: groups
     /// form only at head-dequeue from already queued work — a member
     /// can only move *earlier* than its FIFO turn, the head never waits
     /// for future arrivals, and the group size is capped
@@ -76,6 +77,7 @@ class QueryExecutor {
     QueryStats total;
     double wall_seconds = 0.0;  // batch wall time, submit to last result
     double qps = 0.0;
+    /// Nearest-rank percentiles of the succeeded queries' wall times.
     double p50_wall_ms = 0.0;
     double p90_wall_ms = 0.0;
     double p99_wall_ms = 0.0;
@@ -100,13 +102,14 @@ class QueryExecutor {
   void Submit(const ValueInterval& query, Callback done);
 
   /// Enqueues an arbitrary closure on the pool — the shard router's
-  /// scatter path, where each shard's executor doubles as that shard's
-  /// serial lane for region queries and fused sub-batches. Generic
+  /// scatter path, where each shard's executor is that shard's serial
+  /// lane and a task runs one Query in the worker's QueryContext (so it
+  /// reuses the worker's scratch, as the executor's queries do). Generic
   /// tasks share the FIFO queue (their queue-wait is recorded like any
   /// query's) but never join shared-scan groups and never record SLO —
   /// the submitter owns whatever the closure measures. Blocks while the
   /// queue is at capacity.
-  void SubmitTask(std::function<void()> work);
+  void SubmitTask(std::function<void(QueryContext*)> work);
 
   /// Blocks until every submitted query has finished.
   void Drain();
@@ -126,7 +129,7 @@ class QueryExecutor {
     Callback done;
     /// Non-null for SubmitTask closures; such tasks bypass the query
     /// path entirely (no grouping, no SLO).
-    std::function<void()> work;
+    std::function<void(QueryContext*)> work;
     /// Submit time on the trace clock (TraceBuffer::NowNs); the worker
     /// records dequeue-minus-enqueue as the query's queue-wait (trace
     /// span "queue.wait" + histogram exec.queue_wait_us) — the

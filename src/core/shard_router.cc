@@ -8,6 +8,7 @@
 #include <charconv>
 #include <chrono>
 #include <iterator>
+#include <latch>
 #include <optional>
 #include <utility>
 
@@ -24,28 +25,6 @@ constexpr const char* kRouterMagic = "fielddb-router-v1";
 std::string ShardPrefix(const std::string& prefix, uint32_t k) {
   return prefix + ".s" + std::to_string(k);
 }
-
-/// Scatter barrier: the router thread blocks until every shard lane has
-/// run its closure.
-class Latch {
- public:
-  explicit Latch(size_t count) : remaining_(count) {}
-
-  void CountDown() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t remaining_;
-};
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -91,8 +70,6 @@ void ShardRouter::Init() {
   shards_touched_ = reg.GetCounter("router.shards_touched");
   shards_skipped_ = reg.GetCounter("router.shards_skipped");
   admission_waits_ = reg.GetCounter("router.admission_waits");
-  groups_fused_ = reg.GetCounter("router.shared_groups_fused");
-  groups_split_ = reg.GetCounter("router.shared_groups_split");
 
   global_map_.clear();
   uint64_t total = 0;
@@ -344,40 +321,8 @@ struct ShardRouter::ShardWork {
   std::vector<ValueInterval> bands;
   std::vector<ValueQueryResult> results;
   Status status;
-  double wall_seconds = 0.0;  // summed over the shard's groups
+  double wall_ms = 0.0;  // the lane's clock around the shard's Query
 };
-
-Status ShardRouter::RunOnShard(const Shard& shard, const QueryRequest& request,
-                               ShardWork* work) const {
-  const std::span<const ValueInterval> bands(work->bands);
-  const std::span<ValueQueryResult> results(work->results);
-  // The executor's admission rule applied per shard against the most
-  // recent group only (FIFO-like, matching the executor's head-group
-  // formation): a band joins the group whose envelope it meets, so
-  // every group is a run of consecutive members, and each group's
-  // Query is the only plan it makes.
-  size_t start = 0;
-  ValueInterval envelope = bands[0];
-  for (size_t i = 1; i <= bands.size(); ++i) {
-    if (i < bands.size() && envelope.Intersects(bands[i])) {
-      envelope.Extend(bands[i]);
-      continue;
-    }
-    const size_t len = i - start;
-    if (request.bands.size() > 1) {
-      (len > 1 ? groups_fused_ : groups_split_)->Increment();
-    }
-    FIELDDB_RETURN_IF_ERROR(
-        shard.db().Query({.bands = bands.subspan(start, len),
-                          .regions = request.regions,
-                          .trace = request.trace},
-                         results.subspan(start, len)));
-    work->wall_seconds += results[start].stats.wall_seconds;
-    start = i;
-    if (i < bands.size()) envelope = bands[i];
-  }
-  return Status::OK();
-}
 
 Status ShardRouter::Query(const QueryRequest& request,
                           std::span<ValueQueryResult> out,
@@ -385,11 +330,16 @@ Status ShardRouter::Query(const QueryRequest& request,
   // Reset in place: a client that reuses its result keeps the capacity
   // its pieces have grown to.
   for (ValueQueryResult& result : out) result.Reset();
+  const std::span<const ValueInterval> bands = request.bands;
+  // A refused or failed request misses every latency objective.
+  const auto fail = [&](const Status& s) {
+    for (const ValueInterval& b : bands) slo_.RecordFailure(value_range(), b);
+    return s;
+  };
   // The router refuses what one FieldDatabase refuses, before
   // admission: a shard validates only the bands MayContain sends it, so
   // an empty interval above every hull would otherwise answer OK.
-  FIELDDB_RETURN_IF_ERROR(request.Check(out.size()));
-  const std::span<const ValueInterval> bands = request.bands;
+  if (const Status s = request.Check(out.size()); !s.ok()) return fail(s);
   if (bands.empty()) return Status::OK();
   AdmissionSlot slot(this);
   queries_->Increment();
@@ -425,16 +375,23 @@ Status ShardRouter::Query(const QueryRequest& request,
     }
   }
 
-  Latch latch(targets.size());
+  // Each touched shard's lane runs its bands as one Query, in the lane
+  // worker's context; that Query decides which bands share a sweep.
+  std::latch scattered(static_cast<std::ptrdiff_t>(targets.size()));
   for (uint32_t k : targets) {
-    shards_[k]->lane().SubmitTask([this, k, &request, &work, &latch] {
+    shards_[k]->lane().SubmitTask([&, k](QueryContext* ctx) {
+      ShardWork& w = work[k];
       const auto s0 = std::chrono::steady_clock::now();
-      work[k].status = RunOnShard(*shards_[k], request, &work[k]);
-      shards_[k]->RecordQuery(MsSince(s0));
-      latch.CountDown();
+      w.status = shards_[k]->db().Query({.bands = w.bands,
+                                         .regions = request.regions,
+                                         .trace = request.trace},
+                                        w.results, ctx);
+      w.wall_ms = MsSince(s0);
+      shards_[k]->RecordQuery(w.wall_ms);
+      scattered.count_down();
     });
   }
-  latch.Wait();
+  scattered.wait();
 
   // Deterministic gather: ascending shard id. Shard-local store order
   // equals the global linearization restricted to the shard, so this
@@ -443,7 +400,7 @@ Status ShardRouter::Query(const QueryRequest& request,
   std::vector<size_t> total_pieces(bands.size(), 0);
   for (uint32_t k : targets) {
     const ShardWork& w = work[k];
-    if (!w.status.ok()) return w.status;
+    if (!w.status.ok()) return fail(w.status);
     for (size_t j = 0; j < w.members.size(); ++j) {
       total_pieces[w.members[j]] += w.results[j].region.pieces.size();
     }
@@ -482,7 +439,7 @@ Status ShardRouter::Query(const QueryRequest& request,
       for (size_t j = 1; j < w.results.size(); ++j) {
         MergeStats(w.results[j].stats, &merged);
       }
-      merged.wall_seconds = w.wall_seconds;
+      merged.wall_seconds = w.wall_ms / 1000.0;
     }
   }
   return Status::OK();

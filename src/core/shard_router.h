@@ -46,9 +46,9 @@ struct RouterRecoveryReport {
 /// Per-query routing profile (optional out-param of Query): which
 /// shards the scatter touched, what each contributed. per_shard is
 /// indexed by shard id; untouched shards keep default-constructed
-/// stats. A touched shard's entry merges its members' stats (its
-/// member-0 trace, when traced, included); its wall_seconds is the time
-/// the shard spent answering them.
+/// stats. A touched shard's entry merges its members' stats (its first
+/// member's trace, when traced, included); its wall_seconds is the
+/// lane's clock around the shard's one Query, positive when touched.
 struct RouterQueryProfile {
   uint32_t shards_touched = 0;
   uint32_t shards_skipped = 0;
@@ -72,10 +72,10 @@ struct RouterQueryProfile {
 /// Admission control: at most 4 * shards queries run concurrently;
 /// excess callers block at the front door (counting the wait in
 /// router.admission_waits) instead of piling onto shard lanes. Every
-/// admitted band is recorded against the per-class SLO tracker
+/// band is recorded against the per-class SLO tracker
 /// (SloTracker::DefaultQueryClasses) by its width relative to the
-/// router's global value range. Each shard's lane is one worker thread
-/// with 256 queue slots — the shard-per-core layout.
+/// router's global value range, a refused or failed one as a miss.
+/// Each shard's lane is one worker thread with 256 queue slots.
 ///
 /// Threading contract: Query and PointQuery are const and thread-safe;
 /// mutations (Update*, Save, Close) require external exclusion, same as
@@ -118,16 +118,15 @@ class ShardRouter {
   /// Scatter/gather value query, the router's one band-query call
   /// (see FieldDatabase::Query for the request). Every band is
   /// validated before admission. Each touched shard gets the request
-  /// cut down to the bands MayContain admits; the shard groups them
-  /// greedily in request order — a band joins the current group when
-  /// it meets the group's envelope — and runs each group as one
-  /// FieldDatabase::Query, which plans it. Nothing is planned on the
+  /// cut down to the bands MayContain admits, and the shard's lane runs
+  /// them as one FieldDatabase::Query, which alone decides which bands
+  /// share a sweep and plans each sweep. Nothing is planned on the
   /// caller's thread. Gather is in ascending shard id (see the class
   /// comment for why that is deterministic); the lowest shard touching
   /// a band answers into the caller's piece storage, so its capacity is
   /// reused and those pieces are never copied. Each band's merged stats
   /// sum every touched shard's counters (leader-charged I/O within each
-  /// shard's sweep, so summed member I/O equals the I/O issued);
+  /// shard's sweeps, so summed member I/O equals the I/O issued);
   /// wall_seconds is the router-level wall time. Each result's `plan`
   /// stays at its default: every touched shard ran a plan of its own.
   Status Query(const QueryRequest& request, std::span<ValueQueryResult> out,
@@ -192,11 +191,6 @@ class ShardRouter {
   /// One touched shard's part of a Query: the request's bands it may
   /// contribute to, their results, and what running them cost.
   struct ShardWork;
-  /// Runs `work`'s bands on `shard` in groups of overlapping bands (on
-  /// the shard's lane), counting a batch's groups in
-  /// router.shared_groups_*.
-  Status RunOnShard(const Shard& shard, const QueryRequest& request,
-                    ShardWork* work) const;
 
   /// RAII admission slot; blocks while max_inflight_ are in flight.
   class AdmissionSlot {
@@ -223,8 +217,6 @@ class ShardRouter {
   Counter* shards_touched_ = nullptr;   // router.shards_touched
   Counter* shards_skipped_ = nullptr;   // router.shards_skipped
   Counter* admission_waits_ = nullptr;  // router.admission_waits
-  Counter* groups_fused_ = nullptr;     // router.shared_groups_fused
-  Counter* groups_split_ = nullptr;     // router.shared_groups_split
 };
 
 }  // namespace fielddb

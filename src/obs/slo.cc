@@ -45,11 +45,23 @@ void SloTracker::Record(int class_index, double latency_ms) {
   state.latency_ms->Record(latency_ms);
 }
 
-void SloTracker::RecordQuery(const ValueInterval& value_range,
-                             const ValueInterval& query, double latency_ms) {
+int SloTracker::ClassForQuery(const ValueInterval& value_range,
+                              const ValueInterval& query) const {
   const double span = value_range.max - value_range.min;
   const double width = query.max - query.min;
-  Record(ClassForWidthFraction(span > 0 ? width / span : 1.0), latency_ms);
+  return ClassForWidthFraction(span > 0 ? width / span : 1.0);
+}
+
+void SloTracker::RecordQuery(const ValueInterval& value_range,
+                             const ValueInterval& query, double latency_ms) {
+  Record(ClassForQuery(value_range, query), latency_ms);
+}
+
+void SloTracker::RecordFailure(const ValueInterval& value_range,
+                               const ValueInterval& query) {
+  ClassState& state = *classes_[ClassForQuery(value_range, query)];
+  state.total.fetch_add(1, std::memory_order_relaxed);
+  state.violations.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<SloTracker::ClassSnapshot> SloTracker::Snapshot() {

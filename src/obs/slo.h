@@ -27,10 +27,10 @@ struct SloObjective {
   double target_fraction = 0.99;
 };
 
-/// Per-query-class SLO tracking for QueryExecutor: every completed
-/// query is classified (by selectivity width) and recorded against its
-/// class's latency objective. The tracker derives the three numbers an
-/// operator actually pages on:
+/// Per-query-class SLO tracking for QueryExecutor and ShardRouter:
+/// every query is classified (by selectivity width) and recorded
+/// against its class's latency objective. The tracker derives the
+/// three numbers an operator actually pages on:
 ///
 ///   compliance             fraction of queries within the objective,
 ///                          over the tracker's lifetime;
@@ -81,6 +81,11 @@ class SloTracker {
   void RecordQuery(const ValueInterval& value_range,
                    const ValueInterval& query, double latency_ms);
 
+  /// Records one failed or refused value query, classified alike, as a
+  /// miss: total and violations +1, no latency sample.
+  void RecordFailure(const ValueInterval& value_range,
+                     const ValueInterval& query);
+
   struct ClassSnapshot {
     std::string query_class;
     double target_ms = 0.0;
@@ -115,6 +120,10 @@ class SloTracker {
     uint64_t window_total = 0;
     uint64_t window_violations = 0;
   };
+
+  /// RecordQuery's classification.
+  int ClassForQuery(const ValueInterval& value_range,
+                    const ValueInterval& query) const;
 
   std::vector<std::unique_ptr<ClassState>> classes_;
   std::mutex window_mu_;

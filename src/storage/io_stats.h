@@ -31,6 +31,8 @@ struct IoStats {
 
   void Reset() { *this = IoStats{}; }
 
+  bool operator==(const IoStats&) const = default;
+
   /// Field-wise accumulation. QueryStats::Accumulate and the trace/bench
   /// aggregators all go through this, so adding a counter here is the
   /// single place it must be added to stay in every rollup.

@@ -3,6 +3,7 @@
 // single-threaded ground truth exactly — same candidates, same answers,
 // same logical I/O. Worker threads record discrepancies in atomics that
 // are asserted after join (gtest expectations are not thread-safe).
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -167,6 +168,36 @@ TEST(ConcurrencyTest, ExecutorBatchMatchesSequentialTruth) {
   EXPECT_EQ(batch.total.answer_cells, manual.answer_cells);
   EXPECT_EQ(batch.total.io.logical_reads, manual.io.logical_reads);
   EXPECT_EQ(batch.total.io.physical_reads, manual.io.physical_reads);
+}
+
+TEST(ConcurrencyTest, ExecutorBatchPercentilesRankSucceededQueriesOnly) {
+  auto field = MakeTestField();
+  ASSERT_TRUE(field.ok());
+  auto db = FieldDatabase::Build(*field);
+  ASSERT_TRUE(db.ok());
+  // Valid bands with an empty band after each: the empty ones fail and
+  // have no latency to rank.
+  std::vector<ValueInterval> queries;
+  for (const ValueInterval& q : MakeQueries((*db)->value_range())) {
+    queries.push_back(q);
+    queries.push_back(ValueInterval::Empty());
+  }
+  QueryExecutor::Options eo;
+  eo.threads = 1;
+  QueryExecutor executor(db->get(), eo);
+  QueryExecutor::BatchResult batch;
+  EXPECT_EQ(executor.RunBatch(queries, &batch).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(batch.failed, queries.size() / 2);
+
+  std::vector<double> wall_ms;
+  for (size_t i = 0; i < queries.size(); i += 2) {
+    wall_ms.push_back(batch.per_query[i].wall_seconds * 1000.0);
+  }
+  std::sort(wall_ms.begin(), wall_ms.end());
+  EXPECT_EQ(batch.p50_wall_ms, PercentileOfSorted(wall_ms, 50));
+  EXPECT_EQ(batch.p90_wall_ms, PercentileOfSorted(wall_ms, 90));
+  EXPECT_EQ(batch.p99_wall_ms, PercentileOfSorted(wall_ms, 99));
 }
 
 TEST(ConcurrencyTest, ExecutorSubmitRunsEveryCallback) {

@@ -4,11 +4,15 @@
 // (1, 2 and 4 shards). Every member must answer exactly as the same
 // band run alone with the same `regions` flag, shared I/O must be
 // leader-charged, and traced spans must account for the traced I/O.
+// The sweep rule: disjoint bands run as if alone, and overlapping
+// bands share one sweep per connected group, never more pages than
+// apart.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/field_database.h"
@@ -16,6 +20,7 @@
 #include "gen/fractal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query_util.h"
 
 namespace fielddb {
 namespace {
@@ -156,6 +161,159 @@ TEST_P(DatabaseRequestTest, EveryShapeAnswersAsItsMembersAlone) {
     }
   }
 }
+
+/// Bands at fractions {lo, hi} of `range`.
+std::vector<ValueInterval> BandsAt(
+    const ValueInterval& range,
+    const std::vector<std::pair<double, double>>& fracs) {
+  std::vector<ValueInterval> bands;
+  for (const auto& [lo, hi] : fracs) {
+    bands.push_back({range.min + lo * (range.max - range.min),
+                     range.min + hi * (range.max - range.min)});
+  }
+  return bands;
+}
+
+/// A 2^16-cell fractal (H = 0.3, as in the paper's Fig. 11) whose
+/// databases keep every page resident.
+GridField MakeSweepField() {
+  FractalOptions fo;
+  fo.size_exp = 8;
+  fo.roughness_h = 0.3;
+  fo.seed = 5;
+  return MakeFractalField(fo).value();
+}
+constexpr size_t kResidentPool = 8192;
+
+class SweepRuleTest : public ::testing::TestWithParam<IndexMethod> {
+ protected:
+  static void SetUpTestSuite() { field_ = new GridField(MakeSweepField()); }
+  static void TearDownTestSuite() {
+    delete field_;
+    field_ = nullptr;
+  }
+
+  std::unique_ptr<FieldDatabase> Build() const {
+    FieldDatabaseOptions options;
+    options.method = GetParam();
+    options.pool_pages = kResidentPool;
+    auto db = FieldDatabase::Build(*field_, options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(db).value() : nullptr;
+  }
+
+  static GridField* field_;
+};
+GridField* SweepRuleTest::field_ = nullptr;
+
+TEST_P(SweepRuleTest, DisjointBandsRunAsIfAlone) {
+  const std::unique_ptr<FieldDatabase> db = Build();
+  ASSERT_NE(db, nullptr);
+  // Pairwise disjoint, out of order: four groups of one.
+  const std::vector<ValueInterval> bands =
+      BandsAt(db->value_range(),
+              {{0.52, 0.55}, {0.10, 0.14}, {0.80, 0.86}, {0.30, 0.33}});
+  for (const PlannerMode mode : {PlannerMode::kAuto, PlannerMode::kForceScan,
+                                 PlannerMode::kForceIndex}) {
+    db->set_planner_mode(mode);
+    for (const bool regions : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << PlannerModeName(mode)
+                                        << " regions=" << regions);
+      std::vector<ValueQueryResult> got(bands.size());
+      ASSERT_TRUE(
+          db->Query({.bands = bands, .regions = regions, .trace = true}, got)
+              .ok());
+      for (size_t i = 0; i < bands.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "member " << i);
+        ValueQueryResult alone;
+        ASSERT_TRUE(db->Query({.bands = {&bands[i], 1},
+                               .regions = regions,
+                               .trace = true},
+                              {&alone, 1})
+                        .ok());
+        EXPECT_EQ(got[i].stats.candidate_cells, alone.stats.candidate_cells);
+        EXPECT_EQ(got[i].stats.answer_cells, alone.stats.answer_cells);
+        EXPECT_EQ(got[i].stats.inside_cells, alone.stats.inside_cells);
+        EXPECT_EQ(got[i].stats.region_pieces, alone.stats.region_pieces);
+        EXPECT_EQ(got[i].stats.index_fallbacks, alone.stats.index_fallbacks);
+        EXPECT_TRUE(got[i].stats.io == alone.stats.io)
+            << got[i].stats.io.logical_reads << " vs "
+            << alone.stats.io.logical_reads;
+        EXPECT_EQ(got[i].plan.reason, alone.plan.reason);
+        EXPECT_EQ(PieceAreas(got[i].region), PieceAreas(alone.region));
+        // Every member leads its own sweep, and carries its trace.
+        ExpectSpansSumToIo(got[i].stats);
+      }
+    }
+  }
+}
+
+TEST_P(SweepRuleTest, OverlappingBandsShareOneSweepPerConnectedGroup) {
+  const std::unique_ptr<FieldDatabase> db = Build();
+  ASSERT_NE(db, nullptr);
+  const ValueInterval range = db->value_range();
+  // A chain of overlaps in shuffled order (one group), and a mix of
+  // chains, a nested band, a repeated band and gaps (three groups).
+  const std::vector<std::vector<ValueInterval>> requests = {
+      BandsAt(range,
+              {{0.48, 0.55}, {0.40, 0.46}, {0.53, 0.60}, {0.44, 0.50}}),
+      BandsAt(range, {{0.20, 0.25},
+                      {0.70, 0.75},
+                      {0.23, 0.28},
+                      {0.05, 0.08},
+                      {0.72, 0.78},
+                      {0.21, 0.22},
+                      {0.26, 0.30},
+                      {0.70, 0.75}})};
+  for (const std::vector<ValueInterval>& bands : requests) {
+    const std::vector<std::vector<size_t>> group_of = SweepGroups(bands);
+    for (const PlannerMode mode : {PlannerMode::kAuto,
+                                   PlannerMode::kForceScan,
+                                   PlannerMode::kForceIndex}) {
+      db->set_planner_mode(mode);
+      SCOPED_TRACE(::testing::Message() << PlannerModeName(mode) << " "
+                                        << bands.size() << " bands");
+      std::vector<ValueQueryResult> got(bands.size());
+      ASSERT_TRUE(db->Query({.bands = bands}, got).ok());
+
+      uint64_t together = 0;
+      uint64_t apart = 0;
+      for (size_t i = 0; i < bands.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "member " << i);
+        ValueQueryResult alone;
+        ASSERT_TRUE(db->Query({.bands = {&bands[i], 1}}, {&alone, 1}).ok());
+        EXPECT_EQ(got[i].stats.answer_cells, alone.stats.answer_cells);
+        EXPECT_EQ(got[i].stats.inside_cells, alone.stats.inside_cells);
+        EXPECT_EQ(got[i].stats.region_pieces, alone.stats.region_pieces);
+        EXPECT_EQ(PieceAreas(got[i].region), PieceAreas(alone.region));
+        together += got[i].stats.io.logical_reads;
+        apart += alone.stats.io.logical_reads;
+        // Each member ran its group's sweep: the plan of the group's
+        // envelope, its I/O on the group's first member.
+        ValueInterval envelope = ValueInterval::Empty();
+        for (const size_t q : group_of[i]) envelope.Extend(bands[q]);
+        EXPECT_EQ(got[i].plan.reason, db->PlanValueQuery(envelope).reason);
+        if (group_of[i].front() != i) {
+          EXPECT_EQ(got[i].stats.io.logical_reads, 0u);
+        }
+      }
+      EXPECT_LE(together, apart);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, SweepRuleTest,
+    ::testing::Values(IndexMethod::kLinearScan, IndexMethod::kIAll,
+                      IndexMethod::kIHilbert, IndexMethod::kIntervalQuadtree,
+                      IndexMethod::kRowIp),
+    [](const ::testing::TestParamInfo<IndexMethod>& info) {
+      std::string name = IndexMethodName(info.param);
+      std::erase_if(name, [](char c) {
+        return !std::isalnum(static_cast<unsigned char>(c));
+      });
+      return name;
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, DatabaseRequestTest,

@@ -134,7 +134,8 @@ TEST_F(SharedScanTest, ForcedPlansAgreeWithAuto) {
 }
 
 TEST_F(SharedScanTest, LeaderChargedIoSumsToOneSweep) {
-  const std::vector<ValueInterval> queries = OverlappingQueries(8);
+  // A chain of overlaps: one group, so one sweep.
+  const std::vector<ValueInterval> queries = ChainedQueries(8);
   auto db = BuildDb(IndexMethod::kIHilbert);
   ASSERT_TRUE(db.ok());
 
@@ -374,9 +375,9 @@ TEST_F(SharedScanTest, ExecutorLeavesALoneQueryUnplanned) {
 }
 
 TEST_F(SharedScanTest, RouterPlansNoAdmission) {
-  // The router skips a shard by its value hull and a shard groups a
-  // request's bands by overlap alone, so every plan is a shard-level
-  // Query's own: one per group, for one band and for several.
+  // The router skips a shard by its value hull and a shard's one Query
+  // groups its bands by overlap alone, so every plan is a shard-level
+  // sweep's own: one per connected group, for one band and for several.
   ShardRouterOptions ro;
   ro.shards = 2;
   ro.db.method = IndexMethod::kIHilbert;
@@ -398,13 +399,23 @@ TEST_F(SharedScanTest, RouterPlansNoAdmission) {
   EXPECT_EQ(AdmissionPlans(events), 0u);
   EXPECT_EQ(Plans(events), size_t{ro.shards});
 
-  // Several bands: each shard plans each of its groups once.
-  Counter* fused =
-      MetricsRegistry::Default().GetCounter("router.shared_groups_fused");
-  Counter* split =
-      MetricsRegistry::Default().GetCounter("router.shared_groups_split");
-  const uint64_t groups_before = fused->value() + split->value();
+  // Several bands: each shard plans each connected group of the bands
+  // its value hull admits once.
   const std::vector<ValueInterval> bands = OverlappingQueries(8);
+  size_t groups = 0;
+  for (size_t k = 0; k < (*router)->num_shards(); ++k) {
+    std::vector<ValueInterval> admitted;
+    for (const ValueInterval& b : bands) {
+      if ((*router)->shard(k).db().value_range().Intersects(b)) {
+        admitted.push_back(b);
+      }
+    }
+    const std::vector<std::vector<size_t>> group_of = SweepGroups(admitted);
+    for (size_t i = 0; i < admitted.size(); ++i) {
+      groups += group_of[i].front() == i;  // one leader per group
+    }
+  }
+  ASSERT_GT(groups, size_t{ro.shards});  // some shard runs two sweeps
   std::vector<ValueQueryResult> results(bands.size());
   tb.Clear();
   TraceBuffer::set_enabled(true);
@@ -413,7 +424,7 @@ TEST_F(SharedScanTest, RouterPlansNoAdmission) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   events = tb.Snapshot();
   EXPECT_EQ(AdmissionPlans(events), 0u);
-  EXPECT_EQ(Plans(events), fused->value() + split->value() - groups_before);
+  EXPECT_EQ(Plans(events), groups);
   ASSERT_TRUE((*router)->Close().ok());
 }
 
@@ -534,7 +545,7 @@ TEST_F(SharedScanTest, CorruptIndexDegradesTheWholeGroupOnce) {
   injector->CorruptPage(tree->meta().root);
   ASSERT_TRUE((*db)->pool().Clear().ok());
 
-  const std::vector<ValueInterval> queries = OverlappingQueries(3);
+  const std::vector<ValueInterval> queries = ChainedQueries(3);
   std::vector<ValueQueryResult> shared;
   ASSERT_TRUE(QueryShared(**db, queries, &shared).ok());
   ASSERT_EQ(shared.size(), queries.size());

@@ -1,6 +1,8 @@
 // SloTracker tests: classification ladder, error-budget and burn-rate
-// math (pinned with hand-computed values), and the QueryExecutor
-// integration that classifies real queries by selectivity width.
+// math (pinned with hand-computed values), failures that miss their
+// objective through the QueryExecutor and the ShardRouter, and the
+// QueryExecutor integration that classifies real queries by
+// selectivity width.
 
 #include "obs/slo.h"
 
@@ -9,10 +11,12 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/field_database.h"
 #include "core/query_executor.h"
+#include "core/shard_router.h"
 #include "gen/fractal.h"
 #include "gen/workload.h"
 #include "obs/metrics.h"
@@ -130,6 +134,87 @@ TEST_F(SloTest, ToJsonCarriesSchemaAndClasses) {
   EXPECT_NE(json.find("\"json\""), std::string::npos);
   EXPECT_NE(json.find("\"error_budget_remaining\""), std::string::npos);
   EXPECT_NE(json.find("\"burn_rate\""), std::string::npos);
+}
+
+TEST_F(SloTest, FailureMissesTheObjectiveWithoutALatencySample) {
+  SloTracker tracker(OneClass("fail", 100.0, 0.9));
+  const Histogram* latency =
+      MetricsRegistry::Default().GetHistogram("slo.fail.latency_ms");
+  const uint64_t samples_before = latency->count();
+  tracker.Record(0, 1.0);
+  tracker.RecordFailure(ValueInterval{0.0, 1.0}, ValueInterval{0.2, 0.4});
+  const auto snap = tracker.Snapshot();
+  EXPECT_EQ(snap[0].total, 2u);
+  EXPECT_EQ(snap[0].violations, 1u);
+  EXPECT_EQ(latency->count() - samples_before, 1u);
+}
+
+StatusOr<GridField> MakeSmallField() {
+  FractalOptions fo;
+  fo.size_exp = 5;
+  fo.seed = 13;
+  return MakeFractalField(fo);
+}
+
+TEST_F(SloTest, FailedQueriesMissTheirObjectiveThroughTheExecutor) {
+  auto field = MakeSmallField();
+  ASSERT_TRUE(field.ok());
+  auto db = FieldDatabase::Build(*field);
+  ASSERT_TRUE(db.ok());
+  // An objective every answered query meets: only failures violate it.
+  SloTracker slo(OneClass("exec_fail", 1e12, 0.99));
+  QueryExecutor::Options eo;
+  eo.threads = 1;
+  eo.slo = &slo;
+  QueryExecutor executor(db->get(), eo);
+  const ValueInterval range = (*db)->value_range();
+  std::vector<ValueInterval> queries;
+  for (int i = 0; i < 10; ++i) {
+    queries.push_back(range);
+    queries.push_back(ValueInterval::Empty());
+  }
+  QueryExecutor::BatchResult result;
+  EXPECT_EQ(executor.RunBatch(queries, &result).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.failed, 10u);
+  const auto snap = slo.Snapshot();
+  EXPECT_EQ(snap[0].total, 20u);
+  EXPECT_EQ(snap[0].violations, 10u);
+}
+
+TEST_F(SloTest, RefusedRequestsMissTheirObjectiveThroughTheRouter) {
+  auto field = MakeSmallField();
+  ASSERT_TRUE(field.ok());
+  ShardRouterOptions ro;
+  ro.shards = 2;
+  auto router = ShardRouter::Build(*field, ro);
+  ASSERT_TRUE(router.ok());
+  const auto totals = [&] {
+    std::pair<uint64_t, uint64_t> sum{0, 0};
+    for (const auto& cls : (*router)->slo().Snapshot()) {
+      sum.first += cls.total;
+      sum.second += cls.violations;
+    }
+    return sum;
+  };
+  const auto [total_before, violations_before] = totals();
+  const ValueInterval range = (*router)->value_range();
+  // An empty band above every shard's hull, refused alone and as one
+  // member of three: every band of a refused request misses.
+  const ValueInterval empty{range.max + 2.0, range.max + 1.0};
+  for (int i = 0; i < 10; ++i) {
+    ValueQueryResult result;
+    EXPECT_EQ((*router)->Query({.bands = {&empty, 1}}, {&result, 1}).code(),
+              StatusCode::kInvalidArgument);
+  }
+  const std::vector<ValueInterval> bands = {range, empty, range};
+  std::vector<ValueQueryResult> results(bands.size());
+  EXPECT_EQ((*router)->Query({.bands = bands}, results).code(),
+            StatusCode::kInvalidArgument);
+  const auto [total_after, violations_after] = totals();
+  EXPECT_EQ(total_after - total_before, 13u);
+  EXPECT_EQ(violations_after - violations_before, 13u);
+  ASSERT_TRUE((*router)->Close().ok());
 }
 
 TEST_F(SloTest, QueryExecutorClassifiesAndRecordsEveryQuery) {

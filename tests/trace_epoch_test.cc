@@ -42,7 +42,7 @@ TEST(TraceEpochTest, QueueWaitEnqueuedBeforeTheBufferKeepsItsStart) {
     eo.threads = 1;
     QueryExecutor executor(db->get(), eo);
     // Occupy the only worker, so the query waits in the queue.
-    executor.SubmitTask([&] {
+    executor.SubmitTask([&](QueryContext*) {
       std::unique_lock<std::mutex> lock(mu);
       blocking = true;
       cv.notify_all();

@@ -601,18 +601,12 @@ int CmdServe(const Args& args) {
       window.swap(window_ms);
     }
     std::sort(window.begin(), window.end());
-    const auto pct = [&window](double p) {
-      if (window.empty()) return 0.0;
-      const size_t idx = static_cast<size_t>(
-          p * static_cast<double>(window.size() - 1) + 0.5);
-      return window[std::min(idx, window.size() - 1)];
-    };
     const uint64_t done = completed.load();
     const uint64_t now_waits = waits->value();
     std::printf("[%7.1fs] qps=%9.1f p50=%8.3fms p99=%8.3fms "
                 "inflight_waits=%llu failed=%llu\n",
                 elapsed, static_cast<double>(done - last_completed) / interval,
-                pct(0.50), pct(0.99),
+                PercentileOfSorted(window, 50), PercentileOfSorted(window, 99),
                 static_cast<unsigned long long>(now_waits - last_waits),
                 static_cast<unsigned long long>(failed.load()));
     for (const SloTracker::ClassSnapshot& c : (*router)->slo().Snapshot()) {

@@ -22,6 +22,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 mode="${1:-all}"
+# The suites the tsan sweep runs; both the tsan and the all modes read it.
+tsan_labels="concurrency|planner|recovery|ext|obs|asyncio|shard"
 # Read only by UBSan builds: without it a report is printed and the test
 # still exits 0.
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
@@ -45,11 +47,9 @@ run_one() {
 case "${mode}" in
   asan)  run_one asan address ;;
   ubsan) run_one ubsan undefined ;;
-  tsan)  run_one tsan thread \
-           "-L concurrency|planner|recovery|ext|obs|asyncio|shard" ;;
+  tsan)  run_one tsan thread "-L ${tsan_labels}" ;;
   all)   run_one asan address && run_one ubsan undefined \
-           && run_one tsan thread \
-                "-L concurrency|planner|recovery|ext|obs|asyncio|shard" ;;
+           && run_one tsan thread "-L ${tsan_labels}" ;;
   *)     echo "usage: $0 [asan|ubsan|tsan|all]" >&2; exit 2 ;;
 esac
 echo "sanitizer runs passed"
